@@ -11,9 +11,9 @@
 
 use ftclos_analysis::TextTable;
 use ftclos_bench::{banner, result_line, verdict, SEED};
-use ftclos_routing::{Path, SinglePathRouter};
+use ftclos_routing::SinglePathRouter;
 use ftclos_sim::{Arbiter, Policy, SimConfig, Simulator, Workload};
-use ftclos_topo::{crossbar, Crossbar};
+use ftclos_topo::{crossbar, ChannelId, Crossbar};
 use ftclos_traffic::{patterns, SdPair};
 
 struct XbRouter<'a>(&'a Crossbar);
@@ -22,14 +22,12 @@ impl SinglePathRouter for XbRouter<'_> {
     fn ports(&self) -> u32 {
         self.0.ports() as u32
     }
-    fn route(&self, pair: SdPair) -> Path {
-        if pair.src == pair.dst {
-            return Path::empty();
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+        out.clear();
+        if pair.src != pair.dst {
+            out.push(self.0.up_channel(pair.src as usize));
+            out.push(self.0.down_channel(pair.dst as usize));
         }
-        Path::new(vec![
-            self.0.up_channel(pair.src as usize),
-            self.0.down_channel(pair.dst as usize),
-        ])
     }
     fn name(&self) -> &'static str {
         "crossbar"

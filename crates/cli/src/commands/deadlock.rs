@@ -196,6 +196,29 @@ fn analyze(
     view: Option<&FaultyView>,
     rec: &Registry,
 ) -> Result<Vec<SweepEntry>, CliError> {
+    reject_broken_paths(sweep(ft, router, view, rec)?)
+}
+
+/// Refuse a verdict over a router that emitted a path whose consecutive hops
+/// are not adjacent channels: such a hop is no dependency and is missing from
+/// the graph, so `FREE` would not cover the route set.
+fn reject_broken_paths(entries: Vec<SweepEntry>) -> Result<Vec<SweepEntry>, CliError> {
+    match entries.iter().find(|e| e.analysis.bad_hops != 0) {
+        None => Ok(entries),
+        Some(e) => Err(CliError::Failed(format!(
+            "router `{}` emitted {} non-adjacent hop(s): its paths are broken, so no \
+             deadlock verdict can be given",
+            e.router, e.analysis.bad_hops
+        ))),
+    }
+}
+
+fn sweep(
+    ft: &Ftree,
+    router: &str,
+    view: Option<&FaultyView>,
+    rec: &Registry,
+) -> Result<Vec<SweepEntry>, CliError> {
     let topo = ft.topology();
     let single = |name: &'static str, r: &(dyn SinglePathRouter + Sync)| -> Vec<SweepEntry> {
         let g = match view {
@@ -610,6 +633,25 @@ mod tests {
         assert!(out.contains("\"wedged\":true"), "{out}");
         assert!(out.contains("\"conservation_ok\":true"), "{out}");
         assert!(out.contains("\"control_wedged\":false"), "{out}");
+    }
+
+    #[test]
+    fn broken_paths_are_a_typed_failure_not_a_free_verdict() {
+        let reg = Registry::new();
+        let ft = build_ftree(&argv("2 4 3")).unwrap();
+        let mut entries = sweep(&ft, "dmodk", None, &reg).unwrap();
+        assert!(entries[0].analysis.is_free());
+        assert_eq!(reject_broken_paths(entries.clone()).unwrap(), entries);
+        entries[0].analysis.bad_hops = 3;
+        match reject_broken_paths(entries) {
+            Err(CliError::Failed(msg)) => {
+                assert!(
+                    msg.contains("`dmodk` emitted 3 non-adjacent hop(s)"),
+                    "{msg}"
+                );
+            }
+            other => panic!("expected a typed failure, got {other:?}"),
+        }
     }
 
     #[test]

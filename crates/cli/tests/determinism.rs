@@ -3,6 +3,11 @@
 //! The engine's first-witness reduction and the waterfill solver both claim
 //! schedule-independence; this drives the real binary under
 //! `RAYON_NUM_THREADS` 1, 2, and 8 and diffs complete outputs.
+//!
+//! `vendor/rayon` runs short inputs inline, so the toy fabrics below mostly
+//! exercise the plumbing. The `*_on_real_threads` tests use fabrics large
+//! enough for the sweeps to split, and read the `par.threads` gauge from the
+//! command's trace to prove that they did.
 
 use std::process::Command;
 
@@ -31,6 +36,115 @@ fn assert_thread_invariant(args: &[&str]) {
             "ftclos {args:?} output depends on RAYON_NUM_THREADS={threads}"
         );
     }
+}
+
+/// The `par.threads` gauge of the invocation's trace: how many threads its
+/// (last) CDG sweep ran on.
+fn par_threads_gauge(args: &[&str], threads: &str) -> u64 {
+    let trace = std::env::temp_dir().join(format!(
+        "ftclos_determinism_trace_{}_{threads}.json",
+        std::process::id()
+    ));
+    let trace_path = trace.to_str().expect("utf-8 temp path");
+    let mut traced = args.to_vec();
+    traced.extend(["--trace", trace_path]);
+    run_with_threads(&traced, threads);
+    let json = std::fs::read_to_string(&trace).expect("trace written");
+    let _ = std::fs::remove_file(&trace);
+    let (_, rest) = json
+        .split_once("\"par.threads\":")
+        .expect("trace carries the par.threads gauge");
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("gauge value")
+}
+
+#[test]
+fn deadlock_sweeps_are_invariant_on_real_threads() {
+    // 512 ports, 261,632 SD pairs: the sweep splits into as many contiguous
+    // source blocks as there are threads, up to eight.
+    let free = ["deadlock", "4", "16", "128", "--router", "yuan"];
+    for (threads, expected) in [("1", 1), ("2", 2), ("8", 8)] {
+        assert_eq!(
+            par_threads_gauge(&free, threads),
+            expected,
+            "RAYON_NUM_THREADS={threads}"
+        );
+    }
+    assert_thread_invariant(&free);
+    // The cyclic verdict: 256 cyclic channels and the 256-channel witness.
+    assert_thread_invariant(&["deadlock", "4", "16", "128", "--router", "valley", "--json"]);
+    // Fault-masked sweeps of the whole roster (multipath branches included).
+    assert_thread_invariant(&[
+        "deadlock",
+        "4",
+        "16",
+        "64",
+        "--fail-tops",
+        "1",
+        "--fail-links",
+        "3",
+        "--seed",
+        "3",
+    ]);
+}
+
+#[test]
+fn campaigns_are_invariant_on_real_threads() {
+    // Exhaustive certification runs its partitions on threads at any size;
+    // each judgement here is a 65,280-pair masked CDG sweep.
+    assert_thread_invariant(&[
+        "campaign",
+        "4",
+        "16",
+        "64",
+        "--property",
+        "deadlock",
+        "--router",
+        "dmodk",
+        "--mode",
+        "exhaustive",
+        "--k",
+        "1",
+        "--universe",
+        "tops",
+    ]);
+    // Randomized waves judge on the calling thread; the threads are inside
+    // each judgement's sweep.
+    assert_thread_invariant(&[
+        "campaign",
+        "4",
+        "16",
+        "64",
+        "--property",
+        "deadlock",
+        "--router",
+        "dmodk",
+        "--waves",
+        "2",
+        "--wave-size",
+        "3",
+        "--seed",
+        "7",
+        "--json",
+    ]);
+    // The degraded-nonblocking margin fans its permutation samples out.
+    assert_thread_invariant(&[
+        "campaign",
+        "2",
+        "4",
+        "5",
+        "--property",
+        "nonblocking",
+        "--waves",
+        "3",
+        "--wave-size",
+        "4",
+        "--samples",
+        "12",
+        "--seed",
+        "5",
+        "--shrink",
+    ]);
 }
 
 #[test]
@@ -67,9 +181,10 @@ fn fluid_rates_are_thread_count_invariant() {
 
 #[test]
 fn deadlock_verdicts_are_thread_count_invariant() {
-    // The CDG build fans path walks out over rayon; the dependency bitmap
-    // is a set union (order-independent), so verdicts, dependency counts,
-    // and the witness cycle must be byte-identical at any thread count.
+    // The dependency bitmap is a set union (order-independent), so verdicts,
+    // dependency counts, and the witness cycle must be byte-identical at any
+    // thread count. (At ten ports the sweep itself runs inline; see
+    // `deadlock_sweeps_are_invariant_on_real_threads`.)
     assert_thread_invariant(&["deadlock", "2", "4", "5", "--json"]);
     assert_thread_invariant(&["deadlock", "2", "4", "5", "--fail-tops", "1", "--seed", "3"]);
 }
@@ -143,9 +258,9 @@ fn blocking_sample_fraction_is_thread_count_invariant() {
 
 #[test]
 fn campaign_reports_are_thread_count_invariant() {
-    // Randomized waves fan judgements and shrinks over rayon; per-set RNG
-    // streams are keyed by (seed, wave, index) alone, so the report —
-    // killer order, minimal cores, criticality ranking — is schedule-free.
+    // Per-set RNG streams are keyed by (seed, wave, index) alone, so the
+    // report — killer order, minimal cores, criticality ranking — is
+    // schedule-free.
     assert_thread_invariant(&[
         "campaign",
         "2",

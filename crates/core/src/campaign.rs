@@ -15,8 +15,11 @@
 //!   rayon-parallel, and a partition aborts only when a *strictly smaller*
 //!   partition has already found a killer.
 //! * [`run_randomized`] fires seeded waves of mixed link+switch fault sets;
-//!   each wave is one parallel batch judged against the property, killers
-//!   optionally shrunk in the same wave.
+//!   each wave is one batch judged against the property, killers optionally
+//!   shrunk in the same wave. Waves run on the calling thread: a wave is a
+//!   handful of sets and the cheap properties judge one in nanoseconds, so a
+//!   thread per wave cost more than the wave; the properties that cost
+//!   milliseconds (deadlock, margin) parallelise inside `judge`.
 //! * [`shrink`] delta-debugs a killer fault set to a **1-minimal**
 //!   counterexample — every proper subset obtained by removing one element
 //!   survives — by repeated single-removal passes run to fixpoint, which is
@@ -214,7 +217,7 @@ impl Judgement {
 
 /// A property a campaign attacks. Implementations must be deterministic —
 /// the same fault vector always yields the same [`Judgement`] — and
-/// `Sync`, since waves judge fault sets rayon-parallel.
+/// `Sync`, since [`certify_exhaustive`] judges fault sets rayon-parallel.
 pub trait CampaignProperty: Sync {
     /// Stable name, recorded in certificates and checkpoints.
     fn name(&self) -> &'static str;
@@ -691,7 +694,7 @@ pub fn certify_exhaustive_with<Rec: Recorder>(
             u64::try_from(binomial(u, s)).unwrap_or(u64::MAX),
         );
         let found_partition = AtomicUsize::new(usize::MAX);
-        let hits: Vec<Option<Killer>> = (0..=u - s)
+        let hits: Vec<Option<Killer>> = (0..u - s + 1)
             .into_par_iter()
             .map(|first| {
                 let mut hit = None;
@@ -734,7 +737,7 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Waves to fire.
     pub waves: usize,
-    /// Fault sets per wave (judged as one parallel batch).
+    /// Fault sets per wave (judged as one batch).
     pub wave_size: usize,
     /// Distinct cables failed per set.
     pub links_per_set: usize,
@@ -1009,11 +1012,11 @@ fn draw_set(
 /// Fire seeded waves of random fault sets at `property`.
 ///
 /// Each wave draws `wave_size` sets — every set keyed by
-/// `(seed, wave, index)` only — judges them as one rayon-parallel batch,
-/// and (with [`CampaignConfig::shrink`]) shrinks the wave's killers in
-/// parallel. Pass a prior [`CampaignReport`] as `resume` to continue an
-/// interrupted campaign: completed waves are skipped and the final report
-/// is identical to an uninterrupted run.
+/// `(seed, wave, index)` only — judges them as one batch, and (with
+/// [`CampaignConfig::shrink`]) shrinks the wave's killers. Pass a prior
+/// [`CampaignReport`] as `resume` to continue an interrupted campaign:
+/// completed waves are skipped and the final report is identical to an
+/// uninterrupted run.
 ///
 /// # Errors
 /// [`CampaignError::EmptyUniverse`] when a universe is smaller than one
@@ -1087,7 +1090,7 @@ pub fn run_randomized_with<Rec: Recorder>(
             .collect();
         let judged: Vec<Judgement> = {
             let _wave_span = rec.span("campaign.wave");
-            sets.par_iter().map(|fv| property.judge(fv)).collect()
+            sets.iter().map(|fv| property.judge(fv)).collect()
         };
         rec.add("campaign.sets", cfg.wave_size as u64);
         state.sets_evaluated += cfg.wave_size as u64;
@@ -1101,7 +1104,7 @@ pub fn run_randomized_with<Rec: Recorder>(
         let shrunk: Vec<Option<Shrunk>> = if cfg.shrink && !killer_idx.is_empty() {
             let _shrink_span = rec.span("campaign.shrink");
             killer_idx
-                .par_iter()
+                .iter()
                 .map(|&i| Some(shrink(property, &sets[i])))
                 .collect()
         } else {
@@ -1349,6 +1352,45 @@ mod tests {
         );
         // Only size-1 sets were planned after the baseline.
         assert_eq!(cert.sets_total, 1 + universe.len() as u128);
+    }
+
+    #[test]
+    fn certify_first_killer_wins_when_later_partitions_find_theirs_sooner() {
+        /// Dies on exactly three pairs of the universe, none in partition 0.
+        struct ThreePairs(Vec<FaultElement>);
+        impl CampaignProperty for ThreePairs {
+            fn name(&self) -> &'static str {
+                "three-pairs"
+            }
+            fn judge(&self, faults: &FaultVector) -> Judgement {
+                let has = |i: usize| faults.elements().contains(&self.0[i]);
+                let dead = [(3, 8), (5, 6), (7, 9)]
+                    .iter()
+                    .any(|&(a, b)| has(a) && has(b));
+                Judgement {
+                    holds: !dead,
+                    detail: String::from("pair"),
+                }
+            }
+        }
+        let ft = ft245();
+        let mut universe: Vec<FaultElement> = (0..ft.r())
+            .flat_map(|v| (0..ft.n()).map(move |k| (v, k)))
+            .map(|(v, k)| FaultElement::Link(ft.leaf_up_channel(v, k)))
+            .collect();
+        universe.sort_unstable();
+        let prop = ThreePairs(universe.clone());
+        // Partitions 5 and 7 sit in a later thread's block and reach their
+        // killers after one or two judgements; partition 3 needs five.
+        for _ in 0..50 {
+            let cert = certify_exhaustive(&prop, &universe, 2);
+            assert_eq!(cert.tolerant_up_to, 1);
+            assert_eq!(cert.sets_total, 1 + 10 + 45);
+            assert_eq!(
+                cert.killer.unwrap().faults,
+                FaultVector::new(vec![universe[3], universe[8]])
+            );
+        }
     }
 
     #[test]

@@ -19,21 +19,28 @@
 //! the top switch and strictly descends after — and
 //! [`ChannelDependencyGraph::updown_order_certificate`] checks that layering
 //! directly (a linear rank certificate: a constructive witness of
-//! acyclicity, strictly cheaper than SCC). The general verdict comes from
-//! [`ChannelDependencyGraph::check`]: an iterative Tarjan SCC pass with
-//! deterministic witness extraction — the witness cycle starts at the
-//! globally lowest-numbered cyclic channel and is the minimal-length,
-//! lexicographically-first cycle through it, so verdicts are byte-identical
-//! across thread counts and runs.
+//! acyclicity, strictly cheaper than SCC).
+//! [`ChannelDependencyGraph::check`] tries the certificate first — on a
+//! fabric whose every channel changes level, no valley turn means every
+//! dependency raises the rank — and otherwise gives the general verdict: an
+//! iterative Tarjan SCC pass with deterministic witness extraction — the
+//! witness cycle starts at the globally lowest-numbered cyclic channel and is
+//! the minimal-length, lexicographically-first cycle through it, so verdicts
+//! are byte-identical across thread counts and runs.
 //!
 //! The extractors walk route sets exactly as the arena does — every SD pair
 //! of the fabric, every branch of a multipath/adaptive route set (branches
 //! in sorted channel order) — and record dependencies into a dense
 //! word-aligned bitmap CSR: channel `a`'s successor universe is the
 //! out-channel list of the node `a` points into, so a row needs only
-//! `⌈out_degree/64⌉` words. Parallel builds set bits with relaxed atomic
-//! `fetch_or`; set union is order-independent, so the resulting graph does
-//! not depend on `RAYON_NUM_THREADS`.
+//! `⌈out_degree/64⌉` words. The sweep runs on `rayon` threads, one contiguous
+//! block of sources each, single-path routers routing into one scratch
+//! buffer per source ([`SinglePathRouter::route_into`]); a bit is tested
+//! before it is set with a relaxed atomic `fetch_or`. Set union is
+//! order-independent, so the resulting graph does not depend on
+//! `RAYON_NUM_THREADS`. A path whose consecutive hops are not adjacent
+//! channels is counted ([`ChannelDependencyGraph::bad_hops`]), never
+//! silently dropped.
 //!
 //! [`ValleyRouter`] is the in-tree counterexample: a deliberately
 //! deadlock-*prone* "valley" routing (down→up bounce through a neighbor
@@ -43,7 +50,7 @@
 
 use ftclos_obs::{Noop, Recorder};
 use ftclos_routing::{
-    DModK, ObliviousMultipath, Path, RouteAssignment, SModK, SinglePathRouter, SpreadPolicy,
+    DModK, ObliviousMultipath, RouteAssignment, SModK, SinglePathRouter, SpreadPolicy,
     YuanDeterministic,
 };
 use ftclos_topo::{ChannelId, FaultSet, FaultyView, Ftree, Topology, Transition};
@@ -91,6 +98,9 @@ struct DependencySkeleton {
     up_mask: Vec<u64>,
     /// Word offsets into `up_mask`, length `nodes + 1`.
     mask_start: Vec<u32>,
+    /// Whether some channel joins two nodes of one level. Without one, a
+    /// dependency can only fail to raise the rank by being a valley turn.
+    has_same_level_channel: bool,
 }
 
 impl DependencySkeleton {
@@ -121,11 +131,13 @@ impl DependencySkeleton {
         let mut tail = vec![0u32; chans];
         let mut is_up = vec![false; chans];
         let mut rank = vec![0u32; chans];
+        let mut has_same_level_channel = false;
         for c in topo.channel_ids() {
             let ch = topo.channel(c);
             head[c.index()] = ch.dst.0;
             tail[c.index()] = ch.src.0;
             let up = level(ch.dst) > level(ch.src);
+            has_same_level_channel |= level(ch.dst) == level(ch.src);
             is_up[c.index()] = up;
             // Ascents rank by the level they climb into (1..L); descents by
             // 2L+1 minus the level they leave (L+1..2L+1). Every up*/down*
@@ -185,6 +197,7 @@ impl DependencySkeleton {
             rank,
             up_mask,
             mask_start,
+            has_same_level_channel,
         }
     }
 
@@ -256,6 +269,10 @@ pub struct CycleAnalysis {
     pub valley_turns: u64,
     /// Channels on at least one dependency cycle (0 when free).
     pub cyclic_channels: usize,
+    /// Non-adjacent consecutive hops the graph was built without (see
+    /// [`ChannelDependencyGraph::bad_hops`]); when nonzero the verdict does
+    /// not cover the route set.
+    pub bad_hops: u64,
     /// The verdict, with a witness cycle when cyclic.
     pub verdict: DeadlockVerdict,
 }
@@ -277,9 +294,20 @@ pub struct ChannelDependencyGraph {
     skel: DependencySkeleton,
     bits: Vec<u64>,
     num_deps: u64,
+    bad_hops: u64,
 }
 
 impl ChannelDependencyGraph {
+    fn from_bits(skel: DependencySkeleton, bits: Vec<u64>, bad_hops: u64) -> Self {
+        let num_deps = bits.iter().map(|w| u64::from(w.count_ones())).sum();
+        Self {
+            skel,
+            bits,
+            num_deps,
+            bad_hops,
+        }
+    }
+
     /// Number of directed channels (CDG vertices).
     pub fn num_channels(&self) -> usize {
         self.skel.head.len()
@@ -288,6 +316,15 @@ impl ChannelDependencyGraph {
     /// Number of dependencies (CDG edges).
     pub fn num_deps(&self) -> u64 {
         self.num_deps
+    }
+
+    /// Consecutive hops of the recorded paths that were **not** adjacent
+    /// channels (the second does not leave the node the first enters). Such
+    /// a hop is no dependency and is left out of the graph, so a verdict over
+    /// a graph with `bad_hops() != 0` says nothing about the router that
+    /// emitted those paths: callers must treat it as a failure.
+    pub fn bad_hops(&self) -> u64 {
+        self.bad_hops
     }
 
     /// Whether some routed path crosses `a` and then immediately `b`.
@@ -374,16 +411,45 @@ impl ChannelDependencyGraph {
         Ok(())
     }
 
-    /// Run the cycle check: Tarjan SCC plus deterministic witness
-    /// extraction. See [`ChannelDependencyGraph::check_with`].
+    /// Run the cycle check: the up*/down* certificate where it applies,
+    /// Tarjan SCC plus deterministic witness extraction where it does not.
+    /// See [`ChannelDependencyGraph::check_with`].
     pub fn check(&self) -> CycleAnalysis {
         self.check_with(&Noop)
     }
 
     /// [`ChannelDependencyGraph::check`] with instrumentation: the pass runs
     /// under span `cdg.scc` and records the `cdg.cyclic_channels` gauge.
+    ///
+    /// Certificate first: an ascent's rank is the level it climbs into and a
+    /// descent's is `2L+1` minus the level it leaves, so when every channel
+    /// changes level the only dependency that does not strictly raise the
+    /// rank is a descent followed by an ascent. With no such valley turn
+    /// (one word-parallel pass over the bitmap) the rank order of
+    /// [`ChannelDependencyGraph::updown_order_certificate`] holds for every
+    /// dependency and the graph is acyclic without running SCC. Anything
+    /// else goes through Tarjan.
     pub fn check_with<R: Recorder>(&self, rec: &R) -> CycleAnalysis {
         let _span = rec.span("cdg.scc");
+        let valley_turns = self.valley_turns();
+        let (cyclic_channels, verdict) = if valley_turns == 0 && !self.skel.has_same_level_channel {
+            (0, DeadlockVerdict::Free)
+        } else {
+            self.tarjan_verdict()
+        };
+        rec.gauge("cdg.cyclic_channels", cyclic_channels as u64);
+        CycleAnalysis {
+            num_deps: self.num_deps,
+            valley_turns,
+            cyclic_channels,
+            bad_hops: self.bad_hops,
+            verdict,
+        }
+    }
+
+    /// The general verdict: channels on a dependency cycle, counted by
+    /// Tarjan SCC, and the witness cycle through the lowest of them.
+    fn tarjan_verdict(&self) -> (usize, DeadlockVerdict) {
         let (comp, comp_size) = self.tarjan();
         let mut cyclic_channels = 0usize;
         let mut lowest = None;
@@ -396,19 +462,13 @@ impl ChannelDependencyGraph {
                 }
             }
         }
-        rec.gauge("cdg.cyclic_channels", cyclic_channels as u64);
         let verdict = match lowest {
             None => DeadlockVerdict::Free,
             Some(c0) => DeadlockVerdict::Cyclic {
                 witness: self.extract_witness(c0, &comp),
             },
         };
-        CycleAnalysis {
-            num_deps: self.num_deps,
-            valley_turns: self.valley_turns(),
-            cyclic_channels,
-            verdict,
-        }
+        (cyclic_channels, verdict)
     }
 
     /// Iterative Tarjan over the bitmap CSR. Returns the component id of
@@ -533,6 +593,37 @@ impl ChannelDependencyGraph {
     }
 }
 
+/// Fewest SD pairs a thread of the all-pairs sweep routes.
+const MIN_PAIRS_PER_THREAD: usize = 1 << 15;
+
+/// One worker's handle on the shared dependency bitmap: records the
+/// consecutive channel pairs of each path it is given.
+struct DepSink<'a> {
+    skel: &'a DependencySkeleton,
+    bits: &'a [AtomicU64],
+    /// Consecutive hops that were not adjacent channels (see
+    /// [`ChannelDependencyGraph::bad_hops`]).
+    bad_hops: u64,
+}
+
+impl DepSink<'_> {
+    #[inline]
+    fn record(&mut self, path: &[ChannelId]) {
+        for w in path.windows(2) {
+            let Some((word, mask)) = self.skel.bit_of(w[0], w[1]) else {
+                self.bad_hops += 1;
+                continue;
+            };
+            // All-pairs route sets repeat most dependencies many times over:
+            // a plain load keeps the line shared between the cores, where an
+            // unconditional `fetch_or` would take it exclusive on every hop.
+            if self.bits[word].load(Ordering::Relaxed) & mask == 0 {
+                self.bits[word].fetch_or(mask, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// Build a CDG by walking every SD pair's route set in parallel.
 ///
 /// `paths_of` is called once per ordered pair `(s, d)` with `s, d < ports`
@@ -549,8 +640,9 @@ where
 }
 
 /// [`build_cdg`] with instrumentation: the build runs under span
-/// `cdg.build` and records the `cdg.deps` counter and `cdg.channels` /
-/// `cdg.bitmap_words` gauges.
+/// `cdg.build` and records the `cdg.deps` counter, the `cdg.channels` /
+/// `cdg.bitmap_words` gauges, `par.threads` (threads the sweep ran on) and,
+/// only when a path was broken, the `cdg.bad_hops` counter.
 pub fn build_cdg_with<F, R>(
     topo: &Topology,
     ports: u32,
@@ -561,32 +653,83 @@ where
     F: Fn(SdPair, &mut dyn FnMut(&[ChannelId])) + Sync,
     R: Recorder,
 {
+    build_by_source(
+        topo,
+        ports,
+        |s, sink| {
+            for d in 0..ports {
+                paths_of(SdPair::new(s, d), &mut |path| sink.record(path));
+            }
+        },
+        rec,
+    )
+}
+
+/// The sweep behind every extractor: sources are split into contiguous
+/// blocks, one per thread, and `paths_from(s, sink)` records every path that
+/// starts at source `s`. Contiguous, because a source's paths set bits in
+/// the rows of its own switch's uplinks: neighbouring sources on different
+/// cores would pass those rows back and forth.
+fn build_by_source<F, R>(
+    topo: &Topology,
+    ports: u32,
+    paths_from: F,
+    rec: &R,
+) -> ChannelDependencyGraph
+where
+    F: Fn(u32, &mut DepSink<'_>) + Sync,
+    R: Recorder,
+{
     let _span = rec.span("cdg.build");
     let skel = DependencySkeleton::new(topo);
     let bits_atomic: Vec<AtomicU64> = (0..skel.num_words()).map(|_| AtomicU64::new(0)).collect();
-    (0..ports).into_par_iter().for_each(|s| {
-        let mut emit = |path: &[ChannelId]| {
-            for w in path.windows(2) {
-                let Some((word, mask)) = skel.bit_of(w[0], w[1]) else {
-                    debug_assert!(false, "path hops {} -> {} are not adjacent", w[0], w[1]);
-                    continue;
-                };
-                bits_atomic[word].fetch_or(mask, Ordering::Relaxed);
-            }
+    let bad_hops = AtomicU64::new(0);
+    // A thread has to route some 30k pairs (about a millisecond) to be worth
+    // starting: smaller fabrics sweep on the calling thread.
+    let min_sources = (MIN_PAIRS_PER_THREAD / ports.max(1) as usize).max(1);
+    let threads = (ports as usize / min_sources).clamp(1, rayon::current_num_threads());
+    rec.gauge("par.threads", threads as u64);
+    let sources = (0..ports).into_par_iter().with_min_len(min_sources);
+    sources.for_each(|s| {
+        let mut sink = DepSink {
+            skel: &skel,
+            bits: &bits_atomic,
+            bad_hops: 0,
         };
-        for d in 0..ports {
-            paths_of(SdPair::new(s, d), &mut emit);
+        paths_from(s, &mut sink);
+        if sink.bad_hops != 0 {
+            bad_hops.fetch_add(sink.bad_hops, Ordering::Relaxed);
         }
     });
     let bits: Vec<u64> = bits_atomic.into_iter().map(AtomicU64::into_inner).collect();
-    let num_deps: u64 = bits.iter().map(|w| u64::from(w.count_ones())).sum();
-    rec.add("cdg.deps", num_deps);
+    let graph = ChannelDependencyGraph::from_bits(skel, bits, bad_hops.into_inner());
+    rec.add("cdg.deps", graph.num_deps);
+    if graph.bad_hops != 0 {
+        rec.add("cdg.bad_hops", graph.bad_hops);
+    }
     rec.gauge("cdg.channels", topo.num_channels() as u64);
-    rec.gauge("cdg.bitmap_words", bits.len() as u64);
-    ChannelDependencyGraph {
-        skel,
-        bits,
-        num_deps,
+    rec.gauge("cdg.bitmap_words", graph.bits.len() as u64);
+    graph
+}
+
+/// Every cross pair of a single-path router from source `s`, routed into
+/// one scratch buffer; `keep` filters the paths that count.
+fn single_paths_from<R>(
+    router: &R,
+    s: u32,
+    sink: &mut DepSink<'_>,
+    keep: impl Fn(&[ChannelId]) -> bool,
+) where
+    R: SinglePathRouter + ?Sized,
+{
+    let mut path = Vec::new();
+    for d in 0..router.ports() {
+        if d != s {
+            router.route_into(SdPair::new(s, d), &mut path);
+            if keep(&path) {
+                sink.record(&path);
+            }
+        }
     }
 }
 
@@ -597,21 +740,16 @@ where
 {
     let skel = DependencySkeleton::new(topo);
     let mut bits = vec![0u64; skel.num_words()];
+    let mut bad_hops = 0u64;
     for path in paths {
         for w in path.windows(2) {
-            let Some((word, mask)) = skel.bit_of(w[0], w[1]) else {
-                debug_assert!(false, "path hops {} -> {} are not adjacent", w[0], w[1]);
-                continue;
-            };
-            bits[word] |= mask;
+            match skel.bit_of(w[0], w[1]) {
+                Some((word, mask)) => bits[word] |= mask,
+                None => bad_hops += 1,
+            }
         }
     }
-    let num_deps: u64 = bits.iter().map(|w| u64::from(w.count_ones())).sum();
-    ChannelDependencyGraph {
-        skel,
-        bits,
-        num_deps,
-    }
+    ChannelDependencyGraph::from_bits(skel, bits, bad_hops)
 }
 
 /// CDG of a single-path router over every SD pair of the fabric — the same
@@ -631,16 +769,10 @@ where
     R: SinglePathRouter + Sync + ?Sized,
     Rec: Recorder,
 {
-    build_cdg_with(
+    build_by_source(
         topo,
         router.ports(),
-        |pair, emit| {
-            if pair.src == pair.dst {
-                return;
-            }
-            let path = router.route(pair);
-            emit(path.channels());
-        },
+        |s, sink| single_paths_from(router, s, sink, |_| true),
         rec,
     )
 }
@@ -666,18 +798,10 @@ where
     R: SinglePathRouter + Sync + ?Sized,
     Rec: Recorder,
 {
-    build_cdg_with(
+    build_by_source(
         view.topology(),
         router.ports(),
-        |pair, emit| {
-            if pair.src == pair.dst {
-                return;
-            }
-            let path = router.route(pair);
-            if view.path_alive(path.channels()).is_ok() {
-                emit(path.channels());
-            }
-        },
+        |s, sink| single_paths_from(router, s, sink, |path| view.path_alive(path).is_ok()),
         rec,
     )
 }
@@ -841,52 +965,31 @@ impl SinglePathRouter for ValleyRouter<'_> {
         (self.ft.n() * self.ft.r()) as u32
     }
 
-    fn route(&self, pair: SdPair) -> Path {
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+        out.clear();
+        if pair.src == pair.dst {
+            return;
+        }
         let ft = self.ft;
         let n = ft.n();
-        if pair.src == pair.dst {
-            return Path::empty();
-        }
         let (v, i) = (pair.src as usize / n, pair.src as usize % n);
         let (w, j) = (pair.dst as usize / n, pair.dst as usize % n);
-        let up0 = ft.leaf_up_channel(v, i);
-        let down_last = ft.leaf_down_channel(w, j);
-        if v == w {
-            return Path::new(vec![up0, down_last]);
+        out.push(ft.leaf_up_channel(v, i));
+        // Walk the neighbor ring from `v`, one up/down bounce per stop, until
+        // a stop hosts the destination; the third descent goes straight to
+        // `w`.
+        let mut at = v;
+        for bounce in 0..3 {
+            if at == w {
+                break;
+            }
+            let next = if bounce == 2 { w } else { (at + 1) % ft.r() };
+            let top = at % ft.m();
+            out.push(ft.up_channel(at, top));
+            out.push(ft.down_channel(top, next));
+            at = next;
         }
-        let t1 = v % ft.m();
-        let x1 = (v + 1) % ft.r();
-        if x1 == w {
-            return Path::new(vec![
-                up0,
-                ft.up_channel(v, t1),
-                ft.down_channel(t1, w),
-                down_last,
-            ]);
-        }
-        let t2 = x1 % ft.m();
-        let x2 = (v + 2) % ft.r();
-        if x2 == w {
-            return Path::new(vec![
-                up0,
-                ft.up_channel(v, t1),
-                ft.down_channel(t1, x1),
-                ft.up_channel(x1, t2),
-                ft.down_channel(t2, w),
-                down_last,
-            ]);
-        }
-        let t3 = x2 % ft.m();
-        Path::new(vec![
-            up0,
-            ft.up_channel(v, t1),
-            ft.down_channel(t1, x1),
-            ft.up_channel(x1, t2),
-            ft.down_channel(t2, x2),
-            ft.up_channel(x2, t3),
-            ft.down_channel(t3, w),
-            down_last,
-        ])
+        out.push(ft.leaf_down_channel(w, j));
     }
 
     fn name(&self) -> &'static str {
@@ -1125,22 +1228,33 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_serial_route_list() {
-        let ft = Ftree::new(2, 3, 4).unwrap();
-        let router = DModK::new(&ft);
-        let par = cdg_of_router(ft.topology(), &router);
-        // Full-mesh pair list, serially.
-        let ports = router.ports();
-        let mut paths = Vec::new();
-        for s in 0..ports {
-            for d in 0..ports {
-                if s != d {
-                    paths.push(router.route(SdPair::new(s, d)));
+        // The second fabric has 256 ports: enough pairs for the sweep to
+        // split across threads (when the machine has more than one).
+        for (n, m, r) in [(2, 3, 4), (4, 4, 64)] {
+            let ft = Ftree::new(n, m, r).unwrap();
+            let router = DModK::new(&ft);
+            let reg = ftclos_obs::Registry::new();
+            let par = cdg_of_router_with(ft.topology(), &router, &reg);
+            let ports = router.ports();
+            if ports >= 256 {
+                assert_eq!(
+                    reg.snapshot().gauge("par.threads"),
+                    Some(rayon::current_num_threads().min(2) as u64)
+                );
+            }
+            // Full-mesh pair list, serially.
+            let mut paths = Vec::new();
+            for s in 0..ports {
+                for d in 0..ports {
+                    if s != d {
+                        paths.push(router.route(SdPair::new(s, d)));
+                    }
                 }
             }
+            let ser = cdg_of_paths(ft.topology(), paths.iter().map(|p| p.channels()));
+            assert_eq!(par.bits, ser.bits, "atomic union == serial union");
+            assert_eq!(par.num_deps(), ser.num_deps());
         }
-        let ser = cdg_of_paths(ft.topology(), paths.iter().map(|p| p.channels()));
-        assert_eq!(par.bits, ser.bits, "atomic union == serial union");
-        assert_eq!(par.num_deps(), ser.num_deps());
     }
 
     #[test]
@@ -1290,6 +1404,172 @@ mod tests {
         let witness = a.verdict.witness().expect("cycle").to_vec();
         assert_eq!(witness.len(), 4);
         assert_eq!(witness[0], [u0, u1, d0, d1].into_iter().min().unwrap());
+    }
+
+    /// The certificate-first `check` and the Tarjan pass it skips must give
+    /// one answer.
+    fn assert_certificate_agrees_with_tarjan(g: &ChannelDependencyGraph) -> CycleAnalysis {
+        let a = g.check();
+        let (cyclic_channels, verdict) = g.tarjan_verdict();
+        assert_eq!((a.cyclic_channels, &a.verdict), (cyclic_channels, &verdict));
+        a
+    }
+
+    #[test]
+    fn certificate_verdict_equals_tarjan_on_every_fixture() {
+        let ft = Ftree::new(2, 4, 3).unwrap();
+        let topo = ft.topology();
+        let free = [
+            cdg_of_router(topo, &YuanDeterministic::new(&ft).unwrap()),
+            cdg_of_router(topo, &DModK::new(&ft)),
+            cdg_of_router(topo, &SModK::new(&ft)),
+            cdg_of_multipath(&ft, None),
+        ];
+        for g in &free {
+            assert!(assert_certificate_agrees_with_tarjan(g).is_free());
+        }
+        let x = kary_ntree(2, 3).unwrap();
+        let tree = cdg_of_router(x.topology(), &XgftRouter::dmod(&x));
+        assert!(assert_certificate_agrees_with_tarjan(&tree).is_free());
+        let net = RecursiveNonblocking::new(2).unwrap();
+        let rec = cdg_of_router(net.topology(), &YuanRecursive::new(&net));
+        assert!(assert_certificate_agrees_with_tarjan(&rec).is_free());
+
+        // Valley turns that close a cycle (r ≥ 3) and the r = 2 fabric whose
+        // valley router has none.
+        for (r, cyclic) in [(2, false), (3, true), (4, true), (5, true)] {
+            let ft = Ftree::new(2, 2, r).unwrap();
+            let a = assert_certificate_agrees_with_tarjan(&cdg_of_router(
+                ft.topology(),
+                &ValleyRouter::new(&ft),
+            ));
+            assert_eq!(!a.is_free(), cyclic, "r = {r}");
+        }
+
+        // The hand-built bounce cycle, and one bounce alone: a valley turn
+        // that closes no cycle, which only Tarjan can clear.
+        let ft = Ftree::new(1, 1, 2).unwrap();
+        let (u0, u1) = (ft.up_channel(0, 0), ft.up_channel(1, 0));
+        let (d0, d1) = (ft.down_channel(0, 0), ft.down_channel(0, 1));
+        let cycle = cdg_of_paths(ft.topology(), [[u0, d1, u1].as_slice(), &[u1, d0, u0]]);
+        assert_eq!(
+            assert_certificate_agrees_with_tarjan(&cycle).cyclic_channels,
+            4
+        );
+        let bounce = assert_certificate_agrees_with_tarjan(&cdg_of_paths(
+            ft.topology(),
+            [[u0, d1, u1].as_slice()],
+        ));
+        assert!(bounce.is_free());
+        assert_eq!(bounce.valley_turns, 1);
+    }
+
+    #[test]
+    fn same_level_ring_is_left_to_tarjan() {
+        // Three level-1 switches in a ring, one leaf each. A same-level hop
+        // ranks as a descent, so the ring's cycle has no valley turn: the
+        // certificate must not be trusted on such a fabric.
+        use ftclos_topo::{NodeKind, TopologyBuilder};
+        let mut b = TopologyBuilder::new();
+        let leaves = b.add_nodes(NodeKind::Leaf, 3);
+        let switches = b.add_nodes(NodeKind::Switch { level: 1 }, 3);
+        let sw = |k: u32| ftclos_topo::NodeId(switches.0 + k % 3);
+        for k in 0..3 {
+            b.connect_bidir(ftclos_topo::NodeId(leaves.0 + k), sw(k));
+        }
+        let ring: Vec<ChannelId> = (0..3).map(|k| b.connect_uni(sw(k), sw(k + 1))).collect();
+        let topo = b.finish();
+        let two_hops: Vec<[ChannelId; 2]> = (0..3).map(|k| [ring[k], ring[(k + 1) % 3]]).collect();
+        let g = cdg_of_paths(&topo, two_hops.iter().map(|p| p.as_slice()));
+        let a = assert_certificate_agrees_with_tarjan(&g);
+        assert_eq!(a.valley_turns, 0);
+        assert_eq!(a.cyclic_channels, 3);
+        assert_eq!(a.verdict.witness().map(<[_]>::len), Some(3));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random walks over a small fabric — valley turns, U-turns and all —
+        /// get the same verdict, witness and cyclic-channel count from the
+        /// certificate-first check as from Tarjan alone.
+        #[test]
+        fn certificate_verdict_equals_tarjan_on_random_path_sets(
+            n in 1usize..3, m in 1usize..4, r in 2usize..5,
+            walks in 1usize..12, seed in 0u64..10_000,
+        ) {
+            use rand::Rng;
+            let ft = Ftree::new(n, m, r).unwrap();
+            let topo = ft.topology();
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let paths: Vec<Vec<ChannelId>> = (0..walks)
+                .map(|_| {
+                    let mut at = ChannelId(rng.gen_range(0..topo.num_channels() as u32));
+                    let mut path = vec![at];
+                    for _ in 0..rng.gen_range(1..6usize) {
+                        let out = topo.out_channels(topo.channel(at).dst);
+                        at = out[rng.gen_range(0..out.len())];
+                        path.push(at);
+                    }
+                    path
+                })
+                .collect();
+            let g = cdg_of_paths(topo, paths.iter().map(Vec::as_slice));
+            proptest::prop_assert_eq!(g.bad_hops(), 0);
+            assert_certificate_agrees_with_tarjan(&g);
+        }
+    }
+
+    #[test]
+    fn non_adjacent_hops_are_counted_not_dropped() {
+        let ft = Ftree::new(2, 2, 3).unwrap();
+        let topo = ft.topology();
+        // Two leaf uplinks never share a node: no dependency, one bad hop.
+        let (a, b) = (ft.leaf_up_channel(0, 0), ft.leaf_up_channel(1, 0));
+        let g = cdg_of_paths(topo, [[a, b].as_slice(), &[a, ft.up_channel(0, 1)]]);
+        assert_eq!(g.bad_hops(), 1);
+        assert_eq!(g.num_deps(), 1, "the adjacent hop is still recorded");
+        assert_eq!(g.check().bad_hops, 1);
+
+        /// Routes every cross pair over two leaf uplinks in a row.
+        struct Broken<'a>(&'a Ftree);
+        impl SinglePathRouter for Broken<'_> {
+            fn ports(&self) -> u32 {
+                self.0.num_leaves() as u32
+            }
+            fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+                out.clear();
+                if pair.src != pair.dst {
+                    let n = self.0.n();
+                    let up = |p: u32| self.0.leaf_up_channel(p as usize / n, p as usize % n);
+                    out.extend_from_slice(&[up(pair.src), up(pair.dst)]);
+                }
+            }
+            fn name(&self) -> &'static str {
+                "broken"
+            }
+        }
+        let reg = ftclos_obs::Registry::new();
+        let swept = cdg_of_router_with(topo, &Broken(&ft), &reg);
+        assert_eq!(swept.bad_hops(), 6 * 5, "one per ordered cross pair");
+        assert_eq!(swept.num_deps(), 0);
+        assert_eq!(reg.snapshot().counter("cdg.bad_hops"), Some(30));
+        // A sound router records none, and no counter.
+        let reg = ftclos_obs::Registry::new();
+        assert_eq!(
+            cdg_of_router_with(topo, &DModK::new(&ft), &reg).bad_hops(),
+            0
+        );
+        assert_eq!(reg.snapshot().counter("cdg.bad_hops"), None);
+    }
+
+    #[test]
+    fn build_records_the_threads_it_ran_on() {
+        let ft = Ftree::new(2, 4, 3).unwrap();
+        let reg = ftclos_obs::Registry::new();
+        cdg_of_router_with(ft.topology(), &DModK::new(&ft), &reg);
+        // 36 pairs: far too few for a second thread.
+        assert_eq!(reg.snapshot().gauge("par.threads"), Some(1));
     }
 
     #[test]

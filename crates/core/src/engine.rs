@@ -28,7 +28,6 @@ use ftclos_obs::{Noop, Recorder};
 use ftclos_routing::{PathArena, RouteAssignment, RoutingError, SinglePathRouter};
 use ftclos_topo::ChannelId;
 use ftclos_traffic::SdPair;
-use rayon::prelude::*;
 
 /// Census entries saturate at 2 distinct endpoints: Lemma 1 only asks
 /// whether a channel has *one* source or *one* destination, and a violation
@@ -149,7 +148,7 @@ impl LinkCensus {
 
     /// The lowest-id channel violating Lemma 1 this epoch, if any.
     /// (Lowest-id, not first-touch: deterministic regardless of the record
-    /// order, which is what the parallel sweeps normalize on.)
+    /// order.)
     pub fn first_violation(&self) -> Option<ChannelId> {
         self.touched
             .iter()
@@ -412,11 +411,11 @@ impl ContentionEngine {
         self.census.first_violation().is_none()
     }
 
-    /// The blocking two-pair witness via a parallel per-channel sweep:
-    /// instead of routing all `O(p⁴)` two-pair patterns, scan the touched
-    /// channels' censuses and materialize the witness from the incidence
-    /// list of the lowest violating channel (a deterministic first-witness
-    /// reduction — the answer is independent of thread count and schedule).
+    /// The blocking two-pair witness via a per-channel sweep: instead of
+    /// routing all `O(p⁴)` two-pair patterns, scan the touched channels'
+    /// censuses and materialize the witness from the incidence list of the
+    /// lowest violating channel (lowest id, not first touched, so the answer
+    /// does not depend on the order paths were recorded in).
     pub fn blocking_witness(&self) -> Option<(ChannelId, [SdPair; 2])> {
         self.blocking_witness_with(&Noop)
     }
@@ -436,7 +435,7 @@ impl ContentionEngine {
         let first = self
             .census
             .touched()
-            .par_iter()
+            .iter()
             .copied()
             .filter(|&c| self.census.violates(c))
             .min();

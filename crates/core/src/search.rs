@@ -69,10 +69,9 @@ impl TwoPairOutcome {
 /// [`ftclos_routing::PathArena`] and scans per-channel pair-incidence lists
 /// instead of routing `O(ports⁴)` two-pair patterns — two pairs block iff
 /// their cached paths share a channel whose census has ≥2 sources and ≥2
-/// destinations. The channel scan runs in parallel with a deterministic
-/// first-witness reduction (lowest violating channel id), so the witness is
-/// stable across thread counts. [`find_blocking_two_pair_legacy`] keeps the
-/// original loop as the differential oracle.
+/// destinations. The channel scan reduces to the lowest violating channel
+/// id, so the witness is deterministic. [`find_blocking_two_pair_legacy`]
+/// keeps the original loop as the differential oracle.
 pub fn find_blocking_two_pair<R: SinglePathRouter + ?Sized>(router: &R) -> TwoPairOutcome {
     let engine = match ContentionEngine::new(router) {
         Ok(e) => e,
@@ -314,7 +313,8 @@ mod tests {
 
     #[test]
     fn two_pair_legacy_reports_routing_errors() {
-        use ftclos_routing::{Path, RoutingError};
+        use ftclos_routing::RoutingError;
+        use ftclos_topo::ChannelId;
         use ftclos_traffic::SdPair;
         /// Claims 4 ports but routes none of them.
         struct Liar;
@@ -322,10 +322,14 @@ mod tests {
             fn ports(&self) -> u32 {
                 4
             }
-            fn route(&self, _: SdPair) -> Path {
-                Path::empty()
+            fn route_into(&self, _: SdPair, out: &mut Vec<ChannelId>) {
+                out.clear();
             }
-            fn try_route(&self, _: SdPair) -> Result<Path, RoutingError> {
+            fn try_route_into(
+                &self,
+                _: SdPair,
+                _: &mut Vec<ChannelId>,
+            ) -> Result<(), RoutingError> {
                 Err(RoutingError::PortOutOfRange { port: 0, ports: 0 })
             }
             fn name(&self) -> &'static str {

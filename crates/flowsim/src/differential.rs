@@ -22,7 +22,6 @@ use crate::waterfill::waterfill_unit;
 use ftclos_core::{nonblocking_verdict, pattern_contention_free, NonblockingVerdict};
 use ftclos_routing::{route_all, ObliviousMultipath, PathArena, SinglePathRouter};
 use ftclos_traffic::{Permutation, SdPair};
-use rayon::prelude::*;
 
 /// Tolerance when comparing expected loads against capacity 1.0.
 const EPS: f64 = 1e-9;
@@ -112,34 +111,33 @@ pub fn check_fabric<R: SinglePathRouter + Sync + ?Sized>(
             }
         }
     };
-    let witnesses: Vec<[SdPair; 2]> = (0..p)
-        .into_par_iter()
-        .filter_map(|s1| {
-            for s2 in (s1 + 1)..p {
-                for d1 in 0..p {
-                    for d2 in 0..p {
-                        if d1 == d2 {
-                            continue;
-                        }
-                        let pairs = [SdPair::new(s1, d1), SdPair::new(s2, d2)];
-                        let Ok(perm) = Permutation::from_pairs(p, pairs) else {
-                            continue;
-                        };
-                        match check_pattern(&arena, &perm, num_channels) {
-                            Ok(a) if !a.fluid_unit_rate => return Some(pairs),
-                            Ok(_) => {}
-                            // A routing failure (e.g. faulted path) counts
-                            // as not delivered: the fabric cannot serve
-                            // this pattern at full rate.
-                            Err(_) => return Some(pairs),
-                        }
+    // The first witness in (s1, s2, d1, d2) order, stopping there. (Only
+    // fabrics of a dozen ports are feasible at O(p⁴) solves, and at that size
+    // a thread costs more than the sweep.)
+    let fluid_witness = (0..p).find_map(|s1| {
+        for s2 in (s1 + 1)..p {
+            for d1 in 0..p {
+                for d2 in 0..p {
+                    if d1 == d2 {
+                        continue;
+                    }
+                    let pairs = [SdPair::new(s1, d1), SdPair::new(s2, d2)];
+                    let Ok(perm) = Permutation::from_pairs(p, pairs) else {
+                        continue;
+                    };
+                    match check_pattern(&arena, &perm, num_channels) {
+                        Ok(a) if !a.fluid_unit_rate => return Some(pairs),
+                        Ok(_) => {}
+                        // A routing failure (e.g. faulted path) counts
+                        // as not delivered: the fabric cannot serve
+                        // this pattern at full rate.
+                        Err(_) => return Some(pairs),
                     }
                 }
             }
-            None
-        })
-        .collect();
-    let fluid_witness = witnesses.into_iter().next();
+        }
+        None
+    });
     FabricAgreement {
         fluid_nonblocking: fluid_witness.is_none(),
         exact: nonblocking_verdict(router),

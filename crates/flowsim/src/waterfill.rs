@@ -11,20 +11,21 @@
 //! `c` carrying frozen load `consumed[c]` and unfrozen weight
 //! `active_weight[c]` saturates at absolute water level
 //! `(cap[c] - consumed[c]) / active_weight[c]`, so each round needs one
-//! scan over channels (the bottleneck search — parallelized with rayon)
-//! plus work proportional to the links of the flows that freeze. Rounds
+//! scan over channels (the bottleneck search; a few ns a channel, and at
+//! 340k channels two threads per round ran 12 % *slower* than one, so it is
+//! a plain loop) plus work proportional to the links of the flows that
+//! freeze. Rounds
 //! are bounded by the number of distinct bottleneck levels, which is tiny
 //! in practice (1 for a nonblocking routing), so fabrics with tens of
 //! thousands of hosts solve in milliseconds.
 //!
 //! Determinism: pure f64 arithmetic over a fixed iteration order; the
-//! parallel min-reduction is over `(level, channel id)` pairs with the
-//! lower id winning ties, so the result is independent of thread count.
+//! bottleneck is the minimum over `(level, channel id)` pairs with the
+//! lower id winning ties.
 
 use crate::flows::{FlowError, FlowSet};
 pub use ftclos_obs::{Noop, Recorder};
 use ftclos_topo::ChannelCapacities;
-use rayon::prelude::*;
 
 /// Relative slack used when comparing water levels: channels within
 /// `EPS` of the bottleneck level saturate together.
@@ -183,10 +184,8 @@ pub fn try_waterfill_with<R: Recorder>(
     while num_active > 0 {
         rounds += 1;
         // Bottleneck search: the channel that saturates at the lowest
-        // absolute water level. Parallel min-reduction, deterministic by
-        // (level, channel id).
+        // absolute water level, ties to the lower channel id.
         let bottleneck = (0..nc)
-            .into_par_iter()
             .filter_map(|c| {
                 let aw = active_weight[c];
                 if aw <= EPS_WEIGHT {
@@ -215,7 +214,6 @@ pub fn try_waterfill_with<R: Recorder>(
         // (or within EPS of) the bottleneck level.
         let threshold = level * (1.0 + EPS) + EPS_WEIGHT;
         let saturated: Vec<usize> = (0..nc)
-            .into_par_iter()
             .filter(|&c| {
                 let aw = active_weight[c];
                 if aw <= EPS_WEIGHT {

@@ -22,7 +22,6 @@
 
 use crate::error::RoutingError;
 use crate::loadview::{FlowLinks, LinkLoadView};
-use crate::path::Path;
 use crate::router::SinglePathRouter;
 use ftclos_obs::{Noop, Recorder};
 use ftclos_topo::ChannelId;
@@ -75,17 +74,27 @@ impl PathArena {
         let p = ports as usize;
         let rows = p * p;
         let mut path_start = Vec::with_capacity(rows + 1);
-        let mut path_channels: Vec<ChannelId> = Vec::new();
         path_start.push(0u32);
         let mut max_channel: Option<u32> = None;
+        // Every pair routes into this one buffer; nothing is allocated per
+        // path.
+        let mut scratch: Vec<ChannelId> = Vec::new();
+        // Size the table once, by the path between the first and the last
+        // leaf — the longest in every tree fabric here. Only a hint: a longer
+        // path elsewhere just makes the table grow.
+        if ports >= 2 {
+            router.try_route_into(SdPair::new(0, ports - 1), &mut scratch)?;
+        }
+        let mut path_channels: Vec<ChannelId> =
+            Vec::with_capacity(scratch.len().saturating_mul(p * p.saturating_sub(1)));
         for s in 0..ports {
             for d in 0..ports {
                 if s != d {
-                    let path = router.try_route(SdPair::new(s, d))?;
-                    for &c in path.channels() {
+                    router.try_route_into(SdPair::new(s, d), &mut scratch)?;
+                    for &c in &scratch {
                         max_channel = Some(max_channel.map_or(c.0, |m| m.max(c.0)));
-                        path_channels.push(c);
                     }
+                    path_channels.extend_from_slice(&scratch);
                 }
                 path_start.push(path_channels.len() as u32);
             }
@@ -215,7 +224,7 @@ impl PathArena {
     }
 }
 
-/// The arena is itself a single-path router: `route` clones the cached
+/// The arena is itself a single-path router: `route_into` copies the cached
 /// slice, so any analyzer written against [`SinglePathRouter`] can run on
 /// the arena and inherit the no-recompute property.
 impl SinglePathRouter for PathArena {
@@ -223,8 +232,9 @@ impl SinglePathRouter for PathArena {
         self.ports
     }
 
-    fn route(&self, pair: SdPair) -> Path {
-        Path::new(self.path(pair).to_vec())
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+        out.clear();
+        out.extend_from_slice(self.path(pair));
     }
 
     fn name(&self) -> &'static str {
@@ -267,6 +277,7 @@ impl LinkLoadView for ArenaLoadView<'_> {
 mod tests {
     use super::*;
     use crate::dmodk::DModK;
+    use crate::path::Path;
     use crate::router::route_all;
     use crate::yuan::YuanDeterministic;
     use ftclos_topo::Ftree;
@@ -393,8 +404,8 @@ mod tests {
             fn ports(&self) -> u32 {
                 1
             }
-            fn route(&self, _: SdPair) -> Path {
-                Path::empty()
+            fn route_into(&self, _: SdPair, out: &mut Vec<ChannelId>) {
+                out.clear();
             }
             fn name(&self) -> &'static str {
                 "null"

@@ -571,10 +571,13 @@ impl<B: SinglePathRouter> SinglePathRouter for LoweredPlan<B> {
         self.base.ports()
     }
 
-    fn route(&self, pair: SdPair) -> Path {
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
         match self.routes.get(&pair) {
-            Some(path) => path.clone(),
-            None => self.base.route(pair),
+            Some(path) => {
+                out.clear();
+                out.extend_from_slice(path.channels());
+            }
+            None => self.base.route_into(pair, out),
         }
     }
 

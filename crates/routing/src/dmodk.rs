@@ -2,9 +2,8 @@
 //! blocking baselines (they satisfy `m < n²` fabrics but then violate the
 //! paper's Lemma 1 and block some permutation).
 
-use crate::path::Path;
 use crate::router::SinglePathRouter;
-use ftclos_topo::Ftree;
+use ftclos_topo::{ChannelId, Ftree};
 use ftclos_traffic::SdPair;
 
 /// Destination-modular routing on `ftree(n+m, r)`: cross-switch pair
@@ -51,22 +50,24 @@ impl<'a> SModK<'a> {
     }
 }
 
-fn modular_route(ft: &Ftree, pair: SdPair, top: usize) -> Path {
+fn modular_route(ft: &Ftree, pair: SdPair, top: usize, out: &mut Vec<ChannelId>) {
+    out.clear();
+    if pair.src == pair.dst {
+        return;
+    }
     let n = ft.n();
     let (v, i) = (pair.src as usize / n, pair.src as usize % n);
     let (w, j) = (pair.dst as usize / n, pair.dst as usize % n);
-    if pair.src == pair.dst {
-        return Path::empty();
-    }
     if v == w {
-        return Path::new(vec![ft.leaf_up_channel(v, i), ft.leaf_down_channel(w, j)]);
+        out.extend_from_slice(&[ft.leaf_up_channel(v, i), ft.leaf_down_channel(w, j)]);
+        return;
     }
-    Path::new(vec![
+    out.extend_from_slice(&[
         ft.leaf_up_channel(v, i),
         ft.up_channel(v, top),
         ft.down_channel(top, w),
         ft.leaf_down_channel(w, j),
-    ])
+    ]);
 }
 
 impl SinglePathRouter for DModK<'_> {
@@ -74,8 +75,8 @@ impl SinglePathRouter for DModK<'_> {
         self.ft.num_leaves() as u32
     }
 
-    fn route(&self, pair: SdPair) -> Path {
-        modular_route(self.ft, pair, self.top_for(pair))
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+        modular_route(self.ft, pair, self.top_for(pair), out);
     }
 
     fn name(&self) -> &'static str {
@@ -88,8 +89,8 @@ impl SinglePathRouter for SModK<'_> {
         self.ft.num_leaves() as u32
     }
 
-    fn route(&self, pair: SdPair) -> Path {
-        modular_route(self.ft, pair, self.top_for(pair))
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+        modular_route(self.ft, pair, self.top_for(pair), out);
     }
 
     fn name(&self) -> &'static str {

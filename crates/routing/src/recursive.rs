@@ -10,9 +10,8 @@
 //! a single outer destination, so the whole fabric is nonblocking (the
 //! paper's induction).
 
-use crate::path::Path;
 use crate::router::SinglePathRouter;
-use ftclos_topo::RecursiveNonblocking;
+use ftclos_topo::{ChannelId, RecursiveNonblocking};
 use ftclos_traffic::SdPair;
 
 /// Composed Theorem 3 routing over [`RecursiveNonblocking`].
@@ -40,36 +39,32 @@ impl SinglePathRouter for YuanRecursive<'_> {
         self.net.num_leaves() as u32
     }
 
-    fn route(&self, pair: SdPair) -> Path {
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+        out.clear();
+        if pair.src == pair.dst {
+            return;
+        }
         let n = self.net.n();
         let (v, i) = (pair.src as usize / n, pair.src as usize % n);
         let (w, j) = (pair.dst as usize / n, pair.dst as usize % n);
-        if pair.src == pair.dst {
-            return Path::empty();
+        out.push(self.net.leaf_up_channel(v, i));
+        if v != w {
+            // Outer Theorem 3: logical top g = (i, j).
+            let g = i * n + j;
+            // Inner fabric g: inner leaf ports are outer bottom indices.
+            let (ib_s, ii) = (v / n, v % n); // inner bottom + local index of source side
+            let (ib_d, ij) = (w / n, w % n);
+            out.push(self.net.up1_channel(v, g));
+            // Same inner bottom: hairpin inside it. Otherwise inner
+            // Theorem 3: inner top (ii, ij).
+            if ib_s != ib_d {
+                let it = ii * n + ij;
+                out.push(self.net.up2_channel(g, ib_s, it));
+                out.push(self.net.down2_channel(g, it, ib_d));
+            }
+            out.push(self.net.down1_channel(g, w));
         }
-        if v == w {
-            return Path::new(vec![
-                self.net.leaf_up_channel(v, i),
-                self.net.leaf_down_channel(w, j),
-            ]);
-        }
-        // Outer Theorem 3: logical top g = (i, j).
-        let g = i * n + j;
-        // Inner fabric g: inner leaf ports are outer bottom indices.
-        let (ib_s, ii) = (v / n, v % n); // inner bottom + local index of source side
-        let (ib_d, ij) = (w / n, w % n);
-        let mut channels = vec![self.net.leaf_up_channel(v, i), self.net.up1_channel(v, g)];
-        if ib_s == ib_d {
-            // Same inner bottom: hairpin inside it.
-        } else {
-            // Inner Theorem 3: inner top (ii, ij).
-            let it = ii * n + ij;
-            channels.push(self.net.up2_channel(g, ib_s, it));
-            channels.push(self.net.down2_channel(g, it, ib_d));
-        }
-        channels.push(self.net.down1_channel(g, w));
-        channels.push(self.net.leaf_down_channel(w, j));
-        Path::new(channels)
+        out.push(self.net.leaf_down_channel(w, j));
     }
 
     fn name(&self) -> &'static str {

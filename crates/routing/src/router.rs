@@ -3,6 +3,7 @@
 use crate::assignment::RouteAssignment;
 use crate::error::RoutingError;
 use crate::path::Path;
+use ftclos_topo::ChannelId;
 use ftclos_traffic::{Permutation, SdPair};
 
 /// A single-path routing function: each SD pair gets one pre-determined
@@ -12,15 +13,19 @@ pub trait SinglePathRouter {
     /// Leaf universe size of the fabric this router serves.
     fn ports(&self) -> u32;
 
-    /// The (pattern-independent) path for `pair`.
+    /// Write the (pattern-independent) path for `pair` into `out`, replacing
+    /// whatever it held. This is the one routing primitive: it allocates
+    /// nothing once `out` has grown to the fabric's longest path, so an
+    /// all-pairs sweep reuses one buffer for every pair.
     ///
     /// # Panics
     /// May panic if `pair` references ports outside the fabric; use
-    /// [`SinglePathRouter::try_route`] for checked routing.
-    fn route(&self, pair: SdPair) -> Path;
+    /// [`SinglePathRouter::try_route_into`] for checked routing.
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>);
 
-    /// Checked routing.
-    fn try_route(&self, pair: SdPair) -> Result<Path, RoutingError> {
+    /// [`SinglePathRouter::route_into`] after checking both ports against
+    /// [`SinglePathRouter::ports`].
+    fn try_route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) -> Result<(), RoutingError> {
         for port in [pair.src, pair.dst] {
             if port >= self.ports() {
                 return Err(RoutingError::PortOutOfRange {
@@ -29,7 +34,25 @@ pub trait SinglePathRouter {
                 });
             }
         }
-        Ok(self.route(pair))
+        self.route_into(pair, out);
+        Ok(())
+    }
+
+    /// The path for `pair` as an owned [`Path`].
+    ///
+    /// # Panics
+    /// As [`SinglePathRouter::route_into`].
+    fn route(&self, pair: SdPair) -> Path {
+        let mut channels = Vec::new();
+        self.route_into(pair, &mut channels);
+        Path::new(channels)
+    }
+
+    /// Checked routing.
+    fn try_route(&self, pair: SdPair) -> Result<Path, RoutingError> {
+        let mut channels = Vec::new();
+        self.try_route_into(pair, &mut channels)?;
+        Ok(Path::new(channels))
     }
 
     /// Router name for reports.
@@ -87,8 +110,8 @@ mod tests {
         fn ports(&self) -> u32 {
             4
         }
-        fn route(&self, _pair: SdPair) -> Path {
-            Path::empty()
+        fn route_into(&self, _pair: SdPair, out: &mut Vec<ChannelId>) {
+            out.clear();
         }
         fn name(&self) -> &'static str {
             "loopback"

@@ -110,22 +110,31 @@ impl<'a> XgftRouter<'a> {
     /// missing entries default to 0). This is the primitive for multipath
     /// and randomized routing.
     pub fn route_via(&self, pair: SdPair, ys: &[usize]) -> Path {
+        let mut channels = Vec::new();
+        self.walk(pair, |i| ys.get(i - 1).copied().unwrap_or(0), &mut channels);
+        Path::new(channels)
+    }
+
+    /// The up*/down* walk through the nearest common ancestor, written into
+    /// `out`: `y_of(i)` picks (modulo `w_i`) the parent for the climb into
+    /// level `i`.
+    fn walk(&self, pair: SdPair, y_of: impl Fn(usize) -> usize, out: &mut Vec<ChannelId>) {
+        out.clear();
         let (s, d) = (pair.src as usize, pair.dst as usize);
         if s == d {
-            return Path::empty();
+            return;
         }
         let topo = self.xgft.topology();
         let nca = self.nca_level(s, d);
-        let mut channels: Vec<ChannelId> = Vec::with_capacity(2 * nca);
+        out.reserve(2 * nca);
         // Climb.
         let mut idx = s;
         for i in 1..=nca {
-            let w_i = self.xgft.ws()[i - 1];
-            let y = ys.get(i - 1).copied().unwrap_or(0) % w_i;
+            let y = y_of(i) % self.xgft.ws()[i - 1];
             let parent = self.parent_index(i, idx, y);
             let from = self.xgft.node(i - 1, idx);
             let to = self.xgft.node(i, parent);
-            channels.push(topo.channel_between(from, to).expect("tree wiring"));
+            out.push(topo.channel_between(from, to).expect("tree wiring"));
             idx = parent;
         }
         // Descend.
@@ -134,11 +143,10 @@ impl<'a> XgftRouter<'a> {
             let child = self.child_index(i, idx, x_i);
             let from = self.xgft.node(i, idx);
             let to = self.xgft.node(i - 1, child);
-            channels.push(topo.channel_between(from, to).expect("tree wiring"));
+            out.push(topo.channel_between(from, to).expect("tree wiring"));
             idx = child;
         }
         debug_assert_eq!(idx, d);
-        Path::new(channels)
     }
 
     /// All distinct paths between a pair (the product of parent choices up
@@ -177,16 +185,12 @@ impl SinglePathRouter for XgftRouter<'_> {
         self.xgft.num_leaves() as u32
     }
 
-    fn route(&self, pair: SdPair) -> Path {
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
         let reference = match self.choice {
             UpChoice::DestDigit => pair.dst as usize,
             UpChoice::SrcDigit => pair.src as usize,
         };
-        let h = self.xgft.height();
-        let ys: Vec<usize> = (1..=h)
-            .map(|i| self.leaf_digit(reference, i) % self.xgft.ws()[i - 1])
-            .collect();
-        self.route_via(pair, &ys)
+        self.walk(pair, |i| self.leaf_digit(reference, i), out);
     }
 
     fn name(&self) -> &'static str {

@@ -1,9 +1,8 @@
 //! The paper's Theorem 3 single-path deterministic routing.
 
 use crate::error::RoutingError;
-use crate::path::Path;
 use crate::router::SinglePathRouter;
-use ftclos_topo::Ftree;
+use ftclos_topo::{ChannelId, Ftree};
 use ftclos_traffic::SdPair;
 
 /// Theorem 3 routing for `ftree(n+m, r)` with `m >= n²`:
@@ -69,26 +68,28 @@ impl SinglePathRouter for YuanDeterministic<'_> {
         self.ft.num_leaves() as u32
     }
 
-    fn route(&self, pair: SdPair) -> Path {
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+        out.clear();
+        if pair.src == pair.dst {
+            return;
+        }
         let n = self.ft.n();
         let (v, i) = (pair.src as usize / n, pair.src as usize % n);
         let (w, j) = (pair.dst as usize / n, pair.dst as usize % n);
-        if pair.src == pair.dst {
-            return Path::empty();
-        }
         if v == w {
-            return Path::new(vec![
+            out.extend_from_slice(&[
                 self.ft.leaf_up_channel(v, i),
                 self.ft.leaf_down_channel(w, j),
             ]);
+            return;
         }
         let t = i * n + j;
-        Path::new(vec![
+        out.extend_from_slice(&[
             self.ft.leaf_up_channel(v, i),
             self.ft.up_channel(v, t),
             self.ft.down_channel(t, w),
             self.ft.leaf_down_channel(w, j),
-        ])
+        ]);
     }
 
     fn name(&self) -> &'static str {

@@ -909,14 +909,12 @@ mod tests {
             fn ports(&self) -> u32 {
                 self.0.ports() as u32
             }
-            fn route(&self, pair: ftclos_traffic::SdPair) -> ftclos_routing::Path {
-                if pair.src == pair.dst {
-                    return ftclos_routing::Path::empty();
+            fn route_into(&self, pair: ftclos_traffic::SdPair, out: &mut Vec<ChannelId>) {
+                out.clear();
+                if pair.src != pair.dst {
+                    out.push(self.0.up_channel(pair.src as usize));
+                    out.push(self.0.down_channel(pair.dst as usize));
                 }
-                ftclos_routing::Path::new(vec![
-                    self.0.up_channel(pair.src as usize),
-                    self.0.down_channel(pair.dst as usize),
-                ])
             }
             fn name(&self) -> &'static str {
                 "crossbar"
@@ -1072,14 +1070,12 @@ mod tests {
             fn ports(&self) -> u32 {
                 self.0.ports() as u32
             }
-            fn route(&self, pair: ftclos_traffic::SdPair) -> ftclos_routing::Path {
-                if pair.src == pair.dst {
-                    return ftclos_routing::Path::empty();
+            fn route_into(&self, pair: ftclos_traffic::SdPair, out: &mut Vec<ChannelId>) {
+                out.clear();
+                if pair.src != pair.dst {
+                    out.push(self.0.up_channel(pair.src as usize));
+                    out.push(self.0.down_channel(pair.dst as usize));
                 }
-                ftclos_routing::Path::new(vec![
-                    self.0.up_channel(pair.src as usize),
-                    self.0.down_channel(pair.dst as usize),
-                ])
             }
             fn name(&self) -> &'static str {
                 "crossbar"

@@ -20,7 +20,8 @@
 //!   adjacency at any `(node, port)` slot is the opposite direction of the
 //!   out adjacency at the same slot: `in_chan[i] = out_chan[i] ^ 1`;
 //! * the channel-record fill is embarrassingly parallel over disjoint
-//!   cable chunks (rayon `par_chunks_mut`), with no intermediate
+//!   cable chunks (rayon `par_chunks_mut`; fabrics under 8.4M cables
+//!   fill inline, see `MIN_CHUNKS_PER_THREAD`), with no intermediate
 //!   `Vec<Channel>` staging or per-channel counter updates.
 
 use crate::channel::Channel;
@@ -47,6 +48,14 @@ pub(crate) struct Cable {
 
 /// Cables per parallel fill chunk (channel chunks are twice this).
 const CABLE_CHUNK: usize = 1 << 16;
+
+/// Fewest chunks a fill thread takes (4.2M cables, ~0.1 s of fill). The bar
+/// is this high because the fill is page-fault-bound — two threads measured
+/// 1.05× on the 19M-cable recursive(16) — and because a process's first
+/// thread is not free: glibc's malloc leaves its single-thread fast path for
+/// good, which cost the allocation-heavy phases after a 2M-cable build
+/// (route tables, policy maps) 25–35 %, far more than the fill saved.
+const MIN_CHUNKS_PER_THREAD: usize = 64;
 
 /// Build a [`Topology`] directly in CSR form from a closed-form cable list.
 ///
@@ -96,6 +105,7 @@ pub(crate) fn build_paired_csr(
     ];
     channels
         .par_chunks_mut(2 * CABLE_CHUNK)
+        .with_min_len(MIN_CHUNKS_PER_THREAD)
         .enumerate()
         .for_each(|(ci, chunk)| {
             let base = ci * CABLE_CHUNK;
@@ -123,7 +133,11 @@ pub(crate) fn build_paired_csr(
     for (i, ch) in channels.iter().enumerate() {
         out_chan[first[ch.src.index()] as usize + ch.src_port as usize] = ChannelId(i as u32);
     }
-    let in_chan: Vec<ChannelId> = out_chan.par_iter().map(|c| ChannelId(c.0 ^ 1)).collect();
+    let in_chan: Vec<ChannelId> = out_chan
+        .par_iter()
+        .with_min_len(MIN_CHUNKS_PER_THREAD * 2 * CABLE_CHUNK)
+        .map(|c| ChannelId(c.0 ^ 1))
+        .collect();
     debug_assert!(out_chan.iter().all(|c| c.is_valid()));
 
     let topo = Topology {

@@ -5,7 +5,7 @@
 use ftclos::core::search::find_blocking_two_pair;
 use ftclos::core::verify::{is_nonblocking_deterministic, LinkAudit};
 use ftclos::routing::{route_all, ForwardingTables, Path, SinglePathRouter, YuanDeterministic};
-use ftclos::topo::Ftree;
+use ftclos::topo::{ChannelId, Ftree};
 use ftclos::traffic::SdPair;
 
 /// Wraps the Theorem 3 router but forces one specific pair onto the wrong
@@ -21,19 +21,20 @@ impl SinglePathRouter for Sabotaged<'_> {
     fn ports(&self) -> u32 {
         SinglePathRouter::ports(&self.inner)
     }
-    fn route(&self, pair: SdPair) -> Path {
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
         if pair != self.victim {
-            return self.inner.route(pair);
+            return self.inner.route_into(pair, out);
         }
         let n = self.ft.n();
         let (v, i) = (pair.src as usize / n, pair.src as usize % n);
         let (w, j) = (pair.dst as usize / n, pair.dst as usize % n);
-        Path::new(vec![
+        out.clear();
+        out.extend_from_slice(&[
             self.ft.leaf_up_channel(v, i),
             self.ft.up_channel(v, self.wrong_top),
             self.ft.down_channel(self.wrong_top, w),
             self.ft.leaf_down_channel(w, j),
-        ])
+        ]);
     }
     fn name(&self) -> &'static str {
         "sabotaged-yuan"
@@ -83,18 +84,20 @@ impl SinglePathRouter for TableUnrealizable<'_> {
     fn ports(&self) -> u32 {
         self.ft.num_leaves() as u32
     }
-    fn route(&self, pair: SdPair) -> Path {
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
         let n = self.ft.n();
         let (v, i) = (pair.src as usize / n, pair.src as usize % n);
         let (w, j) = (pair.dst as usize / n, pair.dst as usize % n);
+        out.clear();
         if pair.src == pair.dst {
-            return Path::empty();
+            return;
         }
         if v == w {
-            return Path::new(vec![
+            out.extend_from_slice(&[
                 self.ft.leaf_up_channel(v, i),
                 self.ft.leaf_down_channel(w, j),
             ]);
+            return;
         }
         // Downlink choice at the top switch depends on v's parity, which a
         // (in_port, dst) table at the top cannot express... actually the
@@ -104,12 +107,12 @@ impl SinglePathRouter for TableUnrealizable<'_> {
         // picking different tops for the same (i, dst) — that breaks the
         // *bottom* switch table, which keys on (in_port = i, dst).
         let t = (i * n + j + v % 2) % self.ft.m();
-        Path::new(vec![
+        out.extend_from_slice(&[
             self.ft.leaf_up_channel(v, i),
             self.ft.up_channel(v, t),
             self.ft.down_channel(t, w),
             self.ft.leaf_down_channel(w, j),
-        ])
+        ]);
     }
     fn name(&self) -> &'static str {
         "table-unrealizable"

@@ -17,7 +17,7 @@ use ftclos::core::degraded::deterministic_degradation;
 use ftclos::core::verify::is_nonblocking_deterministic;
 use ftclos::core::{cdg_of_masked_router, cdg_of_router, ValleyRouter};
 use ftclos::flowsim::{waterfill, FlowSet};
-use ftclos::routing::{DModK, Path, SinglePathRouter, YuanDeterministic};
+use ftclos::routing::{DModK, SinglePathRouter, YuanDeterministic};
 use ftclos::topo::{ChannelCapacities, ChannelId, FaultSet, FaultyView, Ftree};
 use ftclos::traffic::{patterns, SdPair};
 use proptest::prelude::*;
@@ -35,11 +35,12 @@ impl<R: SinglePathRouter> SinglePathRouter for Relabeled<'_, R> {
     fn ports(&self) -> u32 {
         self.inner.ports()
     }
-    fn route(&self, pair: SdPair) -> Path {
-        self.inner.route(SdPair::new(
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+        let relabeled = SdPair::new(
             self.relabel[pair.src as usize],
             self.relabel[pair.dst as usize],
-        ))
+        );
+        self.inner.route_into(relabeled, out);
     }
     fn name(&self) -> &'static str {
         "relabeled"
