@@ -278,6 +278,28 @@ mod tests {
         assert!(matches!(err, CliError::Usage(_)));
     }
 
+    /// `main` prints a `Failed` as `error: …` and exits 1.
+    fn failure(args: &str) -> String {
+        match run(&argv(args), &Registry::new()) {
+            Err(CliError::Failed(msg)) => msg,
+            other => panic!("`simulate {args}` should fail at run time, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_rate_is_an_error_not_a_panic() {
+        for engine in ["cycle", "event"] {
+            let msg = failure(&format!("2 4 5 --rate nan --cycles 50 --engine {engine}"));
+            assert!(msg.contains("rate is NaN"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn cycle_count_past_u64_is_an_error_not_a_wrapped_run() {
+        let msg = failure("2 4 5 --cycles 18446744073709551615");
+        assert!(msg.contains("must fit in 64 bits"), "{msg}");
+    }
+
     #[test]
     fn engine_and_arbiter_parsing() {
         assert_eq!(parse_arbiter("hol").unwrap(), Arbiter::HolFifo);

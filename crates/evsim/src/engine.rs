@@ -1,866 +1,141 @@
-//! The event-driven engine: exact replay of the cycle engine's semantics,
-//! touching only components with pending work.
+//! The event-driven engine: the simulator kernel under the active
+//! schedule, touching only components with pending work.
 //!
 //! # Exactness contract
 //!
 //! [`EventSimulator`] is **bit-for-bit equivalent** to
 //! [`ftclos_sim::Simulator`]: for identical topology, configuration,
 //! policy, workload, seed, and fault schedule it produces an identical
-//! [`SimStats`] (every field, `channel_busy` included), an identical
-//! [`ChurnReport`], and identical [`SimError`]s — the cycle engine is the
-//! differential oracle, not an approximation target. The speedup comes
-//! purely from *where work is looked for*, never from changing what work
-//! happens:
+//! [`ftclos_sim::SimStats`] (every field, `channel_busy` included), an
+//! identical [`ftclos_sim::ChurnReport`], and identical [`SimError`]s. Both
+//! are one [`ftclos_sim::Kernel`] — the same phases, the same arena, the
+//! same RNG stream — so the speedup comes purely from *where work is looked
+//! for*, which is all an [`ActiveSchedule`] decides:
 //!
 //! * **Active sets** — only channels with queued packets and leaves with
-//!   queued injections are visited. The cycle engine's `O(channels)` sweep
+//!   queued injections are visited. The dense schedule's `O(channels)` sweep
 //!   per cycle becomes `O(active)`; on a 100k-host fabric with ~76M
 //!   directed channels and a few thousand packets in flight, that is the
 //!   difference between hours and seconds per cycle.
 //! * **Grant worklist** — head-of-line arbitration is re-derived from the
 //!   requesting queue heads (a `BTreeMap` keyed by output channel,
 //!   processed in ascending id order), which is provably the same grant
-//!   sequence as the oracle's full ascending output sweep.
-//! * **Drain fast-forward** — once injection stops, the engine consults
+//!   sequence as the dense schedule's full ascending output sweep.
+//! * **Drain fast-forward** — once injection stops, the schedule consults
 //!   the [`EventWheel`] (packet ready times, wire release times, TTL
-//!   deadlines, scheduled fault transitions) and jumps over cycles in
-//!   which no state can change. The stall watchdog keeps exact cycle
-//!   accounting across jumps, so a wedged run reports
-//!   [`SimError::Stalled`] at the same cycle with the same strand graph.
+//!   deadlines) and jumps over cycles in which no state can change, as far
+//!   as the kernel allows (next fault event, watchdog deadline, drain cap).
+//!   The kernel keeps exact watchdog accounting across jumps, so a wedged
+//!   run reports [`SimError::Stalled`] at the same cycle with the same
+//!   strand graph.
 //!
 //! Injection cycles are never skipped: Bernoulli injection consumes the
 //! seeded RNG stream every cycle at every leaf, and replaying that stream
 //! exactly is what keeps the two engines interchangeable under one seed.
+//! The dense schedule shares none of the three mechanisms above, which is
+//! what makes it their oracle.
 
 use crate::wheel::EventWheel;
-use ftclos_obs::{Noop, Recorder};
-use ftclos_routing::LinkAdmission;
-use ftclos_sim::{
-    build_report, stall_report, ChannelBusy, ChurnConfig, ChurnReport, ChurnSchedule, EpochMark,
-    FaultSchedule, Packet, PagedVec, Policy, SimArena, SimConfig, SimError, SimStats, StallReport,
-    Workload,
-};
-use ftclos_topo::{ChannelId, NodeId, Topology, Transition};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use ftclos_obs::Recorder;
+use ftclos_sim::{Kernel, Names, Run, Schedule, SimArena, SimError};
+use ftclos_topo::{ChannelId, Topology};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Cumulative totals already flushed to a [`Recorder`] under `evsim.*`
-/// names; each flush pushes only the delta (see the cycle engine's
-/// equivalent for the pattern).
-#[derive(Clone, Copy, Debug, Default)]
-struct FlushedTotals {
-    injected: u64,
-    delivered: u64,
-    timed_out: u64,
-    retries: u64,
-    abandoned: u64,
-    refusals: u64,
+/// Event-driven simulator over a [`Topology`] with a path
+/// [`ftclos_sim::Policy`]: every entry point of [`Kernel`], so callers
+/// switch engines by switching the type and nothing else. Recorded runs use
+/// `evsim.*` names and add activity accounting (`evsim.executed_cycles`,
+/// `evsim.skipped_cycles`, `evsim.busy_component_cycles`,
+/// `evsim.idle_component_cycles`). See the module docs for the exactness
+/// contract.
+pub type EventSimulator<'a> = Kernel<'a, ActiveSchedule>;
+
+/// Activity tracking — what makes this engine event-driven. The kernel
+/// reports every queue push and pop; all per-cycle work iterates these sets
+/// instead of sweeping the whole fabric.
+#[derive(Debug, Default)]
+pub struct ActiveSchedule {
+    /// Channels whose downstream queue holds at least one packet.
+    nonempty_q: BTreeSet<u32>,
+    /// Leaf slots with a non-empty injection queue.
+    nonempty_inj: BTreeSet<u32>,
+    /// Wake-ups for the drain fast-forward.
+    wake: EventWheel,
+    skipped_cycles: u64,
+    executed_cycles: u64,
+    busy_component_cycles: u64,
 }
 
-impl FlushedTotals {
-    fn flush<R: Recorder>(&mut self, rec: &R, stats: &SimStats) -> Result<(), SimError> {
-        let delta = |name: &'static str, total: u64, seen: u64| {
-            total.checked_sub(seen).ok_or_else(|| {
-                SimError::invariant(format!("recorder counter {name} moved backwards"))
-            })
-        };
-        rec.add(
-            "evsim.injected",
-            delta("evsim.injected", stats.injected_total, self.injected)?,
-        );
-        rec.add(
-            "evsim.delivered",
-            delta("evsim.delivered", stats.delivered_total, self.delivered)?,
-        );
-        rec.add(
-            "evsim.timed_out",
-            delta("evsim.timed_out", stats.timed_out_total, self.timed_out)?,
-        );
-        rec.add(
-            "evsim.retries",
-            delta("evsim.retries", stats.retries_total, self.retries)?,
-        );
-        rec.add(
-            "evsim.abandoned",
-            delta("evsim.abandoned", stats.abandoned_total, self.abandoned)?,
-        );
-        rec.add(
-            "evsim.refusals",
-            delta("evsim.refusals", stats.injection_refusals, self.refusals)?,
-        );
-        rec.gauge("evsim.in_flight", in_flight(stats)?);
-        self.injected = stats.injected_total;
-        self.delivered = stats.delivered_total;
-        self.timed_out = stats.timed_out_total;
-        self.retries = stats.retries_total;
-        self.abandoned = stats.abandoned_total;
-        self.refusals = stats.injection_refusals;
-        Ok(())
-    }
-}
+impl Schedule for ActiveSchedule {
+    const NAMES: Names = ftclos_sim::metric_names!("evsim");
 
-/// Packets currently inside the network, with the subtraction checked.
-fn in_flight(stats: &SimStats) -> Result<u64, SimError> {
-    stats
-        .injected_total
-        .checked_sub(stats.delivered_total)
-        .and_then(|left| left.checked_sub(stats.abandoned_total))
-        .ok_or_else(|| {
-            SimError::invariant("delivered + abandoned exceed injected (counter underflow)")
-        })
-}
-
-/// Event-driven simulator over a [`Topology`] with a path [`Policy`].
-///
-/// Construction and every `try_run*` entry point mirror
-/// [`ftclos_sim::Simulator`] one-to-one, so callers switch engines by
-/// switching the type and nothing else. See the module docs for the
-/// exactness contract.
-pub struct EventSimulator<'a> {
-    topo: &'a Topology,
-    cfg: SimConfig,
-    policy: Policy,
-    arena: SimArena,
-}
-
-impl<'a> EventSimulator<'a> {
-    /// Create a simulator. The policy must cover every pair the workload
-    /// can generate (unrouteable injections are counted as refusals).
-    pub fn new(topo: &'a Topology, cfg: SimConfig, policy: Policy) -> Self {
-        Self::with_arena(topo, cfg, policy, SimArena::new())
+    fn queues(&self, _arena: &SimArena) -> Vec<u32> {
+        self.nonempty_q.iter().copied().collect()
     }
 
-    /// Create a simulator reusing a [`SimArena`] from a previous run —
-    /// repeated runs through one arena recycle state pages instead of
-    /// reallocating them. Semantically identical to
-    /// [`EventSimulator::new`].
-    pub fn with_arena(topo: &'a Topology, cfg: SimConfig, policy: Policy, arena: SimArena) -> Self {
-        Self {
-            topo,
-            cfg,
-            policy,
-            arena,
-        }
+    fn inject_slots(&self, _arena: &SimArena) -> Vec<u32> {
+        self.nonempty_inj.iter().copied().collect()
     }
 
-    /// Recover the arena (and its recycled pages) for the next simulator.
-    pub fn into_arena(self) -> SimArena {
-        self.arena
+    /// Only switches fed by at least one non-empty queue can match anything.
+    fn switches(&self, topo: &Topology) -> Vec<u32> {
+        let mut fed: Vec<u32> = self
+            .nonempty_q
+            .iter()
+            .map(|&c| topo.channel(ChannelId(c)).dst)
+            .filter(|&dst| topo.kind(dst).is_switch())
+            .map(|dst| dst.0)
+            .collect();
+        fed.sort_unstable();
+        fed.dedup();
+        fed
     }
 
-    /// Run one simulation and return its statistics.
+    /// Head-of-line arbitration driven from the requesting queue heads
+    /// instead of a full output sweep.
     ///
-    /// # Panics
-    /// On an invalid configuration or a broken engine invariant — use
-    /// [`EventSimulator::try_run`] for the structured-error form.
-    pub fn run(&mut self, workload: &Workload, seed: u64) -> SimStats {
-        match self.try_run(workload, seed) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`EventSimulator::run`].
-    ///
-    /// # Errors
-    /// [`SimError::Config`] for an invalid [`SimConfig`];
-    /// [`SimError::Invariant`] if the engine catches itself in an
-    /// inconsistent state; [`SimError::Stalled`] when the watchdog fires.
-    pub fn try_run(&mut self, workload: &Workload, seed: u64) -> Result<SimStats, SimError> {
-        self.try_run_with_faults(workload, seed, &FaultSchedule::new())
-    }
-
-    /// [`EventSimulator::try_run`] with instrumentation: the run records
-    /// under span `evsim.run`, with cumulative counters (`evsim.injected`,
-    /// `evsim.delivered`, `evsim.timed_out`, `evsim.retries`,
-    /// `evsim.abandoned`, `evsim.refusals`, `evsim.cycles`), the
-    /// `evsim.in_flight` gauge, activity accounting
-    /// (`evsim.skipped_cycles`, `evsim.busy_component_cycles`,
-    /// `evsim.idle_component_cycles`), and one recorder epoch per
-    /// liveness-transition cycle plus a final `end` epoch. With [`Noop`]
-    /// this is exactly `try_run`.
-    ///
-    /// # Errors
-    /// As for [`EventSimulator::try_run`].
-    pub fn try_run_recorded<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        rec: &R,
-    ) -> Result<SimStats, SimError> {
-        self.run_loop(workload, seed, &FaultSchedule::new(), None, rec)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Run with mid-simulation channel transitions (see
-    /// [`ftclos_sim::Simulator::try_run_with_faults`]).
-    ///
-    /// # Errors
-    /// As for [`EventSimulator::try_run`].
-    pub fn try_run_with_faults(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        faults: &FaultSchedule,
-    ) -> Result<SimStats, SimError> {
-        self.run_loop(workload, seed, faults, None, &Noop)
-            .map(|(stats, _)| stats)
-    }
-
-    /// [`EventSimulator::try_run_with_faults`] with instrumentation (see
-    /// [`EventSimulator::try_run_recorded`]).
-    ///
-    /// # Errors
-    /// As for [`EventSimulator::try_run`].
-    pub fn try_run_with_faults_recorded<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        faults: &FaultSchedule,
-        rec: &R,
-    ) -> Result<SimStats, SimError> {
-        self.run_loop(workload, seed, faults, None, rec)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Run under churn with per-epoch instrumentation (see
-    /// [`ftclos_sim::Simulator::try_run_churn`]).
-    ///
-    /// # Errors
-    /// As for [`EventSimulator::try_run`].
-    pub fn try_run_churn(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        schedule: &ChurnSchedule,
-        churn: &ChurnConfig,
-    ) -> Result<(SimStats, ChurnReport), SimError> {
-        self.run_loop(workload, seed, schedule, Some(churn), &Noop)
-            .map(|(stats, report)| (stats, report.unwrap_or_default()))
-    }
-
-    /// [`EventSimulator::try_run_churn`] with instrumentation
-    /// (additionally counts hysteresis re-planning events under
-    /// `evsim.churn_replans`).
-    ///
-    /// # Errors
-    /// As for [`EventSimulator::try_run`].
-    pub fn try_run_churn_recorded<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        schedule: &ChurnSchedule,
-        churn: &ChurnConfig,
-        rec: &R,
-    ) -> Result<(SimStats, ChurnReport), SimError> {
-        self.run_loop(workload, seed, schedule, Some(churn), rec)
-            .map(|(stats, report)| (stats, report.unwrap_or_default()))
-    }
-
-    fn run_loop<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        faults: &ChurnSchedule,
-        churn: Option<&ChurnConfig>,
-        rec: &R,
-    ) -> Result<(SimStats, Option<ChurnReport>), SimError> {
-        // Detach the arena so the loop can borrow its arrays disjointly
-        // while the policy (also behind `self`) is borrowed mutably.
-        let mut arena = std::mem::take(&mut self.arena);
-        let result = self.run_loop_inner(workload, seed, faults, churn, rec, &mut arena);
-        self.arena = arena;
-        result
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn run_loop_inner<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        faults: &ChurnSchedule,
-        churn: Option<&ChurnConfig>,
-        rec: &R,
-        arena: &mut SimArena,
-    ) -> Result<(SimStats, Option<ChurnReport>), SimError> {
-        self.cfg.validate()?;
-        let _span = rec.span("evsim.run");
-        let mut flushed = FlushedTotals::default();
-        self.policy.set_live_mask(None);
-        let mut admission: Option<LinkAdmission> = churn
-            .and_then(|c| c.mode.hysteresis_k())
-            .map(|k| LinkAdmission::new(self.topo.num_channels(), k));
-        let mut epoch_marks: Vec<EpochMark> = Vec::new();
-        let mut delivered_per_cycle: Vec<u32> = Vec::new();
-        let mut delivered_seen = 0u64;
-        if churn.is_some() {
-            epoch_marks.push(EpochMark::default()); // run-start baseline
-        }
-        let fault_events = faults.sorted_events();
-        let mut next_fault = 0usize;
-        let ttl = self.cfg.ttl_cycles;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let num_channels = self.topo.num_channels();
-        let leaves: Vec<NodeId> = self.topo.leaves().collect();
-        // All per-channel state lives in the paged arena: allocated on
-        // first touch, recycled across runs, identical in content to the
-        // historical dense arrays because every default is synthesized
-        // arithmetically. On a 415M-channel fabric this is the difference
-        // between tens of gigabytes up front and a few pages per hot spot.
-        arena.prepare(num_channels, leaves.len());
-        let mut leaf_slot = vec![usize::MAX; self.topo.num_nodes()];
-        for (slot, &l) in leaves.iter().enumerate() {
-            leaf_slot[l.index()] = slot;
-        }
-        let flits = self.cfg.packet_flits.max(1);
-        let mut source_injected = vec![false; leaves.len()];
-        let mut window_latencies: Vec<u64> = Vec::new();
-
-        // --- Activity tracking (what makes this engine event-driven) ---
-        // Channels whose downstream queue holds at least one packet, and
-        // leaf slots with a non-empty injection queue. Every queue push and
-        // pop below maintains these; all per-cycle work iterates them
-        // instead of sweeping the whole fabric.
-        let mut nonempty_q: BTreeSet<u32> = BTreeSet::new();
-        let mut nonempty_inj: BTreeSet<u32> = BTreeSet::new();
-        // Wake-ups for the drain fast-forward. Only populated when a jump
-        // is ever legal: drain enabled and no hysteresis admission ticking
-        // at arbitrary cycles.
-        let mut wake = EventWheel::new();
-        let may_skip = self.cfg.drain && admission.is_none();
-        let mut skipped_cycles = 0u64;
-        let mut executed_cycles = 0u64;
-        let mut busy_component_cycles = 0u64;
-
-        let mut stats = SimStats {
-            window_cycles: self.cfg.measure_cycles,
-            offered_rate: workload.rate(),
-            channel_busy: ChannelBusy::zeros(num_channels),
-            ..SimStats::default()
-        };
-        let warmup = self.cfg.warmup_cycles;
-        let total = self.cfg.total_cycles();
-
-        let watchdog = self.cfg.stall_watchdog;
-        let mut moves = 0u64;
-        let mut frozen_cycles = 0u64;
-        let mut last_signature = (u64::MAX, 0u64, 0u64, 0u64);
-
-        let mut now = 0u64;
-        // The loop breaks with `Some(report)` on a stall so the activity
-        // counters below still reach the recorder before the error returns.
-        let stalled: Option<StallReport> = loop {
-            if now >= total {
-                let inflight = in_flight(&stats)?;
-                if !self.cfg.drain || inflight == 0 {
-                    break None;
-                }
-                if now >= total + SimConfig::DRAIN_CAP {
-                    // Same rule as the cycle engine: an armed, mid-freeze
-                    // watchdog at the drain cap is a stall, not a cap exit.
-                    if watchdog > 0 && frozen_cycles > 0 {
-                        break Some(stall_report(now, inflight, &arena.queues, &arena.inject));
-                    }
-                    break None;
-                }
-            }
-            let in_window = now >= warmup && now < total;
-            let injecting = now < total;
-            // Inertness probe for the drain fast-forward: if none of these
-            // move during the cycle (and no fault event applied), the cycle
-            // changed nothing and the next state change sits on the wheel.
-            let sig_before = (
-                moves,
-                stats.injected_total,
-                stats.delivered_total,
-                stats.timed_out_total,
-                stats.retries_total,
-                stats.abandoned_total,
-                stats.injection_refusals,
-            );
-            let faults_before = next_fault;
-            // --- Liveness events (identical to the cycle engine) ---
-            let mut downs_now = 0u64;
-            let mut ups_now = 0u64;
-            while next_fault < fault_events.len() && fault_events[next_fault].cycle <= now {
-                let e = fault_events[next_fault];
-                if e.channel.index() < num_channels {
-                    *arena.dead.get_mut(e.channel.index()) = e.transition == Transition::Down;
-                    match e.transition {
-                        Transition::Down => downs_now += 1,
-                        Transition::Up => ups_now += 1,
-                    }
-                    if let Some(adm) = admission.as_mut() {
-                        adm.observe(now, e.channel, e.transition);
-                    }
-                }
-                next_fault += 1;
-            }
-            if churn.is_some() && downs_now + ups_now > 0 {
-                let mark = EpochMark {
-                    cycle: now,
-                    downs: downs_now,
-                    ups: ups_now,
-                    injected: stats.injected_total,
-                    delivered: stats.delivered_total,
-                    timed_out: stats.timed_out_total,
-                    retries: stats.retries_total,
-                    abandoned: stats.abandoned_total,
-                };
-                match epoch_marks.last_mut() {
-                    Some(last) if last.cycle == now => {
-                        last.downs += downs_now;
-                        last.ups += ups_now;
-                    }
-                    _ => epoch_marks.push(mark),
-                }
-            }
-            if downs_now + ups_now > 0 && rec.is_enabled() {
-                flushed.flush(rec, &stats)?;
-                rec.mark_epoch(&format!("cycle={now}"));
-            }
-            if let Some(adm) = admission.as_mut() {
-                if adm.tick(now) {
-                    self.policy.set_live_mask(Some(adm.mask()));
-                    rec.add("evsim.churn_replans", 1);
-                }
-            }
-            // --- Timeout sweep over the active sets only. Snapshot order
-            // (queues ascending, then injection slots ascending) matches
-            // the oracle's full chained scan restricted to non-empty
-            // queues, so the expired list — and with it every retry RNG
-            // draw — comes out in the identical order. ---
-            if ttl > 0 {
-                let mut expired: Vec<Packet> = Vec::new();
-                let active_q: Vec<u32> = nonempty_q.iter().copied().collect();
-                for c in active_q {
-                    let q = arena.queues.get_mut(c as usize);
-                    let mut i = 0;
-                    while i < q.len() {
-                        if matches!(q.get(i), Some(p) if now >= p.deadline) {
-                            let Some(p) = q.remove(i) else {
-                                return Err(SimError::invariant(
-                                    "expired packet index out of range",
-                                ));
-                            };
-                            expired.push(p);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if q.is_empty() {
-                        nonempty_q.remove(&c);
-                    }
-                }
-                let active_inj: Vec<u32> = nonempty_inj.iter().copied().collect();
-                for s in active_inj {
-                    let q = arena.inject.get_mut(s as usize);
-                    let mut i = 0;
-                    while i < q.len() {
-                        if matches!(q.get(i), Some(p) if now >= p.deadline) {
-                            let Some(p) = q.remove(i) else {
-                                return Err(SimError::invariant(
-                                    "expired packet index out of range",
-                                ));
-                            };
-                            expired.push(p);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if q.is_empty() {
-                        nonempty_inj.remove(&s);
-                    }
-                }
-                for p in expired {
-                    stats.timed_out_total += 1;
-                    let can_retry = self.cfg.retry && p.retries < self.cfg.retry_limit;
-                    if !can_retry {
-                        stats.abandoned_total += 1;
-                        continue;
-                    }
-                    let queue_probe = |c: ChannelId| arena.queues.get(c.index()).len();
-                    match self.policy.pick(p.src, p.dst, queue_probe, &mut rng) {
-                        Some(path) if !path.is_empty() => {
-                            stats.retries_total += 1;
-                            let slot = leaf_slot
-                                .get(p.src as usize)
-                                .copied()
-                                .filter(|&s| s != usize::MAX)
-                                .ok_or_else(|| {
-                                    SimError::invariant(format!(
-                                        "retransmission source {} is not a leaf",
-                                        p.src
-                                    ))
-                                })?;
-                            arena.inject.get_mut(slot).push_back(Packet {
-                                src: p.src,
-                                dst: p.dst,
-                                path,
-                                hop: 0,
-                                inject_cycle: p.inject_cycle,
-                                ready_at: now,
-                                deadline: now + ttl,
-                                retries: p.retries + 1,
-                            });
-                            nonempty_inj.insert(slot as u32);
-                            if may_skip {
-                                wake.push(now + ttl);
-                            }
-                        }
-                        _ => {
-                            stats.abandoned_total += 1;
-                        }
-                    }
-                }
-            }
-            // --- Injection phase: NEVER skipped or restricted. Bernoulli
-            // injection draws from the seeded RNG at every leaf every
-            // cycle; exact stream replay is the equivalence contract. ---
-            for (slot, &leaf) in leaves.iter().enumerate() {
-                if !injecting {
-                    break;
-                }
-                if !rng.gen_bool(workload.rate().clamp(0.0, 1.0)) {
-                    continue;
-                }
-                let src = leaf.0;
-                let Some(dst) = workload.destination(src, |n| rng.gen_range(0..n)) else {
-                    continue;
-                };
-                if self.cfg.bounded_injection
-                    && arena.inject.get(slot).len() >= self.cfg.queue_capacity
-                {
-                    stats.injection_refusals += 1;
-                    continue;
-                }
-                let queue_probe = |c: ChannelId| arena.queues.get(c.index()).len();
-                let Some(path) = self.policy.pick(src, dst, queue_probe, &mut rng) else {
-                    stats.injection_refusals += 1;
-                    continue;
-                };
-                source_injected[slot] = true;
-                stats.injected_total += 1;
-                if in_window {
-                    stats.injected_in_window += 1;
-                }
-                if path.is_empty() {
-                    stats.delivered_total += 1;
-                    if in_window {
-                        stats.delivered_in_window += 1;
-                    }
-                    continue;
-                }
-                arena.inject.get_mut(slot).push_back(Packet {
-                    src,
-                    dst,
-                    path,
-                    hop: 0,
-                    inject_cycle: now,
-                    ready_at: now,
-                    deadline: if ttl > 0 { now + ttl } else { u64::MAX },
-                    retries: 0,
-                });
-                nonempty_inj.insert(slot as u32);
-                if may_skip && ttl > 0 {
-                    wake.push(now + ttl);
-                }
-            }
-
-            // --- Movement: injection links, active slots only. Each leaf
-            // drives its own uplink, so restricting the oracle's full slot
-            // sweep to non-empty slots changes nothing. ---
-            let active_inj: Vec<u32> = nonempty_inj.iter().copied().collect();
-            for s in active_inj {
-                let slot = s as usize;
-                let Some(&leaf) = leaves.get(slot) else {
-                    return Err(SimError::invariant("injection slot without a leaf"));
-                };
-                let Some(&up) = self.topo.out_channels(leaf).first() else {
-                    continue;
-                };
-                let o = up.index();
-                if *arena.busy_until.get(o) > now
-                    || *arena.dead.get(o)
-                    || arena.queues.get(o).len() >= self.cfg.queue_capacity
-                {
-                    continue;
-                }
-                let eligible = matches!(
-                    arena.inject.get(slot).front(),
-                    Some(p) if p.ready_at <= now && p.path.get(p.hop) == Some(&up)
-                );
-                if eligible {
-                    let q = arena.inject.get_mut(slot);
-                    let Some(p) = q.pop_front() else {
-                        return Err(SimError::invariant(
-                            "eligible injection-queue head disappeared",
-                        ));
-                    };
-                    if q.is_empty() {
-                        nonempty_inj.remove(&s);
-                    }
-                    self.advance(
-                        p,
-                        o,
-                        now,
-                        flits,
-                        in_window,
-                        &mut arena.queues,
-                        &mut arena.busy_until,
-                        &mut stats,
-                        &mut window_latencies,
-                        &mut moves,
-                        &mut nonempty_q,
-                        &mut wake,
-                        may_skip,
-                    )?;
-                }
-            }
-            // --- Movement: switch outputs. ---
-            match self.cfg.arbiter {
-                ftclos_sim::Arbiter::HolFifo => {
-                    self.hol_fifo_cycle(
-                        now,
-                        flits,
-                        in_window,
-                        &mut arena.queues,
-                        &mut arena.busy_until,
-                        &arena.dead,
-                        &mut arena.rr,
-                        &mut stats,
-                        &mut window_latencies,
-                        &mut moves,
-                        &mut nonempty_q,
-                        &mut wake,
-                        may_skip,
-                    )?;
-                }
-                ftclos_sim::Arbiter::Voq { iterations } => {
-                    // Only switches fed by at least one non-empty queue can
-                    // match anything; for all others the oracle's iSLIP
-                    // pass finds no requests, grants nothing, and leaves
-                    // every pointer untouched — a provable no-op.
-                    let mut active_switches: BTreeSet<u32> = BTreeSet::new();
-                    for &c in nonempty_q.iter() {
-                        let dst = self.topo.channel(ChannelId(c)).dst;
-                        if self.topo.kind(dst).is_switch() {
-                            active_switches.insert(dst.0);
-                        }
-                    }
-                    for sw in active_switches {
-                        self.islip_switch(
-                            NodeId(sw),
-                            iterations.max(1),
-                            now,
-                            flits,
-                            in_window,
-                            &mut arena.queues,
-                            &mut arena.busy_until,
-                            &arena.dead,
-                            &mut arena.rr,
-                            &mut arena.accept_ptr,
-                            &mut stats,
-                            &mut window_latencies,
-                            &mut moves,
-                            &mut nonempty_q,
-                            &mut wake,
-                            may_skip,
-                        )?;
-                    }
-                }
-            }
-            if churn.is_some() {
-                delivered_per_cycle.push((stats.delivered_total - delivered_seen) as u32);
-                delivered_seen = stats.delivered_total;
-            }
-            if watchdog > 0 {
-                let inflight = in_flight(&stats)?;
-                let signature = (
-                    moves,
-                    stats.delivered_total,
-                    stats.abandoned_total,
-                    stats.retries_total,
-                );
-                if inflight > 0 && signature == last_signature {
-                    frozen_cycles += 1;
-                    if frozen_cycles >= watchdog {
-                        break Some(stall_report(now, inflight, &arena.queues, &arena.inject));
-                    }
-                } else {
-                    frozen_cycles = 0;
-                    last_signature = signature;
-                }
-            }
-            executed_cycles += 1;
-            busy_component_cycles += (nonempty_q.len() + nonempty_inj.len()) as u64;
-
-            // --- Drain fast-forward: if this cycle changed nothing and
-            // injection is over, jump to the next cycle on the wheel (or
-            // the next fault event, or the cycle where the watchdog must
-            // fire, or the drain cap). All skipped cycles are provably
-            // identical no-ops: queue state, RNG, pointers, and wires are
-            // untouched between wake-ups once injection stops. ---
-            let sig_after = (
-                moves,
-                stats.injected_total,
-                stats.delivered_total,
-                stats.timed_out_total,
-                stats.retries_total,
-                stats.abandoned_total,
-                stats.injection_refusals,
-            );
-            if may_skip
-                && now + 1 >= total
-                && sig_after == sig_before
-                && next_fault == faults_before
-                && in_flight(&stats)? > 0
-            {
-                let mut target = total + SimConfig::DRAIN_CAP;
-                if let Some(e) = fault_events.get(next_fault) {
-                    target = target.min(e.cycle.max(now + 1));
-                }
-                if let Some(w) = wake.next_at_or_after(now + 1) {
-                    target = target.min(w);
-                }
-                if watchdog > 0 {
-                    // frozen < watchdog here (a fire returns above); the
-                    // first cycle in which it can reach the threshold must
-                    // execute normally so the report is exact.
-                    target = target.min(now + (watchdog - frozen_cycles));
-                }
-                if target > now + 1 {
-                    let skipped = target - (now + 1);
-                    skipped_cycles += skipped;
-                    if watchdog > 0 {
-                        // Every skipped cycle would have been another
-                        // progress-free tick of the armed watchdog.
-                        frozen_cycles += skipped;
-                    }
-                    if churn.is_some() {
-                        delivered_per_cycle.extend(std::iter::repeat_n(0u32, skipped as usize));
-                    }
-                    now = target;
-                    continue;
-                }
-            }
-            now += 1;
-        };
-        rec.add("evsim.cycles", now);
-        rec.add("evsim.executed_cycles", executed_cycles);
-        rec.add("evsim.skipped_cycles", skipped_cycles);
-        rec.add("evsim.busy_component_cycles", busy_component_cycles);
-        let components = (num_channels + leaves.len()) as u64;
-        rec.add(
-            "evsim.idle_component_cycles",
-            executed_cycles
-                .saturating_mul(components)
-                .saturating_sub(busy_component_cycles),
-        );
-        rec.gauge("evsim.touched_channels", arena.touched_channels() as u64);
-        rec.gauge("evsim.state_bytes", arena.state_bytes() as u64);
-        if let Some(report) = stalled {
-            return Err(SimError::Stalled(report));
-        }
-        stats.leftover_packets = in_flight(&stats)?;
-        stats.active_sources = source_injected.iter().filter(|&&b| b).count();
-        if rec.is_enabled() {
-            flushed.flush(rec, &stats)?;
-            rec.mark_epoch("end");
-        }
-        window_latencies.sort_unstable();
-        finish_stats(&mut stats, &window_latencies);
-        let report = churn.map(|c| {
-            let final_mark = EpochMark {
-                cycle: now,
-                downs: 0,
-                ups: 0,
-                injected: stats.injected_total,
-                delivered: stats.delivered_total,
-                timed_out: stats.timed_out_total,
-                retries: stats.retries_total,
-                abandoned: stats.abandoned_total,
-            };
-            build_report(c, &epoch_marks, final_mark, &delivered_per_cycle, warmup)
-        });
-        Ok((stats, report))
-    }
-
-    /// One cycle of head-of-line FIFO arbitration, driven from the
-    /// requesting queue heads instead of a full output sweep.
-    ///
-    /// Equivalence to the oracle's ascending `for o in 0..num_channels`
-    /// sweep: a grant at output `o` needs a ready head whose next hop is
-    /// `o`, so outputs nobody requests are no-ops in both engines. The
+    /// Equivalence to the dense ascending `for o in 0..num_channels` sweep:
+    /// a grant at output `o` needs a ready head whose next hop is `o`, so
+    /// outputs nobody requests are no-ops under both schedules. The
     /// worklist processes requested outputs in ascending id order and
     /// re-checks wire/credit/liveness at processing time — the same state
-    /// the oracle sees when its sweep reaches `o`, because queue state for
-    /// `o` only changes when `o` itself grants. After a grant pops a queue,
-    /// its new head (if already ready) can only be granted by a *later*
-    /// output this cycle, exactly like the single-pass sweep; it is
-    /// re-enqueued under that output when its id is greater than `o`.
-    #[allow(clippy::too_many_arguments)]
-    fn hol_fifo_cycle(
-        &self,
-        now: u64,
-        flits: u64,
-        in_window: bool,
-        queues: &mut PagedVec<VecDeque<Packet>>,
-        busy_until: &mut PagedVec<u64>,
-        dead: &PagedVec<bool>,
-        rr: &mut PagedVec<u32>,
-        stats: &mut SimStats,
-        window_latencies: &mut Vec<u64>,
-        moves: &mut u64,
-        nonempty_q: &mut BTreeSet<u32>,
-        wake: &mut EventWheel,
-        may_skip: bool,
-    ) -> Result<(), SimError> {
-        // Requested output -> requesting input channels (each queue head
-        // requests exactly one output, so every queue appears at most once).
+    /// the sweep sees when it reaches `o`, because queue state for `o` only
+    /// changes when `o` itself grants. After a grant pops a queue, its new
+    /// head (if already ready) can only be granted by a *later* output this
+    /// cycle, exactly like the single-pass sweep; it is re-enqueued under
+    /// that output when its id is greater than `o`.
+    fn hol_arbitrate(run: &mut Run<'_, Self>) -> Result<(), SimError> {
+        let (topo, now) = (run.topo, run.now);
         // The round-robin arbiter ranks a requesting channel by its
         // position among `in_channels(dst)`. The CSR audit proves in-ports
         // are dense and ordered, so that position *is* `dst_port` — no
         // O(channels) side table needed.
-        let local_in = |c: u32| self.topo.channel(ChannelId(c)).dst_port as usize;
+        let local_in = |c: u32| topo.channel(ChannelId(c)).dst_port as usize;
+        // Requested output -> requesting input channels (each queue head
+        // requests exactly one output, so every queue appears at most once).
         let mut pending: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for &c in nonempty_q.iter() {
-            let Some(p) = queues.get(c as usize).front() else {
+        for &c in &run.sched.nonempty_q {
+            let Some(p) = run.arena.queues.get(c as usize).front() else {
                 continue;
             };
             let Some(&want) = p.path.get(p.hop) else {
                 continue; // defensive: delivered packets never queue
             };
-            if p.ready_at > now {
-                continue;
-            }
             // Only requests issued at the switch the packet sits at can be
-            // granted (mirrors the oracle scanning `in_channels(src(o))`).
-            if self.topo.channel(want).src != self.topo.channel(ChannelId(c)).dst {
-                continue;
+            // granted (mirrors the sweep scanning `in_channels(src(o))`).
+            if p.ready_at <= now && topo.channel(want).src == topo.channel(ChannelId(c)).dst {
+                pending.entry(want.0).or_default().push(c);
             }
-            pending.entry(want.0).or_default().push(c);
         }
-        while let Some((&o, _)) = pending.iter().next() {
-            let reqs = pending.remove(&o).unwrap_or_default();
-            let oi = o as usize;
-            if *busy_until.get(oi) > now || *dead.get(oi) {
+        while let Some((o, reqs)) = pending.pop_first() {
+            let out = ChannelId(o);
+            let src = topo.channel(out).src;
+            let n_in = topo.in_channels(src).len();
+            // Injection links (leaf sources) are granted by the kernel.
+            if topo.kind(src).is_leaf() || n_in == 0 || !run.output_free(o as usize) {
                 continue;
             }
-            let ch = self.topo.channel(ChannelId(o));
-            if self.topo.kind(ch.src).is_leaf() {
-                continue; // injection links are handled separately
-            }
-            let to_leaf = self.topo.kind(ch.dst).is_leaf();
-            if !to_leaf && queues.get(oi).len() >= self.cfg.queue_capacity {
-                continue; // no downstream credit
-            }
-            let n_in = self.topo.in_channels(ch.src).len();
-            if n_in == 0 {
-                continue;
-            }
-            let start = *rr.get(oi) as usize % n_in;
+            let start = *run.arena.rr.get(o as usize) as usize % n_in;
             // Round-robin winner: the requester whose local input index
             // comes first scanning from the grant pointer. Input indices
             // are distinct per switch, so the minimum is unique.
@@ -870,274 +145,83 @@ impl<'a> EventSimulator<'a> {
             else {
                 continue;
             };
-            let head_ok = matches!(
-                queues.get(win as usize).front(),
-                Some(p) if p.ready_at <= now && p.path.get(p.hop) == Some(&ChannelId(o))
-            );
-            if !head_ok {
+            if !run.head_wants(win as usize, out) {
                 return Err(SimError::invariant(
                     "worklist head changed before its grant",
                 ));
             }
-            let winq = queues.get_mut(win as usize);
-            let Some(p) = winq.pop_front() else {
-                return Err(SimError::invariant("eligible input-queue head disappeared"));
-            };
-            if winq.is_empty() {
-                nonempty_q.remove(&win);
-            }
-            *rr.get_mut(oi) = (local_in(win) as u32 + 1) % n_in as u32;
+            let next_rr = (local_in(win) as u32 + 1) % n_in as u32;
+            run.grant_head(win as usize, o as usize, next_rr)?;
             // The popped queue's next head may request a later output this
             // cycle (same-switch only; earlier outputs already passed).
-            if let Some(np) = queues.get(win as usize).front() {
-                if np.ready_at <= now {
-                    if let Some(&nwant) = np.path.get(np.hop) {
-                        if nwant.0 > o && self.topo.channel(nwant).src == ch.src {
-                            pending.entry(nwant.0).or_default().push(win);
-                        }
+            if let Some(np) = run.arena.queues.get(win as usize).front() {
+                if let Some(&nwant) = np.path.get(np.hop) {
+                    if np.ready_at <= now && nwant.0 > o && topo.channel(nwant).src == src {
+                        pending.entry(nwant.0).or_default().push(win);
                     }
                 }
             }
-            self.advance(
-                p,
-                oi,
-                now,
-                flits,
-                in_window,
-                queues,
-                busy_until,
-                stats,
-                window_latencies,
-                moves,
-                nonempty_q,
-                wake,
-                may_skip,
-            )?;
         }
         Ok(())
     }
 
-    /// Move one granted packet across output channel `o` (identical to the
-    /// oracle, plus active-set and wheel maintenance).
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        &self,
-        mut p: Packet,
-        o: usize,
-        now: u64,
-        flits: u64,
-        in_window: bool,
-        queues: &mut PagedVec<VecDeque<Packet>>,
-        busy_until: &mut PagedVec<u64>,
-        stats: &mut SimStats,
-        window_latencies: &mut Vec<u64>,
-        moves: &mut u64,
-        nonempty_q: &mut BTreeSet<u32>,
-        wake: &mut EventWheel,
-        may_skip: bool,
-    ) -> Result<(), SimError> {
-        let ch = self.topo.channel(ChannelId(o as u32));
-        let to_leaf = self.topo.kind(ch.dst).is_leaf();
-        *moves += 1;
-        p.hop += 1;
-        p.ready_at = now + flits;
-        *busy_until.get_mut(o) = now + flits;
-        if may_skip {
-            // The packet becomes ready — and the wire frees — at the same
-            // cycle; one wheel entry covers both.
-            wake.push(now + flits);
-        }
-        if in_window {
-            stats.channel_busy.add(o, flits);
-        }
-        if to_leaf {
-            if ch.dst.0 != p.dst {
-                return Err(SimError::invariant(format!(
-                    "packet for leaf {} exited the fabric at leaf {}",
-                    p.dst, ch.dst.0
-                )));
-            }
-            if p.hop != p.path.len() {
-                return Err(SimError::invariant(format!(
-                    "packet reached its destination after hop {} of a {}-hop path",
-                    p.hop,
-                    p.path.len()
-                )));
-            }
-            stats.delivered_total += 1;
-            if in_window {
-                stats.delivered_in_window += 1;
-                let lat = now - p.inject_cycle + flits;
-                stats.latency_sum += lat;
-                stats.latency_max = stats.latency_max.max(lat);
-                window_latencies.push(lat);
-            }
-        } else {
-            queues.get_mut(o).push_back(p);
-            nonempty_q.insert(o as u32);
-        }
-        Ok(())
+    fn queue_filled(&mut self, c: usize) {
+        self.nonempty_q.insert(c as u32);
     }
 
-    /// One cycle of iSLIP request-grant-accept matching on switch `sw` —
-    /// a verbatim port of the oracle's matching (see
-    /// `ftclos_sim::Simulator`), with active-set maintenance on the moves.
-    #[allow(clippy::too_many_arguments)]
-    fn islip_switch(
-        &self,
-        sw: NodeId,
-        iterations: u8,
-        now: u64,
-        flits: u64,
-        in_window: bool,
-        queues: &mut PagedVec<VecDeque<Packet>>,
-        busy_until: &mut PagedVec<u64>,
-        dead: &PagedVec<bool>,
-        grant_ptr: &mut PagedVec<u32>,
-        accept_ptr: &mut PagedVec<u32>,
-        stats: &mut SimStats,
-        window_latencies: &mut Vec<u64>,
-        moves: &mut u64,
-        nonempty_q: &mut BTreeSet<u32>,
-        wake: &mut EventWheel,
-        may_skip: bool,
-    ) -> Result<(), SimError> {
-        let inputs = self.topo.in_channels(sw);
-        let outputs = self.topo.out_channels(sw);
-        if inputs.is_empty() || outputs.is_empty() {
-            return Ok(());
-        }
-        let out_slot = |c: ChannelId| outputs.iter().position(|&o| o == c);
-
-        let mut voq_head: Vec<Vec<Option<usize>>> = Vec::with_capacity(inputs.len());
-        for &qi in inputs {
-            let mut heads = vec![None; outputs.len()];
-            for (pos, p) in queues.get(qi.index()).iter().enumerate() {
-                let Some(&next_hop) = p.path.get(p.hop) else {
-                    continue;
-                };
-                if p.ready_at > now {
-                    continue;
-                }
-                if let Some(oj) = out_slot(next_hop) {
-                    if heads[oj].is_none() {
-                        heads[oj] = Some(pos);
-                    }
-                }
-            }
-            voq_head.push(heads);
-        }
-        let out_ok: Vec<bool> = outputs
-            .iter()
-            .map(|&o| {
-                if *busy_until.get(o.index()) > now || *dead.get(o.index()) {
-                    return false;
-                }
-                let ch = self.topo.channel(o);
-                self.topo.kind(ch.dst).is_leaf()
-                    || queues.get(o.index()).len() < self.cfg.queue_capacity
-            })
-            .collect();
-
-        let mut in_matched = vec![false; inputs.len()];
-        let mut out_matched = vec![false; outputs.len()];
-        let mut matches: Vec<(usize, usize)> = Vec::new();
-        for iter in 0..iterations {
-            let mut grants: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
-            let mut any_grant = false;
-            for (oj, &o) in outputs.iter().enumerate() {
-                if out_matched[oj] || !out_ok[oj] {
-                    continue;
-                }
-                let start = *grant_ptr.get(o.index()) as usize % inputs.len();
-                for k in 0..inputs.len() {
-                    let ii = (start + k) % inputs.len();
-                    if !in_matched[ii] && voq_head[ii][oj].is_some() {
-                        grants[ii].push(oj);
-                        any_grant = true;
-                        break;
-                    }
-                }
-            }
-            if !any_grant {
-                break;
-            }
-            for (ii, granted) in grants.iter().enumerate() {
-                if granted.is_empty() || in_matched[ii] {
-                    continue;
-                }
-                let qi = inputs[ii];
-                let start = *accept_ptr.get(qi.index()) as usize % outputs.len();
-                let Some(&oj) = granted
-                    .iter()
-                    .min_by_key(|&&oj| (oj + outputs.len() - start) % outputs.len())
-                else {
-                    return Err(SimError::invariant("grant list emptied during accept"));
-                };
-                in_matched[ii] = true;
-                out_matched[oj] = true;
-                matches.push((ii, oj));
-                if iter == 0 {
-                    *grant_ptr.get_mut(outputs[oj].index()) = ((ii + 1) % inputs.len()) as u32;
-                    *accept_ptr.get_mut(qi.index()) = ((oj + 1) % outputs.len()) as u32;
-                }
-            }
-        }
-        for (ii, oj) in matches {
-            let Some(pos) = voq_head[ii][oj] else {
-                return Err(SimError::invariant(
-                    "iSLIP matched an input with no eligible VOQ head",
-                ));
-            };
-            let qc = inputs[ii].index();
-            let qcq = queues.get_mut(qc);
-            let Some(p) = qcq.remove(pos) else {
-                return Err(SimError::invariant("iSLIP VOQ head position out of range"));
-            };
-            if qcq.is_empty() {
-                nonempty_q.remove(&(qc as u32));
-            }
-            self.advance(
-                p,
-                outputs[oj].index(),
-                now,
-                flits,
-                in_window,
-                queues,
-                busy_until,
-                stats,
-                window_latencies,
-                moves,
-                nonempty_q,
-                wake,
-                may_skip,
-            )?;
-        }
-        Ok(())
+    fn queue_emptied(&mut self, c: usize) {
+        self.nonempty_q.remove(&(c as u32));
     }
-}
 
-/// Fill in percentile fields from sorted window latencies (identical to
-/// the oracle's computation).
-fn finish_stats(stats: &mut SimStats, sorted: &[u64]) {
-    let pct = |q: f64| -> u64 {
-        if sorted.is_empty() {
-            0
-        } else {
-            let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-            sorted[idx]
-        }
-    };
-    stats.latency_p50 = pct(0.50);
-    stats.latency_p95 = pct(0.95);
-    stats.latency_p99 = pct(0.99);
+    fn inject_filled(&mut self, slot: usize) {
+        self.nonempty_inj.insert(slot as u32);
+    }
+
+    fn inject_emptied(&mut self, slot: usize) {
+        self.nonempty_inj.remove(&(slot as u32));
+    }
+
+    fn wake(&mut self, at: u64) {
+        self.wake.push(at);
+    }
+
+    /// Drain fast-forward: every cycle between an idle one and the next
+    /// wake-up is a provably identical no-op — queue state, RNG, pointers
+    /// and wires are untouched between wake-ups once injection stops — so
+    /// jump to the wake-up, or to the kernel's limit if that comes first.
+    fn next_cycle(&mut self, now: u64, idle_until: Option<u64>) -> u64 {
+        self.executed_cycles += 1;
+        self.busy_component_cycles += (self.nonempty_q.len() + self.nonempty_inj.len()) as u64;
+        let Some(limit) = idle_until else {
+            return now + 1;
+        };
+        let wake = self.wake.next_at_or_after(now + 1).unwrap_or(limit);
+        let next = wake.min(limit).max(now + 1);
+        self.skipped_cycles += next - (now + 1);
+        next
+    }
+
+    fn record_activity<R: Recorder>(&self, rec: &R, components: u64) {
+        rec.add("evsim.executed_cycles", self.executed_cycles);
+        rec.add("evsim.skipped_cycles", self.skipped_cycles);
+        rec.add("evsim.busy_component_cycles", self.busy_component_cycles);
+        rec.add(
+            "evsim.idle_component_cycles",
+            self.executed_cycles
+                .saturating_mul(components)
+                .saturating_sub(self.busy_component_cycles),
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftclos_routing::{DModK, ObliviousMultipath, SpreadPolicy, YuanDeterministic};
-    use ftclos_sim::{ChurnConfig, ChurnSchedule, ReplanMode, Simulator};
+    use ftclos_sim::{
+        ChurnConfig, ChurnSchedule, FaultSchedule, Policy, ReplanMode, SimConfig, SimStats,
+        Simulator, Workload,
+    };
     use ftclos_topo::Ftree;
     use ftclos_traffic::patterns;
 
@@ -1431,6 +515,22 @@ mod tests {
                 e.label
             );
         }
+    }
+
+    #[test]
+    fn nan_rate_is_a_typed_config_error_under_both_schedules() {
+        let ft = Ftree::new(2, 4, 5).unwrap();
+        let policy = Policy::from_single_path(&YuanDeterministic::new(&ft).unwrap());
+        let w = Workload::uniform_random(10, f64::NAN);
+        let nan = Err(SimError::Config(ftclos_sim::ConfigError::NanRate));
+        assert_eq!(
+            Simulator::new(ft.topology(), cfg(), policy.clone()).try_run(&w, 1),
+            nan
+        );
+        assert_eq!(
+            EventSimulator::new(ft.topology(), cfg(), policy).try_run(&w, 1),
+            nan
+        );
     }
 
     /// Hand-built "valley" routes on `ftree(1, 1, 4)` (the witness-module

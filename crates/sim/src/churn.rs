@@ -15,6 +15,7 @@
 //! only after `K` stable cycles, via
 //! [`ftclos_routing::LinkAdmission`]).
 
+use crate::stats::SimStats;
 use serde::{Deserialize, Serialize};
 
 /// How the simulator's path policy reacts to liveness transitions.
@@ -174,12 +175,9 @@ impl ChurnReport {
     }
 }
 
-/// Cumulative counter snapshot taken at an epoch boundary. Engine-internal:
-/// exposed (hidden) so the event-driven engine in `ftclos-evsim` can build
-/// byte-identical [`ChurnReport`]s from the same boundary bookkeeping.
-#[doc(hidden)]
+/// Cumulative counter snapshot taken at an epoch boundary.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct EpochMark {
+pub(crate) struct EpochMark {
     pub cycle: u64,
     pub downs: u64,
     pub ups: u64,
@@ -190,12 +188,27 @@ pub struct EpochMark {
     pub abandoned: u64,
 }
 
+impl EpochMark {
+    /// The boundary at `cycle`, where `downs` + `ups` transitions applied.
+    pub(crate) fn at(cycle: u64, downs: u64, ups: u64, stats: &SimStats) -> Self {
+        Self {
+            cycle,
+            downs,
+            ups,
+            injected: stats.injected_total,
+            delivered: stats.delivered_total,
+            timed_out: stats.timed_out_total,
+            retries: stats.retries_total,
+            abandoned: stats.abandoned_total,
+        }
+    }
+}
+
 /// Assemble the [`ChurnReport`] from boundary snapshots and the per-cycle
 /// delivery series. `marks[0]` must be the run-start snapshot at cycle 0;
 /// `final_mark` the post-run totals; `delivered_per_cycle[c]` the packets
 /// delivered in cycle `c`; `warmup` the first measured cycle.
-#[doc(hidden)]
-pub fn build_report(
+pub(crate) fn build_report(
     cfg: &ChurnConfig,
     marks: &[EpochMark],
     final_mark: EpochMark,

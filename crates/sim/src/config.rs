@@ -93,8 +93,9 @@ impl SimConfig {
     pub const DRAIN_CAP: u64 = 1_000_000;
 
     /// Total injection cycles (warm-up + measurement; drain excluded).
+    /// Saturates; [`SimConfig::validate`] rejects a sum that does not fit.
     pub fn total_cycles(&self) -> u64 {
-        self.warmup_cycles + self.measure_cycles
+        self.warmup_cycles.saturating_add(self.measure_cycles)
     }
 
     /// Self-check: reject configurations the engine cannot execute
@@ -108,7 +109,12 @@ impl SimConfig {
     /// * [`ConfigError::ZeroRetryLimit`] — retries enabled with a limit of
     ///   0 silently degrade to no-retry,
     /// * [`ConfigError::RetryWithoutTimeout`] — retransmission can only
-    ///   trigger from a timeout, so `retry` requires `ttl_cycles > 0`.
+    ///   trigger from a timeout, so `retry` requires `ttl_cycles > 0`,
+    /// * [`ConfigError::WatchdogTooShort`] — a watchdog no longer than a
+    ///   packet fires on healthy runs,
+    /// * [`ConfigError::CycleOverflow`] — the last cycle number the engine
+    ///   can form (`warmup + measure + DRAIN_CAP + ttl_cycles +
+    ///   packet_flits`) does not fit in `u64`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
@@ -125,6 +131,17 @@ impl SimConfig {
         if self.stall_watchdog > 0 && self.stall_watchdog <= self.packet_flits {
             return Err(ConfigError::WatchdogTooShort);
         }
+        // Every cycle number the engine forms is at most this sum, so one
+        // checked chain here lets the loop add without checking.
+        [
+            self.measure_cycles,
+            Self::DRAIN_CAP,
+            self.ttl_cycles,
+            self.packet_flits,
+        ]
+        .into_iter()
+        .try_fold(self.warmup_cycles, u64::checked_add)
+        .ok_or(ConfigError::CycleOverflow)?;
         Ok(())
     }
 }
@@ -208,5 +225,37 @@ mod tests {
         }
         .validate()
         .unwrap();
+        // The largest run whose cycle numbers still fit, and one past it in
+        // each term of the sum.
+        let fits = SimConfig {
+            warmup_cycles: 7,
+            measure_cycles: u64::MAX - SimConfig::DRAIN_CAP - 7 - 64 - 3,
+            ttl_cycles: 64,
+            packet_flits: 3,
+            ..base
+        };
+        fits.validate().unwrap();
+        let saturated = SimConfig {
+            measure_cycles: u64::MAX,
+            ..base
+        };
+        for too_long in [
+            SimConfig {
+                warmup_cycles: 8,
+                ..fits
+            },
+            SimConfig {
+                ttl_cycles: 65,
+                ..fits
+            },
+            SimConfig {
+                packet_flits: 4,
+                ..fits
+            },
+            saturated,
+        ] {
+            assert_eq!(too_long.validate(), Err(ConfigError::CycleOverflow));
+        }
+        assert_eq!(saturated.total_cycles(), u64::MAX, "saturates, no panic");
     }
 }

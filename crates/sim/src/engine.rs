@@ -1,885 +1,81 @@
-//! The synchronous cycle engine.
+//! The cycle engine: the kernel under the dense schedule.
+//!
+//! [`DenseSchedule`] is the reference the event-driven schedule in
+//! `ftclos-evsim` is differential-tested against. It keeps no memory of
+//! past activity — no active set, no wheel — and never skips a cycle: what
+//! it visits is read afresh every cycle from the topology and from the
+//! queues themselves, in ascending id order. Everything a visit *does* is
+//! the shared [`crate::kernel`]; what stays independent here is exactly the
+//! part an incremental schedule can get wrong — which queues still hold
+//! packets, that a head-of-line worklist grants what a full ascending output
+//! sweep grants, and that skipped drain cycles were inert.
 
-use crate::churn::{build_report, ChurnConfig, ChurnReport, EpochMark};
-use crate::config::{Arbiter, SimConfig};
 use crate::error::SimError;
-use crate::fault::{ChurnSchedule, FaultSchedule};
-use crate::policy::Policy;
-use crate::state::{stall_report, Packet, PagedVec, SimArena};
-use crate::stats::{ChannelBusy, SimStats};
-use crate::workload::Workload;
-use ftclos_obs::{Noop, Recorder};
-use ftclos_routing::LinkAdmission;
-use ftclos_topo::{ChannelId, NodeId, Topology, Transition};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use crate::kernel::{Kernel, Names, Run, Schedule};
+use crate::state::{Packet, PagedVec, SimArena};
+use ftclos_topo::{ChannelId, Topology};
 use std::collections::VecDeque;
 
-/// Cumulative simulator totals already flushed to a [`Recorder`]: each
-/// flush pushes only the delta, so recorder counters stay equal to the
-/// engine's monotonic stats at every epoch boundary.
+/// Cycle-level simulator over a [`Topology`] with a path
+/// [`crate::Policy`]: every entry point of [`Kernel`], run densely.
+pub type Simulator<'a> = Kernel<'a, DenseSchedule>;
+
+/// Visit everything, every cycle, in ascending id order (see the module
+/// docs).
 #[derive(Clone, Copy, Debug, Default)]
-struct FlushedTotals {
-    injected: u64,
-    delivered: u64,
-    timed_out: u64,
-    retries: u64,
-    abandoned: u64,
-    refusals: u64,
+pub struct DenseSchedule;
+
+/// The non-empty queues of `queues`, ascending. Untouched pages hold only
+/// empty queues, so reading the touched ones is the full scan.
+fn nonempty(queues: &PagedVec<VecDeque<Packet>>) -> Vec<u32> {
+    queues
+        .iter_touched()
+        .filter(|(_, q)| !q.is_empty())
+        .map(|(i, _)| i as u32)
+        .collect()
 }
 
-impl FlushedTotals {
-    fn flush<R: Recorder>(&mut self, rec: &R, stats: &SimStats) -> Result<(), SimError> {
-        let delta = |name: &'static str, total: u64, seen: u64| {
-            total.checked_sub(seen).ok_or_else(|| {
-                SimError::invariant(format!("recorder counter {name} moved backwards"))
-            })
-        };
-        rec.add(
-            "sim.injected",
-            delta("sim.injected", stats.injected_total, self.injected)?,
-        );
-        rec.add(
-            "sim.delivered",
-            delta("sim.delivered", stats.delivered_total, self.delivered)?,
-        );
-        rec.add(
-            "sim.timed_out",
-            delta("sim.timed_out", stats.timed_out_total, self.timed_out)?,
-        );
-        rec.add(
-            "sim.retries",
-            delta("sim.retries", stats.retries_total, self.retries)?,
-        );
-        rec.add(
-            "sim.abandoned",
-            delta("sim.abandoned", stats.abandoned_total, self.abandoned)?,
-        );
-        rec.add(
-            "sim.refusals",
-            delta("sim.refusals", stats.injection_refusals, self.refusals)?,
-        );
-        rec.gauge("sim.in_flight", in_flight(stats)?);
-        self.injected = stats.injected_total;
-        self.delivered = stats.delivered_total;
-        self.timed_out = stats.timed_out_total;
-        self.retries = stats.retries_total;
-        self.abandoned = stats.abandoned_total;
-        self.refusals = stats.injection_refusals;
-        Ok(())
-    }
-}
+impl Schedule for DenseSchedule {
+    const NAMES: Names = crate::metric_names!("sim");
 
-/// Packets currently inside the network: injected minus delivered minus
-/// abandoned, with the subtraction checked so a broken counter surfaces as
-/// a typed [`SimError::Invariant`] rather than a debug-mode underflow panic.
-fn in_flight(stats: &SimStats) -> Result<u64, SimError> {
-    stats
-        .injected_total
-        .checked_sub(stats.delivered_total)
-        .and_then(|left| left.checked_sub(stats.abandoned_total))
-        .ok_or_else(|| {
-            SimError::invariant("delivered + abandoned exceed injected (counter underflow)")
-        })
-}
-
-/// Cycle-level simulator over a [`Topology`] with a path [`Policy`].
-pub struct Simulator<'a> {
-    topo: &'a Topology,
-    cfg: SimConfig,
-    policy: Policy,
-    arena: SimArena,
-}
-
-impl<'a> Simulator<'a> {
-    /// Create a simulator. The policy must cover every pair the workload
-    /// can generate (unrouteable injections are counted as refusals).
-    pub fn new(topo: &'a Topology, cfg: SimConfig, policy: Policy) -> Self {
-        Self::with_arena(topo, cfg, policy, SimArena::new())
+    fn queues(&self, arena: &SimArena) -> Vec<u32> {
+        nonempty(&arena.queues)
     }
 
-    /// Create a simulator reusing a [`SimArena`] from a previous run —
-    /// repeated runs through one arena recycle state pages instead of
-    /// reallocating them. Semantically identical to [`Simulator::new`].
-    pub fn with_arena(topo: &'a Topology, cfg: SimConfig, policy: Policy, arena: SimArena) -> Self {
-        Self {
-            topo,
-            cfg,
-            policy,
-            arena,
-        }
+    fn inject_slots(&self, arena: &SimArena) -> Vec<u32> {
+        nonempty(&arena.inject)
     }
 
-    /// Recover the arena (and its recycled pages) for the next simulator.
-    pub fn into_arena(self) -> SimArena {
-        self.arena
+    fn switches(&self, topo: &Topology) -> Vec<u32> {
+        topo.node_ids()
+            .filter(|&id| topo.kind(id).is_switch())
+            .map(|id| id.0)
+            .collect()
     }
 
-    /// Run one simulation and return its statistics. `seed` drives
-    /// injection coin flips and random path spreading; equal seeds give
-    /// identical runs.
-    ///
-    /// # Panics
-    /// On an invalid configuration or a broken engine invariant — use
-    /// [`Simulator::try_run`] for the structured-error form.
-    pub fn run(&mut self, workload: &Workload, seed: u64) -> SimStats {
-        match self.try_run(workload, seed) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Simulator::run`]: configuration problems and engine
-    /// invariant violations come back as [`SimError`] instead of panics.
-    ///
-    /// # Errors
-    /// [`SimError::Config`] for an invalid [`SimConfig`];
-    /// [`SimError::Invariant`] if the engine catches itself in an
-    /// inconsistent state.
-    pub fn try_run(&mut self, workload: &Workload, seed: u64) -> Result<SimStats, SimError> {
-        self.try_run_with_faults(workload, seed, &FaultSchedule::new())
-    }
-
-    /// [`Simulator::try_run`] with instrumentation: the run records under
-    /// span `sim.run`, with cumulative counters (`sim.injected`,
-    /// `sim.delivered`, `sim.timed_out`, `sim.retries`, `sim.abandoned`,
-    /// `sim.refusals`, `sim.cycles`), the `sim.in_flight` gauge, and one
-    /// recorder epoch per liveness-transition cycle plus a final `end`
-    /// epoch — so per-epoch packet conservation is auditable from the
-    /// trace alone. With [`Noop`] this is exactly `try_run`.
-    ///
-    /// # Errors
-    /// As for [`Simulator::try_run`].
-    pub fn try_run_recorded<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        rec: &R,
-    ) -> Result<SimStats, SimError> {
-        self.run_loop(workload, seed, &FaultSchedule::new(), None, rec)
-            .map(|(stats, _)| stats)
-    }
-
-    /// [`Simulator::try_run_with_faults`] with instrumentation (see
-    /// [`Simulator::try_run_recorded`] for what is recorded).
-    ///
-    /// # Errors
-    /// As for [`Simulator::try_run`].
-    pub fn try_run_with_faults_recorded<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        faults: &FaultSchedule,
-        rec: &R,
-    ) -> Result<SimStats, SimError> {
-        self.run_loop(workload, seed, faults, None, rec)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Run with mid-simulation channel transitions: each event of `faults`
-    /// marks its channel dead — or alive again — at the start of its cycle.
-    /// Dead channels grant no packets; stalled traffic is dropped/retried
-    /// per the TTL and retry knobs of the configuration. Revived channels
-    /// grant again from their cycle on.
-    ///
-    /// # Errors
-    /// As for [`Simulator::try_run`].
-    pub fn try_run_with_faults(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        faults: &FaultSchedule,
-    ) -> Result<SimStats, SimError> {
-        self.run_loop(workload, seed, faults, None, &Noop)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Run under churn with per-epoch instrumentation: applies the
-    /// schedule's transitions like [`Simulator::try_run_with_faults`],
-    /// drives the path policy's live mask per `churn.mode` (pinned /
-    /// per-cycle / hysteresis re-planning), and slices the run into epochs
-    /// at every transition cycle. Returns the usual statistics plus the
-    /// [`ChurnReport`] with per-epoch counters and time-to-reconverge.
-    ///
-    /// # Errors
-    /// As for [`Simulator::try_run`].
-    pub fn try_run_churn(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        schedule: &ChurnSchedule,
-        churn: &ChurnConfig,
-    ) -> Result<(SimStats, ChurnReport), SimError> {
-        self.run_loop(workload, seed, schedule, Some(churn), &Noop)
-            .map(|(stats, report)| (stats, report.unwrap_or_default()))
-    }
-
-    /// [`Simulator::try_run_churn`] with instrumentation (see
-    /// [`Simulator::try_run_recorded`]; additionally counts hysteresis
-    /// re-planning events under `sim.churn_replans`).
-    ///
-    /// # Errors
-    /// As for [`Simulator::try_run`].
-    pub fn try_run_churn_recorded<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        schedule: &ChurnSchedule,
-        churn: &ChurnConfig,
-        rec: &R,
-    ) -> Result<(SimStats, ChurnReport), SimError> {
-        self.run_loop(workload, seed, schedule, Some(churn), rec)
-            .map(|(stats, report)| (stats, report.unwrap_or_default()))
-    }
-
-    fn run_loop<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        faults: &ChurnSchedule,
-        churn: Option<&ChurnConfig>,
-        rec: &R,
-    ) -> Result<(SimStats, Option<ChurnReport>), SimError> {
-        // Detach the arena so the loop can borrow its arrays disjointly
-        // while the policy (also behind `self`) is borrowed mutably.
-        let mut arena = std::mem::take(&mut self.arena);
-        let result = self.run_loop_inner(workload, seed, faults, churn, rec, &mut arena);
-        self.arena = arena;
-        result
-    }
-
-    fn run_loop_inner<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        faults: &ChurnSchedule,
-        churn: Option<&ChurnConfig>,
-        rec: &R,
-        arena: &mut SimArena,
-    ) -> Result<(SimStats, Option<ChurnReport>), SimError> {
-        self.cfg.validate()?;
-        let _span = rec.span("sim.run");
-        // Counter values already pushed to the recorder (counters are
-        // monotonic; each flush adds only the delta since the last one).
-        let mut flushed = FlushedTotals::default();
-        // A fresh run starts unmasked; churn modes rebuild the mask below.
-        self.policy.set_live_mask(None);
-        // Churn instrumentation (None outside churn runs, no overhead).
-        let mut admission: Option<LinkAdmission> = churn
-            .and_then(|c| c.mode.hysteresis_k())
-            .map(|k| LinkAdmission::new(self.topo.num_channels(), k));
-        let mut epoch_marks: Vec<EpochMark> = Vec::new();
-        let mut delivered_per_cycle: Vec<u32> = Vec::new();
-        let mut delivered_seen = 0u64;
-        if churn.is_some() {
-            epoch_marks.push(EpochMark::default()); // run-start baseline
-        }
-        let fault_events = faults.sorted_events();
-        let mut next_fault = 0usize;
-        let ttl = self.cfg.ttl_cycles;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let num_channels = self.topo.num_channels();
-        let leaves: Vec<NodeId> = self.topo.leaves().collect();
-        // All per-channel state (queues, arbiter pointers, wire deadlines,
-        // liveness) lives in the paged arena: allocated on first touch,
-        // recycled across runs, identical in content to the historical
-        // dense arrays because every default is synthesized arithmetically.
-        arena.prepare(num_channels, leaves.len());
-        // Leaf node id -> dense leaf slot (leaves are the first node ids in
-        // all our builders, but don't rely on it).
-        let mut leaf_slot = vec![usize::MAX; self.topo.num_nodes()];
-        for (slot, &l) in leaves.iter().enumerate() {
-            leaf_slot[l.index()] = slot;
-        }
-        let flits = self.cfg.packet_flits.max(1);
-        let mut source_injected = vec![false; leaves.len()];
-        let mut window_latencies: Vec<u64> = Vec::new();
-        let switch_nodes: Vec<NodeId> = self
-            .topo
-            .node_ids()
-            .filter(|&id| self.topo.kind(id).is_switch())
-            .collect();
-
-        let mut stats = SimStats {
-            window_cycles: self.cfg.measure_cycles,
-            offered_rate: workload.rate(),
-            channel_busy: ChannelBusy::zeros(num_channels),
-            ..SimStats::default()
-        };
-        let warmup = self.cfg.warmup_cycles;
-        let total = self.cfg.total_cycles();
-
-        // Stall watchdog: `moves` counts successful channel grants; the
-        // signature below changes whenever anything is delivered, dropped,
-        // retried, or moved. If it freezes for `stall_watchdog` consecutive
-        // cycles while packets are in flight, the network is wedged.
-        let watchdog = self.cfg.stall_watchdog;
-        let mut moves = 0u64;
-        let mut frozen_cycles = 0u64;
-        let mut last_signature = (u64::MAX, 0u64, 0u64, 0u64);
-
-        let mut now = 0u64;
-        loop {
-            if now >= total {
-                // Drain: run movement-only until the network empties.
-                let inflight = in_flight(&stats)?;
-                if !self.cfg.drain || inflight == 0 {
-                    break;
-                }
-                if now >= total + SimConfig::DRAIN_CAP {
-                    // An armed watchdog that was mid-freeze when the drain
-                    // cap hit means nothing was moving: that is a stall,
-                    // not a normal cap exit — report it as one instead of
-                    // silently truncating the drain.
-                    if watchdog > 0 && frozen_cycles > 0 {
-                        return Err(SimError::Stalled(stall_report(
-                            now,
-                            inflight,
-                            &arena.queues,
-                            &arena.inject,
-                        )));
-                    }
+    /// The full ascending sweep: every channel is offered, as an output, to
+    /// the input-queue *heads* of its source switch, round-robin from the
+    /// output's pointer.
+    fn hol_arbitrate(run: &mut Run<'_, Self>) -> Result<(), SimError> {
+        let topo = run.topo;
+        for o in 0..topo.num_channels() {
+            let out = ChannelId(o as u32);
+            let src = topo.channel(out).src;
+            // Injection links (leaf sources) are granted before the sweep.
+            if topo.kind(src).is_leaf() || !run.output_free(o) {
+                continue;
+            }
+            let inputs = topo.in_channels(src);
+            let n_in = inputs.len();
+            let start = *run.arena.rr.get(o) as usize % n_in.max(1);
+            for k in 0..n_in {
+                let idx = (start + k) % n_in;
+                let qi = inputs[idx].index();
+                if run.head_wants(qi, out) {
+                    run.grant_head(qi, o, (idx as u32 + 1) % n_in as u32)?;
                     break;
                 }
             }
-            let in_window = now >= warmup && now < total;
-            let injecting = now < total;
-            // --- Liveness events: scheduled transitions apply at cycle
-            // start (events are ordered Down-before-Up per channel, so a
-            // same-cycle flap nets to alive) ---
-            let mut downs_now = 0u64;
-            let mut ups_now = 0u64;
-            while next_fault < fault_events.len() && fault_events[next_fault].cycle <= now {
-                let e = fault_events[next_fault];
-                if e.channel.index() < num_channels {
-                    *arena.dead.get_mut(e.channel.index()) = e.transition == Transition::Down;
-                    match e.transition {
-                        Transition::Down => downs_now += 1,
-                        Transition::Up => ups_now += 1,
-                    }
-                    if let Some(adm) = admission.as_mut() {
-                        adm.observe(now, e.channel, e.transition);
-                    }
-                }
-                next_fault += 1;
-            }
-            if churn.is_some() && downs_now + ups_now > 0 {
-                let mark = EpochMark {
-                    cycle: now,
-                    downs: downs_now,
-                    ups: ups_now,
-                    injected: stats.injected_total,
-                    delivered: stats.delivered_total,
-                    timed_out: stats.timed_out_total,
-                    retries: stats.retries_total,
-                    abandoned: stats.abandoned_total,
-                };
-                match epoch_marks.last_mut() {
-                    // Transitions at cycle 0 fold into the baseline mark.
-                    Some(last) if last.cycle == now => {
-                        last.downs += downs_now;
-                        last.ups += ups_now;
-                    }
-                    _ => epoch_marks.push(mark),
-                }
-            }
-            if downs_now + ups_now > 0 && rec.is_enabled() {
-                // A liveness transition closes a recorder epoch: cumulative
-                // counters and the in-flight gauge at this boundary make
-                // per-epoch packet conservation auditable from the trace.
-                flushed.flush(rec, &stats)?;
-                rec.mark_epoch(&format!("cycle={now}"));
-            }
-            // Re-planning: promote stabilized links, refresh the pick mask.
-            if let Some(adm) = admission.as_mut() {
-                if adm.tick(now) {
-                    self.policy.set_live_mask(Some(adm.mask()));
-                    rec.add("sim.churn_replans", 1);
-                }
-            }
-            // --- Timeout sweep: expire packets past their deadline.
-            // Touched pages only, channel queues ascending then injection
-            // slots ascending — untouched queues are empty, so this is the
-            // historical full chained scan with the no-ops removed. ---
-            if ttl > 0 {
-                let mut expired: Vec<Packet> = Vec::new();
-                let mut sweep = |q: &mut VecDeque<Packet>| -> Result<(), SimError> {
-                    let mut i = 0;
-                    while i < q.len() {
-                        if now >= q[i].deadline {
-                            let Some(p) = q.remove(i) else {
-                                return Err(SimError::invariant(
-                                    "expired packet index out of range",
-                                ));
-                            };
-                            expired.push(p);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    Ok(())
-                };
-                arena.queues.try_for_each_touched_mut(|_, q| sweep(q))?;
-                arena.inject.try_for_each_touched_mut(|_, q| sweep(q))?;
-                for p in expired {
-                    stats.timed_out_total += 1;
-                    let can_retry = self.cfg.retry && p.retries < self.cfg.retry_limit;
-                    if !can_retry {
-                        stats.abandoned_total += 1;
-                        continue;
-                    }
-                    // Retransmit from the source with a *fresh* path pick:
-                    // spreading policies get a new chance to dodge dead
-                    // hardware. Latency keeps the original injection time.
-                    let queue_probe = |c: ChannelId| arena.queues.get(c.index()).len();
-                    match self.policy.pick(p.src, p.dst, queue_probe, &mut rng) {
-                        Some(path) if !path.is_empty() => {
-                            stats.retries_total += 1;
-                            let slot = leaf_slot
-                                .get(p.src as usize)
-                                .copied()
-                                .filter(|&s| s != usize::MAX)
-                                .ok_or_else(|| {
-                                    SimError::invariant(format!(
-                                        "retransmission source {} is not a leaf",
-                                        p.src
-                                    ))
-                                })?;
-                            arena.inject.get_mut(slot).push_back(Packet {
-                                src: p.src,
-                                dst: p.dst,
-                                path,
-                                hop: 0,
-                                inject_cycle: p.inject_cycle,
-                                ready_at: now,
-                                deadline: now + ttl,
-                                retries: p.retries + 1,
-                            });
-                        }
-                        _ => {
-                            stats.abandoned_total += 1;
-                        }
-                    }
-                }
-            }
-            // --- Injection phase ---
-            for (slot, &leaf) in leaves.iter().enumerate() {
-                if !injecting {
-                    break;
-                }
-                if !rng.gen_bool(workload.rate().clamp(0.0, 1.0)) {
-                    continue;
-                }
-                let src = leaf.0;
-                let Some(dst) = workload.destination(src, |n| rng.gen_range(0..n)) else {
-                    continue;
-                };
-                if self.cfg.bounded_injection
-                    && arena.inject.get(slot).len() >= self.cfg.queue_capacity
-                {
-                    stats.injection_refusals += 1;
-                    continue;
-                }
-                let queue_probe = |c: ChannelId| arena.queues.get(c.index()).len();
-                let Some(path) = self.policy.pick(src, dst, queue_probe, &mut rng) else {
-                    stats.injection_refusals += 1;
-                    continue;
-                };
-                source_injected[slot] = true;
-                stats.injected_total += 1;
-                if in_window {
-                    stats.injected_in_window += 1;
-                }
-                if path.is_empty() {
-                    // Self traffic: delivered instantly.
-                    stats.delivered_total += 1;
-                    if in_window {
-                        stats.delivered_in_window += 1;
-                    }
-                    continue;
-                }
-                arena.inject.get_mut(slot).push_back(Packet {
-                    src,
-                    dst,
-                    path,
-                    hop: 0,
-                    inject_cycle: now,
-                    ready_at: now,
-                    deadline: if ttl > 0 { now + ttl } else { u64::MAX },
-                    retries: 0,
-                });
-            }
-
-            // --- Movement phase: one grant per output channel per cycle ---
-            // Injection links (leaf -> switch): a leaf drives a single
-            // uplink, no arbitration needed under either discipline.
-            for (slot, &leaf) in leaves.iter().enumerate() {
-                let Some(&up) = self.topo.out_channels(leaf).first() else {
-                    continue;
-                };
-                let o = up.index();
-                if *arena.busy_until.get(o) > now
-                    || *arena.dead.get(o)
-                    || arena.queues.get(o).len() >= self.cfg.queue_capacity
-                {
-                    continue;
-                }
-                // Probe read-only first: popping goes through the touching
-                // accessor only when the queue is provably non-empty.
-                let eligible = matches!(
-                    arena.inject.get(slot).front(),
-                    Some(p) if p.ready_at <= now && p.path.get(p.hop) == Some(&up)
-                );
-                if eligible {
-                    let Some(p) = arena.inject.get_mut(slot).pop_front() else {
-                        return Err(SimError::invariant(
-                            "eligible injection-queue head disappeared",
-                        ));
-                    };
-                    self.advance(
-                        p,
-                        o,
-                        now,
-                        flits,
-                        in_window,
-                        &mut arena.queues,
-                        &mut arena.busy_until,
-                        &mut stats,
-                        &mut window_latencies,
-                        &mut moves,
-                    )?;
-                }
-            }
-            // Switch outputs.
-            match self.cfg.arbiter {
-                Arbiter::HolFifo => {
-                    for o in 0..num_channels {
-                        if *arena.busy_until.get(o) > now || *arena.dead.get(o) {
-                            continue; // wire occupied, or killed by a fault
-                        }
-                        let ch = self.topo.channel(ChannelId(o as u32));
-                        if self.topo.kind(ch.src).is_leaf() {
-                            continue; // injection links handled above
-                        }
-                        let to_leaf = self.topo.kind(ch.dst).is_leaf();
-                        if !to_leaf && arena.queues.get(o).len() >= self.cfg.queue_capacity {
-                            continue; // no downstream credit
-                        }
-                        // Round-robin over the switch's input-queue *heads*.
-                        let inputs = self.topo.in_channels(ch.src);
-                        let n_in = inputs.len();
-                        let start = *arena.rr.get(o) as usize % n_in.max(1);
-                        for k in 0..n_in {
-                            let idx = (start + k) % n_in;
-                            let qi = inputs[idx].index();
-                            let head_ok = matches!(
-                                arena.queues.get(qi).front(),
-                                Some(p) if p.ready_at <= now
-                                    && p.path.get(p.hop) == Some(&ChannelId(o as u32))
-                            );
-                            if head_ok {
-                                let Some(p) = arena.queues.get_mut(qi).pop_front() else {
-                                    return Err(SimError::invariant(
-                                        "eligible input-queue head disappeared",
-                                    ));
-                                };
-                                *arena.rr.get_mut(o) = (idx as u32 + 1) % n_in as u32;
-                                self.advance(
-                                    p,
-                                    o,
-                                    now,
-                                    flits,
-                                    in_window,
-                                    &mut arena.queues,
-                                    &mut arena.busy_until,
-                                    &mut stats,
-                                    &mut window_latencies,
-                                    &mut moves,
-                                )?;
-                                break;
-                            }
-                        }
-                    }
-                }
-                Arbiter::Voq { iterations } => {
-                    for &sw in &switch_nodes {
-                        self.islip_switch(
-                            sw,
-                            iterations.max(1),
-                            now,
-                            flits,
-                            in_window,
-                            &mut arena.queues,
-                            &mut arena.busy_until,
-                            &arena.dead,
-                            &mut arena.rr,
-                            &mut arena.accept_ptr,
-                            &mut stats,
-                            &mut window_latencies,
-                            &mut moves,
-                        )?;
-                    }
-                }
-            }
-            if churn.is_some() {
-                delivered_per_cycle.push((stats.delivered_total - delivered_seen) as u32);
-                delivered_seen = stats.delivered_total;
-            }
-            if watchdog > 0 {
-                let inflight = in_flight(&stats)?;
-                let signature = (
-                    moves,
-                    stats.delivered_total,
-                    stats.abandoned_total,
-                    stats.retries_total,
-                );
-                if inflight > 0 && signature == last_signature {
-                    frozen_cycles += 1;
-                    if frozen_cycles >= watchdog {
-                        return Err(SimError::Stalled(stall_report(
-                            now,
-                            inflight,
-                            &arena.queues,
-                            &arena.inject,
-                        )));
-                    }
-                } else {
-                    frozen_cycles = 0;
-                    last_signature = signature;
-                }
-            }
-            now += 1;
-        }
-        stats.leftover_packets = in_flight(&stats)?;
-        stats.active_sources = source_injected.iter().filter(|&&b| b).count();
-        rec.add("sim.cycles", now);
-        if rec.is_enabled() {
-            flushed.flush(rec, &stats)?;
-            rec.mark_epoch("end");
-        }
-        window_latencies.sort_unstable();
-        self.finish_stats(&mut stats, &window_latencies);
-        let report = churn.map(|c| {
-            let final_mark = EpochMark {
-                cycle: now,
-                downs: 0,
-                ups: 0,
-                injected: stats.injected_total,
-                delivered: stats.delivered_total,
-                timed_out: stats.timed_out_total,
-                retries: stats.retries_total,
-                abandoned: stats.abandoned_total,
-            };
-            build_report(c, &epoch_marks, final_mark, &delivered_per_cycle, warmup)
-        });
-        Ok((stats, report))
-    }
-
-    /// Fill in percentile fields from sorted window latencies.
-    fn finish_stats(&self, stats: &mut SimStats, sorted: &[u64]) {
-        let pct = |q: f64| -> u64 {
-            if sorted.is_empty() {
-                0
-            } else {
-                let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-                sorted[idx]
-            }
-        };
-        stats.latency_p50 = pct(0.50);
-        stats.latency_p95 = pct(0.95);
-        stats.latency_p99 = pct(0.99);
-    }
-
-    /// Move one granted packet across output channel `o`.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        &self,
-        mut p: Packet,
-        o: usize,
-        now: u64,
-        flits: u64,
-        in_window: bool,
-        queues: &mut PagedVec<VecDeque<Packet>>,
-        busy_until: &mut PagedVec<u64>,
-        stats: &mut SimStats,
-        window_latencies: &mut Vec<u64>,
-        moves: &mut u64,
-    ) -> Result<(), SimError> {
-        let ch = self.topo.channel(ChannelId(o as u32));
-        let to_leaf = self.topo.kind(ch.dst).is_leaf();
-        *moves += 1;
-        p.hop += 1;
-        // The wire serializes `flits` flits; the packet cannot be forwarded
-        // again (cut-through is not modeled) until the tail flit arrives.
-        p.ready_at = now + flits;
-        *busy_until.get_mut(o) = now + flits;
-        if in_window {
-            stats.channel_busy.add(o, flits);
-        }
-        if to_leaf {
-            if ch.dst.0 != p.dst {
-                return Err(SimError::invariant(format!(
-                    "packet for leaf {} exited the fabric at leaf {}",
-                    p.dst, ch.dst.0
-                )));
-            }
-            if p.hop != p.path.len() {
-                return Err(SimError::invariant(format!(
-                    "packet reached its destination after hop {} of a {}-hop path",
-                    p.hop,
-                    p.path.len()
-                )));
-            }
-            stats.delivered_total += 1;
-            if in_window {
-                stats.delivered_in_window += 1;
-                let lat = now - p.inject_cycle + flits;
-                stats.latency_sum += lat;
-                stats.latency_max = stats.latency_max.max(lat);
-                window_latencies.push(lat);
-            }
-        } else {
-            queues.get_mut(o).push_back(p);
-        }
-        Ok(())
-    }
-
-    /// One cycle of iSLIP request-grant-accept matching on switch `sw`,
-    /// followed by the matched packet moves.
-    ///
-    /// Virtual output queues are realized over the shared per-input buffer:
-    /// the packet an input offers toward output `o` is the *first* buffered
-    /// packet whose next hop is `o` (FIFO per virtual queue), so a blocked
-    /// head never stalls traffic for other outputs.
-    #[allow(clippy::too_many_arguments)]
-    fn islip_switch(
-        &self,
-        sw: NodeId,
-        iterations: u8,
-        now: u64,
-        flits: u64,
-        in_window: bool,
-        queues: &mut PagedVec<VecDeque<Packet>>,
-        busy_until: &mut PagedVec<u64>,
-        dead: &PagedVec<bool>,
-        grant_ptr: &mut PagedVec<u32>,
-        accept_ptr: &mut PagedVec<u32>,
-        stats: &mut SimStats,
-        window_latencies: &mut Vec<u64>,
-        moves: &mut u64,
-    ) -> Result<(), SimError> {
-        let inputs = self.topo.in_channels(sw);
-        let outputs = self.topo.out_channels(sw);
-        if inputs.is_empty() || outputs.is_empty() {
-            return Ok(());
-        }
-        // Output-channel index -> local output slot.
-        let out_slot = |c: ChannelId| outputs.iter().position(|&o| o == c);
-
-        // Per input: the buffer position of the first eligible packet per
-        // local output (the VOQ heads).
-        let mut voq_head: Vec<Vec<Option<usize>>> = Vec::with_capacity(inputs.len());
-        for &qi in inputs {
-            let mut heads = vec![None; outputs.len()];
-            for (pos, p) in queues.get(qi.index()).iter().enumerate() {
-                let Some(&next_hop) = p.path.get(p.hop) else {
-                    continue; // defensive: delivered packets never queue
-                };
-                if p.ready_at > now {
-                    continue;
-                }
-                if let Some(oj) = out_slot(next_hop) {
-                    if heads[oj].is_none() {
-                        heads[oj] = Some(pos);
-                    }
-                }
-            }
-            voq_head.push(heads);
-        }
-        // Output availability (wire free + downstream credit).
-        let out_ok: Vec<bool> = outputs
-            .iter()
-            .map(|&o| {
-                if *busy_until.get(o.index()) > now || *dead.get(o.index()) {
-                    return false;
-                }
-                let ch = self.topo.channel(o);
-                self.topo.kind(ch.dst).is_leaf()
-                    || queues.get(o.index()).len() < self.cfg.queue_capacity
-            })
-            .collect();
-
-        let mut in_matched = vec![false; inputs.len()];
-        let mut out_matched = vec![false; outputs.len()];
-        let mut matches: Vec<(usize, usize)> = Vec::new();
-        for iter in 0..iterations {
-            // Grant: each free output offers to one requesting input,
-            // scanning from its grant pointer.
-            let mut grants: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
-            let mut any_grant = false;
-            for (oj, &o) in outputs.iter().enumerate() {
-                if out_matched[oj] || !out_ok[oj] {
-                    continue;
-                }
-                let start = *grant_ptr.get(o.index()) as usize % inputs.len();
-                for k in 0..inputs.len() {
-                    let ii = (start + k) % inputs.len();
-                    if !in_matched[ii] && voq_head[ii][oj].is_some() {
-                        grants[ii].push(oj);
-                        any_grant = true;
-                        break;
-                    }
-                }
-            }
-            if !any_grant {
-                break;
-            }
-            // Accept: each input picks one granted output, scanning from
-            // its accept pointer; pointers advance only on first-iteration
-            // accepts (standard iSLIP desynchronization rule).
-            for (ii, granted) in grants.iter().enumerate() {
-                if granted.is_empty() || in_matched[ii] {
-                    continue;
-                }
-                let qi = inputs[ii];
-                let start = *accept_ptr.get(qi.index()) as usize % outputs.len();
-                let Some(&oj) = granted
-                    .iter()
-                    .min_by_key(|&&oj| (oj + outputs.len() - start) % outputs.len())
-                else {
-                    return Err(SimError::invariant("grant list emptied during accept"));
-                };
-                in_matched[ii] = true;
-                out_matched[oj] = true;
-                matches.push((ii, oj));
-                if iter == 0 {
-                    *grant_ptr.get_mut(outputs[oj].index()) = ((ii + 1) % inputs.len()) as u32;
-                    *accept_ptr.get_mut(qi.index()) = ((oj + 1) % outputs.len()) as u32;
-                }
-            }
-        }
-        // Move matched packets.
-        for (ii, oj) in matches {
-            let Some(pos) = voq_head[ii][oj] else {
-                return Err(SimError::invariant(
-                    "iSLIP matched an input with no eligible VOQ head",
-                ));
-            };
-            let Some(p) = queues.get_mut(inputs[ii].index()).remove(pos) else {
-                return Err(SimError::invariant("iSLIP VOQ head position out of range"));
-            };
-            self.advance(
-                p,
-                outputs[oj].index(),
-                now,
-                flits,
-                in_window,
-                queues,
-                busy_until,
-                stats,
-                window_latencies,
-                moves,
-            )?;
         }
         Ok(())
     }
@@ -888,6 +84,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Policy, SimConfig, Workload};
     use ftclos_routing::{DModK, ObliviousMultipath, SpreadPolicy, YuanDeterministic};
     use ftclos_topo::{crossbar, Ftree};
     use ftclos_traffic::{adversarial, patterns};
@@ -1549,6 +746,10 @@ mod tests {
         assert_eq!(snap.counter("sim.abandoned"), Some(plain.abandoned_total));
         assert_eq!(snap.gauge("sim.in_flight"), Some(plain.leftover_packets));
         assert!(snap.spans.iter().any(|s| s.path == "sim.run"));
+        // The working set, as the event engine reports it: every channel of
+        // this 60-channel fabric shares one state page.
+        assert_eq!(snap.gauge("sim.touched_channels"), Some(60));
+        assert!(snap.gauge("sim.state_bytes").unwrap_or(0) > 0);
         // Epochs: one per transition cycle (400 and 900) plus the final
         // "end" mark, each conserving injected = delivered + abandoned +
         // in-flight at its boundary.

@@ -24,6 +24,12 @@ pub enum ConfigError {
     /// `packet_flits - 1` consecutive cycles, so a shorter watchdog would
     /// fire on healthy runs.
     WatchdogTooShort,
+    /// `warmup_cycles + measure_cycles + DRAIN_CAP + ttl_cycles +
+    /// packet_flits` overflows `u64`: the run's cycle numbers would wrap.
+    CycleOverflow,
+    /// The workload's injection rate is NaN (not a property of the
+    /// [`crate::SimConfig`], but rejected with it, before the run starts).
+    NanRate,
 }
 
 impl fmt::Display for ConfigError {
@@ -55,6 +61,15 @@ impl fmt::Display for ConfigError {
                     f,
                     "stall_watchdog must exceed packet_flits (serialization pauses movement)"
                 )
+            }
+            ConfigError::CycleOverflow => {
+                write!(
+                    f,
+                    "warmup + measure + drain cap + ttl_cycles + packet_flits must fit in 64 bits"
+                )
+            }
+            ConfigError::NanRate => {
+                write!(f, "the workload's injection rate is NaN")
             }
         }
     }

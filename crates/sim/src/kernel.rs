@@ -1,0 +1,1018 @@
+//! The simulator kernel: one arbitrate/advance/account loop, run under a
+//! [`Schedule`].
+//!
+//! The paper has one switch model — input-queued, one grant per output
+//! channel per cycle, credit backpressure — and this module is its one
+//! implementation. Every executed cycle runs the same phases in the same
+//! order over the same [`SimArena`] with the same ChaCha8 stream: liveness
+//! events and epoch marks, TTL sweep and retry, Bernoulli injection,
+//! injection-link grants, switch arbitration (head-of-line FIFO or iSLIP),
+//! the stall watchdog. Accounting (`SimStats`, the recorder flushes, the
+//! churn report) and the `run`/`try_run*` entry points live here too.
+//!
+//! What differs between [`crate::Simulator`] and
+//! `ftclos_evsim::EventSimulator` is only *where work is looked for*, and
+//! that is the whole of the [`Schedule`] seam: which channel queues,
+//! injection slots and switches are visited this cycle, how head-of-line
+//! requests are collected (output sweep or worklist), what a queue push or
+//! pop is remembered as, and which cycle runs next. A schedule never decides
+//! what a visit does, so the two engines cannot drift apart in semantics —
+//! only a schedule that *skips* work it should have visited can break the
+//! replay contract, and that is what the dense schedule stays around to
+//! catch.
+//!
+//! Page discipline: every probe that can meet an untouched entry goes
+//! through the read-only [`crate::PagedVec::get`]; `get_mut` is reached only
+//! for an entry that is about to change. The kernel therefore materialises
+//! exactly the pages the packets touch, whatever the schedule visits.
+
+use crate::churn::{build_report, ChurnConfig, ChurnReport, EpochMark};
+use crate::config::{Arbiter, SimConfig};
+use crate::error::{ConfigError, SimError};
+use crate::fault::{ChurnSchedule, FaultSchedule};
+use crate::policy::Policy;
+use crate::state::{stall_report, Packet, PagedVec, SimArena};
+use crate::stats::{ChannelBusy, SimStats};
+use crate::workload::Workload;
+use ftclos_obs::{Noop, Recorder};
+use ftclos_routing::LinkAdmission;
+use ftclos_topo::{ChannelId, NodeId, Topology, Transition};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::collections::VecDeque;
+use std::marker::PhantomData;
+use std::sync::Arc;
+
+/// The span, counter and gauge names one schedule records under. Build it
+/// with [`crate::metric_names!`], so that `sim.<x>` and `evsim.<x>` are the
+/// same table under two prefixes.
+#[derive(Debug)]
+pub struct Names {
+    /// Span around the whole run.
+    pub run: &'static str,
+    /// Counters for the monotonic totals, in this order: injected,
+    /// delivered, timed out, retries, abandoned, refusals.
+    pub totals: [&'static str; 6],
+    /// Gauge: packets inside the network at the last flush.
+    pub in_flight: &'static str,
+    /// Counter: hysteresis re-planning events.
+    pub churn_replans: &'static str,
+    /// Counter: the cycle the run ended at (drain and skipped cycles
+    /// included).
+    pub cycles: &'static str,
+    /// Gauge: channels resident in a materialised state page.
+    pub touched_channels: &'static str,
+    /// Gauge: backing bytes of the state arena.
+    pub state_bytes: &'static str,
+}
+
+/// The [`Names`] table for one metric prefix: `metric_names!("sim")`.
+#[macro_export]
+macro_rules! metric_names {
+    ($prefix:literal) => {
+        $crate::kernel::Names {
+            run: concat!($prefix, ".run"),
+            totals: [
+                concat!($prefix, ".injected"),
+                concat!($prefix, ".delivered"),
+                concat!($prefix, ".timed_out"),
+                concat!($prefix, ".retries"),
+                concat!($prefix, ".abandoned"),
+                concat!($prefix, ".refusals"),
+            ],
+            in_flight: concat!($prefix, ".in_flight"),
+            churn_replans: concat!($prefix, ".churn_replans"),
+            cycles: concat!($prefix, ".cycles"),
+            touched_channels: concat!($prefix, ".touched_channels"),
+            state_bytes: concat!($prefix, ".state_bytes"),
+        }
+    };
+}
+
+/// Where the kernel looks for work. Every visit list is in ascending id
+/// order; a list may name components with nothing to do (the kernel probes
+/// before it touches) but must not omit one that has.
+pub trait Schedule: Default {
+    /// The names this schedule's runs record under.
+    const NAMES: Names;
+
+    /// Channel queues that may hold a packet.
+    fn queues(&self, arena: &SimArena) -> Vec<u32>;
+
+    /// Injection slots that may hold a packet.
+    fn inject_slots(&self, arena: &SimArena) -> Vec<u32>;
+
+    /// Switches (node ids) that may have a packet to match this cycle.
+    fn switches(&self, topo: &Topology) -> Vec<u32>;
+
+    /// One cycle of head-of-line FIFO arbitration: for every switch output
+    /// in ascending channel id that is [`Run::output_free`], grant
+    /// ([`Run::grant_head`]) the first input queue, round-robin from the
+    /// output's pointer, whose head [`Run::head_wants`] it.
+    ///
+    /// # Errors
+    /// Whatever the grants return.
+    fn hol_arbitrate(run: &mut Run<'_, Self>) -> Result<(), SimError>;
+
+    /// Channel queue `c` received a packet.
+    fn queue_filled(&mut self, _c: usize) {}
+
+    /// Channel queue `c` gave up its last packet.
+    fn queue_emptied(&mut self, _c: usize) {}
+
+    /// Injection slot `slot` received a packet.
+    fn inject_filled(&mut self, _slot: usize) {}
+
+    /// Injection slot `slot` gave up its last packet.
+    fn inject_emptied(&mut self, _slot: usize) {}
+
+    /// Queue state can change by itself at cycle `at` (a packet becomes
+    /// ready, a wire frees, a deadline matures). Only reported in runs whose
+    /// idle drain cycles may be skipped.
+    fn wake(&mut self, _at: u64) {}
+
+    /// The cycle to execute after `now`; called once at the end of every
+    /// executed cycle. `idle_until` is `Some(limit)` when the cycle changed
+    /// nothing and nothing but a [`Schedule::wake`] can change anything
+    /// before `limit`: any cycle in `now + 1 ..= limit` that no wake-up
+    /// precedes is then a legal answer. Otherwise the answer is `now + 1`.
+    fn next_cycle(&mut self, now: u64, _idle_until: Option<u64>) -> u64 {
+        now + 1
+    }
+
+    /// Record this schedule's own activity counters at the end of a run
+    /// over `components` channels plus injection slots.
+    fn record_activity<R: Recorder>(&self, _rec: &R, _components: u64) {}
+}
+
+/// Packet-level simulator over a [`Topology`] with a path [`Policy`]: the
+/// kernel under schedule `S`. Use it through [`crate::Simulator`] (dense
+/// schedule) or `ftclos_evsim::EventSimulator` (active schedule); for
+/// identical inputs the two return identical [`SimStats`], [`ChurnReport`]s
+/// and [`SimError`]s.
+pub struct Kernel<'a, S> {
+    topo: &'a Topology,
+    cfg: SimConfig,
+    policy: Policy,
+    arena: SimArena,
+    schedule: PhantomData<S>,
+}
+
+impl<'a, S: Schedule> Kernel<'a, S> {
+    /// Create a simulator. The policy must cover every pair the workload
+    /// can generate (unrouteable injections are counted as refusals).
+    pub fn new(topo: &'a Topology, cfg: SimConfig, policy: Policy) -> Self {
+        Self::with_arena(topo, cfg, policy, SimArena::new())
+    }
+
+    /// Create a simulator reusing a [`SimArena`] from a previous run —
+    /// repeated runs through one arena recycle state pages instead of
+    /// reallocating them. Semantically identical to [`Kernel::new`].
+    pub fn with_arena(topo: &'a Topology, cfg: SimConfig, policy: Policy, arena: SimArena) -> Self {
+        Self {
+            topo,
+            cfg,
+            policy,
+            arena,
+            schedule: PhantomData,
+        }
+    }
+
+    /// Recover the arena (and its recycled pages) for the next simulator.
+    pub fn into_arena(self) -> SimArena {
+        self.arena
+    }
+
+    /// Run one simulation and return its statistics. `seed` drives
+    /// injection coin flips and random path spreading; equal seeds give
+    /// identical runs.
+    ///
+    /// # Panics
+    /// On an invalid configuration or a broken engine invariant — use
+    /// [`Kernel::try_run`] for the structured-error form.
+    pub fn run(&mut self, workload: &Workload, seed: u64) -> SimStats {
+        match self.try_run(workload, seed) {
+            Ok(stats) => stats,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Fallible [`Kernel::run`].
+    ///
+    /// # Errors
+    /// [`SimError::Config`] for an invalid [`SimConfig`] or a NaN workload
+    /// rate; [`SimError::Invariant`] if the engine catches itself in an
+    /// inconsistent state; [`SimError::Stalled`] when the watchdog fires.
+    pub fn try_run(&mut self, workload: &Workload, seed: u64) -> Result<SimStats, SimError> {
+        self.try_run_with_faults(workload, seed, &FaultSchedule::new())
+    }
+
+    /// [`Kernel::try_run`] with instrumentation: the run records under the
+    /// schedule's [`Names`] (`sim.*` or `evsim.*`) — the `run` span, the
+    /// cumulative counters (`injected`, `delivered`, `timed_out`,
+    /// `retries`, `abandoned`, `refusals`, `cycles`), the `in_flight`,
+    /// `touched_channels` and `state_bytes` gauges, whatever
+    /// [`Schedule::record_activity`] adds, and one recorder epoch per
+    /// liveness-transition cycle plus a final `end` epoch — so per-epoch
+    /// packet conservation is auditable from the trace alone. With
+    /// [`Noop`] this is exactly `try_run`.
+    ///
+    /// # Errors
+    /// As for [`Kernel::try_run`].
+    pub fn try_run_recorded<R: Recorder>(
+        &mut self,
+        workload: &Workload,
+        seed: u64,
+        rec: &R,
+    ) -> Result<SimStats, SimError> {
+        self.try_run_with_faults_recorded(workload, seed, &FaultSchedule::new(), rec)
+    }
+
+    /// Run with mid-simulation channel transitions: each event of `faults`
+    /// marks its channel dead — or alive again — at the start of its cycle.
+    /// Dead channels grant no packets; stalled traffic is dropped/retried
+    /// per the TTL and retry knobs of the configuration. Revived channels
+    /// grant again from their cycle on.
+    ///
+    /// # Errors
+    /// As for [`Kernel::try_run`].
+    pub fn try_run_with_faults(
+        &mut self,
+        workload: &Workload,
+        seed: u64,
+        faults: &FaultSchedule,
+    ) -> Result<SimStats, SimError> {
+        self.try_run_with_faults_recorded(workload, seed, faults, &Noop)
+    }
+
+    /// [`Kernel::try_run_with_faults`] with instrumentation (see
+    /// [`Kernel::try_run_recorded`] for what is recorded).
+    ///
+    /// # Errors
+    /// As for [`Kernel::try_run`].
+    pub fn try_run_with_faults_recorded<R: Recorder>(
+        &mut self,
+        workload: &Workload,
+        seed: u64,
+        faults: &FaultSchedule,
+        rec: &R,
+    ) -> Result<SimStats, SimError> {
+        self.run_loop(workload, seed, faults, None, rec)
+            .map(|(stats, _)| stats)
+    }
+
+    /// Run under churn with per-epoch instrumentation: applies the
+    /// schedule's transitions like [`Kernel::try_run_with_faults`], drives
+    /// the path policy's live mask per `churn.mode` (pinned / per-cycle /
+    /// hysteresis re-planning), and slices the run into epochs at every
+    /// transition cycle. Returns the usual statistics plus the
+    /// [`ChurnReport`] with per-epoch counters and time-to-reconverge.
+    ///
+    /// # Errors
+    /// As for [`Kernel::try_run`].
+    pub fn try_run_churn(
+        &mut self,
+        workload: &Workload,
+        seed: u64,
+        schedule: &ChurnSchedule,
+        churn: &ChurnConfig,
+    ) -> Result<(SimStats, ChurnReport), SimError> {
+        self.try_run_churn_recorded(workload, seed, schedule, churn, &Noop)
+    }
+
+    /// [`Kernel::try_run_churn`] with instrumentation (see
+    /// [`Kernel::try_run_recorded`]; additionally counts hysteresis
+    /// re-planning events under `churn_replans`).
+    ///
+    /// # Errors
+    /// As for [`Kernel::try_run`].
+    pub fn try_run_churn_recorded<R: Recorder>(
+        &mut self,
+        workload: &Workload,
+        seed: u64,
+        schedule: &ChurnSchedule,
+        churn: &ChurnConfig,
+        rec: &R,
+    ) -> Result<(SimStats, ChurnReport), SimError> {
+        self.run_loop(workload, seed, schedule, Some(churn), rec)
+    }
+
+    fn run_loop<R: Recorder>(
+        &mut self,
+        workload: &Workload,
+        seed: u64,
+        faults: &ChurnSchedule,
+        churn: Option<&ChurnConfig>,
+        rec: &R,
+    ) -> Result<(SimStats, ChurnReport), SimError> {
+        self.cfg.validate()?;
+        if workload.rate().is_nan() {
+            return Err(ConfigError::NanRate.into());
+        }
+        let _span = rec.span(S::NAMES.run);
+        // A fresh run starts unmasked; hysteresis rebuilds the mask as it
+        // admits links.
+        self.policy.set_live_mask(None);
+        let num_channels = self.topo.num_channels();
+        let leaves: Vec<NodeId> = self.topo.leaves().collect();
+        // All per-channel state (queues, arbiter pointers, wire deadlines,
+        // liveness) lives in the paged arena: allocated on first touch,
+        // recycled across runs, identical in content to dense arrays
+        // because every default is synthesized arithmetically.
+        self.arena.prepare(num_channels, leaves.len());
+        // Leaf node id -> dense leaf slot (leaves are the first node ids in
+        // all our builders, but don't rely on it).
+        let mut leaf_slot = vec![usize::MAX; self.topo.num_nodes()];
+        for (slot, &l) in leaves.iter().enumerate() {
+            leaf_slot[l.index()] = slot;
+        }
+        let admission = churn
+            .and_then(|c| c.mode.hysteresis_k())
+            .map(|k| LinkAdmission::new(num_channels, k));
+        Run {
+            topo: self.topo,
+            cfg: &self.cfg,
+            arena: &mut self.arena,
+            sched: S::default(),
+            now: 0,
+            policy: &mut self.policy,
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            stats: SimStats {
+                window_cycles: self.cfg.measure_cycles,
+                offered_rate: workload.rate(),
+                channel_busy: ChannelBusy::zeros(num_channels),
+                ..SimStats::default()
+            },
+            window_latencies: Vec::new(),
+            moves: 0,
+            in_window: false,
+            // An idle cycle is provably inert only once injection is over
+            // (drain) and no hysteresis admission ticks at cycles of its
+            // own.
+            may_skip: self.cfg.drain && admission.is_none(),
+            admission,
+            source_injected: vec![false; leaves.len()],
+            leaves,
+            leaf_slot,
+        }
+        .execute(workload, faults, churn, rec)
+    }
+}
+
+/// The state of one run, handed to every phase of the cycle — and to
+/// [`Schedule::hol_arbitrate`], which is why a few fields and helpers are
+/// public. Treat it as engine-internal.
+pub struct Run<'k, S> {
+    /// The fabric.
+    pub topo: &'k Topology,
+    /// The run's configuration (already validated).
+    pub cfg: &'k SimConfig,
+    /// Queues, arbiter pointers, wire deadlines, liveness.
+    pub arena: &'k mut SimArena,
+    /// The schedule's own memory.
+    pub sched: S,
+    /// The cycle being executed.
+    pub now: u64,
+    policy: &'k mut Policy,
+    rng: ChaCha8Rng,
+    stats: SimStats,
+    window_latencies: Vec<u64>,
+    /// Successful channel grants so far (the watchdog's progress signal).
+    moves: u64,
+    in_window: bool,
+    may_skip: bool,
+    admission: Option<LinkAdmission>,
+    leaves: Vec<NodeId>,
+    leaf_slot: Vec<usize>,
+    source_injected: Vec<bool>,
+}
+
+impl<S: Schedule> Run<'_, S> {
+    fn execute<R: Recorder>(
+        mut self,
+        workload: &Workload,
+        faults: &ChurnSchedule,
+        churn: Option<&ChurnConfig>,
+        rec: &R,
+    ) -> Result<(SimStats, ChurnReport), SimError> {
+        let names = &S::NAMES;
+        let num_channels = self.topo.num_channels();
+        // Totals already pushed to the recorder (counters are monotonic;
+        // each flush adds only the delta since the last one).
+        let mut flushed = [0u64; 6];
+        // Churn instrumentation (empty outside churn runs).
+        let mut epoch_marks: Vec<EpochMark> = Vec::new();
+        let mut delivered_per_cycle: Vec<u32> = Vec::new();
+        let mut delivered_seen = 0u64;
+        if churn.is_some() {
+            epoch_marks.push(EpochMark::default()); // run-start baseline
+        }
+        let fault_events = faults.sorted_events();
+        let mut next_fault = 0usize;
+        let warmup = self.cfg.warmup_cycles;
+        let total = self.cfg.total_cycles();
+        // Stall watchdog: the signature below changes whenever anything is
+        // delivered, dropped, retried, or moved. If it freezes for
+        // `stall_watchdog` consecutive cycles while packets are in flight,
+        // the network is wedged.
+        let watchdog = self.cfg.stall_watchdog;
+        let mut frozen_cycles = 0u64;
+        let mut last_signature = (u64::MAX, 0u64, 0u64, 0u64);
+
+        // The loop breaks with `Some(report)` on a stall so the epilogue's
+        // counters still reach the recorder before the error returns.
+        let stalled = loop {
+            let now = self.now;
+            if now >= total {
+                // Drain: run movement-only until the network empties.
+                let inflight = in_flight(&self.stats)?;
+                if !self.cfg.drain || inflight == 0 {
+                    break None;
+                }
+                if now >= total + SimConfig::DRAIN_CAP {
+                    // An armed watchdog that was mid-freeze when the drain
+                    // cap hit means nothing was moving: that is a stall,
+                    // not a normal cap exit.
+                    break (watchdog > 0 && frozen_cycles > 0).then(|| {
+                        stall_report(now, inflight, &self.arena.queues, &self.arena.inject)
+                    });
+                }
+            }
+            self.in_window = now >= warmup && now < total;
+            let progress_before = (self.moves, totals(&self.stats));
+            let faults_before = next_fault;
+            // --- Liveness events: scheduled transitions apply at cycle
+            // start (events are ordered Down-before-Up per channel, so a
+            // same-cycle flap nets to alive) ---
+            let (mut downs, mut ups) = (0u64, 0u64);
+            while let Some(e) = fault_events.get(next_fault).filter(|e| e.cycle <= now) {
+                if e.channel.index() < num_channels {
+                    *self.arena.dead.get_mut(e.channel.index()) = e.transition == Transition::Down;
+                    match e.transition {
+                        Transition::Down => downs += 1,
+                        Transition::Up => ups += 1,
+                    }
+                    if let Some(adm) = self.admission.as_mut() {
+                        adm.observe(now, e.channel, e.transition);
+                    }
+                }
+                next_fault += 1;
+            }
+            if downs + ups > 0 {
+                if churn.is_some() {
+                    match epoch_marks.last_mut() {
+                        // Transitions at cycle 0 fold into the baseline.
+                        Some(last) if last.cycle == now => {
+                            last.downs += downs;
+                            last.ups += ups;
+                        }
+                        _ => epoch_marks.push(EpochMark::at(now, downs, ups, &self.stats)),
+                    }
+                }
+                if rec.is_enabled() {
+                    // A liveness transition closes a recorder epoch:
+                    // cumulative counters and the in-flight gauge at this
+                    // boundary make per-epoch packet conservation auditable
+                    // from the trace.
+                    flush(rec, names, &mut flushed, &self.stats)?;
+                    rec.mark_epoch(&format!("cycle={now}"));
+                }
+            }
+            // Re-planning: promote stabilized links, refresh the pick mask.
+            if let Some(adm) = self.admission.as_mut() {
+                if adm.tick(now) {
+                    self.policy.set_live_mask(Some(adm.mask()));
+                    rec.add(names.churn_replans, 1);
+                }
+            }
+            self.expire()?;
+            if now < total {
+                self.inject(workload);
+            }
+            // --- Movement: one grant per output channel per cycle ---
+            self.grant_injection_links()?;
+            match self.cfg.arbiter {
+                Arbiter::HolFifo => S::hol_arbitrate(&mut self)?,
+                Arbiter::Voq { iterations } => {
+                    for sw in self.sched.switches(self.topo) {
+                        self.islip_switch(NodeId(sw), iterations.max(1))?;
+                    }
+                }
+            }
+            if churn.is_some() {
+                delivered_per_cycle.push((self.stats.delivered_total - delivered_seen) as u32);
+                delivered_seen = self.stats.delivered_total;
+            }
+            let inflight = in_flight(&self.stats)?;
+            if watchdog > 0 {
+                let signature = (
+                    self.moves,
+                    self.stats.delivered_total,
+                    self.stats.abandoned_total,
+                    self.stats.retries_total,
+                );
+                if inflight > 0 && signature == last_signature {
+                    frozen_cycles += 1;
+                    if frozen_cycles >= watchdog {
+                        break Some(stall_report(
+                            now,
+                            inflight,
+                            &self.arena.queues,
+                            &self.arena.inject,
+                        ));
+                    }
+                } else {
+                    frozen_cycles = 0;
+                    last_signature = signature;
+                }
+            }
+            // --- Next cycle. A cycle that changed nothing once injection
+            // is over will repeat unchanged until a wake-up, the next fault
+            // event, the cycle the watchdog must fire in (which has to
+            // execute so its report is exact), or the drain cap — the
+            // schedule may jump to the earliest of those. ---
+            let idle = self.may_skip
+                && now + 1 >= total
+                && inflight > 0
+                && next_fault == faults_before
+                && (self.moves, totals(&self.stats)) == progress_before;
+            let idle_until = idle.then(|| {
+                let mut limit = total + SimConfig::DRAIN_CAP;
+                if let Some(e) = fault_events.get(next_fault) {
+                    limit = limit.min(e.cycle.max(now + 1));
+                }
+                if watchdog > 0 {
+                    limit = limit.min(now.saturating_add(watchdog - frozen_cycles));
+                }
+                limit
+            });
+            self.now = self.sched.next_cycle(now, idle_until);
+            let skipped = self.now - (now + 1);
+            if skipped > 0 {
+                if watchdog > 0 {
+                    // Every skipped cycle would have been another
+                    // progress-free tick of the armed watchdog.
+                    frozen_cycles += skipped;
+                }
+                if churn.is_some() {
+                    delivered_per_cycle.extend(std::iter::repeat_n(0u32, skipped as usize));
+                }
+            }
+        };
+        rec.add(names.cycles, self.now);
+        self.sched
+            .record_activity(rec, (num_channels + self.leaves.len()) as u64);
+        rec.gauge(names.touched_channels, self.arena.touched_channels() as u64);
+        rec.gauge(names.state_bytes, self.arena.state_bytes() as u64);
+        if let Some(report) = stalled {
+            return Err(SimError::Stalled(report));
+        }
+        let mut stats = self.stats;
+        stats.leftover_packets = in_flight(&stats)?;
+        stats.active_sources = self.source_injected.iter().filter(|&&b| b).count();
+        if rec.is_enabled() {
+            flush(rec, names, &mut flushed, &stats)?;
+            rec.mark_epoch("end");
+        }
+        self.window_latencies.sort_unstable();
+        finish_stats(&mut stats, &self.window_latencies);
+        let report = churn.map(|c| {
+            let final_mark = EpochMark::at(self.now, 0, 0, &stats);
+            build_report(c, &epoch_marks, final_mark, &delivered_per_cycle, warmup)
+        });
+        Ok((stats, report.unwrap_or_default()))
+    }
+
+    /// Timeout sweep: expire packets past their deadline — channel queues
+    /// ascending, then injection slots ascending, so the expired list, and
+    /// with it every retry's RNG draw, has one order under every schedule —
+    /// then retransmit or abandon each.
+    fn expire(&mut self) -> Result<(), SimError> {
+        if self.cfg.ttl_cycles == 0 {
+            return Ok(());
+        }
+        let now = self.now;
+        let mut expired: Vec<Packet> = Vec::new();
+        let visit = self.sched.queues(self.arena);
+        sweep_expired(&mut self.arena.queues, visit, now, &mut expired, |c| {
+            self.sched.queue_emptied(c);
+        });
+        let visit = self.sched.inject_slots(self.arena);
+        sweep_expired(&mut self.arena.inject, visit, now, &mut expired, |slot| {
+            self.sched.inject_emptied(slot);
+        });
+        for p in expired {
+            self.stats.timed_out_total += 1;
+            // Retransmit from the source with a *fresh* path pick:
+            // spreading policies get a new chance to dodge dead hardware.
+            // Latency keeps the original injection time.
+            let retry = self.cfg.retry && p.retries < self.cfg.retry_limit;
+            let path = retry.then(|| self.pick(p.src, p.dst)).flatten();
+            let Some(path) = path.filter(|path| !path.is_empty()) else {
+                self.stats.abandoned_total += 1;
+                continue;
+            };
+            self.stats.retries_total += 1;
+            let slot = self
+                .leaf_slot
+                .get(p.src as usize)
+                .copied()
+                .filter(|&s| s != usize::MAX)
+                .ok_or_else(|| {
+                    SimError::invariant(format!("retransmission source {} is not a leaf", p.src))
+                })?;
+            self.enqueue(slot, p.dst, path, p.inject_cycle, p.retries + 1);
+        }
+        Ok(())
+    }
+
+    /// Injection phase: every leaf flips its Bernoulli coin every cycle —
+    /// never restricted, never skipped, because exact replay of the seeded
+    /// stream is what keeps the schedules interchangeable under one seed.
+    fn inject(&mut self, workload: &Workload) {
+        let rate = workload.rate().clamp(0.0, 1.0);
+        for slot in 0..self.leaves.len() {
+            if !self.rng.gen_bool(rate) {
+                continue;
+            }
+            let src = self.leaves[slot].0;
+            let Some(dst) = workload.destination(src, |n| self.rng.gen_range(0..n)) else {
+                continue;
+            };
+            if self.cfg.bounded_injection
+                && self.arena.inject.get(slot).len() >= self.cfg.queue_capacity
+            {
+                self.stats.injection_refusals += 1;
+                continue;
+            }
+            let Some(path) = self.pick(src, dst) else {
+                self.stats.injection_refusals += 1;
+                continue;
+            };
+            self.source_injected[slot] = true;
+            self.stats.injected_total += 1;
+            self.stats.injected_in_window += u64::from(self.in_window);
+            if path.is_empty() {
+                // Self traffic: delivered instantly.
+                self.stats.delivered_total += 1;
+                self.stats.delivered_in_window += u64::from(self.in_window);
+                continue;
+            }
+            self.enqueue(slot, dst, path, self.now, 0);
+        }
+    }
+
+    /// The policy's path for the next packet of `(src, dst)`.
+    fn pick(&mut self, src: u32, dst: u32) -> Option<Arc<[ChannelId]>> {
+        let queues = &self.arena.queues;
+        self.policy
+            .pick(src, dst, |c| queues.get(c.index()).len(), &mut self.rng)
+    }
+
+    /// Queue a fresh attempt at its source's injection slot.
+    fn enqueue(
+        &mut self,
+        slot: usize,
+        dst: u32,
+        path: Arc<[ChannelId]>,
+        inject_cycle: u64,
+        retries: u32,
+    ) {
+        let ttl = self.cfg.ttl_cycles;
+        let deadline = if ttl > 0 { self.now + ttl } else { u64::MAX };
+        if self.may_skip && ttl > 0 {
+            self.sched.wake(deadline);
+        }
+        self.arena.inject.get_mut(slot).push_back(Packet {
+            src: self.leaves[slot].0,
+            dst,
+            path,
+            hop: 0,
+            inject_cycle,
+            ready_at: self.now,
+            deadline,
+            retries,
+        });
+        self.sched.inject_filled(slot);
+    }
+
+    /// Injection links (leaf -> switch): a leaf drives a single uplink, so
+    /// no arbitration is needed under either discipline.
+    fn grant_injection_links(&mut self) -> Result<(), SimError> {
+        for slot in self.sched.inject_slots(self.arena) {
+            let slot = slot as usize;
+            let Some(&up) = self
+                .leaves
+                .get(slot)
+                .and_then(|&leaf| self.topo.out_channels(leaf).first())
+            else {
+                continue;
+            };
+            if !self.output_free(up.index())
+                || !ready_for(self.arena.inject.get(slot), self.now, up)
+            {
+                continue;
+            }
+            let q = self.arena.inject.get_mut(slot);
+            let Some(p) = q.pop_front() else {
+                return Err(SimError::invariant(
+                    "eligible injection-queue head disappeared",
+                ));
+            };
+            if q.is_empty() {
+                self.sched.inject_emptied(slot);
+            }
+            self.advance(p, up.index())?;
+        }
+        Ok(())
+    }
+
+    /// Whether output channel `o` can take a packet this cycle: wire free,
+    /// alive, and — unless it delivers into a leaf — downstream credit.
+    pub fn output_free(&self, o: usize) -> bool {
+        if *self.arena.busy_until.get(o) > self.now || *self.arena.dead.get(o) {
+            return false;
+        }
+        let ch = self.topo.channel(ChannelId(o as u32));
+        self.topo.kind(ch.dst).is_leaf() || self.arena.queues.get(o).len() < self.cfg.queue_capacity
+    }
+
+    /// Whether the head of channel queue `qi` is ready and wants output `o`.
+    pub fn head_wants(&self, qi: usize, o: ChannelId) -> bool {
+        ready_for(self.arena.queues.get(qi), self.now, o)
+    }
+
+    /// Grant output `o` to the head of channel queue `qi` and leave the
+    /// output's round-robin pointer at `next_rr`.
+    ///
+    /// # Errors
+    /// [`SimError::Invariant`] if the queue is empty or the move breaks a
+    /// path invariant.
+    pub fn grant_head(&mut self, qi: usize, o: usize, next_rr: u32) -> Result<(), SimError> {
+        let p = self.take(qi, 0)?;
+        *self.arena.rr.get_mut(o) = next_rr;
+        self.advance(p, o)
+    }
+
+    /// Remove the granted packet at position `pos` of channel queue `c`.
+    fn take(&mut self, c: usize, pos: usize) -> Result<Packet, SimError> {
+        let q = self.arena.queues.get_mut(c);
+        let Some(p) = q.remove(pos) else {
+            return Err(SimError::invariant(
+                "granted packet left its queue before the move",
+            ));
+        };
+        if q.is_empty() {
+            self.sched.queue_emptied(c);
+        }
+        Ok(p)
+    }
+
+    /// Move one granted packet across output channel `o`.
+    fn advance(&mut self, mut p: Packet, o: usize) -> Result<(), SimError> {
+        let ch = self.topo.channel(ChannelId(o as u32));
+        let flits = self.cfg.packet_flits;
+        self.moves += 1;
+        p.hop += 1;
+        // The wire serializes `flits` flits; the packet cannot be forwarded
+        // again (cut-through is not modeled) until the tail flit arrives.
+        // It becomes ready — and the wire frees — at the same cycle, so one
+        // wake-up covers both.
+        p.ready_at = self.now + flits;
+        *self.arena.busy_until.get_mut(o) = p.ready_at;
+        if self.may_skip {
+            self.sched.wake(p.ready_at);
+        }
+        if self.in_window {
+            self.stats.channel_busy.add(o, flits);
+        }
+        if !self.topo.kind(ch.dst).is_leaf() {
+            self.arena.queues.get_mut(o).push_back(p);
+            self.sched.queue_filled(o);
+            return Ok(());
+        }
+        if ch.dst.0 != p.dst {
+            return Err(SimError::invariant(format!(
+                "packet for leaf {} exited the fabric at leaf {}",
+                p.dst, ch.dst.0
+            )));
+        }
+        if p.hop != p.path.len() {
+            return Err(SimError::invariant(format!(
+                "packet reached its destination after hop {} of a {}-hop path",
+                p.hop,
+                p.path.len()
+            )));
+        }
+        self.stats.delivered_total += 1;
+        if self.in_window {
+            self.stats.delivered_in_window += 1;
+            let lat = self.now - p.inject_cycle + flits;
+            self.stats.latency_sum += lat;
+            self.stats.latency_max = self.stats.latency_max.max(lat);
+            self.window_latencies.push(lat);
+        }
+        Ok(())
+    }
+
+    /// One cycle of iSLIP request-grant-accept matching on switch `sw`,
+    /// followed by the matched packet moves.
+    ///
+    /// Virtual output queues are realized over the shared per-input buffer:
+    /// the packet an input offers toward output `o` is the *first* buffered
+    /// packet whose next hop is `o` (FIFO per virtual queue), so a blocked
+    /// head never stalls traffic for other outputs. A switch with no
+    /// buffered packet requests nothing, grants nothing and moves no
+    /// pointer, which is why a schedule may leave it out.
+    fn islip_switch(&mut self, sw: NodeId, iterations: u8) -> Result<(), SimError> {
+        let inputs = self.topo.in_channels(sw);
+        let outputs = self.topo.out_channels(sw);
+        if inputs.is_empty() || outputs.is_empty() {
+            return Ok(());
+        }
+        // Output-channel index -> local output slot.
+        let out_slot = |c: ChannelId| outputs.iter().position(|&o| o == c);
+
+        // Per input: the buffer position of the first eligible packet per
+        // local output (the VOQ heads).
+        let mut voq_head: Vec<Vec<Option<usize>>> = Vec::with_capacity(inputs.len());
+        for &qi in inputs {
+            let mut heads = vec![None; outputs.len()];
+            for (pos, p) in self.arena.queues.get(qi.index()).iter().enumerate() {
+                let Some(&next_hop) = p.path.get(p.hop) else {
+                    continue; // defensive: delivered packets never queue
+                };
+                if p.ready_at > self.now {
+                    continue;
+                }
+                if let Some(oj) = out_slot(next_hop) {
+                    if heads[oj].is_none() {
+                        heads[oj] = Some(pos);
+                    }
+                }
+            }
+            voq_head.push(heads);
+        }
+        let out_ok: Vec<bool> = outputs
+            .iter()
+            .map(|&o| self.output_free(o.index()))
+            .collect();
+
+        let mut in_matched = vec![false; inputs.len()];
+        let mut out_matched = vec![false; outputs.len()];
+        let mut matches: Vec<(usize, usize)> = Vec::new();
+        for iter in 0..iterations {
+            // Grant: each free output offers to one requesting input,
+            // scanning from its grant pointer.
+            let mut grants: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
+            let mut any_grant = false;
+            for (oj, &o) in outputs.iter().enumerate() {
+                if out_matched[oj] || !out_ok[oj] {
+                    continue;
+                }
+                let start = *self.arena.rr.get(o.index()) as usize % inputs.len();
+                for k in 0..inputs.len() {
+                    let ii = (start + k) % inputs.len();
+                    if !in_matched[ii] && voq_head[ii][oj].is_some() {
+                        grants[ii].push(oj);
+                        any_grant = true;
+                        break;
+                    }
+                }
+            }
+            if !any_grant {
+                break;
+            }
+            // Accept: each input picks one granted output, scanning from
+            // its accept pointer; pointers advance only on first-iteration
+            // accepts (standard iSLIP desynchronization rule).
+            for (ii, granted) in grants.iter().enumerate() {
+                if granted.is_empty() || in_matched[ii] {
+                    continue;
+                }
+                let qi = inputs[ii];
+                let start = *self.arena.accept_ptr.get(qi.index()) as usize % outputs.len();
+                let Some(&oj) = granted
+                    .iter()
+                    .min_by_key(|&&oj| (oj + outputs.len() - start) % outputs.len())
+                else {
+                    return Err(SimError::invariant("grant list emptied during accept"));
+                };
+                in_matched[ii] = true;
+                out_matched[oj] = true;
+                matches.push((ii, oj));
+                if iter == 0 {
+                    *self.arena.rr.get_mut(outputs[oj].index()) = ((ii + 1) % inputs.len()) as u32;
+                    *self.arena.accept_ptr.get_mut(qi.index()) = ((oj + 1) % outputs.len()) as u32;
+                }
+            }
+        }
+        // Move matched packets.
+        for (ii, oj) in matches {
+            let Some(pos) = voq_head[ii][oj] else {
+                return Err(SimError::invariant(
+                    "iSLIP matched an input with no eligible VOQ head",
+                ));
+            };
+            let p = self.take(inputs[ii].index(), pos)?;
+            self.advance(p, outputs[oj].index())?;
+        }
+        Ok(())
+    }
+}
+
+/// Whether `q`'s head may be granted output `o` at cycle `now`.
+fn ready_for(q: &VecDeque<Packet>, now: u64, o: ChannelId) -> bool {
+    matches!(q.front(), Some(p) if p.ready_at <= now && p.path.get(p.hop) == Some(&o))
+}
+
+/// Move every packet past its deadline out of the visited queues onto
+/// `expired`, in visit order then queue order; `emptied` hears of each queue
+/// this leaves empty.
+fn sweep_expired(
+    queues: &mut PagedVec<VecDeque<Packet>>,
+    visit: Vec<u32>,
+    now: u64,
+    expired: &mut Vec<Packet>,
+    mut emptied: impl FnMut(usize),
+) {
+    for i in visit {
+        let i = i as usize;
+        // Probe read-only: only a queue that loses a packet is touched.
+        if !queues.get(i).iter().any(|p| now >= p.deadline) {
+            continue;
+        }
+        let q = queues.get_mut(i);
+        let mut k = 0;
+        while k < q.len() {
+            if now >= q[k].deadline {
+                expired.extend(q.remove(k));
+            } else {
+                k += 1;
+            }
+        }
+        if q.is_empty() {
+            emptied(i);
+        }
+    }
+}
+
+/// The monotonic totals a recorder sees, in [`Names::totals`] order.
+fn totals(stats: &SimStats) -> [u64; 6] {
+    [
+        stats.injected_total,
+        stats.delivered_total,
+        stats.timed_out_total,
+        stats.retries_total,
+        stats.abandoned_total,
+        stats.injection_refusals,
+    ]
+}
+
+/// Push the totals' growth since the last flush, and the in-flight gauge,
+/// to the recorder: its counters then equal the engine's monotonic stats at
+/// every epoch boundary.
+fn flush<R: Recorder>(
+    rec: &R,
+    names: &Names,
+    flushed: &mut [u64; 6],
+    stats: &SimStats,
+) -> Result<(), SimError> {
+    for ((name, total), seen) in names.totals.into_iter().zip(totals(stats)).zip(flushed) {
+        let delta = total.checked_sub(*seen).ok_or_else(|| {
+            SimError::invariant(format!("recorder counter {name} moved backwards"))
+        })?;
+        rec.add(name, delta);
+        *seen = total;
+    }
+    rec.gauge(names.in_flight, in_flight(stats)?);
+    Ok(())
+}
+
+/// Packets currently inside the network: injected minus delivered minus
+/// abandoned, with the subtraction checked so a broken counter surfaces as
+/// a typed [`SimError::Invariant`] rather than a debug-mode underflow panic.
+fn in_flight(stats: &SimStats) -> Result<u64, SimError> {
+    stats
+        .injected_total
+        .checked_sub(stats.delivered_total)
+        .and_then(|left| left.checked_sub(stats.abandoned_total))
+        .ok_or_else(|| {
+            SimError::invariant("delivered + abandoned exceed injected (counter underflow)")
+        })
+}
+
+/// Fill in percentile fields from sorted window latencies.
+fn finish_stats(stats: &mut SimStats, sorted: &[u64]) {
+    let pct = |q: f64| -> u64 {
+        if sorted.is_empty() {
+            0
+        } else {
+            let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+            sorted[idx]
+        }
+    };
+    stats.latency_p50 = pct(0.50);
+    stats.latency_p95 = pct(0.95);
+    stats.latency_p99 = pct(0.99);
+}

@@ -3,7 +3,9 @@
 //! The paper's motivation rests on the observation (refs \[5\], \[7\]) that
 //! "nonblocking" fat-trees with distributed control deliver far less than
 //! crossbar throughput under permutation traffic. This crate reproduces that
-//! behaviour with a synchronous cycle-level model:
+//! behaviour with a synchronous cycle-level model, implemented once in
+//! [`kernel`] and run either densely ([`Simulator`], every component every
+//! cycle) or, from `ftclos-evsim`, over the components with pending work:
 //!
 //! * input-queued switches with per-input FIFOs and round-robin output
 //!   arbitration (one packet per output channel per cycle),
@@ -44,6 +46,7 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod fault;
+pub mod kernel;
 pub mod policy;
 pub mod state;
 pub mod stats;
@@ -51,16 +54,13 @@ pub mod witness;
 pub mod workload;
 
 pub use batch::{sweep_injection_rates, sweep_injection_rates_isolated, ThroughputPoint};
-#[doc(hidden)]
-pub use churn::{build_report, EpochMark};
 pub use churn::{ChurnConfig, ChurnReport, EpochStats, ReplanMode};
 pub use config::{Arbiter, SimConfig};
-pub use engine::Simulator;
+pub use engine::{DenseSchedule, Simulator};
 pub use error::{ConfigError, SimError, StallReport, Strand};
 pub use fault::{ChurnSchedule, FaultEvent, FaultSchedule};
+pub use kernel::{Kernel, Names, Run, Schedule};
 pub use policy::Policy;
-#[doc(hidden)]
-pub use state::{stall_report, Packet};
 pub use state::{PagedVec, SimArena};
 pub use stats::{ChannelBusy, SimStats, UtilizationHistogram};
 pub use witness::{

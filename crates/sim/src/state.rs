@@ -1,7 +1,6 @@
 //! Paged lazy simulator state — `O(touched)` memory on sparse runs.
 //!
-//! Both engines (the cycle oracle here and the event-driven engine in
-//! `ftclos-evsim`) index their mutable state by channel id: packet queues,
+//! The kernel indexes its mutable state by channel id: packet queues,
 //! arbiter pointers, wire-busy deadlines, and liveness flags. Dense
 //! `vec![default; num_channels]` allocation is what capped the simulators
 //! near 100k hosts: a `RecursiveNonblocking(24)` fabric has ~415M directed
@@ -30,8 +29,7 @@ pub const PAGE_SHIFT: usize = 9;
 /// Entries per page.
 pub const PAGE_LEN: usize = 1 << PAGE_SHIFT;
 
-/// One in-flight packet, shared by both engines (identical layout and
-/// semantics; the engines differ only in where they look for work).
+/// One in-flight packet.
 #[derive(Clone, Debug)]
 pub struct Packet {
     /// Source leaf id.
@@ -218,8 +216,8 @@ impl<T: Clone> PagedVec<T> {
 
 /// The mutable per-run state of a simulator, with lazy paged backing.
 ///
-/// Fields are public because the engines thread disjoint `&mut` borrows of
-/// them through their phase helpers; treat the layout as engine-internal.
+/// Fields are public because the kernel and its schedules borrow them
+/// disjointly; treat the layout as engine-internal.
 /// `prepare` resets all arrays for a run over a fabric with the given
 /// shape; pages retired by the reset are reused, so repeated runs through
 /// one arena (batch sweeps, campaign confirms, churn replays) stop paying
@@ -319,9 +317,9 @@ impl<T: Clone + Default> Default for PagedVec<T> {
 /// Build the stall watchdog's diagnosis from the frozen queue state: one
 /// [`Strand`] per blocked queue head (channel queues by ascending id, then
 /// injection queues by slot) and the credit wait-for cycle among held
-/// channels, if one exists. Shared by both engines; iterating touched
-/// pages only is exact because untouched queues are empty.
-pub fn stall_report(
+/// channels, if one exists. Iterating touched pages only is exact because
+/// untouched queues are empty.
+pub(crate) fn stall_report(
     cycle: u64,
     in_flight: u64,
     queues: &PagedVec<VecDeque<Packet>>,

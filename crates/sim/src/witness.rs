@@ -256,10 +256,20 @@ mod tests {
                 "cycle edge {c:?} -> {next:?} has no backing strand"
             );
         }
-        // Deterministic: the same run yields the same diagnosis.
-        let err2 =
-            run_pinned_injection_watchdog(ft.topology(), &valley_routes(&ft), 200, 2, 64, 0xDEAD)
-                .unwrap_err();
+        // Deterministic: the same run yields the same diagnosis — and, when
+        // recorded, says how far it got before the error returned.
+        let reg = ftclos_obs::Registry::new();
+        let err2 = run_pinned_injection_watchdog_recorded(
+            ft.topology(),
+            &valley_routes(&ft),
+            200,
+            2,
+            64,
+            0xDEAD,
+            &reg,
+        )
+        .unwrap_err();
+        assert_eq!(reg.snapshot().counter("sim.cycles"), Some(report.cycle));
         assert_eq!(SimError::Stalled(report), err2);
     }
 

@@ -10,12 +10,13 @@
 //! less means the event engine changed semantics, not just schedule.
 
 use ftclos::evsim::EventSimulator;
+use ftclos::obs::{EpochSnapshot, Registry};
 use ftclos::routing::{
     DModK, ObliviousMultipath, SinglePathRouter, SpreadPolicy, XgftRouter, YuanRecursive,
 };
 use ftclos::sim::{
     Arbiter, ChurnConfig, ChurnSchedule, FaultSchedule, Policy, ReplanMode, SimArena, SimConfig,
-    SimStats, Simulator, Workload,
+    SimError, SimStats, Simulator, Workload,
 };
 use ftclos::topo::{kary_ntree, Ftree, RecursiveNonblocking, Topology};
 use ftclos::traffic::patterns;
@@ -73,6 +74,7 @@ fn assert_exact_agreement(
 ) -> SimStats {
     let oracle = Simulator::new(topo, cfg, policy.clone()).try_run_with_faults(w, seed, faults);
     let event = EventSimulator::new(topo, cfg, policy.clone()).try_run_with_faults(w, seed, faults);
+    assert_recorded_epochs_agree(topo, cfg, policy, w, seed, faults, &oracle);
     let (oracle, event) = match (oracle, event) {
         (Ok(o), Ok(e)) => (o, e),
         (o, e) => {
@@ -84,6 +86,65 @@ fn assert_exact_agreement(
     assert_eq!(oracle, event, "engines diverged");
     assert!(oracle.conservation_ok(), "oracle lost packets: {oracle:?}");
     event
+}
+
+/// Both schedules once more, recorded: recording must not perturb either
+/// run, and the two traces must agree epoch for epoch — same labels, and
+/// every `sim.<x>` counter and the `sim.in_flight` gauge equal to its
+/// `evsim.<x>` twin. The names come from one table per schedule; this pins
+/// that the tables, and what is flushed under them, stay twins.
+fn assert_recorded_epochs_agree(
+    topo: &Topology,
+    cfg: SimConfig,
+    policy: &Policy,
+    w: &Workload,
+    seed: u64,
+    faults: &FaultSchedule,
+    plain: &Result<SimStats, SimError>,
+) {
+    let (dense_reg, active_reg) = (Registry::new(), Registry::new());
+    let dense = Simulator::new(topo, cfg, policy.clone())
+        .try_run_with_faults_recorded(w, seed, faults, &dense_reg);
+    let active = EventSimulator::new(topo, cfg, policy.clone()).try_run_with_faults_recorded(
+        w,
+        seed,
+        faults,
+        &active_reg,
+    );
+    assert_eq!(&dense, plain, "recording perturbed the dense schedule");
+    assert_eq!(&active, plain, "recording perturbed the active schedule");
+    let (dense, active) = (dense_reg.snapshot(), active_reg.snapshot());
+    let labels = |epochs: &[EpochSnapshot]| -> Vec<String> {
+        epochs.iter().map(|e| e.label.clone()).collect()
+    };
+    assert_eq!(labels(&dense.epochs), labels(&active.epochs));
+    for (d, a) in dense.epochs.iter().zip(&active.epochs) {
+        for x in [
+            "injected",
+            "delivered",
+            "timed_out",
+            "retries",
+            "abandoned",
+            "refusals",
+            "churn_replans",
+            "cycles",
+        ] {
+            assert_eq!(
+                d.counter(&format!("sim.{x}")),
+                a.counter(&format!("evsim.{x}")),
+                "epoch {}: sim.{x} vs evsim.{x}",
+                d.label
+            );
+        }
+        assert_eq!(
+            d.gauge("sim.in_flight"),
+            a.gauge("evsim.in_flight"),
+            "epoch {}: in-flight gauge",
+            d.label
+        );
+    }
+    // A stalled run closes no `end` epoch, but both still say how far it got.
+    assert_eq!(dense.counter("sim.cycles"), active.counter("evsim.cycles"));
 }
 
 /// Decode a small integer into an arbiter (the vendored proptest shim has
