@@ -9,21 +9,19 @@
 //!   round-robin. Round-robin de-synchronizes flows slightly better at
 //!   saturation.
 
+use crate::{sim_cfg, throughput, Ctx, RowResult, SEED};
 use ftclos_analysis::TextTable;
-use ftclos_bench::{banner, result_line, verdict, SEED};
 use ftclos_routing::{NonblockingAdaptive, ObliviousMultipath, PlanStrategy, SpreadPolicy};
-use ftclos_sim::{Policy, SimConfig, Simulator, Workload};
+use ftclos_sim::{Policy, Workload};
 use ftclos_topo::Ftree;
 use ftclos_traffic::patterns;
-use rand::SeedableRng;
+use std::error::Error;
 
-fn main() {
-    let mut all_ok = true;
-
-    banner(
+pub fn a1(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
         "A1",
         "Fig. 4 line (7): greedy largest-subset vs first-fit partitions",
-    );
+    )?;
     let mut table = TextTable::new([
         "n",
         "r",
@@ -31,26 +29,18 @@ fn main() {
         "first-fit tops (worst)",
         "saving",
     ]);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(SEED);
+    let mut rng = ctx.rng(0);
     for (n, r) in [(4usize, 16usize), (6, 36), (8, 64)] {
-        let ft = Ftree::new(n, 1, r).unwrap();
-        let router = NonblockingAdaptive::new(&ft).unwrap();
+        let ft = Ftree::new(n, 1, r)?;
+        let router = NonblockingAdaptive::new(&ft)?;
         let ports = (n * r) as u32;
         let (mut worst_g, mut worst_f) = (0usize, 0usize);
         for _ in 0..30 {
             let perm = patterns::random_full(ports, &mut rng);
-            worst_g = worst_g.max(
-                router
-                    .plan_with(&perm, PlanStrategy::GreedyLargestSubset)
-                    .unwrap()
-                    .tops_needed(),
-            );
-            worst_f = worst_f.max(
-                router
-                    .plan_with(&perm, PlanStrategy::FirstFit)
-                    .unwrap()
-                    .tops_needed(),
-            );
+            let greedy = router.plan_with(&perm, PlanStrategy::GreedyLargestSubset)?;
+            worst_g = worst_g.max(greedy.tops_needed());
+            let first_fit = router.plan_with(&perm, PlanStrategy::FirstFit)?;
+            worst_f = worst_f.max(first_fit.tops_needed());
         }
         table.row([
             n.to_string(),
@@ -59,75 +49,78 @@ fn main() {
             worst_f.to_string(),
             format!("{:.0}%", 100.0 * (1.0 - worst_g as f64 / worst_f as f64)),
         ]);
-        all_ok &= verdict(
+        ctx.check(
             worst_g <= worst_f,
             &format!("n={n}: greedy never needs more tops than first-fit"),
-        );
+        )?;
     }
-    print!("{}", table.render());
+    ctx.print(table.render())?;
+    Ok(())
+}
 
-    let cfg = SimConfig {
-        warmup_cycles: 300,
-        measure_cycles: 1_500,
-        ..SimConfig::default()
-    };
+type MakePolicy = fn(&ObliviousMultipath) -> Policy;
 
-    banner(
+/// Accepted throughput of the two policies built over random multipath
+/// spreading on the FT(12,2)-shaped `ftree(6+6, 12)`, both under the same
+/// saturated random derangement.
+fn ft12_pair(ctx: &Ctx, a: MakePolicy, b: MakePolicy) -> Result<(f64, f64), Box<dyn Error>> {
+    let ft = Ftree::new(6, 6, 12)?;
+    let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+    let w = Workload::permutation(&patterns::random_derangement(72, &mut ctx.rng(2)), 1.0);
+    let cfg = sim_cfg(300, 1_500);
+    Ok((
+        throughput(ft.topology(), cfg, a(&mp), &w, SEED)?,
+        throughput(ft.topology(), cfg, b(&mp), &w, SEED)?,
+    ))
+}
+
+pub fn a2(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
         "A2",
         "queue-adaptive tie-breaking: random vs deterministic lowest-index",
-    );
-    let ft = Ftree::new(6, 6, 12).unwrap(); // FT(12,2)-shaped fabric
-    let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(SEED + 2);
-    let perm = patterns::random_derangement(72, &mut rng);
-    let w = Workload::permutation(&perm, 1.0);
-    let thr_random = Simulator::new(ft.topology(), cfg, Policy::queue_adaptive(&mp))
-        .run(&w, SEED)
-        .accepted_throughput();
-    let thr_first = Simulator::new(
-        ft.topology(),
-        cfg,
-        Policy::queue_adaptive_deterministic_ties(&mp),
-    )
-    .run(&w, SEED)
-    .accepted_throughput();
-    result_line("random tie-break throughput", format!("{thr_random:.3}"));
-    result_line(
+    )?;
+    let (thr_random, thr_first) = ft12_pair(
+        ctx,
+        Policy::queue_adaptive,
+        Policy::queue_adaptive_deterministic_ties,
+    )?;
+    ctx.result_line("random tie-break throughput", format!("{thr_random:.3}"))?;
+    ctx.result_line(
         "lowest-index tie-break throughput",
         format!("{thr_first:.3}"),
-    );
-    all_ok &= verdict(
+    )?;
+    ctx.check(
         thr_random > thr_first + 0.1,
         "random tie-breaking avoids the herding collapse",
-    );
+    )?;
+    Ok(())
+}
 
-    banner(
+pub fn a3(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
         "A3",
         "oblivious spreading: per-packet random vs round-robin",
-    );
-    let thr_rand_spread = Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-        .run(&w, SEED)
-        .accepted_throughput();
-    let thr_rr_spread = Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, false))
-        .run(&w, SEED)
-        .accepted_throughput();
-    result_line(
+    )?;
+    let (thr_rand_spread, thr_rr_spread) = ft12_pair(
+        ctx,
+        |mp| Policy::from_multipath(mp, true),
+        |mp| Policy::from_multipath(mp, false),
+    )?;
+    ctx.result_line(
         "random spreading throughput",
         format!("{thr_rand_spread:.3}"),
-    );
-    result_line(
+    )?;
+    ctx.result_line(
         "round-robin spreading throughput",
         format!("{thr_rr_spread:.3}"),
-    );
-    all_ok &= verdict(
+    )?;
+    ctx.check(
         (thr_rand_spread - thr_rr_spread).abs() < 0.15,
         "spreading discipline is a second-order effect (both remain below crossbar)",
-    );
-    all_ok &= verdict(
+    )?;
+    ctx.check(
         thr_rand_spread < 0.97 && thr_rr_spread < 0.97,
         "no oblivious spread reaches nonblocking behaviour (Section IV.B)",
-    );
-
-    result_line("overall", if all_ok { "PASS" } else { "FAIL" });
-    std::process::exit(i32::from(!all_ok));
+    )?;
+    Ok(())
 }

@@ -10,56 +10,56 @@
 //! * E13: Lemma 6's digit-combinatorics property, checked by brute force
 //!   over random digit sets.
 
+use crate::{ensure, Ctx, RowResult};
 use ftclos_analysis::{formulas, PowerFit, TextTable};
-use ftclos_bench::{banner, result_line, verdict, SEED};
 use ftclos_core::search::find_blocking_exhaustive;
 use ftclos_routing::{NonblockingAdaptive, PatternRouter};
 use ftclos_topo::Ftree;
 use ftclos_traffic::patterns;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
+use std::collections::HashSet;
 
-fn main() {
-    let mut all_ok = true;
-
-    banner(
+pub fn e8(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
         "E8a",
         "Theorem 4 — exhaustive sweep on ftree(2+m, 3), 720 permutations",
-    );
-    let tiny = Ftree::new(2, 16, 3).unwrap();
-    let tiny_router = NonblockingAdaptive::new(&tiny).unwrap();
-    all_ok &= verdict(
+    )?;
+    let tiny = Ftree::new(2, 16, 3)?;
+    let tiny_router = NonblockingAdaptive::new(&tiny)?;
+    ctx.check(
         find_blocking_exhaustive(&tiny_router).is_none(),
         "no permutation blocks NONBLOCKINGADAPTIVE on the tiny fabric",
-    );
+    )?;
 
-    banner("E8b", "Theorem 4 — randomized/structured sweeps at scale");
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(SEED);
+    ctx.banner("E8b", "Theorem 4 — randomized/structured sweeps at scale")?;
+    let mut rng = ctx.rng(0);
     for (n, r) in [(3usize, 9usize), (4, 16), (5, 25), (4, 8)] {
-        let ft = Ftree::new(n, 4 * n * n, r).unwrap(); // ample tops
-        let router = NonblockingAdaptive::new(&ft).unwrap();
+        let ft = Ftree::new(n, 4 * n * n, r)?; // ample tops
+        let router = NonblockingAdaptive::new(&ft)?;
         let ports = (n * r) as u32;
         let mut max_load = 0u32;
         for _ in 0..100 {
             let perm = patterns::random_full(ports, &mut rng);
-            let a = router.route_pattern(&perm).unwrap();
-            max_load = max_load.max(a.max_channel_load());
+            max_load = max_load.max(router.route_pattern(&perm)?.max_channel_load());
         }
         for pat in patterns::StructuredPattern::ALL {
             if let Some(perm) = pat.generate(ports) {
-                let a = router.route_pattern(&perm).unwrap();
-                max_load = max_load.max(a.max_channel_load());
+                max_load = max_load.max(router.route_pattern(&perm)?.max_channel_load());
             }
         }
-        all_ok &= verdict(
+        ctx.check(
             max_load <= 1,
             &format!("n={n} r={r}: 100 random + structured permutations contention-free"),
-        );
+        )?;
     }
+    Ok(())
+}
 
-    banner(
+pub fn e9(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
         "E9",
         "Theorem 5 — top switches consumed vs n (c fixed at 2)",
-    );
+    )?;
     // Keep c constant by choosing r = n² (so c = 2) across the sweep.
     let mut points = Vec::new();
     let mut table = TextTable::new([
@@ -71,19 +71,18 @@ fn main() {
         "coarse bound",
         "paper O(n^1.833)",
     ]);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(SEED + 9);
+    let mut rng = ctx.rng(9);
     for n in [3usize, 4, 5, 6, 7, 8, 9, 10] {
         let r = n * n;
-        let ft = Ftree::new(n, 1, r).unwrap(); // m irrelevant: we only plan
-        let router = NonblockingAdaptive::new(&ft).unwrap();
+        let ft = Ftree::new(n, 1, r)?; // m irrelevant: we only plan
+        let router = NonblockingAdaptive::new(&ft)?;
         let c = router.coder().c();
-        assert_eq!(c, 2, "sweep keeps c fixed");
+        ensure(c == 2, "the sweep keeps c fixed at 2")?;
         let ports = (n * r) as u32;
         let mut worst = 0usize;
         for _ in 0..30 {
             let perm = patterns::random_full(ports, &mut rng);
-            let plan = router.plan(&perm).unwrap();
-            worst = worst.max(plan.tops_needed());
+            worst = worst.max(router.plan(&perm)?.tops_needed());
         }
         let coarse = formulas::adaptive_coarse_tops(n, c);
         table.row([
@@ -99,35 +98,38 @@ fn main() {
         // The asymptotic improvement: for large enough n the measured tops
         // drop below n² (the deterministic requirement).
         if n >= 6 {
-            all_ok &= verdict(
+            ctx.check(
                 worst < n * n,
                 &format!("n={n}: adaptive uses {worst} < n² = {}", n * n),
-            );
+            )?;
         }
     }
-    print!("{}", table.render());
-    let fit = PowerFit::fit(&points).expect("fit");
-    result_line(
+    ctx.print(table.render())?;
+    let fit = PowerFit::fit(&points).ok_or("a power-law fit needs two points")?;
+    ctx.result_line(
         "measured exponent",
         format!("{:.3} (r² = {:.4})", fit.b, fit.r_squared),
-    );
-    result_line(
+    )?;
+    ctx.result_line(
         "paper exponent",
         format!(
             "{:.3} (= 2 - 1/(2(c+1)) at c = 2)",
             formulas::adaptive_exponent(2)
         ),
-    );
-    all_ok &= verdict(
+    )?;
+    ctx.check(
         fit.b < 2.0,
         "measured scaling exponent is below 2 (beats deterministic m = n²)",
-    );
+    )?;
+    Ok(())
+}
 
-    banner(
+pub fn e13(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
         "E13",
         "Lemma 6 — digit combinatorics (randomized brute force)",
-    );
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(SEED + 13);
+    )?;
+    let mut rng = ctx.rng(13);
     let mut checked = 0usize;
     let mut holds = 0usize;
     for _ in 0..2_000 {
@@ -136,18 +138,16 @@ fn main() {
         let universe = (n as u64).pow(c as u32 + 1);
         let k = rng.gen_range(2usize..=(universe.min(24) as usize));
         // k distinct numbers of c+1 base-n digits.
-        let mut set = std::collections::HashSet::new();
+        let mut set = HashSet::new();
         while set.len() < k {
             set.insert(rng.gen_range(0..universe));
         }
         let digits = |x: u64, i: usize| (x / (n as u64).pow(i as u32)) % n as u64;
         // Best count: numbers with distinct d_0, or distinct (d_i - d_0)%n.
-        let mut best = 0usize;
-        let distinct_d0: std::collections::HashSet<u64> =
-            set.iter().map(|&x| digits(x, 0)).collect();
-        best = best.max(distinct_d0.len());
+        let distinct_d0: HashSet<u64> = set.iter().map(|&x| digits(x, 0)).collect();
+        let mut best = distinct_d0.len();
         for i in 1..=c {
-            let keys: std::collections::HashSet<u64> = set
+            let keys: HashSet<u64> = set
                 .iter()
                 .map(|&x| (digits(x, i) + n as u64 - digits(x, 0)) % n as u64)
                 .collect();
@@ -155,13 +155,9 @@ fn main() {
         }
         let required = (k as f64).powf(1.0 / (2.0 * (c as f64 + 1.0)));
         checked += 1;
-        if best as f64 >= required - 1e-9 {
-            holds += 1;
-        }
+        holds += usize::from(best as f64 >= required - 1e-9);
     }
-    result_line("random digit sets checked", checked);
-    all_ok &= verdict(holds == checked, "Lemma 6 bound holds on every sampled set");
-
-    result_line("overall", if all_ok { "PASS" } else { "FAIL" });
-    std::process::exit(i32::from(!all_ok));
+    ctx.result_line("random digit sets checked", checked)?;
+    ctx.check(holds == checked, "Lemma 6 bound holds on every sampled set")?;
+    Ok(())
 }

@@ -1,76 +1,30 @@
-//! Run every experiment binary in order and summarize PASS/FAIL.
+//! Run the claims ledger: every experiment, or just the ids given.
 //!
 //! ```text
-//! cargo run --release -p ftclos-bench --bin repro
+//! cargo run --release -p ftclos-bench --bin repro            # every row
+//! cargo run --release -p ftclos-bench --bin repro E6 E22     # two rows
 //! ```
+//!
+//! Exits 0 when every row passes, 1 when a claim, a budget or a row's
+//! setup fails, 2 on an unknown id.
 
-use std::process::Command;
+use std::process::ExitCode;
 
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("table1", "E1  Table I"),
-    ("figures", "E2/E3  Figs. 1-2"),
-    ("thm3", "E4  Theorem 3 / Fig. 3"),
-    ("lemma2", "E5  Lemma 2"),
-    ("thm2", "E6  Theorems 1-2"),
-    ("multipath", "E7  Section IV.B"),
-    ("adaptive", "E8/E9/E13  Fig. 4, Theorems 4-5, Lemma 6"),
-    ("recursive", "E10  3-level recursion"),
-    ("throughput", "E11  packet-level throughput"),
-    ("blocking", "E12  blocking probability"),
-    ("cost", "E14  cost scaling"),
-    ("kary", "E15  multi-level fat-trees (extension)"),
-    (
-        "classical",
-        "E16  classical centralized Clos hierarchy (context)",
-    ),
-    ("faults", "E17  degraded operation under failures"),
-    ("churn", "E18  transient-fault churn and availability"),
-    ("flowsim", "E19  fluid max-min fair delivered throughput"),
-    (
-        "coreperf",
-        "E20-E24  contention engine, recording overhead, deadlock/fault \
-         campaigns at scale, event-driven simulator at 10k/100k hosts",
-    ),
-    ("simval", "V1  simulator validation (HOL vs iSLIP)"),
-    ("ablation", "A1-A3  design-choice ablations"),
-];
-
-fn main() {
-    // Sibling experiment binaries live next to this one; if the path can't
-    // be resolved (rare, but possible under exotic launchers) fall back to
-    // cargo instead of panicking.
-    let bin_dir = std::env::current_exe()
-        .ok()
-        .and_then(|exe| exe.parent().map(std::path::Path::to_path_buf));
-    let mut failures = Vec::new();
-    for (bin, label) in EXPERIMENTS {
-        println!("\n################ {label} ({bin}) ################");
-        let path = bin_dir.as_ref().map(|d| d.join(bin));
-        let status = if let Some(path) = path.filter(|p| p.exists()) {
-            Command::new(&path).status()
-        } else {
-            // Fall back to cargo run (slower, but works from any cwd).
-            Command::new("cargo")
-                .args(["run", "--release", "-q", "-p", "ftclos-bench", "--bin", bin])
-                .status()
-        };
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("{bin} exited with {s}");
-                failures.push(*bin);
-            }
-            Err(e) => {
-                eprintln!("failed to launch {bin}: {e}");
-                failures.push(*bin);
-            }
+fn main() -> ExitCode {
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    let experiments = match ftclos_bench::select(&ids) {
+        Ok(experiments) => experiments,
+        Err(usage) => {
+            eprintln!("repro: {usage}");
+            return ExitCode::from(2);
         }
-    }
-    println!("\n################ SUMMARY ################");
-    if failures.is_empty() {
-        println!("all {} experiments PASS", EXPERIMENTS.len());
-    } else {
-        println!("FAILED: {failures:?}");
-        std::process::exit(1);
+    };
+    match ftclos_bench::run(&experiments, &mut std::io::stdout().lock()) {
+        Ok(rows) if rows.iter().all(|row| row.passed()) => ExitCode::SUCCESS,
+        Ok(_) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -22,30 +22,28 @@
 //!   MTBF/MTTR generator at increasing flap rates, reporting delivered
 //!   throughput and mean time-to-reconverge per mode.
 
-use ftclos_bench::{banner, result_line, verdict, SEED};
+use crate::{sim_cfg, Ctx, RowResult, SEED};
 use ftclos_core::churn::{availability, min_m_for_availability, ChurnEvent};
 use ftclos_routing::{ObliviousMultipath, SpreadPolicy};
 use ftclos_sim::{
-    Arbiter, ChurnConfig, ChurnReport, ChurnSchedule, Policy, ReplanMode, SimConfig, SimStats,
-    Simulator, Workload,
+    Arbiter, ChurnConfig, ChurnReport, ChurnSchedule, Policy, ReplanMode, SimConfig, SimError,
+    SimStats, Simulator, Workload,
 };
 use ftclos_topo::{Ftree, Transition};
 use ftclos_traffic::patterns;
 
-fn main() {
-    let mut all_ok = true;
-
-    banner(
+pub fn e18(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
         "E18a",
         "availability: fault-free vs transient Lemma-1 violation, min-m sweep",
-    );
-    let small = Ftree::new(2, 4, 3).unwrap();
-    let clean = availability(&small, &[], 1_000, 30, SEED).unwrap();
-    result_line("fault-free availability", clean.time_availability());
-    all_ok &= verdict(
+    )?;
+    let small = Ftree::new(2, 4, 3)?;
+    let clean = availability(&small, &[], 1_000, 30, SEED)?;
+    ctx.result_line("fault-free availability", clean.time_availability())?;
+    ctx.check(
         clean.time_availability() == 1.0 && clean.epoch_availability() == 1.0,
         "a fault-free trace is 1.0 available",
-    );
+    )?;
 
     // Drop two uplink cables of leaf switch 0 for cycles [300, 500): the
     // exactly-nonblocking m = n² fabric transiently blocks.
@@ -59,35 +57,33 @@ fn main() {
         }
         events
     };
-    let dented = availability(&small, &outage(&small), 1_000, 30, SEED).unwrap();
-    result_line("transient-outage availability", dented.time_availability());
-    all_ok &= verdict(
+    let dented = availability(&small, &outage(&small), 1_000, 30, SEED)?;
+    ctx.result_line("transient-outage availability", dented.time_availability())?;
+    ctx.check(
         dented.time_availability() < 1.0,
         "a transient double-cable outage dents availability below 1.0",
-    );
-    all_ok &= verdict(
+    )?;
+    ctx.check(
         dented.worst_epoch().is_some_and(|e| e.start == 300),
         "the blocking interval is exactly the outage epoch",
-    );
+    )?;
 
-    match min_m_for_availability(2, 3, 8, 0.99, 1_000, 30, SEED, outage).unwrap() {
+    match min_m_for_availability(2, 3, 8, 0.99, 1_000, 30, SEED, outage)? {
         Some((m, rep)) => {
-            result_line("min m for 0.99 availability", m);
-            all_ok &= verdict(
+            ctx.result_line("min m for 0.99 availability", m)?;
+            ctx.check(
                 m == 6 && rep.time_availability() == 1.0,
                 "m = n² + n rides out the double-cable flap entirely",
-            );
+            )?;
         }
-        None => {
-            all_ok &= verdict(false, "min-m sweep found no fabric meeting 0.99");
-        }
+        None => ctx.check(false, "min-m sweep found no fabric meeting 0.99")?,
     }
 
-    banner(
+    ctx.banner(
         "E18b",
         "re-planning shootout on ftree(3+12, 9): pinned vs per-cycle vs hysteresis",
-    );
-    let ft = Ftree::new(3, 12, 9).unwrap();
+    )?;
+    let ft = Ftree::new(3, 12, 9)?;
     // Six uplink cables of switch 0 flap, staggered: up 60 cycles, down 100
     // (longer than the TTL, so whatever is queued on a dying link is lost).
     // Per-cycle re-planning re-trusts each link for the whole up-window and
@@ -103,15 +99,15 @@ fn main() {
             t += 160;
         }
     }
-    let pinned = run_mode(&ft, &schedule, ReplanMode::Pinned);
-    let per_cycle = run_mode(&ft, &schedule, ReplanMode::PerCycle);
-    let hysteresis = run_mode(&ft, &schedule, ReplanMode::Hysteresis { k: 200 });
+    let pinned = run_mode(&ft, &schedule, ReplanMode::Pinned)?;
+    let per_cycle = run_mode(&ft, &schedule, ReplanMode::PerCycle)?;
+    let hysteresis = run_mode(&ft, &schedule, ReplanMode::Hysteresis { k: 200 })?;
     for (name, (stats, report)) in [
         ("pinned", &pinned),
         ("per-cycle", &per_cycle),
         ("hysteresis(200)", &hysteresis),
     ] {
-        result_line(
+        ctx.result_line(
             name,
             format!(
                 "delivered {} / injected {}, timed-out {}, lost {}, reconverged {}/{}",
@@ -122,37 +118,37 @@ fn main() {
                 report.reconverged(),
                 report.transitions()
             ),
-        );
+        )?;
     }
-    all_ok &= verdict(
+    ctx.check(
         pinned.0.conservation_ok()
             && per_cycle.0.conservation_ok()
             && hysteresis.0.conservation_ok(),
         "packet conservation holds across every transition (all modes)",
-    );
-    all_ok &= verdict(
+    )?;
+    ctx.check(
         pinned.0.injected_total == per_cycle.0.injected_total
             && per_cycle.0.injected_total == hysteresis.0.injected_total,
         "with retry off the offered load is identical across modes",
-    );
-    all_ok &= verdict(
+    )?;
+    ctx.check(
         hysteresis.0.delivered_total > per_cycle.0.delivered_total,
         "hysteresis delivers strictly more than per-cycle re-planning under flapping",
-    );
-    all_ok &= verdict(
+    )?;
+    ctx.check(
         hysteresis.0.timed_out_total < per_cycle.0.timed_out_total,
         "damped readmission cuts timeouts vs per-cycle",
-    );
-    all_ok &= verdict(
+    )?;
+    ctx.check(
         per_cycle.0.timed_out_total < pinned.0.timed_out_total,
         "any re-planning beats never re-planning",
-    );
+    )?;
 
-    banner(
+    ctx.banner(
         "E18c",
         "flap-rate sweep (MTBF/MTTR generator, 3 links, mttr 100)",
-    );
-    println!("  mtbf | mode            | delivered | timed-out | mean reconverge");
+    )?;
+    ctx.print("  mtbf | mode            | delivered | timed-out | mean reconverge\n")?;
     let mut sweep_ok = true;
     for mtbf in [1_600u64, 800, 400, 200] {
         let schedule = ChurnSchedule::flapping_links(ft.topology(), 3, mtbf, 100, 3_000, SEED);
@@ -161,23 +157,21 @@ fn main() {
             ("per-cycle", ReplanMode::PerCycle),
             ("hysteresis(150)", ReplanMode::Hysteresis { k: 150 }),
         ] {
-            let (stats, report) = run_mode(&ft, &schedule, mode);
+            let (stats, report) = run_mode(&ft, &schedule, mode)?;
             sweep_ok &= stats.conservation_ok();
-            println!(
-                "  {mtbf:>4} | {name:<15} | {:>9} | {:>9} | {}",
+            ctx.print(format_args!(
+                "  {mtbf:>4} | {name:<15} | {:>9} | {:>9} | {}\n",
                 stats.delivered_total,
                 stats.timed_out_total,
                 match report.mean_reconverge_cycles() {
                     Some(c) => format!("{c:.0} cycles"),
                     None => "-".to_string(),
                 }
-            );
+            ))?;
         }
     }
-    all_ok &= verdict(sweep_ok, "conservation held for every sweep cell");
-
-    result_line("overall", if all_ok { "PASS" } else { "FAIL" });
-    std::process::exit(i32::from(!all_ok));
+    ctx.check(sweep_ok, "conservation held for every sweep cell")?;
+    Ok(())
 }
 
 /// One churn run on `ft` under `mode`: random multipath picks, VOQ
@@ -185,23 +179,28 @@ fn main() {
 /// the modes contrast on delivered count alone. Retry off also keeps the
 /// RNG stream identical across modes (picks only happen at injection), so
 /// the offered load is exactly equal. Deterministic in `SEED`.
-fn run_mode(ft: &Ftree, schedule: &ChurnSchedule, mode: ReplanMode) -> (SimStats, ChurnReport) {
+fn run_mode(
+    ft: &Ftree,
+    schedule: &ChurnSchedule,
+    mode: ReplanMode,
+) -> Result<(SimStats, ChurnReport), SimError> {
     let mp = ObliviousMultipath::new(ft, SpreadPolicy::Random);
     let perm = patterns::shift(ft.num_leaves() as u32, 2);
     let cfg = SimConfig {
-        warmup_cycles: 200,
-        measure_cycles: 3_000,
         ttl_cycles: 50,
         drain: true,
         arbiter: Arbiter::Voq { iterations: 2 },
-        ..SimConfig::default()
+        ..sim_cfg(200, 3_000)
     };
     let churn = ChurnConfig {
         mode,
         epsilon: 0.1,
         recovery_window: 50,
     };
-    Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-        .try_run_churn(&Workload::permutation(&perm, 0.7), SEED, schedule, &churn)
-        .unwrap()
+    Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true)).try_run_churn(
+        &Workload::permutation(&perm, 0.7),
+        SEED,
+        schedule,
+        &churn,
+    )
 }

@@ -6,17 +6,24 @@
 //! a distributed-control fat-tree — which is exactly why the paper's
 //! nonblocking definition needs `m >= n²` instead of `2n-1`.
 
+use crate::{ensure, Ctx, RowResult};
 use ftclos_analysis::TextTable;
-use ftclos_bench::{banner, result_line, verdict, SEED};
 use ftclos_core::circuit::{CircuitClos, ConnectError, MiddlePolicy};
+use ftclos_core::wide_sense::{verify_witness, wide_sense_search, WideSense};
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 
 /// Random connect/disconnect churn; returns (attempts, blocked,
 /// rearrangement_failures).
-fn churn(n: usize, m: usize, r: usize, steps: usize, seed: u64) -> (usize, usize, usize) {
+fn churn(
+    n: usize,
+    m: usize,
+    r: usize,
+    steps: usize,
+    mut rng: ChaCha8Rng,
+) -> Result<(usize, usize, usize), String> {
     let mut c = CircuitClos::new(n, m, r, MiddlePolicy::FirstFit);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
     let mut busy_in: Vec<u32> = Vec::new();
     let (mut attempts, mut blocked, mut rearrange_failures) = (0, 0, 0);
     for _ in 0..steps {
@@ -44,18 +51,16 @@ fn churn(n: usize, m: usize, r: usize, steps: usize, seed: u64) -> (usize, usize
             c.disconnect(s);
         }
     }
-    c.audit().expect("state consistent");
-    (attempts, blocked, rearrange_failures)
+    c.audit()?;
+    Ok((attempts, blocked, rearrange_failures))
 }
 
-fn main() {
-    let mut all_ok = true;
-    let (n, r) = (3usize, 5usize);
-
-    banner(
+pub fn e16(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
         "E16",
         "classical Clos(n, m, r) under centralized circuit switching",
-    );
+    )?;
+    let (n, r) = (3usize, 5usize);
     let mut table = TextTable::new([
         "m",
         "regime",
@@ -71,7 +76,7 @@ fn main() {
         } else {
             "sub-rearrangeable"
         };
-        let (attempts, blocked, rfail) = churn(n, m, r, 20_000, SEED);
+        let (attempts, blocked, rfail) = churn(n, m, r, 20_000, ctx.rng(0))?;
         table.row([
             m.to_string(),
             regime.to_string(),
@@ -81,46 +86,53 @@ fn main() {
         ]);
         match regime {
             "strict-sense" => {
-                all_ok &= verdict(
+                ctx.check(
                     blocked == 0,
                     &format!("m = {m} = 2n-1: never blocks (Clos 1953)"),
-                );
+                )?;
             }
             "rearrangeable" => {
-                all_ok &= verdict(
+                ctx.check(
                     rfail == 0,
                     &format!("m = {m} >= n: every block recovered by rearrangement (Beneš 1962)"),
-                );
+                )?;
                 if m == n {
-                    all_ok &= verdict(
+                    ctx.check(
                         blocked > 0,
                         &format!("m = {m}: direct first-fit does block sometimes (wide-sense gap)"),
-                    );
+                    )?;
                 }
             }
             _ => {
-                all_ok &= verdict(
+                ctx.check(
                     rfail > 0,
                     &format!("m = {m} < n: even rearrangement cannot always help"),
-                );
+                )?;
             }
         }
     }
-    print!("{}", table.render());
+    ctx.print(table.render())?;
 
-    banner(
+    ctx.banner(
         "E16c",
         "wide-sense verdicts by exhaustive state-space search",
-    );
+    )?;
     // For tiny shapes the reachable state space under a deterministic
     // policy is finite: decide wide-sense nonblocking-ness exactly.
-    use ftclos_core::wide_sense::{verify_witness, wide_sense_search, WideSense};
     let mut ws_table = TextTable::new(["shape", "policy", "verdict"]);
+    let (mut free, mut wedged) = (Vec::new(), Vec::new());
     for (wn, wm, wr) in [(2usize, 1usize, 2usize), (2, 2, 2), (2, 2, 3), (2, 3, 2)] {
         let verdict_str = match wide_sense_search(wn, wm, wr, MiddlePolicy::FirstFit, 2_000_000) {
-            WideSense::Nonblocking(states) => format!("wide-sense NONBLOCKING ({states} states)"),
+            WideSense::Nonblocking(states) => {
+                free.push((wn, wm, wr));
+                format!("wide-sense NONBLOCKING ({states} states)")
+            }
             WideSense::Blocked(moves) => {
-                all_ok &= verify_witness(wn, wm, wr, MiddlePolicy::FirstFit, &moves);
+                wedged.push((wn, wm, wr));
+                ensure(
+                    verify_witness(wn, wm, wr, MiddlePolicy::FirstFit, &moves),
+                    "the blocking witness replays",
+                )?;
                 format!("BLOCKED after {} moves (witness verified)", moves.len())
             }
             WideSense::Exhausted(states) => format!("inconclusive ({states} states)"),
@@ -131,44 +143,32 @@ fn main() {
             verdict_str,
         ]);
     }
-    print!("{}", ws_table.render());
-    all_ok &= verdict(
-        matches!(
-            wide_sense_search(2, 3, 2, MiddlePolicy::FirstFit, 2_000_000),
-            WideSense::Nonblocking(_)
-        ),
+    ctx.print(ws_table.render())?;
+    ctx.check(
+        free.contains(&(2, 3, 2)),
         "m = 2n-1: exhaustively wide-sense nonblocking",
-    );
-    all_ok &= verdict(
-        matches!(
-            wide_sense_search(2, 2, 3, MiddlePolicy::FirstFit, 2_000_000),
-            WideSense::Blocked(_)
-        ),
+    )?;
+    ctx.check(
+        wedged.contains(&(2, 2, 3)),
         "n <= m < 2n-1: adversary wedges first-fit (witness found)",
-    );
+    )?;
 
-    banner("E16b", "full permutations at m = n via rearrangement");
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(SEED + 1);
+    ctx.banner("E16b", "full permutations at m = n via rearrangement")?;
+    let mut rng = ctx.rng(1);
     let mut ok = true;
     for _ in 0..50 {
         let mut c = CircuitClos::new(n, n, r, MiddlePolicy::FirstFit);
         let mut dsts: Vec<u32> = (0..c.ports()).collect();
         dsts.shuffle(&mut rng);
         for (s, &d) in dsts.iter().enumerate() {
-            if c.connect_rearranging(s as u32, d).is_err() {
-                ok = false;
-            }
+            ok &= c.connect_rearranging(s as u32, d).is_ok();
         }
-        if c.active() != c.ports() as usize {
-            ok = false;
-        }
+        ok &= c.active() == c.ports() as usize;
     }
-    all_ok &= verdict(ok, "50 random full permutations fully connected at m = n");
-    result_line(
+    ctx.check(ok, "50 random full permutations fully connected at m = n")?;
+    ctx.result_line(
         "contrast",
         "distributed packet routing has no controller to rearrange: the paper needs m >= n² instead",
-    );
-
-    result_line("overall", if all_ok { "PASS" } else { "FAIL" });
-    std::process::exit(i32::from(!all_ok));
+    )?;
+    Ok(())
 }

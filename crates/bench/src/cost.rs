@@ -2,17 +2,15 @@
 //! ports (two levels); `O(N²)` switches give `O(N²)` ports (three levels);
 //! comparison against FT(N,2)/FT(N,3).
 
+use crate::{Ctx, RowResult};
 use ftclos_analysis::cost::{three_level_scaling_ratios, two_level_scaling_ratios, CostModel};
 use ftclos_analysis::{PowerFit, TextTable};
-use ftclos_bench::{banner, result_line, verdict};
 
-fn main() {
-    let mut all_ok = true;
-
-    banner(
+pub fn e14(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
         "E14a",
         "two-level scaling: switches/N -> 2, ports/N^1.5 -> 1 (N = n+n²)",
-    );
+    )?;
     let mut table = TextTable::new([
         "n",
         "N=n+n²",
@@ -35,43 +33,43 @@ fn main() {
         ]);
         pts_ports.push(((n + n * n) as f64, m.ports as f64));
     }
-    print!("{}", table.render());
-    let fit = PowerFit::fit(&pts_ports).unwrap();
-    result_line("ports vs N exponent", format!("{:.3} (paper: 1.5)", fit.b));
-    all_ok &= verdict((fit.b - 1.5).abs() < 0.05, "two-level ports scale as N^1.5");
+    ctx.print(table.render())?;
+    let fit = PowerFit::fit(&pts_ports).ok_or("a power-law fit needs two points")?;
+    ctx.result_line("ports vs N exponent", format!("{:.3} (paper: 1.5)", fit.b))?;
+    ctx.check((fit.b - 1.5).abs() < 0.05, "two-level ports scale as N^1.5")?;
     let (s64, p64) = two_level_scaling_ratios(64);
-    all_ok &= verdict(
+    ctx.check(
         (s64 - 2.0).abs() < 0.1 && (p64 - 1.0).abs() < 0.15,
         "ratios approach (2, 1) at n = 64",
-    );
+    )?;
 
-    banner("E14b", "three-level scaling: O(N²) switches, O(N²) ports");
+    ctx.banner("E14b", "three-level scaling: O(N²) switches, O(N²) ports")?;
     let mut pts3 = Vec::new();
     for n in [2usize, 4, 8, 16, 32] {
         let m = CostModel::three_level_nonblocking(n);
         let (s_ratio, p_ratio) = three_level_scaling_ratios(n);
-        result_line(
+        ctx.result_line(
             &format!("n={n}"),
             format!(
                 "switches {} (ratio {:.3}), ports {} (ratio {:.3})",
                 m.switches, s_ratio, m.ports, p_ratio
             ),
-        );
+        )?;
         pts3.push(((n + n * n) as f64, m.ports as f64));
     }
-    let fit3 = PowerFit::fit(&pts3).unwrap();
-    result_line(
+    let fit3 = PowerFit::fit(&pts3).ok_or("a power-law fit needs two points")?;
+    ctx.result_line(
         "three-level ports vs N exponent",
         format!("{:.3} (paper: 2)", fit3.b),
-    );
+    )?;
     // ports/N² = n/(n+1) converges to 1 slowly, which biases the finite-size
     // fit slightly above 2; accept the asymptotic claim within 0.15.
-    all_ok &= verdict((fit3.b - 2.0).abs() < 0.15, "three-level ports scale as N²");
+    ctx.check((fit3.b - 2.0).abs() < 0.15, "three-level ports scale as N²")?;
 
-    banner(
+    ctx.banner(
         "E14c",
         "cost of nonblocking vs rearrangeable at equal radix",
-    );
+    )?;
     let mut table = TextTable::new([
         "radix N",
         "NB ports",
@@ -82,7 +80,7 @@ fn main() {
     ]);
     for n in [4usize, 5, 6, 10, 20] {
         let nb = CostModel::two_level_nonblocking(n);
-        let ft = CostModel::ft2_same_radix(n).unwrap();
+        let ft = CostModel::ft2_same_radix(n).ok_or("n + n² is an even radix")?;
         let overhead = nb.switches_per_port() / ft.switches_per_port();
         table.row([
             nb.radix.to_string(),
@@ -92,16 +90,14 @@ fn main() {
             format!("{:.3}", ft.switches_per_port()),
             format!("{overhead:.2}"),
         ]);
-        all_ok &= verdict(
+        ctx.check(
             overhead > 1.0,
             &format!(
                 "radix {}: nonblocking costs more per port (crossbar guarantee)",
                 nb.radix
             ),
-        );
+        )?;
     }
-    print!("{}", table.render());
-
-    result_line("overall", if all_ok { "PASS" } else { "FAIL" });
-    std::process::exit(i32::from(!all_ok));
+    ctx.print(table.render())?;
+    Ok(())
 }

@@ -6,16 +6,14 @@
 //! compare against the paper's bound and the explicit `r(r-1)` type-(3)
 //! construction; larger shapes get the greedy lower bound.
 
+use crate::{ensure, Ctx, RowResult};
 use ftclos_analysis::TextTable;
-use ftclos_bench::{banner, result_line, verdict};
 use ftclos_core::lemma2::{
     exact_max, greedy_max, is_routable_through_root, lemma2_bound, type3_construction,
 };
 
-fn main() {
-    let mut all_ok = true;
-
-    banner("E5", "Lemma 2 — max SD pairs through one top switch");
+pub fn e5(ctx: &mut Ctx) -> RowResult {
+    ctx.banner("E5", "Lemma 2 — max SD pairs through one top switch")?;
     let mut table = TextTable::new([
         "n",
         "r",
@@ -43,7 +41,10 @@ fn main() {
         let bound = lemma2_bound(n, r);
         let regime = if r > 2 * n { "r>=2n+1" } else { "r<=2n+1" };
         let t3 = type3_construction(n, r);
-        assert!(is_routable_through_root(n, r, &t3));
+        ensure(
+            is_routable_through_root(n, r, &t3),
+            "the type-(3) construction routes through the root",
+        )?;
         let greedy = greedy_max(n, r);
         let exact = exact_max(n, r, 500_000_000);
         table.row([
@@ -55,50 +56,48 @@ fn main() {
             greedy.len().to_string(),
             exact.map_or("-".to_string(), |e| e.to_string()),
         ]);
-        all_ok &= verdict(
+        ctx.check(
             t3.len() <= bound && greedy.len() <= bound,
             &format!("n={n} r={r}: constructions within the bound"),
-        );
+        )?;
         if let Some(e) = exact {
-            all_ok &= verdict(
+            ctx.check(
                 e <= bound,
                 &format!("n={n} r={r}: exact max {e} <= bound {bound}"),
-            );
+            )?;
             if r > 2 * n {
-                all_ok &= verdict(
+                ctx.check(
                     e == r * (r - 1),
                     &format!(
                         "n={n} r={r}: bound r(r-1) is TIGHT (exact == {})",
                         r * (r - 1)
                     ),
-                );
+                )?;
             }
         }
     }
-    print!("{}", table.render());
+    ctx.print(table.render())?;
 
     // The counting consequence (Theorem 2's denominator): total pairs /
     // per-top max == n² in the large regime.
-    banner(
+    ctx.banner(
         "E5b",
         "counting consequence: r(r-1)n² / r(r-1) = n² tops needed",
-    );
+    )?;
     for (n, r) in [(2usize, 5usize), (3, 7), (4, 9)] {
         let total = r * (r - 1) * n * n;
         let per_top = lemma2_bound(n, r);
-        result_line(
+        ctx.result_line(
             &format!("n={n} r={r}"),
             format!(
                 "{total} pairs / {per_top} per top = {} tops",
                 total / per_top
             ),
-        );
-        all_ok &= verdict(
+        )?;
+        ctx.check(
             total / per_top == n * n,
             &format!("n={n} r={r}: quotient is n²"),
-        );
+        )?;
     }
-
-    result_line("overall", if all_ok { "PASS" } else { "FAIL" });
-    std::process::exit(i32::from(!all_ok));
+    Ok(())
 }

@@ -8,31 +8,34 @@
 //! contends, and that `m = n²` with the *wrong* routing (d-mod-k) still
 //! blocks: the condition is about count *and* assignment.
 
+use crate::{Ctx, RowResult};
 use ftclos_analysis::TextTable;
-use ftclos_bench::{banner, result_line, verdict};
 use ftclos_core::search::find_blocking_two_pair;
 use ftclos_core::verify::is_nonblocking_deterministic;
-use ftclos_routing::{route_all, DModK, SModK, YuanDeterministic};
+use ftclos_routing::{route_all, DModK, SModK, SinglePathRouter, YuanDeterministic};
 use ftclos_topo::Ftree;
 
-fn main() {
-    let mut all_ok = true;
-
-    banner(
+pub fn e6(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
         "E6",
         "Theorem 2 — every deterministic routing with m < n² blocks",
-    );
+    )?;
     let mut table = TextTable::new(["n", "r", "m", "router", "blocking witness"]);
     for (n, r) in [(2usize, 5usize), (3, 7), (2, 8)] {
         let n2 = n * n;
         for m in 1..n2 {
-            let ft = Ftree::new(n, m, r).unwrap();
-            for (name, witness) in [
-                ("d-mod-k", find_blocking_two_pair(&DModK::new(&ft))),
-                ("s-mod-k", find_blocking_two_pair(&SModK::new(&ft))),
-            ] {
-                let found = witness.found_blocking();
-                if let Some(perm) = witness.witness() {
+            let ft = Ftree::new(n, m, r)?;
+            let (dmodk, smodk) = (DModK::new(&ft), SModK::new(&ft));
+            let routers: [(&str, &dyn SinglePathRouter); 2] =
+                [("d-mod-k", &dmodk), ("s-mod-k", &smodk)];
+            for (name, router) in routers {
+                let witness = find_blocking_two_pair(router);
+                ctx.check(
+                    witness.found_blocking(),
+                    &format!("n={n} r={r} m={m} {name}: blocking permutation exists"),
+                )?;
+                // Double-check the witness really contends.
+                if let Some(perm) = witness.into_witness() {
                     let pairs = perm.pairs();
                     table.row([
                         n.to_string(),
@@ -41,55 +44,38 @@ fn main() {
                         name.to_string(),
                         format!("{} & {}", pairs[0], pairs[1]),
                     ]);
-                }
-                all_ok &= verdict(
-                    found,
-                    &format!("n={n} r={r} m={m} {name}: blocking permutation exists"),
-                );
-                // Double-check the witness really contends.
-                if let Some(perm) = witness.into_witness() {
-                    let load = match name {
-                        "d-mod-k" => route_all(&DModK::new(&ft), &perm)
-                            .unwrap()
-                            .max_channel_load(),
-                        _ => route_all(&SModK::new(&ft), &perm)
-                            .unwrap()
-                            .max_channel_load(),
-                    };
-                    all_ok &= verdict(
-                        load >= 2,
+                    ctx.check(
+                        route_all(router, &perm)?.max_channel_load() >= 2,
                         &format!("n={n} r={r} m={m} {name}: witness contends"),
-                    );
+                    )?;
                 }
             }
         }
         // At m = n² the right routing passes, the wrong one still fails.
-        let ft = Ftree::new(n, n2, r).unwrap();
-        all_ok &= verdict(
-            is_nonblocking_deterministic(&YuanDeterministic::new(&ft).unwrap()),
+        let ft = Ftree::new(n, n2, r)?;
+        ctx.check(
+            is_nonblocking_deterministic(&YuanDeterministic::new(&ft)?),
             &format!("n={n} r={r} m=n²: Theorem 3 routing is nonblocking"),
-        );
-        all_ok &= verdict(
+        )?;
+        ctx.check(
             find_blocking_two_pair(&DModK::new(&ft)).found_blocking(),
             &format!("n={n} r={r} m=n²: d-mod-k STILL blocks (assignment matters)"),
-        );
+        )?;
     }
-    print!("{}", table.render());
+    ctx.print(table.render())?;
 
-    banner("E6b", "Theorem 1 — small-top regime caps ports at 2(n+m)");
+    ctx.banner("E6b", "Theorem 1 — small-top regime caps ports at 2(n+m)")?;
     // In the r <= 2n+1 regime the Lemma-2 counting forces m >= (r-1)n/2,
     // hence ports = rn <= 2(n+m): verify the arithmetic over a sweep.
     for n in 1..8usize {
         for r in 2..=(2 * n + 1) {
             let m_min = ((r - 1) * n).div_ceil(2);
             let ports = r * n;
-            all_ok &= verdict(
+            ctx.check(
                 ports <= 2 * (n + m_min),
                 &format!("n={n} r={r}: rn={ports} <= 2(n+m_min)={}", 2 * (n + m_min)),
-            );
+            )?;
         }
     }
-
-    result_line("overall", if all_ok { "PASS" } else { "FAIL" });
-    std::process::exit(i32::from(!all_ok));
+    Ok(())
 }

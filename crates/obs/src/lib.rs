@@ -6,8 +6,9 @@
 //! style the flowsim reports use. Every hot path in the workspace —
 //! `core::engine`, `flowsim::waterfill`, `sim::engine`, `routing::arena` —
 //! threads a [`Recorder`] through its work; the default [`Noop`] recorder
-//! monomorphizes to nothing, so un-traced runs pay zero cost (the E20/E21
-//! benchmarks in `coreperf` pin the no-op delta under 2%).
+//! monomorphizes to nothing, so un-traced runs pay zero cost (what a live
+//! [`Registry`] costs is reported per workload by the repo benchmark's
+//! traced-vs-untraced pass, see `benchmark/README.md`).
 //!
 //! ## The three layers
 //!
