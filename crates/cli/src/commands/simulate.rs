@@ -11,7 +11,7 @@
 use super::common::{build_ftree, make_pattern, route_named};
 use crate::opts::{CliError, Opts};
 use ftclos_evsim::EventSimulator;
-use ftclos_obs::Registry;
+use ftclos_obs::{Recorder, Registry};
 use ftclos_routing::{DModK, SModK, YuanDeterministic};
 use ftclos_sim::{Arbiter, FaultSchedule, Policy, SimConfig, SimStats, Simulator, Workload};
 use ftclos_topo::Ftree;
@@ -81,16 +81,21 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         faults.kill_link(fail_at, ft.topology(), ft.up_channel(0, t));
     }
 
-    // Deterministic routers precompute all pair paths; pattern routers fix
+    // Deterministic routers tabulate all pair paths; pattern routers fix
     // the assignment for this permutation.
-    let policy = match router {
-        "yuan" => Policy::from_single_path(
-            &YuanDeterministic::new(&ft).map_err(|e| CliError::Failed(e.to_string()))?,
-        ),
-        "dmodk" => Policy::from_single_path(&DModK::new(&ft)),
-        "smodk" => Policy::from_single_path(&SModK::new(&ft)),
-        other => Policy::from_assignment(&route_named(&ft, other, &perm)?),
+    let policy = {
+        let _s = rec.span("policy.build");
+        match router {
+            "yuan" => Policy::from_single_path(
+                &YuanDeterministic::new(&ft).map_err(|e| CliError::Failed(e.to_string()))?,
+            ),
+            "dmodk" => Policy::from_single_path(&DModK::new(&ft)),
+            "smodk" => Policy::from_single_path(&SModK::new(&ft)),
+            other => Policy::from_assignment(&route_named(&ft, other, &perm)?),
+        }
     };
+    rec.add("policy.routes", policy.routes() as u64);
+    rec.gauge("policy.bytes", policy.memory_bytes() as u64);
     let cfg = SimConfig {
         warmup_cycles: cycles / 4,
         measure_cycles: cycles,
@@ -238,6 +243,20 @@ mod tests {
         let snap = reg.snapshot();
         assert!(snap.counter("sim.injected").unwrap_or(0) > 0);
         assert!(snap.spans.iter().any(|s| s.path == "sim.run"), "{snap:?}");
+    }
+
+    #[test]
+    fn run_records_the_policy_layer() {
+        for (router, routes) in [("dmodk", 56), ("adaptive", 8)] {
+            let reg = Registry::new();
+            let args = format!("2 16 4 --router {router} --pattern shift:3 --cycles 100");
+            run(&argv(&args), &reg).unwrap();
+            let snap = reg.snapshot();
+            let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+            assert!(paths.contains(&"policy.build"), "{paths:?}");
+            assert_eq!(snap.counter("policy.routes"), Some(routes));
+            assert!(snap.gauge("policy.bytes").unwrap_or(0) >= 4 * routes);
+        }
     }
 
     #[test]

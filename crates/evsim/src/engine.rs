@@ -118,7 +118,7 @@ impl Schedule for ActiveSchedule {
             let Some(p) = run.arena.queues.get(c as usize).front() else {
                 continue;
             };
-            let Some(&want) = p.path.get(p.hop) else {
+            let Some(want) = run.next_hop(p) else {
                 continue; // defensive: delivered packets never queue
             };
             // Only requests issued at the switch the packet sits at can be
@@ -155,7 +155,7 @@ impl Schedule for ActiveSchedule {
             // The popped queue's next head may request a later output this
             // cycle (same-switch only; earlier outputs already passed).
             if let Some(np) = run.arena.queues.get(win as usize).front() {
-                if let Some(&nwant) = np.path.get(np.hop) {
+                if let Some(nwant) = run.next_hop(np) {
                     if np.ready_at <= now && nwant.0 > o && topo.channel(nwant).src == src {
                         pending.entry(nwant.0).or_default().push(win);
                     }

@@ -48,35 +48,39 @@ impl<'a> ObliviousMultipath<'a> {
         self.ft.num_leaves() as u32
     }
 
-    /// The candidate path through top switch `t` for a cross-switch pair.
-    fn path_via(&self, pair: SdPair, t: usize) -> Path {
+    /// Hand `each` every candidate path for `pair`, in order, without
+    /// allocating (one per top switch for cross-switch pairs; the single
+    /// local path otherwise; the empty path for a self pair).
+    pub fn for_each_path(&self, pair: SdPair, mut each: impl FnMut(&[ChannelId])) {
+        if pair.src == pair.dst {
+            return each(&[]);
+        }
         let n = self.ft.n();
         let (v, i) = (pair.src as usize / n, pair.src as usize % n);
         let (w, j) = (pair.dst as usize / n, pair.dst as usize % n);
-        Path::new(vec![
+        let (up, down) = (
             self.ft.leaf_up_channel(v, i),
-            self.ft.up_channel(v, t),
-            self.ft.down_channel(t, w),
             self.ft.leaf_down_channel(w, j),
-        ])
+        );
+        if v == w {
+            return each(&[up, down]);
+        }
+        for t in 0..self.ft.m() {
+            each(&[
+                up,
+                self.ft.up_channel(v, t),
+                self.ft.down_channel(t, w),
+                down,
+            ]);
+        }
     }
 
-    /// All candidate paths for `pair` (one per top switch for cross-switch
-    /// pairs; the single local path otherwise).
+    /// All candidate paths for `pair`, owned (see
+    /// [`ObliviousMultipath::for_each_path`]).
     pub fn paths(&self, pair: SdPair) -> Vec<Path> {
-        let n = self.ft.n();
-        let (v, i) = (pair.src as usize / n, pair.src as usize % n);
-        let (w, j) = (pair.dst as usize / n, pair.dst as usize % n);
-        if pair.src == pair.dst {
-            return vec![Path::empty()];
-        }
-        if v == w {
-            return vec![Path::new(vec![
-                self.ft.leaf_up_channel(v, i),
-                self.ft.leaf_down_channel(w, j),
-            ])];
-        }
-        (0..self.ft.m()).map(|t| self.path_via(pair, t)).collect()
+        let mut paths = Vec::new();
+        self.for_each_path(pair, |p| paths.push(Path::new(p.to_vec())));
+        paths
     }
 
     /// The path the `seq`-th packet of `pair` takes.

@@ -41,7 +41,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 /// The span, counter and gauge names one schedule records under. Build it
 /// with [`crate::metric_names!`], so that `sim.<x>` and `evsim.<x>` are the
@@ -433,9 +432,8 @@ impl<S: Schedule> Run<'_, S> {
                     // An armed watchdog that was mid-freeze when the drain
                     // cap hit means nothing was moving: that is a stall,
                     // not a normal cap exit.
-                    break (watchdog > 0 && frozen_cycles > 0).then(|| {
-                        stall_report(now, inflight, &self.arena.queues, &self.arena.inject)
-                    });
+                    break (watchdog > 0 && frozen_cycles > 0)
+                        .then(|| stall_report(now, inflight, self.policy, self.arena));
                 }
             }
             self.in_window = now >= warmup && now < total;
@@ -514,12 +512,7 @@ impl<S: Schedule> Run<'_, S> {
                 if inflight > 0 && signature == last_signature {
                     frozen_cycles += 1;
                     if frozen_cycles >= watchdog {
-                        break Some(stall_report(
-                            now,
-                            inflight,
-                            &self.arena.queues,
-                            &self.arena.inject,
-                        ));
+                        break Some(stall_report(now, inflight, self.policy, self.arena));
                     }
                 } else {
                     frozen_cycles = 0;
@@ -607,8 +600,8 @@ impl<S: Schedule> Run<'_, S> {
             // spreading policies get a new chance to dodge dead hardware.
             // Latency keeps the original injection time.
             let retry = self.cfg.retry && p.retries < self.cfg.retry_limit;
-            let path = retry.then(|| self.pick(p.src, p.dst)).flatten();
-            let Some(path) = path.filter(|path| !path.is_empty()) else {
+            let row = retry.then(|| self.pick(p.src, p.dst)).flatten();
+            let Some(row) = row.filter(|&row| !self.policy.path(row).is_empty()) else {
                 self.stats.abandoned_total += 1;
                 continue;
             };
@@ -621,7 +614,7 @@ impl<S: Schedule> Run<'_, S> {
                 .ok_or_else(|| {
                     SimError::invariant(format!("retransmission source {} is not a leaf", p.src))
                 })?;
-            self.enqueue(slot, p.dst, path, p.inject_cycle, p.retries + 1);
+            self.enqueue(slot, p.dst, row, p.inject_cycle, p.retries + 1);
         }
         Ok(())
     }
@@ -645,39 +638,33 @@ impl<S: Schedule> Run<'_, S> {
                 self.stats.injection_refusals += 1;
                 continue;
             }
-            let Some(path) = self.pick(src, dst) else {
+            let Some(row) = self.pick(src, dst) else {
                 self.stats.injection_refusals += 1;
                 continue;
             };
             self.source_injected[slot] = true;
             self.stats.injected_total += 1;
             self.stats.injected_in_window += u64::from(self.in_window);
-            if path.is_empty() {
+            if self.policy.path(row).is_empty() {
                 // Self traffic: delivered instantly.
                 self.stats.delivered_total += 1;
                 self.stats.delivered_in_window += u64::from(self.in_window);
                 continue;
             }
-            self.enqueue(slot, dst, path, self.now, 0);
+            self.enqueue(slot, dst, row, self.now, 0);
         }
     }
 
-    /// The policy's path for the next packet of `(src, dst)`.
-    fn pick(&mut self, src: u32, dst: u32) -> Option<Arc<[ChannelId]>> {
+    /// The policy's path (a row of its table) for the next packet of
+    /// `(src, dst)`.
+    fn pick(&mut self, src: u32, dst: u32) -> Option<u32> {
         let queues = &self.arena.queues;
         self.policy
             .pick(src, dst, |c| queues.get(c.index()).len(), &mut self.rng)
     }
 
     /// Queue a fresh attempt at its source's injection slot.
-    fn enqueue(
-        &mut self,
-        slot: usize,
-        dst: u32,
-        path: Arc<[ChannelId]>,
-        inject_cycle: u64,
-        retries: u32,
-    ) {
+    fn enqueue(&mut self, slot: usize, dst: u32, row: u32, inject_cycle: u64, retries: u32) {
         let ttl = self.cfg.ttl_cycles;
         let deadline = if ttl > 0 { self.now + ttl } else { u64::MAX };
         if self.may_skip && ttl > 0 {
@@ -686,7 +673,7 @@ impl<S: Schedule> Run<'_, S> {
         self.arena.inject.get_mut(slot).push_back(Packet {
             src: self.leaves[slot].0,
             dst,
-            path,
+            row,
             hop: 0,
             inject_cycle,
             ready_at: self.now,
@@ -708,9 +695,7 @@ impl<S: Schedule> Run<'_, S> {
             else {
                 continue;
             };
-            if !self.output_free(up.index())
-                || !ready_for(self.arena.inject.get(slot), self.now, up)
-            {
+            if !self.output_free(up.index()) || !self.ready_for(self.arena.inject.get(slot), up) {
                 continue;
             }
             let q = self.arena.inject.get_mut(slot);
@@ -739,7 +724,18 @@ impl<S: Schedule> Run<'_, S> {
 
     /// Whether the head of channel queue `qi` is ready and wants output `o`.
     pub fn head_wants(&self, qi: usize, o: ChannelId) -> bool {
-        ready_for(self.arena.queues.get(qi), self.now, o)
+        self.ready_for(self.arena.queues.get(qi), o)
+    }
+
+    /// Whether `q`'s head may be granted output `o` this cycle.
+    fn ready_for(&self, q: &VecDeque<Packet>, o: ChannelId) -> bool {
+        matches!(q.front(), Some(p) if p.ready_at <= self.now && self.next_hop(p) == Some(o))
+    }
+
+    /// The channel `p` wants next, resolved through the policy's route
+    /// table; `None` once its walk is done.
+    pub fn next_hop(&self, p: &Packet) -> Option<ChannelId> {
+        self.policy.next_hop(p.row, p.hop)
     }
 
     /// Grant output `o` to the head of channel queue `qi` and leave the
@@ -797,11 +793,11 @@ impl<S: Schedule> Run<'_, S> {
                 p.dst, ch.dst.0
             )));
         }
-        if p.hop != p.path.len() {
+        let hops = self.policy.path(p.row).len();
+        if p.hop as usize != hops {
             return Err(SimError::invariant(format!(
-                "packet reached its destination after hop {} of a {}-hop path",
-                p.hop,
-                p.path.len()
+                "packet reached its destination after hop {} of a {hops}-hop path",
+                p.hop
             )));
         }
         self.stats.delivered_total += 1;
@@ -839,13 +835,12 @@ impl<S: Schedule> Run<'_, S> {
         for &qi in inputs {
             let mut heads = vec![None; outputs.len()];
             for (pos, p) in self.arena.queues.get(qi.index()).iter().enumerate() {
-                let Some(&next_hop) = p.path.get(p.hop) else {
-                    continue; // defensive: delivered packets never queue
-                };
                 if p.ready_at > self.now {
                     continue;
                 }
-                if let Some(oj) = out_slot(next_hop) {
+                // (Defensive: a delivered packet never queues, and wants
+                // nothing.)
+                if let Some(oj) = self.next_hop(p).and_then(out_slot) {
                     if heads[oj].is_none() {
                         heads[oj] = Some(pos);
                     }
@@ -921,11 +916,6 @@ impl<S: Schedule> Run<'_, S> {
     }
 }
 
-/// Whether `q`'s head may be granted output `o` at cycle `now`.
-fn ready_for(q: &VecDeque<Packet>, now: u64, o: ChannelId) -> bool {
-    matches!(q.front(), Some(p) if p.ready_at <= now && p.path.get(p.hop) == Some(&o))
-}
-
 /// Move every packet past its deadline out of the visited queues onto
 /// `expired`, in visit order then queue order; `emptied` hears of each queue
 /// this leaves empty.
@@ -943,14 +933,8 @@ fn sweep_expired(
             continue;
         }
         let q = queues.get_mut(i);
-        let mut k = 0;
-        while k < q.len() {
-            if now >= q[k].deadline {
-                expired.extend(q.remove(k));
-            } else {
-                k += 1;
-            }
-        }
+        expired.extend(q.iter().filter(|p| now >= p.deadline));
+        q.retain(|p| now < p.deadline);
         if q.is_empty() {
             emptied(i);
         }

@@ -16,7 +16,10 @@
 //!   pattern router), per-packet oblivious multipath (round-robin or
 //!   random), and local queue-length-adaptive selection at the source
 //!   switch — adaptivity only at the input switch, exactly the locality the
-//!   paper's Section V argues is all a fat-tree has.
+//!   paper's Section V argues is all a fat-tree has. Whatever the choice,
+//!   the candidate paths sit in one CSR route table; a packet carries a row
+//!   id and a hop count, and the kernel resolves its next channel through
+//!   [`Policy::path`].
 //!
 //! The headline experiment (E11): under random permutations, the Theorem 3
 //! fabric and a crossbar deliver ~100% throughput while a same-cost

@@ -1,18 +1,26 @@
 //! Path-selection policies: how a packet gets its route at injection time.
 //!
-//! All policies precompute candidate paths per (src, dst) pair so the hot
-//! simulation loop does no routing work beyond an index choice. Adaptivity
-//! happens **only at the source switch** — for `ftree(n+m, r)` that is the
-//! only place a fat-tree has any (paper Section V).
+//! A policy is one route table in CSR form. Every candidate path of every
+//! pair is tabulated once, back to back, in a single slab of hops; a *row*
+//! is one candidate path, and each pair owns a contiguous range of rows —
+//! found by `src * ports + dst` in the all-pairs tables and by binary search
+//! in the pattern-level ones. [`Policy::pick`] answers with a row id, a
+//! packet carries that id and its hop count, and whoever needs the channels
+//! (the kernel's grant tests, the stall report) resolves them through
+//! [`Policy::path`]: the hot loop does no routing work beyond an index
+//! choice and touches no per-packet heap. Adaptivity happens **only at the
+//! source switch** — for `ftree(n+m, r)` that is the only place a fat-tree
+//! has any (paper Section V).
 
 use crate::error::SimError;
 use ftclos_routing::{ObliviousMultipath, RouteAssignment, SinglePathRouter};
 use ftclos_topo::{ChannelId, NodeId, Topology};
+use ftclos_traffic::SdPair;
 use rand::Rng;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Range;
 
-type PathArc = Arc<[ChannelId]>;
+/// The row every self pair resolves to: the empty path, delivered instantly.
+const EMPTY_ROW: u32 = 0;
 
 /// How the next packet of a pair picks among its candidate paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,65 +40,132 @@ enum Choice {
     QueueAdaptiveFirst,
 }
 
+/// Pair → candidate rows.
+#[derive(Clone, Debug)]
+enum PairIndex {
+    /// All-pairs tables: pair `src * ports + dst` owns rows
+    /// `first_row[pair]..first_row[pair + 1]` (none for a self pair).
+    Dense { ports: u32, first_row: Vec<u32> },
+    /// Pattern-level tables: `((src, dst), row)` sorted by pair, one row
+    /// each.
+    Sparse(Vec<((u32, u32), u32)>),
+}
+
+impl PairIndex {
+    /// The pair's slot and its candidate rows; `None` for an unlisted pair.
+    fn lookup(&self, src: u32, dst: u32) -> Option<(usize, Range<u32>)> {
+        match self {
+            Self::Dense { ports, first_row } => {
+                let slot = src as usize * *ports as usize + dst as usize;
+                (src < *ports && dst < *ports).then(|| (slot, first_row[slot]..first_row[slot + 1]))
+            }
+            Self::Sparse(keys) => {
+                let slot = keys.binary_search_by_key(&(src, dst), |k| k.0).ok()?;
+                Some((slot, keys[slot].1..keys[slot].1 + 1))
+            }
+        }
+    }
+}
+
 /// Path selection policy for the simulator.
 #[derive(Clone, Debug)]
 pub struct Policy {
-    options: HashMap<(u32, u32), Vec<PathArc>>,
-    counters: HashMap<(u32, u32), u64>,
+    /// Every candidate path back to back; row `i` is
+    /// `hops[row_off[i]..row_off[i + 1]]`.
+    hops: Vec<ChannelId>,
+    row_off: Vec<u32>,
+    index: PairIndex,
+    /// Round-robin position per index slot, grown as round-robin picks
+    /// reach slots.
+    counters: Vec<u64>,
     choice: Choice,
-    /// Per-channel admission bitmap (`true` = usable); `None` admits all.
-    /// Candidates crossing an unadmitted channel are skipped by `pick` —
-    /// the hook the churn re-planning modes drive mid-run.
-    live_mask: Option<Vec<bool>>,
+    /// Per-channel admission bitmap (`true` = usable; channels past its end,
+    /// so all of them when it is empty, are admitted). Candidates crossing
+    /// an unadmitted channel are skipped by `pick` — the hook the churn
+    /// re-planning modes drive mid-run.
+    live_mask: Vec<bool>,
 }
 
 impl Policy {
-    fn from_options(options: HashMap<(u32, u32), Vec<PathArc>>, choice: Choice) -> Self {
+    /// A table holding only [`EMPTY_ROW`].
+    fn new(choice: Choice) -> Self {
         Self {
-            options,
-            counters: HashMap::new(),
+            hops: Vec::new(),
+            row_off: vec![0, 0],
+            index: PairIndex::Sparse(Vec::new()),
+            counters: Vec::new(),
             choice,
-            live_mask: None,
+            live_mask: Vec::new(),
         }
+    }
+
+    /// The id the next [`Policy::push_row`] will return.
+    fn next_row(&self) -> u32 {
+        u32::try_from(self.row_off.len() - 1).expect("policy route table exceeds 2^32 rows")
+    }
+
+    /// Append `path` as a new row and return its id.
+    fn push_row(&mut self, path: &[ChannelId]) -> u32 {
+        let row = self.next_row();
+        self.hops.extend_from_slice(path);
+        let end = u32::try_from(self.hops.len()).expect("policy route table exceeds 2^32 hops");
+        self.row_off.push(end);
+        row
+    }
+
+    /// The all-pairs table over `ports` leaves: `push_rows` appends the
+    /// candidate rows of each ordered pair of distinct leaves.
+    fn all_pairs(ports: u32, choice: Choice, mut push_rows: impl FnMut(&mut Self, SdPair)) -> Self {
+        let mut table = Self::new(choice);
+        let mut first_row = Vec::with_capacity(ports as usize * ports as usize + 1);
+        for s in 0..ports {
+            for d in 0..ports {
+                first_row.push(table.next_row());
+                if s != d {
+                    push_rows(&mut table, SdPair::new(s, d));
+                }
+            }
+        }
+        first_row.push(table.next_row());
+        table.index = PairIndex::Dense { ports, first_row };
+        table
     }
 
     /// Restrict future picks to candidates whose every channel is admitted
     /// by `mask` (indexed by channel id; `None` lifts the restriction).
     /// Packets already in flight keep their chosen paths.
     pub fn set_live_mask(&mut self, mask: Option<&[bool]>) {
-        self.live_mask = mask.map(<[bool]>::to_vec);
+        self.live_mask.clear();
+        self.live_mask.extend_from_slice(mask.unwrap_or_default());
     }
 
-    /// One fixed path per pair, precomputed from a single-path router for
+    /// One fixed path per pair, tabulated from a single-path router for
     /// every ordered leaf pair.
     pub fn from_single_path<R: SinglePathRouter + ?Sized>(router: &R) -> Self {
-        let ports = router.ports();
-        let mut options = HashMap::with_capacity((ports as usize) * (ports as usize - 1));
-        for s in 0..ports {
-            for d in 0..ports {
-                if s == d {
-                    continue;
-                }
-                let path: PathArc = router
-                    .route(ftclos_traffic::SdPair::new(s, d))
-                    .channels()
-                    .to_vec()
-                    .into();
-                options.insert((s, d), vec![path]);
-            }
-        }
-        Self::from_options(options, Choice::Fixed)
+        let mut path = Vec::new();
+        Self::all_pairs(router.ports(), Choice::Fixed, |table, pair| {
+            router.route_into(pair, &mut path);
+            table.push_row(&path);
+        })
     }
 
     /// Fixed paths from a pattern-level assignment (adaptive/centralized
-    /// routers). Pairs absent from the assignment cannot inject.
+    /// routers). Pairs absent from the assignment cannot inject; of a pair
+    /// listed more than once, the last path counts.
     pub fn from_assignment(assignment: &RouteAssignment) -> Self {
-        let mut options = HashMap::with_capacity(assignment.len());
-        for (pair, path) in assignment.routes() {
-            let arc: PathArc = path.channels().to_vec().into();
-            options.insert((pair.src, pair.dst), vec![arc]);
-        }
-        Self::from_options(options, Choice::Fixed)
+        let mut table = Self::new(Choice::Fixed);
+        // Tabulated last to first: of a pair listed twice, the stable sort
+        // then puts the last path first, which is the one `dedup` keeps.
+        let mut keys: Vec<_> = assignment
+            .routes()
+            .iter()
+            .rev()
+            .map(|(pair, path)| ((pair.src, pair.dst), table.push_row(path.channels())))
+            .collect();
+        keys.sort_by_key(|k| k.0);
+        keys.dedup_by_key(|k| k.0);
+        table.index = PairIndex::Sparse(keys);
+        table
     }
 
     /// Pin explicit `(src, dst, path)` routes — the witness-injection
@@ -107,7 +182,8 @@ impl Policy {
     where
         I: IntoIterator<Item = (u32, u32, &'a [ChannelId])>,
     {
-        let mut options = HashMap::new();
+        let mut table = Self::new(Choice::Fixed);
+        let mut keys: Vec<((u32, u32), u32)> = Vec::new();
         for (src, dst, channels) in routes {
             let err = |detail: String| SimError::PinnedPath { src, dst, detail };
             let leaf = |port: u32, role: &str| -> Result<NodeId, SimError> {
@@ -146,39 +222,30 @@ impl Policy {
                     return Err(err(format!("hops {} -> {} are not adjacent", w[0], w[1])));
                 }
             }
-            let arc: PathArc = channels.to_vec().into();
-            if options.insert((src, dst), vec![arc]).is_some() {
-                return Err(err("pair is pinned twice".into()));
+            // The index is kept sorted as it grows (pinned sets are
+            // witness-sized), so a repeat is caught where it stands in
+            // `routes`.
+            match keys.binary_search_by_key(&(src, dst), |k| k.0) {
+                Ok(_) => return Err(err("pair is pinned twice".into())),
+                Err(at) => keys.insert(at, ((src, dst), table.push_row(channels))),
             }
         }
-        Ok(Self::from_options(options, Choice::Fixed))
+        table.index = PairIndex::Sparse(keys);
+        Ok(table)
     }
 
     /// Oblivious multipath: all candidate paths per pair, spread per packet.
     pub fn from_multipath(router: &ObliviousMultipath<'_>, random: bool) -> Self {
-        let ports = router.ports();
-        let mut options = HashMap::new();
-        for s in 0..ports {
-            for d in 0..ports {
-                if s == d {
-                    continue;
-                }
-                let paths: Vec<PathArc> = router
-                    .paths(ftclos_traffic::SdPair::new(s, d))
-                    .into_iter()
-                    .map(|p| PathArc::from(p.channels().to_vec()))
-                    .collect();
-                options.insert((s, d), paths);
-            }
-        }
-        Self::from_options(
-            options,
-            if random {
-                Choice::Random
-            } else {
-                Choice::RoundRobin
-            },
-        )
+        let choice = if random {
+            Choice::Random
+        } else {
+            Choice::RoundRobin
+        };
+        Self::all_pairs(router.ports(), choice, |table, pair| {
+            router.for_each_path(pair, |path| {
+                table.push_row(path);
+            });
+        })
     }
 
     /// Local queue-adaptive selection over the multipath candidates: the
@@ -200,10 +267,60 @@ impl Policy {
 
     /// Whether the pair can be routed at all.
     pub fn can_route(&self, src: u32, dst: u32) -> bool {
-        src == dst || self.options.contains_key(&(src, dst))
+        src == dst || self.index.lookup(src, dst).is_some()
     }
 
-    /// Pick the path for the next packet of `(src, dst)`.
+    /// The channel walk of row `row`, as [`Policy::pick`] numbered it.
+    ///
+    /// # Panics
+    /// If `row` did not come from this policy's `pick`.
+    #[inline]
+    pub fn path(&self, row: u32) -> &[ChannelId] {
+        let row = row as usize;
+        &self.hops[self.row_off[row] as usize..self.row_off[row + 1] as usize]
+    }
+
+    /// Channel number `hop` of row `row`; `None` past the end of the walk.
+    #[inline]
+    pub fn next_hop(&self, row: u32, hop: u32) -> Option<ChannelId> {
+        self.path(row).get(hop as usize).copied()
+    }
+
+    /// Candidate paths tabulated.
+    pub fn routes(&self) -> usize {
+        self.row_off.len() - 2
+    }
+
+    /// Heap bytes reserved by the route table: the hop slab, the row offsets
+    /// and the pair index.
+    pub fn memory_bytes(&self) -> usize {
+        let index = match &self.index {
+            PairIndex::Dense { first_row, .. } => first_row.capacity() * size_of::<u32>(),
+            PairIndex::Sparse(keys) => keys.capacity() * size_of::<((u32, u32), u32)>(),
+        };
+        self.hops.capacity() * size_of::<ChannelId>()
+            + self.row_off.capacity() * size_of::<u32>()
+            + index
+    }
+
+    /// The rows of `rows` admitted by the live mask (all, when unset), in
+    /// order.
+    fn live(&self, rows: Range<u32>) -> impl Iterator<Item = u32> + '_ {
+        let admitted = |c: &ChannelId| self.live_mask.get(c.index()).copied().unwrap_or(true);
+        rows.filter(move |&row| self.live_mask.is_empty() || self.path(row).iter().all(admitted))
+    }
+
+    /// The channel whose queue the adaptive choices read for `row`: the
+    /// source switch's uplink, hop 1 (a one-hop candidate offers hop 0).
+    fn probe(&self, row: u32) -> ChannelId {
+        let p = self.path(row);
+        p.get(1).copied().unwrap_or(p[0])
+    }
+
+    /// Pick the path for the next packet of `(src, dst)`: a row id for
+    /// [`Policy::path`] (a self pair gets the empty path), or `None` when
+    /// the pair is unlisted or every candidate crosses an unadmitted
+    /// channel.
     ///
     /// `queue_len(channel)` exposes current downstream queue occupancy for
     /// the queue-adaptive policy; `rng` drives random spreading.
@@ -213,89 +330,63 @@ impl Policy {
         dst: u32,
         queue_len: impl Fn(ChannelId) -> usize,
         rng: &mut R,
-    ) -> Option<PathArc> {
+    ) -> Option<u32> {
         if src == dst {
-            return Some(Arc::from(Vec::new()));
+            return Some(EMPTY_ROW);
         }
-        let candidates = self.options.get(&(src, dst))?;
-        // Candidate indices admitted by the live mask (all, when unset).
-        let live: Vec<usize> = match self.live_mask.as_deref() {
-            None => (0..candidates.len()).collect(),
-            Some(mask) => candidates
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| {
-                    p.iter()
-                        .all(|c| mask.get(c.index()).copied().unwrap_or(true))
-                })
-                .map(|(i, _)| i)
-                .collect(),
-        };
-        if live.is_empty() {
+        let (slot, rows) = self.index.lookup(src, dst)?;
+        let n = self.live(rows.clone()).count();
+        if n == 0 {
             return None; // every candidate crosses an unadmitted channel
         }
-        let idx = match self.choice {
-            Choice::Fixed => live[0],
+        // The choice, as a position among the live candidates.
+        let k = match self.choice {
+            Choice::Fixed => 0,
             Choice::RoundRobin => {
-                let counter = self.counters.entry((src, dst)).or_insert(0);
-                let i = (*counter % live.len() as u64) as usize;
-                *counter += 1;
-                live[i]
-            }
-            Choice::Random => live[rng.gen_range(0..live.len())],
-            Choice::QueueAdaptive => {
-                // Shortest local uplink queue; ties broken uniformly at
-                // random (deterministic tie-breaks herd every switch onto
-                // the same low-index top and collapse throughput). One
-                // running-minimum pass over the (non-empty) live set — no
-                // fallback index can silently pick a masked-out candidate.
-                let occupancy = |p: &PathArc| {
-                    // Same-switch candidates have 2 hops; uplink is index 1.
-                    let probe = if p.len() >= 2 { p[1] } else { p[0] };
-                    queue_len(probe)
-                };
-                let mut best = usize::MAX;
-                let mut minima: Vec<usize> = Vec::new();
-                for &i in &live {
-                    let occ = occupancy(&candidates[i]);
-                    if occ < best {
-                        best = occ;
-                        minima.clear();
-                    }
-                    if occ == best {
-                        minima.push(i);
-                    }
+                if self.counters.len() <= slot {
+                    self.counters.resize(slot + 1, 0);
                 }
-                minima[rng.gen_range(0..minima.len())]
+                let turn = self.counters[slot];
+                self.counters[slot] += 1;
+                (turn % n as u64) as usize
             }
-            Choice::QueueAdaptiveFirst => {
-                let occupancy = |p: &PathArc| {
-                    let probe = if p.len() >= 2 { p[1] } else { p[0] };
-                    queue_len(probe)
+            Choice::Random => rng.gen_range(0..n),
+            Choice::QueueAdaptive | Choice::QueueAdaptiveFirst => {
+                // Among the candidates with the shortest local uplink queue:
+                // one drawn uniformly at random, or (the ablation) the first
+                // — deterministic tie-breaks herd every switch onto the same
+                // low-index top and collapse throughput. Only live rows are
+                // ever looked at, so no masked-out candidate can be picked.
+                let occupancy = |row: u32| queue_len(self.probe(row));
+                let best = self.live(rows.clone()).map(occupancy).min()?;
+                let shortest = || {
+                    self.live(rows.clone())
+                        .filter(|&row| occupancy(row) == best)
                 };
-                let mut best_i = live[0];
-                let mut best = occupancy(&candidates[best_i]);
-                for &i in &live[1..] {
-                    let occ = occupancy(&candidates[i]);
-                    if occ < best {
-                        best = occ;
-                        best_i = i;
-                    }
-                }
-                best_i
+                let k = match self.choice {
+                    Choice::QueueAdaptiveFirst => 0,
+                    _ => rng.gen_range(0..shortest().count()),
+                };
+                return shortest().nth(k);
             }
         };
-        Some(candidates[idx].clone())
+        self.live(rows).nth(k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftclos_routing::{SpreadPolicy, YuanDeterministic};
+    use crate::state::Packet;
+    use ftclos_routing::{DModK, Path, SModK, SpreadPolicy, YuanDeterministic};
     use ftclos_topo::Ftree;
-    use ftclos_traffic::SdPair;
     use rand::SeedableRng;
+
+    // Packets are moved between queues by value; keep them plain data.
+    const _: fn() = || {
+        fn copy<T: Copy>() {}
+        copy::<Packet>();
+    };
 
     fn rng() -> rand_chacha::ChaCha8Rng {
         rand_chacha::ChaCha8Rng::seed_from_u64(4)
@@ -310,9 +401,49 @@ mod tests {
         let a = p.pick(0, 5, |_| 0, &mut g).unwrap();
         let b = p.pick(0, 5, |_| 0, &mut g).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.len(), 4);
+        assert_eq!(p.path(a).len(), 4);
         assert!(p.can_route(0, 0));
-        assert_eq!(p.pick(0, 0, |_| 0, &mut g).unwrap().len(), 0);
+        let own = p.pick(0, 0, |_| 0, &mut g).unwrap();
+        assert!(p.path(own).is_empty());
+    }
+
+    /// The rows the table lists for `(s, d)`, as owned paths.
+    fn rows_of(p: &Policy, s: u32, d: u32) -> Vec<Path> {
+        let (_, rows) = p.index.lookup(s, d).unwrap();
+        rows.map(|row| Path::new(p.path(row).to_vec())).collect()
+    }
+
+    #[test]
+    fn tables_hold_exactly_the_routers_paths() {
+        for m in [4, 3] {
+            let ft = Ftree::new(2, m, 5).unwrap();
+            let yuan = YuanDeterministic::new(&ft).ok(); // needs m >= n^2
+            let (dmodk, smodk) = (DModK::new(&ft), SModK::new(&ft));
+            let mut single: Vec<&dyn SinglePathRouter> = vec![&dmodk, &smodk];
+            single.extend(yuan.as_ref().map(|y| y as &dyn SinglePathRouter));
+            assert_eq!(single.len(), if m == 4 { 3 } else { 2 });
+            let mp = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
+            let spread = Policy::from_multipath(&mp, false);
+            let pairs = || (0..10).flat_map(|s| (0..10).map(move |d| SdPair::new(s, d)));
+            for router in single {
+                let p = Policy::from_single_path(router);
+                assert_eq!(p.routes(), 90);
+                for pair in pairs().filter(|pair| pair.src != pair.dst) {
+                    assert_eq!(rows_of(&p, pair.src, pair.dst), [router.route(pair)]);
+                }
+                assert!(pairs().all(|pair| p.can_route(pair.src, pair.dst)));
+                assert!(!p.can_route(0, 10) && !p.can_route(10, 0));
+            }
+            for pair in pairs() {
+                let want = if pair.src == pair.dst {
+                    Vec::new() // a self pair owns no row; `pick` answers for it
+                } else {
+                    mp.paths(pair)
+                };
+                assert_eq!(rows_of(&spread, pair.src, pair.dst), want, "{pair:?}");
+            }
+            assert!(spread.memory_bytes() >= 4 * (spread.hops.len() + spread.routes() + 101));
+        }
     }
 
     #[test]
@@ -327,8 +458,10 @@ mod tests {
         )
         .unwrap();
         let mut g = rng();
-        assert_eq!(p.pick(0, 5, |_| 0, &mut g).unwrap().as_ref(), &r05[..]);
-        assert_eq!(p.pick(9, 2, |_| 0, &mut g).unwrap().as_ref(), &r92[..]);
+        let row = p.pick(0, 5, |_| 0, &mut g).unwrap();
+        assert_eq!(p.path(row), &r05[..]);
+        let row = p.pick(9, 2, |_| 0, &mut g).unwrap();
+        assert_eq!(p.path(row), &r92[..]);
         assert!(!p.can_route(5, 0), "only pinned pairs are routable");
     }
 
@@ -369,6 +502,19 @@ mod tests {
             [(0, 5, good.as_slice()), (0, 5, good.as_slice())],
         ));
         assert!(d.contains("twice"), "{d}");
+        // Of several faults, the first in input order is the one reported.
+        let other = router.route(SdPair::new(9, 2)).channels().to_vec();
+        let (good, other, empty) = (good.as_slice(), other.as_slice(), &[][..]);
+        let d = detail(Policy::from_pinned(
+            topo,
+            [(9, 2, other), (0, 5, good), (0, 5, good), (1, 5, empty)],
+        ));
+        assert!(d.contains("twice"), "{d}");
+        let d = detail(Policy::from_pinned(
+            topo,
+            [(0, 5, good), (1, 5, empty), (0, 5, good)],
+        ));
+        assert!(d.contains("empty"), "{d}");
     }
 
     #[test]
@@ -397,7 +543,7 @@ mod tests {
         let path = p
             .pick(0, 4, |c| if c == busy { 10 } else { 0 }, &mut g)
             .unwrap();
-        assert_ne!(path[1], busy, "adaptive must dodge the long queue");
+        assert_ne!(p.path(path)[1], busy, "adaptive must dodge the long queue");
     }
 
     #[test]
@@ -416,7 +562,7 @@ mod tests {
         p.set_live_mask(Some(&mask));
         for _ in 0..20 {
             let path = p.pick(0, 4, |_| 0, &mut g).unwrap();
-            assert_eq!(path[1], ft.up_channel(0, 2));
+            assert_eq!(p.path(path)[1], ft.up_channel(0, 2));
         }
         // Excluding all uplinks leaves cross-switch pairs unroutable…
         for v in 0..ft.r() {
@@ -444,5 +590,26 @@ mod tests {
         assert!(p.pick(0, 5, |_| 0, &mut g).is_some());
         assert!(p.pick(1, 4, |_| 0, &mut g).is_none());
         assert!(!p.can_route(1, 4));
+    }
+
+    #[test]
+    fn assignment_listing_a_pair_twice_keeps_the_last_path() {
+        let ft = Ftree::new(2, 4, 5).unwrap();
+        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
+        let via = mp.paths(SdPair::new(0, 5));
+        let other = mp.paths(SdPair::new(3, 8)).remove(0);
+        let assignment = RouteAssignment::new(vec![
+            (SdPair::new(0, 5), via[0].clone()),
+            (SdPair::new(3, 8), other.clone()),
+            (SdPair::new(0, 5), via[1].clone()),
+            (SdPair::new(0, 5), via[2].clone()),
+        ]);
+        let mut p = Policy::from_assignment(&assignment);
+        let mut g = rng();
+        let row = p.pick(0, 5, |_| 0, &mut g).unwrap();
+        assert_eq!(p.path(row), via[2].channels());
+        let row = p.pick(3, 8, |_| 0, &mut g).unwrap();
+        assert_eq!(p.path(row), other.channels());
+        assert!(!p.can_route(5, 0));
     }
 }

@@ -18,9 +18,9 @@
 //! fault campaigns, and churn replays instead of rebuilding per run.
 
 use crate::error::{StallReport, Strand};
+use crate::policy::Policy;
 use ftclos_topo::ChannelId;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 /// Log2 of the page size: 512 entries per page balances touch granularity
 /// (a lone hot channel materializes ~16 KiB of queue slots) against
@@ -30,16 +30,17 @@ pub const PAGE_SHIFT: usize = 9;
 pub const PAGE_LEN: usize = 1 << PAGE_SHIFT;
 
 /// One in-flight packet.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Packet {
     /// Source leaf id.
     pub src: u32,
     /// Destination leaf id.
     pub dst: u32,
-    /// The channel walk from source to destination.
-    pub path: Arc<[ChannelId]>,
+    /// The channel walk from source to destination: a row of the run's
+    /// [`Policy`], resolved through [`Policy::path`].
+    pub row: u32,
     /// Index of the next channel to traverse.
-    pub hop: usize,
+    pub hop: u32,
     /// Cycle the original attempt was injected (kept across retries).
     pub inject_cycle: u64,
     /// Earliest cycle at which the packet may be granted its next hop
@@ -322,39 +323,30 @@ impl<T: Clone + Default> Default for PagedVec<T> {
 pub(crate) fn stall_report(
     cycle: u64,
     in_flight: u64,
-    queues: &PagedVec<VecDeque<Packet>>,
-    inject: &PagedVec<VecDeque<Packet>>,
+    policy: &Policy,
+    arena: &SimArena,
 ) -> StallReport {
     let mut strands = Vec::new();
     // Functional wait-for graph over channels: the head packet of channel
     // `c`'s queue waits for `waits[c]` (absent when the queue is empty).
     let mut waits: BTreeMap<u32, ChannelId> = BTreeMap::new();
-    for (c, q) in queues.iter_touched() {
+    let SimArena { queues, inject, .. } = arena;
+    let held = queues.iter_touched().map(|(c, q)| (Some(c as u32), q));
+    for (holds, q) in held.chain(inject.iter_touched().map(|(_, q)| (None, q))) {
         let Some(p) = q.front() else { continue };
-        let Some(&next) = p.path.get(p.hop) else {
+        let Some(next) = policy.next_hop(p.row, p.hop) else {
             continue; // defensive: delivered packets never sit in queues
         };
         strands.push(Strand {
             src: p.src,
             dst: p.dst,
-            holds: Some(ChannelId(c as u32)),
+            holds: holds.map(ChannelId),
             waits_for: next,
             queued: q.len(),
         });
-        waits.insert(c as u32, next);
-    }
-    for (_, q) in inject.iter_touched() {
-        let Some(p) = q.front() else { continue };
-        let Some(&next) = p.path.get(p.hop) else {
-            continue;
-        };
-        strands.push(Strand {
-            src: p.src,
-            dst: p.dst,
-            holds: None,
-            waits_for: next,
-            queued: q.len(),
-        });
+        if let Some(c) = holds {
+            waits.insert(c, next);
+        }
     }
     StallReport {
         cycle,
@@ -498,7 +490,7 @@ mod tests {
         a.queues.get_mut(0).push_back(Packet {
             src: 0,
             dst: 1,
-            path: Arc::from(vec![ChannelId(0)]),
+            row: 1,
             hop: 0,
             inject_cycle: 0,
             ready_at: 0,
