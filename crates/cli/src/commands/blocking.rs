@@ -1,22 +1,21 @@
 //! `ftclos blocking <n> <m> <r> [--router R] [--samples N] [--seed S]` —
 //! estimate the blocking probability over random permutations.
 
-use super::common::{build_ftree, route_named, ROUTERS};
+use super::common::RouterName::{self, Adaptive, DModK, Greedy, Rearrangeable, SModK, Yuan};
+use super::common::{build_ftree, fabric, route_named};
 use crate::opts::{CliError, Opts};
 use ftclos_obs::{Recorder as _, Registry};
 use ftclos_traffic::patterns;
 use rand::SeedableRng;
 use std::fmt::Write as _;
 
+/// The routers `--router` takes, default first.
+pub(crate) const ROSTER: &[RouterName] = &[DModK, Yuan, SModK, Adaptive, Greedy, Rearrangeable];
+
 /// Run the command.
 pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let ft = build_ftree(opts)?;
-    let router = opts.flag("router").unwrap_or("dmodk");
-    if !ROUTERS.contains(&router) {
-        return Err(CliError::Usage(format!(
-            "unknown router `{router}` (one of {ROUTERS:?})"
-        )));
-    }
+    let router = RouterName::flag(opts, ROSTER)?;
     let samples: usize = opts.flag_or("samples", 200)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
     let ports = ft.num_leaves() as u32;
@@ -43,10 +42,8 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "ftree({}+{}, {}) under `{router}`: {samples} random permutations",
-        ft.n(),
-        ft.m(),
-        ft.r()
+        "{} under `{router}`: {samples} random permutations",
+        fabric(&ft)
     );
     let _ = writeln!(
         out,

@@ -1,6 +1,6 @@
 //! `ftclos build <n> <m> <r> [--dot FILE]` — construct and describe a fabric.
 
-use super::common::build_ftree;
+use super::common::{build_ftree, fabric};
 use crate::opts::{CliError, Opts};
 use ftclos_obs::Registry;
 use ftclos_topo::dot::{to_dot, DotOptions};
@@ -14,10 +14,8 @@ pub fn run(opts: &Opts, _rec: &Registry) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "ftree({}+{}, {}): {} leaves, {} switches, {} cables",
-        ft.n(),
-        ft.m(),
-        ft.r(),
+        "{}: {} leaves, {} switches, {} cables",
+        fabric(&ft),
         rep.leaves,
         rep.total_switches(),
         rep.cables

@@ -28,7 +28,8 @@
 //! The final report never mentions checkpointing, so an interrupted-and-
 //! resumed campaign is byte-identical to an uninterrupted one.
 
-use super::common::build_ftree;
+use super::common::RouterName::{self, DModK, SModK, Valley, Yuan};
+use super::common::{build_ftree, fabric, SinglePath};
 use super::deadlock::witness_routes;
 use crate::opts::{CliError, Opts};
 use ftclos_core::campaign::DeadlockFreedom;
@@ -37,9 +38,9 @@ use ftclos_core::campaign::{
     AdaptiveRoutability, ArenaRoutability, CampaignConfig, CampaignError, CampaignProperty,
     CampaignReport, Certificate, FaultElement, FaultVector, NonblockingMargin,
 };
-use ftclos_core::cdg::{cdg_of_masked_router_with, ValleyRouter};
+use ftclos_core::cdg::cdg_of_masked_router_with;
+use ftclos_obs::json::quote;
 use ftclos_obs::{Recorder as _, Registry};
-use ftclos_routing::{DModK, SModK, SinglePathRouter, YuanDeterministic};
 use ftclos_sim::{run_pinned_injection_watchdog_recorded, SimError, StallReport};
 use ftclos_topo::{FaultyView, Ftree};
 use std::fmt::Write as _;
@@ -47,41 +48,9 @@ use std::fmt::Write as _;
 /// Properties a campaign can attack.
 const PROPERTIES: &[&str] = &["routability", "deterministic", "nonblocking", "deadlock"];
 
-/// Routers the `deterministic` and `deadlock` properties accept.
-const CAMPAIGN_ROUTERS: &[&str] = &["yuan", "dmodk", "smodk", "valley"];
-
-/// One owned router instance, so property structs can borrow it.
-enum Router<'a> {
-    Yuan(YuanDeterministic<'a>),
-    DModK(DModK<'a>),
-    SModK(SModK<'a>),
-    Valley(ValleyRouter<'a>),
-}
-
-impl Router<'_> {
-    fn as_dyn(&self) -> &(dyn SinglePathRouter + Sync) {
-        match self {
-            Router::Yuan(r) => r,
-            Router::DModK(r) => r,
-            Router::SModK(r) => r,
-            Router::Valley(r) => r,
-        }
-    }
-}
-
-fn make_router<'a>(ft: &'a Ftree, name: &str) -> Result<Router<'a>, CliError> {
-    match name {
-        "yuan" => Ok(Router::Yuan(
-            YuanDeterministic::new(ft).map_err(|e| CliError::Failed(e.to_string()))?,
-        )),
-        "dmodk" => Ok(Router::DModK(DModK::new(ft))),
-        "smodk" => Ok(Router::SModK(SModK::new(ft))),
-        "valley" => Ok(Router::Valley(ValleyRouter::new(ft))),
-        other => Err(CliError::Usage(format!(
-            "unknown router `{other}` (one of {CAMPAIGN_ROUTERS:?})"
-        ))),
-    }
-}
+/// The routers `--router` takes, default first; `deterministic` and
+/// `deadlock` attack the chosen one.
+pub(crate) const ROSTER: &[RouterName] = &[DModK, Yuan, SModK, Valley];
 
 /// Run the command.
 pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
@@ -95,7 +64,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let links_per_set: usize = opts.flag_or("links", 2)?;
     let switches_per_set: usize = opts.flag_or("switches", 1)?;
     let samples: usize = opts.flag_or("samples", 20)?;
-    let router_name: String = opts.flag_or("router", "dmodk".to_string())?;
+    let router_name = RouterName::flag(opts, ROSTER)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
     let do_shrink: bool = opts.flag_or("shrink", false)?;
     let json: bool = opts.flag_or("json", false)?;
@@ -121,7 +90,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     // Own the router + property for the duration of the run; `property`
     // is the trait object every campaign mode attacks.
     let topo = ft.topology();
-    let router = make_router(&ft, &router_name)?;
+    let router = SinglePath::new(&ft, router_name)?;
     let routability;
     let deterministic;
     let nonblocking;
@@ -132,7 +101,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             &routability
         }
         "deterministic" => {
-            deterministic = ArenaRoutability::new(topo, router.as_dyn())
+            deterministic = ArenaRoutability::new(topo, &router)
                 .map_err(|e| CliError::Failed(e.to_string()))?;
             &deterministic
         }
@@ -141,7 +110,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             &nonblocking
         }
         _ => {
-            deadlock = DeadlockFreedom::new(topo, router.as_dyn());
+            deadlock = DeadlockFreedom::new(topo, &router);
             &deadlock
         }
     };
@@ -152,11 +121,11 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             let elems = exhaustive_universe(&ft, &universe)?;
             let cert = certify_exhaustive_with(property, &elems, k, rec);
             rec.gauge("campaign.certified", u64::from(cert.certified()));
-            if json {
-                Ok(certificate_json(&ft, &cert))
+            Ok(if json {
+                certificate_json(&ft, &cert)
             } else {
-                Ok(certificate_text(&ft, &cert))
-            }
+                certificate_text(&ft, &cert)
+            })
         }
         "random" => {
             let links = cable_universe(topo);
@@ -204,8 +173,8 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             let confirmation = if confirm {
                 Some(run_confirm(
                     &ft,
-                    &router_name,
-                    router.as_dyn(),
+                    router_name,
+                    &router,
                     &baseline,
                     &report,
                     confirm_cycles,
@@ -217,11 +186,12 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             } else {
                 None
             };
-            if json {
-                Ok(report_json(&ft, &baseline, &report, confirmation.as_ref()))
+            let confirmation = confirmation.as_ref();
+            Ok(if json {
+                report_json(&ft, &baseline, &report, confirmation)
             } else {
-                Ok(report_text(&ft, &baseline, &report, confirmation.as_ref()))
-            }
+                report_text(&ft, &baseline, &report, confirmation)
+            })
         }
         other => Err(CliError::Usage(format!(
             "unknown mode `{other}` (random or exhaustive)"
@@ -262,8 +232,8 @@ struct Confirmation {
 #[allow(clippy::too_many_arguments)]
 fn run_confirm(
     ft: &Ftree,
-    router_name: &str,
-    router: &(dyn SinglePathRouter + Sync),
+    router_name: RouterName,
+    router: &SinglePath,
     baseline: &ftclos_core::campaign::Judgement,
     report: &CampaignReport,
     cycles: u64,
@@ -329,16 +299,12 @@ fn run_confirm(
     })
 }
 
-fn fabric_line(ft: &Ftree) -> String {
-    format!("ftree({}+{}, {})", ft.n(), ft.m(), ft.r())
-}
-
 fn certificate_text(ft: &Ftree, cert: &Certificate) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "fault campaign on {}: property {}",
-        fabric_line(ft),
+        fabric(ft),
         cert.property
     );
     let _ = writeln!(
@@ -379,10 +345,10 @@ fn certificate_json(ft: &Ftree, cert: &Certificate) -> String {
     let killer = match &cert.killer {
         None => "null".to_string(),
         Some(k) => format!(
-            "{{\"faults\":\"{}\",\"size\":{},\"detail\":\"{}\"}}",
+            "{{\"faults\":\"{}\",\"size\":{},\"detail\":{}}}",
             k.faults,
             k.faults.len(),
-            escape(&k.detail)
+            quote(&k.detail)
         ),
     };
     format!(
@@ -416,7 +382,7 @@ fn report_text(
     let _ = writeln!(
         out,
         "fault campaign on {}: property {}",
-        fabric_line(ft),
+        fabric(ft),
         report.property
     );
     let _ = writeln!(
@@ -538,12 +504,12 @@ fn report_json(
                 None => "null".to_string(),
             };
             format!(
-                "{{\"wave\":{},\"index\":{},\"faults\":\"{}\",\"detail\":\"{}\",\
+                "{{\"wave\":{},\"index\":{},\"faults\":\"{}\",\"detail\":{},\
                  \"minimal\":{},\"shrink_evals\":{}}}",
                 k.wave,
                 k.index,
                 k.faults,
-                escape(&k.detail),
+                quote(&k.detail),
                 minimal,
                 k.shrink_evals
             )
@@ -595,7 +561,7 @@ fn report_json(
                         strands.join(",")
                     )
                 }
-                Err(msg) => format!("{{\"stalled\":false,\"reason\":\"{}\"}}", escape(msg)),
+                Err(msg) => format!("{{\"stalled\":false,\"reason\":{}}}", quote(msg)),
             };
             format!(
                 "{{\"target\":\"{}\",\"witness_len\":{},\"routes\":{},\"outcome\":{}}}",
@@ -605,7 +571,7 @@ fn report_json(
     };
     format!(
         "{{\"fabric\":{{\"n\":{},\"m\":{},\"r\":{}}},\"property\":\"{}\",\"mode\":\"random\",\
-         \"baseline_holds\":{},\"baseline_detail\":\"{}\",\"seed\":{},\"waves\":{},\
+         \"baseline_holds\":{},\"baseline_detail\":{},\"seed\":{},\"waves\":{},\
          \"wave_size\":{},\"links_per_set\":{},\"switches_per_set\":{},\"shrink\":{},\
          \"sets_evaluated\":{},\"killers\":[{}],\"criticality\":{{\"minimal_killers\":{},\
          \"links\":[{}],\"switches\":[{}]}},\"confirm\":{}}}",
@@ -614,7 +580,7 @@ fn report_json(
         ft.r(),
         report.property,
         baseline.holds,
-        escape(&baseline.detail),
+        quote(&baseline.detail),
         cfg.seed,
         report.waves_done,
         cfg.wave_size,
@@ -628,11 +594,6 @@ fn report_json(
         crit_switches.join(","),
         confirm_json
     )
-}
-
-/// Escape a detail string for embedding in hand-rolled JSON.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 //! exponential MTBF/MTTR, replay the trace through the exact availability
 //! checker, and simulate packet flow under the chosen re-planning mode.
 
-use super::common::build_ftree;
+use super::common::{build_ftree, core_events, fabric};
 use crate::opts::{CliError, Opts};
-use ftclos_core::churn::{availability, min_m_for_availability, ChurnEvent};
+use ftclos_core::churn::{availability, min_m_for_availability};
 use ftclos_obs::{Recorder as _, Registry};
 use ftclos_routing::{ObliviousMultipath, SpreadPolicy};
 use ftclos_sim::{
@@ -34,15 +34,6 @@ fn parse_mode(spec: &str) -> Result<ReplanMode, CliError> {
     )))
 }
 
-/// Convert the simulator's schedule into the analyzer's event list.
-fn to_core_events(schedule: &ChurnSchedule) -> Vec<ChurnEvent> {
-    schedule
-        .sorted_events()
-        .iter()
-        .map(|e| ChurnEvent::new(e.cycle, e.channel, e.transition))
-        .collect()
-}
-
 /// Run the command.
 pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let ft = build_ftree(opts)?;
@@ -64,18 +55,16 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "churn on ftree({}+{}, {}): {} flapping link(s), mtbf {mtbf} / mttr {mttr}, \
+        "churn on {}: {} flapping link(s), mtbf {mtbf} / mttr {mttr}, \
          {} transition(s) over {cycles} cycles (seed {seed})",
-        ft.n(),
-        ft.m(),
-        ft.r(),
+        fabric(&ft),
         links,
         schedule.len()
     );
 
     // Flow-level availability: replay the trace through the exact checker.
     let avail_span = rec.span("churn.availability");
-    let events = to_core_events(&schedule);
+    let events = core_events(&schedule);
     let report = availability(&ft, &events, cycles, samples, seed)
         .map_err(|e| CliError::Failed(e.to_string()))?;
     drop(avail_span);
@@ -153,7 +142,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             .map_err(|_| CliError::Usage(format!("--target got invalid value `{raw}`")))?;
         let max_m: usize = opts.flag_or("max-m", ft.m().max(ft.n() * ft.n()))?;
         let trace = |f: &Ftree| {
-            to_core_events(&ChurnSchedule::flapping_links(
+            core_events(&ChurnSchedule::flapping_links(
                 f.topology(),
                 links,
                 mtbf,

@@ -16,23 +16,25 @@
 //! `--churn-links`, every distinct fault epoch of the flap schedule is
 //! replayed as a repaired-vs-dmodk comparison.
 
-use super::common::{build_ftree, make_pattern};
+use super::common::{
+    build_ftree, churn_epochs, fabric, make_pattern, FaultFlags, RouterName, SinglePath,
+};
 use crate::opts::{CliError, Opts};
-use ftclos_core::cdg::unique_churn_fault_sets;
-use ftclos_core::churn::ChurnEvent;
 use ftclos_core::ContentionScratch;
 use ftclos_flowsim::{solve_pattern_with, standard_suite};
+use ftclos_obs::json::quote;
 use ftclos_obs::Registry;
 use ftclos_routing::{
     route_all, CongestionConfig, CongestionMode, DModK, FaultAware, FtreeCandidates, LinkLoadView,
     MaskedAdaptive, MaskedMultipath, MinCongestion, NonblockingAdaptive, ObliviousMultipath,
-    PatternRouter, PlanStrategy, RouteAssignment, SModK, SpreadPolicy, YuanDeterministic,
+    PatternRouter, PlanStrategy, RouteAssignment, SpreadPolicy,
 };
-use ftclos_topo::{ChannelCapacities, ChannelId, FaultSet, FaultyView, Ftree};
+use ftclos_topo::{ChannelCapacities, ChannelId, FaultyView, Ftree};
 use ftclos_traffic::Permutation;
 use std::fmt::Write as _;
 
 /// One head-to-head line: a router's placement of one pattern.
+#[derive(Default)]
 struct Row {
     router: String,
     /// Exact unsplittable max link load (single-path placements).
@@ -53,12 +55,8 @@ impl Row {
     fn unroutable(router: &str, err: String) -> Self {
         Self {
             router: router.to_string(),
-            max_load: None,
-            expected: None,
-            witness: None,
-            worst_rate: None,
-            moves_rounds: None,
             err: Some(err),
+            ..Self::default()
         }
     }
 }
@@ -78,19 +76,9 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     };
     let seed: u64 = opts.flag_or("seed", 0)?;
     let trials: u32 = opts.flag_or("trials", 4)?;
-    let fail_tops: usize = opts.flag_or("fail-tops", 0)?;
-    let fail_links: usize = opts.flag_or("fail-links", 0)?;
-    let churn_links: usize = opts.flag_or("churn-links", 0)?;
-    let mtbf: u64 = opts.flag_or("mtbf", 400)?;
-    let mttr: u64 = opts.flag_or("mttr", 100)?;
-    let churn_cycles: u64 = opts.flag_or("churn-cycles", 2000)?;
+    let faults = FaultFlags::parse(opts, &ft, 0)?;
+    let churn = churn_epochs(opts, &ft)?;
     let json: bool = opts.flag_or("json", false)?;
-    if fail_tops > ft.m() {
-        return Err(CliError::Usage(format!(
-            "--fail-tops {fail_tops} exceeds the {} top switches",
-            ft.m()
-        )));
-    }
     let config = CongestionConfig {
         mode,
         seed,
@@ -105,15 +93,8 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     };
     let caps = ChannelCapacities::unit(ft.topology());
 
-    let faulted = fail_tops > 0 || fail_links > 0;
-    let mut faults = FaultSet::new();
-    for t in 0..fail_tops {
-        faults.fail_switch(ft.top(t));
-    }
-    if fail_links > 0 {
-        faults.merge(&FaultSet::random_links(ft.topology(), fail_links, seed));
-    }
-    let view = FaultyView::new(ft.topology(), &faults);
+    let faulted = faults.any();
+    let view = FaultyView::new(ft.topology(), &faults.set);
 
     let mut scratch = ContentionScratch::default();
     let mut pattern_tables: Vec<(String, usize, Vec<Row>)> = Vec::new();
@@ -134,33 +115,20 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
 
     // Churn epochs: repaired solver vs fault-aware d-mod-k on each distinct
     // surviving-hardware epoch of the flap schedule.
-    let mut churn_epochs: Vec<(usize, Row, Row)> = Vec::new();
+    let mut churned: Vec<(usize, Row, Row)> = Vec::new();
     let churn_pattern = opts.flag("pattern").unwrap_or("shift:1").to_string();
-    if churn_links > 0 {
+    if let Some(epochs) = churn {
         let perm = make_pattern(&churn_pattern, ports, seed)?;
-        let schedule = ftclos_sim::ChurnSchedule::flapping_links(
-            ft.topology(),
-            churn_links,
-            mtbf,
-            mttr,
-            churn_cycles,
-            seed,
-        );
-        let events: Vec<ChurnEvent> = schedule
-            .sorted_events()
-            .iter()
-            .map(|e| ChurnEvent::new(e.cycle, e.channel, e.transition))
-            .collect();
-        for fs in unique_churn_fault_sets(&events, churn_cycles) {
+        for fs in epochs {
             let epoch_view = FaultyView::new(ft.topology(), &fs);
             let dead = epoch_view.num_dead_channels();
             let cong = congestion_row(&ft, Some(&epoch_view), config, &perm, &mut scratch, rec);
             let dmodk =
                 match FaultAware::new(DModK::new(&ft), &epoch_view).route_pattern_checked(&perm) {
-                    Ok(a) => exact_row("dmodk", &a, None, &mut scratch),
-                    Err(e) => Row::unroutable("dmodk", e.to_string()),
+                    Ok(a) => exact_row(RouterName::DModK.as_str(), &a, None, &mut scratch),
+                    Err(e) => Row::unroutable(RouterName::DModK.as_str(), e.to_string()),
                 };
-            churn_epochs.push((dead, cong, dmodk));
+            churned.push((dead, cong, dmodk));
         }
     }
 
@@ -173,7 +141,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             view.num_dead_channels(),
             &pattern_tables,
             &churn_pattern,
-            &churn_epochs,
+            &churned,
         ));
     }
     render_text(
@@ -184,7 +152,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         view.num_dead_channels(),
         &pattern_tables,
         &churn_pattern,
-        &churn_epochs,
+        &churned,
     )
 }
 
@@ -205,55 +173,27 @@ fn head_to_head(
     let mut seeds: Vec<RouteAssignment> = Vec::new();
 
     // Single-path deterministic baselines.
-    match YuanDeterministic::new(ft) {
-        Err(e) => rows.push(Row::unroutable("yuan", e.to_string())),
-        Ok(yuan) => {
-            let (asg, rate) = if faulted {
-                let fa = FaultAware::new(yuan, view);
-                (
-                    fa.route_pattern_checked(perm).map_err(|e| e.to_string()),
-                    fluid_rate(&fa, pname, perm, caps, rec),
-                )
-            } else {
-                (
-                    route_all(&yuan, perm).map_err(|e| e.to_string()),
-                    fluid_rate(&yuan, pname, perm, caps, rec),
-                )
-            };
-            rows.push(finish_exact("yuan", asg, rate, scratch, &mut seeds));
-        }
-    }
-    {
-        let dmodk = DModK::new(ft);
+    for name in [RouterName::Yuan, RouterName::DModK, RouterName::SModK] {
+        let router = match SinglePath::new(ft, name) {
+            Err(e) => {
+                rows.push(Row::unroutable(name.as_str(), e.to_string()));
+                continue;
+            }
+            Ok(r) => r,
+        };
         let (asg, rate) = if faulted {
-            let fa = FaultAware::new(dmodk, view);
+            let fa = FaultAware::new(router, view);
             (
                 fa.route_pattern_checked(perm).map_err(|e| e.to_string()),
                 fluid_rate(&fa, pname, perm, caps, rec),
             )
         } else {
             (
-                route_all(&dmodk, perm).map_err(|e| e.to_string()),
-                fluid_rate(&dmodk, pname, perm, caps, rec),
+                route_all(&router, perm).map_err(|e| e.to_string()),
+                fluid_rate(&router, pname, perm, caps, rec),
             )
         };
-        rows.push(finish_exact("dmodk", asg, rate, scratch, &mut seeds));
-    }
-    {
-        let smodk = SModK::new(ft);
-        let (asg, rate) = if faulted {
-            let fa = FaultAware::new(smodk, view);
-            (
-                fa.route_pattern_checked(perm).map_err(|e| e.to_string()),
-                fluid_rate(&fa, pname, perm, caps, rec),
-            )
-        } else {
-            (
-                route_all(&smodk, perm).map_err(|e| e.to_string()),
-                fluid_rate(&smodk, pname, perm, caps, rec),
-            )
-        };
-        rows.push(finish_exact("smodk", asg, rate, scratch, &mut seeds));
+        rows.push(finish_exact(name.as_str(), asg, rate, scratch, &mut seeds));
     }
 
     // NONBLOCKINGADAPTIVE: exact on pristine fabrics, fractional flow-link
@@ -355,11 +295,9 @@ fn exact_row(
     Row {
         router: name.to_string(),
         max_load: Some(max_load),
-        expected: None,
         witness,
         worst_rate,
-        moves_rounds: None,
-        err: None,
+        ..Row::default()
     }
 }
 
@@ -408,12 +346,10 @@ fn flow_links_row<V: LinkLoadView + ?Sized>(
         .min();
     Row {
         router: name.to_string(),
-        max_load: None,
         expected: Some(max),
         witness: if max > 0.0 { witness } else { None },
         worst_rate: fluid_rate(view, pname, perm, caps, rec),
-        moves_rounds: None,
-        err: None,
+        ..Row::default()
     }
 }
 
@@ -445,10 +381,8 @@ fn render_text(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "min-congestion head-to-head: ftree({}+{}, {}), {} hosts, mode {}, seed {}{}",
-        ft.n(),
-        ft.m(),
-        ft.r(),
+        "min-congestion head-to-head: {}, {} hosts, mode {}, seed {}{}",
+        fabric(ft),
         ft.num_leaves(),
         config.mode.name(),
         seed,
@@ -556,7 +490,7 @@ fn render_json(
         ft.m(),
         ft.r(),
         ft.num_leaves(),
-        json_string(config.mode.name()),
+        quote(config.mode.name()),
     );
     for (i, (pname, flows, rows)) in tables.iter().enumerate() {
         if i > 0 {
@@ -565,7 +499,7 @@ fn render_json(
         let _ = write!(
             out,
             "{{\"pattern\":{},\"flows\":{flows},\"congestion_ok\":{},\"rows\":[",
-            json_string(pname),
+            quote(pname),
             table_verdict(rows)
         );
         for (j, row) in rows.iter().enumerate() {
@@ -581,7 +515,7 @@ fn render_json(
         let _ = write!(
             out,
             ",\"churn_pattern\":{},\"churn\":[",
-            json_string(churn_pattern)
+            quote(churn_pattern)
         );
         for (i, (dead, cong, dmodk)) in churn.iter().enumerate() {
             if i > 0 {
@@ -601,9 +535,9 @@ fn render_json(
 }
 
 fn row_json(row: &Row) -> String {
-    let mut out = format!("{{\"router\":{}", json_string(&row.router));
+    let mut out = format!("{{\"router\":{}", quote(&row.router));
     if let Some(e) = &row.err {
-        let _ = write!(out, ",\"error\":{}", json_string(e));
+        let _ = write!(out, ",\"error\":{}", quote(e));
         out.push('}');
         return out;
     }
@@ -623,25 +557,6 @@ fn row_json(row: &Row) -> String {
         let _ = write!(out, ",\"moves\":{m},\"rounds\":{r}");
     }
     out.push('}');
-    out
-}
-
-/// Minimal JSON string escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

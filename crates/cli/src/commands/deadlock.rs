@@ -19,18 +19,17 @@
 //! holds. A control run over the same pairs with up*/down* `dmodk` routes
 //! drains clean, isolating the cycle as the cause.
 
-use super::common::build_ftree;
+use super::common::RouterName::{self, Adaptive, All, DModK, Multipath, SModK, Valley, Yuan};
+use super::common::{build_ftree, churn_epochs, fabric, FaultFlags, SinglePath};
 use crate::opts::{CliError, Opts};
 use ftclos_core::cdg::{
     cdg_of_masked_router_with, cdg_of_multipath_with, cdg_of_router_with, deadlock_sweep_with,
-    unique_churn_fault_sets,
 };
-use ftclos_core::churn::ChurnEvent;
-use ftclos_core::{attribute_witness, CycleAnalysis, DeadlockVerdict, SweepEntry, ValleyRouter};
+use ftclos_core::{attribute_witness, CycleAnalysis, DeadlockVerdict, SweepEntry};
 use ftclos_obs::{Recorder as _, Registry};
-use ftclos_routing::{DModK, SModK, SinglePathRouter, YuanDeterministic};
+use ftclos_routing::{ObliviousMultipath, SinglePathRouter, SpreadPolicy};
 use ftclos_sim::{run_pinned_injection_recorded, PinnedRoute, WitnessRun};
-use ftclos_topo::{ChannelId, FaultSet, FaultyView, Ftree};
+use ftclos_topo::{ChannelId, FaultyView, Ftree};
 use ftclos_traffic::SdPair;
 use std::fmt::Write as _;
 
@@ -38,83 +37,39 @@ use std::fmt::Write as _;
 /// the closure shape `attribute_witness` consumes.
 type PathsOf<'a> = Box<dyn Fn(SdPair, &mut dyn FnMut(&[ChannelId])) + 'a>;
 
-/// Routers the deadlock analyzer accepts.
-pub const DEADLOCK_ROUTERS: &[&str] = &[
-    "yuan",
-    "dmodk",
-    "smodk",
-    "multipath",
-    "adaptive",
-    "valley",
-    "all",
-];
+/// The routers `--router` takes, default first.
+pub(crate) const ROSTER: &[RouterName] = &[All, Yuan, DModK, SModK, Multipath, Adaptive, Valley];
 
 /// Run the command.
 pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let ft = build_ftree(opts)?;
-    let router: String = opts.flag_or("router", "all".to_string())?;
-    let fail_tops: usize = opts.flag_or("fail-tops", 0)?;
-    let fail_links: usize = opts.flag_or("fail-links", 0)?;
+    let router = RouterName::flag(opts, ROSTER)?;
+    let faults = FaultFlags::parse(opts, &ft, 0)?;
+    let churn = churn_epochs(opts, &ft)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
-    let churn_links: usize = opts.flag_or("churn-links", 0)?;
-    let mtbf: u64 = opts.flag_or("mtbf", 400)?;
-    let mttr: u64 = opts.flag_or("mttr", 100)?;
-    let churn_cycles: u64 = opts.flag_or("churn-cycles", 2_000)?;
     let inject: bool = opts.flag_or("inject", false)?;
     let inject_cycles: u64 = opts.flag_or("inject-cycles", 200)?;
     let queue_capacity: usize = opts.flag_or("queue-capacity", 2)?;
     let json: bool = opts.flag_or("json", false)?;
-    if fail_tops > ft.m() {
-        return Err(CliError::Usage(format!(
-            "--fail-tops {fail_tops} exceeds the {} top switches",
-            ft.m()
-        )));
-    }
-    if !DEADLOCK_ROUTERS.contains(&router.as_str()) {
-        return Err(CliError::Usage(format!(
-            "unknown router `{router}` (one of {DEADLOCK_ROUTERS:?})"
-        )));
-    }
-
-    let mut faults = FaultSet::new();
-    for t in 0..fail_tops {
-        faults.fail_switch(ft.top(t));
-    }
-    if fail_links > 0 {
-        faults.merge(&FaultSet::random_links(ft.topology(), fail_links, seed));
-    }
-    let faulted = fail_tops > 0 || fail_links > 0;
-    let view = FaultyView::new(ft.topology(), &faults);
+    let faulted = faults.any();
+    let view = FaultyView::new(ft.topology(), &faults.set);
     let view_opt = faulted.then_some(&view);
 
-    let entries = analyze(&ft, &router, view_opt, rec)?;
+    let entries = analyze(&ft, router, view_opt, rec)?;
     rec.gauge(
         "deadlock.cyclic_routers",
         entries.iter().filter(|e| !e.analysis.is_free()).count() as u64,
     );
 
     // Churn: re-prove every distinct fault epoch of a flapping schedule.
-    let mut churn_epochs: Vec<(usize, Vec<SweepEntry>)> = Vec::new();
-    if churn_links > 0 {
+    let mut churned: Vec<(usize, Vec<SweepEntry>)> = Vec::new();
+    if let Some(epochs) = churn {
         let _s = rec.span("deadlock.churn");
-        let schedule = ftclos_sim::ChurnSchedule::flapping_links(
-            ft.topology(),
-            churn_links,
-            mtbf,
-            mttr,
-            churn_cycles,
-            seed,
-        );
-        let events: Vec<ChurnEvent> = schedule
-            .sorted_events()
-            .iter()
-            .map(|e| ChurnEvent::new(e.cycle, e.channel, e.transition))
-            .collect();
-        for fs in unique_churn_fault_sets(&events, churn_cycles) {
+        for fs in epochs {
             let epoch_view = FaultyView::new(ft.topology(), &fs);
             let dead = epoch_view.num_dead_channels();
-            let entries = analyze(&ft, &router, Some(&epoch_view), rec)?;
-            churn_epochs.push((dead, entries));
+            let entries = analyze(&ft, router, Some(&epoch_view), rec)?;
+            churned.push((dead, entries));
         }
     }
 
@@ -132,23 +87,20 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             unreachable!("cyclic entry has a witness");
         };
         let _s = rec.span("deadlock.inject");
-        let routes = witness_routes(&ft, cyclic.router, view_opt, witness);
+        let routes = witness_routes(&ft, cyclic.router.parse()?, view_opt, witness);
         if routes.is_empty() {
             return Err(CliError::Failed(
                 "witness attribution found no realizing routes".to_string(),
             ));
         }
-        let run = run_pinned_injection_recorded(
-            ft.topology(),
-            &routes,
-            inject_cycles,
-            queue_capacity,
-            seed,
-            rec,
-        )
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+        let replay = |routes: &[PinnedRoute]| {
+            let topo = ft.topology();
+            run_pinned_injection_recorded(topo, routes, inject_cycles, queue_capacity, seed, rec)
+                .map_err(|e| CliError::Failed(e.to_string()))
+        };
+        let run = replay(&routes)?;
         // Control: the same pairs along up*/down* dmodk routes must drain.
-        let dmodk = DModK::new(&ft);
+        let dmodk = SinglePath::new(&ft, DModK)?;
         let control_routes: Vec<PinnedRoute> = routes
             .iter()
             .map(|r| {
@@ -156,43 +108,23 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
                 PinnedRoute::new(r.src, r.dst, path.channels().to_vec())
             })
             .collect();
-        let control = run_pinned_injection_recorded(
-            ft.topology(),
-            &control_routes,
-            inject_cycles,
-            queue_capacity,
-            seed,
-            rec,
-        )
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+        let control = replay(&control_routes)?;
         injection = Some((cyclic.router, run, control));
     }
 
-    if json {
-        Ok(render_json(
-            &ft,
-            view.num_dead_channels(),
-            &entries,
-            &churn_epochs,
-            injection.as_ref(),
-        ))
+    let dead = view.num_dead_channels();
+    Ok(if json {
+        render_json(&ft, dead, &entries, &churned, injection.as_ref())
     } else {
-        Ok(render_text(
-            &ft,
-            faulted,
-            view.num_dead_channels(),
-            &entries,
-            &churn_epochs,
-            injection.as_ref(),
-        ))
-    }
+        render_text(&ft, faulted, dead, &entries, &churned, injection.as_ref())
+    })
 }
 
 /// Analyze one named router (or the whole sweep) against an optional fault
 /// overlay.
 fn analyze(
     ft: &Ftree,
-    router: &str,
+    router: RouterName,
     view: Option<&FaultyView>,
     rec: &Registry,
 ) -> Result<Vec<SweepEntry>, CliError> {
@@ -215,52 +147,39 @@ fn reject_broken_paths(entries: Vec<SweepEntry>) -> Result<Vec<SweepEntry>, CliE
 
 fn sweep(
     ft: &Ftree,
-    router: &str,
+    router: RouterName,
     view: Option<&FaultyView>,
     rec: &Registry,
 ) -> Result<Vec<SweepEntry>, CliError> {
-    let topo = ft.topology();
-    let single = |name: &'static str, r: &(dyn SinglePathRouter + Sync)| -> Vec<SweepEntry> {
+    let single = |name: RouterName| -> Result<SweepEntry, CliError> {
+        let r = SinglePath::new(ft, name)?;
         let g = match view {
-            None => cdg_of_router_with(topo, r, rec),
-            Some(v) => cdg_of_masked_router_with(r, v, rec),
+            None => cdg_of_router_with(ft.topology(), &r, rec),
+            Some(v) => cdg_of_masked_router_with(&r, v, rec),
         };
-        vec![SweepEntry {
-            router: name,
+        Ok(SweepEntry {
+            router: name.as_str(),
             analysis: g.check_with(rec),
-        }]
+        })
     };
     match router {
-        "all" => {
+        All => {
             // The full roster, plus the valley counterexample so default
             // output demonstrates both verdict shapes.
             let mut entries = deadlock_sweep_with(ft, view, rec);
-            entries.extend(single("valley", &ValleyRouter::new(ft)));
+            entries.push(single(Valley)?);
             Ok(entries)
         }
-        "yuan" => {
-            let r = YuanDeterministic::new(ft).map_err(|e| CliError::Failed(e.to_string()))?;
-            Ok(single("yuan", &r))
-        }
-        "dmodk" => Ok(single("dmodk", &DModK::new(ft))),
-        "smodk" => Ok(single("smodk", &SModK::new(ft))),
-        "valley" => Ok(single("valley", &ValleyRouter::new(ft))),
-        "multipath" | "adaptive" => {
+        Multipath | Adaptive => {
             // The adaptive candidate set equals the multipath branch union
             // (a sound over-approximation of every materializable plan).
             let g = cdg_of_multipath_with(ft, view, rec);
             Ok(vec![SweepEntry {
-                router: if router == "multipath" {
-                    "multipath"
-                } else {
-                    "adaptive"
-                },
+                router: router.as_str(),
                 analysis: g.check_with(rec),
             }])
         }
-        other => Err(CliError::Usage(format!(
-            "unknown router `{other}` (one of {DEADLOCK_ROUTERS:?})"
-        ))),
+        _ => Ok(vec![single(router)?]),
     }
 }
 
@@ -273,23 +192,17 @@ fn sweep(
 /// leaves most sources idle after per-source deduplication).
 pub(crate) fn witness_routes(
     ft: &Ftree,
-    router: &str,
+    router: RouterName,
     view: Option<&FaultyView>,
     witness: &[ChannelId],
 ) -> Vec<PinnedRoute> {
     let alive = |path: &[ChannelId]| view.is_none_or(|v| v.path_alive(path).is_ok());
-    let yuan;
-    let dmodk;
-    let smodk;
-    let valley;
+    let single;
     let mp;
     let ports;
     let paths_of: PathsOf<'_> = match router {
-        "multipath" | "adaptive" => {
-            mp = ftclos_routing::ObliviousMultipath::new(
-                ft,
-                ftclos_routing::SpreadPolicy::RoundRobin,
-            );
+        Multipath | Adaptive => {
+            mp = ObliviousMultipath::new(ft, SpreadPolicy::RoundRobin);
             ports = mp.ports();
             Box::new(move |pair, emit| {
                 let mut branches = mp.paths(pair);
@@ -301,29 +214,13 @@ pub(crate) fn witness_routes(
                 }
             })
         }
-        name => {
-            let r: &dyn SinglePathRouter = match name {
-                "yuan" => match YuanDeterministic::new(ft) {
-                    Ok(v) => {
-                        yuan = v;
-                        &yuan
-                    }
-                    Err(_) => return Vec::new(),
-                },
-                "dmodk" => {
-                    dmodk = DModK::new(ft);
-                    &dmodk
-                }
-                "smodk" => {
-                    smodk = SModK::new(ft);
-                    &smodk
-                }
-                _ => {
-                    valley = ValleyRouter::new(ft);
-                    &valley
-                }
+        _ => {
+            let Ok(r) = SinglePath::new(ft, router) else {
+                return Vec::new();
             };
-            ports = r.ports();
+            single = r;
+            ports = single.ports();
+            let r = &single;
             Box::new(move |pair, emit| {
                 let p = r.route(pair);
                 if !p.channels().is_empty() && alive(p.channels()) {
@@ -384,6 +281,14 @@ fn describe(analysis: &CycleAnalysis) -> String {
     }
 }
 
+fn conservation(run: &WitnessRun) -> &'static str {
+    if run.conservation_ok() {
+        "OK"
+    } else {
+        "BROKEN"
+    }
+}
+
 fn render_text(
     ft: &Ftree,
     faulted: bool,
@@ -395,10 +300,8 @@ fn render_text(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "deadlock analysis on ftree({}+{}, {}): {}",
-        ft.n(),
-        ft.m(),
-        ft.r(),
+        "deadlock analysis on {}: {}",
+        fabric(ft),
         if faulted {
             format!("{dead} dead channel(s)")
         } else {
@@ -437,11 +340,7 @@ fn render_text(
                     s.leftover_packets,
                     s.injected_total,
                     s.delivered_total,
-                    if run.conservation_ok() {
-                        "OK"
-                    } else {
-                        "BROKEN"
-                    }
+                    conservation(run)
                 )
             } else {
                 format!(
@@ -461,11 +360,7 @@ fn render_text(
                     "drained clean ({} delivered of {} injected, conservation {})",
                     c.delivered_total,
                     c.injected_total,
-                    if control.conservation_ok() {
-                        "OK"
-                    } else {
-                        "BROKEN"
-                    }
+                    conservation(control)
                 )
             }
         );
@@ -639,7 +534,7 @@ mod tests {
     fn broken_paths_are_a_typed_failure_not_a_free_verdict() {
         let reg = Registry::new();
         let ft = build_ftree(&argv("2 4 3")).unwrap();
-        let mut entries = sweep(&ft, "dmodk", None, &reg).unwrap();
+        let mut entries = sweep(&ft, DModK, None, &reg).unwrap();
         assert!(entries[0].analysis.is_free());
         assert_eq!(reject_broken_paths(entries.clone()).unwrap(), entries);
         entries[0].analysis.bad_hops = 3;

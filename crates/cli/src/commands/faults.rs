@@ -13,7 +13,7 @@
 //!   simultaneous top-switch failures leave the adaptive routing
 //!   contention-free.
 
-use super::common::{build_ftree, make_pattern};
+use super::common::{build_ftree, fabric, make_pattern, FaultFlags};
 use crate::opts::{CliError, Opts};
 use ftclos_core::{
     adaptive_degraded_verdict, deterministic_degradation, max_survivable_top_failures,
@@ -21,42 +21,25 @@ use ftclos_core::{
 };
 use ftclos_obs::{Recorder as _, Registry};
 use ftclos_routing::{ObliviousMultipath, SpreadPolicy, YuanDeterministic};
-use ftclos_topo::{FaultSet, FaultyView};
+use ftclos_topo::FaultyView;
 use std::fmt::Write as _;
 
 /// Run the command.
 pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let ft = build_ftree(opts)?;
-    let fail_tops: usize = opts.flag_or("fail-tops", 1)?;
-    let fail_links: usize = opts.flag_or("fail-links", 0)?;
+    let faults = FaultFlags::parse(opts, &ft, 1)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
     let samples: usize = opts.flag_or("samples", 50)?;
     let max_k: usize = opts.flag_or("max-k", 2)?;
-    if fail_tops > ft.m() {
-        return Err(CliError::Usage(format!(
-            "--fail-tops {fail_tops} exceeds the {} top switches",
-            ft.m()
-        )));
-    }
-
-    let mut faults = FaultSet::new();
-    for t in 0..fail_tops {
-        faults.fail_switch(ft.top(t));
-    }
-    if fail_links > 0 {
-        faults.merge(&FaultSet::random_links(ft.topology(), fail_links, seed));
-    }
-    let view = FaultyView::new(ft.topology(), &faults);
+    let view = FaultyView::new(ft.topology(), &faults.set);
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "ftree({}+{}, {}): failed {} top switch(es), {} random link(s) -> {} dead channel(s)",
-        ft.n(),
-        ft.m(),
-        ft.r(),
-        fail_tops,
-        fail_links,
+        "{}: failed {} top switch(es), {} random link(s) -> {} dead channel(s)",
+        fabric(&ft),
+        faults.tops,
+        faults.links,
         view.num_dead_channels()
     );
 

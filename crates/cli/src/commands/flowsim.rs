@@ -8,44 +8,45 @@
 //! bench writes). `--fail-tops` / `--fail-links` solve on the surviving
 //! hardware via the fault-masked routing variants.
 
-use super::common::{build_ftree, make_pattern};
+use super::common::RouterName::{
+    self, Adaptive, DModK, Greedy, Multipath, Rearrangeable, SModK, Yuan,
+};
+use super::common::{build_ftree, fabric, make_pattern, FaultFlags, SinglePath};
 use crate::opts::{CliError, Opts};
 use ftclos_flowsim::{standard_suite, sweep_patterns_with, FluidReport};
+use ftclos_obs::json::quote;
 use ftclos_obs::Registry;
 use ftclos_routing::{
-    DModK, FaultAware, LinkLoadView, MaskedAdaptive, MaskedMultipath, NonblockingAdaptive,
-    ObliviousMultipath, PlanStrategy, SModK, SpreadPolicy, YuanDeterministic,
+    FaultAware, GreedyLocalAdaptive, LinkLoadView, MaskedAdaptive, MaskedMultipath,
+    NonblockingAdaptive, ObliviousMultipath, PlanStrategy, RearrangeableRouter, RoutingError,
+    SpreadPolicy,
 };
-use ftclos_topo::{ChannelCapacities, FaultSet, FaultyView, Ftree};
+use ftclos_topo::{ChannelCapacities, FaultyView, Ftree};
 use ftclos_traffic::Permutation;
 use std::fmt::Write as _;
 
-/// Router names `ftclos flowsim` accepts (`greedy`/`rearrangeable` have no
-/// fault-masked variant, so they are healthy-fabric only).
-pub const FLOWSIM_ROUTERS: &[&str] = &[
-    "yuan",
-    "dmodk",
-    "smodk",
-    "adaptive",
-    "multipath",
-    "greedy",
-    "rearrangeable",
+/// The routers `--router` takes, default first (`greedy`/`rearrangeable`
+/// have no fault-masked variant, so they are healthy-fabric only).
+pub(crate) const ROSTER: &[RouterName] = &[
+    Yuan,
+    DModK,
+    SModK,
+    Adaptive,
+    Multipath,
+    Greedy,
+    Rearrangeable,
 ];
+
+/// One pattern's outcome: its report, or why it could not be routed.
+type Outcome = (String, Result<FluidReport, String>);
 
 /// Run the command.
 pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let ft = build_ftree(opts)?;
-    let router: String = opts.flag_or("router", "yuan".to_string())?;
+    let router = RouterName::flag(opts, ROSTER)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
-    let fail_tops: usize = opts.flag_or("fail-tops", 0)?;
-    let fail_links: usize = opts.flag_or("fail-links", 0)?;
+    let faults = FaultFlags::parse(opts, &ft, 0)?;
     let json: bool = opts.flag_or("json", false)?;
-    if fail_tops > ft.m() {
-        return Err(CliError::Usage(format!(
-            "--fail-tops {fail_tops} exceeds the {} top switches",
-            ft.m()
-        )));
-    }
 
     let ports = ft.num_leaves() as u32;
     let suite: Vec<(String, Permutation)> = match opts.flag("pattern") {
@@ -53,157 +54,72 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         None => standard_suite(ports),
     };
     let caps = ChannelCapacities::unit(ft.topology());
+    let faulted = faults.any();
+    let view = FaultyView::new(ft.topology(), &faults.set);
 
-    let faulted = fail_tops > 0 || fail_links > 0;
-    let mut faults = FaultSet::new();
-    for t in 0..fail_tops {
-        faults.fail_switch(ft.top(t));
-    }
-    if fail_links > 0 {
-        faults.merge(&FaultSet::random_links(ft.topology(), fail_links, seed));
-    }
-    let view = FaultyView::new(ft.topology(), &faults);
-
-    let fail = |e: ftclos_routing::RoutingError| CliError::Failed(e.to_string());
-    let reports = match (router.as_str(), faulted) {
-        ("yuan", false) => solve(
-            &YuanDeterministic::new(&ft).map_err(fail)?,
-            &suite,
-            &caps,
-            rec,
-        ),
-        ("yuan", true) => solve(
-            &FaultAware::new(YuanDeterministic::new(&ft).map_err(fail)?, &view),
-            &suite,
-            &caps,
-            rec,
-        ),
-        ("dmodk", false) => solve(&DModK::new(&ft), &suite, &caps, rec),
-        ("dmodk", true) => solve(&FaultAware::new(DModK::new(&ft), &view), &suite, &caps, rec),
-        ("smodk", false) => solve(&SModK::new(&ft), &suite, &caps, rec),
-        ("smodk", true) => solve(&FaultAware::new(SModK::new(&ft), &view), &suite, &caps, rec),
-        ("multipath", false) => solve(
-            &ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin),
-            &suite,
-            &caps,
-            rec,
-        ),
-        ("multipath", true) => solve(
-            &MaskedMultipath::new(
-                ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin),
+    // Sweep the suite through one scheme; routing failures become
+    // per-pattern error strings rather than sinking the whole command.
+    let solve = |scheme: &(dyn LinkLoadView + Sync)| -> Vec<Outcome> {
+        let results = sweep_patterns_with(scheme, &suite, &caps, rec);
+        let names = suite.iter().map(|(name, _)| name.clone());
+        names
+            .zip(results.into_iter().map(|r| r.map_err(|e| e.to_string())))
+            .collect()
+    };
+    let fail = |e: RoutingError| CliError::Failed(e.to_string());
+    let multipath = || ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
+    let reports = match (router, faulted) {
+        (Multipath, false) => solve(&multipath()),
+        (Multipath, true) => solve(&MaskedMultipath::new(multipath(), &view)),
+        (Adaptive, false) => solve(&NonblockingAdaptive::new(&ft).map_err(fail)?),
+        (Adaptive, true) => {
+            let ad = NonblockingAdaptive::new(&ft).map_err(fail)?;
+            solve(&MaskedAdaptive::new(
+                &ad,
                 &view,
-            ),
-            &suite,
-            &caps,
-            rec,
-        ),
-        ("adaptive", false) => {
-            let ad = NonblockingAdaptive::new(&ft).map_err(fail)?;
-            solve(&ad, &suite, &caps, rec)
+                PlanStrategy::GreedyLargestSubset,
+            ))
         }
-        ("adaptive", true) => {
-            let ad = NonblockingAdaptive::new(&ft).map_err(fail)?;
-            solve(
-                &MaskedAdaptive::new(&ad, &view, PlanStrategy::GreedyLargestSubset),
-                &suite,
-                &caps,
-                rec,
-            )
-        }
-        ("greedy", false) => solve(
-            &ftclos_routing::GreedyLocalAdaptive::new(&ft),
-            &suite,
-            &caps,
-            rec,
-        ),
-        ("rearrangeable", false) => solve(
-            &ftclos_routing::RearrangeableRouter::new(&ft).map_err(fail)?,
-            &suite,
-            &caps,
-            rec,
-        ),
-        ("greedy" | "rearrangeable", true) => {
+        (Greedy, false) => solve(&GreedyLocalAdaptive::new(&ft)),
+        (Rearrangeable, false) => solve(&RearrangeableRouter::new(&ft).map_err(fail)?),
+        (Greedy | Rearrangeable, true) => {
             return Err(CliError::Usage(format!(
                 "router `{router}` has no fault-masked variant (drop --fail-tops/--fail-links)"
             )))
         }
-        (other, _) => {
-            return Err(CliError::Usage(format!(
-                "unknown router `{other}` (one of {FLOWSIM_ROUTERS:?})"
-            )))
-        }
+        (_, false) => solve(&SinglePath::new(&ft, router)?),
+        (_, true) => solve(&FaultAware::new(SinglePath::new(&ft, router)?, &view)),
     };
 
     if json {
         return Ok(render_json(&reports));
     }
-    render_text(&ft, &router, faulted, view.num_dead_channels(), &reports)
+    render_text(&ft, router, faulted, view.num_dead_channels(), &reports)
 }
 
-/// Sweep the suite through one view; routing failures become per-pattern
-/// error strings rather than sinking the whole command.
-fn solve<V: LinkLoadView + Sync + ?Sized>(
-    view: &V,
-    suite: &[(String, Permutation)],
-    caps: &ChannelCapacities,
-    rec: &Registry,
-) -> Vec<(String, Result<FluidReport, String>)> {
-    sweep_patterns_with(view, suite, caps, rec)
-        .into_iter()
-        .zip(suite)
-        .map(|(res, (name, _))| (name.clone(), res.map_err(|e| e.to_string())))
-        .collect()
-}
-
-fn render_json(reports: &[(String, Result<FluidReport, String>)]) -> String {
+fn render_json(reports: &[Outcome]) -> String {
     let items: Vec<String> = reports
         .iter()
         .map(|(name, res)| match res {
             Ok(r) => r.to_json(),
-            Err(e) => format!(
-                "{{\"pattern\":{},\"error\":{}}}",
-                json_string(name),
-                json_string(e)
-            ),
+            Err(e) => format!("{{\"pattern\":{},\"error\":{}}}", quote(name), quote(e)),
         })
         .collect();
     format!("[{}]", items.join(","))
 }
 
-/// Minimal JSON string escaping for the error branch (reports escape their
-/// own fields).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn render_text(
     ft: &Ftree,
-    router: &str,
+    router: RouterName,
     faulted: bool,
     dead_channels: usize,
-    reports: &[(String, Result<FluidReport, String>)],
+    reports: &[Outcome],
 ) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "fluid flow-rate simulation: ftree({}+{}, {}), {} hosts, router {}{}",
-        ft.n(),
-        ft.m(),
-        ft.r(),
+        "fluid flow-rate simulation: {}, {} hosts, router {}{}",
+        fabric(ft),
         ft.num_leaves(),
         router,
         if faulted {

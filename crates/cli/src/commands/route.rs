@@ -1,16 +1,20 @@
 //! `ftclos route <n> <m> <r> [--router R] [--pattern P] [--seed S]` —
 //! route one pattern and report link loads.
 
-use super::common::{build_ftree, make_pattern, route_named};
+use super::common::RouterName::{self, Adaptive, DModK, Greedy, Rearrangeable, SModK, Yuan};
+use super::common::{build_ftree, fabric, make_pattern, route_named};
 use crate::opts::{CliError, Opts};
 use ftclos_core::flow;
 use ftclos_obs::{Recorder as _, Registry};
 use std::fmt::Write as _;
 
+/// The routers `--router` takes, default first.
+pub(crate) const ROSTER: &[RouterName] = &[Yuan, DModK, SModK, Adaptive, Greedy, Rearrangeable];
+
 /// Run the command.
 pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let ft = build_ftree(opts)?;
-    let router = opts.flag("router").unwrap_or("yuan");
+    let router = RouterName::flag(opts, ROSTER)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
     let spec = opts.flag("pattern").unwrap_or("random");
     let perm = make_pattern(spec, ft.num_leaves() as u32, seed)?;
@@ -23,11 +27,9 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "routed {} SD pairs of `{spec}` on ftree({}+{}, {}) with `{router}`:",
+        "routed {} SD pairs of `{spec}` on {} with `{router}`:",
         assignment.len(),
-        ft.n(),
-        ft.m(),
-        ft.r()
+        fabric(&ft)
     );
     let _ = writeln!(
         out,

@@ -8,11 +8,11 @@
 //! `--fail-uplinks K` kills the links through the first `K` uplinks of
 //! edge switch 0 at cycle `--fail-at` (default: half the warmed-up run).
 
-use super::common::{build_ftree, make_pattern, route_named};
+use super::common::RouterName::{self, DModK, SModK, Yuan};
+use super::common::{build_ftree, fabric, make_pattern, route_named, SinglePath};
 use crate::opts::{CliError, Opts};
 use ftclos_evsim::EventSimulator;
 use ftclos_obs::{Recorder, Registry};
-use ftclos_routing::{DModK, SModK, YuanDeterministic};
 use ftclos_sim::{Arbiter, FaultSchedule, Policy, SimConfig, SimStats, Simulator, Workload};
 use ftclos_topo::Ftree;
 use std::fmt::Write as _;
@@ -34,6 +34,9 @@ fn parse_arbiter(spec: &str) -> Result<Arbiter, CliError> {
         "unknown arbiter `{spec}` (hol | islip | islip:<k>)"
     )))
 }
+
+/// The routers `--router` takes, default first: `route`'s.
+pub(crate) const ROSTER: &[RouterName] = super::route::ROSTER;
 
 /// Which simulator core executes the run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,7 +60,7 @@ fn parse_engine(spec: &str) -> Result<Engine, CliError> {
 /// Run the command.
 pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let ft = build_ftree(opts)?;
-    let router = opts.flag("router").unwrap_or("yuan");
+    let router = RouterName::flag(opts, ROSTER)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
     let rate: f64 = opts.flag_or("rate", 1.0)?;
     let cycles: u64 = opts.flag_or("cycles", 2_000)?;
@@ -86,12 +89,8 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let policy = {
         let _s = rec.span("policy.build");
         match router {
-            "yuan" => Policy::from_single_path(
-                &YuanDeterministic::new(&ft).map_err(|e| CliError::Failed(e.to_string()))?,
-            ),
-            "dmodk" => Policy::from_single_path(&DModK::new(&ft)),
-            "smodk" => Policy::from_single_path(&SModK::new(&ft)),
-            other => Policy::from_assignment(&route_named(&ft, other, &perm)?),
+            Yuan | DModK | SModK => Policy::from_single_path(&SinglePath::new(&ft, router)?),
+            _ => Policy::from_assignment(&route_named(&ft, router, &perm)?),
         }
     };
     rec.add("policy.routes", policy.routes() as u64);
@@ -131,10 +130,8 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     };
     let _ = writeln!(
         out,
-        "simulated `{spec}` at rate {rate} on ftree({}+{}, {}) with `{router}` ({arbiter:?}{engine_tag}):",
-        ft.n(),
-        ft.m(),
-        ft.r()
+        "simulated `{spec}` at rate {rate} on {} with `{router}` ({arbiter:?}{engine_tag}):",
+        fabric(&ft)
     );
     if fail_uplinks > 0 {
         let _ = writeln!(
@@ -173,7 +170,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     ft: &Ftree,
-    router: &str,
+    router: RouterName,
     pattern: &str,
     rate: f64,
     engine: Engine,

@@ -1,16 +1,23 @@
 //! `ftclos verify <n> <m> <r> [--router R]` — complete Lemma 1 audit.
 
-use super::common::build_ftree;
+use super::common::RouterName::{self, DModK, SModK, Yuan};
+use super::common::{build_ftree, fabric, SinglePath};
 use crate::opts::{CliError, Opts};
 use ftclos_core::ContentionEngine;
 use ftclos_obs::Registry;
-use ftclos_routing::{DModK, SModK, SinglePathRouter, YuanDeterministic};
 use std::fmt::Write as _;
 
-fn audit_router<R: SinglePathRouter>(router: &R, rec: &Registry) -> Result<String, CliError> {
+/// The routers `--router` takes, default first: the deterministic ones.
+pub(crate) const ROSTER: &[RouterName] = &[Yuan, DModK, SModK];
+
+/// Run the command.
+pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
+    let ft = build_ftree(opts)?;
+    let name = RouterName::flag(opts, ROSTER)?;
+    let router = SinglePath::new(&ft, name)?;
     let engine =
-        ContentionEngine::new_with(router, rec).map_err(|e| CliError::Failed(e.to_string()))?;
-    let mut out = String::new();
+        ContentionEngine::new_with(&router, rec).map_err(|e| CliError::Failed(e.to_string()))?;
+    let mut out = format!("audit of {} under `{name}` routing:\n", fabric(&ft));
     match engine.lemma1_violation_with(rec) {
         None => {
             let _ = writeln!(
@@ -33,32 +40,6 @@ fn audit_router<R: SinglePathRouter>(router: &R, rec: &Registry) -> Result<Strin
         }
     }
     Ok(out)
-}
-
-/// Run the command.
-pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
-    let ft = build_ftree(opts)?;
-    let name = opts.flag("router").unwrap_or("yuan");
-    let body = match name {
-        "yuan" => {
-            let router =
-                YuanDeterministic::new(&ft).map_err(|e| CliError::Failed(e.to_string()))?;
-            audit_router(&router, rec)?
-        }
-        "dmodk" => audit_router(&DModK::new(&ft), rec)?,
-        "smodk" => audit_router(&SModK::new(&ft), rec)?,
-        other => {
-            return Err(CliError::Usage(format!(
-                "verify supports deterministic routers only (yuan|dmodk|smodk), got `{other}`"
-            )))
-        }
-    };
-    Ok(format!(
-        "audit of ftree({}+{}, {}) under `{name}` routing:\n{body}",
-        ft.n(),
-        ft.m(),
-        ft.r()
-    ))
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 
 use crate::flows::FlowSet;
 use crate::waterfill::FluidAllocation;
+use ftclos_obs::json::quote;
 use ftclos_sim::UtilizationHistogram;
 use serde::Serialize;
 use std::fmt;
@@ -84,8 +85,8 @@ impl FluidReport {
                 "\"max_demand_congestion\":{},\"max_link_load\":{},",
                 "\"rounds\":{},\"utilization\":{}}}"
             ),
-            json_string(&self.router),
-            json_string(&self.pattern),
+            quote(&self.router),
+            quote(&self.pattern),
             self.hosts,
             self.num_flows,
             self.num_link_entries,
@@ -131,25 +132,6 @@ impl fmt::Display for FluidReport {
             self.utilization.to_compact_string()
         )
     }
-}
-
-/// Escape a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Format a float as a JSON number (non-finite values become `null`).
@@ -230,8 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_and_floats() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    fn json_floats() {
         assert_eq!(json_f64(0.5), "0.5");
         assert_eq!(json_f64(1.0), "1.0");
         assert_eq!(json_f64(f64::NAN), "null");

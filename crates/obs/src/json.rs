@@ -105,7 +105,7 @@ impl Json {
                     let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
                 }
             }
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => out.push_str(&quote(s)),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -122,7 +122,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    out.push_str(&quote(k));
                     out.push(':');
                     v.write_into(out);
                 }
@@ -156,7 +156,10 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// `s` as a quoted JSON string literal: the workspace's one string escaper,
+/// used by every hand-rolled JSON writer (traces, reports, `ftclos --json`).
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -166,12 +169,13 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
+                let _ = fmt::Write::write_fmt(&mut out, format_args!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
         }
     }
     out.push('"');
+    out
 }
 
 struct Parser<'a> {
@@ -391,6 +395,28 @@ mod tests {
         assert_eq!(emitted, v2.write());
         // Key order preserved, not sorted.
         assert!(emitted.find("\"b\"").unwrap() < emitted.find("\"a\"").unwrap());
+    }
+
+    #[test]
+    fn quote_round_trips_escapes_controls_and_non_ascii() {
+        for s in [
+            "",
+            "plain",
+            "a\"b",
+            "back\\slash",
+            "line\nbreak",
+            "tab\there",
+        ] {
+            assert_eq!(
+                Json::parse(&quote(s)),
+                Ok(Json::Str(s.to_string())),
+                "{s:?}"
+            );
+        }
+        let s = "ctl\u{1} \r naïve → 𝄞 \"q\" \\ \n\t";
+        assert_eq!(Json::parse(&quote(s)), Ok(Json::Str(s.to_string())));
+        assert_eq!(quote("a\"b\\c\nd\te\u{1}"), r#""a\"b\\c\nd\te\u0001""#);
+        assert_eq!(quote("naïve"), "\"naïve\"", "non-ASCII passes through raw");
     }
 
     #[test]

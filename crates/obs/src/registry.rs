@@ -11,6 +11,7 @@
 //! order (spans, epochs), both of which are deterministic for seeded runs —
 //! the property the golden-file snapshot tests pin.
 
+use crate::json::quote;
 use crate::recorder::{Recorder, SpanGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -466,30 +467,10 @@ pub struct Snapshot {
     pub epochs: Vec<EpochSnapshot>,
 }
 
-/// Escape a string as a JSON string literal (same dialect as the flowsim
-/// reports).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_u64_map(pairs: &[(String, u64)]) -> String {
     let inner: Vec<String> = pairs
         .iter()
-        .map(|(n, v)| format!("{}:{v}", json_string(n)))
+        .map(|(n, v)| format!("{}:{v}", quote(n)))
         .collect();
     format!("{{{}}}", inner.join(","))
 }
@@ -528,8 +509,8 @@ impl Snapshot {
         out.push_str("  \"trace_version\": 1,\n");
         out.push_str(&format!(
             "  \"meta\": {{\"command\":{},\"args\":{}}},\n",
-            json_string(command),
-            json_string(args)
+            quote(command),
+            quote(args)
         ));
         out.push_str(&format!("  \"wall_ns\": {},\n", self.wall_ns));
         let spans: Vec<String> = self
@@ -538,7 +519,7 @@ impl Snapshot {
             .map(|s| {
                 format!(
                     "    {{\"path\":{},\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                    json_string(&s.path),
+                    quote(&s.path),
                     s.count,
                     s.total_ns,
                     s.self_ns
@@ -562,7 +543,7 @@ impl Snapshot {
                     .collect();
                 format!(
                     "    {}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-                    json_string(n),
+                    quote(n),
                     h.count,
                     h.sum,
                     h.min,
@@ -585,7 +566,7 @@ impl Snapshot {
             .map(|e| {
                 format!(
                     "    {{\"label\":{},\"counters\":{},\"gauges\":{}}}",
-                    json_string(&e.label),
+                    quote(&e.label),
                     json_u64_map(&e.counters),
                     json_u64_map(&e.gauges)
                 )

@@ -57,8 +57,8 @@ pub struct Packet {
 /// Untouched entries read as the default value; the first mutable access to
 /// an entry materializes its page (from the freelist when one is spare).
 /// Page *placement* depends on touch order, but every observation — `get`,
-/// [`PagedVec::iter_touched`], [`PagedVec::for_each_touched_mut`] — is in
-/// ascending index order, so behavior never depends on access history.
+/// [`PagedVec::iter_touched`] — is in ascending index order, so behavior
+/// never depends on access history.
 #[derive(Clone, Debug)]
 pub struct PagedVec<T> {
     len: usize,
@@ -147,25 +147,6 @@ impl<T: Clone> PagedVec<T> {
                     .enumerate()
                     .map(move |(j, v)| (base + j, v))
             })
-    }
-
-    /// Fallible in-place visit of every touched entry, ascending.
-    pub fn try_for_each_touched_mut<E>(
-        &mut self,
-        mut f: impl FnMut(usize, &mut T) -> Result<(), E>,
-    ) -> Result<(), E> {
-        for p in 0..self.dir.len() {
-            let slot = self.dir[p];
-            if slot == 0 {
-                continue;
-            }
-            let base = p << PAGE_SHIFT;
-            let take = PAGE_LEN.min(self.len - base);
-            for (j, v) in self.pages[slot as usize - 1][..take].iter_mut().enumerate() {
-                f(base + j, v)?;
-            }
-        }
-        Ok(())
     }
 
     /// Number of materialized pages.
@@ -460,26 +441,6 @@ mod tests {
         *v.get_mut(PAGE_LEN) = 1;
         assert_eq!(v.state_bytes(), bytes_before, "pages recycled, not grown");
         assert_eq!(*v.get(1), 0, "recycled page was wiped");
-    }
-
-    #[test]
-    fn try_for_each_touched_mut_visits_ascending_and_propagates_errors() {
-        let mut v: PagedVec<u32> = PagedVec::new(2 * PAGE_LEN, 0);
-        *v.get_mut(PAGE_LEN + 4) = 5;
-        *v.get_mut(1) = 6;
-        let mut seen = Vec::new();
-        v.try_for_each_touched_mut(|i, x| {
-            if *x != 0 {
-                seen.push(i);
-            }
-            *x = 0;
-            Ok::<(), ()>(())
-        })
-        .unwrap();
-        assert_eq!(seen, vec![1, PAGE_LEN + 4]);
-        assert!(v
-            .try_for_each_touched_mut(|i, _| if i == 3 { Err("boom") } else { Ok(()) })
-            .is_err());
     }
 
     #[test]

@@ -494,7 +494,7 @@ fn rayon_thread_counts_do_not_perturb_replay() {
 /// The memory regression gate: on a fabric where traffic touches a handful
 /// of channels, the arena must materialize O(touched) pages, not
 /// O(channels). A return to dense allocation fails here long before it
-/// OOMs coreperf.
+/// OOMs a million-host run (`scale-million`, E25).
 #[test]
 fn untouched_fabric_allocates_o_touched_pages() {
     // 16384 hosts, 65536 directed channels -> 128 pages per channel array

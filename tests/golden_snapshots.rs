@@ -280,6 +280,67 @@ fn campaign_random_json_is_stable() {
     );
 }
 
+/// Router paths no other snapshot pins: one line per dispatch site, each
+/// through a router other than the command's default.
+#[test]
+fn router_path_verify_dmodk_is_stable() {
+    assert_matches_golden(
+        "verify_dmodk_2_2_5.txt",
+        &cli("verify 2 2 5 --router dmodk"),
+    );
+}
+
+#[test]
+fn router_path_route_adaptive_is_stable() {
+    assert_matches_golden(
+        "route_adaptive_2_16_4.txt",
+        &cli("route 2 16 4 --router adaptive --pattern random --seed 1"),
+    );
+}
+
+#[test]
+fn router_path_blocking_smodk_is_stable() {
+    assert_matches_golden(
+        "blocking_smodk_2_2_5.txt",
+        &cli("blocking 2 2 5 --router smodk --samples 40"),
+    );
+}
+
+#[test]
+fn router_path_flowsim_dmodk_faulted_json_is_stable() {
+    assert_matches_golden(
+        "flowsim_dmodk_2_4_5_failtop.json",
+        &cli("flowsim 2 4 5 --router dmodk --fail-tops 1 --json"),
+    );
+}
+
+#[test]
+fn router_path_deadlock_adaptive_faulted_is_stable() {
+    assert_matches_golden(
+        "deadlock_adaptive_2_4_5_faulted.txt",
+        &cli("deadlock 2 4 5 --router adaptive --fail-links 2 --seed 3"),
+    );
+}
+
+#[test]
+fn router_path_campaign_deterministic_smodk_is_stable() {
+    assert_matches_golden(
+        "campaign_deterministic_smodk_2_4_5.txt",
+        &cli(
+            "campaign 2 4 5 --property deterministic --router smodk --mode exhaustive \
+             --k 1 --universe tops",
+        ),
+    );
+}
+
+#[test]
+fn router_path_simulate_adaptive_is_stable() {
+    assert_matches_golden(
+        "simulate_adaptive_2_16_4.txt",
+        &cli("simulate 2 16 4 --router adaptive --pattern shift:3 --cycles 200 --seed 1"),
+    );
+}
+
 /// The `--confirm` stall diagnosis: the valley router's baseline CDG cycle
 /// replayed in the simulator until the watchdog converts the wedge into a
 /// strand-graph report (who holds what, waiting on whom).
