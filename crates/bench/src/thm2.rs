@@ -26,7 +26,7 @@ pub fn e6(ctx: &mut Ctx) -> RowResult {
         for m in 1..n2 {
             let ft = Ftree::new(n, m, r)?;
             let (dmodk, smodk) = (DModK::new(&ft), SModK::new(&ft));
-            let routers: [(&str, &dyn SinglePathRouter); 2] =
+            let routers: [(&str, &(dyn SinglePathRouter + Sync)); 2] =
                 [("d-mod-k", &dmodk), ("s-mod-k", &smodk)];
             for (name, router) in routers {
                 let witness = find_blocking_two_pair(router);

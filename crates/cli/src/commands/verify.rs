@@ -3,7 +3,7 @@
 use super::common::RouterName::{self, DModK, SModK, Yuan};
 use super::common::{build_ftree, fabric, SinglePath};
 use crate::opts::{CliError, Opts};
-use ftclos_core::ContentionEngine;
+use ftclos_core::lemma1_audit_with;
 use ftclos_obs::Registry;
 use std::fmt::Write as _;
 
@@ -15,10 +15,9 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let ft = build_ftree(opts)?;
     let name = RouterName::flag(opts, ROSTER)?;
     let router = SinglePath::new(&ft, name)?;
-    let engine =
-        ContentionEngine::new_with(&router, rec).map_err(|e| CliError::Failed(e.to_string()))?;
+    let violation = lemma1_audit_with(&router, rec).map_err(|e| CliError::Failed(e.to_string()))?;
     let mut out = format!("audit of {} under `{name}` routing:\n", fabric(&ft));
-    match engine.lemma1_violation_with(rec) {
+    match violation {
         None => {
             let _ = writeln!(
                 out,
@@ -74,14 +73,19 @@ mod tests {
     }
 
     #[test]
-    fn audit_records_engine_spans() {
+    fn audit_records_sweep_spans() {
         let reg = Registry::new();
         run(&argv("2 4 5"), &reg).unwrap();
         let snap = reg.snapshot();
         let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
-        assert!(paths.contains(&"arena.build"), "{paths:?}");
-        assert!(paths.contains(&"engine.census"), "{paths:?}");
-        assert!(paths.contains(&"engine.scan"), "{paths:?}");
-        assert!(snap.counter("engine.channels_scanned").unwrap_or(0) > 0);
+        assert_eq!(paths, ["lemma1.sweep"], "clean audits need no witness pass");
+        assert_eq!(snap.counter("lemma1.paths"), Some(90));
+        assert_eq!(snap.gauge("par.threads"), Some(1));
+
+        let reg = Registry::new();
+        run(&argv("2 2 5 --router dmodk"), &reg).unwrap();
+        let snap = reg.snapshot();
+        let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["lemma1.sweep", "lemma1.witness"]);
     }
 }

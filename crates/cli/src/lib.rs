@@ -195,7 +195,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let reg = Registry::new();
     let out = {
         // One `cmd.<name>` root per trace; its children are the library
-        // phases (`arena.build`, `engine.census`, `flowsim.waterfill`, ...).
+        // phases (`lemma1.sweep`, `cdg.build`, `flowsim.waterfill`, ...).
         let _root = cmd.span.map(|s| reg.span(s));
         (cmd.run)(&opts, &reg)?
     };
@@ -354,7 +354,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"trace_version\": 1"), "{text}");
         assert!(text.contains("cmd.verify"), "{text}");
-        assert!(text.contains("arena.build"), "{text}");
+        assert!(text.contains("lemma1.sweep"), "{text}");
 
         let out = run(&argv(&format!("stats {}", path.display()))).unwrap();
         assert!(out.contains("cmd.verify"), "{out}");

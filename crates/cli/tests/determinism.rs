@@ -39,7 +39,7 @@ fn assert_thread_invariant(args: &[&str]) {
 }
 
 /// The `par.threads` gauge of the invocation's trace: how many threads its
-/// (last) CDG sweep ran on.
+/// (last) pair sweep ran on.
 fn par_threads_gauge(args: &[&str], threads: &str) -> u64 {
     let trace = std::env::temp_dir().join(format!(
         "ftclos_determinism_trace_{}_{threads}.json",
@@ -86,6 +86,35 @@ fn deadlock_sweeps_are_invariant_on_real_threads() {
         "--seed",
         "3",
     ]);
+}
+
+#[test]
+fn verify_sweep_stays_on_one_thread() {
+    // 512 ports, 261,632 SD pairs: large enough for the CDG sweep above to
+    // split eight ways, but the Lemma 1 census sweep runs on the calling
+    // thread at every RAYON_NUM_THREADS, and its verdict and witness do not
+    // move.
+    for router in ["yuan", "dmodk", "smodk"] {
+        let args = ["verify", "4", "16", "128", "--router", router];
+        for threads in ["1", "2", "8"] {
+            assert_eq!(
+                par_threads_gauge(&args, threads),
+                1,
+                "{router} at RAYON_NUM_THREADS={threads}"
+            );
+        }
+        assert_thread_invariant(&args);
+        let out = run_with_threads(&args, "1");
+        let blocked = match router {
+            "dmodk" => Some("link c1024"),
+            "smodk" => Some("link c1025"),
+            _ => None,
+        };
+        match blocked {
+            Some(link) => assert!(out.contains(link), "{router}: {out}"),
+            None => assert!(out.contains("NONBLOCKING"), "{router}: {out}"),
+        }
+    }
 }
 
 #[test]

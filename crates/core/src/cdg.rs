@@ -55,12 +55,12 @@ use ftclos_routing::{
 };
 use ftclos_topo::{ChannelId, FaultSet, FaultyView, Ftree, Topology, Transition};
 use ftclos_traffic::SdPair;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::churn::ChurnEvent;
+use crate::sweep::fold_sources;
 
 /// The topology-derived frame of a CDG: per-node channel lists sorted by
 /// id, per-channel endpoints, and the word layout of the successor bitmap.
@@ -593,9 +593,6 @@ impl ChannelDependencyGraph {
     }
 }
 
-/// Fewest SD pairs a thread of the all-pairs sweep routes.
-const MIN_PAIRS_PER_THREAD: usize = 1 << 15;
-
 /// One worker's handle on the shared dependency bitmap: records the
 /// consecutive channel pairs of each path it is given.
 struct DepSink<'a> {
@@ -665,11 +662,10 @@ where
     )
 }
 
-/// The sweep behind every extractor: sources are split into contiguous
-/// blocks, one per thread, and `paths_from(s, sink)` records every path that
-/// starts at source `s`. Contiguous, because a source's paths set bits in
-/// the rows of its own switch's uplinks: neighbouring sources on different
-/// cores would pass those rows back and forth.
+/// The sweep behind every extractor: [`fold_sources`] hands each thread a
+/// contiguous block of sources and a [`DepSink`] on the one shared bitmap,
+/// and `paths_from(s, sink)` records every path that starts at source `s`.
+/// The bitmap is a set union, so only the sinks' `bad_hops` need merging.
 fn build_by_source<F, R>(
     topo: &Topology,
     ports: u32,
@@ -683,26 +679,24 @@ where
     let _span = rec.span("cdg.build");
     let skel = DependencySkeleton::new(topo);
     let bits_atomic: Vec<AtomicU64> = (0..skel.num_words()).map(|_| AtomicU64::new(0)).collect();
-    let bad_hops = AtomicU64::new(0);
-    // A thread has to route some 30k pairs (about a millisecond) to be worth
-    // starting: smaller fabrics sweep on the calling thread.
-    let min_sources = (MIN_PAIRS_PER_THREAD / ports.max(1) as usize).max(1);
-    let threads = (ports as usize / min_sources).clamp(1, rayon::current_num_threads());
-    rec.gauge("par.threads", threads as u64);
-    let sources = (0..ports).into_par_iter().with_min_len(min_sources);
-    sources.for_each(|s| {
-        let mut sink = DepSink {
+    let bad_hops = fold_sources(
+        ports,
+        rayon::current_num_threads(),
+        || DepSink {
             skel: &skel,
             bits: &bits_atomic,
             bad_hops: 0,
-        };
-        paths_from(s, &mut sink);
-        if sink.bad_hops != 0 {
-            bad_hops.fetch_add(sink.bad_hops, Ordering::Relaxed);
-        }
-    });
+        },
+        |sink, s| paths_from(s, sink),
+        |a, b| DepSink {
+            bad_hops: a.bad_hops + b.bad_hops,
+            ..a
+        },
+        rec,
+    )
+    .bad_hops;
     let bits: Vec<u64> = bits_atomic.into_iter().map(AtomicU64::into_inner).collect();
-    let graph = ChannelDependencyGraph::from_bits(skel, bits, bad_hops.into_inner());
+    let graph = ChannelDependencyGraph::from_bits(skel, bits, bad_hops);
     rec.add("cdg.deps", graph.num_deps);
     if graph.bad_hops != 0 {
         rec.add("cdg.bad_hops", graph.bad_hops);

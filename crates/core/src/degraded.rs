@@ -18,7 +18,7 @@
 //!    while `C(m, k)` fits a budget, and sampled (adversarial candidates
 //!    first, then random) beyond.
 
-use crate::engine::LinkCensus;
+use crate::engine::{lemma1_witness, LinkCensus};
 use crate::verify::LinkViolation;
 use ftclos_routing::{NonblockingAdaptive, PathArena, RoutingError, SinglePathRouter};
 use ftclos_topo::{ChannelId, FaultSet, FaultyView, Ftree};
@@ -91,7 +91,6 @@ pub fn deterministic_degradation<R: SinglePathRouter + ?Sized>(
     };
     let mut unroutable = Vec::new();
     let mut census = LinkCensus::with_channels(arena.num_channels());
-    census.begin(arena.num_channels());
     let mut total_pairs = 0usize;
     for s in 0..ports {
         for d in 0..ports {
@@ -119,11 +118,10 @@ pub fn deterministic_degradation<R: SinglePathRouter + ?Sized>(
         None => Ok(()),
         Some(channel) => {
             // Surviving pairs crossing the violating channel, in arena order.
-            let crossing: Vec<SdPair> = arena
+            let crossing = arena
                 .sd_pairs_on(channel)
-                .filter(|p| view.path_alive(arena.path(*p)).is_ok())
-                .collect();
-            Err(two_pair_violation(channel, &crossing)
+                .filter(|p| view.path_alive(arena.path(*p)).is_ok());
+            Err(lemma1_witness(channel, crossing)
                 .expect("census over survivors saw >= 2 sources and destinations"))
         }
     };
@@ -132,28 +130,6 @@ pub fn deterministic_degradation<R: SinglePathRouter + ?Sized>(
         unroutable,
         lemma1,
     }
-}
-
-/// Two crossing pairs with distinct sources and destinations, if the list
-/// admits them (it always does when it spans ≥2 sources and ≥2
-/// destinations).
-fn two_pair_violation(channel: ChannelId, crossing: &[SdPair]) -> Option<LinkViolation> {
-    let a = *crossing.first()?;
-    let b = *crossing.iter().find(|q| q.src != a.src)?;
-    if b.dst != a.dst {
-        return Some(LinkViolation {
-            channel,
-            sources: [a.src, b.src],
-            destinations: [a.dst, b.dst],
-        });
-    }
-    let t = *crossing.iter().find(|q| q.dst != a.dst)?;
-    let other = if t.src != a.src { a } else { b };
-    Some(LinkViolation {
-        channel,
-        sources: [other.src, t.src],
-        destinations: [other.dst, t.dst],
-    })
 }
 
 /// The original `HashMap`-census degradation audit, kept as the

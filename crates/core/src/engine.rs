@@ -1,161 +1,282 @@
-//! The arena-backed contention engine: allocation-free Lemma 1 decisions.
+//! Lemma 1, decided: a streaming census for the verdict, and an arena-backed
+//! engine for callers that need the paths themselves.
 //!
 //! Every exact analyzer in this crate decides the same predicate — *each
 //! channel carries traffic from one source or to one destination* — over the
-//! `r(r-1)n²` SD paths of a single-path router. The legacy implementations
-//! ([`crate::verify::LinkAudit`], the `O(p⁴)` two-pair loop) hash every
-//! channel of every path into fresh `HashMap`s on every call; this module
-//! replaces the hashing with three dense structures:
+//! `p(p-1)` SD paths of a single-path router. The predicate is per channel,
+//! so the verdict needs two words per channel ([`LinkCensus`]), not a copy of
+//! every path. Two ways to take it:
 //!
-//! * [`PathArena`] (from `ftclos-routing`) — all paths routed **once** into
-//!   CSR storage, with the transposed channel → pair incidence lists;
-//! * [`LinkCensus`] — a per-channel source/destination census in flat
-//!   vectors stamped by a generation counter, so repeated audits reuse one
-//!   buffer with zero clearing and zero hashing;
-//! * [`ContentionScratch`] — the same epoch-stamp trick for per-pattern
-//!   contention checks (`channel → owning pair` tables reused across
-//!   patterns).
+//! * **Stream** ([`lemma1_audit_with`]) when the question is the verdict and
+//!   its witness: one [`crate::sweep::fold_paths`] pass folds every path into
+//!   a census, then a second pass re-routes rows in ascending order only
+//!   until the witness rule on the lowest violating channel is satisfied.
+//!   Memory is `O(channels)`; the sweep stays on one thread, because a
+//!   second one buys little and makes the wall time depend on whether a
+//!   shared host's other core is free. `ftclos verify`, [`crate::verify::nonblocking_verdict`],
+//!   [`crate::verify::is_nonblocking_deterministic`] and
+//!   [`crate::search::find_blocking_two_pair`] stream.
+//! * **Build an arena** ([`ContentionEngine`]) when the caller asks many
+//!   questions of the same paths: [`PathArena`] (from `ftclos-routing`) keeps
+//!   every path in CSR form plus the channel → pairs incidence, so a survivor
+//!   subset, a pattern or a channel's crossing pairs is a slice, not a
+//!   re-route. Degraded sweeps, the benchmark's pipeline mirror and the
+//!   recording experiment use it. It costs `O(hops)` memory (266 MB on
+//!   `ftree(16+256, 170)`), and its `u32` offsets cap a fabric at 2³² hops.
 //!
-//! [`ContentionEngine`] ties them together: build once per router, then ask
-//! for the Lemma 1 verdict, the blocking two-pair witness, or per-channel
-//! censuses — all by indexing. The legacy implementations are kept verbatim
-//! as differential oracles; `tests/engine_differential.rs` pins the two
-//! sides to identical verdicts across fabric shapes, routers, and fault
-//! masks.
+//! Both take the census the same way and pick the witness with the same rule
+//! (the paper's necessity argument, one function over an ordered stream of
+//! crossing pairs), so they report the same [`LinkViolation`], field for
+//! field; `tests/engine_differential.rs` pins that, and pins both against
+//! the legacy `HashMap` audit. [`ContentionScratch`] is the per-pattern
+//! counterpart: epoch-stamped `channel → owner` tables reused across
+//! patterns.
 
+use crate::sweep::fold_paths;
 use crate::verify::{ContentionWitness, LinkViolation};
 use ftclos_obs::{Noop, Recorder};
 use ftclos_routing::{PathArena, RouteAssignment, RoutingError, SinglePathRouter};
 use ftclos_topo::ChannelId;
 use ftclos_traffic::SdPair;
 
-/// Census entries saturate at 2 distinct endpoints: Lemma 1 only asks
-/// whether a channel has *one* source or *one* destination, and a violation
-/// witness needs at most two of each.
-const SATURATE: u8 = 2;
+/// Census cell of a channel that no recorded path crosses.
+const NONE: u32 = u32::MAX;
+/// Census cell of a channel crossed from (or to) two or more distinct ports.
+const MANY: u32 = u32::MAX - 1;
 
-/// Per-channel source/destination census in dense, epoch-stamped tables.
+/// The least upper bound of two census cells in the lattice
+/// `NONE < one(x) < MANY`: recording port `x` is `join(cell, x)`, merging two
+/// censuses is a cell-wise join. Associative and commutative.
+#[inline]
+fn join(a: u32, b: u32) -> u32 {
+    if a == NONE || a == b {
+        b
+    } else if b == NONE {
+        a
+    } else {
+        MANY
+    }
+}
+
+/// Per-channel source/destination census: two `u32` cells per channel, each
+/// `NONE`, one port, or `MANY`.
 ///
-/// A generation counter replaces clearing: a channel's entry is live only
-/// when its stamp equals the current epoch, so [`LinkCensus::begin`] is
-/// O(1) (amortized — the stamp vector is zeroed once per `u32` wraparound,
-/// i.e. effectively never) and repeated censuses over the same fabric
-/// allocate nothing.
+/// Lemma 1 only asks whether a channel has *one* source or *one*
+/// destination, so a cell saturates at two distinct ports. Censuses of
+/// disjoint path sets [`merge`](LinkCensus::merge) into the census of their
+/// union, which is what lets a parallel sweep keep one census per thread.
 #[derive(Clone, Debug, Default)]
 pub struct LinkCensus {
-    epoch: u32,
-    stamp: Vec<u32>,
-    /// Up to two distinct sources / destinations seen per channel.
-    src: Vec<[u32; 2]>,
-    dst: Vec<[u32; 2]>,
-    nsrc: Vec<u8>,
-    ndst: Vec<u8>,
-    /// Channels touched in the current epoch, in first-touch order.
-    touched: Vec<ChannelId>,
+    /// `[source cell, destination cell]` of each channel.
+    cells: Vec<[u32; 2]>,
 }
 
 impl LinkCensus {
     /// An empty census sized for `num_channels` channels.
     pub fn with_channels(num_channels: usize) -> Self {
-        let mut c = Self::default();
-        c.grow(num_channels);
-        c
-    }
-
-    fn grow(&mut self, num_channels: usize) {
-        if self.stamp.len() < num_channels {
-            self.stamp.resize(num_channels, 0);
-            self.src.resize(num_channels, [0; 2]);
-            self.dst.resize(num_channels, [0; 2]);
-            self.nsrc.resize(num_channels, 0);
-            self.ndst.resize(num_channels, 0);
+        Self {
+            cells: vec![[NONE; 2]; num_channels],
         }
     }
 
-    /// Start a fresh census over `num_channels` channels. No per-channel
-    /// clearing: the epoch bump invalidates every previous entry.
+    /// Start a fresh census over (at least) `num_channels` channels: one
+    /// `fill` of the cells, no allocation once the census is that large.
     pub fn begin(&mut self, num_channels: usize) {
-        self.grow(num_channels);
-        self.touched.clear();
-        let (bumped, wrapped) = self.epoch.overflowing_add(1);
-        self.epoch = bumped;
-        if wrapped {
-            // Once per 2³² epochs: stale stamps could alias epoch 0.
-            self.stamp.fill(0);
-            self.epoch = 1;
+        self.cells.fill([NONE; 2]);
+        if self.cells.len() < num_channels {
+            self.cells.resize(num_channels, [NONE; 2]);
         }
     }
 
-    /// Record that pair `(s, d)`'s path crosses channel `c`.
+    /// Record that pair `(s, d)`'s path crosses channel `c` (the census grows
+    /// to cover `c`). Ports must be below `u32::MAX - 1`.
     #[inline]
     pub fn record(&mut self, c: ChannelId, s: u32, d: u32) {
+        debug_assert!(s < MANY && d < MANY, "port ids collide with the cell tags");
         let i = c.index();
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.src[i] = [s, 0];
-            self.dst[i] = [d, 0];
-            self.nsrc[i] = 1;
-            self.ndst[i] = 1;
-            self.touched.push(c);
-            return;
+        if i >= self.cells.len() {
+            self.cells.resize(i + 1, [NONE; 2]);
         }
-        if self.nsrc[i] < SATURATE && self.src[i][0] != s {
-            self.src[i][1] = s;
-            self.nsrc[i] = 2;
+        let cell = &mut self.cells[i];
+        cell[0] = join(cell[0], s);
+        cell[1] = join(cell[1], d);
+    }
+
+    /// The census of both record sets: a cell-wise join (associative and
+    /// commutative, so per-thread censuses merge in any grouping).
+    pub fn merge(mut self, mut other: Self) -> Self {
+        if self.cells.len() < other.cells.len() {
+            std::mem::swap(&mut self, &mut other);
         }
-        if self.ndst[i] < SATURATE && self.dst[i][0] != d {
-            self.dst[i][1] = d;
-            self.ndst[i] = 2;
+        for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
+            mine[0] = join(mine[0], theirs[0]);
+            mine[1] = join(mine[1], theirs[1]);
+        }
+        self
+    }
+
+    #[inline]
+    fn count(cell: u32) -> usize {
+        match cell {
+            NONE => 0,
+            MANY => 2,
+            _ => 1,
         }
     }
 
-    /// Distinct sources recorded on `c` this epoch, saturated at 2.
+    /// Distinct sources recorded on `c`, saturated at 2.
     #[inline]
     pub fn num_sources(&self, c: ChannelId) -> usize {
-        if self.live(c) {
-            self.nsrc[c.index()] as usize
-        } else {
-            0
-        }
+        self.cells
+            .get(c.index())
+            .map_or(0, |cell| Self::count(cell[0]))
     }
 
-    /// Distinct destinations recorded on `c` this epoch, saturated at 2.
+    /// Distinct destinations recorded on `c`, saturated at 2.
     #[inline]
     pub fn num_destinations(&self, c: ChannelId) -> usize {
-        if self.live(c) {
-            self.ndst[c.index()] as usize
-        } else {
-            0
-        }
-    }
-
-    #[inline]
-    fn live(&self, c: ChannelId) -> bool {
-        c.index() < self.stamp.len() && self.stamp[c.index()] == self.epoch
-    }
-
-    /// Channels carrying any traffic this epoch, in first-touch order.
-    pub fn touched(&self) -> &[ChannelId] {
-        &self.touched
+        self.cells
+            .get(c.index())
+            .map_or(0, |cell| Self::count(cell[1]))
     }
 
     /// True when `c` carries ≥2 distinct sources **and** ≥2 distinct
     /// destinations — the Lemma 1 violation predicate.
     #[inline]
     pub fn violates(&self, c: ChannelId) -> bool {
-        self.live(c) && self.nsrc[c.index()] >= 2 && self.ndst[c.index()] >= 2
+        self.cells.get(c.index()) == Some(&[MANY; 2])
     }
 
-    /// The lowest-id channel violating Lemma 1 this epoch, if any.
-    /// (Lowest-id, not first-touch: deterministic regardless of the record
-    /// order.)
+    /// The lowest-id channel violating Lemma 1, if any: an ascending scan, so
+    /// the answer does not depend on the order paths were recorded in.
     pub fn first_violation(&self) -> Option<ChannelId> {
-        self.touched
+        self.cells
             .iter()
-            .copied()
-            .filter(|&c| self.violates(c))
-            .min()
+            .position(|cell| *cell == [MANY; 2])
+            .map(|i| ChannelId(i as u32))
     }
+}
+
+/// Lemma 1's necessity argument as code: the two-pair witness on `channel`,
+/// read off its crossing pairs in order, or `None` when they span fewer than
+/// two sources or two destinations.
+///
+/// `a` is the first pair and `b` the first with another source. If `b` also
+/// has another destination, `(a, b)` is the witness. Otherwise the first pair
+/// `t` with another destination than `a` differs in source from `a` or from
+/// `b` (which differ from each other), and pairs with that one. The stream is
+/// consumed only until the rule is satisfied.
+pub(crate) fn lemma1_witness(
+    channel: ChannelId,
+    crossing: impl IntoIterator<Item = SdPair>,
+) -> Option<LinkViolation> {
+    let witness = |p: SdPair, q: SdPair| LinkViolation {
+        channel,
+        sources: [p.src, q.src],
+        destinations: [p.dst, q.dst],
+    };
+    let mut crossing = crossing.into_iter();
+    let a = crossing.next()?;
+    let (mut b, mut t) = (None::<SdPair>, None::<SdPair>);
+    for q in crossing {
+        if b.is_none() && q.src != a.src {
+            b = Some(q);
+        }
+        if t.is_none() && q.dst != a.dst {
+            t = Some(q);
+        }
+        match (b, t) {
+            (Some(b), _) if b.dst != a.dst => return Some(witness(a, b)),
+            (Some(b), Some(t)) => return Some(witness(if t.src != a.src { a } else { b }, t)),
+            _ => {}
+        }
+    }
+    None
+}
+
+/// [`lemma1_audit_with`] without instrumentation.
+///
+/// # Errors
+/// As [`lemma1_audit_with`].
+pub fn lemma1_audit<R>(router: &R) -> Result<Option<LinkViolation>, RoutingError>
+where
+    R: SinglePathRouter + Sync + ?Sized,
+{
+    lemma1_audit_with(router, &Noop)
+}
+
+/// The streaming Lemma 1 audit: the lowest-id violating channel with its
+/// two-pair witness, or `None` when the routing is nonblocking — the same
+/// answer as [`ContentionEngine::lemma1_violation`], without storing a path.
+///
+/// Pass 1 (span `lemma1.sweep`, counter `lemma1.paths`, gauge `par.threads`)
+/// folds every path into a [`LinkCensus`] on the calling thread. Pass 2
+/// (span `lemma1.witness`) runs only on a violation: it re-routes rows in
+/// ascending order and streams the pairs crossing the violating channel into
+/// the witness rule until it is satisfied.
+///
+/// # Errors
+/// The first routing error in row order (see [`fold_paths`]); the same error
+/// [`PathArena::build`] reports.
+pub fn lemma1_audit_with<R, Rec>(
+    router: &R,
+    rec: &Rec,
+) -> Result<Option<LinkViolation>, RoutingError>
+where
+    R: SinglePathRouter + Sync + ?Sized,
+    Rec: Recorder,
+{
+    let Some(channel) = first_violating_channel(router, rec)? else {
+        return Ok(None);
+    };
+    let _witness = rec.span("lemma1.witness");
+    let ports = router.ports();
+    let mut path = Vec::new();
+    let crossing = (0..ports)
+        .flat_map(|s| {
+            (0..ports)
+                .filter(move |&d| d != s)
+                .map(move |d| SdPair::new(s, d))
+        })
+        .filter(|&pair| router.try_route_into(pair, &mut path).is_ok() && path.contains(&channel));
+    Ok(Some(lemma1_witness(channel, crossing).expect(
+        "the census saw >= 2 sources and >= 2 destinations on the channel",
+    )))
+}
+
+/// Threads the Lemma 1 census sweeps on. One: on `ftree(16+256, 170)` the
+/// sweep is ≈ 85 ms on one core, and a second thread takes it to ≈ 50 ms only
+/// while the second core is idle; on a shared host whose second core comes
+/// and goes, that makes `ftclos verify`'s wall time bimodal (51 – 97 ms over
+/// repeated runs at two threads, 83 – 91 ms at one). The census is
+/// thread-count invariant either way (`fold_paths` merges in block order).
+const LEMMA1_THREADS: usize = 1;
+
+/// Pass 1 of [`lemma1_audit_with`]: the lowest-id channel violating Lemma 1.
+pub(crate) fn first_violating_channel<R, Rec>(
+    router: &R,
+    rec: &Rec,
+) -> Result<Option<ChannelId>, RoutingError>
+where
+    R: SinglePathRouter + Sync + ?Sized,
+    Rec: Recorder,
+{
+    let _sweep = rec.span("lemma1.sweep");
+    let census = fold_paths(
+        router,
+        LEMMA1_THREADS,
+        LinkCensus::default,
+        |census, pair, path| {
+            for &c in path {
+                census.record(c, pair.src, pair.dst);
+            }
+        },
+        LinkCensus::merge,
+        rec,
+    )?;
+    let p = router.ports() as u64;
+    rec.add("lemma1.paths", p * p.saturating_sub(1));
+    Ok(census.first_violation())
 }
 
 /// Epoch-stamped `channel → owning pair` table for per-pattern contention
@@ -260,7 +381,8 @@ impl ContentionScratch {
 }
 
 /// The reusable contention engine for one single-path router: arena +
-/// census, built once, queried many times.
+/// census, built once, queried many times. For a one-shot verdict,
+/// [`lemma1_audit_with`] gives the same answer without the arena.
 #[derive(Clone, Debug)]
 pub struct ContentionEngine {
     arena: PathArena,
@@ -278,9 +400,9 @@ impl ContentionEngine {
 
     /// [`ContentionEngine::new`] with instrumentation: the arena build
     /// records under `arena.build` (see [`PathArena::build_with`]) and the
-    /// census pass under `engine.census`, with counters
-    /// `engine.census_records` (path entries censused) and
-    /// `engine.channels_touched`. With [`Noop`] this is exactly `new`.
+    /// census pass under `engine.census`, with counter
+    /// `engine.census_records` (path entries censused). With [`Noop`] this
+    /// is exactly `new`.
     ///
     /// # Errors
     /// Propagates the router's routing errors (see [`PathArena::build`]).
@@ -301,10 +423,8 @@ impl ContentionEngine {
     pub fn from_arena_with<Rec: Recorder>(arena: PathArena, rec: &Rec) -> Self {
         let _span = rec.span("engine.census");
         let mut census = LinkCensus::with_channels(arena.num_channels());
-        census.begin(arena.num_channels());
         Self::record_all(&arena, &mut census);
         rec.add("engine.census_records", arena.total_hops() as u64);
-        rec.add("engine.channels_touched", census.touched().len() as u64);
         Self { arena, census }
     }
 
@@ -323,13 +443,11 @@ impl ContentionEngine {
     }
 
     /// Re-take the census from the arena into the same buffers (what a
-    /// repeated audit costs once the arena exists: one epoch bump plus one
-    /// pass over the CSR — zero allocation, zero hashing).
+    /// repeated audit costs once the arena exists: one `fill` plus one pass
+    /// over the CSR — zero allocation, zero hashing).
     pub fn recount(&mut self) {
-        let mut census = std::mem::take(&mut self.census);
-        census.begin(self.arena.num_channels());
-        Self::record_all(&self.arena, &mut census);
-        self.census = census;
+        self.census.begin(self.arena.num_channels());
+        Self::record_all(&self.arena, &mut self.census);
     }
 
     /// The underlying path arena.
@@ -343,13 +461,10 @@ impl ContentionEngine {
     }
 
     /// The Lemma 1 verdict: the lowest-id violating channel with an exact
-    /// two-pair witness, or `Ok(())` when the routing is nonblocking.
+    /// two-pair witness, or `None` when the routing is nonblocking.
     ///
-    /// The witness construction mirrors the paper's necessity proof, reading
-    /// crossing pairs off the arena's incidence list instead of re-routing:
-    /// a channel with ≥2 sources and ≥2 destinations among its crossing
-    /// pairs always admits two pairs with distinct sources *and* distinct
-    /// destinations.
+    /// The witness is [`lemma1_witness`] over the channel's incidence list,
+    /// so it equals [`lemma1_audit_with`]'s.
     pub fn lemma1_violation(&self) -> Option<LinkViolation> {
         self.lemma1_violation_with(&Noop)
     }
@@ -360,96 +475,20 @@ impl ContentionEngine {
     /// `engine.witness`.
     pub fn lemma1_violation_with<Rec: Recorder>(&self, rec: &Rec) -> Option<LinkViolation> {
         let scan = rec.span("engine.scan");
-        rec.add(
-            "engine.channels_scanned",
-            self.census.touched().len() as u64,
-        );
+        rec.add("engine.channels_scanned", self.arena.num_channels() as u64);
         let c = self.census.first_violation();
         drop(scan);
         let c = c?;
         let _witness = rec.span("engine.witness");
-        Some(self.violation_witness(c))
-    }
-
-    /// Construct the two-pair witness on a channel known to violate the
-    /// census predicate.
-    fn violation_witness(&self, c: ChannelId) -> LinkViolation {
-        let pairs = self.arena.pairs_on(c);
-        debug_assert!(!pairs.is_empty());
-        let a = self.arena.pair_of(pairs[0]);
-        // First crossing pair with a different source.
-        let b = pairs
-            .iter()
-            .map(|&i| self.arena.pair_of(i))
-            .find(|q| q.src != a.src)
-            .expect("census saw >= 2 sources");
-        if b.dst != a.dst {
-            return LinkViolation {
-                channel: c,
-                sources: [a.src, b.src],
-                destinations: [a.dst, b.dst],
-            };
-        }
-        // a and b share a destination; some crossing pair t has another.
-        let t = pairs
-            .iter()
-            .map(|&i| self.arena.pair_of(i))
-            .find(|q| q.dst != a.dst)
-            .expect("census saw >= 2 destinations");
-        // t's source differs from at least one of a, b (they differ from
-        // each other); pair it with that one.
-        let other = if t.src != a.src { a } else { b };
-        LinkViolation {
-            channel: c,
-            sources: [other.src, t.src],
-            destinations: [other.dst, t.dst],
-        }
+        Some(
+            lemma1_witness(c, self.arena.sd_pairs_on(c))
+                .expect("the census saw >= 2 sources and >= 2 destinations on the channel"),
+        )
     }
 
     /// Is the router nonblocking per Lemma 1? (Exact, complete.)
     pub fn is_nonblocking(&self) -> bool {
         self.census.first_violation().is_none()
-    }
-
-    /// The blocking two-pair witness via a per-channel sweep: instead of
-    /// routing all `O(p⁴)` two-pair patterns, scan the touched channels'
-    /// censuses and materialize the witness from the incidence list of the
-    /// lowest violating channel (lowest id, not first touched, so the answer
-    /// does not depend on the order paths were recorded in).
-    pub fn blocking_witness(&self) -> Option<(ChannelId, [SdPair; 2])> {
-        self.blocking_witness_with(&Noop)
-    }
-
-    /// [`ContentionEngine::blocking_witness`] with the channel scan and
-    /// witness normalization recorded (spans `engine.scan` /
-    /// `engine.witness`, counter `engine.channels_scanned`).
-    pub fn blocking_witness_with<Rec: Recorder>(
-        &self,
-        rec: &Rec,
-    ) -> Option<(ChannelId, [SdPair; 2])> {
-        let scan = rec.span("engine.scan");
-        rec.add(
-            "engine.channels_scanned",
-            self.census.touched().len() as u64,
-        );
-        let first = self
-            .census
-            .touched()
-            .iter()
-            .copied()
-            .filter(|&c| self.census.violates(c))
-            .min();
-        drop(scan);
-        let c = first?;
-        let _witness = rec.span("engine.witness");
-        let v = self.violation_witness(c);
-        Some((
-            c,
-            [
-                SdPair::new(v.sources[0], v.destinations[0]),
-                SdPair::new(v.sources[1], v.destinations[1]),
-            ],
-        ))
     }
 }
 
@@ -462,21 +501,98 @@ mod tests {
     use ftclos_traffic::{patterns, Permutation};
 
     #[test]
-    fn census_epoch_reuse_without_clearing() {
+    fn census_begin_forgets_and_record_grows() {
         let mut census = LinkCensus::with_channels(8);
-        census.begin(8);
         census.record(ChannelId(3), 0, 1);
         census.record(ChannelId(3), 2, 5);
         assert_eq!(census.num_sources(ChannelId(3)), 2);
         assert!(census.violates(ChannelId(3)));
         assert_eq!(census.first_violation(), Some(ChannelId(3)));
-        // New epoch: everything forgotten, no clearing performed.
         census.begin(8);
         assert_eq!(census.num_sources(ChannelId(3)), 0);
         assert!(census.first_violation().is_none());
         census.record(ChannelId(3), 7, 7);
         assert_eq!(census.num_sources(ChannelId(3)), 1);
-        assert_eq!(census.touched(), &[ChannelId(3)]);
+        // Past the sized range: the census grows instead of panicking.
+        assert_eq!(census.num_destinations(ChannelId(40)), 0);
+        census.record(ChannelId(40), 1, 2);
+        census.record(ChannelId(40), 2, 1);
+        assert_eq!(census.first_violation(), Some(ChannelId(40)));
+    }
+
+    #[test]
+    fn census_merge_is_the_census_of_the_union() {
+        // Split one record stream at every point, in both merge orders.
+        let records: Vec<(u32, u32, u32)> = (0..40u32)
+            .map(|i| (i * 7 % 5, i % 3, (i * 11) % 4))
+            .collect();
+        let mut whole = LinkCensus::default();
+        for &(c, s, d) in &records {
+            whole.record(ChannelId(c), s, d);
+        }
+        for cut in 0..=records.len() {
+            let mut left = LinkCensus::default();
+            let mut right = LinkCensus::with_channels(2);
+            for &(c, s, d) in &records[..cut] {
+                left.record(ChannelId(c), s, d);
+            }
+            for &(c, s, d) in &records[cut..] {
+                right.record(ChannelId(c), s, d);
+            }
+            for merged in [
+                left.clone().merge(right.clone()),
+                right.clone().merge(left.clone()),
+            ] {
+                for c in (0..6).map(ChannelId) {
+                    assert_eq!(merged.num_sources(c), whole.num_sources(c), "cut {cut}");
+                    assert_eq!(merged.num_destinations(c), whole.num_destinations(c));
+                    assert_eq!(merged.violates(c), whole.violates(c));
+                }
+                assert_eq!(merged.first_violation(), whole.first_violation());
+            }
+        }
+    }
+
+    #[test]
+    fn witness_rule_reads_the_stream_in_order() {
+        let c = ChannelId(9);
+        let p = SdPair::new;
+        // b already differs in destination: (a, b).
+        let v = lemma1_witness(c, [p(0, 5), p(0, 6), p(1, 7)]).unwrap();
+        assert_eq!((v.sources, v.destinations), ([0, 1], [5, 7]));
+        // b shares a's destination; t (seen before b) pairs with b.
+        let v = lemma1_witness(c, [p(0, 5), p(0, 6), p(1, 5)]).unwrap();
+        assert_eq!((v.sources, v.destinations), ([1, 0], [5, 6]));
+        // t after b, with a third source: pairs with a.
+        let v = lemma1_witness(c, [p(0, 5), p(1, 5), p(2, 6)]).unwrap();
+        assert_eq!((v.sources, v.destinations), ([0, 2], [5, 6]));
+        // One source or one destination: no witness.
+        assert!(lemma1_witness(c, [p(0, 5), p(0, 6)]).is_none());
+        assert!(lemma1_witness(c, [p(0, 5), p(1, 5)]).is_none());
+        assert!(lemma1_witness(c, []).is_none());
+        // The stream is read only until the rule is satisfied.
+        let mut read = 0;
+        let stream = [p(0, 5), p(1, 6), p(2, 7)]
+            .into_iter()
+            .inspect(|_| read += 1);
+        assert!(lemma1_witness(c, stream).is_some());
+        assert_eq!(read, 2);
+    }
+
+    #[test]
+    fn streaming_audit_records_sweep_spans() {
+        let ft = Ftree::new(2, 2, 5).unwrap();
+        let reg = ftclos_obs::Registry::new();
+        assert!(lemma1_audit_with(&DModK::new(&ft), &reg).unwrap().is_some());
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("lemma1.paths"), Some(90));
+        assert_eq!(snap.gauge("par.threads"), Some(1));
+        for path in ["lemma1.sweep", "lemma1.witness"] {
+            assert!(
+                snap.spans.iter().any(|s| s.path == path),
+                "missing span {path}"
+            );
+        }
     }
 
     #[test]
@@ -526,7 +642,12 @@ mod tests {
         let ft = Ftree::new(2, 2, 5).unwrap();
         let router = DModK::new(&ft);
         let engine = ContentionEngine::new(&router).unwrap();
-        let (channel, pairs) = engine.blocking_witness().expect("m < n² blocks");
+        let v = engine.lemma1_violation().expect("m < n² blocks");
+        let channel = v.channel;
+        let pairs = [
+            SdPair::new(v.sources[0], v.destinations[0]),
+            SdPair::new(v.sources[1], v.destinations[1]),
+        ];
         assert_ne!(pairs[0].src, pairs[1].src);
         assert_ne!(pairs[0].dst, pairs[1].dst);
         let perm = Permutation::from_pairs(10, pairs).unwrap();
@@ -544,7 +665,6 @@ mod tests {
         let router = YuanDeterministic::new(&ft).unwrap();
         let engine = ContentionEngine::new(&router).unwrap();
         assert!(engine.is_nonblocking());
-        assert!(engine.blocking_witness().is_none());
         assert!(engine.lemma1_violation().is_none());
     }
 
@@ -637,10 +757,6 @@ mod tests {
         let reg = ftclos_obs::Registry::new();
         let recorded = ContentionEngine::new_with(&router, &reg).unwrap();
         assert_eq!(
-            plain.blocking_witness(),
-            recorded.blocking_witness_with(&reg)
-        );
-        assert_eq!(
             plain.lemma1_violation(),
             recorded.lemma1_violation_with(&reg)
         );
@@ -668,8 +784,10 @@ mod tests {
         let router = YuanDeterministic::new(&ft).unwrap();
         let engine = ContentionEngine::new(&router).unwrap();
         let audit = LinkAudit::build(&router);
-        for &c in engine.census().touched() {
-            let (srcs, dsts) = audit.channel_census(c).unwrap();
+        let mut used = 0;
+        for c in (0..engine.arena().num_channels()).map(|c| ChannelId(c as u32)) {
+            let (srcs, dsts) = audit.channel_census(c).unwrap_or((&[], &[]));
+            used += usize::from(!srcs.is_empty());
             assert_eq!(engine.census().num_sources(c), srcs.len().min(2), "{c}");
             assert_eq!(
                 engine.census().num_destinations(c),
@@ -677,6 +795,6 @@ mod tests {
                 "{c}"
             );
         }
-        assert_eq!(engine.census().touched().len(), audit.used_channels());
+        assert_eq!(used, audit.used_channels());
     }
 }

@@ -5,15 +5,19 @@
 //! * [`verify`] — the Lemma 1 machinery: link audits (`one source or one
 //!   destination` per channel), contention detection, and the exact
 //!   nonblocking decision procedure for single-path deterministic routing.
-//! * [`engine`] — the arena-backed contention engine: all SD paths routed
-//!   once into CSR storage, dense epoch-stamped link censuses, and the
-//!   per-channel pair-incidence reformulation that collapses the `O(p⁴)`
-//!   two-pair sweep into a parallel channel scan.
+//! * [`engine`] — Lemma 1 decided from a two-word-per-channel census: the
+//!   streaming audit (one parallel pair sweep, no stored paths) for verdicts
+//!   and witnesses, and the arena-backed contention engine for callers that
+//!   need random access to the paths.
+//! * [`sweep`] — the one all-pairs sweep: route every SD pair on contiguous
+//!   per-thread source blocks and fold the paths into accumulators merged in
+//!   block order (the Lemma 1 census and the CDG build run on it).
 //! * [`search`] — blocking-permutation search: complete two-pair enumeration
 //!   for deterministic routers (Lemma 1 reduces blocking to two-pair
-//!   patterns, decided via the engine with the legacy loop kept as oracle),
-//!   exhaustive permutation sweeps for tiny fabrics, randomized sweeps and
-//!   blocking-fraction estimation (rayon-parallel) for everything else.
+//!   patterns, decided by the streaming audit with the legacy loop kept as
+//!   oracle), exhaustive permutation sweeps for tiny fabrics, randomized
+//!   sweeps and blocking-fraction estimation (rayon-parallel) for everything
+//!   else.
 //! * [`lemma2`] — the Lemma 2 counting problem: the maximum number of SD
 //!   pairs routable through one top-level switch, with an exact mode-based
 //!   solver for small fabrics, an explicit `r(r-1)` construction, and the
@@ -48,6 +52,7 @@ pub mod engine;
 pub mod flow;
 pub mod lemma2;
 pub mod search;
+pub mod sweep;
 pub mod verify;
 pub mod wide_sense;
 
@@ -74,7 +79,9 @@ pub use degraded::{
     SurvivabilityReport,
 };
 pub use design::{DesignPoint, TableOneRow};
-pub use engine::{ContentionEngine, ContentionScratch, LinkCensus};
+pub use engine::{
+    lemma1_audit, lemma1_audit_with, ContentionEngine, ContentionScratch, LinkCensus,
+};
 pub use search::{
     find_blocking_two_pair, find_blocking_two_pair_legacy, BlockingReport, TwoPairOutcome,
 };

@@ -1,10 +1,10 @@
 //! Blocking-permutation search and blocking-probability estimation.
 
-use crate::engine::ContentionEngine;
+use crate::engine::lemma1_audit;
 use crate::verify::find_contention;
 use ftclos_routing::{route_all, PatternRouter, RoutingError, SinglePathRouter};
 use ftclos_traffic::enumerate::{AllPermutations, TwoPairs};
-use ftclos_traffic::{patterns, Permutation};
+use ftclos_traffic::{patterns, Permutation, SdPair};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -65,25 +65,29 @@ impl TwoPairOutcome {
 /// Complete blocking search for single-path deterministic routers: by
 /// Lemma 1 a blocking permutation exists **iff** a two-pair pattern blocks.
 ///
-/// Engine-backed: routes all `ports·(ports-1)` SD paths once into a
-/// [`ftclos_routing::PathArena`] and scans per-channel pair-incidence lists
-/// instead of routing `O(ports⁴)` two-pair patterns — two pairs block iff
-/// their cached paths share a channel whose census has ≥2 sources and ≥2
-/// destinations. The channel scan reduces to the lowest violating channel
-/// id, so the witness is deterministic. [`find_blocking_two_pair_legacy`]
-/// keeps the original loop as the differential oracle.
-pub fn find_blocking_two_pair<R: SinglePathRouter + ?Sized>(router: &R) -> TwoPairOutcome {
-    let engine = match ContentionEngine::new(router) {
-        Ok(e) => e,
-        Err(e) => return TwoPairOutcome::RoutingFailed(e),
-    };
-    match engine.blocking_witness() {
-        Some((_, pairs)) => match Permutation::from_pairs(router.ports(), pairs) {
-            Ok(perm) => TwoPairOutcome::Blocking(perm),
-            Err(_) => unreachable!("witness pairs have distinct sources and destinations"),
-        },
-        None => TwoPairOutcome::Exhausted {
-            paths_covered: engine.arena().num_pairs(),
+/// Streaming: one census sweep over all `ports·(ports-1)` SD paths (see
+/// [`crate::engine::lemma1_audit_with`]) instead of routing `O(ports⁴)`
+/// two-pair patterns — two pairs block iff their paths share a channel whose
+/// census has ≥2 sources and ≥2 destinations. The witness sits on the lowest
+/// violating channel id, so it is deterministic.
+/// [`find_blocking_two_pair_legacy`] keeps the original loop as the
+/// differential oracle.
+pub fn find_blocking_two_pair<R: SinglePathRouter + Sync + ?Sized>(router: &R) -> TwoPairOutcome {
+    let ports = router.ports();
+    match lemma1_audit(router) {
+        Err(e) => TwoPairOutcome::RoutingFailed(e),
+        Ok(Some(v)) => {
+            let pairs = [
+                SdPair::new(v.sources[0], v.destinations[0]),
+                SdPair::new(v.sources[1], v.destinations[1]),
+            ];
+            match Permutation::from_pairs(ports, pairs) {
+                Ok(perm) => TwoPairOutcome::Blocking(perm),
+                Err(_) => unreachable!("witness pairs have distinct sources and destinations"),
+            }
+        }
+        Ok(None) => TwoPairOutcome::Exhausted {
+            paths_covered: (ports as usize) * (ports as usize).saturating_sub(1),
         },
     }
 }

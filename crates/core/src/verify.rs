@@ -9,17 +9,16 @@
 //!
 //! Two implementations coexist, deliberately:
 //!
-//! * the **engine path** ([`crate::engine::ContentionEngine`]) routes every
-//!   pair once into a [`ftclos_routing::PathArena`] and decides the
-//!   predicate from dense epoch-stamped censuses — this is what the public
-//!   entry points ([`is_nonblocking_deterministic`], [`nonblocking_verdict`])
-//!   use;
+//! * the **streaming path** ([`crate::engine::lemma1_audit_with`]) folds
+//!   every pair's path into per-thread two-word-per-channel censuses and
+//!   merges them, storing no path — this is what the public entry points
+//!   ([`is_nonblocking_deterministic`], [`nonblocking_verdict`]) use;
 //! * the **legacy path** ([`LinkAudit`], [`find_contention`],
 //!   [`nonblocking_verdict_legacy`]) keeps the original `HashMap`-based
 //!   audit verbatim as a differential oracle — the proptests in
 //!   `tests/engine_differential.rs` pin both sides to identical verdicts.
 
-use crate::engine::ContentionEngine;
+use crate::engine::{first_violating_channel, lemma1_audit};
 use ftclos_routing::{RouteAssignment, SinglePathRouter};
 use ftclos_topo::{ChannelId, Topology};
 use ftclos_traffic::SdPair;
@@ -185,15 +184,12 @@ impl LinkAudit {
 
 /// Convenience: is `router` nonblocking per Lemma 1? (Exact, complete.)
 ///
-/// Engine-backed: routes every pair once into a path arena and decides the
-/// predicate from the dense census — no hashing, no re-routing.
-pub fn is_nonblocking_deterministic<R: SinglePathRouter + ?Sized>(router: &R) -> bool {
-    match ContentionEngine::new(router) {
-        Ok(engine) => engine.is_nonblocking(),
-        // A router whose `ports()` disagrees with its routable universe
-        // cannot serve all pairs — not nonblocking under any reading.
-        Err(_) => false,
-    }
+/// Streaming: one parallel census sweep over every pair (see
+/// [`crate::engine::lemma1_audit_with`]), no stored paths, no witness pass.
+pub fn is_nonblocking_deterministic<R: SinglePathRouter + Sync + ?Sized>(router: &R) -> bool {
+    // A router whose `ports()` disagrees with its routable universe cannot
+    // serve all pairs — not nonblocking under any reading.
+    matches!(first_violating_channel(router, &ftclos_obs::Noop), Ok(None))
 }
 
 /// The exact checker's verdict packaged for differential tests against
@@ -221,13 +217,13 @@ impl NonblockingVerdict {
 
 /// Run the complete Lemma 1 decision procedure and package the outcome.
 ///
-/// Engine-backed (see [`is_nonblocking_deterministic`]); the packaged
+/// Streaming (see [`crate::engine::lemma1_audit_with`]); the packaged
 /// witness, when present, is the lowest-id violating channel's two-pair
 /// permutation. [`nonblocking_verdict_legacy`] keeps the original
 /// `HashMap` audit for differential pinning.
-pub fn nonblocking_verdict<R: SinglePathRouter + ?Sized>(router: &R) -> NonblockingVerdict {
-    let violation = match ContentionEngine::new(router) {
-        Ok(engine) => engine.lemma1_violation(),
+pub fn nonblocking_verdict<R: SinglePathRouter + Sync + ?Sized>(router: &R) -> NonblockingVerdict {
+    let violation = match lemma1_audit(router) {
+        Ok(violation) => violation,
         Err(_) => {
             return NonblockingVerdict {
                 nonblocking: false,

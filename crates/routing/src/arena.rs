@@ -51,9 +51,11 @@ impl PathArena {
     /// freeze the results. Self-pairs get the empty path.
     ///
     /// # Errors
-    /// Propagates the router's [`SinglePathRouter::try_route`] errors (the
-    /// arena enumerates only in-range ports, so errors indicate a router
-    /// whose `ports()` disagrees with its routable universe).
+    /// The first of the router's [`SinglePathRouter::try_route_into`]
+    /// errors in row order (the arena enumerates only in-range ports, so
+    /// errors indicate a router whose `ports()` disagrees with its routable
+    /// universe), or [`RoutingError::Precondition`] when the fabric's pair
+    /// rows or path hops would overflow the tables' `u32` offsets.
     pub fn build<R: SinglePathRouter + ?Sized>(router: &R) -> Result<Self, RoutingError> {
         Self::build_with(router, &Noop)
     }
@@ -72,21 +74,45 @@ impl PathArena {
         let _span = rec.span("arena.build");
         let ports = router.ports();
         let p = ports as usize;
-        let rows = p * p;
-        let mut path_start = Vec::with_capacity(rows + 1);
-        path_start.push(0u32);
-        let mut max_channel: Option<u32> = None;
+        let too_large = |detail: String| RoutingError::Precondition {
+            router: router.name(),
+            detail,
+        };
+        // Pair rows and path offsets are `u32`s: refuse, before allocating,
+        // a fabric whose tables would wrap them.
+        let rows = p
+            .checked_mul(p)
+            .and_then(|rows| u32::try_from(rows).ok())
+            .ok_or_else(|| too_large(format!("{p}² pair rows overflow the arena's u32 rows")))?;
         // Every pair routes into this one buffer; nothing is allocated per
         // path.
         let mut scratch: Vec<ChannelId> = Vec::new();
         // Size the table once, by the path between the first and the last
         // leaf — the longest in every tree fabric here. Only a hint: a longer
-        // path elsewhere just makes the table grow.
-        if ports >= 2 {
-            router.try_route_into(SdPair::new(0, ports - 1), &mut scratch)?;
-        }
-        let mut path_channels: Vec<ChannelId> =
-            Vec::with_capacity(scratch.len().saturating_mul(p * p.saturating_sub(1)));
+        // path elsewhere just makes the table grow, and a pair that fails to
+        // route is reported by the sweep below, in row order.
+        let hint = if ports >= 2
+            && router
+                .try_route_into(SdPair::new(0, ports - 1), &mut scratch)
+                .is_ok()
+        {
+            scratch.len()
+        } else {
+            0
+        };
+        let pairs = p * p.saturating_sub(1);
+        let hops = hint
+            .checked_mul(pairs)
+            .filter(|&hops| u32::try_from(hops).is_ok())
+            .ok_or_else(|| {
+                too_large(format!(
+                    "{pairs} paths of {hint} hops overflow the arena's u32 path offsets"
+                ))
+            })?;
+        let mut path_start = Vec::with_capacity(rows as usize + 1);
+        path_start.push(0u32);
+        let mut path_channels: Vec<ChannelId> = Vec::with_capacity(hops);
+        let mut max_channel: Option<u32> = None;
         for s in 0..ports {
             for d in 0..ports {
                 if s != d {
@@ -96,7 +122,13 @@ impl PathArena {
                     }
                     path_channels.extend_from_slice(&scratch);
                 }
-                path_start.push(path_channels.len() as u32);
+                let offset = u32::try_from(path_channels.len()).map_err(|_| {
+                    too_large(format!(
+                        "more than {} path hops overflow the arena's u32 path offsets",
+                        u32::MAX
+                    ))
+                })?;
+                path_start.push(offset);
             }
         }
         let num_channels = max_channel.map_or(0, |m| m as usize + 1);
@@ -112,10 +144,13 @@ impl PathArena {
         let mut cursor = chan_start.clone();
         let mut chan_pairs = vec![0u32; path_channels.len()];
         for row in 0..rows {
-            let (lo, hi) = (path_start[row] as usize, path_start[row + 1] as usize);
+            let (lo, hi) = (
+                path_start[row as usize] as usize,
+                path_start[row as usize + 1] as usize,
+            );
             for &c in &path_channels[lo..hi] {
                 let slot = cursor[c.index()];
-                chan_pairs[slot as usize] = row as u32;
+                chan_pairs[slot as usize] = row;
                 cursor[c.index()] += 1;
             }
         }
@@ -395,6 +430,69 @@ mod tests {
         assert_eq!(snap.gauge("arena.bytes"), Some(plain.bytes() as u64));
         assert_eq!(snap.gauge("arena.hops"), Some(plain.total_hops() as u64));
         assert!(snap.spans.iter().any(|s| s.path == "arena.build"));
+    }
+
+    #[test]
+    fn oversized_fabrics_are_refused_before_allocating() {
+        /// Every path is four hops long.
+        struct Huge(u32);
+        impl SinglePathRouter for Huge {
+            fn ports(&self) -> u32 {
+                self.0
+            }
+            fn route_into(&self, _: SdPair, out: &mut Vec<ChannelId>) {
+                out.clear();
+                out.extend((0..4).map(ChannelId));
+            }
+            fn name(&self) -> &'static str {
+                "huge"
+            }
+        }
+        // 70,000² rows overflow the u32 pair rows; 40,000 ports fit them,
+        // but their 6.4G hops overflow the u32 path offsets.
+        for ports in [70_000, 40_000] {
+            match PathArena::build(&Huge(ports)) {
+                Err(RoutingError::Precondition { router, detail }) => {
+                    assert_eq!(router, "huge");
+                    assert!(detail.contains("overflow"), "{detail}");
+                }
+                other => panic!("{ports} ports: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn first_error_in_row_order_wins() {
+        /// Claims 6 ports, routes 4 (the hint pair `(0, 5)` fails too).
+        struct Overclaim;
+        impl SinglePathRouter for Overclaim {
+            fn ports(&self) -> u32 {
+                6
+            }
+            fn route_into(&self, _: SdPair, out: &mut Vec<ChannelId>) {
+                out.clear();
+            }
+            fn try_route_into(
+                &self,
+                pair: SdPair,
+                out: &mut Vec<ChannelId>,
+            ) -> Result<(), RoutingError> {
+                for port in [pair.src, pair.dst] {
+                    if port >= 4 {
+                        return Err(RoutingError::PortOutOfRange { port, ports: 4 });
+                    }
+                }
+                self.route_into(pair, out);
+                Ok(())
+            }
+            fn name(&self) -> &'static str {
+                "overclaim"
+            }
+        }
+        assert_eq!(
+            PathArena::build(&Overclaim).unwrap_err(),
+            RoutingError::PortOutOfRange { port: 4, ports: 4 }
+        );
     }
 
     #[test]
