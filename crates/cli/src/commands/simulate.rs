@@ -22,10 +22,12 @@ fn parse_arbiter(spec: &str) -> Result<Arbiter, CliError> {
         return Ok(Arbiter::HolFifo);
     }
     if let Some(k) = spec.strip_prefix("islip:") {
-        let iterations: u8 = k
-            .parse()
-            .map_err(|_| CliError::Usage(format!("islip wants an iteration count, got `{k}`")))?;
-        return Ok(Arbiter::Voq { iterations });
+        return match k.parse() {
+            Ok(0) | Err(_) => Err(CliError::Usage(format!(
+                "islip wants an iteration count of at least 1, got `{k}`"
+            ))),
+            Ok(iterations) => Ok(Arbiter::Voq { iterations }),
+        };
     }
     if spec == "islip" {
         return Ok(Arbiter::Voq { iterations: 1 });
@@ -329,6 +331,11 @@ mod tests {
         );
         assert!(parse_arbiter("magic").is_err());
         assert!(parse_arbiter("islip:x").is_err());
+        let err = run(&argv("2 4 5 --arbiter islip:0"), &Registry::new()).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("at least 1")),
+            "{err:?}"
+        );
         assert_eq!(parse_engine("cycle").unwrap(), Engine::Cycle);
         assert_eq!(parse_engine("event").unwrap(), Engine::Event);
         assert!(parse_engine("quantum").is_err());

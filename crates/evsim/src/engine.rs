@@ -16,11 +16,13 @@
 //!   queued injections are visited. The dense schedule's `O(channels)` sweep
 //!   per cycle becomes `O(active)`; on a 100k-host fabric with ~76M
 //!   directed channels and a few thousand packets in flight, that is the
-//!   difference between hours and seconds per cycle.
+//!   difference between hours and seconds per cycle. Each set is a
+//!   two-level bitset: O(1) insert and remove, ascending walks.
 //! * **Grant worklist** — head-of-line arbitration is re-derived from the
-//!   requesting queue heads (a `BTreeMap` keyed by output channel,
-//!   processed in ascending id order), which is provably the same grant
-//!   sequence as the dense schedule's full ascending output sweep.
+//!   requesting queue heads: `(requested output, input)` pairs in a reused
+//!   vector, sorted once per cycle and walked in ascending output order,
+//!   which is provably the same grant sequence as the dense schedule's full
+//!   ascending output sweep.
 //! * **Drain fast-forward** — once injection stops, the schedule consults
 //!   the [`EventWheel`] (packet ready times, wire release times, TTL
 //!   deadlines) and jumps over cycles in which no state can change, as far
@@ -35,11 +37,13 @@
 //! The dense schedule shares none of the three mechanisms above, which is
 //! what makes it their oracle.
 
+use crate::active::ActiveSet;
 use crate::wheel::EventWheel;
 use ftclos_obs::Recorder;
 use ftclos_sim::{Kernel, Names, Run, Schedule, SimArena, SimError};
 use ftclos_topo::{ChannelId, Topology};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Event-driven simulator over a [`Topology`] with a path
 /// [`ftclos_sim::Policy`]: every entry point of [`Kernel`], so callers
@@ -56,9 +60,16 @@ pub type EventSimulator<'a> = Kernel<'a, ActiveSchedule>;
 #[derive(Debug, Default)]
 pub struct ActiveSchedule {
     /// Channels whose downstream queue holds at least one packet.
-    nonempty_q: BTreeSet<u32>,
+    nonempty_q: ActiveSet,
     /// Leaf slots with a non-empty injection queue.
-    nonempty_inj: BTreeSet<u32>,
+    nonempty_inj: ActiveSet,
+    /// Head-of-line worklist, reused every cycle: `(requested output,
+    /// input channel)` of every ready head, sorted.
+    requests: Vec<(u32, u32)>,
+    /// Heads exposed mid-walk, re-enqueued under a later output.
+    requeued: BinaryHeap<Reverse<(u32, u32)>>,
+    /// The requesters of the output being granted.
+    group: Vec<u32>,
     /// Wake-ups for the drain fast-forward.
     wake: EventWheel,
     skipped_cycles: u64,
@@ -69,26 +80,25 @@ pub struct ActiveSchedule {
 impl Schedule for ActiveSchedule {
     const NAMES: Names = ftclos_sim::metric_names!("evsim");
 
-    fn queues(&self, _arena: &SimArena) -> Vec<u32> {
-        self.nonempty_q.iter().copied().collect()
+    fn queues(&self, _arena: &SimArena, out: &mut Vec<u32>) {
+        out.extend(self.nonempty_q.iter());
     }
 
-    fn inject_slots(&self, _arena: &SimArena) -> Vec<u32> {
-        self.nonempty_inj.iter().copied().collect()
+    fn inject_slots(&self, _arena: &SimArena, out: &mut Vec<u32>) {
+        out.extend(self.nonempty_inj.iter());
     }
 
     /// Only switches fed by at least one non-empty queue can match anything.
-    fn switches(&self, topo: &Topology) -> Vec<u32> {
-        let mut fed: Vec<u32> = self
-            .nonempty_q
-            .iter()
-            .map(|&c| topo.channel(ChannelId(c)).dst)
-            .filter(|&dst| topo.kind(dst).is_switch())
-            .map(|dst| dst.0)
-            .collect();
-        fed.sort_unstable();
-        fed.dedup();
-        fed
+    fn switches(&self, topo: &Topology, out: &mut Vec<u32>) {
+        out.extend(
+            self.nonempty_q
+                .iter()
+                .map(|c| topo.channel(ChannelId(c)).dst)
+                .filter(|&dst| topo.kind(dst).is_switch())
+                .map(|dst| dst.0),
+        );
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Head-of-line arbitration driven from the requesting queue heads
@@ -111,10 +121,12 @@ impl Schedule for ActiveSchedule {
         // are dense and ordered, so that position *is* `dst_port` — no
         // O(channels) side table needed.
         let local_in = |c: u32| topo.channel(ChannelId(c)).dst_port as usize;
-        // Requested output -> requesting input channels (each queue head
-        // requests exactly one output, so every queue appears at most once).
-        let mut pending: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for &c in &run.sched.nonempty_q {
+        // Requested output and requesting input channel, sorted by output
+        // (each queue head requests exactly one output, so every queue
+        // appears at most once).
+        let mut requests = std::mem::take(&mut run.sched.requests);
+        requests.clear();
+        for c in run.sched.nonempty_q.iter() {
             let Some(p) = run.arena.queues.get(c as usize).front() else {
                 continue;
             };
@@ -124,10 +136,29 @@ impl Schedule for ActiveSchedule {
             // Only requests issued at the switch the packet sits at can be
             // granted (mirrors the sweep scanning `in_channels(src(o))`).
             if p.ready_at <= now && topo.channel(want).src == topo.channel(ChannelId(c)).dst {
-                pending.entry(want.0).or_default().push(c);
+                requests.push((want.0, c));
             }
         }
-        while let Some((o, reqs)) = pending.pop_first() {
+        requests.sort_unstable();
+        let mut requeued = std::mem::take(&mut run.sched.requeued);
+        requeued.clear();
+        let mut group = std::mem::take(&mut run.sched.group);
+        let mut rest = &requests[..];
+        // Walk the requested outputs in ascending order, merging the sorted
+        // requests with the re-enqueued heads.
+        while let Some(o) = [rest.first().map(|r| r.0), requeued.peek().map(|r| r.0 .0)]
+            .into_iter()
+            .flatten()
+            .min()
+        {
+            let (reqs, later) = rest.split_at(rest.partition_point(|r| r.0 == o));
+            rest = later;
+            group.clear();
+            group.extend(reqs.iter().map(|r| r.1));
+            while let Some(Reverse((_, c))) = requeued.peek().filter(|r| r.0 .0 == o).copied() {
+                requeued.pop();
+                group.push(c);
+            }
             let out = ChannelId(o);
             let src = topo.channel(out).src;
             let n_in = topo.in_channels(src).len();
@@ -139,7 +170,7 @@ impl Schedule for ActiveSchedule {
             // Round-robin winner: the requester whose local input index
             // comes first scanning from the grant pointer. Input indices
             // are distinct per switch, so the minimum is unique.
-            let Some(&win) = reqs
+            let Some(&win) = group
                 .iter()
                 .min_by_key(|&&c| (local_in(c) + n_in - start) % n_in)
             else {
@@ -157,11 +188,14 @@ impl Schedule for ActiveSchedule {
             if let Some(np) = run.arena.queues.get(win as usize).front() {
                 if let Some(nwant) = run.next_hop(np) {
                     if np.ready_at <= now && nwant.0 > o && topo.channel(nwant).src == src {
-                        pending.entry(nwant.0).or_default().push(win);
+                        requeued.push(Reverse((nwant.0, win)));
                     }
                 }
             }
         }
+        run.sched.requests = requests;
+        run.sched.requeued = requeued;
+        run.sched.group = group;
         Ok(())
     }
 
@@ -170,7 +204,7 @@ impl Schedule for ActiveSchedule {
     }
 
     fn queue_emptied(&mut self, c: usize) {
-        self.nonempty_q.remove(&(c as u32));
+        self.nonempty_q.remove(c as u32);
     }
 
     fn inject_filled(&mut self, slot: usize) {
@@ -178,7 +212,7 @@ impl Schedule for ActiveSchedule {
     }
 
     fn inject_emptied(&mut self, slot: usize) {
-        self.nonempty_inj.remove(&(slot as u32));
+        self.nonempty_inj.remove(slot as u32);
     }
 
     fn wake(&mut self, at: u64) {

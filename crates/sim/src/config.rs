@@ -114,7 +114,9 @@ impl SimConfig {
     ///   packet fires on healthy runs,
     /// * [`ConfigError::CycleOverflow`] — the last cycle number the engine
     ///   can form (`warmup + measure + DRAIN_CAP + ttl_cycles +
-    ///   packet_flits`) does not fit in `u64`.
+    ///   packet_flits`) does not fit in `u64`,
+    /// * [`ConfigError::ZeroIslipIterations`] — iSLIP with no round per
+    ///   cycle would match nothing.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
@@ -142,6 +144,9 @@ impl SimConfig {
         .into_iter()
         .try_fold(self.warmup_cycles, u64::checked_add)
         .ok_or(ConfigError::CycleOverflow)?;
+        if self.arbiter == (Arbiter::Voq { iterations: 0 }) {
+            return Err(ConfigError::ZeroIslipIterations);
+        }
         Ok(())
     }
 }
@@ -257,5 +262,19 @@ mod tests {
             assert_eq!(too_long.validate(), Err(ConfigError::CycleOverflow));
         }
         assert_eq!(saturated.total_cycles(), u64::MAX, "saturates, no panic");
+        assert_eq!(
+            SimConfig {
+                arbiter: Arbiter::Voq { iterations: 0 },
+                ..base
+            }
+            .validate(),
+            Err(ConfigError::ZeroIslipIterations)
+        );
+        SimConfig {
+            arbiter: Arbiter::Voq { iterations: 1 },
+            ..base
+        }
+        .validate()
+        .unwrap();
     }
 }

@@ -25,32 +25,35 @@ pub type Simulator<'a> = Kernel<'a, DenseSchedule>;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DenseSchedule;
 
-/// The non-empty queues of `queues`, ascending. Untouched pages hold only
-/// empty queues, so reading the touched ones is the full scan.
-fn nonempty(queues: &PagedVec<VecDeque<Packet>>) -> Vec<u32> {
-    queues
-        .iter_touched()
-        .filter(|(_, q)| !q.is_empty())
-        .map(|(i, _)| i as u32)
-        .collect()
+/// Push the non-empty queues of `queues` onto `out`, ascending. Untouched
+/// pages hold only empty queues, so reading the touched ones is the full
+/// scan.
+fn nonempty(queues: &PagedVec<VecDeque<Packet>>, out: &mut Vec<u32>) {
+    out.extend(
+        queues
+            .iter_touched()
+            .filter(|(_, q)| !q.is_empty())
+            .map(|(i, _)| i as u32),
+    );
 }
 
 impl Schedule for DenseSchedule {
     const NAMES: Names = crate::metric_names!("sim");
 
-    fn queues(&self, arena: &SimArena) -> Vec<u32> {
-        nonempty(&arena.queues)
+    fn queues(&self, arena: &SimArena, out: &mut Vec<u32>) {
+        nonempty(&arena.queues, out);
     }
 
-    fn inject_slots(&self, arena: &SimArena) -> Vec<u32> {
-        nonempty(&arena.inject)
+    fn inject_slots(&self, arena: &SimArena, out: &mut Vec<u32>) {
+        nonempty(&arena.inject, out);
     }
 
-    fn switches(&self, topo: &Topology) -> Vec<u32> {
-        topo.node_ids()
-            .filter(|&id| topo.kind(id).is_switch())
-            .map(|id| id.0)
-            .collect()
+    fn switches(&self, topo: &Topology, out: &mut Vec<u32>) {
+        out.extend(
+            topo.node_ids()
+                .filter(|&id| topo.kind(id).is_switch())
+                .map(|id| id.0),
+        );
     }
 
     /// The full ascending sweep: every channel is offered, as an output, to

@@ -27,6 +27,9 @@ pub enum ConfigError {
     /// `warmup_cycles + measure_cycles + DRAIN_CAP + ttl_cycles +
     /// packet_flits` overflows `u64`: the run's cycle numbers would wrap.
     CycleOverflow,
+    /// `Arbiter::Voq { iterations: 0 }`: an iSLIP cycle with no
+    /// request-grant-accept round matches nothing.
+    ZeroIslipIterations,
     /// The workload's injection rate is NaN (not a property of the
     /// [`crate::SimConfig`], but rejected with it, before the run starts).
     NanRate,
@@ -67,6 +70,9 @@ impl fmt::Display for ConfigError {
                     f,
                     "warmup + measure + drain cap + ttl_cycles + packet_flits must fit in 64 bits"
                 )
+            }
+            ConfigError::ZeroIslipIterations => {
+                write!(f, "iSLIP needs at least one iteration per cycle")
             }
             ConfigError::NanRate => {
                 write!(f, "the workload's injection rate is NaN")

@@ -90,19 +90,21 @@ macro_rules! metric_names {
 
 /// Where the kernel looks for work. Every visit list is in ascending id
 /// order; a list may name components with nothing to do (the kernel probes
-/// before it touches) but must not omit one that has.
+/// before it touches) but must not omit one that has. The kernel hands each
+/// list method an empty buffer it reuses from cycle to cycle.
 pub trait Schedule: Default {
     /// The names this schedule's runs record under.
     const NAMES: Names;
 
-    /// Channel queues that may hold a packet.
-    fn queues(&self, arena: &SimArena) -> Vec<u32>;
+    /// Push the channel queues that may hold a packet onto `out`.
+    fn queues(&self, arena: &SimArena, out: &mut Vec<u32>);
 
-    /// Injection slots that may hold a packet.
-    fn inject_slots(&self, arena: &SimArena) -> Vec<u32>;
+    /// Push the injection slots that may hold a packet onto `out`.
+    fn inject_slots(&self, arena: &SimArena, out: &mut Vec<u32>);
 
-    /// Switches (node ids) that may have a packet to match this cycle.
-    fn switches(&self, topo: &Topology) -> Vec<u32>;
+    /// Push the switches (node ids) that may have a packet to match this
+    /// cycle onto `out`.
+    fn switches(&self, topo: &Topology, out: &mut Vec<u32>);
 
     /// One cycle of head-of-line FIFO arbitration: for every switch output
     /// in ascending channel id that is [`Run::output_free`], grant
@@ -309,51 +311,18 @@ impl<'a, S: Schedule> Kernel<'a, S> {
             return Err(ConfigError::NanRate.into());
         }
         let _span = rec.span(S::NAMES.run);
-        // A fresh run starts unmasked; hysteresis rebuilds the mask as it
-        // admits links.
-        self.policy.set_live_mask(None);
-        let num_channels = self.topo.num_channels();
-        let leaves: Vec<NodeId> = self.topo.leaves().collect();
-        // All per-channel state (queues, arbiter pointers, wire deadlines,
-        // liveness) lives in the paged arena: allocated on first touch,
-        // recycled across runs, identical in content to dense arrays
-        // because every default is synthesized arithmetically.
-        self.arena.prepare(num_channels, leaves.len());
-        // Leaf node id -> dense leaf slot (leaves are the first node ids in
-        // all our builders, but don't rely on it).
-        let mut leaf_slot = vec![usize::MAX; self.topo.num_nodes()];
-        for (slot, &l) in leaves.iter().enumerate() {
-            leaf_slot[l.index()] = slot;
-        }
         let admission = churn
             .and_then(|c| c.mode.hysteresis_k())
-            .map(|k| LinkAdmission::new(num_channels, k));
-        Run {
-            topo: self.topo,
-            cfg: &self.cfg,
-            arena: &mut self.arena,
-            sched: S::default(),
-            now: 0,
-            policy: &mut self.policy,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            stats: SimStats {
-                window_cycles: self.cfg.measure_cycles,
-                offered_rate: workload.rate(),
-                channel_busy: ChannelBusy::zeros(num_channels),
-                ..SimStats::default()
-            },
-            window_latencies: Vec::new(),
-            moves: 0,
-            in_window: false,
-            // An idle cycle is provably inert only once injection is over
-            // (drain) and no hysteresis admission ticks at cycles of its
-            // own.
-            may_skip: self.cfg.drain && admission.is_none(),
+            .map(|k| LinkAdmission::new(self.topo.num_channels(), k));
+        Run::<S>::new(
+            self.topo,
+            &self.cfg,
+            &mut self.arena,
+            &mut self.policy,
+            seed,
+            workload.rate(),
             admission,
-            source_injected: vec![false; leaves.len()],
-            leaves,
-            leaf_slot,
-        }
+        )
         .execute(workload, faults, churn, rec)
     }
 }
@@ -384,9 +353,93 @@ pub struct Run<'k, S> {
     leaves: Vec<NodeId>,
     leaf_slot: Vec<usize>,
     source_injected: Vec<bool>,
+    /// The visit list being walked, reused from cycle to cycle.
+    visit: Vec<u32>,
+    islip: IslipScratch,
 }
 
-impl<S: Schedule> Run<'_, S> {
+/// iSLIP's working memory, reused across switches and cycles.
+#[derive(Default)]
+struct IslipScratch {
+    /// `(local output, local input, buffer position)` of every VOQ head.
+    heads: Vec<(usize, usize, usize)>,
+    /// The outputs with at least one VOQ head, ascending.
+    requested: Vec<Requested>,
+    in_matched: Vec<bool>,
+    /// One iteration's grants: `(local input, the output's distance from
+    /// the input's accept pointer, index into requested, buffer position)`.
+    grants: Vec<(usize, usize, usize, usize)>,
+    /// `(local input, local output, buffer position)`, in match order.
+    matches: Vec<(usize, usize, usize)>,
+}
+
+/// One output that some VOQ head requests.
+struct Requested {
+    /// Its local slot on the switch.
+    oj: usize,
+    /// Its requesters: a run of [`IslipScratch::heads`], ascending by input.
+    heads: std::ops::Range<usize>,
+    /// Free this cycle and not yet matched.
+    open: bool,
+}
+
+impl<'k, S: Schedule> Run<'k, S> {
+    /// A run at cycle 0 over freshly prepared state.
+    fn new(
+        topo: &'k Topology,
+        cfg: &'k SimConfig,
+        arena: &'k mut SimArena,
+        policy: &'k mut Policy,
+        seed: u64,
+        rate: f64,
+        admission: Option<LinkAdmission>,
+    ) -> Self {
+        // A fresh run starts unmasked; hysteresis rebuilds the mask as it
+        // admits links.
+        policy.set_live_mask(None);
+        let num_channels = topo.num_channels();
+        let leaves: Vec<NodeId> = topo.leaves().collect();
+        // All per-channel state (queues, arbiter pointers, wire deadlines,
+        // liveness) lives in the paged arena: allocated on first touch,
+        // recycled across runs, identical in content to dense arrays
+        // because every default is synthesized arithmetically.
+        arena.prepare(num_channels, leaves.len());
+        // Leaf node id -> dense leaf slot (leaves are the first node ids in
+        // all our builders, but don't rely on it).
+        let mut leaf_slot = vec![usize::MAX; topo.num_nodes()];
+        for (slot, &l) in leaves.iter().enumerate() {
+            leaf_slot[l.index()] = slot;
+        }
+        Run {
+            topo,
+            cfg,
+            arena,
+            sched: S::default(),
+            now: 0,
+            policy,
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            stats: SimStats {
+                window_cycles: cfg.measure_cycles,
+                offered_rate: rate,
+                channel_busy: ChannelBusy::zeros(num_channels),
+                ..SimStats::default()
+            },
+            window_latencies: Vec::new(),
+            moves: 0,
+            in_window: false,
+            // An idle cycle is provably inert only once injection is over
+            // (drain) and no hysteresis admission ticks at cycles of its
+            // own.
+            may_skip: cfg.drain && admission.is_none(),
+            admission,
+            source_injected: vec![false; leaves.len()],
+            leaves,
+            leaf_slot,
+            visit: Vec::new(),
+            islip: IslipScratch::default(),
+        }
+    }
+
     fn execute<R: Recorder>(
         mut self,
         workload: &Workload,
@@ -492,9 +545,13 @@ impl<S: Schedule> Run<'_, S> {
             match self.cfg.arbiter {
                 Arbiter::HolFifo => S::hol_arbitrate(&mut self)?,
                 Arbiter::Voq { iterations } => {
-                    for sw in self.sched.switches(self.topo) {
-                        self.islip_switch(NodeId(sw), iterations.max(1))?;
+                    let mut visit = std::mem::take(&mut self.visit);
+                    visit.clear();
+                    self.sched.switches(self.topo, &mut visit);
+                    for &sw in &visit {
+                        self.islip_switch(NodeId(sw), iterations)?;
                     }
+                    self.visit = visit;
                 }
             }
             if churn.is_some() {
@@ -586,14 +643,18 @@ impl<S: Schedule> Run<'_, S> {
         }
         let now = self.now;
         let mut expired: Vec<Packet> = Vec::new();
-        let visit = self.sched.queues(self.arena);
-        sweep_expired(&mut self.arena.queues, visit, now, &mut expired, |c| {
+        let mut visit = std::mem::take(&mut self.visit);
+        visit.clear();
+        self.sched.queues(self.arena, &mut visit);
+        sweep_expired(&mut self.arena.queues, &visit, now, &mut expired, |c| {
             self.sched.queue_emptied(c);
         });
-        let visit = self.sched.inject_slots(self.arena);
-        sweep_expired(&mut self.arena.inject, visit, now, &mut expired, |slot| {
+        visit.clear();
+        self.sched.inject_slots(self.arena, &mut visit);
+        sweep_expired(&mut self.arena.inject, &visit, now, &mut expired, |slot| {
             self.sched.inject_emptied(slot);
         });
+        self.visit = visit;
         for p in expired {
             self.stats.timed_out_total += 1;
             // Retransmit from the source with a *fresh* path pick:
@@ -686,7 +747,10 @@ impl<S: Schedule> Run<'_, S> {
     /// Injection links (leaf -> switch): a leaf drives a single uplink, so
     /// no arbitration is needed under either discipline.
     fn grant_injection_links(&mut self) -> Result<(), SimError> {
-        for slot in self.sched.inject_slots(self.arena) {
+        let mut visit = std::mem::take(&mut self.visit);
+        visit.clear();
+        self.sched.inject_slots(self.arena, &mut visit);
+        for &slot in &visit {
             let slot = slot as usize;
             let Some(&up) = self
                 .leaves
@@ -709,6 +773,7 @@ impl<S: Schedule> Run<'_, S> {
             }
             self.advance(p, up.index())?;
         }
+        self.visit = visit;
         Ok(())
     }
 
@@ -820,98 +885,101 @@ impl<S: Schedule> Run<'_, S> {
     /// head never stalls traffic for other outputs. A switch with no
     /// buffered packet requests nothing, grants nothing and moves no
     /// pointer, which is why a schedule may leave it out.
+    ///
+    /// The work is driven by the request list rather than a dense
+    /// inputs × outputs matrix. A grant is the requester nearest the
+    /// output's pointer, `min (ii - start) mod n_in`; an accept is the grant
+    /// nearest the input's pointer, `min (oj - start) mod n_out`. Both are
+    /// exactly the first hit of McKeown's round-robin scans.
     fn islip_switch(&mut self, sw: NodeId, iterations: u8) -> Result<(), SimError> {
-        let inputs = self.topo.in_channels(sw);
-        let outputs = self.topo.out_channels(sw);
-        if inputs.is_empty() || outputs.is_empty() {
+        let (topo, now) = (self.topo, self.now);
+        let inputs = topo.in_channels(sw);
+        let outputs = topo.out_channels(sw);
+        let (n_in, n_out) = (inputs.len(), outputs.len());
+        if n_in == 0 || n_out == 0 {
             return Ok(());
         }
-        // Output-channel index -> local output slot.
-        let out_slot = |c: ChannelId| outputs.iter().position(|&o| o == c);
-
-        // Per input: the buffer position of the first eligible packet per
-        // local output (the VOQ heads).
-        let mut voq_head: Vec<Vec<Option<usize>>> = Vec::with_capacity(inputs.len());
-        for &qi in inputs {
-            let mut heads = vec![None; outputs.len()];
+        let mut s = std::mem::take(&mut self.islip);
+        // Every ready packet's request. An output's local slot is its
+        // `src_port`: the CSR audit proves `outputs[src_port]` is that
+        // channel.
+        s.heads.clear();
+        for (ii, &qi) in inputs.iter().enumerate() {
             for (pos, p) in self.arena.queues.get(qi.index()).iter().enumerate() {
-                if p.ready_at > self.now {
+                if p.ready_at > now {
                     continue;
                 }
                 // (Defensive: a delivered packet never queues, and wants
                 // nothing.)
-                if let Some(oj) = self.next_hop(p).and_then(out_slot) {
-                    if heads[oj].is_none() {
-                        heads[oj] = Some(pos);
-                    }
-                }
-            }
-            voq_head.push(heads);
-        }
-        let out_ok: Vec<bool> = outputs
-            .iter()
-            .map(|&o| self.output_free(o.index()))
-            .collect();
-
-        let mut in_matched = vec![false; inputs.len()];
-        let mut out_matched = vec![false; outputs.len()];
-        let mut matches: Vec<(usize, usize)> = Vec::new();
-        for iter in 0..iterations {
-            // Grant: each free output offers to one requesting input,
-            // scanning from its grant pointer.
-            let mut grants: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
-            let mut any_grant = false;
-            for (oj, &o) in outputs.iter().enumerate() {
-                if out_matched[oj] || !out_ok[oj] {
+                let Some(ch) = self.next_hop(p).map(|c| topo.channel(c)) else {
                     continue;
-                }
-                let start = *self.arena.rr.get(o.index()) as usize % inputs.len();
-                for k in 0..inputs.len() {
-                    let ii = (start + k) % inputs.len();
-                    if !in_matched[ii] && voq_head[ii][oj].is_some() {
-                        grants[ii].push(oj);
-                        any_grant = true;
-                        break;
-                    }
+                };
+                if ch.src == sw {
+                    s.heads.push((usize::from(ch.src_port), ii, pos));
                 }
             }
-            if !any_grant {
+        }
+        // Sorted by output, input, position: the first request of each
+        // (output, input) run is that VOQ's head.
+        s.heads.sort_unstable();
+        s.heads.dedup_by_key(|h| (h.0, h.1));
+        s.requested.clear();
+        let mut at = 0;
+        for run in s.heads.chunk_by(|a, b| a.0 == b.0) {
+            let oj = run[0].0;
+            s.requested.push(Requested {
+                oj,
+                heads: at..at + run.len(),
+                open: self.output_free(outputs[oj].index()),
+            });
+            at += run.len();
+        }
+        s.in_matched.clear();
+        s.in_matched.resize(n_in, false);
+        s.matches.clear();
+        for iter in 0..iterations {
+            // Grant: each open output offers itself to one unmatched
+            // requester, scanning from its grant pointer.
+            s.grants.clear();
+            for (g, req) in s.requested.iter().enumerate().filter(|(_, r)| r.open) {
+                let start = *self.arena.rr.get(outputs[req.oj].index()) as usize % n_in;
+                let winner = s.heads[req.heads.clone()]
+                    .iter()
+                    .filter(|h| !s.in_matched[h.1])
+                    .min_by_key(|h| (h.1 + n_in - start) % n_in);
+                if let Some(&(_, ii, pos)) = winner {
+                    let accept = *self.arena.accept_ptr.get(inputs[ii].index()) as usize % n_out;
+                    s.grants
+                        .push((ii, (req.oj + n_out - accept) % n_out, g, pos));
+                }
+            }
+            if s.grants.is_empty() {
                 break;
             }
             // Accept: each input picks one granted output, scanning from
-            // its accept pointer; pointers advance only on first-iteration
-            // accepts (standard iSLIP desynchronization rule).
-            for (ii, granted) in grants.iter().enumerate() {
-                if granted.is_empty() || in_matched[ii] {
-                    continue;
-                }
-                let qi = inputs[ii];
-                let start = *self.arena.accept_ptr.get(qi.index()) as usize % outputs.len();
-                let Some(&oj) = granted
-                    .iter()
-                    .min_by_key(|&&oj| (oj + outputs.len() - start) % outputs.len())
-                else {
-                    return Err(SimError::invariant("grant list emptied during accept"));
-                };
-                in_matched[ii] = true;
-                out_matched[oj] = true;
-                matches.push((ii, oj));
+            // its accept pointer (ranked above, as nothing moves a pointer
+            // between grant and accept); pointers advance only on
+            // first-iteration accepts (standard iSLIP desynchronization
+            // rule).
+            s.grants.sort_unstable();
+            s.grants.dedup_by_key(|gr| gr.0);
+            for &(ii, _, g, pos) in &s.grants {
+                let (qi, oj) = (inputs[ii], s.requested[g].oj);
+                s.in_matched[ii] = true;
+                s.requested[g].open = false;
+                s.matches.push((ii, oj, pos));
                 if iter == 0 {
-                    *self.arena.rr.get_mut(outputs[oj].index()) = ((ii + 1) % inputs.len()) as u32;
-                    *self.arena.accept_ptr.get_mut(qi.index()) = ((oj + 1) % outputs.len()) as u32;
+                    *self.arena.rr.get_mut(outputs[oj].index()) = ((ii + 1) % n_in) as u32;
+                    *self.arena.accept_ptr.get_mut(qi.index()) = ((oj + 1) % n_out) as u32;
                 }
             }
         }
         // Move matched packets.
-        for (ii, oj) in matches {
-            let Some(pos) = voq_head[ii][oj] else {
-                return Err(SimError::invariant(
-                    "iSLIP matched an input with no eligible VOQ head",
-                ));
-            };
+        for &(ii, oj, pos) in &s.matches {
             let p = self.take(inputs[ii].index(), pos)?;
             self.advance(p, outputs[oj].index())?;
         }
+        self.islip = s;
         Ok(())
     }
 }
@@ -921,12 +989,12 @@ impl<S: Schedule> Run<'_, S> {
 /// this leaves empty.
 fn sweep_expired(
     queues: &mut PagedVec<VecDeque<Packet>>,
-    visit: Vec<u32>,
+    visit: &[u32],
     now: u64,
     expired: &mut Vec<Packet>,
     mut emptied: impl FnMut(usize),
 ) {
-    for i in visit {
+    for &i in visit {
         let i = i as usize;
         // Probe read-only: only a queue that loses a packet is touched.
         if !queues.get(i).iter().any(|p| now >= p.deadline) {
@@ -999,4 +1067,103 @@ fn finish_stats(stats: &mut SimStats, sorted: &[u64]) {
     stats.latency_p50 = pct(0.50);
     stats.latency_p95 = pct(0.95);
     stats.latency_p99 = pct(0.99);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::DenseSchedule;
+    use ftclos_topo::crossbar;
+
+    /// One iSLIP cycle on a 4-port crossbar whose pointers both have to wrap
+    /// past the last port. Inputs 1, 2 and 3 hold packets for outputs
+    /// {0, 2}, {0} and {2}; output 0's grant pointer is at 3, output 2's at
+    /// 1, input 1's accept pointer at 3.
+    ///
+    /// Iteration 1: output 0 scans 3, 0, 1 and grants input 1; output 2
+    /// grants input 1 straight away; input 1 scans 3, 0 and accepts output
+    /// 0. Iteration 2: output 2 grants the still unmatched input 3, which
+    /// accepts. Only the first iteration moves pointers.
+    #[test]
+    fn islip_grant_and_accept_pointers_wrap() {
+        let xb = crossbar(4).unwrap();
+        let topo = xb.topology();
+        let sw = xb.switch();
+        for p in 0..4 {
+            assert_eq!(topo.in_channels(sw)[p], xb.up_channel(p));
+            assert_eq!(topo.out_channels(sw)[p], xb.down_channel(p));
+        }
+        let routes: Vec<(u32, u32, [ChannelId; 2])> = [(1, 0), (1, 2), (2, 0), (3, 2)]
+            .map(|(i, o): (usize, usize)| {
+                (i as u32, o as u32, [xb.up_channel(i), xb.down_channel(o)])
+            })
+            .into();
+        let mut policy =
+            Policy::from_pinned(topo, routes.iter().map(|(i, o, p)| (*i, *o, &p[..]))).unwrap();
+        let rows: Vec<u32> = routes
+            .iter()
+            .map(|r| {
+                policy
+                    .pick(r.0, r.1, |_| 0, &mut ChaCha8Rng::seed_from_u64(0))
+                    .unwrap()
+            })
+            .collect();
+        for iterations in [1, 2] {
+            let cfg = SimConfig {
+                arbiter: Arbiter::Voq { iterations },
+                ..SimConfig::default()
+            };
+            let mut arena = SimArena::new();
+            let mut run: Run<'_, DenseSchedule> =
+                Run::new(topo, &cfg, &mut arena, &mut policy, 0, 0.0, None);
+            for (&(i, o, _), &row) in routes.iter().zip(&rows) {
+                let up = xb.up_channel(i as usize).index();
+                run.arena.queues.get_mut(up).push_back(Packet {
+                    src: i,
+                    dst: o,
+                    row,
+                    hop: 1,
+                    inject_cycle: 0,
+                    ready_at: 0,
+                    deadline: u64::MAX,
+                    retries: 0,
+                });
+            }
+            let (up, down) = (|p| xb.up_channel(p).index(), |p| xb.down_channel(p).index());
+            *run.arena.rr.get_mut(down(0)) = 3;
+            *run.arena.rr.get_mut(down(2)) = 1;
+            *run.arena.accept_ptr.get_mut(up(1)) = 3;
+            run.islip_switch(sw, iterations).unwrap();
+            // Input 1 sent its packet for output 0; its packet for output 2
+            // stays. Input 3's moved only in the second iteration.
+            let left = |p: usize| -> Vec<u32> {
+                run.arena
+                    .queues
+                    .get(up(p))
+                    .iter()
+                    .map(|pk| pk.dst)
+                    .collect()
+            };
+            assert_eq!(left(1), [2]);
+            assert_eq!(left(2), [0]);
+            assert_eq!(left(3), if iterations == 1 { vec![2] } else { vec![] });
+            assert_eq!(run.moves, u64::from(iterations));
+            assert_eq!(
+                *run.arena.rr.get(down(0)),
+                2,
+                "grant pointer one past input 1"
+            );
+            assert_eq!(
+                *run.arena.accept_ptr.get(up(1)),
+                1,
+                "accept pointer one past output 0"
+            );
+            assert_eq!(
+                *run.arena.rr.get(down(2)),
+                1,
+                "second-iteration grants move nothing"
+            );
+            assert_eq!(*run.arena.accept_ptr.get(up(3)), 0);
+        }
+    }
 }

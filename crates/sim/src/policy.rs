@@ -3,8 +3,9 @@
 //! A policy is one route table in CSR form. Every candidate path of every
 //! pair is tabulated once, back to back, in a single slab of hops; a *row*
 //! is one candidate path, and each pair owns a contiguous range of rows —
-//! found by `src * ports + dst` in the all-pairs tables and by binary search
-//! in the pattern-level ones. [`Policy::pick`] answers with a row id, a
+//! found by `src * ports + dst` in the all-pairs tables, and in the
+//! pattern-level ones by the source's offset into a per-source run of
+//! destinations. [`Policy::pick`] answers with a row id, a
 //! packet carries that id and its hop count, and whoever needs the channels
 //! (the kernel's grant tests, the stall report) resolves them through
 //! [`Policy::path`]: the hot loop does no routing work beyond an index
@@ -46,9 +47,13 @@ enum PairIndex {
     /// All-pairs tables: pair `src * ports + dst` owns rows
     /// `first_row[pair]..first_row[pair + 1]` (none for a self pair).
     Dense { ports: u32, first_row: Vec<u32> },
-    /// Pattern-level tables: `((src, dst), row)` sorted by pair, one row
-    /// each.
-    Sparse(Vec<((u32, u32), u32)>),
+    /// Pattern-level tables, one row a pair: source `src` lists its
+    /// `(dst, row)` keys, sorted by `dst`, at
+    /// `keys[src_first[src]..src_first[src + 1]]`.
+    Sparse {
+        src_first: Vec<u32>,
+        keys: Vec<(u32, u32)>,
+    },
 }
 
 impl PairIndex {
@@ -59,11 +64,29 @@ impl PairIndex {
                 let slot = src as usize * *ports as usize + dst as usize;
                 (src < *ports && dst < *ports).then(|| (slot, first_row[slot]..first_row[slot + 1]))
             }
-            Self::Sparse(keys) => {
-                let slot = keys.binary_search_by_key(&(src, dst), |k| k.0).ok()?;
-                Some((slot, keys[slot].1..keys[slot].1 + 1))
+            Self::Sparse { src_first, keys } => {
+                let s = src as usize;
+                let (first, end) = (*src_first.get(s)? as usize, *src_first.get(s + 1)? as usize);
+                let at = keys[first..end].binary_search_by_key(&dst, |k| k.0).ok()?;
+                let row = keys[first + at].1;
+                Some((first + at, row..row + 1))
             }
         }
+    }
+
+    /// The sparse index over `pairs`, sorted by `(src, dst)` with no pair
+    /// twice.
+    fn by_source(pairs: &[((u32, u32), u32)]) -> Self {
+        let sources = pairs.last().map_or(0, |&((s, _), _)| s as usize + 1);
+        let mut src_first = vec![0u32; sources + 1];
+        for &((s, _), _) in pairs {
+            src_first[s as usize + 1] += 1;
+        }
+        for s in 1..=sources {
+            src_first[s] += src_first[s - 1];
+        }
+        let keys = pairs.iter().map(|&((_, d), row)| (d, row)).collect();
+        Self::Sparse { src_first, keys }
     }
 }
 
@@ -92,7 +115,10 @@ impl Policy {
         Self {
             hops: Vec::new(),
             row_off: vec![0, 0],
-            index: PairIndex::Sparse(Vec::new()),
+            index: PairIndex::Sparse {
+                src_first: Vec::new(),
+                keys: Vec::new(),
+            },
             counters: Vec::new(),
             choice,
             live_mask: Vec::new(),
@@ -164,7 +190,7 @@ impl Policy {
             .collect();
         keys.sort_by_key(|k| k.0);
         keys.dedup_by_key(|k| k.0);
-        table.index = PairIndex::Sparse(keys);
+        table.index = PairIndex::by_source(&keys);
         table
     }
 
@@ -222,7 +248,7 @@ impl Policy {
                     return Err(err(format!("hops {} -> {} are not adjacent", w[0], w[1])));
                 }
             }
-            // The index is kept sorted as it grows (pinned sets are
+            // The pairs are kept sorted as they grow (pinned sets are
             // witness-sized), so a repeat is caught where it stands in
             // `routes`.
             match keys.binary_search_by_key(&(src, dst), |k| k.0) {
@@ -230,7 +256,7 @@ impl Policy {
                 Err(at) => keys.insert(at, ((src, dst), table.push_row(channels))),
             }
         }
-        table.index = PairIndex::Sparse(keys);
+        table.index = PairIndex::by_source(&keys);
         Ok(table)
     }
 
@@ -296,7 +322,9 @@ impl Policy {
     pub fn memory_bytes(&self) -> usize {
         let index = match &self.index {
             PairIndex::Dense { first_row, .. } => first_row.capacity() * size_of::<u32>(),
-            PairIndex::Sparse(keys) => keys.capacity() * size_of::<((u32, u32), u32)>(),
+            PairIndex::Sparse { src_first, keys } => {
+                src_first.capacity() * size_of::<u32>() + keys.capacity() * size_of::<(u32, u32)>()
+            }
         };
         self.hops.capacity() * size_of::<ChannelId>()
             + self.row_off.capacity() * size_of::<u32>()
@@ -611,5 +639,32 @@ mod tests {
         let row = p.pick(3, 8, |_| 0, &mut g).unwrap();
         assert_eq!(p.path(row), other.channels());
         assert!(!p.can_route(5, 0));
+    }
+
+    #[test]
+    fn assignment_index_keeps_the_last_listing_of_each_pair() {
+        let mut g = rng();
+        for listings in [0, 1, 7, 300] {
+            // Listing `i` routes over channel `i` alone, so a path names its
+            // listing.
+            let routes: Vec<(SdPair, Path)> = (0..listings)
+                .map(|i| {
+                    let pair = SdPair::new(g.gen_range(0..12), g.gen_range(0..12));
+                    (pair, Path::new(vec![ChannelId(i)]))
+                })
+                .collect();
+            let mut model = std::collections::BTreeMap::new();
+            for (pair, path) in &routes {
+                model.insert((pair.src, pair.dst), path.clone());
+            }
+            let p = Policy::from_assignment(&RouteAssignment::new(routes));
+            for s in (0..14).chain([u32::MAX]) {
+                for d in (0..14).chain([u32::MAX]) {
+                    let got = p.index.lookup(s, d).map(|_| rows_of(&p, s, d));
+                    let want = model.get(&(s, d)).map(|path| vec![path.clone()]);
+                    assert_eq!(got, want, "({s}, {d}) of {listings} listings");
+                }
+            }
+        }
     }
 }
