@@ -1,12 +1,13 @@
-//! E20–E26 — the claims that need a big fabric or a second implementation
+//! E20–E27 — the claims that need a big fabric or a second implementation
 //! to compare against. Wall-clock limits are the rows' `budget_s` (and
 //! E25's two [`Ctx::within`] parts), checked by the runner.
 //!
 //! * **E20** — the arena-backed contention engine and the legacy `HashMap`
 //!   sweeps it replaced agree on `ftree(4+16, 9)` and on one blocking and
-//!   one nonblocking smoke fabric; the engine's complete two-pair sweep
-//!   (1260 paths routed once, channels scanned) is at least 10× faster than
-//!   the legacy one (~794k patterns re-routed).
+//!   one nonblocking smoke fabric; the engine's complete two-pair search
+//!   (the Lemma 1 census of all 1260 paths, counted from Theorem 3's
+//!   top-choice rule) is at least 10× faster than the legacy one (~794k
+//!   patterns re-routed).
 //! * **E21** — the same engine work under a live recorder: same verdict,
 //!   and the spans and counters of every layer show up.
 //! * **E22** — channel-dependency deadlock analysis (the up*/down*
@@ -32,13 +33,20 @@
 //!   NONBLOCKINGADAPTIVE on max link load for every pattern of the
 //!   adversarial suite — all measured by the core engine's load scratch —
 //!   and strictly beats fault-aware d-mod-k with one dead top switch.
+//! * **E27** — Theorems 2 and 3 at a million hosts: on `ftree(32+1024,
+//!   32768)` (1,048,576 hosts, 69M channels) Yuan's routing is nonblocking,
+//!   and on `ftree(32+1023, 32768)` d-mod-k blocks with a witness that
+//!   replays as a contending two-pair permutation. Both verdicts are Lemma 1
+//!   by counting (the census read off each router's top-choice rule), so
+//!   the fabric build is most of the row; one fabric is alive at a time and
+//!   the row's own peak RSS stays under 1.5 GiB.
 
 use crate::{sim_cfg, Ctx, RowResult, SEED};
 use ftclos_core::search::{find_blocking_two_pair, find_blocking_two_pair_legacy};
 use ftclos_core::{
-    cable_universe, cdg_of_router, certify_exhaustive, run_randomized, top_switch_universe,
-    AdaptiveRoutability, CampaignConfig, CampaignProperty, ContentionEngine, ContentionScratch,
-    FaultElement, ValleyRouter,
+    cable_universe, cdg_of_router, certify_exhaustive, lemma1_audit_with, run_randomized,
+    top_switch_universe, AdaptiveRoutability, CampaignConfig, CampaignProperty, ContentionEngine,
+    ContentionScratch, FaultElement, ValleyRouter,
 };
 use ftclos_evsim::EventSimulator;
 use ftclos_flowsim::standard_suite;
@@ -49,7 +57,7 @@ use ftclos_routing::{
 };
 use ftclos_sim::{Policy, Simulator, Workload};
 use ftclos_topo::{FaultSet, FaultyView, Ftree, RecursiveNonblocking, Topology};
-use ftclos_traffic::patterns;
+use ftclos_traffic::{patterns, Permutation, SdPair};
 use std::error::Error;
 
 /// The 10,000-host fabric E22–E24 and E26 share: `ftree(16+256, 625)`,
@@ -320,6 +328,72 @@ fn e25_million(ctx: &mut Ctx) -> RowResult {
     let router = DModK::new(&ft);
     event_run(ctx, ft.topology(), &router, 13, 0.01, "million-host")?;
     Ok(())
+}
+
+pub fn e27(ctx: &mut Ctx) -> RowResult {
+    ctx.banner(
+        "E27",
+        "Theorems 2 and 3 at a million hosts, Lemma 1 by counting",
+    )?;
+    // Start this row's peak from what is resident now, so the ceiling is
+    // about these fabrics and not about rows run before it.
+    let own_peak = reset_peak_rss();
+
+    // Theorem 3: m = n² with the index-pair routing is nonblocking.
+    let (build_s, ft) = ctx.timed("e27.build", |_| Ftree::new(32, 1024, 32_768));
+    let ft = ft?;
+    ctx.result_line("fabric", "ftree(32+1024, 32768)")?;
+    ctx.result_line("hosts", ft.num_leaves())?;
+    ctx.result_line("channels", ft.topology().num_channels())?;
+    let yuan = YuanDeterministic::new(&ft)?;
+    let rec = ctx.recorder();
+    let (count_s, verdict) = ctx.timed("e27.count", |_| lemma1_audit_with(&yuan, rec));
+    ctx.result_line("build_s", format!("{build_s:.2}"))?;
+    ctx.result_line("count_s", format!("{count_s:.2}"))?;
+    ctx.check(
+        ft.num_leaves() == 1 << 20 && verdict?.is_none(),
+        "Theorem 3: Yuan routing on ftree(32+1024, 32768) (2^20 hosts) is nonblocking",
+    )?;
+    drop(ft);
+
+    // Theorem 2: one top switch short of n², d-mod-k blocks.
+    let (build_s, ft) = ctx.timed("e27.build", |_| Ftree::new(32, 1023, 32_768));
+    let ft = ft?;
+    ctx.result_line("fabric", "ftree(32+1023, 32768)")?;
+    let dmodk = DModK::new(&ft);
+    let (count_s, violation) = ctx.timed("e27.count", |_| lemma1_audit_with(&dmodk, rec));
+    ctx.result_line("build_s", format!("{build_s:.2}"))?;
+    ctx.result_line("count_s", format!("{count_s:.2}"))?;
+    let violation = violation?;
+    ctx.check(
+        violation.is_some(),
+        "Theorem 2: d-mod-k on ftree(32+1023, 32768) (m = n² - 1) is blocking",
+    )?;
+    if let Some(v) = violation {
+        let pairs = [0, 1].map(|k| SdPair::new(v.sources[k], v.destinations[k]));
+        ctx.result_line(
+            "witness",
+            format!("{} and {} on {}", pairs[0], pairs[1], v.channel),
+        )?;
+        let perm = Permutation::from_pairs(ft.num_leaves() as u32, pairs)?;
+        ctx.check(
+            route_all(&dmodk, &perm)?.max_channel_load() >= 2,
+            "the d-mod-k witness contends when routed",
+        )?;
+    }
+    drop(ft);
+
+    if let (true, Some(mib)) = (own_peak, peak_rss_mib()) {
+        ctx.result_line("peak_rss_mib", mib)?;
+        ctx.check(mib < 1536, "row peak RSS stays under 1.5 GiB")?;
+    }
+    Ok(())
+}
+
+/// Restart this process's peak-RSS counter (`VmHWM`) at its current RSS,
+/// through `/proc/self/clear_refs`; false where that is not available.
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// Peak resident set of this process (`VmHWM`) in MiB, from

@@ -7,7 +7,7 @@ use ftclos_core::churn::ChurnEvent;
 use ftclos_core::ValleyRouter;
 use ftclos_routing::{
     route_all, DModK, GreedyLocalAdaptive, NonblockingAdaptive, PatternRouter, RearrangeableRouter,
-    RouteAssignment, RoutingError, SModK, SinglePathRouter, YuanDeterministic,
+    RouteAssignment, RoutingError, SModK, SinglePathRouter, TopRule, YuanDeterministic,
 };
 use ftclos_sim::ChurnSchedule;
 use ftclos_topo::{ChannelId, FaultSet, Ftree};
@@ -199,6 +199,10 @@ impl SinglePathRouter for SinglePath<'_> {
     fn name(&self) -> &'static str {
         each_variant!(self, r => SinglePathRouter::name(r))
     }
+
+    fn top_rule(&self) -> Option<(&Ftree, TopRule)> {
+        each_variant!(self, r => r.top_rule())
+    }
 }
 
 /// Route `perm` on `ft` with the named router.
@@ -351,6 +355,8 @@ mod tests {
             let r = SinglePath::new(&ft, name).unwrap();
             assert_eq!(SinglePathRouter::name(&r), plain.name());
             assert_eq!(r.route(pair), plain.route(pair), "{name}");
+            let rule = |r: &dyn SinglePathRouter| r.top_rule().map(|(f, rule)| (f.n(), rule));
+            assert_eq!(rule(&r), rule(plain), "{name}");
         }
         assert!(matches!(
             SinglePath::new(&ft, RouterName::Adaptive),

@@ -73,19 +73,28 @@ mod tests {
     }
 
     #[test]
-    fn audit_records_sweep_spans() {
+    fn audit_records_closed_form_spans() {
+        // Every router on the roster declares its top-choice rule, so the
+        // audit counts instead of sweeping: no pair is routed, no thread
+        // gauge is set.
         let reg = Registry::new();
         run(&argv("2 4 5"), &reg).unwrap();
         let snap = reg.snapshot();
         let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
-        assert_eq!(paths, ["lemma1.sweep"], "clean audits need no witness pass");
+        assert_eq!(
+            paths,
+            ["lemma1.closed_form"],
+            "clean audits need no witness"
+        );
         assert_eq!(snap.counter("lemma1.paths"), Some(90));
-        assert_eq!(snap.gauge("par.threads"), Some(1));
+        assert_eq!(snap.gauge("par.threads"), None);
 
-        let reg = Registry::new();
-        run(&argv("2 2 5 --router dmodk"), &reg).unwrap();
-        let snap = reg.snapshot();
-        let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
-        assert_eq!(paths, ["lemma1.sweep", "lemma1.witness"]);
+        for router in ["dmodk", "smodk"] {
+            let reg = Registry::new();
+            run(&argv(&format!("2 2 5 --router {router}")), &reg).unwrap();
+            let snap = reg.snapshot();
+            let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+            assert_eq!(paths, ["lemma1.closed_form", "lemma1.witness"], "{router}");
+        }
     }
 }

@@ -1,21 +1,27 @@
-//! Lemma 1, decided: a streaming census for the verdict, and an arena-backed
-//! engine for callers that need the paths themselves.
+//! Lemma 1, decided: a census counted from a router's top-choice rule or
+//! streamed from its paths for the verdict, and an arena-backed engine for
+//! callers that need the paths themselves.
 //!
 //! Every exact analyzer in this crate decides the same predicate — *each
 //! channel carries traffic from one source or to one destination* — over the
 //! `p(p-1)` SD paths of a single-path router. The predicate is per channel,
 //! so the verdict needs two words per channel ([`LinkCensus`]), not a copy of
-//! every path. Two ways to take it:
+//! every path. Three ways to take it:
 //!
-//! * **Stream** ([`lemma1_audit_with`]) when the question is the verdict and
-//!   its witness: one [`crate::sweep::fold_paths`] pass folds every path into
-//!   a census, then a second pass re-routes rows in ascending order only
-//!   until the witness rule on the lowest violating channel is satisfied.
-//!   Memory is `O(channels)`; the sweep stays on one thread, because a
-//!   second one buys little and makes the wall time depend on whether a
-//!   shared host's other core is free. `ftclos verify`, [`crate::verify::nonblocking_verdict`],
-//!   [`crate::verify::is_nonblocking_deterministic`] and
-//!   [`crate::search::find_blocking_two_pair`] stream.
+//! * **Count** when the router declares a [`TopRule`] (d-mod-k, s-mod-k and
+//!   Theorem 3's routing, see `SinglePathRouter::top_rule`): the pairs
+//!   crossing each channel are a product of two port sets fixed by the rule
+//!   alone, the argument of the proofs of Theorems 2 and 3. Each cell is the
+//!   first two elements of a set, so [`lemma1_audit_with`] is an ascending
+//!   `O(hosts + channels)` scan that routes nothing and allocates nothing,
+//!   and the witness streams the violating channel's product.
+//! * **Stream** ([`lemma1_audit_with`] on any other router): one
+//!   [`crate::sweep::fold_paths`] pass folds every path into a census, then
+//!   a second pass re-routes rows in ascending order only until the witness
+//!   rule on the lowest violating channel is satisfied. Memory is
+//!   `O(channels)`; the sweep stays on one thread, because a second one buys
+//!   little and makes the wall time depend on whether a shared host's other
+//!   core is free.
 //! * **Build an arena** ([`ContentionEngine`]) when the caller asks many
 //!   questions of the same paths: [`PathArena`] (from `ftclos-routing`) keeps
 //!   every path in CSR form plus the channel → pairs incidence, so a survivor
@@ -24,19 +30,22 @@
 //!   recording experiment use it. It costs `O(hops)` memory (266 MB on
 //!   `ftree(16+256, 170)`), and its `u32` offsets cap a fabric at 2³² hops.
 //!
-//! Both take the census the same way and pick the witness with the same rule
+//! `ftclos verify`, [`crate::verify::nonblocking_verdict`],
+//! [`crate::verify::is_nonblocking_deterministic`] and
+//! [`crate::search::find_blocking_two_pair`] count or stream. All three
+//! take the census the same way and pick the witness with the same rule
 //! (the paper's necessity argument, one function over an ordered stream of
-//! crossing pairs), so they report the same [`LinkViolation`], field for
-//! field; `tests/engine_differential.rs` pins that, and pins both against
-//! the legacy `HashMap` audit. [`ContentionScratch`] is the per-pattern
-//! counterpart: epoch-stamped `channel → owner` tables reused across
-//! patterns.
+//! crossing pairs, fed in row order), so they report the same
+//! [`LinkViolation`], field for field; `tests/engine_differential.rs` pins
+//! that, and pins them against the legacy `HashMap` audit.
+//! [`ContentionScratch`] is the per-pattern counterpart: epoch-stamped
+//! `channel → owner` tables reused across patterns.
 
 use crate::sweep::fold_paths;
 use crate::verify::{ContentionWitness, LinkViolation};
 use ftclos_obs::{Noop, Recorder};
-use ftclos_routing::{PathArena, RouteAssignment, RoutingError, SinglePathRouter};
-use ftclos_topo::ChannelId;
+use ftclos_routing::{PathArena, RouteAssignment, RoutingError, SinglePathRouter, TopRule};
+use ftclos_topo::{ChannelId, Ftree};
 use ftclos_traffic::SdPair;
 
 /// Census cell of a channel that no recorded path crosses.
@@ -65,11 +74,27 @@ fn join(a: u32, b: u32) -> u32 {
 /// destination, so a cell saturates at two distinct ports. Censuses of
 /// disjoint path sets [`merge`](LinkCensus::merge) into the census of their
 /// union, which is what lets a parallel sweep keep one census per thread.
+/// Two censuses are equal when every channel's cells are (a census reads
+/// `NONE` past its end, so their lengths need not match).
 #[derive(Clone, Debug, Default)]
 pub struct LinkCensus {
     /// `[source cell, destination cell]` of each channel.
     cells: Vec<[u32; 2]>,
 }
+
+impl PartialEq for LinkCensus {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.cells.len() <= other.cells.len() {
+            (&self.cells, &other.cells)
+        } else {
+            (&other.cells, &self.cells)
+        };
+        let (head, tail) = long.split_at(short.len());
+        head == short.as_slice() && tail.iter().all(|cell| *cell == [NONE; 2])
+    }
+}
+
+impl Eq for LinkCensus {}
 
 impl LinkCensus {
     /// An empty census sized for `num_channels` channels.
@@ -194,6 +219,196 @@ pub(crate) fn lemma1_witness(
     None
 }
 
+/// The ascending port set `{x ∈ [lo, hi) \ [skip₀, skip₁) : x ≡ residue
+/// (mod modulus)}`. Under a [`TopRule`] the sources crossing a channel form
+/// one such set and the destinations another.
+#[derive(Clone, Copy, Debug)]
+struct PortSet {
+    lo: u64,
+    hi: u64,
+    skip: [u64; 2],
+    modulus: u64,
+    residue: u64,
+}
+
+impl PortSet {
+    /// `[lo, hi)`.
+    fn range(lo: u64, hi: u64) -> Self {
+        Self {
+            lo,
+            hi,
+            skip: [lo, lo],
+            modulus: 1,
+            residue: 0,
+        }
+    }
+
+    /// This set without `[skip₀, skip₁)` (a set skips one range at most).
+    fn outside(self, skip: [u64; 2]) -> Self {
+        Self { skip, ..self }
+    }
+
+    /// This set's elements `≡ residue (mod modulus)` (of a set not yet
+    /// restricted to a class).
+    fn class(self, modulus: u64, residue: u64) -> Self {
+        Self {
+            modulus,
+            residue,
+            ..self
+        }
+    }
+
+    /// The least element `≥ x` of the class, ignoring the bounds.
+    #[inline]
+    fn class_from(&self, x: u64) -> u64 {
+        if self.modulus == 1 {
+            return x;
+        }
+        let ahead = self.residue + self.modulus - x % self.modulus;
+        x + if ahead >= self.modulus {
+            ahead - self.modulus
+        } else {
+            ahead
+        }
+    }
+
+    /// `y` if it is in the set, else the next element past the skipped range
+    /// (`y` is in the class and at least `lo`).
+    #[inline]
+    fn settle(&self, mut y: u64) -> Option<u64> {
+        if self.skip[0] <= y && y < self.skip[1] {
+            y = self.class_from(self.skip[1]);
+        }
+        (y < self.hi).then_some(y)
+    }
+
+    /// The least element.
+    #[inline]
+    fn first(&self) -> Option<u64> {
+        self.settle(self.class_from(self.lo))
+    }
+
+    /// The element after element `x`.
+    #[inline]
+    fn after(&self, x: u64) -> Option<u64> {
+        self.settle(x + self.modulus)
+    }
+
+    /// The census cell of the set: its first two elements, read as `NONE`,
+    /// `one(x)` or `MANY`.
+    #[inline]
+    fn cell(&self) -> u32 {
+        match self.first() {
+            None => NONE,
+            Some(x) if self.after(x).is_some() => MANY,
+            Some(x) => x as u32,
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = u32> {
+        std::iter::successors(self.first(), move |&x| self.after(x)).map(|x| x as u32)
+    }
+}
+
+/// Lemma 1 by counting: the census of a router that follows a [`TopRule`]
+/// on `ftree(n+m, r)`, read off the rule instead of routing `p(p-1)` pairs.
+///
+/// Every path is `leaf up → up(v, top) → down(top, w) → leaf down`, so the
+/// pairs crossing a channel are a product `S × D` of two [`PortSet`]s. With
+/// `sw(v) = [v·n, v·n+n)`, the near side of a channel of switch `v` is
+/// `sw(v)` and the far side the rest; an uplink's sources are near and its
+/// destinations far, a downlink's the other way round. The rule then keeps
+/// one residue class of one side: the destinations `≡ t (mod m)` under
+/// [`TopRule::ByDestination`], the sources `≡ t` under
+/// [`TopRule::BySource`], and under [`TopRule::ByIndexPair`] the sources
+/// `≡ i` and the destinations `≡ j (mod n)` for `t = i·n + j < n²` (tops
+/// `≥ n²` carry nothing). A leaf channel of host `h` carries `{h}` × every
+/// other host, or the mirror. A channel is empty when either side is.
+#[derive(Clone, Copy, Debug)]
+struct RuleCensus {
+    n: u64,
+    m: u64,
+    ports: u64,
+    channels: u64,
+    rule: TopRule,
+}
+
+impl RuleCensus {
+    fn new(ft: &Ftree, rule: TopRule) -> Self {
+        let (n, m, r) = (ft.n() as u64, ft.m() as u64, ft.r() as u64);
+        Self {
+            n,
+            m,
+            ports: n * r,
+            channels: 2 * (n * r + m * r),
+            rule,
+        }
+    }
+
+    /// The sources and the destinations of the pairs crossing channel `c`
+    /// (channel ids as laid out by [`Ftree`]).
+    fn crossing(&self, c: u64) -> (PortSet, PortSet) {
+        let (n, m) = (self.n, self.m);
+        let everyone = PortSet::range(0, self.ports);
+        let (uplink, half) = (c.is_multiple_of(2), c / 2);
+        if half < self.ports {
+            let host = PortSet::range(half, half + 1);
+            let others = everyone.outside([half, half + 1]);
+            return if uplink {
+                (host, others)
+            } else {
+                (others, host)
+            };
+        }
+        let cable = half - self.ports;
+        let (v, t) = (cable / m, cable % m);
+        let near = PortSet::range(v * n, v * n + n);
+        let far = everyone.outside([v * n, v * n + n]);
+        let (src, dst) = if uplink { (near, far) } else { (far, near) };
+        match self.rule {
+            TopRule::ByDestination => (src, dst.class(m, t)),
+            TopRule::BySource => (src.class(m, t), dst),
+            TopRule::ByIndexPair if t < n * n => (src.class(n, t / n), dst.class(n, t % n)),
+            TopRule::ByIndexPair => (PortSet::range(0, 0), PortSet::range(0, 0)),
+        }
+    }
+
+    /// Channel `c`'s `[source cell, destination cell]`.
+    #[inline]
+    fn cell(&self, c: u64) -> [u32; 2] {
+        let (src, dst) = self.crossing(c);
+        match [src.cell(), dst.cell()] {
+            [NONE, _] | [_, NONE] => [NONE; 2],
+            cells => cells,
+        }
+    }
+
+    /// The whole census, cell for cell what routing every pair records.
+    fn census(&self) -> LinkCensus {
+        LinkCensus {
+            cells: (0..self.channels).map(|c| self.cell(c)).collect(),
+        }
+    }
+
+    /// [`LinkCensus::first_violation`] without the census: an ascending scan
+    /// that stops at the first `[MANY, MANY]` cell and allocates nothing.
+    fn first_violation(&self) -> Option<ChannelId> {
+        (0..self.channels)
+            .find(|&c| self.cell(c) == [MANY; 2])
+            .map(|c| ChannelId(c as u32))
+    }
+
+    /// The witness on `channel`: [`lemma1_witness`] over `S × D` in row
+    /// order, the order in which a sweep meets the crossing pairs.
+    fn witness(&self, channel: ChannelId) -> Option<LinkViolation> {
+        let (src, dst) = self.crossing(channel.index() as u64);
+        let crossing = src
+            .iter()
+            .flat_map(move |s| dst.iter().map(move |d| SdPair::new(s, d)));
+        lemma1_witness(channel, crossing)
+    }
+}
+
 /// [`lemma1_audit_with`] without instrumentation.
 ///
 /// # Errors
@@ -209,15 +424,20 @@ where
 /// two-pair witness, or `None` when the routing is nonblocking — the same
 /// answer as [`ContentionEngine::lemma1_violation`], without storing a path.
 ///
-/// Pass 1 (span `lemma1.sweep`, counter `lemma1.paths`, gauge `par.threads`)
-/// folds every path into a [`LinkCensus`] on the calling thread. Pass 2
-/// (span `lemma1.witness`) runs only on a violation: it re-routes rows in
-/// ascending order and streams the pairs crossing the violating channel into
-/// the witness rule until it is satisfied.
+/// A router that declares a [`TopRule`] (see
+/// [`SinglePathRouter::top_rule`]) is decided by counting (span
+/// `lemma1.closed_form`): an `O(hosts + channels)` scan of cells computed
+/// from the rule, no routing. Any other router is swept: pass 1 (span
+/// `lemma1.sweep`, gauge `par.threads`) folds every path into a
+/// [`LinkCensus`] on the calling thread. Either way counter `lemma1.paths`
+/// records the `p(p-1)` paths decided. On a violation, span
+/// `lemma1.witness` streams the pairs crossing the violating channel in row
+/// order into the witness rule until it is satisfied: read off the rule, or
+/// re-routed row by row.
 ///
 /// # Errors
 /// The first routing error in row order (see [`fold_paths`]); the same error
-/// [`PathArena::build`] reports.
+/// [`PathArena::build`] reports. A router with a rule does not fail.
 pub fn lemma1_audit_with<R, Rec>(
     router: &R,
     rec: &Rec,
@@ -230,39 +450,60 @@ where
         return Ok(None);
     };
     let _witness = rec.span("lemma1.witness");
-    let ports = router.ports();
-    let mut path = Vec::new();
-    let crossing = (0..ports)
-        .flat_map(|s| {
-            (0..ports)
-                .filter(move |&d| d != s)
-                .map(move |d| SdPair::new(s, d))
-        })
-        .filter(|&pair| router.try_route_into(pair, &mut path).is_ok() && path.contains(&channel));
-    Ok(Some(lemma1_witness(channel, crossing).expect(
+    let witness = match router.top_rule() {
+        Some((ft, rule)) => RuleCensus::new(ft, rule).witness(channel),
+        None => {
+            let ports = router.ports();
+            let mut path = Vec::new();
+            let crossing = (0..ports)
+                .flat_map(|s| {
+                    (0..ports)
+                        .filter(move |&d| d != s)
+                        .map(move |d| SdPair::new(s, d))
+                })
+                .filter(|&pair| {
+                    router.try_route_into(pair, &mut path).is_ok() && path.contains(&channel)
+                });
+            lemma1_witness(channel, crossing)
+        }
+    };
+    Ok(Some(witness.expect(
         "the census saw >= 2 sources and >= 2 destinations on the channel",
     )))
+}
+
+/// The full Lemma 1 census of `router`: computed from its [`TopRule`] when it
+/// declares one, else swept from every path. The two agree cell for cell on
+/// every rule router (`tests/engine_differential.rs`).
+///
+/// # Errors
+/// As [`lemma1_audit_with`].
+pub fn lemma1_census<R>(router: &R) -> Result<LinkCensus, RoutingError>
+where
+    R: SinglePathRouter + Sync + ?Sized,
+{
+    match router.top_rule() {
+        Some((ft, rule)) => Ok(RuleCensus::new(ft, rule).census()),
+        None => sweep_census(router, &Noop),
+    }
 }
 
 /// Threads the Lemma 1 census sweeps on. One: on `ftree(16+256, 170)` the
 /// sweep is ≈ 85 ms on one core, and a second thread takes it to ≈ 50 ms only
 /// while the second core is idle; on a shared host whose second core comes
-/// and goes, that makes `ftclos verify`'s wall time bimodal (51 – 97 ms over
-/// repeated runs at two threads, 83 – 91 ms at one). The census is
-/// thread-count invariant either way (`fold_paths` merges in block order).
+/// and goes, that makes the wall time bimodal (51 – 97 ms over repeated runs
+/// at two threads, 83 – 91 ms at one). The census is thread-count invariant
+/// either way (`fold_paths` merges in block order).
 const LEMMA1_THREADS: usize = 1;
 
-/// Pass 1 of [`lemma1_audit_with`]: the lowest-id channel violating Lemma 1.
-pub(crate) fn first_violating_channel<R, Rec>(
-    router: &R,
-    rec: &Rec,
-) -> Result<Option<ChannelId>, RoutingError>
+/// Route every pair of `router` into one census (span `lemma1.sweep`).
+fn sweep_census<R, Rec>(router: &R, rec: &Rec) -> Result<LinkCensus, RoutingError>
 where
     R: SinglePathRouter + Sync + ?Sized,
     Rec: Recorder,
 {
     let _sweep = rec.span("lemma1.sweep");
-    let census = fold_paths(
+    fold_paths(
         router,
         LEMMA1_THREADS,
         LinkCensus::default,
@@ -273,10 +514,29 @@ where
         },
         LinkCensus::merge,
         rec,
-    )?;
+    )
+}
+
+/// The decision half of [`lemma1_audit_with`]: the lowest-id channel
+/// violating Lemma 1, counted from the router's rule or swept.
+pub(crate) fn first_violating_channel<R, Rec>(
+    router: &R,
+    rec: &Rec,
+) -> Result<Option<ChannelId>, RoutingError>
+where
+    R: SinglePathRouter + Sync + ?Sized,
+    Rec: Recorder,
+{
+    let first = match router.top_rule() {
+        Some((ft, rule)) => {
+            let _closed_form = rec.span("lemma1.closed_form");
+            RuleCensus::new(ft, rule).first_violation()
+        }
+        None => sweep_census(router, rec)?.first_violation(),
+    };
     let p = router.ports() as u64;
     rec.add("lemma1.paths", p * p.saturating_sub(1));
-    Ok(census.first_violation())
+    Ok(first)
 }
 
 /// Epoch-stamped `channel → owning pair` table for per-pattern contention
@@ -579,20 +839,66 @@ mod tests {
         assert_eq!(read, 2);
     }
 
+    /// Forwards routing and hides the router's rule, so Lemma 1 is swept.
+    struct Swept<R>(R);
+
+    impl<R: SinglePathRouter> SinglePathRouter for Swept<R> {
+        fn ports(&self) -> u32 {
+            self.0.ports()
+        }
+        fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+            self.0.route_into(pair, out);
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    fn span_paths(reg: &ftclos_obs::Registry) -> Vec<String> {
+        reg.snapshot().spans.into_iter().map(|s| s.path).collect()
+    }
+
     #[test]
     fn streaming_audit_records_sweep_spans() {
         let ft = Ftree::new(2, 2, 5).unwrap();
-        let reg = ftclos_obs::Registry::new();
-        assert!(lemma1_audit_with(&DModK::new(&ft), &reg).unwrap().is_some());
-        let snap = reg.snapshot();
+        // A rule router is counted: no sweep, no thread gauge.
+        let counted = ftclos_obs::Registry::new();
+        let closed = lemma1_audit_with(&DModK::new(&ft), &counted).unwrap();
+        assert!(closed.is_some());
+        assert_eq!(
+            span_paths(&counted),
+            ["lemma1.closed_form", "lemma1.witness"]
+        );
+        assert_eq!(counted.snapshot().counter("lemma1.paths"), Some(90));
+        assert_eq!(counted.snapshot().gauge("par.threads"), None);
+        // The same routes with the rule hidden are swept on one thread.
+        let swept = ftclos_obs::Registry::new();
+        let routed = lemma1_audit_with(&Swept(DModK::new(&ft)), &swept).unwrap();
+        assert_eq!(routed, closed);
+        assert_eq!(span_paths(&swept), ["lemma1.sweep", "lemma1.witness"]);
+        let snap = swept.snapshot();
         assert_eq!(snap.counter("lemma1.paths"), Some(90));
         assert_eq!(snap.gauge("par.threads"), Some(1));
-        for path in ["lemma1.sweep", "lemma1.witness"] {
-            assert!(
-                snap.spans.iter().any(|s| s.path == path),
-                "missing span {path}"
-            );
-        }
+    }
+
+    #[test]
+    fn port_sets_walk_their_class_around_the_skip() {
+        let set = |s: PortSet| s.iter().collect::<Vec<_>>();
+        let all = PortSet::range(0, 20);
+        assert_eq!(set(PortSet::range(3, 6)), [3, 4, 5]);
+        assert_eq!(set(PortSet::range(4, 4)), [] as [u32; 0]);
+        assert_eq!(set(all.outside([4, 16])), [0, 1, 2, 3, 16, 17, 18, 19]);
+        // Residue 1 mod 3 outside [4, 8): 1, (4 and 7 skipped), 10, 13, ...
+        assert_eq!(set(all.outside([4, 8]).class(3, 1)), [1, 10, 13, 16, 19]);
+        // The skip swallows the class's first element and the set ends.
+        assert_eq!(
+            set(PortSet::range(0, 9).outside([0, 5]).class(7, 2)),
+            [] as [u32; 0]
+        );
+        assert_eq!(set(PortSet::range(0, 12).outside([0, 5]).class(7, 2)), [9]);
+        assert_eq!(PortSet::range(0, 0).cell(), NONE);
+        assert_eq!(all.outside([4, 8]).class(9, 5).cell(), 14);
+        assert_eq!(all.outside([4, 8]).class(9, 3).cell(), MANY);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use degraded::{
 };
 pub use design::{DesignPoint, TableOneRow};
 pub use engine::{
-    lemma1_audit, lemma1_audit_with, ContentionEngine, ContentionScratch, LinkCensus,
+    lemma1_audit, lemma1_audit_with, lemma1_census, ContentionEngine, ContentionScratch, LinkCensus,
 };
 pub use search::{
     find_blocking_two_pair, find_blocking_two_pair_legacy, BlockingReport, TwoPairOutcome,

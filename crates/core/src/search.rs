@@ -65,8 +65,9 @@ impl TwoPairOutcome {
 /// Complete blocking search for single-path deterministic routers: by
 /// Lemma 1 a blocking permutation exists **iff** a two-pair pattern blocks.
 ///
-/// Streaming: one census sweep over all `ports·(ports-1)` SD paths (see
-/// [`crate::engine::lemma1_audit_with`]) instead of routing `O(ports⁴)`
+/// Streaming: one census of all `ports·(ports-1)` SD paths, counted from
+/// the router's top-choice rule or swept (see
+/// [`crate::engine::lemma1_audit_with`]), instead of routing `O(ports⁴)`
 /// two-pair patterns — two pairs block iff their paths share a channel whose
 /// census has ≥2 sources and ≥2 destinations. The witness sits on the lowest
 /// violating channel id, so it is deterministic.

@@ -9,9 +9,10 @@
 //!
 //! Two implementations coexist, deliberately:
 //!
-//! * the **streaming path** ([`crate::engine::lemma1_audit_with`]) folds
-//!   every pair's path into per-thread two-word-per-channel censuses and
-//!   merges them, storing no path — this is what the public entry points
+//! * the **streaming path** ([`crate::engine::lemma1_audit_with`]) counts
+//!   the two-word-per-channel census from the router's top-choice rule when
+//!   it declares one, and otherwise folds every pair's path into it, storing
+//!   no path — this is what the public entry points
 //!   ([`is_nonblocking_deterministic`], [`nonblocking_verdict`]) use;
 //! * the **legacy path** ([`LinkAudit`], [`find_contention`],
 //!   [`nonblocking_verdict_legacy`]) keeps the original `HashMap`-based
@@ -184,8 +185,10 @@ impl LinkAudit {
 
 /// Convenience: is `router` nonblocking per Lemma 1? (Exact, complete.)
 ///
-/// Streaming: one parallel census sweep over every pair (see
-/// [`crate::engine::lemma1_audit_with`]), no stored paths, no witness pass.
+/// The decision half of [`crate::engine::lemma1_audit_with`], no stored
+/// paths and no witness: counted from the router's top-choice rule when it
+/// declares one, else one census sweep over every pair on the calling
+/// thread.
 pub fn is_nonblocking_deterministic<R: SinglePathRouter + Sync + ?Sized>(router: &R) -> bool {
     // A router whose `ports()` disagrees with its routable universe cannot
     // serve all pairs — not nonblocking under any reading.

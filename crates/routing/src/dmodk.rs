@@ -34,7 +34,7 @@ impl<'a> DModK<'a> {
 
     /// Top switch selected for a pair.
     pub fn top_for(&self, pair: SdPair) -> usize {
-        pair.dst as usize % self.ft.m()
+        TopRule::ByDestination.top(self.ft, pair)
     }
 }
 
@@ -46,11 +46,43 @@ impl<'a> SModK<'a> {
 
     /// Top switch selected for a pair.
     pub fn top_for(&self, pair: SdPair) -> usize {
-        pair.src as usize % self.ft.m()
+        TopRule::BySource.top(self.ft, pair)
     }
 }
 
-fn modular_route(ft: &Ftree, pair: SdPair, top: usize, out: &mut Vec<ChannelId>) {
+/// How a router of the modular family picks the top switch of a
+/// cross-switch pair `(s, d)` on `ftree(n+m, r)`. The rule alone fixes which
+/// sources and destinations share each inter-level channel, which is what
+/// the proofs of Theorems 2 and 3 read off (and what `ftclos-core` computes
+/// the Lemma 1 census from without routing).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TopRule {
+    /// `d mod m` ([`DModK`]).
+    ByDestination,
+    /// `s mod m` ([`SModK`]).
+    BySource,
+    /// `(s mod n)·n + d mod n`, the index pair `(i, j)` of Theorem 3
+    /// ([`crate::YuanDeterministic`]; needs `m >= n²`).
+    ByIndexPair,
+}
+
+impl TopRule {
+    /// The top switch the rule picks for `pair` on `ft`.
+    #[inline]
+    pub fn top(self, ft: &Ftree, pair: SdPair) -> usize {
+        let (s, d) = (pair.src as usize, pair.dst as usize);
+        match self {
+            Self::ByDestination => d % ft.m(),
+            Self::BySource => s % ft.m(),
+            Self::ByIndexPair => (s % ft.n()) * ft.n() + d % ft.n(),
+        }
+    }
+}
+
+/// The one path of the modular family: `leaf up → up(v, top) → down(top, w)
+/// → leaf down` across switches, `leaf up → leaf down` within one.
+#[inline]
+pub(crate) fn modular_route(ft: &Ftree, pair: SdPair, top: usize, out: &mut Vec<ChannelId>) {
     out.clear();
     if pair.src == pair.dst {
         return;
@@ -82,6 +114,10 @@ impl SinglePathRouter for DModK<'_> {
     fn name(&self) -> &'static str {
         "d-mod-k"
     }
+
+    fn top_rule(&self) -> Option<(&Ftree, TopRule)> {
+        Some((self.ft, TopRule::ByDestination))
+    }
 }
 
 impl SinglePathRouter for SModK<'_> {
@@ -95,6 +131,10 @@ impl SinglePathRouter for SModK<'_> {
 
     fn name(&self) -> &'static str {
         "s-mod-k"
+    }
+
+    fn top_rule(&self) -> Option<(&Ftree, TopRule)> {
+        Some((self.ft, TopRule::BySource))
     }
 }
 

@@ -8,7 +8,9 @@
 //!   goes through top switch `(i, j)`.
 //! * [`DModK`] / [`SModK`] — destination-/source-modular deterministic
 //!   routings (the InfiniBand-style defaults); blocking when `m < n²`, used
-//!   to exhibit Theorem 2 witnesses.
+//!   to exhibit Theorem 2 witnesses. These two and [`YuanDeterministic`]
+//!   declare their top-choice [`TopRule`], from which `ftclos-core` counts
+//!   the Lemma 1 census without routing.
 //! * [`ObliviousMultipath`] — traffic-oblivious multi-path spreading
 //!   (deterministic round-robin or per-packet random), Section IV.B.
 //! * [`NonblockingAdaptive`] — the paper's Fig. 4 local adaptive algorithm
@@ -24,8 +26,7 @@
 //! * [`YuanRecursive`] — the composed routing for the three-level
 //!   [`ftclos_topo::RecursiveNonblocking`] network.
 //! * [`ForwardingTables`] — per-switch `(input port, destination) → output
-//!   port` tables compiled from any single-path router, used by the packet
-//!   simulator as its distributed control plane.
+//!   port` tables compiled from any single-path router.
 //! * [`LinkLoadView`] — the uniform per-link flow-set interface every router
 //!   (including the fault-masked variants) exposes to the fluid flow-rate
 //!   simulator in `ftclos-flowsim`.
@@ -65,7 +66,7 @@ pub use congestion::{
     demand_lower_bound, CongestionConfig, CongestionMode, CongestionPlan, FnCandidates,
     FtreeCandidates, GlobalRouter, LoweredPlan, MinCongestion, PathCandidates, PlanLoadView,
 };
-pub use dmodk::{DModK, SModK};
+pub use dmodk::{DModK, SModK, TopRule};
 pub use error::RoutingError;
 pub use fault_aware::FaultAware;
 pub use greedy::GreedyLocalAdaptive;

@@ -1,9 +1,10 @@
 //! Router traits.
 
 use crate::assignment::RouteAssignment;
+use crate::dmodk::TopRule;
 use crate::error::RoutingError;
 use crate::path::Path;
-use ftclos_topo::ChannelId;
+use ftclos_topo::{ChannelId, Ftree};
 use ftclos_traffic::{Permutation, SdPair};
 
 /// A single-path routing function: each SD pair gets one pre-determined
@@ -57,6 +58,15 @@ pub trait SinglePathRouter {
 
     /// Router name for reports.
     fn name(&self) -> &'static str;
+
+    /// The fabric and top-choice rule this router's every path follows, when
+    /// it is exactly [`TopRule`]'s modular path on an [`Ftree`] (see
+    /// `dmodk::modular_route`). Lemma 1 analyzers then count instead of
+    /// routing, so a router that masks, reroutes or relabels any path must
+    /// keep the default `None`.
+    fn top_rule(&self) -> Option<(&Ftree, TopRule)> {
+        None
+    }
 }
 
 /// A pattern-level router: paths may depend on the communication pattern

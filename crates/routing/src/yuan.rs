@@ -1,5 +1,6 @@
 //! The paper's Theorem 3 single-path deterministic routing.
 
+use crate::dmodk::{modular_route, TopRule};
 use crate::error::RoutingError;
 use crate::router::SinglePathRouter;
 use ftclos_topo::{ChannelId, Ftree};
@@ -56,10 +57,7 @@ impl<'a> YuanDeterministic<'a> {
     /// The top switch index used for a cross-switch pair: `t = i·n + j`
     /// where `i`/`j` are the source/destination local leaf indices.
     pub fn top_for(&self, pair: SdPair) -> usize {
-        let n = self.ft.n() as u32;
-        let i = pair.src % n;
-        let j = pair.dst % n;
-        (i * n + j) as usize
+        TopRule::ByIndexPair.top(self.ft, pair)
     }
 }
 
@@ -69,31 +67,15 @@ impl SinglePathRouter for YuanDeterministic<'_> {
     }
 
     fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
-        out.clear();
-        if pair.src == pair.dst {
-            return;
-        }
-        let n = self.ft.n();
-        let (v, i) = (pair.src as usize / n, pair.src as usize % n);
-        let (w, j) = (pair.dst as usize / n, pair.dst as usize % n);
-        if v == w {
-            out.extend_from_slice(&[
-                self.ft.leaf_up_channel(v, i),
-                self.ft.leaf_down_channel(w, j),
-            ]);
-            return;
-        }
-        let t = i * n + j;
-        out.extend_from_slice(&[
-            self.ft.leaf_up_channel(v, i),
-            self.ft.up_channel(v, t),
-            self.ft.down_channel(t, w),
-            self.ft.leaf_down_channel(w, j),
-        ]);
+        modular_route(self.ft, pair, self.top_for(pair), out);
     }
 
     fn name(&self) -> &'static str {
         "yuan-deterministic"
+    }
+
+    fn top_rule(&self) -> Option<(&Ftree, TopRule)> {
+        Some((self.ft, TopRule::ByIndexPair))
     }
 }
 

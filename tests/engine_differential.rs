@@ -1,14 +1,20 @@
-//! Differential properties pinning the streaming Lemma 1 audit, the
-//! arena-backed contention engine and the legacy `HashMap` implementations
-//! to each other.
+//! Differential properties pinning the closed-form Lemma 1 census, the
+//! streaming sweep, the arena-backed contention engine and the legacy
+//! `HashMap` implementations to each other.
 //!
-//! Four oracles, three router families plus fault-masked and ill-formed
+//! Five oracles, three router families plus fault-masked and ill-formed
 //! routers:
 //!
-//! * **Streaming ≡ arena** — `lemma1_audit_with` (one census sweep, no
-//!   stored paths) and `ContentionEngine::lemma1_violation` must report the
-//!   same `LinkViolation`, field for field, or the same `RoutingError` as
-//!   `PathArena::build`.
+//! * **Closed form ≡ sweep** — a router that declares a `TopRule` is
+//!   audited by counting; the same routes behind [`Swept`], which hides the
+//!   rule, are audited by routing every pair. Census cell for cell and
+//!   `LinkViolation` field for field, on every `ftree(n+m, r)` with n ≤ 4,
+//!   r ≤ 12 and m up to n² + 1, and on larger random shapes. An honesty
+//!   check holds every rule router's `route_into` to its rule's path.
+//! * **Streaming ≡ arena** — `lemma1_audit_with` (closed form or census
+//!   sweep, no stored paths) and `ContentionEngine::lemma1_violation` must
+//!   report the same `LinkViolation`, field for field, or the same
+//!   `RoutingError` as `PathArena::build`.
 //! * **Verdicts** — `nonblocking_verdict` (engine) and
 //!   `nonblocking_verdict_legacy` must agree on every `ftree` shape and
 //!   routing, on k-ary n-trees, and on the recursive three-level network.
@@ -28,12 +34,12 @@
 use ftclos::core::verify::LinkViolation;
 use ftclos::core::{
     deterministic_degradation, deterministic_degradation_legacy, find_blocking_two_pair,
-    find_blocking_two_pair_legacy, lemma1_audit_with, nonblocking_verdict,
-    nonblocking_verdict_legacy, ContentionEngine, TwoPairOutcome,
+    find_blocking_two_pair_legacy, lemma1_audit, lemma1_audit_with, lemma1_census,
+    nonblocking_verdict, nonblocking_verdict_legacy, ContentionEngine, TwoPairOutcome,
 };
 use ftclos::obs::Registry;
 use ftclos::routing::{
-    route_all, DModK, PathArena, RoutingError, SModK, SinglePathRouter, XgftRouter,
+    route_all, DModK, FaultAware, PathArena, RoutingError, SModK, SinglePathRouter, XgftRouter,
     YuanDeterministic, YuanRecursive,
 };
 use ftclos::topo::{kary_ntree, ChannelId, FaultSet, FaultyView, Ftree, RecursiveNonblocking};
@@ -101,6 +107,53 @@ fn assert_streaming_matches_arena<R: SinglePathRouter + Sync + ?Sized>(
         assert_eq!(PathArena::build(router).unwrap_err(), *e);
     }
     streamed
+}
+
+/// Forwards routing and hides the router's `TopRule`, so every Lemma 1
+/// question about it is answered by routing every pair.
+struct Swept<'a, R: ?Sized>(&'a R);
+
+impl<R: SinglePathRouter + ?Sized> SinglePathRouter for Swept<'_, R> {
+    fn ports(&self) -> u32 {
+        self.0.ports()
+    }
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+        self.0.route_into(pair, out);
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
+/// The closed form must equal the sweep over the same routes: census cell
+/// for cell, violation field for field. Returns whether the router blocks.
+fn assert_closed_form_matches_sweep<R: SinglePathRouter + Sync>(router: &R) -> bool {
+    assert!(
+        router.top_rule().is_some(),
+        "{} declares a rule",
+        router.name()
+    );
+    let swept = Swept(router);
+    assert_eq!(
+        lemma1_census(router),
+        lemma1_census(&swept),
+        "{}: census",
+        router.name()
+    );
+    let closed = lemma1_audit(router).unwrap();
+    assert_eq!(closed, lemma1_audit(&swept).unwrap(), "{}", router.name());
+    closed.is_some()
+}
+
+/// Every rule router of `ft`, through the closed form and the sweep;
+/// returns how many block.
+fn closed_form_matches_sweep_on(ft: &Ftree) -> usize {
+    let mut blocking = usize::from(assert_closed_form_matches_sweep(&DModK::new(ft)));
+    blocking += usize::from(assert_closed_form_matches_sweep(&SModK::new(ft)));
+    if let Ok(yuan) = YuanDeterministic::new(ft) {
+        assert!(!assert_closed_form_matches_sweep(&yuan), "Theorem 3");
+    }
+    blocking
 }
 
 /// A fault-aware ftree router: each cross-switch pair takes the first live
@@ -185,6 +238,15 @@ impl<R: SinglePathRouter> SinglePathRouter for Overclaim<R> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn closed_form_matches_sweep_on_larger_shapes(
+        (n, r) in (1usize..9, 1usize..41),
+        m_pick in 0usize..1 << 16,
+    ) {
+        let m = 1 + m_pick % (n * n + 1);
+        closed_form_matches_sweep_on(&Ftree::new(n, m, r).unwrap());
+    }
 
     #[test]
     fn ftree_routers_agree((n, m, r) in (1usize..4, 1usize..8, 2usize..6)) {
@@ -283,6 +345,177 @@ proptest! {
             assert_streaming_matches_arena(&overclaim),
             Err(RoutingError::PortOutOfRange { port: ports, ports })
         );
+    }
+}
+
+#[test]
+fn closed_form_matches_sweep_on_every_small_shape() {
+    // 408 shapes: n ≤ 4, r ≤ 12, m = 1..=n²+1, each under d-mod-k and
+    // s-mod-k, and under Theorem 3's routing wherever m ≥ n².
+    let (mut shapes, mut blocking) = (0, 0);
+    for n in 1..=4 {
+        for r in 1..=12 {
+            for m in 1..=n * n + 1 {
+                blocking += closed_form_matches_sweep_on(&Ftree::new(n, m, r).unwrap());
+                shapes += 1;
+            }
+        }
+    }
+    assert_eq!((shapes, blocking), (408, 632));
+}
+
+#[test]
+fn rule_routers_route_by_their_rule() {
+    // The closed form is sound only if `route_into` is the rule's path.
+    for (n, m, r) in [(1, 1, 3), (2, 4, 5), (2, 3, 4), (3, 9, 4), (3, 10, 3)] {
+        let ft = Ftree::new(n, m, r).unwrap();
+        let (dmodk, smodk) = (DModK::new(&ft), SModK::new(&ft));
+        let yuan = YuanDeterministic::new(&ft).ok();
+        let mut routers: Vec<&dyn SinglePathRouter> = vec![&dmodk, &smodk];
+        routers.extend(yuan.as_ref().map(|y| y as &dyn SinglePathRouter));
+        for router in routers {
+            let (rule_ft, rule) = router.top_rule().expect("a rule router");
+            assert!(std::ptr::eq(rule_ft, &ft), "{}", router.name());
+            assert_eq!(router.ports() as usize, ft.num_leaves());
+            for s in 0..router.ports() {
+                for d in 0..router.ports() {
+                    let pair = SdPair::new(s, d);
+                    let ((v, i), (w, j)) = (
+                        (s as usize / n, s as usize % n),
+                        (d as usize / n, d as usize % n),
+                    );
+                    let top = rule.top(&ft, pair);
+                    let expected = if s == d {
+                        vec![]
+                    } else if v == w {
+                        vec![ft.leaf_up_channel(v, i), ft.leaf_down_channel(w, j)]
+                    } else {
+                        vec![
+                            ft.leaf_up_channel(v, i),
+                            ft.up_channel(v, top),
+                            ft.down_channel(top, w),
+                            ft.leaf_down_channel(w, j),
+                        ]
+                    };
+                    assert_eq!(
+                        router.route(pair).channels(),
+                        expected,
+                        "{} {pair}",
+                        router.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `FaultAware` over d-mod-k as a single-path router: the checked path or
+/// `PathFaulted`. (`FaultAware` is a `LinkLoadView` of its own, so it does
+/// not implement `SinglePathRouter`; this is the adapter a Lemma 1 caller
+/// writes.)
+struct Checked<'f>(FaultAware<'f, DModK<'f>>);
+
+impl SinglePathRouter for Checked<'_> {
+    fn ports(&self) -> u32 {
+        self.0.ports()
+    }
+    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
+        self.0.inner().route_into(pair, out);
+    }
+    fn try_route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) -> Result<(), RoutingError> {
+        out.clear();
+        out.extend_from_slice(self.0.route_checked(pair)?.channels());
+        Ok(())
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
+#[test]
+fn fault_aware_dmodk_declares_no_rule_and_sweeps() {
+    let ft = Ftree::new(2, 3, 5).unwrap();
+    let pristine = FaultyView::pristine(ft.topology());
+    let checked = Checked(FaultAware::new(DModK::new(&ft), &pristine));
+    assert!(checked.top_rule().is_none());
+    let reg = Registry::new();
+    let swept = lemma1_audit_with(&checked, &reg).unwrap();
+    assert_eq!(swept, lemma1_audit(&DModK::new(&ft)).unwrap());
+    assert!(reg
+        .snapshot()
+        .spans
+        .iter()
+        .any(|s| s.path == "lemma1.sweep"));
+    // A dead uplink makes the sweep fail on the first pair pinned to it,
+    // exactly as the arena build does.
+    let mut faults = FaultSet::new();
+    faults.fail_channel(ft.up_channel(0, 1));
+    let view = FaultyView::new(ft.topology(), &faults);
+    let checked = Checked(FaultAware::new(DModK::new(&ft), &view));
+    let err = lemma1_audit(&checked).unwrap_err();
+    assert!(
+        matches!(err, RoutingError::PathFaulted { src: 0, .. }),
+        "{err:?}"
+    );
+    assert_eq!(assert_streaming_matches_arena(&checked), Err(err));
+}
+
+/// The swept census of the `verify` roster's routes on a 512-port fabric
+/// (261,632 pairs, enough for the CDG sweep to split eight ways): it runs on
+/// one thread whatever `RAYON_NUM_THREADS` says, and its verdicts equal the
+/// closed form's. Prints one `swept:` line per router for
+/// [`lemma1_sweep_stays_on_one_thread`].
+#[test]
+fn swept_census_child() {
+    let ft = Ftree::new(4, 16, 128).unwrap();
+    let (yuan, dmodk, smodk) = (
+        YuanDeterministic::new(&ft).unwrap(),
+        DModK::new(&ft),
+        SModK::new(&ft),
+    );
+    let roster: [&(dyn SinglePathRouter + Sync); 3] = [&yuan, &dmodk, &smodk];
+    for router in roster {
+        let reg = Registry::new();
+        let swept = lemma1_audit_with(&Swept(router), &reg).unwrap();
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauge("par.threads"), Some(1), "{}", router.name());
+        assert_eq!(snap.counter("lemma1.paths"), Some(512 * 511));
+        assert!(snap.spans.iter().any(|s| s.path == "lemma1.sweep"));
+        assert_eq!(swept, lemma1_audit(router).unwrap(), "{}", router.name());
+        println!("swept: {} {swept:?}", router.name());
+    }
+}
+
+#[test]
+fn lemma1_sweep_stays_on_one_thread() {
+    // `RAYON_NUM_THREADS` is read once per process, so each thread count
+    // reruns the child test in a fresh process of this test binary.
+    let verdicts = |threads: &str| {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "swept_census_child", "--nocapture"])
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .expect("rerun this test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "RAYON_NUM_THREADS={threads}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let lines: Vec<String> = stdout
+            .lines()
+            .filter(|l| l.starts_with("swept: "))
+            .map(String::from)
+            .collect();
+        assert_eq!(lines.len(), 3, "{stdout}");
+        lines
+    };
+    let one = verdicts("1");
+    assert!(one[0].contains("yuan-deterministic None"), "{one:?}");
+    assert!(one[1].contains("channel: c1024,"), "{one:?}");
+    assert!(one[2].contains("channel: c1025,"), "{one:?}");
+    for threads in ["2", "8"] {
+        assert_eq!(verdicts(threads), one, "RAYON_NUM_THREADS={threads}");
     }
 }
 
