@@ -8,6 +8,9 @@
 //! deadlock-free under any credit-based flow control; a cycle yields a
 //! deterministic witness (lowest cyclic channel, minimal length). The
 //! `valley` router is the in-tree counterexample the analyzer must catch.
+//! On a pristine fabric, `yuan`, `dmodk` and `smodk` are counted from their
+//! top-choice rule instead (`analyze_router_with`, span `cdg.closed_form`);
+//! faulted fabrics, churn epochs, `multipath`/`adaptive` and `valley` sweep.
 //!
 //! `--churn-links` replays a flapping-cable schedule and re-proves (or
 //! refutes) every distinct fault epoch the fabric passes through.
@@ -23,7 +26,7 @@ use super::common::RouterName::{self, Adaptive, All, DModK, Multipath, SModK, Va
 use super::common::{build_ftree, churn_epochs, fabric, FaultFlags, SinglePath};
 use crate::opts::{CliError, Opts};
 use ftclos_core::cdg::{
-    cdg_of_masked_router_with, cdg_of_multipath_with, cdg_of_router_with, deadlock_sweep_with,
+    analyze_router_with, cdg_of_masked_router_with, cdg_of_multipath_with, deadlock_sweep_with,
 };
 use ftclos_core::{attribute_witness, CycleAnalysis, DeadlockVerdict, SweepEntry};
 use ftclos_obs::{Recorder as _, Registry};
@@ -153,13 +156,13 @@ fn sweep(
 ) -> Result<Vec<SweepEntry>, CliError> {
     let single = |name: RouterName| -> Result<SweepEntry, CliError> {
         let r = SinglePath::new(ft, name)?;
-        let g = match view {
-            None => cdg_of_router_with(ft.topology(), &r, rec),
-            Some(v) => cdg_of_masked_router_with(&r, v, rec),
+        let analysis = match view {
+            None => analyze_router_with(ft.topology(), &r, rec),
+            Some(v) => cdg_of_masked_router_with(&r, v, rec).check_with(rec),
         };
         Ok(SweepEntry {
             router: name.as_str(),
-            analysis: g.check_with(rec),
+            analysis,
         })
     };
     match router {
@@ -547,6 +550,49 @@ mod tests {
             }
             other => panic!("expected a typed failure, got {other:?}"),
         }
+    }
+
+    fn span_paths(reg: &Registry) -> Vec<String> {
+        reg.snapshot().spans.into_iter().map(|s| s.path).collect()
+    }
+
+    #[test]
+    fn deadlock_records_closed_form_spans() {
+        // A rule router on a pristine fabric is counted: no graph, no sweep.
+        let reg = Registry::new();
+        let out = run(&argv("2 4 5 --router yuan"), &reg).unwrap();
+        assert!(out.contains("yuan      FREE (130 dependencies"), "{out}");
+        assert_eq!(span_paths(&reg), ["cdg.closed_form"]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("cdg.deps"), Some(130));
+        assert_eq!(snap.gauge("cdg.channels"), Some(60));
+        assert_eq!(snap.gauge("cdg.cyclic_channels"), Some(0));
+        assert_eq!(snap.gauge("cdg.bitmap_words"), None);
+        assert_eq!(snap.gauge("par.threads"), None);
+        // Routers without a rule are built and checked.
+        for router in ["valley", "multipath", "adaptive"] {
+            let reg = Registry::new();
+            run(&argv(&format!("2 4 5 --router {router}")), &reg).unwrap();
+            assert_eq!(span_paths(&reg), ["cdg.build", "cdg.scc"], "{router}");
+            assert!(reg.snapshot().gauge("par.threads").is_some(), "{router}");
+        }
+        // A faulted fabric and every churn epoch sweep, rule or not (the
+        // churn run's pristine fabric is still counted).
+        let reg = Registry::new();
+        run(&argv("2 4 5 --router yuan --fail-tops 1"), &reg).unwrap();
+        assert_eq!(span_paths(&reg), ["cdg.build", "cdg.scc"]);
+        let reg = Registry::new();
+        let churn = "2 4 3 --router dmodk --churn-links 2 --mtbf 200 --mttr 60 --churn-cycles 800";
+        run(&argv(churn), &reg).unwrap();
+        assert_eq!(
+            span_paths(&reg),
+            [
+                "cdg.closed_form",
+                "deadlock.churn",
+                "deadlock.churn;cdg.build",
+                "deadlock.churn;cdg.scc"
+            ]
+        );
     }
 
     #[test]

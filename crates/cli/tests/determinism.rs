@@ -67,16 +67,16 @@ fn par_threads_gauge(args: &[&str], threads: &str) -> u64 {
 #[test]
 fn deadlock_sweeps_are_invariant_on_real_threads() {
     // 512 ports, 261,632 SD pairs: the sweep splits into as many contiguous
-    // source blocks as there are threads, up to eight.
-    let free = ["deadlock", "4", "16", "128", "--router", "yuan"];
+    // source blocks as there are threads, up to eight. The valley router
+    // declares no top-choice rule, so its graph is always swept.
+    let valley = ["deadlock", "4", "16", "128", "--router", "valley"];
     for (threads, expected) in [("1", 1), ("2", 2), ("8", 8)] {
         assert_eq!(
-            par_threads_gauge(&free, threads),
+            par_threads_gauge(&valley, threads),
             expected,
             "RAYON_NUM_THREADS={threads}"
         );
     }
-    assert_thread_invariant(&free);
     // The cyclic verdict: 256 cyclic channels and the 256-channel witness.
     assert_thread_invariant(&["deadlock", "4", "16", "128", "--router", "valley", "--json"]);
     // Fault-masked sweeps of the whole roster (multipath branches included).
@@ -92,6 +92,22 @@ fn deadlock_sweeps_are_invariant_on_real_threads() {
         "--seed",
         "3",
     ]);
+}
+
+#[test]
+fn deadlock_counts_at_every_thread_count() {
+    // The same 512-port fabric as above, but Theorem 3's routing declares
+    // its top-choice rule: the dependency count is read off the rule, no
+    // pair is routed, and no thread count can move the answer.
+    let yuan = ["deadlock", "4", "16", "128", "--router", "yuan"];
+    for threads in ["1", "2", "8"] {
+        let trace = trace_of(&yuan, threads);
+        assert!(trace.contains("cdg.closed_form"), "{trace}");
+        assert!(!trace.contains("cdg.build"), "{trace}");
+        assert!(!trace.contains("par.threads"), "{trace}");
+    }
+    assert_thread_invariant(&yuan);
+    assert!(run_with_threads(&yuan, "1").contains("yuan      FREE (265728 dependencies"));
 }
 
 #[test]

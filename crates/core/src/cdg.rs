@@ -42,6 +42,34 @@
 //! channels is counted ([`ChannelDependencyGraph::bad_hops`]), never
 //! silently dropped.
 //!
+//! **Counting instead of sweeping.** A router that declares a top-choice
+//! rule ([`SinglePathRouter::top_rule`]: Theorem 3's routing, d-mod-k,
+//! s-mod-k) sends every pair `leaf up → up(v, t) → down(t, w) → leaf down`,
+//! or `leaf up → leaf down` inside one switch. No such path turns from a
+//! descent into an ascent, and no `ftree` channel joins two nodes of one
+//! level, so the up*/down* certificate holds by construction: FREE, no
+//! valley turns, no cyclic channels, no broken hops. [`analyze_router_with`]
+//! returns that analysis without building the graph (span
+//! `cdg.closed_form`); the one number left to compute, the dependency count,
+//! is a sum over channels of their distinct successors, each read in `O(1)`
+//! off the crossing sets `S × D` that Lemma 1's census reads too
+//! (`rule::RuleCensus::crossing`):
+//!
+//! | channel | distinct successors |
+//! |---|---|
+//! | leaf up of host `h` in switch `v` | the `n − 1` other leaf downs of `v`, plus every `up(v, t)` with `h ∈ S` and `D ≠ ∅` |
+//! | `up(v, t)` | if `S ≠ ∅`, one `down(t, w)` per switch `w` whose block holds a member of `D`: `r − 1` when `D`'s class modulus is `≤ n`, else `\|D\|` |
+//! | `down(t, w)` | if `S ≠ ∅`, one leaf down per member of `D`: `\|D\|` |
+//! | leaf down | none |
+//!
+//! Everything else is swept into the bitmap and checked: faulted fabrics
+//! ([`cdg_of_masked_router_with`], churn epochs), the multipath and adaptive
+//! route sets, the valley router and every router without a rule.
+//! [`cdg_of_router_with`] always sweeps: it is the graph builder, for
+//! callers that ask [`ChannelDependencyGraph::has_dep`] or
+//! [`ChannelDependencyGraph::successors`], and a materialised graph is what
+//! the count avoids (137 GB of bitmap at `ftree(32+1024, 32768)`).
+//!
 //! [`ValleyRouter`] is the in-tree counterexample: a deliberately
 //! deadlock-*prone* "valley" routing (down→up bounce through a neighbor
 //! switch) whose CDG contains a 2r-channel cycle for `r ≥ 3`, exercising
@@ -50,7 +78,7 @@
 
 use ftclos_obs::{Noop, Recorder};
 use ftclos_routing::{
-    DModK, ObliviousMultipath, RouteAssignment, SModK, SinglePathRouter, SpreadPolicy,
+    DModK, ObliviousMultipath, RouteAssignment, SModK, SinglePathRouter, SpreadPolicy, TopRule,
     YuanDeterministic,
 };
 use ftclos_topo::{ChannelId, FaultSet, FaultyView, Ftree, Topology, Transition};
@@ -60,6 +88,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::churn::ChurnEvent;
+use crate::rule::RuleCensus;
 use crate::sweep::fold_sources;
 
 /// The topology-derived frame of a CDG: per-node channel lists sorted by
@@ -771,6 +800,128 @@ where
     )
 }
 
+/// The cycle analysis of a single-path router's full route set on `topo`:
+/// counted from the router's top-choice rule when it declares one for this
+/// fabric, else [`cdg_of_router_with`] followed by
+/// [`ChannelDependencyGraph::check_with`]. Both give the same analysis,
+/// field for field (`tests/engine_differential.rs`).
+///
+/// The count runs under span `cdg.closed_form` and records what a sweep
+/// would: counter `cdg.deps` and gauges `cdg.channels` and
+/// `cdg.cyclic_channels`. It routes nothing and allocates nothing, so it
+/// records no `cdg.bitmap_words` and no `par.threads`. See the module doc
+/// for why the verdict is FREE and how each channel's successors are
+/// counted.
+pub fn analyze_router_with<R, Rec>(topo: &Topology, router: &R, rec: &Rec) -> CycleAnalysis
+where
+    R: SinglePathRouter + Sync + ?Sized,
+    Rec: Recorder,
+{
+    match router.top_rule() {
+        // The rule describes the paths on its own fabric; on any other
+        // topology the routes are swept like any router's.
+        Some((ft, rule)) if std::ptr::eq(ft.topology(), topo) => {
+            let _span = rec.span("cdg.closed_form");
+            let num_deps = RuleCensus::new(ft, rule).num_deps();
+            rec.add("cdg.deps", num_deps);
+            rec.gauge("cdg.channels", topo.num_channels() as u64);
+            rec.gauge("cdg.cyclic_channels", 0);
+            CycleAnalysis {
+                num_deps,
+                valley_turns: 0,
+                cyclic_channels: 0,
+                bad_hops: 0,
+                verdict: DeadlockVerdict::Free,
+            }
+        }
+        _ => cdg_of_router_with(topo, router, rec).check_with(rec),
+    }
+}
+
+/// The channel dependency graph of a top-choice rule's routes, counted:
+/// the module doc's successor table, one channel at a time.
+impl RuleCensus {
+    /// The distinct successors of channel `c`: the channels that the pairs
+    /// crossing `c` take next. `O(1)`: no port set is walked. (The count
+    /// walks the channels class by class; the tests hold each channel's
+    /// number to the swept graph's.)
+    #[cfg(test)]
+    fn successors(&self, c: u64) -> u64 {
+        let (uplink, half) = (c.is_multiple_of(2), c / 2);
+        match half.checked_sub(self.ports) {
+            None if uplink => self.host_successors(half),
+            None => 0, // a leaf down ends its path
+            Some(cable) => self.cable_successors(cable / self.m, cable % self.m, uplink),
+        }
+    }
+
+    /// The successors of host `h`'s leaf up.
+    #[inline]
+    fn host_successors(&self, h: u64) -> u64 {
+        let (n, m) = (self.n, self.m);
+        // Host h = v·n + i: its `n − 1` neighbours are one hop away, and it
+        // takes up(v, t) whenever h ∈ S and D ≠ ∅ there.
+        let (v, i) = (h / n, h % n);
+        let far = self.far(v);
+        let tops = match self.rule {
+            // S is all of sw(v); D = far ∩ (≡ t mod m) is nonempty for every
+            // residue the far hosts cover.
+            TopRule::ByDestination => far.residues(m),
+            // Only t ≡ h (mod m) has h ∈ S; its D is every far host.
+            TopRule::BySource => u64::from(!far.is_empty()),
+            // h ∈ S for t = i·n + j, j < n, t < m; each D = far ∩ (≡ j mod n)
+            // is nonempty when far is, since far is whole blocks.
+            TopRule::ByIndexPair if far.is_empty() => 0,
+            TopRule::ByIndexPair => n.min(m.saturating_sub(i * n)),
+        };
+        n - 1 + tops
+    }
+
+    /// The successors of `up(v, t)` (`uplink`) or `down(t, v)`.
+    #[inline]
+    fn cable_successors(&self, v: u64, t: u64, uplink: bool) -> u64 {
+        let (src, dst) = self.cable_crossing(v, t, uplink);
+        if src.is_empty() {
+            0
+        } else if !uplink || dst.modulus() > self.n {
+            // down(t, v): one leaf down of v per destination. up(v, t) with
+            // a class of modulus > n: at most one destination per block.
+            dst.len()
+        } else if dst.is_empty() {
+            0
+        } else {
+            // up(v, t) with a class of modulus ≤ n: every far block.
+            self.r - 1
+        }
+    }
+
+    /// The number of dependencies: every channel's distinct successors,
+    /// the cables walked switch by switch and top by top.
+    ///
+    /// Fits in `u64` for any fabric with `u32` channel ids: the successors
+    /// of `c` leave the node `c` enters, so there are at most `C − 1` of
+    /// them for `C` channels, and `C ≤ 2³²` gives a sum of at most
+    /// `C·(C − 1) ≤ 2⁶⁴ − 2³² < 2⁶⁴`. The accumulation is checked anyway.
+    fn num_deps(&self) -> u64 {
+        let mut sum = 0u64;
+        let mut add = |successors: u64| {
+            sum = sum
+                .checked_add(successors)
+                .expect("at most C·(C − 1) < 2⁶⁴ dependencies for C ≤ 2³² channels");
+        };
+        for h in 0..self.ports {
+            add(self.host_successors(h));
+        }
+        for v in 0..self.r {
+            for t in 0..self.m {
+                add(self.cable_successors(v, t, true));
+                add(self.cable_successors(v, t, false));
+            }
+        }
+        sum
+    }
+}
+
 /// CDG of a single-path router under faults: pairs whose (single,
 /// pattern-independent) path crosses dead hardware are unroutable and
 /// contribute no dependencies — faults can only *remove* CDG edges for
@@ -1007,8 +1158,10 @@ pub fn deadlock_sweep(ft: &Ftree, view: Option<&FaultyView>) -> Vec<SweepEntry> 
     deadlock_sweep_with(ft, view, &Noop)
 }
 
-/// [`deadlock_sweep`] with instrumentation (each build/check runs under the
-/// `cdg.build` / `cdg.scc` spans).
+/// [`deadlock_sweep`] with instrumentation. On a pristine fabric the
+/// single-path routers are counted ([`analyze_router_with`], span
+/// `cdg.closed_form`); every other analysis builds and checks a graph
+/// (spans `cdg.build` / `cdg.scc`).
 pub fn deadlock_sweep_with<R: Recorder>(
     ft: &Ftree,
     view: Option<&FaultyView>,
@@ -1017,13 +1170,13 @@ pub fn deadlock_sweep_with<R: Recorder>(
     let topo = ft.topology();
     let mut out = Vec::new();
     let mut single = |name: &'static str, router: &(dyn SinglePathRouter + Sync)| {
-        let g = match view {
-            None => cdg_of_router_with(topo, router, rec),
-            Some(v) => cdg_of_masked_router_with(router, v, rec),
+        let analysis = match view {
+            None => analyze_router_with(topo, router, rec),
+            Some(v) => cdg_of_masked_router_with(router, v, rec).check_with(rec),
         };
         out.push(SweepEntry {
             router: name,
-            analysis: g.check_with(rec),
+            analysis,
         });
     };
     if let Ok(yuan) = YuanDeterministic::new(ft) {
@@ -1564,6 +1717,133 @@ mod tests {
         cdg_of_router_with(ft.topology(), &DModK::new(&ft), &reg);
         // 36 pairs: far too few for a second thread.
         assert_eq!(reg.snapshot().gauge("par.threads"), Some(1));
+    }
+
+    /// Every rule router of `ft`: the rule's census beside the router.
+    fn rule_routers(ft: &Ftree) -> Vec<(Box<dyn SinglePathRouter + Sync + '_>, RuleCensus)> {
+        let mut out: Vec<(Box<dyn SinglePathRouter + Sync>, RuleCensus)> = vec![
+            (
+                Box::new(DModK::new(ft)),
+                RuleCensus::new(ft, TopRule::ByDestination),
+            ),
+            (
+                Box::new(SModK::new(ft)),
+                RuleCensus::new(ft, TopRule::BySource),
+            ),
+        ];
+        if let Ok(yuan) = YuanDeterministic::new(ft) {
+            out.push((Box::new(yuan), RuleCensus::new(ft, TopRule::ByIndexPair)));
+        }
+        out
+    }
+
+    #[test]
+    fn counted_successors_are_the_swept_successors_channel_by_channel() {
+        // Class moduli below, at and above n; one switch; one host a switch.
+        for (n, m, r) in [
+            (2, 4, 5),
+            (3, 2, 4),
+            (3, 3, 3),
+            (2, 5, 6),
+            (3, 10, 4),
+            (3, 9, 1),
+        ] {
+            let ft = Ftree::new(n, m, r).unwrap();
+            for (router, census) in rule_routers(&ft) {
+                let g = cdg_of_router(ft.topology(), &*router);
+                for c in ft.topology().channel_ids() {
+                    assert_eq!(
+                        census.successors(c.index() as u64),
+                        g.successors(c).count() as u64,
+                        "{} on ftree({n}+{m}, {r}), {c}",
+                        router.name()
+                    );
+                }
+                assert_eq!(census.num_deps(), g.num_deps());
+            }
+        }
+    }
+
+    #[test]
+    fn counted_analysis_records_no_sweep() {
+        let ft = Ftree::new(2, 4, 5).unwrap();
+        let reg = ftclos_obs::Registry::new();
+        let counted =
+            analyze_router_with(ft.topology(), &YuanDeterministic::new(&ft).unwrap(), &reg);
+        assert_eq!(counted.num_deps, 130);
+        assert!(counted.is_free());
+        let snap = reg.snapshot();
+        let spans: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(spans, ["cdg.closed_form"]);
+        assert_eq!(snap.counter("cdg.deps"), Some(130));
+        assert_eq!(
+            snap.gauge("cdg.channels"),
+            Some(ft.topology().num_channels() as u64)
+        );
+        assert_eq!(snap.gauge("cdg.cyclic_channels"), Some(0));
+        assert_eq!(snap.gauge("cdg.bitmap_words"), None);
+        assert_eq!(snap.gauge("par.threads"), None);
+        // On a topology that is not the rule's own fabric, the routes are
+        // swept like any router's.
+        let twin = Ftree::new(2, 4, 5).unwrap();
+        let reg = ftclos_obs::Registry::new();
+        let swept =
+            analyze_router_with(twin.topology(), &YuanDeterministic::new(&ft).unwrap(), &reg);
+        assert_eq!(swept, counted);
+        let snap = reg.snapshot();
+        let spans: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(spans, ["cdg.build", "cdg.scc"]);
+    }
+
+    #[test]
+    fn dependency_count_fits_u64_at_the_largest_shapes() {
+        // The two extremes of C = 2·r·(n + m) = 2³² channels, the most `u32`
+        // ids can name: 2³⁰ switches of one host and one top, and one switch
+        // of 2³¹ − 1 hosts. Each channel class there has one successor
+        // count, so the class sums stand in for the 2³²-channel loop; the
+        // channels sampled include the last id, 2³² − 1.
+        let c = 1u64 << 32;
+        for (n, m, r) in [(1u64, 1u64, 1u64 << 30), ((1 << 31) - 1, 1, 1)] {
+            let p = n * r;
+            for rule in [
+                TopRule::ByDestination,
+                TopRule::BySource,
+                TopRule::ByIndexPair,
+            ] {
+                let census = RuleCensus::of_shape(n, m, r, rule);
+                assert_eq!(census.channels, c);
+                // [leaf up, leaf down, up, down]: first id, step, count (the
+                // last down is channel 2³² − 1).
+                let classes = [
+                    (0, 2, p),
+                    (1, 2, p),
+                    (2 * p, 2, m * r),
+                    (2 * p + 1, 2, m * r),
+                ];
+                let mut sum = 0u64;
+                for (first, step, count) in classes {
+                    let of = |k: u64| census.successors(first + k * step);
+                    let each = of(0);
+                    for k in [1.min(count - 1), count / 2, count - 1] {
+                        assert_eq!(of(k), each, "{rule:?} ftree({n}+{m}, {r})");
+                    }
+                    assert!(each < c);
+                    sum = each
+                        .checked_mul(count)
+                        .and_then(|class| sum.checked_add(class))
+                        .expect("the class sums fit");
+                }
+                // Host up: n − 1 neighbours (+ 1 top when r > 1); up: r − 1
+                // switches; down: n hosts; leaf down: nothing.
+                let want = if r == 1 {
+                    p * (n - 1)
+                } else {
+                    p + m * r * (r - 1) + m * r
+                };
+                assert_eq!(sum, want, "{rule:?} ftree({n}+{m}, {r})");
+            }
+        }
+        assert!(c.checked_mul(c - 1).is_some(), "the module's bound");
     }
 
     #[test]

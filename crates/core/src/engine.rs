@@ -8,8 +8,8 @@
 //! so the verdict needs two words per channel ([`LinkCensus`]), not a copy of
 //! every path. Three ways to take it:
 //!
-//! * **Count** when the router declares a [`TopRule`] (d-mod-k, s-mod-k and
-//!   Theorem 3's routing, see `SinglePathRouter::top_rule`): the pairs
+//! * **Count** when the router declares a top-choice rule (d-mod-k, s-mod-k
+//!   and Theorem 3's routing, see `SinglePathRouter::top_rule`): the pairs
 //!   crossing each channel are a product of two port sets fixed by the rule
 //!   alone, the argument of the proofs of Theorems 2 and 3. Each cell is the
 //!   first two elements of a set, so [`lemma1_audit_with`] is an ascending
@@ -41,11 +41,12 @@
 //! [`ContentionScratch`] is the per-pattern counterpart: epoch-stamped
 //! `channel → owner` tables reused across patterns.
 
+use crate::rule::{PortSet, RuleCensus};
 use crate::sweep::fold_paths;
 use crate::verify::{ContentionWitness, LinkViolation};
 use ftclos_obs::{Noop, Recorder};
-use ftclos_routing::{PathArena, RouteAssignment, RoutingError, SinglePathRouter, TopRule};
-use ftclos_topo::{ChannelId, Ftree};
+use ftclos_routing::{PathArena, RouteAssignment, RoutingError, SinglePathRouter};
+use ftclos_topo::ChannelId;
 use ftclos_traffic::SdPair;
 
 /// Census cell of a channel that no recorded path crosses.
@@ -219,83 +220,9 @@ pub(crate) fn lemma1_witness(
     None
 }
 
-/// The ascending port set `{x ∈ [lo, hi) \ [skip₀, skip₁) : x ≡ residue
-/// (mod modulus)}`. Under a [`TopRule`] the sources crossing a channel form
-/// one such set and the destinations another.
-#[derive(Clone, Copy, Debug)]
-struct PortSet {
-    lo: u64,
-    hi: u64,
-    skip: [u64; 2],
-    modulus: u64,
-    residue: u64,
-}
-
+/// A port set read as a census cell: its first two elements, as `NONE`,
+/// `one(x)` or `MANY`.
 impl PortSet {
-    /// `[lo, hi)`.
-    fn range(lo: u64, hi: u64) -> Self {
-        Self {
-            lo,
-            hi,
-            skip: [lo, lo],
-            modulus: 1,
-            residue: 0,
-        }
-    }
-
-    /// This set without `[skip₀, skip₁)` (a set skips one range at most).
-    fn outside(self, skip: [u64; 2]) -> Self {
-        Self { skip, ..self }
-    }
-
-    /// This set's elements `≡ residue (mod modulus)` (of a set not yet
-    /// restricted to a class).
-    fn class(self, modulus: u64, residue: u64) -> Self {
-        Self {
-            modulus,
-            residue,
-            ..self
-        }
-    }
-
-    /// The least element `≥ x` of the class, ignoring the bounds.
-    #[inline]
-    fn class_from(&self, x: u64) -> u64 {
-        if self.modulus == 1 {
-            return x;
-        }
-        let ahead = self.residue + self.modulus - x % self.modulus;
-        x + if ahead >= self.modulus {
-            ahead - self.modulus
-        } else {
-            ahead
-        }
-    }
-
-    /// `y` if it is in the set, else the next element past the skipped range
-    /// (`y` is in the class and at least `lo`).
-    #[inline]
-    fn settle(&self, mut y: u64) -> Option<u64> {
-        if self.skip[0] <= y && y < self.skip[1] {
-            y = self.class_from(self.skip[1]);
-        }
-        (y < self.hi).then_some(y)
-    }
-
-    /// The least element.
-    #[inline]
-    fn first(&self) -> Option<u64> {
-        self.settle(self.class_from(self.lo))
-    }
-
-    /// The element after element `x`.
-    #[inline]
-    fn after(&self, x: u64) -> Option<u64> {
-        self.settle(x + self.modulus)
-    }
-
-    /// The census cell of the set: its first two elements, read as `NONE`,
-    /// `one(x)` or `MANY`.
     #[inline]
     fn cell(&self) -> u32 {
         match self.first() {
@@ -304,75 +231,12 @@ impl PortSet {
             Some(x) => x as u32,
         }
     }
-
-    fn iter(self) -> impl Iterator<Item = u32> {
-        std::iter::successors(self.first(), move |&x| self.after(x)).map(|x| x as u32)
-    }
 }
 
-/// Lemma 1 by counting: the census of a router that follows a [`TopRule`]
-/// on `ftree(n+m, r)`, read off the rule instead of routing `p(p-1)` pairs.
-///
-/// Every path is `leaf up → up(v, top) → down(top, w) → leaf down`, so the
-/// pairs crossing a channel are a product `S × D` of two [`PortSet`]s. With
-/// `sw(v) = [v·n, v·n+n)`, the near side of a channel of switch `v` is
-/// `sw(v)` and the far side the rest; an uplink's sources are near and its
-/// destinations far, a downlink's the other way round. The rule then keeps
-/// one residue class of one side: the destinations `≡ t (mod m)` under
-/// [`TopRule::ByDestination`], the sources `≡ t` under
-/// [`TopRule::BySource`], and under [`TopRule::ByIndexPair`] the sources
-/// `≡ i` and the destinations `≡ j (mod n)` for `t = i·n + j < n²` (tops
-/// `≥ n²` carry nothing). A leaf channel of host `h` carries `{h}` × every
-/// other host, or the mirror. A channel is empty when either side is.
-#[derive(Clone, Copy, Debug)]
-struct RuleCensus {
-    n: u64,
-    m: u64,
-    ports: u64,
-    channels: u64,
-    rule: TopRule,
-}
-
+/// Lemma 1 by counting: the census of a router that follows a top-choice
+/// rule on `ftree(n+m, r)`, read off the crossing sets `S × D` of
+/// [`RuleCensus::crossing`] instead of routing `p(p-1)` pairs.
 impl RuleCensus {
-    fn new(ft: &Ftree, rule: TopRule) -> Self {
-        let (n, m, r) = (ft.n() as u64, ft.m() as u64, ft.r() as u64);
-        Self {
-            n,
-            m,
-            ports: n * r,
-            channels: 2 * (n * r + m * r),
-            rule,
-        }
-    }
-
-    /// The sources and the destinations of the pairs crossing channel `c`
-    /// (channel ids as laid out by [`Ftree`]).
-    fn crossing(&self, c: u64) -> (PortSet, PortSet) {
-        let (n, m) = (self.n, self.m);
-        let everyone = PortSet::range(0, self.ports);
-        let (uplink, half) = (c.is_multiple_of(2), c / 2);
-        if half < self.ports {
-            let host = PortSet::range(half, half + 1);
-            let others = everyone.outside([half, half + 1]);
-            return if uplink {
-                (host, others)
-            } else {
-                (others, host)
-            };
-        }
-        let cable = half - self.ports;
-        let (v, t) = (cable / m, cable % m);
-        let near = PortSet::range(v * n, v * n + n);
-        let far = everyone.outside([v * n, v * n + n]);
-        let (src, dst) = if uplink { (near, far) } else { (far, near) };
-        match self.rule {
-            TopRule::ByDestination => (src, dst.class(m, t)),
-            TopRule::BySource => (src.class(m, t), dst),
-            TopRule::ByIndexPair if t < n * n => (src.class(n, t / n), dst.class(n, t % n)),
-            TopRule::ByIndexPair => (PortSet::range(0, 0), PortSet::range(0, 0)),
-        }
-    }
-
     /// Channel `c`'s `[source cell, destination cell]`.
     #[inline]
     fn cell(&self, c: u64) -> [u32; 2] {
@@ -424,7 +288,7 @@ where
 /// two-pair witness, or `None` when the routing is nonblocking — the same
 /// answer as [`ContentionEngine::lemma1_violation`], without storing a path.
 ///
-/// A router that declares a [`TopRule`] (see
+/// A router that declares a top-choice rule (see
 /// [`SinglePathRouter::top_rule`]) is decided by counting (span
 /// `lemma1.closed_form`): an `O(hosts + channels)` scan of cells computed
 /// from the rule, no routing. Any other router is swept: pass 1 (span
@@ -472,8 +336,8 @@ where
     )))
 }
 
-/// The full Lemma 1 census of `router`: computed from its [`TopRule`] when it
-/// declares one, else swept from every path. The two agree cell for cell on
+/// The full Lemma 1 census of `router`: computed from its top-choice rule
+/// when it declares one, else swept from every path. The two agree cell for cell on
 /// every rule router (`tests/engine_differential.rs`).
 ///
 /// # Errors
@@ -882,20 +746,8 @@ mod tests {
     }
 
     #[test]
-    fn port_sets_walk_their_class_around_the_skip() {
-        let set = |s: PortSet| s.iter().collect::<Vec<_>>();
+    fn port_set_cells_are_their_first_two_elements() {
         let all = PortSet::range(0, 20);
-        assert_eq!(set(PortSet::range(3, 6)), [3, 4, 5]);
-        assert_eq!(set(PortSet::range(4, 4)), [] as [u32; 0]);
-        assert_eq!(set(all.outside([4, 16])), [0, 1, 2, 3, 16, 17, 18, 19]);
-        // Residue 1 mod 3 outside [4, 8): 1, (4 and 7 skipped), 10, 13, ...
-        assert_eq!(set(all.outside([4, 8]).class(3, 1)), [1, 10, 13, 16, 19]);
-        // The skip swallows the class's first element and the set ends.
-        assert_eq!(
-            set(PortSet::range(0, 9).outside([0, 5]).class(7, 2)),
-            [] as [u32; 0]
-        );
-        assert_eq!(set(PortSet::range(0, 12).outside([0, 5]).class(7, 2)), [9]);
         assert_eq!(PortSet::range(0, 0).cell(), NONE);
         assert_eq!(all.outside([4, 8]).class(9, 5).cell(), 14);
         assert_eq!(all.outside([4, 8]).class(9, 3).cell(), MANY);

@@ -51,6 +51,7 @@ pub mod design;
 pub mod engine;
 pub mod flow;
 pub mod lemma2;
+pub(crate) mod rule;
 pub mod search;
 pub mod sweep;
 pub mod verify;
@@ -64,9 +65,10 @@ pub use campaign::{
     Shrunk,
 };
 pub use cdg::{
-    attribute_witness, build_cdg, cdg_of_adaptive, cdg_of_assignment, cdg_of_masked_router,
-    cdg_of_multipath, cdg_of_paths, cdg_of_router, deadlock_sweep, unique_churn_fault_sets,
-    ChannelDependencyGraph, CycleAnalysis, DeadlockVerdict, SweepEntry, ValleyRouter, WitnessEdge,
+    analyze_router_with, attribute_witness, build_cdg, cdg_of_adaptive, cdg_of_assignment,
+    cdg_of_masked_router, cdg_of_multipath, cdg_of_paths, cdg_of_router, deadlock_sweep,
+    unique_churn_fault_sets, ChannelDependencyGraph, CycleAnalysis, DeadlockVerdict, SweepEntry,
+    ValleyRouter, WitnessEdge,
 };
 pub use churn::{
     availability, min_m_for_availability, AvailabilityReport, ChurnEvent, EpochVerdict,

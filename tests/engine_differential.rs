@@ -1,8 +1,8 @@
-//! Differential properties pinning the closed-form Lemma 1 census, the
-//! streaming sweep, the arena-backed contention engine and the legacy
-//! `HashMap` implementations to each other.
+//! Differential properties pinning the closed-form Lemma 1 census and CDG
+//! count, the streaming sweeps, the arena-backed contention engine and the
+//! legacy `HashMap` implementations to each other.
 //!
-//! Five oracles, three router families plus fault-masked and ill-formed
+//! Six oracles, three router families plus fault-masked and ill-formed
 //! routers:
 //!
 //! * **Closed form ≡ sweep** — a router that declares a `TopRule` is
@@ -11,6 +11,10 @@
 //!   `LinkViolation` field for field, on every `ftree(n+m, r)` with n ≤ 4,
 //!   r ≤ 12 and m up to n² + 1, and on larger random shapes. An honesty
 //!   check holds every rule router's `route_into` to its rule's path.
+//! * **Counted CDG ≡ swept CDG** — on the same shapes, `analyze_router_with`
+//!   reads a rule router's deadlock analysis off its rule (span
+//!   `cdg.closed_form`), and must equal the `CycleAnalysis` of the graph
+//!   built from the [`Swept`] routes, field for field.
 //! * **Streaming ≡ arena** — `lemma1_audit_with` (closed form or census
 //!   sweep, no stored paths) and `ContentionEngine::lemma1_violation` must
 //!   report the same `LinkViolation`, field for field, or the same
@@ -33,9 +37,10 @@
 
 use ftclos::core::verify::LinkViolation;
 use ftclos::core::{
-    deterministic_degradation, deterministic_degradation_legacy, find_blocking_two_pair,
-    find_blocking_two_pair_legacy, lemma1_audit, lemma1_audit_with, lemma1_census,
-    nonblocking_verdict, nonblocking_verdict_legacy, ContentionEngine, TwoPairOutcome,
+    analyze_router_with, cdg_of_router, deterministic_degradation,
+    deterministic_degradation_legacy, find_blocking_two_pair, find_blocking_two_pair_legacy,
+    lemma1_audit, lemma1_audit_with, lemma1_census, nonblocking_verdict,
+    nonblocking_verdict_legacy, ContentionEngine, TwoPairOutcome,
 };
 use ftclos::obs::Registry;
 use ftclos::routing::{
@@ -156,6 +161,39 @@ fn closed_form_matches_sweep_on(ft: &Ftree) -> usize {
     blocking
 }
 
+/// The counted deadlock analysis must equal the swept one, field for field;
+/// returns the dependency count.
+fn assert_counted_cdg_matches_sweep<R: SinglePathRouter + Sync>(ft: &Ftree, router: &R) -> u64 {
+    let reg = Registry::new();
+    let counted = analyze_router_with(ft.topology(), router, &reg);
+    let spans: Vec<String> = reg.snapshot().spans.into_iter().map(|s| s.path).collect();
+    assert_eq!(spans, ["cdg.closed_form"], "{} is counted", router.name());
+    let swept = cdg_of_router(ft.topology(), &Swept(router)).check();
+    assert_eq!(
+        counted,
+        swept,
+        "{} on ftree({}+{}, {})",
+        router.name(),
+        ft.n(),
+        ft.m(),
+        ft.r()
+    );
+    counted.num_deps
+}
+
+/// Every rule router of `ft`, counted and swept; returns the dependency
+/// counts, Theorem 3's routing last where it exists.
+fn counted_cdg_matches_sweep_on(ft: &Ftree) -> Vec<u64> {
+    let mut deps = vec![
+        assert_counted_cdg_matches_sweep(ft, &DModK::new(ft)),
+        assert_counted_cdg_matches_sweep(ft, &SModK::new(ft)),
+    ];
+    if let Ok(yuan) = YuanDeterministic::new(ft) {
+        deps.push(assert_counted_cdg_matches_sweep(ft, &yuan));
+    }
+    deps
+}
+
 /// A fault-aware ftree router: each cross-switch pair takes the first live
 /// top switch in d-mod-k order, and a pair with no live path is a
 /// [`RoutingError::NoLivePath`].
@@ -246,6 +284,15 @@ proptest! {
     ) {
         let m = 1 + m_pick % (n * n + 1);
         closed_form_matches_sweep_on(&Ftree::new(n, m, r).unwrap());
+    }
+
+    #[test]
+    fn counted_cdg_matches_sweep_on_larger_shapes(
+        (n, r) in (1usize..9, 1usize..41),
+        m_pick in 0usize..1 << 16,
+    ) {
+        let m = 1 + m_pick % (n * n + 1);
+        counted_cdg_matches_sweep_on(&Ftree::new(n, m, r).unwrap());
     }
 
     #[test]
@@ -362,6 +409,45 @@ fn closed_form_matches_sweep_on_every_small_shape() {
         }
     }
     assert_eq!((shapes, blocking), (408, 632));
+}
+
+#[test]
+fn counted_cdg_matches_sweep_on_every_small_shape() {
+    // The 408 shapes of `closed_form_matches_sweep_on_every_small_shape`,
+    // under d-mod-k, s-mod-k and (where m ≥ n²) Theorem 3's routing.
+    let mut analyses = 0;
+    for n in 1..=4 {
+        for r in 1..=12 {
+            for m in 1..=n * n + 1 {
+                analyses += counted_cdg_matches_sweep_on(&Ftree::new(n, m, r).unwrap()).len();
+            }
+        }
+    }
+    assert_eq!(analyses, 2 * 408 + 2 * 4 * 12);
+}
+
+#[test]
+fn counted_dependency_counts_are_pinned() {
+    // The `deadlock 2 4 5` golden's dmodk / smodk / yuan counts.
+    assert_eq!(
+        counted_cdg_matches_sweep_on(&Ftree::new(2, 4, 5).unwrap()),
+        [100, 100, 130]
+    );
+    // Theorem 3's routing: p·n + n²·r(r−1) + n²·r + p(n−1) with p = n·r;
+    // tops ≥ n² carry nothing, so the tenth top of (3+10, 7) adds none.
+    for (n, m, r, deps) in [(3, 9, 7, 546), (3, 10, 7, 546), (4, 16, 9, 1_548)] {
+        let ft = Ftree::new(n, m, r).unwrap();
+        assert_eq!(counted_cdg_matches_sweep_on(&ft).last(), Some(&deps));
+    }
+    // The `deadlock-cdg` benchmark golden, counted only.
+    let ft = Ftree::new(16, 256, 250).unwrap();
+    let yuan = analyze_router_with(
+        ft.topology(),
+        &YuanDeterministic::new(&ft).unwrap(),
+        &Registry::new(),
+    );
+    assert!(yuan.is_free());
+    assert_eq!(yuan.num_deps, 16_124_000);
 }
 
 #[test]
