@@ -1,6 +1,6 @@
 //! E20–E27 — the claims that need a big fabric or a second implementation
 //! to compare against. Wall-clock limits are the rows' `budget_s` (and
-//! E25's two [`Ctx::within`] parts), checked by the runner.
+//! E25's three [`Ctx::within`] parts), checked by the runner.
 //!
 //! * **E20** — the arena-backed contention engine and the legacy `HashMap`
 //!   sweeps it replaced agree on `ftree(4+16, 9)` and on one blocking and
@@ -27,10 +27,11 @@
 //!   `SimStats`) at 10k hosts while clearing ≥10× its host-cycles/sec, then
 //!   completes a 110 808-host run on the recursive n = 18 fabric.
 //! * **E25** — sparse lazy state: the recursive n = 24 fabric (345 600
-//!   hosts, ~415M channels) builds, routes and simulates touching under a
-//!   tenth of its channels; then the first million-host run. A peak-RSS
-//!   ceiling turns any return to dense `vec![...; num_channels]` state into
-//!   a failed claim instead of an OOM.
+//!   hosts, ~415M channels) and the n = 32 one (1 081 344 hosts, ~2.3G
+//!   channels) build, route and simulate touching under a tenth of their
+//!   channels; then the first million-host run. A peak-RSS ceiling turns
+//!   any return to dense `vec![...; num_channels]` state into a failed
+//!   claim instead of an OOM.
 //! * **E26** — min-congestion unsplittable routing (arxiv 2505.03908)
 //!   head-to-head at 10k hosts: the repaired plan, warm-started from every
 //!   exact baseline, matches or beats Theorem 3, d-mod-k, s-mod-k and
@@ -43,7 +44,7 @@
 //!   replays as a contending two-pair permutation. Both verdicts are Lemma 1
 //!   by counting (the census read off each router's top-choice rule), so
 //!   the fabric build is most of the row; one fabric is alive at a time and
-//!   the row's own peak RSS stays under 1.5 GiB.
+//!   the row's RSS growth (peak over its starting RSS) stays under 1.5 GiB.
 
 use crate::{sim_cfg, Ctx, RowResult, SEED};
 use ftclos_core::search::{find_blocking_two_pair, find_blocking_two_pair_legacy};
@@ -278,6 +279,7 @@ pub fn e24(ctx: &mut Ctx) -> RowResult {
     let net = RecursiveNonblocking::new(18)?;
     ctx.result_line("recursive_hosts", net.num_leaves())?;
     ctx.result_line("recursive_channels", net.topology().num_channels())?;
+    ctx.result_line("topo_bytes", net.topology().memory_bytes())?;
     ctx.check(
         net.num_leaves() > 100_000,
         "recursive n=18 fabric exposes more than 100k host ports",
@@ -313,23 +315,36 @@ fn event_run(
     Ok(sim.into_arena().touched_channels())
 }
 
-/// The n = 24 recursive fabric has ~415M directed channels; dense
-/// per-channel state (queues, pointers, wires, liveness) would need tens of
-/// gigabytes before the first packet moves. With the paged arena only pages
-/// a packet actually crosses materialize.
-fn e25_recursive(ctx: &mut Ctx) -> RowResult {
-    let net = RecursiveNonblocking::new(24)?;
+/// The n = 24 recursive fabric has ~415M directed channels and n = 32
+/// ~2.3G; dense per-channel state (queues, pointers, wires, liveness) would
+/// need tens of gigabytes before the first packet moves. The topology is
+/// implicit (it holds node kinds only), and with the paged arena only pages
+/// a packet actually crosses materialize. The run routes `shift:<shift>`,
+/// claims more than `min_hosts` ports, and prefixes its result keys with
+/// `key_prefix`.
+fn e25_recursive(
+    ctx: &mut Ctx,
+    n: usize,
+    shift: u32,
+    min_hosts: (usize, &str),
+    key_prefix: &str,
+) -> RowResult {
+    let net = RecursiveNonblocking::new(n)?;
     let channels = net.topology().num_channels();
-    ctx.result_line("fabric", "recursive(24)")?;
-    ctx.result_line("hosts", net.num_leaves())?;
-    ctx.result_line("channels", channels)?;
+    let key = |k: &str| format!("{key_prefix}{k}");
+    ctx.result_line(&key("fabric"), format!("recursive({n})"))?;
+    ctx.result_line(&key("hosts"), net.num_leaves())?;
+    ctx.result_line(&key("channels"), channels)?;
+    ctx.result_line(&key("topo_bytes"), net.topology().memory_bytes())?;
+    let (floor, floor_text) = min_hosts;
     ctx.check(
-        net.num_leaves() > 331_000,
-        "recursive n=24 fabric exposes more than 331k host ports",
+        net.num_leaves() > floor,
+        &format!("recursive n={n} fabric exposes more than {floor_text} host ports"),
     )?;
     let router = YuanRecursive::new(&net);
-    let touched = event_run(ctx, net.topology(), &router, 11, 0.02, "345k-host")?;
-    ctx.result_line("touched_channels", touched)?;
+    let what = format!("{}k-host", net.num_leaves() / 1000);
+    let touched = event_run(ctx, net.topology(), &router, shift, 0.02, &what)?;
+    ctx.result_line(&key("touched_channels"), touched)?;
     ctx.check(
         touched > 0 && touched < channels / 10,
         "paged arena touches fewer than a tenth of the channels",
@@ -358,9 +373,10 @@ pub fn e27(ctx: &mut Ctx) -> RowResult {
         "E27",
         "Theorems 2 and 3 at a million hosts, Lemma 1 by counting",
     )?;
-    // Start this row's peak from what is resident now, so the ceiling is
-    // about these fabrics and not about rows run before it.
-    let own_peak = reset_peak_rss();
+    // Start this row's peak from what is resident now and hold the row to
+    // its growth over that, so the ceiling is about these fabrics and not
+    // about memory the allocator kept from rows run before it.
+    let base_mib = reset_peak_rss().then(|| status_mib("VmRSS:")).flatten();
 
     // Theorem 3: m = n² with the index-pair routing is nonblocking.
     let (build_s, ft) = ctx.timed("e27.build", |_| Ftree::new(32, 1024, 32_768));
@@ -406,9 +422,14 @@ pub fn e27(ctx: &mut Ctx) -> RowResult {
     }
     drop(ft);
 
-    if let (true, Some(mib)) = (own_peak, peak_rss_mib()) {
-        ctx.result_line("peak_rss_mib", mib)?;
-        ctx.check(mib < 1536, "row peak RSS stays under 1.5 GiB")?;
+    if let (Some(base), Some(peak)) = (base_mib, status_mib("VmHWM:")) {
+        let growth = peak.saturating_sub(base);
+        ctx.result_line("peak_rss_mib", peak)?;
+        ctx.result_line("row_rss_growth_mib", growth)?;
+        ctx.check(
+            growth < 1536,
+            "row RSS growth (peak minus RSS at its start) stays under 1.5 GiB",
+        )?;
     }
     Ok(())
 }
@@ -419,25 +440,31 @@ fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
-/// Peak resident set of this process (`VmHWM`) in MiB, from
-/// `/proc/self/status`. `None` off Linux — the RSS claim is then not made.
-fn peak_rss_mib() -> Option<u64> {
+/// A `/proc/self/status` memory field in MiB: `"VmHWM:"` is this process's
+/// peak resident set, `"VmRSS:"` its current one. `None` off Linux — the
+/// RSS claims are then not made.
+fn status_mib(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let hwm = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: u64 = hwm.split_whitespace().nth(1)?.parse().ok()?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kib / 1024)
 }
 
 pub fn e25(ctx: &mut Ctx) -> RowResult {
     ctx.banner(
         "E25",
-        "sparse lazy state: 345k-host gate, first million-host run",
+        "sparse lazy state: 345k- and 1.08M-host recursive runs, first million-host run",
     )?;
-    ctx.within("recursive24", 120.0, e25_recursive)?;
+    ctx.within("recursive24", 120.0, |ctx| {
+        e25_recursive(ctx, 24, 11, (331_000, "331k"), "")
+    })?;
+    ctx.within("recursive32", 120.0, |ctx| {
+        e25_recursive(ctx, 32, 13, (1 << 20, "2^20"), "recursive32_")
+    })?;
     ctx.within("million", 300.0, e25_million)?;
     // Peak RSS over the whole process — every row run before this one
     // included. Dense per-channel state at n = 24 alone would add ~25 GiB.
-    if let Some(mib) = peak_rss_mib() {
+    if let Some(mib) = status_mib("VmHWM:") {
         ctx.result_line("peak_rss_mib", mib)?;
         ctx.check(
             mib < 24_576,

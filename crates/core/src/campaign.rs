@@ -152,8 +152,8 @@ impl FaultVector {
                     }
                 }
                 FaultElement::Switch(n) => {
-                    dead.extend(topo.out_channels(*n).iter().copied());
-                    dead.extend(topo.in_channels(*n).iter().copied());
+                    dead.extend(topo.out_channels(*n));
+                    dead.extend(topo.in_channels(*n));
                 }
             }
         }

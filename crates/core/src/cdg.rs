@@ -147,11 +147,11 @@ impl DependencySkeleton {
         in_start.push(0u32);
         for node in topo.node_ids() {
             let lo = out_sorted.len();
-            out_sorted.extend_from_slice(topo.out_channels(node));
+            out_sorted.extend(topo.out_channels(node));
             out_sorted[lo..].sort_unstable();
             out_start.push(out_sorted.len() as u32);
             let li = in_sorted.len();
-            in_sorted.extend_from_slice(topo.in_channels(node));
+            in_sorted.extend(topo.in_channels(node));
             in_sorted[li..].sort_unstable();
             in_start.push(in_sorted.len() as u32);
         }
@@ -1655,7 +1655,7 @@ mod tests {
                     let mut path = vec![at];
                     for _ in 0..rng.gen_range(1..6usize) {
                         let out = topo.out_channels(topo.channel(at).dst);
-                        at = out[rng.gen_range(0..out.len())];
+                        at = out.get(rng.gen_range(0..out.len()));
                         path.push(at);
                     }
                     path

@@ -73,7 +73,7 @@ impl Schedule for DenseSchedule {
             let start = *run.arena.rr.get(o) as usize % n_in.max(1);
             for k in 0..n_in {
                 let idx = (start + k) % n_in;
-                let qi = inputs[idx].index();
+                let qi = inputs.get(idx).index();
                 if run.head_wants(qi, out) {
                     run.grant_head(qi, o, (idx as u32 + 1) % n_in as u32)?;
                     break;

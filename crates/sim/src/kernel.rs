@@ -752,7 +752,7 @@ impl<'k, S: Schedule> Run<'k, S> {
         self.sched.inject_slots(self.arena, &mut visit);
         for &slot in &visit {
             let slot = slot as usize;
-            let Some(&up) = self
+            let Some(up) = self
                 .leaves
                 .get(slot)
                 .and_then(|&leaf| self.topo.out_channels(leaf).first())
@@ -904,7 +904,7 @@ impl<'k, S: Schedule> Run<'k, S> {
         // `src_port`: the CSR audit proves `outputs[src_port]` is that
         // channel.
         s.heads.clear();
-        for (ii, &qi) in inputs.iter().enumerate() {
+        for (ii, qi) in inputs.enumerate() {
             for (pos, p) in self.arena.queues.get(qi.index()).iter().enumerate() {
                 if p.ready_at > now {
                     continue;
@@ -930,7 +930,7 @@ impl<'k, S: Schedule> Run<'k, S> {
             s.requested.push(Requested {
                 oj,
                 heads: at..at + run.len(),
-                open: self.output_free(outputs[oj].index()),
+                open: self.output_free(outputs.get(oj).index()),
             });
             at += run.len();
         }
@@ -942,13 +942,14 @@ impl<'k, S: Schedule> Run<'k, S> {
             // requester, scanning from its grant pointer.
             s.grants.clear();
             for (g, req) in s.requested.iter().enumerate().filter(|(_, r)| r.open) {
-                let start = *self.arena.rr.get(outputs[req.oj].index()) as usize % n_in;
+                let start = *self.arena.rr.get(outputs.get(req.oj).index()) as usize % n_in;
                 let winner = s.heads[req.heads.clone()]
                     .iter()
                     .filter(|h| !s.in_matched[h.1])
                     .min_by_key(|h| (h.1 + n_in - start) % n_in);
                 if let Some(&(_, ii, pos)) = winner {
-                    let accept = *self.arena.accept_ptr.get(inputs[ii].index()) as usize % n_out;
+                    let accept =
+                        *self.arena.accept_ptr.get(inputs.get(ii).index()) as usize % n_out;
                     s.grants
                         .push((ii, (req.oj + n_out - accept) % n_out, g, pos));
                 }
@@ -964,20 +965,20 @@ impl<'k, S: Schedule> Run<'k, S> {
             s.grants.sort_unstable();
             s.grants.dedup_by_key(|gr| gr.0);
             for &(ii, _, g, pos) in &s.grants {
-                let (qi, oj) = (inputs[ii], s.requested[g].oj);
+                let (qi, oj) = (inputs.get(ii), s.requested[g].oj);
                 s.in_matched[ii] = true;
                 s.requested[g].open = false;
                 s.matches.push((ii, oj, pos));
                 if iter == 0 {
-                    *self.arena.rr.get_mut(outputs[oj].index()) = ((ii + 1) % n_in) as u32;
+                    *self.arena.rr.get_mut(outputs.get(oj).index()) = ((ii + 1) % n_in) as u32;
                     *self.arena.accept_ptr.get_mut(qi.index()) = ((oj + 1) % n_out) as u32;
                 }
             }
         }
         // Move matched packets.
         for &(ii, oj, pos) in &s.matches {
-            let p = self.take(inputs[ii].index(), pos)?;
-            self.advance(p, outputs[oj].index())?;
+            let p = self.take(inputs.get(ii).index(), pos)?;
+            self.advance(p, outputs.get(oj).index())?;
         }
         self.islip = s;
         Ok(())
@@ -1090,8 +1091,8 @@ mod tests {
         let topo = xb.topology();
         let sw = xb.switch();
         for p in 0..4 {
-            assert_eq!(topo.in_channels(sw)[p], xb.up_channel(p));
-            assert_eq!(topo.out_channels(sw)[p], xb.down_channel(p));
+            assert_eq!(topo.in_channels(sw).get(p), xb.up_channel(p));
+            assert_eq!(topo.out_channels(sw).get(p), xb.down_channel(p));
         }
         let routes: Vec<(u32, u32, [ChannelId; 2])> = [(1, 0), (1, 2), (2, 0), (3, 2)]
             .map(|(i, o): (usize, usize)| {

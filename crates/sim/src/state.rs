@@ -6,7 +6,9 @@
 //! near 100k hosts: a `RecursiveNonblocking(24)` fabric has ~415M directed
 //! channels, so the dense arrays alone cost tens of gigabytes before the
 //! first packet moves — even though a permutation workload touches a few
-//! hundred thousand of them.
+//! percent of them. That fabric's topology is implicit (its channels are
+//! arithmetic, it stores node kinds only), so at n = 24 and n = 32 (2.3G
+//! channels) this paged state is nearly all the memory a run holds.
 //!
 //! [`PagedVec`] keeps the same indexed-array semantics with lazy backing
 //! storage: a page directory maps fixed-size pages to slots allocated on

@@ -4,7 +4,7 @@ use crate::channel::Channel;
 use crate::error::TopoError;
 use crate::ids::{ChannelId, NodeId};
 use crate::kind::NodeKind;
-use crate::topology::{RevMap, Topology};
+use crate::topology::{RevMap, Stored, Topology};
 
 /// Builds a [`Topology`] node-by-node and cable-by-cable.
 ///
@@ -117,15 +117,17 @@ impl TopologyBuilder {
         }
         debug_assert!(out_chan.iter().all(|c| c.is_valid()));
         debug_assert!(in_chan.iter().all(|c| c.is_valid()));
-        let topo = Topology {
-            kinds: self.kinds,
-            channels: self.channels,
-            out_first,
-            out_chan,
-            in_first,
-            in_chan,
-            rev: RevMap::Table(self.rev),
-        };
+        let topo = Topology::stored(
+            self.kinds,
+            self.channels,
+            Stored {
+                out_first,
+                out_chan,
+                in_first,
+                in_chan,
+                rev: RevMap::Table(self.rev),
+            },
+        );
         debug_assert_eq!(topo.audit(), Ok(()));
         topo
     }
@@ -163,7 +165,7 @@ mod tests {
         let t = b.finish();
         assert_eq!(t.channel(sl0).src_port, 0);
         assert_eq!(t.channel(sl1).src_port, 1);
-        assert_eq!(t.out_channels(s), &[sl0, sl1]);
+        assert_eq!(t.out_channels(s).collect::<Vec<_>>(), [sl0, sl1]);
         t.audit().unwrap();
     }
 

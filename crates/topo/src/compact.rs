@@ -4,13 +4,13 @@
 //! four bounds-checked pushes plus two per-node port-counter updates, and
 //! `finish()` re-derives the adjacency with a counting sort over all
 //! channels. That is fine for crossbars and hand-built test graphs, but at
-//! recursive `n = 24` (415M directed channels) the intermediate churn and
-//! the explicit reverse table dominate build time and memory.
+//! `ftree(32+1024, 32768)` (69M directed channels) the intermediate churn
+//! and the explicit reverse table would dominate build time and memory.
 //!
-//! The regular families (`ftree`, XGFT, the recursive construction) need
-//! none of that machinery: every link is a bidirectional cable, and both
-//! the cable list and each node's port count are closed-form functions of
-//! the family parameters. [`build_paired_csr`] exploits this:
+//! The stored regular families (`ftree`, XGFT) need none of that machinery:
+//! every link is a bidirectional cable, and both the cable list and each
+//! node's port count are closed-form functions of the family parameters.
+//! [`build_paired_csr`] exploits this:
 //!
 //! * cable `l` becomes channels `2l` (`a → b`) and `2l + 1` (`b → a`), so
 //!   the reverse map is `rev(c) = c ^ 1` ([`RevMap::Paired`]) and no
@@ -23,12 +23,19 @@
 //!   cable chunks (rayon `par_chunks_mut`; fabrics under 8.4M cables
 //!   fill inline, see `MIN_CHUNKS_PER_THREAD`), with no intermediate
 //!   `Vec<Channel>` staging or per-channel counter updates.
+//!
+//! The recursive construction goes one step further and stores nothing per
+//! channel: its topology computes the same layout from its [`Cable`]
+//! function on every access (DESIGN.md, "Topology representation: stored
+//! vs implicit"). Its tests still build the stored form here, from that
+//! same function, as the oracle the implicit accessors are checked
+//! against.
 
 use crate::channel::Channel;
 use crate::error::TopoError;
 use crate::ids::{ChannelId, NodeId};
 use crate::kind::NodeKind;
-use crate::topology::{RevMap, Topology};
+use crate::topology::{RevMap, Stored, Topology};
 use rayon::prelude::*;
 
 /// One physical cable: endpoints `a`/`b` and the dense port index each end
@@ -44,6 +51,24 @@ pub(crate) struct Cable {
     pub port_a: u32,
     /// Port of the cable on `b`.
     pub port_b: u32,
+}
+
+impl Cable {
+    /// The cable's direction `a → b`, or `b → a` when `reverse`.
+    #[inline]
+    pub fn channel(&self, reverse: bool) -> Channel {
+        let (src, dst, src_port, dst_port) = if reverse {
+            (self.b, self.a, self.port_b, self.port_a)
+        } else {
+            (self.a, self.b, self.port_a, self.port_b)
+        };
+        Channel {
+            src: NodeId(src),
+            dst: NodeId(dst),
+            src_port: src_port as u16,
+            dst_port: dst_port as u16,
+        }
+    }
 }
 
 /// Cables per parallel fill chunk (channel chunks are twice this).
@@ -111,18 +136,8 @@ pub(crate) fn build_paired_csr(
             let base = ci * CABLE_CHUNK;
             for (j, pair) in chunk.chunks_exact_mut(2).enumerate() {
                 let c = cable(base + j);
-                pair[0] = Channel {
-                    src: NodeId(c.a),
-                    dst: NodeId(c.b),
-                    src_port: c.port_a as u16,
-                    dst_port: c.port_b as u16,
-                };
-                pair[1] = Channel {
-                    src: NodeId(c.b),
-                    dst: NodeId(c.a),
-                    src_port: c.port_b as u16,
-                    dst_port: c.port_a as u16,
-                };
+                pair[0] = c.channel(false);
+                pair[1] = c.channel(true);
             }
         });
 
@@ -140,15 +155,17 @@ pub(crate) fn build_paired_csr(
         .collect();
     debug_assert!(out_chan.iter().all(|c| c.is_valid()));
 
-    let topo = Topology {
+    let topo = Topology::stored(
         kinds,
         channels,
-        out_first: first.clone(),
-        out_chan,
-        in_first: first,
-        in_chan,
-        rev: RevMap::Paired,
-    };
+        Stored {
+            out_first: first.clone(),
+            out_chan,
+            in_first: first,
+            in_chan,
+            rev: RevMap::Paired,
+        },
+    );
     debug_assert_eq!(topo.audit(), Ok(()));
     Ok(topo)
 }
@@ -200,7 +217,7 @@ mod tests {
         .unwrap();
         t.audit().unwrap();
         assert_eq!(t.out_channels(NodeId(0)).len(), 3);
-        for (slot, &c) in t.out_channels(NodeId(0)).iter().enumerate() {
+        for (slot, c) in t.out_channels(NodeId(0)).enumerate() {
             assert_eq!(t.channel(c).src_port as usize, slot);
         }
         // memory_bytes accounts every backing array but no rev table.

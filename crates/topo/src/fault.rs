@@ -261,10 +261,10 @@ impl<'a> FaultyView<'a> {
                 continue;
             }
             dead_node[node.index()] = true;
-            for &c in topo.out_channels(node) {
+            for c in topo.out_channels(node) {
                 dead_channel[c.index()] = true;
             }
-            for &c in topo.in_channels(node) {
+            for c in topo.in_channels(node) {
                 dead_channel[c.index()] = true;
             }
         }
@@ -301,8 +301,6 @@ impl<'a> FaultyView<'a> {
     pub fn live_out_channels(&self, node: NodeId) -> impl Iterator<Item = ChannelId> + '_ {
         self.topo
             .out_channels(node)
-            .iter()
-            .copied()
             .filter(move |&c| self.channel_alive(c))
     }
 
@@ -310,8 +308,6 @@ impl<'a> FaultyView<'a> {
     pub fn live_in_channels(&self, node: NodeId) -> impl Iterator<Item = ChannelId> + '_ {
         self.topo
             .in_channels(node)
-            .iter()
-            .copied()
             .filter(move |&c| self.channel_alive(c))
     }
 

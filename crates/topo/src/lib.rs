@@ -48,6 +48,7 @@ pub mod fault;
 pub mod ftree;
 pub mod ids;
 pub mod kind;
+mod ports;
 pub mod props;
 pub mod recursive;
 pub mod topology;
@@ -63,6 +64,7 @@ pub use fault::{FaultError, FaultSet, FaultyView, Transition};
 pub use ftree::Ftree;
 pub use ids::{ChannelId, NodeId};
 pub use kind::NodeKind;
+pub use ports::Ports;
 pub use props::{bisection_channels, diameter, StructureReport};
 pub use recursive::RecursiveNonblocking;
 pub use topology::Topology;

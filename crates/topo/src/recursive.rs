@@ -9,12 +9,212 @@
 //! to the bottom switches' uplinks.
 
 use crate::builder::TopologyBuilder;
-use crate::compact::{build_paired_csr, Cable};
+use crate::channel::Channel;
+use crate::compact::Cable;
 use crate::error::TopoError;
 use crate::ids::{ChannelId, NodeId};
 use crate::kind::NodeKind;
-use crate::topology::Topology;
+use crate::ports::Run;
+use crate::topology::{Layout, Topology};
 use serde::{Deserialize, Serialize};
+
+/// A node or channel id computed in `u64`, narrowed to the `u32` id space
+/// that [`RecursiveShape::new`]'s size check guarantees.
+#[inline]
+fn id32(v: u64) -> u32 {
+    debug_assert!(v < u64::from(u32::MAX), "id {v} outside the u32 id space");
+    v as u32
+}
+
+/// Channel `2l` runs cable `l`'s `a → b` direction, `2l + 1` its reverse.
+#[inline]
+fn chan(cable: u64, reverse: bool) -> ChannelId {
+    ChannelId(id32(2 * cable + u64::from(reverse)))
+}
+
+/// The closed form of [`RecursiveNonblocking`]: node ranges and cable
+/// blocks as functions of `n`, in `u64`.
+///
+/// Nodes are numbered leaves, bottoms, inner bottoms (`g`-major), inner
+/// tops (`g`-major). Cables come in three blocks:
+///   A. leaf cables in `(v, k)` order — leaf `v·n + k` to bottom `v`'s
+///      down-port `k`;
+///   B. bottom uplinks in `(v, g)` order — bottom `v`'s up-port `n + g`
+///      enters inner fabric `g` at inner-leaf-port `v`, i.e. inner bottom
+///      `v / n`, down-port `v mod n`;
+///   C. inner tiers in `(g, ib, t)` order — inner bottom `ib`'s up-port
+///      `n + t` to inner top `t`'s port `ib`.
+///
+/// [`RecursiveShape::cable`] is the one definition of the wiring; the
+/// implicit [`Topology`] accessors and the stored test oracle both read it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct RecursiveShape {
+    n: u64,
+    n2: u64,
+    /// Bottoms per inner fabric, `n² + n`.
+    inner_r: u64,
+    /// Leaves: the first bottom node id and the first block-B cable.
+    leaves: u64,
+    /// First inner-bottom node id.
+    ib_first: u64,
+    /// First inner-top node id.
+    it_first: u64,
+    /// Node count.
+    nodes: u64,
+    /// First block-C cable.
+    block_c: u64,
+    /// Block-C cables per inner fabric, `(n² + n)·n²`.
+    fabric_cables: u64,
+    /// Cable count; channels are twice this.
+    cables: u64,
+}
+
+impl RecursiveShape {
+    /// The shape for `n >= 1`, or `TooLarge` if its node or channel ids do
+    /// not fit in `u32`.
+    pub(crate) fn new(n: u64) -> Result<Self, TopoError> {
+        // The leaves alone, n⁴ + n³, leave the u32 id space long before the
+        // u128 terms below could overflow.
+        if n > u64::from(u16::MAX) {
+            return Err(TopoError::TooLarge {
+                what: "nodes",
+                size: u128::from(n).saturating_pow(4),
+            });
+        }
+        let n_ = u128::from(n);
+        let n2 = n_ * n_;
+        let r = n2 * n_ + n2;
+        let inner_r = n2 + n_;
+        let leaves = r * n_;
+        let nodes = leaves + r + n2 * (inner_r + n2);
+        let cables = leaves + r * n2 + n2 * inner_r * n2;
+        TopologyBuilder::check_size(nodes, 2 * cables)?;
+        // Every term is at most `nodes` or `2 * cables`, both now < 2³².
+        let w = |v: u128| v as u64;
+        Ok(Self {
+            n,
+            n2: w(n2),
+            inner_r: w(inner_r),
+            leaves: w(leaves),
+            ib_first: w(leaves + r),
+            it_first: w(leaves + r + n2 * inner_r),
+            nodes: w(nodes),
+            block_c: w(leaves + r * n2),
+            fabric_cables: w(inner_r * n2),
+            cables: w(cables),
+        })
+    }
+
+    #[inline]
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.nodes as usize
+    }
+
+    #[inline]
+    pub(crate) fn num_channels(&self) -> usize {
+        2 * self.cables as usize
+    }
+
+    /// Cable `l`: its endpoints and the port each end gives it.
+    #[inline]
+    pub(crate) fn cable(&self, l: u64) -> Cable {
+        let Self { n, n2, .. } = *self;
+        let (a, b, port_a, port_b) = if l < self.leaves {
+            (l, self.leaves + l / n, 0, l % n)
+        } else if l < self.block_c {
+            let (v, g) = ((l - self.leaves) / n2, (l - self.leaves) % n2);
+            (
+                self.leaves + v,
+                self.ib_first + g * self.inner_r + v / n,
+                n + g,
+                v % n,
+            )
+        } else {
+            let l3 = l - self.block_c;
+            let (g, rem) = (l3 / self.fabric_cables, l3 % self.fabric_cables);
+            let (ib, t) = (rem / n2, rem % n2);
+            (
+                self.ib_first + g * self.inner_r + ib,
+                self.it_first + g * n2 + t,
+                n + t,
+                ib,
+            )
+        };
+        Cable {
+            a: id32(a),
+            b: id32(b),
+            port_a: id32(port_a),
+            port_b: id32(port_b),
+        }
+    }
+
+    /// The record of channel `c`.
+    ///
+    /// # Panics
+    /// Panics if `c` is out of range.
+    #[inline]
+    pub(crate) fn channel(&self, c: ChannelId) -> Channel {
+        let l = u64::from(c.0 >> 1);
+        assert!(l < self.cables, "channel {c:?} out of range");
+        self.cable(l).channel(c.0 & 1 == 1)
+    }
+
+    /// Cable of bottom `v`'s uplink to logical top `g` (block B).
+    #[inline]
+    fn up1_cable(&self, v: u64, g: u64) -> u64 {
+        self.leaves + v * self.n2 + g
+    }
+
+    /// Cable from inner bottom `(g, ib)` to inner top `(g, t)` (block C).
+    #[inline]
+    fn up2_cable(&self, g: u64, ib: u64, t: u64) -> u64 {
+        self.block_c + (g * self.inner_r + ib) * self.n2 + t
+    }
+
+    /// `node`'s out-channels in port order as two runs; its in-channels are
+    /// the same runs with the low id bit flipped.
+    ///
+    /// # Panics
+    /// Panics if `node` is out of range.
+    #[inline(never)]
+    pub(crate) fn out_runs(&self, node: NodeId) -> [Run; 2] {
+        let Self { n, n2, .. } = *self;
+        let x = u64::from(node.0);
+        let run = |cable: u64, reverse: bool, stride: u64, len: u64| Run {
+            base: chan(cable, reverse).0,
+            stride: id32(2 * stride),
+            len: id32(len),
+        };
+        if x < self.leaves {
+            // One uplink.
+            [run(x, false, 1, 1), Run::EMPTY]
+        } else if x < self.ib_first {
+            // Ports 0..n down to the leaves, n..n+n² up to the logical tops.
+            let v = x - self.leaves;
+            [
+                run(v * n, true, 1, n),
+                run(self.up1_cable(v, 0), false, 1, n2),
+            ]
+        } else if x < self.it_first {
+            // Ports 0..n down to bottoms ib·n.., whose uplinks to g sit n²
+            // cables apart; n..n+n² up to the inner tops.
+            let y = x - self.ib_first;
+            let (g, ib) = (y / self.inner_r, y % self.inner_r);
+            [
+                run(self.up1_cable(ib * n, g), true, n2, n),
+                run(self.up2_cable(g, ib, 0), false, 1, n2),
+            ]
+        } else {
+            assert!(x < self.nodes, "node {node} out of range");
+            // Ports 0..n²+n down to the inner bottoms, n² cables apart.
+            let (g, t) = ((x - self.it_first) / n2, (x - self.it_first) % n2);
+            [
+                run(self.up2_cable(g, 0, t), true, n2, self.inner_r),
+                Run::EMPTY,
+            ]
+        }
+    }
+}
 
 /// Physical three-level recursive nonblocking network for parameter `n`.
 ///
@@ -31,14 +231,21 @@ use serde::{Deserialize, Serialize};
 /// `2n⁴ + 3n³ + n²`; see `EXPERIMENTS.md` E10 for the accounting — the
 /// `n³` difference is an arithmetic slip in the paper: `r + n²·(2n²+n)`
 /// expands to `n³+n² + 2n⁴+n³`).
+///
+/// The topology is implicit: every channel, adjacency list and reverse
+/// pair is computed from the cable blocks of `RecursiveShape`, so building
+/// it costs `O(nodes)` and holding it two bytes a node.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RecursiveNonblocking {
-    n: usize,
     topo: Topology,
 }
 
 impl RecursiveNonblocking {
     /// Build the three-level network for `n >= 1`.
+    ///
+    /// # Errors
+    /// [`TopoError::InvalidParameter`] for `n = 0`; [`TopoError::TooLarge`]
+    /// when the node or channel ids overflow `u32` (`n >= 36`).
     pub fn new(n: usize) -> Result<Self, TopoError> {
         if n == 0 {
             return Err(TopoError::InvalidParameter {
@@ -47,122 +254,68 @@ impl RecursiveNonblocking {
                 requirement: "must be >= 1",
             });
         }
-        let n2 = n * n;
-        let r = n2 * n + n2; // n^3 + n^2 bottom switches
-        let inner_r = n2 + n; // bottoms per inner ftree
-        let leaves = (r as u128) * (n as u128);
-        let nodes = leaves + r as u128 + (n2 as u128) * (inner_r as u128 + n2 as u128);
-        let cables = leaves // leaf cables
-            + (r as u128) * (n2 as u128) // bottom -> logical top
-            + (n2 as u128) * (inner_r as u128) * (n2 as u128); // inner bottom -> inner top
-        TopologyBuilder::check_size(nodes, 2 * cables)?;
-
-        let leaves = leaves as usize;
-        let mut kinds = Vec::with_capacity(nodes as usize);
-        kinds.resize(leaves, NodeKind::Leaf);
-        kinds.resize(leaves + r, NodeKind::Switch { level: 1 });
-        kinds.resize(leaves + r + n2 * inner_r, NodeKind::Switch { level: 2 });
-        kinds.resize(
-            leaves + r + n2 * inner_r + n2 * n2,
-            NodeKind::Switch { level: 3 },
-        );
-
-        // Cable blocks mirror the historical connect order exactly so the
-        // closed-form `*_channel` ids stay valid:
-        //   A. leaf cables in (v, k) order;
-        //   B. bottom uplinks in (v, g) order — bottom v's uplink g enters
-        //      inner fabric g at inner-leaf-port v, i.e. inner bottom v/n,
-        //      down-port v%n, and bottom up-ports are n..n+n²;
-        //   C. inner tiers in (g, ib, t) order — inner bottom up-ports are
-        //      n..n+n², inner top (g, t)'s port to inner bottom ib is ib.
-        let block_b = leaves; // first uplink cable
-        let block_c = leaves + r * n2; // first inner-tier cable
-        let total_cables = block_c + n2 * inner_r * n2;
-        let ib_first = leaves + r; // first inner-bottom node id
-        let it_first = leaves + r + n2 * inner_r; // first inner-top node id
-        let topo = build_paired_csr(
+        let shape = RecursiveShape::new(n as u64)?;
+        let mut kinds = Vec::with_capacity(shape.num_nodes());
+        kinds.resize(shape.leaves as usize, NodeKind::Leaf);
+        for (end, level) in [(shape.ib_first, 1), (shape.it_first, 2), (shape.nodes, 3)] {
+            kinds.resize(end as usize, NodeKind::Switch { level });
+        }
+        let topo = Topology {
             kinds,
-            |x| {
-                if x < leaves {
-                    1
-                } else if x < it_first {
-                    n + n2 // bottoms and inner bottoms: uniform radix
-                } else {
-                    inner_r // inner tops
-                }
-            },
-            total_cables,
-            |l| {
-                if l < block_b {
-                    Cable {
-                        a: l as u32,
-                        b: (leaves + l / n) as u32,
-                        port_a: 0,
-                        port_b: (l % n) as u32,
-                    }
-                } else if l < block_c {
-                    let (v, g) = ((l - block_b) / n2, (l - block_b) % n2);
-                    Cable {
-                        a: (leaves + v) as u32,
-                        b: (ib_first + g * inner_r + v / n) as u32,
-                        port_a: (n + g) as u32,
-                        port_b: (v % n) as u32,
-                    }
-                } else {
-                    let l3 = l - block_c;
-                    let (g, rem) = (l3 / (inner_r * n2), l3 % (inner_r * n2));
-                    let (ib, t) = (rem / n2, rem % n2);
-                    Cable {
-                        a: (ib_first + g * inner_r + ib) as u32,
-                        b: (it_first + g * n2 + t) as u32,
-                        port_a: (n + t) as u32,
-                        port_b: ib as u32,
-                    }
-                }
-            },
-        )?;
-        Ok(Self { n, topo })
+            channels: Vec::new(),
+            layout: Layout::Recursive(shape),
+        };
+        Ok(Self { topo })
+    }
+
+    /// The closed form, held once, in the topology's layout.
+    #[inline]
+    fn shape(&self) -> &RecursiveShape {
+        match &self.topo.layout {
+            Layout::Recursive(shape) => shape,
+            Layout::Stored(_) => unreachable!("the recursive construction is implicit"),
+        }
     }
 
     /// The construction parameter.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.shape().n as usize
     }
 
     /// Number of bottom switches, `n³ + n²` (the logical `r`).
     #[inline]
     pub fn r(&self) -> usize {
-        self.n * self.n * self.n + self.n * self.n
+        self.n() * self.n() * self.n() + self.n() * self.n()
     }
 
     /// Number of logical top switches, `n²` (the logical `m`).
     #[inline]
     pub fn logical_tops(&self) -> usize {
-        self.n * self.n
+        self.n() * self.n()
     }
 
     /// Bottoms per inner fabric, `n² + n`.
     #[inline]
     pub fn inner_r(&self) -> usize {
-        self.n * self.n + self.n
+        self.n() * self.n() + self.n()
     }
 
     /// Number of leaves, `n⁴ + n³` — the nonblocking port count.
     #[inline]
     pub fn num_leaves(&self) -> usize {
-        self.r() * self.n
+        self.r() * self.n()
     }
 
     /// Total physical switches: `2n⁴ + 2n³ + n²`.
     pub fn num_switches(&self) -> usize {
-        self.r() + self.logical_tops() * (self.inner_r() + self.n * self.n)
+        self.r() + self.logical_tops() * (self.inner_r() + self.n() * self.n())
     }
 
     /// Switch radix used throughout: `n + n²`.
     #[inline]
     pub fn switch_radix(&self) -> usize {
-        self.n + self.n * self.n
+        self.n() + self.n() * self.n()
     }
 
     /// Underlying flat topology.
@@ -174,15 +327,15 @@ impl RecursiveNonblocking {
     /// Leaf `(v, k)` — `k`-th node of bottom switch `v`.
     #[inline]
     pub fn leaf(&self, v: usize, k: usize) -> NodeId {
-        debug_assert!(v < self.r() && k < self.n);
-        NodeId((v * self.n + k) as u32)
+        debug_assert!(v < self.r() && k < self.n());
+        NodeId((v * self.n() + k) as u32)
     }
 
     /// `(v, k)` coordinates of a leaf node id.
     #[inline]
     pub fn leaf_coords(&self, id: NodeId) -> Option<(usize, usize)> {
         let idx = id.index();
-        (idx < self.num_leaves()).then(|| (idx / self.n, idx % self.n))
+        (idx < self.num_leaves()).then(|| (idx / self.n(), idx % self.n()))
     }
 
     /// Bottom switch `v`.
@@ -202,7 +355,7 @@ impl RecursiveNonblocking {
     /// Inner top switch `t` of logical top `g`.
     #[inline]
     pub fn inner_top(&self, g: usize, t: usize) -> NodeId {
-        let n2 = self.n * self.n;
+        let n2 = self.n() * self.n();
         debug_assert!(g < n2 && t < n2);
         NodeId((self.num_leaves() + self.r() + n2 * self.inner_r() + g * n2 + t) as u32)
     }
@@ -210,48 +363,155 @@ impl RecursiveNonblocking {
     /// Uplink channel leaf `(v, k)` → bottom `v`.
     #[inline]
     pub fn leaf_up_channel(&self, v: usize, k: usize) -> ChannelId {
-        ChannelId((2 * (v * self.n + k)) as u32)
+        debug_assert!(v < self.r() && k < self.n());
+        chan(v as u64 * self.shape().n + k as u64, false)
     }
 
     /// Downlink channel bottom `v` → leaf `(v, k)`.
     #[inline]
     pub fn leaf_down_channel(&self, v: usize, k: usize) -> ChannelId {
-        ChannelId((2 * (v * self.n + k) + 1) as u32)
+        debug_assert!(v < self.r() && k < self.n());
+        chan(v as u64 * self.shape().n + k as u64, true)
     }
 
     /// Uplink channel bottom `v` → inner bottom of logical top `g`.
     #[inline]
     pub fn up1_channel(&self, v: usize, g: usize) -> ChannelId {
-        let n2 = self.n * self.n;
-        debug_assert!(v < self.r() && g < n2);
-        ChannelId((2 * self.num_leaves() + 2 * (v * n2 + g)) as u32)
+        debug_assert!(v < self.r() && g < self.logical_tops());
+        chan(self.shape().up1_cable(v as u64, g as u64), false)
     }
 
     /// Downlink channel (inner bottom of logical top `g`) → bottom `v`.
     #[inline]
     pub fn down1_channel(&self, g: usize, v: usize) -> ChannelId {
-        ChannelId(self.up1_channel(v, g).0 + 1)
+        debug_assert!(v < self.r() && g < self.logical_tops());
+        chan(self.shape().up1_cable(v as u64, g as u64), true)
     }
 
     /// Uplink channel inner bottom `(g, ib)` → inner top `(g, t)`.
     #[inline]
     pub fn up2_channel(&self, g: usize, ib: usize, t: usize) -> ChannelId {
-        let n2 = self.n * self.n;
+        let n2 = self.logical_tops();
         debug_assert!(g < n2 && ib < self.inner_r() && t < n2);
-        let base = 2 * self.num_leaves() + 2 * self.r() * n2;
-        ChannelId((base + 2 * ((g * self.inner_r() + ib) * n2 + t)) as u32)
+        chan(self.shape().up2_cable(g as u64, ib as u64, t as u64), false)
     }
 
     /// Downlink channel inner top `(g, t)` → inner bottom `(g, ib)`.
     #[inline]
     pub fn down2_channel(&self, g: usize, t: usize, ib: usize) -> ChannelId {
-        ChannelId(self.up2_channel(g, ib, t).0 + 1)
+        let n2 = self.logical_tops();
+        debug_assert!(g < n2 && ib < self.inner_r() && t < n2);
+        chan(self.shape().up2_cable(g as u64, ib as u64, t as u64), true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compact::build_paired_csr;
+    use crate::dot::{to_dot, DotOptions};
+
+    /// The stored oracle: the same `RecursiveShape::cable` wiring,
+    /// materialized as channel records and CSR adjacency.
+    fn stored_oracle(net: &RecursiveNonblocking) -> Topology {
+        let t = net.topology();
+        let (radix, inner_r) = (net.switch_radix(), net.inner_r());
+        let degree = |x: usize| match t.kinds[x] {
+            NodeKind::Leaf => 1,
+            NodeKind::Switch { level: 3 } => inner_r,
+            NodeKind::Switch { .. } => radix,
+        };
+        let shape = *net.shape();
+        build_paired_csr(t.kinds.clone(), degree, t.num_channels() / 2, |l| {
+            shape.cable(l as u64)
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn implicit_matches_stored() {
+        for n in 1..=5 {
+            let net = RecursiveNonblocking::new(n).unwrap();
+            let (imp, st) = (net.topology(), &stored_oracle(&net));
+            assert!(matches!(imp.layout, Layout::Recursive(_)));
+            assert!(matches!(st.layout, Layout::Stored(_)));
+            assert_eq!(imp.audit(), Ok(()), "n={n}");
+            assert_eq!(st.audit(), Ok(()), "n={n}");
+            assert_eq!(
+                (imp.num_nodes(), imp.num_channels()),
+                (st.num_nodes(), st.num_channels())
+            );
+            for c in st.channel_ids() {
+                assert_eq!(imp.channel(c), st.channel(c), "n={n} {c:?}");
+                assert_eq!(imp.reverse(c), st.reverse(c), "n={n} {c:?}");
+            }
+            for x in st.node_ids() {
+                assert_eq!(imp.kind(x), st.kind(x));
+                assert_eq!(imp.radix(x), st.radix(x), "n={n} {x}");
+                let (out, ins) = (imp.out_channels(x), imp.in_channels(x));
+                assert!(out.eq(st.out_channels(x)), "n={n} out of {x}");
+                assert!(ins.eq(st.in_channels(x)), "n={n} in of {x}");
+                for (i, c) in st.out_channels(x).enumerate() {
+                    assert_eq!(out.get(i), c);
+                    let dst = st.channel(c).dst;
+                    assert_eq!(imp.channel_between(x, dst), Ok(c), "n={n} {x}->{dst}");
+                }
+                for (i, c) in st.in_channels(x).enumerate() {
+                    assert_eq!(ins.get(i), c);
+                }
+            }
+            let leaf0 = net.leaf(0, 0);
+            assert_eq!(imp.bfs_distances(leaf0), st.bfs_distances(leaf0));
+            assert!(imp.memory_bytes() < st.memory_bytes());
+        }
+        for n in 1..=2 {
+            let net = RecursiveNonblocking::new(n).unwrap();
+            let st = stored_oracle(&net);
+            for merge_bidir in [true, false] {
+                let opts = DotOptions {
+                    merge_bidir,
+                    ..DotOptions::default()
+                };
+                assert_eq!(to_dot(net.topology(), &opts), to_dot(&st, &opts));
+            }
+        }
+    }
+
+    /// n = 35 is the last shape whose channel ids fit in `u32`; building it
+    /// costs its node kinds only.
+    #[test]
+    fn id_space_boundary() {
+        let net = RecursiveNonblocking::new(35).unwrap();
+        let t = net.topology();
+        assert_eq!(t.num_channels(), 3_892_707_000);
+        assert_eq!(
+            t.memory_bytes(),
+            t.num_nodes() * std::mem::size_of::<NodeKind>()
+        );
+        let (last_g, last_ib) = (net.logical_tops() - 1, net.inner_r() - 1);
+        let last = net.down2_channel(last_g, last_g, last_ib);
+        assert_eq!(last.index(), t.num_channels() - 1);
+        let ch = t.channel(last);
+        assert_eq!(ch.src, net.inner_top(last_g, last_g));
+        assert_eq!(ch.dst, net.inner_bottom(last_g, last_ib));
+        assert_eq!(t.channel_between(ch.src, ch.dst), Ok(last));
+        assert_eq!(
+            t.reverse(last),
+            Some(net.up2_channel(last_g, last_ib, last_g))
+        );
+        assert_eq!(t.out_channels(ch.src).last(), Some(last));
+        assert!(matches!(
+            RecursiveNonblocking::new(36),
+            Err(TopoError::TooLarge {
+                what: "channels",
+                size: 4_602_241_152
+            })
+        ));
+        assert!(matches!(
+            RecursiveNonblocking::new(usize::MAX),
+            Err(TopoError::TooLarge { what: "nodes", .. })
+        ));
+    }
 
     #[test]
     fn rejects_zero() {
@@ -327,8 +587,7 @@ mod tests {
                 let node = net.inner_bottom(g, ib);
                 let from_bottoms: Vec<_> = t
                     .in_channels(node)
-                    .iter()
-                    .map(|&c| t.channel(c).src)
+                    .map(|c| t.channel(c).src)
                     .filter(|&s| t.kind(s).level() == Some(1))
                     .collect();
                 assert_eq!(from_bottoms.len(), 2);

@@ -4,6 +4,8 @@ use crate::channel::Channel;
 use crate::error::TopoError;
 use crate::ids::{ChannelId, NodeId};
 use crate::kind::NodeKind;
+use crate::ports::{Ports, Run};
+use crate::recursive::RecursiveShape;
 use serde::{Deserialize, Serialize};
 
 /// How reverse channels are represented.
@@ -25,17 +27,9 @@ pub(crate) enum RevMap {
     Table(Vec<ChannelId>),
 }
 
-/// A directed multigraph of leaves and switches with CSR adjacency.
-///
-/// Construct through [`crate::TopologyBuilder`] or one of the family
-/// builders ([`crate::Ftree`], [`crate::Clos`], [`crate::Xgft`], …).
-///
-/// Channels are directed; for bidirectional networks every channel has a
-/// paired reverse channel retrievable with [`Topology::reverse`].
+/// The adjacency arrays of a stored topology (CSR) and its reverse map.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Topology {
-    pub(crate) kinds: Vec<NodeKind>,
-    pub(crate) channels: Vec<Channel>,
+pub(crate) struct Stored {
     /// CSR row offsets into `out_chan`, indexed by node, length `nodes + 1`.
     pub(crate) out_first: Vec<u32>,
     /// Outgoing channels of each node, ordered by source port.
@@ -48,7 +42,52 @@ pub struct Topology {
     pub(crate) rev: RevMap,
 }
 
+/// How a topology holds its channels.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) enum Layout {
+    /// Adjacency lists and reverse map in memory, beside the channel
+    /// records in `Topology::channels` ([`crate::TopologyBuilder`] output
+    /// and the `build_paired_csr` families).
+    Stored(Stored),
+    /// The recursive construction: channels, adjacency and reverse pairing
+    /// are arithmetic over its cable blocks; nothing per channel is stored.
+    Recursive(RecursiveShape),
+}
+
+/// A directed multigraph of leaves and switches.
+///
+/// Construct through [`crate::TopologyBuilder`] or one of the family
+/// builders ([`crate::Ftree`], [`crate::Clos`], [`crate::Xgft`], …).
+///
+/// Channels are directed; for bidirectional networks every channel has a
+/// paired reverse channel retrievable with [`Topology::reverse`].
+///
+/// The layout is private: most topologies store their channel records and
+/// CSR adjacency, while [`crate::RecursiveNonblocking`] computes them from
+/// its closed form. Every accessor answers the same on both. `==` compares
+/// representations, so a stored copy of a recursive fabric is not `==` to
+/// the implicit one even though every accessor agrees; compare through the
+/// accessors to compare graphs.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Topology {
+    pub(crate) kinds: Vec<NodeKind>,
+    /// Channel records of a stored topology, empty on an implicit one: a
+    /// stored `channel()` is then one bounds-checked read, the simulator's
+    /// hottest topology call, and only a miss looks at the layout.
+    pub(crate) channels: Vec<Channel>,
+    pub(crate) layout: Layout,
+}
+
 impl Topology {
+    /// A stored topology over `kinds`.
+    pub(crate) fn stored(kinds: Vec<NodeKind>, channels: Vec<Channel>, stored: Stored) -> Self {
+        Self {
+            kinds,
+            channels,
+            layout: Layout::Stored(stored),
+        }
+    }
+
     /// Number of nodes (leaves plus switches).
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -58,7 +97,10 @@ impl Topology {
     /// Number of directed channels.
     #[inline]
     pub fn num_channels(&self) -> usize {
-        self.channels.len()
+        match &self.layout {
+            Layout::Stored(_) => self.channels.len(),
+            Layout::Recursive(r) => r.num_channels(),
+        }
     }
 
     /// Kind of node `id`.
@@ -87,51 +129,93 @@ impl Topology {
     /// Panics if `id` is out of range or the sentinel.
     #[inline]
     pub fn channel(&self, id: ChannelId) -> Channel {
-        self.channels[id.index()]
+        match self.channels.get(id.index()) {
+            Some(&c) => c,
+            None => self.computed_channel(id),
+        }
+    }
+
+    /// [`Topology::channel`] past the stored records: computed on an
+    /// implicit topology, out of range on a stored one.
+    #[inline(never)]
+    fn computed_channel(&self, id: ChannelId) -> Channel {
+        match &self.layout {
+            Layout::Recursive(r) => r.channel(id),
+            Layout::Stored(_) => panic!("channel {id:?} out of range"),
+        }
     }
 
     /// Directed channels leaving `node`, in source-port order.
+    ///
+    /// # Panics
+    /// Panics if `node` is out of range.
     #[inline]
-    pub fn out_channels(&self, node: NodeId) -> &[ChannelId] {
-        let lo = self.out_first[node.index()] as usize;
-        let hi = self.out_first[node.index() + 1] as usize;
-        &self.out_chan[lo..hi]
+    pub fn out_channels(&self, node: NodeId) -> Ports<'_> {
+        match &self.layout {
+            Layout::Stored(s) => {
+                let lo = s.out_first[node.index()] as usize;
+                let hi = s.out_first[node.index() + 1] as usize;
+                Ports::stored(&s.out_chan[lo..hi])
+            }
+            Layout::Recursive(r) => Ports::runs(r.out_runs(node)),
+        }
     }
 
     /// Directed channels entering `node`, in destination-port order.
+    ///
+    /// # Panics
+    /// Panics if `node` is out of range.
     #[inline]
-    pub fn in_channels(&self, node: NodeId) -> &[ChannelId] {
-        let lo = self.in_first[node.index()] as usize;
-        let hi = self.in_first[node.index() + 1] as usize;
-        &self.in_chan[lo..hi]
+    pub fn in_channels(&self, node: NodeId) -> Ports<'_> {
+        match &self.layout {
+            Layout::Stored(s) => {
+                let lo = s.in_first[node.index()] as usize;
+                let hi = s.in_first[node.index() + 1] as usize;
+                Ports::stored(&s.in_chan[lo..hi])
+            }
+            // Each cable gives its endpoint one out and one in port at the
+            // same slot, in opposite directions: flip the id's low bit.
+            Layout::Recursive(r) => Ports::runs(r.out_runs(node).map(|run| Run {
+                base: run.base ^ 1,
+                ..run
+            })),
+        }
     }
 
     /// The paired reverse channel, if the link is bidirectional.
     #[inline]
     pub fn reverse(&self, ch: ChannelId) -> Option<ChannelId> {
-        match &self.rev {
-            RevMap::Paired => {
-                debug_assert!(ch.index() < self.channels.len());
-                Some(ChannelId(ch.0 ^ 1))
-            }
-            RevMap::Table(t) => {
+        match &self.layout {
+            Layout::Stored(Stored {
+                rev: RevMap::Table(t),
+                ..
+            }) => {
                 let r = t[ch.index()];
                 r.is_valid().then_some(r)
+            }
+            _ => {
+                debug_assert!(ch.index() < self.num_channels());
+                Some(ChannelId(ch.0 ^ 1))
             }
         }
     }
 
     /// Resident size of the topology's backing arrays, in bytes (excluding
-    /// constant struct overhead). This is the figure the sparse-state work
-    /// budgets against: at recursive `n = 24` the fabric itself is several
-    /// GB while the simulator should stay `O(touched)`.
+    /// constant struct overhead). A stored topology pays 20 bytes or more a
+    /// directed channel; an implicit one pays for its node kinds only, so
+    /// the simulator's `O(touched)` state is the only thing that grows with
+    /// traffic.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.kinds.len() * size_of::<NodeKind>()
+        let kinds = self.kinds.len() * size_of::<NodeKind>();
+        let Layout::Stored(s) = &self.layout else {
+            return kinds;
+        };
+        kinds
             + self.channels.len() * size_of::<Channel>()
-            + (self.out_first.len() + self.in_first.len()) * size_of::<u32>()
-            + (self.out_chan.len() + self.in_chan.len()) * size_of::<ChannelId>()
-            + match &self.rev {
+            + (s.out_first.len() + s.in_first.len()) * size_of::<u32>()
+            + (s.out_chan.len() + s.in_chan.len()) * size_of::<ChannelId>()
+            + match &s.rev {
                 RevMap::Paired => 0,
                 RevMap::Table(t) => t.len() * size_of::<ChannelId>(),
             }
@@ -140,8 +224,6 @@ impl Topology {
     /// Find the (first) channel from `src` to `dst`.
     pub fn channel_between(&self, src: NodeId, dst: NodeId) -> Result<ChannelId, TopoError> {
         self.out_channels(src)
-            .iter()
-            .copied()
             .find(|&c| self.channel(c).dst == dst)
             .ok_or(TopoError::NoChannel {
                 src: src.index(),
@@ -156,7 +238,7 @@ impl Topology {
 
     /// All channel ids, in index order.
     pub fn channel_ids(&self) -> impl Iterator<Item = ChannelId> + '_ {
-        (0..self.channels.len() as u32).map(ChannelId)
+        (0..self.num_channels() as u32).map(ChannelId)
     }
 
     /// All leaf node ids.
@@ -193,8 +275,7 @@ impl Topology {
         let ins = self.in_channels(node).len();
         let paired_out = self
             .out_channels(node)
-            .iter()
-            .filter(|&&c| self.reverse(c).is_some())
+            .filter(|&c| self.reverse(c).is_some())
             .count();
         // Each bidirectional cable contributes one out channel and one in
         // channel that are the same physical port.
@@ -210,7 +291,7 @@ impl Topology {
         queue.push_back(start);
         while let Some(u) = queue.pop_front() {
             let du = dist[u.index()];
-            for &c in self.out_channels(u) {
+            for c in self.out_channels(u) {
                 let v = self.channel(c).dst;
                 if dist[v.index()] == u32::MAX {
                     dist[v.index()] = du + 1;
@@ -224,29 +305,32 @@ impl Topology {
     /// Validate internal invariants (CSR consistency, port density,
     /// reverse-pairing involution). Intended for tests and debug assertions.
     pub fn audit(&self) -> Result<(), String> {
-        if self.out_first.len() != self.num_nodes() + 1 {
-            return Err("out_first length mismatch".into());
-        }
-        if self.in_first.len() != self.num_nodes() + 1 {
-            return Err("in_first length mismatch".into());
-        }
-        match &self.rev {
-            RevMap::Table(t) => {
+        if let Layout::Stored(s) = &self.layout {
+            if s.out_first.len() != self.num_nodes() + 1 {
+                return Err("out_first length mismatch".into());
+            }
+            if s.in_first.len() != self.num_nodes() + 1 {
+                return Err("in_first length mismatch".into());
+            }
+            if let RevMap::Table(t) = &s.rev {
                 if t.len() != self.num_channels() {
                     return Err("rev length mismatch".into());
                 }
             }
-            RevMap::Paired => {
-                if !self.num_channels().is_multiple_of(2) {
-                    return Err("paired rev map requires an even channel count".into());
-                }
-            }
         }
-        for (i, ch) in self.channels.iter().enumerate() {
+        let paired = match &self.layout {
+            Layout::Stored(s) => s.rev == RevMap::Paired,
+            Layout::Recursive(_) => true,
+        };
+        if paired && !self.num_channels().is_multiple_of(2) {
+            return Err("paired rev map requires an even channel count".into());
+        }
+        for id in self.channel_ids() {
+            let (i, ch) = (id.index(), self.channel(id));
             if ch.src.index() >= self.num_nodes() || ch.dst.index() >= self.num_nodes() {
                 return Err(format!("channel {i} has endpoint out of range"));
             }
-            if let Some(r) = self.reverse(ChannelId(i as u32)) {
+            if let Some(r) = self.reverse(id) {
                 if r.index() >= self.num_channels() {
                     return Err(format!("channel {i} reverse out of range"));
                 }
@@ -254,7 +338,7 @@ impl Topology {
                 if rc.src != ch.dst || rc.dst != ch.src {
                     return Err(format!("channel {i} reverse endpoints mismatch"));
                 }
-                if self.reverse(r) != Some(ChannelId(i as u32)) {
+                if self.reverse(r) != Some(id) {
                     return Err(format!(
                         "reverse pairing of channel {i} is not an involution"
                     ));
@@ -262,7 +346,7 @@ impl Topology {
             }
         }
         for node in self.node_ids() {
-            for (slot, &c) in self.out_channels(node).iter().enumerate() {
+            for (slot, c) in self.out_channels(node).enumerate() {
                 let ch = self.channel(c);
                 if ch.src != node {
                     return Err(format!("out adjacency of {node} lists foreign channel"));
@@ -271,7 +355,7 @@ impl Topology {
                     return Err(format!("out ports of {node} not dense/ordered"));
                 }
             }
-            for (slot, &c) in self.in_channels(node).iter().enumerate() {
+            for (slot, c) in self.in_channels(node).enumerate() {
                 let ch = self.channel(c);
                 if ch.dst != node {
                     return Err(format!("in adjacency of {node} lists foreign channel"));

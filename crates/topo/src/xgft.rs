@@ -411,8 +411,7 @@ mod tests {
                 let node = t.node(i - 1, idx);
                 let parents: std::collections::HashSet<_> = topo
                     .out_channels(node)
-                    .iter()
-                    .map(|&c| topo.channel(c).dst)
+                    .map(|c| topo.channel(c).dst)
                     .filter(|&d| t.locate(d).0 == i)
                     .collect();
                 assert_eq!(parents.len(), t.ws()[i - 1], "level {i} parents");
@@ -421,8 +420,7 @@ mod tests {
                 let node = t.node(i, idx);
                 let children: std::collections::HashSet<_> = topo
                     .out_channels(node)
-                    .iter()
-                    .map(|&c| topo.channel(c).dst)
+                    .map(|c| topo.channel(c).dst)
                     .filter(|&d| t.locate(d).0 == i - 1)
                     .collect();
                 assert_eq!(children.len(), t.ms()[i - 1], "level {i} children");
