@@ -50,7 +50,7 @@ pub fn e17(ctx: &mut Ctx) -> RowResult {
             faults.fail_switch(ft.top(t));
         }
         let view = FaultyView::new(ft.topology(), &faults);
-        let deg = deterministic_degradation(&yuan, &view);
+        let deg = deterministic_degradation(&yuan, &view)?;
         let adaptive = adaptive_degraded_verdict(&ft, &view, 30, SEED)?;
         let verdict_str = match &adaptive {
             DegradedVerdict::ContentionFree { permutations, .. } => {

@@ -9,6 +9,7 @@
 //! balance, unchanged nonblocking condition — exactly the paper's point).
 
 use crate::{sim_cfg, throughput, Ctx, RowResult, SEED};
+use ftclos_core::multipath_violation;
 use ftclos_routing::{DModK, ObliviousMultipath, SpreadPolicy, YuanDeterministic};
 use ftclos_sim::{Policy, Workload};
 use ftclos_topo::Ftree;
@@ -24,7 +25,7 @@ pub fn e7(ctx: &mut Ctx) -> RowResult {
         let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
         let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(1, 6)])?;
         ctx.check(
-            mp.spread_pattern(&perm)?.lemma1_violation().is_some(),
+            multipath_violation(&mp.spread_pattern(&perm)?).is_some(),
             &format!("m={m}: two same-switch pairs share a spread channel (can block)"),
         )?;
     }
@@ -40,7 +41,7 @@ pub fn e7(ctx: &mut Ctx) -> RowResult {
     let trials = 200usize;
     for _ in 0..trials {
         let perm = patterns::random_full(21, &mut rng);
-        with_violation += usize::from(mp.spread_pattern(&perm)?.lemma1_violation().is_some());
+        with_violation += usize::from(multipath_violation(&mp.spread_pattern(&perm)?).is_some());
     }
     ctx.result_line(
         "violating permutations",

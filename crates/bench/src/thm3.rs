@@ -12,49 +12,54 @@
 
 use crate::{Ctx, RowResult};
 use ftclos_analysis::TextTable;
+use ftclos_core::crossing_pairs;
 use ftclos_core::search::{find_blocking_exhaustive, find_blocking_two_pair};
-use ftclos_core::verify::{is_nonblocking_deterministic, updown_discipline, LinkAudit};
+use ftclos_core::verify::{is_nonblocking_deterministic, updown_discipline};
 use ftclos_routing::{route_all, SinglePathRouter, YuanDeterministic};
-use ftclos_topo::Ftree;
+use ftclos_topo::{ChannelId, Ftree};
 use ftclos_traffic::{patterns, SdPair};
+use std::collections::BTreeSet;
+
+/// The SD pairs crossing `c`, with their distinct sources and destinations:
+/// `(#pairs, #sources, #destinations)`, exact.
+fn link_census(router: &YuanDeterministic<'_>, c: ChannelId) -> (usize, usize, usize) {
+    let pairs: Vec<SdPair> = crossing_pairs(router, c).collect();
+    let distinct = |end: fn(&SdPair) -> u32| pairs.iter().map(end).collect::<BTreeSet<_>>().len();
+    (pairs.len(), distinct(|p| p.src), distinct(|p| p.dst))
+}
 
 pub fn e4(ctx: &mut Ctx) -> RowResult {
     ctx.banner("E4a", "Fig. 3 — SD pairs on the links of top switch (i,j)")?;
     let ft = Ftree::new(3, 9, 7)?;
     let router = YuanDeterministic::new(&ft)?;
-    let audit = LinkAudit::build(&router);
     let mut table = TextTable::new(["link", "#SD pairs", "#sources", "#dests"]);
     // Sample top (1, 2) and bottom 0, as in Fig. 3's generic (i,j), v.
     let top = ft.top_index(ft.top_ij(1, 2)).ok_or("top (1,2) exists")?;
-    let (us, ud) = audit
-        .channel_census(ft.up_channel(0, top))
-        .ok_or("the uplink carries pairs")?;
-    let (ds, dd) = audit
-        .channel_census(ft.down_channel(top, 0))
-        .ok_or("the downlink carries pairs")?;
-    table.row([
-        "bottom 0 -> top (1,2)".to_string(),
-        (us.len().max(ud.len())).to_string(),
-        us.len().to_string(),
-        ud.len().to_string(),
-    ]);
-    table.row([
-        "top (1,2) -> bottom 0".to_string(),
-        (ds.len().max(dd.len())).to_string(),
-        ds.len().to_string(),
-        dd.len().to_string(),
-    ]);
+    let up = link_census(&router, ft.up_channel(0, top));
+    let down = link_census(&router, ft.down_channel(top, 0));
+    for (link, (pairs, sources, dests)) in [
+        ("bottom 0 -> top (1,2)", up),
+        ("top (1,2) -> bottom 0", down),
+    ] {
+        table.row([
+            link.to_string(),
+            pairs.to_string(),
+            sources.to_string(),
+            dests.to_string(),
+        ]);
+    }
     ctx.print(table.render())?;
+    let r = ft.r();
     ctx.check(
-        us.len() == 1 && ud.len() == ft.r() - 1,
+        up == (r - 1, 1, r - 1),
         "uplink: one source, r-1 destinations",
     )?;
     ctx.check(
-        dd.len() == 1 && ds.len() == ft.r() - 1,
+        down == (r - 1, r - 1, 1),
         "downlink: one destination, r-1 sources",
     )?;
     ctx.check(
-        updown_discipline(&router, ft.topology()).is_ok(),
+        updown_discipline(&router, ft.topology()) == Ok(None),
         "every uplink single-source, every downlink single-destination",
     )?;
 

@@ -48,9 +48,8 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     // Theorem 3 deterministic: pinned top assignment, so it cannot route
     // around anything — count what it loses.
     let det_span = rec.span("faults.deterministic");
-    match YuanDeterministic::new(&ft) {
-        Ok(router) => {
-            let deg = deterministic_degradation(&router, &view);
+    match YuanDeterministic::new(&ft).and_then(|router| deterministic_degradation(&router, &view)) {
+        Ok(deg) => {
             let _ = writeln!(
                 out,
                 "yuan deterministic: {}/{} pairs routable ({:.1}% lost), surviving routes {}",

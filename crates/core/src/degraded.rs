@@ -18,10 +18,12 @@
 //!    while `C(m, k)` fits a budget, and sampled (adversarial candidates
 //!    first, then random) beyond.
 
-use crate::engine::{lemma1_witness, LinkCensus};
+use crate::engine::{crossing_pairs, lemma1_witness, LinkCensus, LEMMA1_THREADS};
+use crate::sweep::fold_paths;
 use crate::verify::LinkViolation;
-use ftclos_routing::{NonblockingAdaptive, PathArena, RoutingError, SinglePathRouter};
-use ftclos_topo::{ChannelId, FaultSet, FaultyView, Ftree};
+use ftclos_obs::Noop;
+use ftclos_routing::{NonblockingAdaptive, RoutingError, SinglePathRouter};
+use ftclos_topo::{ChannelId, FaultError, FaultSet, FaultyView, Ftree};
 use ftclos_traffic::enumerate::AllPermutations;
 use ftclos_traffic::{patterns, SdPair};
 use rand::seq::SliceRandom;
@@ -29,7 +31,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// How a single-path deterministic routing degrades under a fault overlay.
 #[derive(Clone, Debug)]
@@ -72,118 +73,54 @@ impl DeterministicDegradation {
 /// Lemma 1-clean pair set is clean); the audit earns its keep on sabotaged
 /// or blocking routers where faults can *mask* pre-existing violations.
 ///
-/// Engine-backed: all paths are routed once into a [`PathArena`], the
-/// surviving pairs censused into a dense [`LinkCensus`], and the violation
-/// witness (lowest violating channel id) materialized from the arena's
-/// pair-incidence list restricted to survivors.
-/// [`deterministic_degradation_legacy`] keeps the `HashMap` census as the
-/// differential oracle.
-pub fn deterministic_degradation<R: SinglePathRouter + ?Sized>(
+/// One [`fold_paths`] pass records every surviving path into a
+/// [`LinkCensus`] and lists the unroutable pairs in row order; no path is
+/// stored. The witness sits on the lowest violating channel: the surviving
+/// pairs that cross it, re-routed in row order, fed to the witness rule. On
+/// a pristine fabric it is therefore [`crate::engine::lemma1_audit`]'s.
+///
+/// # Errors
+/// The first routing error in row order (see [`fold_paths`]).
+pub fn deterministic_degradation<R: SinglePathRouter + Sync + ?Sized>(
     router: &R,
     view: &FaultyView<'_>,
-) -> DeterministicDegradation {
-    let ports = router.ports();
-    let arena = match PathArena::build(router) {
-        Ok(a) => a,
-        // Routers that cannot serve their own universe degrade to the
-        // legacy per-pair accounting (which reports them pair by pair).
-        Err(_) => return deterministic_degradation_legacy(router, view),
-    };
-    let mut unroutable = Vec::new();
-    let mut census = LinkCensus::with_channels(arena.num_channels());
-    let mut total_pairs = 0usize;
-    for s in 0..ports {
-        for d in 0..ports {
-            if s == d {
-                continue;
-            }
-            total_pairs += 1;
-            let path = arena.path(SdPair::new(s, d));
-            match view.path_alive(path) {
-                Ok(()) => {
-                    for &c in path {
-                        census.record(c, s, d);
-                    }
-                }
-                Err(ftclos_topo::FaultError::DeadChannel { channel }) => {
-                    unroutable.push((SdPair::new(s, d), channel));
-                }
-                Err(ftclos_topo::FaultError::DeadNode { .. }) => {
-                    unreachable!("path_alive reports dead paths via their channels")
+) -> Result<DeterministicDegradation, RoutingError> {
+    let (census, unroutable) = fold_paths(
+        router,
+        LEMMA1_THREADS,
+        || (LinkCensus::default(), Vec::new()),
+        |(census, unroutable), pair, path| match view.path_alive(path) {
+            Ok(()) => {
+                for &c in path {
+                    census.record(c, pair.src, pair.dst);
                 }
             }
-        }
-    }
+            Err(FaultError::DeadChannel { channel }) => unroutable.push((pair, channel)),
+            Err(FaultError::DeadNode { .. }) => {
+                unreachable!("path_alive reports dead paths via their channels")
+            }
+        },
+        |(left, mut lost), (right, more)| {
+            lost.extend(more);
+            (left.merge(right), lost)
+        },
+        &Noop,
+    )?;
     let lemma1 = match census.first_violation() {
         None => Ok(()),
         Some(channel) => {
-            // Surviving pairs crossing the violating channel, in arena order.
-            let crossing = arena
-                .sd_pairs_on(channel)
-                .filter(|p| view.path_alive(arena.path(*p)).is_ok());
-            Err(lemma1_witness(channel, crossing)
+            let survivors = crossing_pairs(router, channel)
+                .filter(|&pair| view.path_alive(router.route(pair).channels()).is_ok());
+            Err(lemma1_witness(channel, survivors)
                 .expect("census over survivors saw >= 2 sources and destinations"))
         }
     };
-    DeterministicDegradation {
-        total_pairs,
+    let ports = router.ports() as usize;
+    Ok(DeterministicDegradation {
+        total_pairs: ports * ports.saturating_sub(1),
         unroutable,
         lemma1,
-    }
-}
-
-/// The original `HashMap`-census degradation audit, kept as the
-/// differential oracle for [`deterministic_degradation`].
-pub fn deterministic_degradation_legacy<R: SinglePathRouter + ?Sized>(
-    router: &R,
-    view: &FaultyView<'_>,
-) -> DeterministicDegradation {
-    let ports = router.ports();
-    let mut unroutable = Vec::new();
-    let mut census: HashMap<ChannelId, Vec<(u32, u32)>> = HashMap::new();
-    let mut total_pairs = 0usize;
-    for s in 0..ports {
-        for d in 0..ports {
-            if s == d {
-                continue;
-            }
-            total_pairs += 1;
-            let path = router.route(SdPair::new(s, d));
-            match view.path_alive(path.channels()) {
-                Ok(()) => {
-                    for &c in path.channels() {
-                        census.entry(c).or_default().push((s, d));
-                    }
-                }
-                Err(ftclos_topo::FaultError::DeadChannel { channel }) => {
-                    unroutable.push((SdPair::new(s, d), channel));
-                }
-                Err(ftclos_topo::FaultError::DeadNode { .. }) => {
-                    unreachable!("path_alive reports dead paths via their channels")
-                }
-            }
-        }
-    }
-    let mut lemma1 = Ok(());
-    'outer: for (&channel, crossing) in &census {
-        for (i, &(s1, d1)) in crossing.iter().enumerate() {
-            for &(s2, d2) in &crossing[i + 1..] {
-                if s1 != s2 && d1 != d2 {
-                    lemma1 = Err(LinkViolation {
-                        channel,
-                        sources: [s1, s2],
-                        destinations: [d1, d2],
-                    });
-                    break 'outer;
-                }
-            }
-        }
-    }
-    DeterministicDegradation {
-        total_pairs,
-        unroutable,
-        lemma1,
-    }
+    })
 }
 
 /// Outcome of a degraded blocking sweep of the masked adaptive router.
@@ -516,7 +453,7 @@ mod tests {
         let ft = Ftree::new(2, 4, 5).unwrap();
         let yuan = YuanDeterministic::new(&ft).unwrap();
         let view = FaultyView::pristine(ft.topology());
-        let deg = deterministic_degradation(&yuan, &view);
+        let deg = deterministic_degradation(&yuan, &view).unwrap();
         assert!(deg.fully_operational());
         assert_eq!(deg.total_pairs, 90);
     }
@@ -528,7 +465,7 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_switch(ft.top(0));
         let view = FaultyView::new(ft.topology(), &faults);
-        let deg = deterministic_degradation(&yuan, &view);
+        let deg = deterministic_degradation(&yuan, &view).unwrap();
         // Top (0,0) carries exactly the r(r-1) = 20 cross pairs with i=j=0.
         assert_eq!(deg.unroutable.len(), 20);
         assert!(
@@ -547,7 +484,7 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_channel(ft.leaf_down_channel(4, 1));
         let view = FaultyView::new(ft.topology(), &faults);
-        let deg = deterministic_degradation(&dmodk, &view);
+        let deg = deterministic_degradation(&dmodk, &view).unwrap();
         assert!(deg.lemma1.is_err());
         assert!(!deg.unroutable.is_empty());
     }
@@ -596,43 +533,6 @@ mod tests {
         let level = rep.levels.last().unwrap();
         assert!(level.counterexample.is_some());
         assert!(!level.verdict.survives());
-    }
-
-    #[test]
-    fn degradation_engine_matches_legacy_oracle() {
-        // Blocking, clean, and faulted-clean cases; verdicts must agree and
-        // any violation witness must be genuine (the legacy HashMap census
-        // iterates in arbitrary order, so only validity is comparable).
-        type DeadLeafDown = &'static [(u32, u32)];
-        let cases: [(u32, u32, u32, DeadLeafDown); 3] =
-            [(2, 2, 5, &[(4, 1)]), (2, 4, 5, &[]), (2, 4, 5, &[(1, 0)])];
-        for (n, m, r, dead_leaf_down) in cases {
-            let ft = Ftree::new(n as usize, m as usize, r as usize).unwrap();
-            let mut faults = FaultSet::new();
-            for &(leaf, port) in dead_leaf_down {
-                faults.fail_channel(ft.leaf_down_channel(leaf as usize, port as usize));
-            }
-            let view = FaultyView::new(ft.topology(), &faults);
-            let dmodk = DModK::new(&ft);
-            let new = deterministic_degradation(&dmodk, &view);
-            let old = deterministic_degradation_legacy(&dmodk, &view);
-            assert_eq!(new.total_pairs, old.total_pairs);
-            assert_eq!(new.unroutable, old.unroutable, "ftree({n}+{m},{r})");
-            assert_eq!(new.lemma1.is_ok(), old.lemma1.is_ok(), "ftree({n}+{m},{r})");
-            for v in [&new.lemma1, &old.lemma1]
-                .into_iter()
-                .filter_map(|l| l.as_ref().err())
-            {
-                assert_ne!(v.sources[0], v.sources[1]);
-                assert_ne!(v.destinations[0], v.destinations[1]);
-                for i in 0..2 {
-                    let pair = SdPair::new(v.sources[i], v.destinations[i]);
-                    let path = dmodk.route(pair);
-                    assert!(path.channels().contains(&v.channel), "{v:?}");
-                    assert!(view.path_alive(path.channels()).is_ok(), "{v:?}");
-                }
-            }
-        }
     }
 
     #[test]

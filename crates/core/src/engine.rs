@@ -17,27 +17,29 @@
 //!   and the witness streams the violating channel's product.
 //! * **Stream** ([`lemma1_audit_with`] on any other router): one
 //!   [`crate::sweep::fold_paths`] pass folds every path into a census, then
-//!   a second pass re-routes rows in ascending order only until the witness
-//!   rule on the lowest violating channel is satisfied. Memory is
+//!   [`crossing_pairs`] re-routes rows in ascending order only until the
+//!   witness rule on the lowest violating channel is satisfied. Memory is
 //!   `O(channels)`; the sweep stays on one thread, because a second one buys
 //!   little and makes the wall time depend on whether a shared host's other
 //!   core is free.
 //! * **Build an arena** ([`ContentionEngine`]) when the caller asks many
 //!   questions of the same paths: [`PathArena`] (from `ftclos-routing`) keeps
-//!   every path in CSR form plus the channel → pairs incidence, so a survivor
-//!   subset, a pattern or a channel's crossing pairs is a slice, not a
-//!   re-route. Degraded sweeps, the benchmark's pipeline mirror and the
-//!   recording experiment use it. It costs `O(hops)` memory (266 MB on
-//!   `ftree(16+256, 170)`), and its `u32` offsets cap a fabric at 2³² hops.
+//!   every path in CSR form plus the channel → pairs incidence, so a pattern
+//!   or a channel's crossing pairs is a slice, not a re-route. The
+//!   benchmark's pipeline mirror and the recording experiment use it. It
+//!   costs `O(hops)` memory (266 MB on `ftree(16+256, 170)`), and its `u32`
+//!   offsets cap a fabric at 2³² hops.
 //!
 //! `ftclos verify`, [`crate::verify::nonblocking_verdict`],
-//! [`crate::verify::is_nonblocking_deterministic`] and
-//! [`crate::search::find_blocking_two_pair`] count or stream. All three
-//! take the census the same way and pick the witness with the same rule
-//! (the paper's necessity argument, one function over an ordered stream of
-//! crossing pairs, fed in row order), so they report the same
-//! [`LinkViolation`], field for field; `tests/engine_differential.rs` pins
-//! that, and pins them against the legacy `HashMap` audit.
+//! [`crate::verify::is_nonblocking_deterministic`],
+//! [`crate::search::find_blocking_two_pair`],
+//! [`crate::degraded::deterministic_degradation`] (over the surviving pairs)
+//! and [`crate::verify::multipath_violation`] (over candidate-path unions)
+//! take a [`LinkCensus`] and pick the witness with one rule (the paper's
+//! necessity argument, one function over an ordered stream of crossing
+//! pairs, fed in row order), so they report the same [`LinkViolation`],
+//! field for field. `tests/engine_differential.rs` pins that, and pins them
+//! against the `HashMap` oracles that live in `tests/oracle`.
 //! [`ContentionScratch`] is the per-pattern counterpart: epoch-stamped
 //! `channel → owner` tables reused across patterns.
 
@@ -316,24 +318,31 @@ where
     let _witness = rec.span("lemma1.witness");
     let witness = match router.top_rule() {
         Some((ft, rule)) => RuleCensus::new(ft, rule).witness(channel),
-        None => {
-            let ports = router.ports();
-            let mut path = Vec::new();
-            let crossing = (0..ports)
-                .flat_map(|s| {
-                    (0..ports)
-                        .filter(move |&d| d != s)
-                        .map(move |d| SdPair::new(s, d))
-                })
-                .filter(|&pair| {
-                    router.try_route_into(pair, &mut path).is_ok() && path.contains(&channel)
-                });
-            lemma1_witness(channel, crossing)
-        }
+        None => lemma1_witness(channel, crossing_pairs(router, channel)),
     };
     Ok(Some(witness.expect(
         "the census saw >= 2 sources and >= 2 destinations on the channel",
     )))
+}
+
+/// The pairs whose path crosses `channel`, in row order `(s, d)` ascending:
+/// every pair re-routed lazily, so a consumer that stops early routes only
+/// the rows it read. A pair the router refuses is skipped.
+pub fn crossing_pairs<'a, R>(router: &'a R, channel: ChannelId) -> impl Iterator<Item = SdPair> + 'a
+where
+    R: SinglePathRouter + ?Sized,
+{
+    let ports = router.ports();
+    let mut path = Vec::new();
+    (0..ports)
+        .flat_map(move |s| {
+            (0..ports)
+                .filter(move |&d| d != s)
+                .map(move |d| SdPair::new(s, d))
+        })
+        .filter(move |&pair| {
+            router.try_route_into(pair, &mut path).is_ok() && path.contains(&channel)
+        })
 }
 
 /// The full Lemma 1 census of `router`: computed from its top-choice rule
@@ -358,7 +367,7 @@ where
 /// and goes, that makes the wall time bimodal (51 – 97 ms over repeated runs
 /// at two threads, 83 – 91 ms at one). The census is thread-count invariant
 /// either way (`fold_paths` merges in block order).
-const LEMMA1_THREADS: usize = 1;
+pub(crate) const LEMMA1_THREADS: usize = 1;
 
 /// Route every pair of `router` into one census (span `lemma1.sweep`).
 fn sweep_census<R, Rec>(router: &R, rec: &Rec) -> Result<LinkCensus, RoutingError>
@@ -404,8 +413,7 @@ where
 }
 
 /// Epoch-stamped `channel → owning pair` table for per-pattern contention
-/// checks: a reusable, allocation-free replacement for the
-/// `HashMap<ChannelId, SdPair>` in [`crate::verify::find_contention`].
+/// checks: dense, reusable across patterns, no hashing.
 #[derive(Clone, Debug, Default)]
 pub struct ContentionScratch {
     epoch: u32,
@@ -436,10 +444,10 @@ impl ContentionScratch {
         }
     }
 
-    /// Find two pairs of `assignment` sharing a channel, if any — same
-    /// contract as [`crate::verify::find_contention`], but reusing this
-    /// scratch's buffers across calls (grow-on-demand, no hashing, no
-    /// clearing).
+    /// Find two pairs of `assignment` sharing a channel, if any: the first
+    /// channel, in route order, that a second pair reaches, with its earlier
+    /// owner as `a`. Reuses this scratch's buffers across calls
+    /// (grow-on-demand, no hashing, no clearing).
     pub fn find_contention(&mut self, assignment: &RouteAssignment) -> Option<ContentionWitness> {
         self.begin();
         for (pair, path) in assignment.routes() {
@@ -619,10 +627,9 @@ impl ContentionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{find_contention, LinkAudit};
-    use ftclos_routing::{route_all, DModK, SModK, YuanDeterministic};
+    use ftclos_routing::{route_all, DModK, YuanDeterministic};
     use ftclos_topo::Ftree;
-    use ftclos_traffic::{patterns, Permutation};
+    use ftclos_traffic::patterns;
 
     #[test]
     fn census_begin_forgets_and_record_grows() {
@@ -766,58 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_verdict_matches_legacy_audit() {
-        for (n, m, r) in [(2usize, 4usize, 5usize), (2, 2, 5), (3, 9, 7), (3, 5, 6)] {
-            let ft = Ftree::new(n, m, r).unwrap();
-            for which in 0..2 {
-                let (legacy, engine_nb, violation) = if which == 0 {
-                    let router = DModK::new(&ft);
-                    let audit = LinkAudit::build(&router);
-                    let engine = ContentionEngine::new(&router).unwrap();
-                    (
-                        audit.lemma1_check(&router).is_ok(),
-                        engine.is_nonblocking(),
-                        engine.lemma1_violation(),
-                    )
-                } else {
-                    let router = SModK::new(&ft);
-                    let audit = LinkAudit::build(&router);
-                    let engine = ContentionEngine::new(&router).unwrap();
-                    (
-                        audit.lemma1_check(&router).is_ok(),
-                        engine.is_nonblocking(),
-                        engine.lemma1_violation(),
-                    )
-                };
-                assert_eq!(legacy, engine_nb, "n={n} m={m} r={r} which={which}");
-                assert_eq!(engine_nb, violation.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn engine_witness_actually_blocks() {
-        let ft = Ftree::new(2, 2, 5).unwrap();
-        let router = DModK::new(&ft);
-        let engine = ContentionEngine::new(&router).unwrap();
-        let v = engine.lemma1_violation().expect("m < n² blocks");
-        let channel = v.channel;
-        let pairs = [
-            SdPair::new(v.sources[0], v.destinations[0]),
-            SdPair::new(v.sources[1], v.destinations[1]),
-        ];
-        assert_ne!(pairs[0].src, pairs[1].src);
-        assert_ne!(pairs[0].dst, pairs[1].dst);
-        let perm = Permutation::from_pairs(10, pairs).unwrap();
-        let a = route_all(&router, &perm).unwrap();
-        let w = find_contention(&a).expect("witness contends");
-        // Both witness paths really cross the reported channel.
-        assert!(engine.arena().path(pairs[0]).contains(&channel));
-        assert!(engine.arena().path(pairs[1]).contains(&channel));
-        assert!(a.max_channel_load() >= 2, "{w:?}");
-    }
-
-    #[test]
     fn engine_clean_on_theorem3_routing() {
         let ft = Ftree::new(3, 9, 7).unwrap();
         let router = YuanDeterministic::new(&ft).unwrap();
@@ -836,30 +791,6 @@ mod tests {
             engine.recount();
         }
         assert_eq!(engine.lemma1_violation(), before);
-    }
-
-    #[test]
-    fn scratch_matches_hashmap_contention() {
-        let ft = Ftree::new(2, 2, 5).unwrap();
-        let router = DModK::new(&ft);
-        let mut scratch = ContentionScratch::default();
-        for k in 0..10 {
-            let perm = patterns::shift(10, k);
-            let a = route_all(&router, &perm).unwrap();
-            let fast = scratch.find_contention(&a);
-            let slow = find_contention(&a);
-            assert_eq!(fast.is_some(), slow.is_some(), "shift:{k}");
-            if let Some(w) = fast {
-                // The scratch witness is a real collision on that channel.
-                let on: Vec<_> = a
-                    .routes()
-                    .iter()
-                    .filter(|(_, p)| p.channels().contains(&w.channel))
-                    .map(|(pair, _)| *pair)
-                    .collect();
-                assert!(on.contains(&w.a) && on.contains(&w.b));
-            }
-        }
     }
 
     #[test]
@@ -934,25 +865,5 @@ mod tests {
                 "missing span {path}"
             );
         }
-    }
-
-    #[test]
-    fn census_counts_match_audit_lists() {
-        let ft = Ftree::new(2, 4, 3).unwrap();
-        let router = YuanDeterministic::new(&ft).unwrap();
-        let engine = ContentionEngine::new(&router).unwrap();
-        let audit = LinkAudit::build(&router);
-        let mut used = 0;
-        for c in (0..engine.arena().num_channels()).map(|c| ChannelId(c as u32)) {
-            let (srcs, dsts) = audit.channel_census(c).unwrap_or((&[], &[]));
-            used += usize::from(!srcs.is_empty());
-            assert_eq!(engine.census().num_sources(c), srcs.len().min(2), "{c}");
-            assert_eq!(
-                engine.census().num_destinations(c),
-                dsts.len().min(2),
-                "{c}"
-            );
-        }
-        assert_eq!(used, audit.used_channels());
     }
 }

@@ -2,22 +2,24 @@
 //!
 //! The paper's contribution, executable:
 //!
-//! * [`verify`] — the Lemma 1 machinery: link audits (`one source or one
-//!   destination` per channel), contention detection, and the exact
-//!   nonblocking decision procedure for single-path deterministic routing.
-//! * [`engine`] — Lemma 1 decided from a two-word-per-channel census: the
-//!   streaming audit (one parallel pair sweep, no stored paths) for verdicts
-//!   and witnesses, and the arena-backed contention engine for callers that
-//!   need random access to the paths.
+//! * [`verify`] — the Lemma 1 machinery: the exact nonblocking decision
+//!   procedure for single-path deterministic routing, its per-direction
+//!   (up/down) form, per-pattern contention, and Section IV.B's test over
+//!   multipath candidate unions.
+//! * [`engine`] — Lemma 1 decided from a two-word-per-channel census, the
+//!   one production form of the predicate: counted from a router's
+//!   top-choice rule or streamed from its paths (no stored paths), one
+//!   witness rule for every caller, and the arena-backed contention engine
+//!   for callers that need random access to the paths. The `HashMap`
+//!   audits it replaced are differential oracles in `tests/oracle`.
 //! * [`sweep`] — the one all-pairs sweep: route every SD pair on contiguous
 //!   per-thread source blocks and fold the paths into accumulators merged in
 //!   block order (the Lemma 1 census and the CDG build run on it).
 //! * [`search`] — blocking-permutation search: complete two-pair enumeration
 //!   for deterministic routers (Lemma 1 reduces blocking to two-pair
-//!   patterns, decided by the streaming audit with the legacy loop kept as
-//!   oracle), exhaustive permutation sweeps for tiny fabrics, randomized
-//!   sweeps and blocking-fraction estimation (rayon-parallel) for everything
-//!   else.
+//!   patterns, decided by the streaming audit), exhaustive permutation
+//!   sweeps for tiny fabrics, randomized sweeps and blocking-fraction
+//!   estimation (rayon-parallel) for everything else.
 //! * [`lemma2`] — the Lemma 2 counting problem: the maximum number of SD
 //!   pairs routable through one top-level switch, with an exact mode-based
 //!   solver for small fabrics, an explicit `r(r-1)` construction, and the
@@ -76,18 +78,16 @@ pub use churn::{
 pub use circuit::{CircuitClos, ConnectError, MiddlePolicy};
 pub use construct::{NonblockingFtree, NonblockingThreeLevel};
 pub use degraded::{
-    adaptive_degraded_verdict, deterministic_degradation, deterministic_degradation_legacy,
-    max_survivable_top_failures, DegradedVerdict, DeterministicDegradation, KLevel,
-    SurvivabilityReport,
+    adaptive_degraded_verdict, deterministic_degradation, max_survivable_top_failures,
+    DegradedVerdict, DeterministicDegradation, KLevel, SurvivabilityReport,
 };
 pub use design::{DesignPoint, TableOneRow};
 pub use engine::{
-    lemma1_audit, lemma1_audit_with, lemma1_census, ContentionEngine, ContentionScratch, LinkCensus,
+    crossing_pairs, lemma1_audit, lemma1_audit_with, lemma1_census, ContentionEngine,
+    ContentionScratch, LinkCensus,
 };
-pub use search::{
-    find_blocking_two_pair, find_blocking_two_pair_legacy, BlockingReport, TwoPairOutcome,
-};
+pub use search::{find_blocking_two_pair, BlockingReport, TwoPairOutcome};
 pub use verify::{
-    nonblocking_verdict, nonblocking_verdict_legacy, pattern_contention_free, ContentionWitness,
-    LinkAudit, NonblockingVerdict,
+    multipath_violation, nonblocking_verdict, pattern_contention_free, ContentionWitness,
+    NonblockingVerdict,
 };

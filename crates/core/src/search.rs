@@ -1,9 +1,8 @@
 //! Blocking-permutation search and blocking-probability estimation.
 
 use crate::engine::lemma1_audit;
-use crate::verify::find_contention;
-use ftclos_routing::{route_all, PatternRouter, RoutingError, SinglePathRouter};
-use ftclos_traffic::enumerate::{AllPermutations, TwoPairs};
+use ftclos_routing::{PatternRouter, RoutingError, SinglePathRouter};
+use ftclos_traffic::enumerate::AllPermutations;
 use ftclos_traffic::{patterns, Permutation, SdPair};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -70,9 +69,9 @@ impl TwoPairOutcome {
 /// [`crate::engine::lemma1_audit_with`]), instead of routing `O(ports⁴)`
 /// two-pair patterns — two pairs block iff their paths share a channel whose
 /// census has ≥2 sources and ≥2 destinations. The witness sits on the lowest
-/// violating channel id, so it is deterministic.
-/// [`find_blocking_two_pair_legacy`] keeps the original loop as the
-/// differential oracle.
+/// violating channel id, so it is deterministic. The original `O(ports⁴)`
+/// loop over every two-pair pattern is the differential oracle in
+/// `tests/oracle`.
 pub fn find_blocking_two_pair<R: SinglePathRouter + Sync + ?Sized>(router: &R) -> TwoPairOutcome {
     let ports = router.ports();
     match lemma1_audit(router) {
@@ -90,26 +89,6 @@ pub fn find_blocking_two_pair<R: SinglePathRouter + Sync + ?Sized>(router: &R) -
         Ok(None) => TwoPairOutcome::Exhausted {
             paths_covered: (ports as usize) * (ports as usize).saturating_sub(1),
         },
-    }
-}
-
-/// The original `O(ports⁴)` route-everything two-pair sweep, kept as the
-/// differential oracle for [`find_blocking_two_pair`] (and for the E20
-/// before/after benchmark). Same typed outcome; routing errors are reported
-/// instead of silently reading as "nonblocking".
-pub fn find_blocking_two_pair_legacy<R: SinglePathRouter + ?Sized>(router: &R) -> TwoPairOutcome {
-    let ports = router.ports();
-    for perm in TwoPairs::new(ports, true) {
-        let a = match route_all(router, &perm) {
-            Ok(a) => a,
-            Err(e) => return TwoPairOutcome::RoutingFailed(e),
-        };
-        if find_contention(&a).is_some() {
-            return TwoPairOutcome::Blocking(perm);
-        }
-    }
-    TwoPairOutcome::Exhausted {
-        paths_covered: (ports as usize) * (ports as usize).saturating_sub(1),
     }
 }
 
@@ -270,7 +249,9 @@ pub fn blocking_vs_density<R: PatternRouter + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftclos_routing::{DModK, GreedyLocalAdaptive, NonblockingAdaptive, YuanDeterministic};
+    use ftclos_routing::{
+        route_all, DModK, GreedyLocalAdaptive, NonblockingAdaptive, YuanDeterministic,
+    };
     use ftclos_topo::Ftree;
 
     #[test]
@@ -292,63 +273,6 @@ mod tests {
         assert!(outcome.is_nonblocking());
         assert_eq!(outcome, TwoPairOutcome::Exhausted { paths_covered: 90 });
         assert!(outcome.witness().is_none());
-    }
-
-    #[test]
-    fn two_pair_engine_agrees_with_legacy_loop() {
-        for (n, m, r) in [(2usize, 2usize, 5usize), (2, 4, 5), (3, 4, 6), (3, 9, 7)] {
-            let ft = Ftree::new(n, m, r).unwrap();
-            let router = DModK::new(&ft);
-            let fast = find_blocking_two_pair(&router);
-            let slow = find_blocking_two_pair_legacy(&router);
-            assert_eq!(
-                fast.is_nonblocking(),
-                slow.is_nonblocking(),
-                "n={n} m={m} r={r}"
-            );
-            assert_eq!(fast.found_blocking(), slow.found_blocking());
-            // Witnesses may differ (the engine normalizes on the lowest
-            // violating channel); both must actually contend.
-            for w in [fast.witness(), slow.witness()].into_iter().flatten() {
-                let a = route_all(&router, w).unwrap();
-                assert!(a.max_channel_load() >= 2, "n={n} m={m} r={r}");
-            }
-        }
-    }
-
-    #[test]
-    fn two_pair_legacy_reports_routing_errors() {
-        use ftclos_routing::RoutingError;
-        use ftclos_topo::ChannelId;
-        use ftclos_traffic::SdPair;
-        /// Claims 4 ports but routes none of them.
-        struct Liar;
-        impl ftclos_routing::SinglePathRouter for Liar {
-            fn ports(&self) -> u32 {
-                4
-            }
-            fn route_into(&self, _: SdPair, out: &mut Vec<ChannelId>) {
-                out.clear();
-            }
-            fn try_route_into(
-                &self,
-                _: SdPair,
-                _: &mut Vec<ChannelId>,
-            ) -> Result<(), RoutingError> {
-                Err(RoutingError::PortOutOfRange { port: 0, ports: 0 })
-            }
-            fn name(&self) -> &'static str {
-                "liar"
-            }
-        }
-        let fast = find_blocking_two_pair(&Liar);
-        let slow = find_blocking_two_pair_legacy(&Liar);
-        assert!(matches!(fast, TwoPairOutcome::RoutingFailed(_)), "{fast:?}");
-        assert!(matches!(slow, TwoPairOutcome::RoutingFailed(_)), "{slow:?}");
-        assert!(
-            !fast.is_nonblocking(),
-            "errors must not read as nonblocking"
-        );
     }
 
     #[test]

@@ -25,8 +25,6 @@
 //!   paper contrasts against.
 //! * [`YuanRecursive`] — the composed routing for the three-level
 //!   [`ftclos_topo::RecursiveNonblocking`] network.
-//! * [`ForwardingTables`] — per-switch `(input port, destination) → output
-//!   port` tables compiled from any single-path router.
 //! * [`LinkLoadView`] — the uniform per-link flow-set interface every router
 //!   (including the fault-masked variants) exposes to the fluid flow-rate
 //!   simulator in `ftclos-flowsim`.
@@ -54,7 +52,6 @@ pub mod path;
 pub mod rearrangeable;
 pub mod recursive;
 pub mod router;
-pub mod table;
 pub mod xgft_routing;
 pub mod yuan;
 
@@ -76,6 +73,5 @@ pub use path::Path;
 pub use rearrangeable::RearrangeableRouter;
 pub use recursive::YuanRecursive;
 pub use router::{route_all, PatternRouter, SinglePathRouter};
-pub use table::ForwardingTables;
 pub use xgft_routing::{UpChoice, XgftRouter};
 pub use yuan::YuanDeterministic;

@@ -5,7 +5,7 @@
 //! pattern. The paper's argument: because the *timing* of which path carries
 //! which packet is unpredictable, nonblocking-ness still requires Lemma 1
 //! over the **union** of the spread paths — so the bound `m >= n²` is
-//! unchanged. [`MultipathAssignment::lemma1_violation`] is the executable
+//! unchanged. `ftclos_core::verify::multipath_violation` is the executable
 //! form of that argument.
 
 use crate::error::RoutingError;
@@ -219,38 +219,6 @@ impl MultipathAssignment {
             .values()
             .fold(0.0, |a, &b| a.max(b))
     }
-
-    /// The Section IV.B test: is there a channel that lies in the candidate
-    /// sets of two pairs with different sources **and** different
-    /// destinations? If so, an adversarial packet timing routes both pairs
-    /// onto that channel simultaneously — the pattern can block.
-    ///
-    /// Returns a witnessing `(channel, pair1, pair2)` if one exists.
-    pub fn lemma1_violation(&self) -> Option<(ChannelId, SdPair, SdPair)> {
-        // channel -> (first pair seen)
-        let mut owner: HashMap<ChannelId, Vec<SdPair>> = HashMap::new();
-        for (pair, paths) in &self.entries {
-            let mut mine: Vec<ChannelId> = paths
-                .iter()
-                .flat_map(|p| p.channels().iter().copied())
-                .collect();
-            mine.sort_unstable();
-            mine.dedup();
-            for c in mine {
-                owner.entry(c).or_default().push(*pair);
-            }
-        }
-        for (c, pairs) in owner {
-            for (a_idx, &a) in pairs.iter().enumerate() {
-                for &b in &pairs[a_idx + 1..] {
-                    if a.src != b.src && a.dst != b.dst {
-                        return Some((c, a, b));
-                    }
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -317,36 +285,6 @@ mod tests {
         assert_eq!(loads[&ft.leaf_up_channel(0, 0)], 1.0);
         assert!((loads[&ft.up_channel(0, 2)] - 0.25).abs() < 1e-12);
         assert!((a.max_expected_load() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn union_violation_always_exists_for_same_switch_sources() {
-        // Two cross-switch pairs from one switch: candidate sets share every
-        // uplink of the source switch -> violation regardless of m.
-        let ft = Ftree::new(2, 100, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
-        let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(1, 6)]).unwrap();
-        let a = r.spread_pattern(&perm).unwrap();
-        let (c, p1, p2) = a.lemma1_violation().expect("must find witness");
-        assert_ne!(p1.src, p2.src);
-        assert_ne!(p1.dst, p2.dst);
-        // The witness channel is an uplink out of bottom switch 0.
-        let ch = ft.topology().channel(c);
-        assert_eq!(ch.src, ft.bottom(0));
-    }
-
-    #[test]
-    fn no_violation_for_disjoint_pairs() {
-        let ft = Ftree::new(2, 2, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
-        // Same destination switch but same destination is impossible in a
-        // permutation; pick fully disjoint switches with distinct tops...
-        // With spreading over all tops, cross-switch pairs from different
-        // sources to different dest switches still share top->dst? No:
-        // downlinks differ by dest switch; uplinks differ by source switch.
-        let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(6, 8)]).unwrap();
-        let a = r.spread_pattern(&perm).unwrap();
-        assert!(a.lemma1_violation().is_none());
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod stats;
 pub mod witness;
 pub mod workload;
 
-pub use batch::{sweep_injection_rates, sweep_injection_rates_isolated, ThroughputPoint};
+pub use batch::{sweep_injection_rates, ThroughputPoint};
 pub use churn::{ChurnConfig, ChurnReport, EpochStats, ReplanMode};
 pub use config::{Arbiter, SimConfig};
 pub use engine::{DenseSchedule, Simulator};

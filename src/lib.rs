@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`topo`] | `ftclos-topo` | `ftree(n+m,r)`, `Clos(n,m,r)`, XGFT / k-ary n-tree / m-port n-tree, crossbars, the recursive 3-level nonblocking construction |
 //! | [`traffic`] | `ftclos-traffic` | SD pairs, validated permutations, structured/random/adversarial patterns, exhaustive enumerators |
-//! | [`routing`] | `ftclos-routing` | Theorem 3 deterministic routing, `d mod k`, oblivious multipath, NONBLOCKINGADAPTIVE (Fig. 4), greedy local adaptive, centralized edge-coloring, forwarding tables |
+//! | [`routing`] | `ftclos-routing` | Theorem 3 deterministic routing, `d mod k`, oblivious multipath, NONBLOCKINGADAPTIVE (Fig. 4), greedy local adaptive, centralized edge-coloring |
 //! | [`core`] | `ftclos-core` | Lemma 1 audits, blocking search, Lemma 2 solvers, bundled nonblocking fabrics, Table I designs |
 //! | [`sim`] | `ftclos-sim` | cycle-level VOQ packet simulator with pluggable path policies |
 //! | [`evsim`] | `ftclos-evsim` | event-driven simulator core for 100k+ host fabrics: activity tracking, event wheel, exact replay of the cycle engine |

@@ -1,8 +1,8 @@
 //! Differential properties pinning the closed-form Lemma 1 census and CDG
-//! count, the streaming sweeps, the arena-backed contention engine and the
-//! legacy `HashMap` implementations to each other.
+//! count, the streaming sweeps and the arena-backed contention engine to
+//! each other, and all of them to the `HashMap` oracles in `tests/oracle`.
 //!
-//! Six oracles, three router families plus fault-masked and ill-formed
+//! Seven oracles, three router families plus fault-masked and ill-formed
 //! routers:
 //!
 //! * **Closed form ≡ sweep** — a router that declares a `TopRule` is
@@ -19,36 +19,46 @@
 //!   sweep, no stored paths) and `ContentionEngine::lemma1_violation` must
 //!   report the same `LinkViolation`, field for field, or the same
 //!   `RoutingError` as `PathArena::build`.
-//! * **Verdicts** — `nonblocking_verdict` (engine) and
-//!   `nonblocking_verdict_legacy` must agree on every `ftree` shape and
-//!   routing, on k-ary n-trees, and on the recursive three-level network.
-//! * **Two-pair sweeps** — `find_blocking_two_pair` (engine) and
+//! * **Verdicts** — `nonblocking_verdict` (census) and the oracle
+//!   `nonblocking_verdict_legacy` (`LinkAudit`) must agree on every `ftree`
+//!   shape and routing, on k-ary n-trees, and on the recursive three-level
+//!   network.
+//! * **Two-pair sweeps** — `find_blocking_two_pair` (census) and the oracle
 //!   `find_blocking_two_pair_legacy` (exhaustive `O(p⁴)` loop) must agree,
 //!   and every blocking witness must genuinely contend when routed.
-//! * **Fault masks** — `deterministic_degradation` (arena + dense census)
-//!   and `deterministic_degradation_legacy` must report identical
-//!   unroutable sets and identical Lemma 1 verdicts under random faults.
+//! * **Fault masks** — `deterministic_degradation` (one census sweep over
+//!   the survivors) and the oracle `deterministic_degradation_legacy` must
+//!   report identical unroutable lists and identical Lemma 1 verdicts under
+//!   random faults; with no fault, its witness is `lemma1_audit`'s, field
+//!   for field, on the 408 shapes.
+//! * **Per pattern** — `ContentionScratch::find_contention` against the
+//!   oracle `find_contention`.
 //!
-//! Against the legacy side, witnesses are compared by *validity*, not
-//! identity: the engine always reports the lowest violating channel id,
-//! while the legacy `HashMap` census iterates in arbitrary order, so each
-//! side's witness is checked against the router directly (both pairs cross
-//! the claimed channel with distinct sources and destinations).
+//! Against an oracle, witnesses are compared by *validity*, not identity:
+//! the census always reports the lowest violating channel id, while a
+//! `HashMap` iterates in arbitrary order, so each side's witness is checked
+//! against the router directly (both pairs cross the claimed channel with
+//! distinct sources and destinations).
 
-use ftclos::core::verify::LinkViolation;
+mod oracle;
+
+use ftclos::core::verify::{multipath_violation, updown_discipline, LinkViolation};
 use ftclos::core::{
-    analyze_router_with, cdg_of_router, deterministic_degradation,
-    deterministic_degradation_legacy, find_blocking_two_pair, find_blocking_two_pair_legacy,
-    lemma1_audit, lemma1_audit_with, lemma1_census, nonblocking_verdict,
-    nonblocking_verdict_legacy, ContentionEngine, TwoPairOutcome,
+    analyze_router_with, cdg_of_router, deterministic_degradation, find_blocking_two_pair,
+    lemma1_audit, lemma1_audit_with, lemma1_census, nonblocking_verdict, ContentionEngine,
+    ContentionScratch, TwoPairOutcome,
 };
 use ftclos::obs::Registry;
 use ftclos::routing::{
-    route_all, DModK, FaultAware, PathArena, RoutingError, SModK, SinglePathRouter, XgftRouter,
-    YuanDeterministic, YuanRecursive,
+    route_all, DModK, FaultAware, ObliviousMultipath, PathArena, RoutingError, SModK,
+    SinglePathRouter, SpreadPolicy, XgftRouter, YuanDeterministic, YuanRecursive,
 };
 use ftclos::topo::{kary_ntree, ChannelId, FaultSet, FaultyView, Ftree, RecursiveNonblocking};
-use ftclos::traffic::{Permutation, SdPair};
+use ftclos::traffic::{patterns, Permutation, SdPair};
+use oracle::{
+    deterministic_degradation_legacy, find_blocking_two_pair_legacy, find_contention,
+    nonblocking_verdict_legacy, LinkAudit,
+};
 use proptest::prelude::*;
 
 /// A violation witness must name two pairs that really cross its channel.
@@ -131,13 +141,12 @@ impl<R: SinglePathRouter + ?Sized> SinglePathRouter for Swept<'_, R> {
 }
 
 /// The closed form must equal the sweep over the same routes: census cell
-/// for cell, violation field for field. Returns whether the router blocks.
+/// for cell, violation field for field. So must the degradation census of
+/// the same routes with no fault. Returns whether the router blocks.
 fn assert_closed_form_matches_sweep<R: SinglePathRouter + Sync>(router: &R) -> bool {
-    assert!(
-        router.top_rule().is_some(),
-        "{} declares a rule",
-        router.name()
-    );
+    let (ft, _) = router
+        .top_rule()
+        .unwrap_or_else(|| panic!("{} declares a rule", router.name()));
     let swept = Swept(router);
     assert_eq!(
         lemma1_census(router),
@@ -147,6 +156,14 @@ fn assert_closed_form_matches_sweep<R: SinglePathRouter + Sync>(router: &R) -> b
     );
     let closed = lemma1_audit(router).unwrap();
     assert_eq!(closed, lemma1_audit(&swept).unwrap(), "{}", router.name());
+    let degraded = deterministic_degradation(router, &FaultyView::pristine(ft.topology())).unwrap();
+    assert!(degraded.unroutable.is_empty());
+    assert_eq!(
+        degraded.lemma1.err(),
+        closed,
+        "{}: degradation",
+        router.name()
+    );
     closed.is_some()
 }
 
@@ -332,7 +349,7 @@ proptest! {
         let faults = FaultSet::random_links(ft.topology(), links, seed);
         let view = FaultyView::new(ft.topology(), &faults);
         let dmodk = DModK::new(&ft);
-        let new = deterministic_degradation(&dmodk, &view);
+        let new = deterministic_degradation(&dmodk, &view).unwrap();
         let old = deterministic_degradation_legacy(&dmodk, &view);
         prop_assert_eq!(new.total_pairs, old.total_pairs);
         prop_assert_eq!(&new.unroutable, &old.unroutable);
@@ -641,4 +658,311 @@ fn engine_witness_is_channel_normalized() {
     )
     .unwrap();
     assert!(route_all(&dmodk, &perm).unwrap().max_channel_load() >= 2);
+}
+
+#[test]
+fn engine_verdict_matches_legacy_audit() {
+    for (n, m, r) in [(2usize, 4usize, 5usize), (2, 2, 5), (3, 9, 7), (3, 5, 6)] {
+        let ft = Ftree::new(n, m, r).unwrap();
+        for which in 0..2 {
+            let (legacy, engine_nb, violation) = if which == 0 {
+                let router = DModK::new(&ft);
+                let audit = LinkAudit::build(&router);
+                let engine = ContentionEngine::new(&router).unwrap();
+                (
+                    audit.lemma1_check(&router).is_ok(),
+                    engine.is_nonblocking(),
+                    engine.lemma1_violation(),
+                )
+            } else {
+                let router = SModK::new(&ft);
+                let audit = LinkAudit::build(&router);
+                let engine = ContentionEngine::new(&router).unwrap();
+                (
+                    audit.lemma1_check(&router).is_ok(),
+                    engine.is_nonblocking(),
+                    engine.lemma1_violation(),
+                )
+            };
+            assert_eq!(legacy, engine_nb, "n={n} m={m} r={r} which={which}");
+            assert_eq!(engine_nb, violation.is_none());
+        }
+    }
+}
+
+#[test]
+fn engine_witness_actually_blocks() {
+    let ft = Ftree::new(2, 2, 5).unwrap();
+    let router = DModK::new(&ft);
+    let engine = ContentionEngine::new(&router).unwrap();
+    let v = engine.lemma1_violation().expect("m < n² blocks");
+    let channel = v.channel;
+    let pairs = [
+        SdPair::new(v.sources[0], v.destinations[0]),
+        SdPair::new(v.sources[1], v.destinations[1]),
+    ];
+    assert_ne!(pairs[0].src, pairs[1].src);
+    assert_ne!(pairs[0].dst, pairs[1].dst);
+    let perm = Permutation::from_pairs(10, pairs).unwrap();
+    let a = route_all(&router, &perm).unwrap();
+    let w = find_contention(&a).expect("witness contends");
+    // Both witness paths really cross the reported channel.
+    assert!(engine.arena().path(pairs[0]).contains(&channel));
+    assert!(engine.arena().path(pairs[1]).contains(&channel));
+    assert!(a.max_channel_load() >= 2, "{w:?}");
+}
+
+#[test]
+fn scratch_matches_hashmap_contention() {
+    let ft = Ftree::new(2, 2, 5).unwrap();
+    let router = DModK::new(&ft);
+    let mut scratch = ContentionScratch::default();
+    for k in 0..10 {
+        let perm = patterns::shift(10, k);
+        let a = route_all(&router, &perm).unwrap();
+        let fast = scratch.find_contention(&a);
+        let slow = find_contention(&a);
+        assert_eq!(fast.is_some(), slow.is_some(), "shift:{k}");
+        if let Some(w) = fast {
+            // The scratch witness is a real collision on that channel.
+            let on: Vec<_> = a
+                .routes()
+                .iter()
+                .filter(|(_, p)| p.channels().contains(&w.channel))
+                .map(|(pair, _)| *pair)
+                .collect();
+            assert!(on.contains(&w.a) && on.contains(&w.b));
+        }
+    }
+}
+
+#[test]
+fn census_counts_match_audit_lists() {
+    let ft = Ftree::new(2, 4, 3).unwrap();
+    let router = YuanDeterministic::new(&ft).unwrap();
+    let engine = ContentionEngine::new(&router).unwrap();
+    let audit = LinkAudit::build(&router);
+    let mut used = 0;
+    for c in (0..engine.arena().num_channels()).map(|c| ChannelId(c as u32)) {
+        let (srcs, dsts) = audit.channel_census(c).unwrap_or((&[], &[]));
+        used += usize::from(!srcs.is_empty());
+        assert_eq!(engine.census().num_sources(c), srcs.len().min(2), "{c}");
+        assert_eq!(
+            engine.census().num_destinations(c),
+            dsts.len().min(2),
+            "{c}"
+        );
+    }
+    assert_eq!(used, audit.used_channels());
+}
+#[test]
+fn dmodk_fails_lemma1_with_witness() {
+    let ft = Ftree::new(2, 2, 5).unwrap();
+    let router = DModK::new(&ft);
+    let audit = LinkAudit::build(&router);
+    let violation = audit.lemma1_check(&router).unwrap_err();
+    // The witness is a valid blocking two-pair permutation.
+    let perm = Permutation::from_pairs(
+        10,
+        [
+            SdPair::new(violation.sources[0], violation.destinations[0]),
+            SdPair::new(violation.sources[1], violation.destinations[1]),
+        ],
+    )
+    .unwrap();
+    let a = route_all(&router, &perm).unwrap();
+    assert!(a.max_channel_load() >= 2, "witness must actually block");
+}
+
+#[test]
+fn contention_detection() {
+    let ft = Ftree::new(2, 2, 5).unwrap();
+    let router = DModK::new(&ft);
+    // Both target residue 0 tops from switch 0.
+    let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(1, 6)]).unwrap();
+    let a = route_all(&router, &perm).unwrap();
+    let w = find_contention(&a).expect("contention expected");
+    assert_ne!(w.a, w.b);
+    // And a clean assignment yields none.
+    let ft2 = Ftree::new(2, 4, 5).unwrap();
+    let yuan = YuanDeterministic::new(&ft2).unwrap();
+    let a2 = route_all(&yuan, &perm).unwrap();
+    assert!(find_contention(&a2).is_none());
+}
+
+#[test]
+fn audit_census_counts() {
+    let ft = Ftree::new(2, 4, 3).unwrap();
+    let router = YuanDeterministic::new(&ft).unwrap();
+    let audit = LinkAudit::build(&router);
+    // Fig. 3: uplink v -> (i,j) carries r-1 pairs from ONE source to
+    // r-1 destinations.
+    let up = ft.up_channel(0, 0); // v=0, top (0,0)
+    let (srcs, dsts) = audit.channel_census(up).unwrap();
+    assert_eq!(srcs, &[0]); // source (0,0) = leaf 0
+    assert_eq!(dsts.len(), 2); // r-1 = 2 destinations (w,0), w != 0
+}
+
+#[test]
+fn engine_and_legacy_verdicts_agree() {
+    for (n, m, r) in [(2usize, 4usize, 5usize), (2, 2, 5), (2, 3, 4), (3, 9, 7)] {
+        let ft = Ftree::new(n, m, r).unwrap();
+        let router = DModK::new(&ft);
+        let fast = nonblocking_verdict(&router);
+        let slow = nonblocking_verdict_legacy(&router);
+        assert_eq!(fast.nonblocking, slow.nonblocking, "n={n} m={m} r={r}");
+        // Both witnesses, when present, are live blocking permutations.
+        for v in [&fast, &slow] {
+            if let Some([a, b]) = v.witness_pairs() {
+                let perm = Permutation::from_pairs((n * r) as u32, [a, b]).unwrap();
+                let routed = route_all(&router, &perm).unwrap();
+                assert!(routed.max_channel_load() >= 2);
+            }
+        }
+    }
+}
+
+#[test]
+fn two_pair_engine_agrees_with_legacy_loop() {
+    for (n, m, r) in [(2usize, 2usize, 5usize), (2, 4, 5), (3, 4, 6), (3, 9, 7)] {
+        let ft = Ftree::new(n, m, r).unwrap();
+        let router = DModK::new(&ft);
+        let fast = find_blocking_two_pair(&router);
+        let slow = find_blocking_two_pair_legacy(&router);
+        assert_eq!(
+            fast.is_nonblocking(),
+            slow.is_nonblocking(),
+            "n={n} m={m} r={r}"
+        );
+        assert_eq!(fast.found_blocking(), slow.found_blocking());
+        // Witnesses may differ (the engine normalizes on the lowest
+        // violating channel); both must actually contend.
+        for w in [fast.witness(), slow.witness()].into_iter().flatten() {
+            let a = route_all(&router, w).unwrap();
+            assert!(a.max_channel_load() >= 2, "n={n} m={m} r={r}");
+        }
+    }
+}
+
+#[test]
+fn two_pair_legacy_reports_routing_errors() {
+    /// Claims 4 ports but routes none of them.
+    struct Liar;
+    impl SinglePathRouter for Liar {
+        fn ports(&self) -> u32 {
+            4
+        }
+        fn route_into(&self, _: SdPair, out: &mut Vec<ChannelId>) {
+            out.clear();
+        }
+        fn try_route_into(&self, _: SdPair, _: &mut Vec<ChannelId>) -> Result<(), RoutingError> {
+            Err(RoutingError::PortOutOfRange { port: 0, ports: 0 })
+        }
+        fn name(&self) -> &'static str {
+            "liar"
+        }
+    }
+    let fast = find_blocking_two_pair(&Liar);
+    let slow = find_blocking_two_pair_legacy(&Liar);
+    assert!(matches!(fast, TwoPairOutcome::RoutingFailed(_)), "{fast:?}");
+    assert!(matches!(slow, TwoPairOutcome::RoutingFailed(_)), "{slow:?}");
+    assert!(
+        !fast.is_nonblocking(),
+        "errors must not read as nonblocking"
+    );
+}
+
+#[test]
+fn degradation_engine_matches_legacy_oracle() {
+    // Blocking, clean, and faulted-clean cases; verdicts must agree and
+    // any violation witness must be genuine (the legacy HashMap census
+    // iterates in arbitrary order, so only validity is comparable).
+    type DeadLeafDown = &'static [(u32, u32)];
+    let cases: [(u32, u32, u32, DeadLeafDown); 3] =
+        [(2, 2, 5, &[(4, 1)]), (2, 4, 5, &[]), (2, 4, 5, &[(1, 0)])];
+    for (n, m, r, dead_leaf_down) in cases {
+        let ft = Ftree::new(n as usize, m as usize, r as usize).unwrap();
+        let mut faults = FaultSet::new();
+        for &(leaf, port) in dead_leaf_down {
+            faults.fail_channel(ft.leaf_down_channel(leaf as usize, port as usize));
+        }
+        let view = FaultyView::new(ft.topology(), &faults);
+        let dmodk = DModK::new(&ft);
+        let new = deterministic_degradation(&dmodk, &view).unwrap();
+        let old = deterministic_degradation_legacy(&dmodk, &view);
+        assert_eq!(new.total_pairs, old.total_pairs);
+        assert_eq!(new.unroutable, old.unroutable, "ftree({n}+{m},{r})");
+        assert_eq!(new.lemma1.is_ok(), old.lemma1.is_ok(), "ftree({n}+{m},{r})");
+        for v in [&new.lemma1, &old.lemma1]
+            .into_iter()
+            .filter_map(|l| l.as_ref().err())
+        {
+            assert_ne!(v.sources[0], v.sources[1]);
+            assert_ne!(v.destinations[0], v.destinations[1]);
+            for i in 0..2 {
+                let pair = SdPair::new(v.sources[i], v.destinations[i]);
+                let path = dmodk.route(pair);
+                assert!(path.channels().contains(&v.channel), "{v:?}");
+                assert!(view.path_alive(path.channels()).is_ok(), "{v:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn witnesses_sit_on_the_lowest_offending_channel() {
+    // Up/down discipline: d-mod-k on ftree(2+2, 5) has several uplinks with
+    // two sources or downlinks with two destinations; the oracle's lists
+    // name them all, and the check reports the lowest.
+    let ft = Ftree::new(2, 2, 5).unwrap();
+    let dmodk = DModK::new(&ft);
+    let audit = LinkAudit::build(&dmodk);
+    let ft_ref = &ft;
+    let uplinks: Vec<ChannelId> = (0..ft.r())
+        .flat_map(|v| {
+            let leaves = (0..ft_ref.n()).map(move |i| ft_ref.leaf_up_channel(v, i));
+            leaves.chain((0..ft_ref.m()).map(move |t| ft_ref.up_channel(v, t)))
+        })
+        .collect();
+    let offending: Vec<ChannelId> = (0..ft.topology().num_channels())
+        .map(|c| ChannelId(c as u32))
+        .filter(|&c| {
+            let (sources, dests) = audit.channel_census(c).unwrap_or((&[], &[]));
+            if uplinks.contains(&c) {
+                sources.len() > 1
+            } else {
+                dests.len() > 1
+            }
+        })
+        .collect();
+    assert!(offending.len() >= 2, "{offending:?}");
+    assert_eq!(
+        updown_discipline(&dmodk, ft.topology()),
+        Ok(Some(offending[0]))
+    );
+
+    // Section IV.B: two pairs of one switch spread over all four tops of
+    // ftree(2+4, 5) share every uplink of that switch.
+    let ft = Ftree::new(2, 4, 5).unwrap();
+    let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(1, 6)]).unwrap();
+    let spread = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin)
+        .spread_pattern(&perm)
+        .unwrap();
+    let offending: Vec<ChannelId> = (0..ft.topology().num_channels())
+        .map(|c| ChannelId(c as u32))
+        .filter(|c| {
+            let on: Vec<SdPair> = spread
+                .entries()
+                .iter()
+                .filter(|(_, paths)| paths.iter().any(|p| p.channels().contains(c)))
+                .map(|(pair, _)| *pair)
+                .collect();
+            on.iter()
+                .any(|a| on.iter().any(|b| a.src != b.src && a.dst != b.dst))
+        })
+        .collect();
+    assert_eq!(offending.len(), 4, "{offending:?}");
+    let v = multipath_violation(&spread).unwrap();
+    assert_eq!(v.channel, offending[0]);
+    assert_eq!((v.sources, v.destinations), ([0, 1], [4, 6]));
 }

@@ -110,8 +110,8 @@ proptest! {
         faults_b.merge(&FaultSet::random_links(topo, extra_links, seed ^ 0x5EED));
         faults_b.merge(&FaultSet::random_top_switches(topo, extra_tops, seed ^ 0x70B5));
 
-        let deg_a = deterministic_degradation(&router, &FaultyView::new(topo, &faults_a));
-        let deg_b = deterministic_degradation(&router, &FaultyView::new(topo, &faults_b));
+        let deg_a = deterministic_degradation(&router, &FaultyView::new(topo, &faults_a)).unwrap();
+        let deg_b = deterministic_degradation(&router, &FaultyView::new(topo, &faults_b)).unwrap();
         prop_assert_eq!(deg_a.total_pairs, deg_b.total_pairs);
         prop_assert!(
             deg_a.routable_pairs() >= deg_b.routable_pairs(),
@@ -122,7 +122,7 @@ proptest! {
         // The empty fault set is the top element: everything routes.
         let pristine = deterministic_degradation(
             &router, &FaultyView::new(topo, &FaultSet::new()),
-        );
+        ).unwrap();
         prop_assert_eq!(pristine.routable_pairs(), pristine.total_pairs);
         prop_assert!(pristine.routable_pairs() >= deg_a.routable_pairs());
     }

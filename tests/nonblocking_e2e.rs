@@ -185,36 +185,6 @@ fn contention_structure_of_baselines_is_complementary() {
 }
 
 #[test]
-fn forwarding_tables_reproduce_router_paths() {
-    use ftclos::routing::ForwardingTables;
-    let ft = Ftree::new(3, 9, 5).unwrap();
-    let router = YuanDeterministic::new(&ft).unwrap();
-    let tables = ForwardingTables::compile(&router, ft.topology()).unwrap();
-    let topo = ft.topology();
-    for s in 0..15u32 {
-        for d in 0..15u32 {
-            if s == d {
-                continue;
-            }
-            let path = ftclos::routing::SinglePathRouter::route(
-                &router,
-                ftclos::traffic::SdPair::new(s, d),
-            );
-            // Walk by table lookups and compare.
-            let mut walked = vec![path.channels()[0]];
-            loop {
-                let last = topo.channel(*walked.last().unwrap());
-                if last.dst.0 == d {
-                    break;
-                }
-                walked.push(tables.next_hop(last.dst, last.dst_port, d).unwrap());
-            }
-            assert_eq!(walked, path.channels(), "pair ({s},{d})");
-        }
-    }
-}
-
-#[test]
 fn adaptive_beats_deterministic_top_count_at_scale() {
     // Theorem 5's practical consequence on a concrete fabric sweep.
     let mut g = rng(11);
