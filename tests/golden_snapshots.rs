@@ -354,3 +354,54 @@ fn campaign_confirm_stall_diagnosis_is_stable() {
         ),
     );
 }
+
+/// A `--json` golden that must also parse: the JSON writers have no other
+/// shape check than these bytes.
+fn assert_json_matches_golden(name: &str, args: &str) {
+    let out = cli(args);
+    Json::parse(&out).unwrap_or_else(|e| panic!("`ftclos {args}` is not JSON ({e}): {out}"));
+    assert_matches_golden(name, &out);
+}
+
+/// The full deadlock roster in JSON, valley's witness cycle included.
+#[test]
+fn deadlock_sweep_json_is_stable() {
+    assert_json_matches_golden("deadlock_2_4_5.json", "deadlock 2 4 5 --json");
+}
+
+/// Churn epochs of the deadlock check in JSON: one verdict per fault epoch.
+#[test]
+fn deadlock_churn_json_is_stable() {
+    assert_json_matches_golden(
+        "deadlock_dmodk_2_4_3_churn.json",
+        "deadlock 2 4 3 --router dmodk --churn-links 2 --mtbf 200 --mttr 60 \
+         --churn-cycles 800 --json",
+    );
+}
+
+/// The exhaustive k-fault-tolerance certificate in JSON.
+#[test]
+fn campaign_exhaustive_json_is_stable() {
+    assert_json_matches_golden(
+        "campaign_exhaustive_2_4_5.json",
+        "campaign 2 4 5 --mode exhaustive --k 2 --json",
+    );
+}
+
+/// The `--confirm` strand graph in JSON.
+#[test]
+fn campaign_confirm_stall_diagnosis_json_is_stable() {
+    assert_json_matches_golden(
+        "campaign_confirm_valley.json",
+        "campaign 1 1 4 --property deadlock --router valley --confirm --json",
+    );
+}
+
+/// Churn epochs of the min-congestion head-to-head in JSON.
+#[test]
+fn congestion_churn_json_is_stable() {
+    assert_json_matches_golden(
+        "congestion_2_4_5_churn.json",
+        "congestion 2 4 5 --churn-links 2 --churn-cycles 800 --seed 5 --json",
+    );
+}
