@@ -11,7 +11,7 @@
 
 use crate::{sim_cfg, throughput, Ctx, RowResult, SEED};
 use ftclos_analysis::TextTable;
-use ftclos_routing::{NonblockingAdaptive, ObliviousMultipath, PlanStrategy, SpreadPolicy};
+use ftclos_routing::{NonblockingAdaptive, ObliviousMultipath, PlanStrategy};
 use ftclos_sim::{Policy, Workload};
 use ftclos_topo::Ftree;
 use ftclos_traffic::patterns;
@@ -65,7 +65,7 @@ type MakePolicy = fn(&ObliviousMultipath) -> Policy;
 /// saturated random derangement.
 fn ft12_pair(ctx: &Ctx, a: MakePolicy, b: MakePolicy) -> Result<(f64, f64), Box<dyn Error>> {
     let ft = Ftree::new(6, 6, 12)?;
-    let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+    let mp = ObliviousMultipath::new(&ft);
     let w = Workload::permutation(&patterns::random_derangement(72, &mut ctx.rng(2)), 1.0);
     let cfg = sim_cfg(300, 1_500);
     Ok((

@@ -25,13 +25,13 @@ pub fn e12(ctx: &mut Ctx) -> RowResult {
     let mut fractions = Vec::new();
     for m in 1..=n * n {
         let ft = Ftree::new(n, m, r)?;
-        let f_d = blocking_report(&DModK::new(&ft), samples, SEED).blocking_fraction();
+        let f_d = blocking_report(&DModK::new(&ft), samples, SEED);
         let greedy = GreedyLocalAdaptive::new(&ft);
-        let f_g = blocking_report(&greedy, samples, SEED).blocking_fraction();
+        let f_g = blocking_report(&greedy, samples, SEED);
         // NONBLOCKINGADAPTIVE refuses when its plan needs > m tops; count
         // refusals as blocking (the fabric is too small for the algorithm).
         let adaptive = NonblockingAdaptive::new(&ft)?;
-        let f_a = blocking_report(&adaptive, samples, SEED).blocking_fraction();
+        let f_a = blocking_report(&adaptive, samples, SEED);
         table.row([
             m.to_string(),
             format!("{f_d:.3}"),
@@ -87,7 +87,7 @@ pub fn e12(ctx: &mut Ctx) -> RowResult {
 
     // The Theorem 3 reference: zero blocking at m = n² with the right
     // deterministic routing.
-    let f_yuan = blocking_report(&yuan_nb, samples, SEED).blocking_fraction();
+    let f_yuan = blocking_report(&yuan_nb, samples, SEED);
     ctx.result_line("Theorem 3 routing at m = n²", format!("{f_yuan:.3}"))?;
     ctx.check(f_yuan == 0.0, "Theorem 3 routing never blocks at m = n²")?;
     Ok(())

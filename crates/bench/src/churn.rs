@@ -24,7 +24,7 @@
 
 use crate::{sim_cfg, Ctx, RowResult, SEED};
 use ftclos_core::churn::{availability, min_m_for_availability, ChurnEvent};
-use ftclos_routing::{ObliviousMultipath, SpreadPolicy};
+use ftclos_routing::ObliviousMultipath;
 use ftclos_sim::{
     Arbiter, ChurnConfig, ChurnReport, ChurnSchedule, Policy, ReplanMode, SimConfig, SimError,
     SimStats, Simulator, Workload,
@@ -184,7 +184,7 @@ fn run_mode(
     schedule: &ChurnSchedule,
     mode: ReplanMode,
 ) -> Result<(SimStats, ChurnReport), SimError> {
-    let mp = ObliviousMultipath::new(ft, SpreadPolicy::Random);
+    let mp = ObliviousMultipath::new(ft);
     let perm = patterns::shift(ft.num_leaves() as u32, 2);
     let cfg = SimConfig {
         ttl_cycles: 50,

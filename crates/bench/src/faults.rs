@@ -23,7 +23,7 @@ use ftclos_core::{
     adaptive_degraded_verdict, deterministic_degradation, max_survivable_top_failures,
     DegradedVerdict,
 };
-use ftclos_routing::{ObliviousMultipath, SpreadPolicy, YuanDeterministic};
+use ftclos_routing::{ObliviousMultipath, YuanDeterministic};
 use ftclos_sim::{Arbiter, FaultSchedule, Policy, SimConfig, SimStats, Simulator, Workload};
 use ftclos_topo::{FaultSet, FaultyView, Ftree};
 use ftclos_traffic::patterns;
@@ -133,7 +133,7 @@ pub fn e17(ctx: &mut Ctx) -> RowResult {
     let run =
         |policy| Simulator::new(ft2.topology(), cfg, policy).try_run_with_faults(&w, SEED, &faults);
 
-    let mp = ObliviousMultipath::new(&ft2, SpreadPolicy::Random);
+    let mp = ObliviousMultipath::new(&ft2);
     let s_mp = run(Policy::from_multipath(&mp, true))?;
     ctx.result_line("multipath (re-picks)", counts(&s_mp))?;
     ctx.check(

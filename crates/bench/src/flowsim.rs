@@ -19,7 +19,7 @@ use crate::{Ctx, RowResult};
 use ftclos_flowsim::{check_fabric, solve_pattern};
 use ftclos_routing::{
     DModK, GreedyLocalAdaptive, LinkLoadView, NonblockingAdaptive, ObliviousMultipath,
-    RearrangeableRouter, SModK, SpreadPolicy, YuanDeterministic,
+    RearrangeableRouter, SModK, YuanDeterministic,
 };
 use ftclos_topo::{ChannelCapacities, Ftree};
 use ftclos_traffic::{patterns, Permutation};
@@ -82,7 +82,7 @@ pub fn e19(ctx: &mut Ctx) -> RowResult {
             YuanDeterministic::new(&ft).ok().and_then(boxed),
             boxed(DModK::new(&ft)),
             boxed(SModK::new(&ft)),
-            boxed(ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin)),
+            boxed(ObliviousMultipath::new(&ft)),
             boxed(GreedyLocalAdaptive::new(&ft)),
             RearrangeableRouter::new(&ft).ok().and_then(boxed),
             NonblockingAdaptive::new(&ft).ok().and_then(boxed),

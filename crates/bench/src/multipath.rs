@@ -10,7 +10,7 @@
 
 use crate::{sim_cfg, throughput, Ctx, RowResult, SEED};
 use ftclos_core::multipath_violation;
-use ftclos_routing::{DModK, ObliviousMultipath, SpreadPolicy, YuanDeterministic};
+use ftclos_routing::{DModK, ObliviousMultipath, YuanDeterministic};
 use ftclos_sim::{Policy, Workload};
 use ftclos_topo::Ftree;
 use ftclos_traffic::{patterns, Permutation, SdPair};
@@ -22,7 +22,7 @@ pub fn e7(ctx: &mut Ctx) -> RowResult {
     )?;
     for m in [2usize, 4, 16, 64] {
         let ft = Ftree::new(2, m, 5)?;
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(1, 6)])?;
         ctx.check(
             multipath_violation(&mp.spread_pattern(&perm)?).is_some(),
@@ -36,7 +36,7 @@ pub fn e7(ctx: &mut Ctx) -> RowResult {
     )?;
     let mut rng = ctx.rng(0);
     let ft = Ftree::new(3, 4, 7)?; // m = 4 < n² = 9
-    let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+    let mp = ObliviousMultipath::new(&ft);
     let mut with_violation = 0usize;
     let trials = 200usize;
     for _ in 0..trials {
@@ -61,7 +61,7 @@ pub fn e7(ctx: &mut Ctx) -> RowResult {
     let ft4 = Ftree::new(4, 4, 9)?;
     let perm = Permutation::from_pairs(36, (0..4).map(|k| SdPair::new(k, (k + 1) * 4)))?;
     let funnel = Workload::permutation(&perm, 1.0);
-    let spread = ObliviousMultipath::new(&ft4, SpreadPolicy::Random);
+    let spread = ObliviousMultipath::new(&ft4);
     let single = Policy::from_single_path(&DModK::new(&ft4));
     let t_single = throughput(ft4.topology(), cfg, single, &funnel, SEED)?;
     let spreading = Policy::from_multipath(&spread, true);
@@ -76,7 +76,7 @@ pub fn e7(ctx: &mut Ctx) -> RowResult {
     // But against the Theorem 3 fabric on a full permutation, spreading
     // still collides transiently while Yuan routing is perfectly clean.
     let ftnb = Ftree::new(3, 9, 7)?;
-    let spread_nb = ObliviousMultipath::new(&ftnb, SpreadPolicy::Random);
+    let spread_nb = ObliviousMultipath::new(&ftnb);
     let full = Workload::permutation(&patterns::random_full(21, &mut ctx.rng(1)), 1.0);
     let pinned = Policy::from_single_path(&YuanDeterministic::new(&ftnb)?);
     let t_yuan = throughput(ftnb.topology(), cfg, pinned, &full, SEED)?;

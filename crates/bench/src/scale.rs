@@ -56,8 +56,8 @@ use ftclos_evsim::EventSimulator;
 use ftclos_flowsim::standard_suite;
 use ftclos_routing::{
     route_all, CongestionConfig, DModK, FaultAware, FtreeCandidates, MinCongestion,
-    NonblockingAdaptive, PathArena, PatternRouter, RouteAssignment, RoutingError, SModK,
-    SinglePathRouter, YuanDeterministic, YuanRecursive,
+    NonblockingAdaptive, PatternRouter, RouteAssignment, RoutingError, SModK, SinglePathRouter,
+    YuanDeterministic, YuanRecursive,
 };
 use ftclos_sim::{Policy, Simulator, Workload};
 use ftclos_topo::{FaultSet, FaultyView, Ftree, RecursiveNonblocking, Topology};
@@ -109,7 +109,6 @@ pub fn e20(ctx: &mut Ctx) -> RowResult {
     let speedup = enumerated_s / engine_s;
     ctx.result_line("speedup", format!("{speedup:.1}x"))?;
     ctx.check(speedup >= 10.0, "engine two-pair sweep is >= 10x faster")?;
-    ctx.result_line("arena_bytes", PathArena::build(&yuan)?.bytes())?;
 
     // Agreement smoke: one blocking and one nonblocking fabric, engine and
     // enumeration must concur (the full differential lives in the proptests).

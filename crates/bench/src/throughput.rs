@@ -6,7 +6,7 @@
 
 use crate::{sim_cfg, throughput, Ctx, RowResult, XbRouter, SEED};
 use ftclos_analysis::TextTable;
-use ftclos_routing::{DModK, ObliviousMultipath, SpreadPolicy, YuanDeterministic};
+use ftclos_routing::{DModK, ObliviousMultipath, YuanDeterministic};
 use ftclos_sim::{sweep_injection_rates, Policy, Workload};
 use ftclos_topo::{crossbar, Ftree, Topology};
 use ftclos_traffic::patterns;
@@ -27,7 +27,7 @@ pub fn e11(ctx: &mut Ctx) -> RowResult {
     let xb_router = XbRouter(&xb);
     let nb_router = YuanDeterministic::new(&nb)?;
     let ft_router = DModK::new(&ft2);
-    let ft_mp = ObliviousMultipath::new(&ft2, SpreadPolicy::Random);
+    let ft_mp = ObliviousMultipath::new(&ft2);
     type Case<'a> = (&'a str, &'a str, &'a Topology, u32, &'a dyn Fn() -> Policy);
     let cases: [Case; 5] = [
         ("crossbar(36)", "direct", xb.topology(), 36, &|| {

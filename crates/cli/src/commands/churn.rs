@@ -8,7 +8,7 @@ use super::common::{build_ftree, core_events, fabric};
 use crate::opts::{CliError, Opts};
 use ftclos_core::churn::{availability, min_m_for_availability};
 use ftclos_obs::{Recorder as _, Registry};
-use ftclos_routing::{ObliviousMultipath, SpreadPolicy};
+use ftclos_routing::ObliviousMultipath;
 use ftclos_sim::{
     Arbiter, ChurnConfig, ChurnSchedule, Policy, ReplanMode, SimConfig, Simulator, Workload,
 };
@@ -84,7 +84,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     }
 
     // Packet-level simulation under the chosen re-planning mode.
-    let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+    let mp = ObliviousMultipath::new(&ft);
     let perm = patterns::shift(ft.num_leaves() as u32, 1);
     let cfg = SimConfig {
         warmup_cycles: cycles / 4,

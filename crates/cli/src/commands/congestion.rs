@@ -27,7 +27,7 @@ use ftclos_obs::Registry;
 use ftclos_routing::{
     route_all, CongestionConfig, CongestionMode, DModK, FaultAware, FtreeCandidates, LinkLoadView,
     MaskedAdaptive, MaskedMultipath, MinCongestion, NonblockingAdaptive, ObliviousMultipath,
-    PatternRouter, PlanStrategy, RouteAssignment, SpreadPolicy,
+    PatternRouter, PlanStrategy, RouteAssignment,
 };
 use ftclos_topo::{ChannelCapacities, ChannelId, FaultyView, Ftree};
 use ftclos_traffic::Permutation;
@@ -214,7 +214,7 @@ fn head_to_head(
 
     // Oblivious multipath: the fractional 1/m spread.
     {
-        let mp = ObliviousMultipath::new(ft, SpreadPolicy::RoundRobin);
+        let mp = ObliviousMultipath::new(ft);
         if faulted {
             let masked = MaskedMultipath::new(mp, view);
             rows.push(flow_links_row("multipath", &masked, pname, perm, caps, rec));

@@ -30,7 +30,7 @@ use ftclos_core::cdg::{
 };
 use ftclos_core::{attribute_witness, CycleAnalysis, DeadlockVerdict, SweepEntry};
 use ftclos_obs::{Recorder as _, Registry};
-use ftclos_routing::{ObliviousMultipath, SinglePathRouter, SpreadPolicy};
+use ftclos_routing::{ObliviousMultipath, SinglePathRouter};
 use ftclos_sim::{run_pinned_injection_recorded, PinnedRoute, WitnessRun};
 use ftclos_topo::{ChannelId, FaultyView, Ftree};
 use ftclos_traffic::SdPair;
@@ -79,15 +79,15 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     // Witness injection: reproduce the first cycle dynamically.
     let mut injection = None;
     if inject {
-        let Some(cyclic) = entries.iter().find(|e| !e.analysis.is_free()) else {
+        let Some((cyclic, witness)) = entries
+            .iter()
+            .find_map(|e| Some((e, e.analysis.verdict.witness()?)))
+        else {
             return Err(CliError::Failed(
                 "--inject needs a witness cycle, but every analyzed routing is deadlock-free \
                  (try --router valley)"
                     .to_string(),
             ));
-        };
-        let DeadlockVerdict::Cyclic { witness } = &cyclic.analysis.verdict else {
-            unreachable!("cyclic entry has a witness");
         };
         let _s = rec.span("deadlock.inject");
         let routes = witness_routes(&ft, cyclic.router.parse()?, view_opt, witness);
@@ -205,7 +205,7 @@ pub(crate) fn witness_routes(
     let ports;
     let paths_of: PathsOf<'_> = match router {
         Multipath | Adaptive => {
-            mp = ObliviousMultipath::new(ft, SpreadPolicy::RoundRobin);
+            mp = ObliviousMultipath::new(ft);
             ports = mp.ports();
             Box::new(move |pair, emit| {
                 let mut branches = mp.paths(pair);

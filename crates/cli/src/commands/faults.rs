@@ -20,7 +20,7 @@ use ftclos_core::{
     DegradedVerdict,
 };
 use ftclos_obs::{Recorder as _, Registry};
-use ftclos_routing::{ObliviousMultipath, SpreadPolicy, YuanDeterministic};
+use ftclos_routing::{ObliviousMultipath, YuanDeterministic};
 use ftclos_topo::FaultyView;
 use std::fmt::Write as _;
 
@@ -72,7 +72,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let mp_span = rec.span("faults.multipath");
     let ports = ft.num_leaves() as u32;
     let perm = make_pattern("random", ports, seed)?;
-    let mp = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
+    let mp = ObliviousMultipath::new(&ft);
     match mp.spread_pattern_masked(&perm, &view) {
         Ok(a) => {
             let _ = writeln!(

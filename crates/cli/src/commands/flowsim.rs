@@ -19,7 +19,6 @@ use ftclos_obs::Registry;
 use ftclos_routing::{
     FaultAware, GreedyLocalAdaptive, LinkLoadView, MaskedAdaptive, MaskedMultipath,
     NonblockingAdaptive, ObliviousMultipath, PlanStrategy, RearrangeableRouter, RoutingError,
-    SpreadPolicy,
 };
 use ftclos_topo::{ChannelCapacities, FaultyView, Ftree};
 use ftclos_traffic::Permutation;
@@ -67,7 +66,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             .collect()
     };
     let fail = |e: RoutingError| CliError::Failed(e.to_string());
-    let multipath = || ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
+    let multipath = || ObliviousMultipath::new(&ft);
     let reports = match (router, faulted) {
         (Multipath, false) => solve(&multipath()),
         (Multipath, true) => solve(&MaskedMultipath::new(multipath(), &view)),

@@ -78,8 +78,7 @@
 
 use ftclos_obs::{Noop, Recorder};
 use ftclos_routing::{
-    DModK, ObliviousMultipath, RouteAssignment, SModK, SinglePathRouter, SpreadPolicy, TopRule,
-    YuanDeterministic,
+    DModK, ObliviousMultipath, RouteAssignment, SModK, SinglePathRouter, TopRule, YuanDeterministic,
 };
 use ftclos_topo::{ChannelId, FaultSet, FaultyView, Ftree, Topology, Transition};
 use ftclos_traffic::SdPair;
@@ -965,7 +964,7 @@ pub fn cdg_of_multipath_with<Rec: Recorder>(
     view: Option<&FaultyView>,
     rec: &Rec,
 ) -> ChannelDependencyGraph {
-    let mp = ObliviousMultipath::new(ft, SpreadPolicy::RoundRobin);
+    let mp = ObliviousMultipath::new(ft);
     build_cdg_with(
         ft.topology(),
         mp.ports(),
@@ -1481,8 +1480,7 @@ mod tests {
         let sets = unique_churn_fault_sets(&events, 800);
         // {}, {c0}, {c0, c1} — the repeat visit and the late repair dedup.
         assert_eq!(sets.len(), 3);
-        assert_eq!(sets[0].num_failed_channels(), 0);
-        let sizes: Vec<_> = sets.iter().map(FaultSet::num_failed_channels).collect();
+        let sizes: Vec<_> = sets.iter().map(|f| f.failed_channels().count()).collect();
         assert_eq!(sizes, [0, 1, 2]);
         // Every epoch set stays deadlock-free for dmodk.
         let router = DModK::new(&ft);

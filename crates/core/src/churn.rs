@@ -61,12 +61,12 @@ pub struct EpochVerdict {
 
 impl EpochVerdict {
     /// Cycles in the epoch.
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         self.end.saturating_sub(self.start)
     }
 
     /// Whether the degraded fabric stayed nonblocking.
-    pub fn nonblocking(&self) -> bool {
+    pub(crate) fn nonblocking(&self) -> bool {
         self.verdict.survives()
     }
 }
@@ -115,22 +115,8 @@ impl AvailabilityReport {
             .max_by_key(|e| e.down_channels)
     }
 
-    /// Largest number of contending pairs witnessed in any blocking epoch
-    /// (0 when blocking, if any, shows up as unroutability or plan
-    /// exhaustion rather than explicit contention).
-    pub fn worst_contention(&self) -> usize {
-        self.epochs
-            .iter()
-            .filter_map(|e| match &e.verdict {
-                DegradedVerdict::Contention { pairs } => Some(pairs.len()),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Whether cycle-weighted availability meets `target`.
-    pub fn meets(&self, target: f64) -> bool {
+    pub(crate) fn meets(&self, target: f64) -> bool {
         self.time_availability() >= target
     }
 }

@@ -63,7 +63,7 @@ pub fn load_stats(assignment: &RouteAssignment) -> LoadStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftclos_routing::{route_all, DModK, ObliviousMultipath, SpreadPolicy, YuanDeterministic};
+    use ftclos_routing::{route_all, DModK, ObliviousMultipath, YuanDeterministic};
     use ftclos_topo::Ftree;
     use ftclos_traffic::{patterns, Permutation, SdPair};
     use rand::SeedableRng;
@@ -90,7 +90,7 @@ mod tests {
     #[test]
     fn multipath_expected_throughput() {
         let ft = Ftree::new(2, 4, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let r = ObliviousMultipath::new(&ft);
         let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(1, 6)]).unwrap();
         let spread = r.spread_pattern(&perm).unwrap();
         // Leaf links carry full units -> expected max load 1 -> throughput 1

@@ -86,7 +86,7 @@ pub use engine::{
     crossing_pairs, lemma1_audit, lemma1_audit_with, lemma1_census, ContentionEngine,
     ContentionScratch, LinkCensus,
 };
-pub use search::{find_blocking_two_pair, BlockingReport, TwoPairOutcome};
+pub use search::{find_blocking_two_pair, TwoPairOutcome};
 pub use verify::{
     multipath_violation, nonblocking_verdict, pattern_contention_free, ContentionWitness,
     NonblockingVerdict,

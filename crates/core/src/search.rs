@@ -109,108 +109,29 @@ pub fn find_blocking_exhaustive<R: PatternRouter + ?Sized>(router: &R) -> Option
     None
 }
 
-/// Randomized sweep: `samples` random full permutations from `seed`.
-/// Returns the first blocked one.
-pub fn find_blocking_random<R: PatternRouter + ?Sized>(
-    router: &R,
-    samples: usize,
-    seed: u64,
-) -> Option<Permutation> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    for _ in 0..samples {
-        let perm = patterns::random_full(router.ports(), &mut rng);
-        match router.route_pattern(&perm) {
-            Ok(a) => {
-                if a.max_channel_load() > 1 {
-                    return Some(perm);
-                }
-            }
-            Err(_) => return Some(perm),
-        }
-    }
-    None
-}
-
-/// Result of a blocking-probability estimation sweep.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BlockingReport {
-    /// Permutations sampled.
-    pub samples: usize,
-    /// Permutations with at least one contended channel.
-    pub blocked: usize,
-    /// Mean of the max channel load over samples.
-    pub mean_max_load: f64,
-}
-
-impl BlockingReport {
-    /// Fraction of sampled permutations that blocked.
-    pub fn blocking_fraction(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.blocked as f64 / self.samples as f64
-        }
-    }
-}
-
 /// Estimate the blocking probability of `router` over random full
-/// permutations. Runs samples in parallel (each sample gets an independent
-/// seeded RNG, so results are reproducible regardless of thread count).
+/// permutations: the fraction of `samples` permutations with a contended
+/// channel or an unroutable pair (0 when `samples` is 0). Runs samples in
+/// parallel (each sample gets an independent seeded RNG, so results are
+/// reproducible regardless of thread count).
 pub fn blocking_report<R: PatternRouter + Sync + ?Sized>(
     router: &R,
     samples: usize,
     seed: u64,
-) -> BlockingReport {
-    let results: Vec<u32> = (0..samples)
+) -> f64 {
+    let blocked: usize = (0..samples)
         .into_par_iter()
         .map(|i| {
             let mut rng =
                 ChaCha8Rng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let perm = patterns::random_full(router.ports(), &mut rng);
             match router.route_pattern(&perm) {
-                Ok(a) => a.max_channel_load(),
-                Err(_) => u32::MAX,
+                Ok(a) => usize::from(a.max_channel_load() > 1),
+                Err(_) => 1,
             }
         })
-        .collect();
-    let blocked = results.iter().filter(|&&l| l > 1).count();
-    let mean_max_load = if samples == 0 {
-        0.0
-    } else {
-        results
-            .iter()
-            .map(|&l| if l == u32::MAX { f64::NAN } else { l as f64 })
-            .sum::<f64>()
-            / samples as f64
-    };
-    BlockingReport {
-        samples,
-        blocked,
-        mean_max_load,
-    }
-}
-
-/// The *exact* blocking probability over all full permutations, by
-/// exhaustive enumeration. Returns `(blocked, total)`; `None` when
-/// `ports > max_ports` (`ports!` grows too fast — 8! = 40320 is the
-/// practical ceiling for pattern routers).
-pub fn exact_blocking_fraction<R: PatternRouter + ?Sized>(
-    router: &R,
-    max_ports: u32,
-) -> Option<(u64, u64)> {
-    if router.ports() > max_ports {
-        return None;
-    }
-    let mut blocked = 0u64;
-    let mut total = 0u64;
-    for perm in AllPermutations::new(router.ports()) {
-        total += 1;
-        match router.route_pattern(&perm) {
-            Ok(a) if a.max_channel_load() <= 1 => {}
-            _ => blocked += 1,
-        }
-    }
-    Some((blocked, total))
+        .sum();
+    blocked as f64 / samples.max(1) as f64
 }
 
 /// Blocking fraction as a function of load density: for each density `d`,
@@ -288,39 +209,21 @@ mod tests {
     }
 
     #[test]
-    fn random_search_is_deterministic_per_seed() {
-        let ft = Ftree::new(2, 2, 5).unwrap();
-        let router = DModK::new(&ft);
-        let a = find_blocking_random(&router, 100, 7);
-        let b = find_blocking_random(&router, 100, 7);
-        assert_eq!(a, b);
-        assert!(a.is_some());
-    }
-
-    #[test]
     fn blocking_report_orders_routers() {
         let ft = Ftree::new(3, 3, 7).unwrap();
         let dmodk = DModK::new(&ft);
         let greedy = GreedyLocalAdaptive::new(&ft);
-        let rep_d = blocking_report(&dmodk, 60, 3);
-        let rep_g = blocking_report(&greedy, 60, 3);
-        assert!(rep_d.blocking_fraction() > 0.0);
-        assert!(
-            rep_g.blocking_fraction() <= rep_d.blocking_fraction(),
-            "greedy {} vs dmodk {}",
-            rep_g.blocking_fraction(),
-            rep_d.blocking_fraction()
-        );
-        assert!(rep_d.mean_max_load >= 1.0);
+        let f_d = blocking_report(&dmodk, 60, 3);
+        let f_g = blocking_report(&greedy, 60, 3);
+        assert!(f_d > 0.0);
+        assert!(f_g <= f_d, "greedy {f_g} vs dmodk {f_d}");
     }
 
     #[test]
     fn blocking_report_zero_for_nonblocking_adaptive() {
         let ft = Ftree::new(2, 16, 4).unwrap();
         let router = NonblockingAdaptive::new(&ft).unwrap();
-        let rep = blocking_report(&router, 40, 9);
-        assert_eq!(rep.blocked, 0);
-        assert!((rep.mean_max_load - 1.0).abs() < 1e-9);
+        assert_eq!(blocking_report(&router, 40, 9), 0.0);
     }
 
     #[test]
@@ -329,31 +232,7 @@ mod tests {
         let router = DModK::new(&ft);
         let a = blocking_report(&router, 50, 11);
         let b = blocking_report(&router, 50, 11);
-        assert_eq!(a.blocked, b.blocked);
-    }
-
-    #[test]
-    fn exact_blocking_counts() {
-        // ftree(2+1, 3): one top switch, 6 leaves. Yuan routing cannot
-        // apply (m < n²); d-mod-k funnels all cross traffic through the
-        // single top. Count the exactly-blocked permutations.
-        let ft = Ftree::new(2, 1, 3).unwrap();
-        let dmodk = DModK::new(&ft);
-        let (blocked, total) = exact_blocking_fraction(&dmodk, 8).unwrap();
-        assert_eq!(total, 720);
-        assert!(blocked > 400, "single-top fabric blocks most permutations");
-        assert!(blocked < total, "identity-like permutations never block");
-
-        // The Theorem 3 fabric at the same size: exactly zero.
-        let nb = Ftree::new(2, 4, 3).unwrap();
-        let yuan = YuanDeterministic::new(&nb).unwrap();
-        let (blocked, total) = exact_blocking_fraction(&yuan, 8).unwrap();
-        assert_eq!((blocked, total), (0, 720));
-
-        // Guard for large fabrics.
-        let big = Ftree::new(3, 9, 7).unwrap();
-        let yuan_big = YuanDeterministic::new(&big).unwrap();
-        assert_eq!(exact_blocking_fraction(&yuan_big, 8), None);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -375,7 +254,6 @@ mod tests {
     fn empty_sample_report() {
         let ft = Ftree::new(2, 2, 4).unwrap();
         let router = DModK::new(&ft);
-        let rep = blocking_report(&router, 0, 1);
-        assert_eq!(rep.blocking_fraction(), 0.0);
+        assert_eq!(blocking_report(&router, 0, 1), 0.0);
     }
 }

@@ -180,7 +180,7 @@ pub fn updown_discipline<R: SinglePathRouter + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftclos_routing::{route_all, DModK, ObliviousMultipath, SpreadPolicy, YuanDeterministic};
+    use ftclos_routing::{route_all, DModK, ObliviousMultipath, YuanDeterministic};
     use ftclos_topo::Ftree;
     use ftclos_traffic::Permutation;
 
@@ -228,7 +228,7 @@ mod tests {
         // Two cross-switch pairs from one switch: candidate sets share every
         // uplink of the source switch -> violation regardless of m.
         let ft = Ftree::new(2, 100, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let r = ObliviousMultipath::new(&ft);
         let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(1, 6)]).unwrap();
         let a = r.spread_pattern(&perm).unwrap();
         let v = multipath_violation(&a).expect("must find witness");
@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn no_violation_for_disjoint_pairs() {
         let ft = Ftree::new(2, 2, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let r = ObliviousMultipath::new(&ft);
         // Same destination switch but same destination is impossible in a
         // permutation; pick fully disjoint switches with distinct tops...
         // With spreading over all tops, cross-switch pairs from different

@@ -251,7 +251,7 @@ impl Schedule for ActiveSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftclos_routing::{DModK, ObliviousMultipath, SpreadPolicy, YuanDeterministic};
+    use ftclos_routing::{DModK, ObliviousMultipath, YuanDeterministic};
     use ftclos_sim::{
         ChurnConfig, ChurnSchedule, FaultSchedule, Policy, ReplanMode, SimConfig, SimStats,
         Simulator, Workload,
@@ -357,7 +357,7 @@ mod tests {
         // Random multipath spreading consumes RNG on every pick; faults
         // plus TTL retries exercise the timeout sweep ordering.
         let ft = Ftree::new(2, 4, 5).unwrap();
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let policy = Policy::from_multipath(&mp, true);
         let perm = patterns::shift(10, 2);
         let config = SimConfig {
@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn matches_cycle_engine_under_churn_modes() {
         let ft = Ftree::new(2, 4, 5).unwrap();
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let perm = patterns::shift(10, 2);
         let config = SimConfig {
             warmup_cycles: 200,

@@ -165,7 +165,7 @@ pub fn check_multipath_pattern(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftclos_routing::{DModK, SpreadPolicy, YuanDeterministic};
+    use ftclos_routing::{DModK, YuanDeterministic};
     use ftclos_topo::Ftree;
     use ftclos_traffic::patterns;
 
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn multipath_agreement_is_expected_load_not_lemma1() {
         let ft = Ftree::new(2, 2, 5).unwrap();
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let nc = ft.topology().num_channels();
         // Multipath spreading on m = n keeps expected load at 1 for full
         // shifts, so the fluid model delivers them — even though the

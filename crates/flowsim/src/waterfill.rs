@@ -293,9 +293,7 @@ fn unit_caps(num_channels: usize) -> ChannelCapacities {
 mod tests {
     use super::*;
     use crate::flows::FlowSet;
-    use ftclos_routing::{
-        DModK, LinkLoadView, ObliviousMultipath, SpreadPolicy, YuanDeterministic,
-    };
+    use ftclos_routing::{DModK, LinkLoadView, ObliviousMultipath, YuanDeterministic};
     use ftclos_topo::Ftree;
     use ftclos_traffic::{patterns, Permutation, SdPair};
 
@@ -379,7 +377,7 @@ mod tests {
         // each uplink at 1/2 + 1/2 = 1 and delivers full rate.
         let dmodk_alloc = solve(&DModK::new(&ft), &ft, &perm);
         assert!((dmodk_alloc.worst_rate() - 0.5).abs() < 1e-9);
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let mp_alloc = solve(&mp, &ft, &perm);
         assert!(mp_alloc.all_unit_rate(), "fluid spreading decontends m=n");
     }

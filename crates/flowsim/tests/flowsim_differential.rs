@@ -14,7 +14,7 @@
 //!   deliberately weaker than Lemma 1's adversarial-timing guarantee.
 
 use ftclos_flowsim::{check_fabric, check_multipath_pattern, check_pattern};
-use ftclos_routing::{DModK, ObliviousMultipath, SModK, SpreadPolicy, YuanDeterministic};
+use ftclos_routing::{DModK, ObliviousMultipath, SModK, YuanDeterministic};
 use ftclos_topo::Ftree;
 use ftclos_traffic::{patterns, Permutation};
 use proptest::prelude::*;
@@ -127,7 +127,7 @@ proptest! {
         let ft = Ftree::new(n, m, r).unwrap();
         let ports = ft.num_leaves() as u32;
         let perm = random_perm(ports, seed, density);
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
+        let mp = ObliviousMultipath::new(&ft);
         let a = check_multipath_pattern(&mp, &perm, ft.topology().num_channels()).unwrap();
         prop_assert!(
             a.agree(),
@@ -153,7 +153,7 @@ fn multipath_fluid_diverges_from_lemma1() {
     let verdict = nonblocking_verdict(&DModK::new(&ft));
     assert!(!verdict.nonblocking);
     // ...but fluid multipath delivers every full shift at unit rate.
-    let mp = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
+    let mp = ObliviousMultipath::new(&ft);
     for k in 0..10 {
         let a = check_multipath_pattern(&mp, &patterns::shift(10, k), ft.topology().num_channels())
             .unwrap();

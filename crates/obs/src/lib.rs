@@ -16,15 +16,14 @@
 //!   implements it with empty inlined bodies; [`Registry`] implements it
 //!   for real.
 //! * [`Registry`] — the concrete sink: named atomic [`Counter`]s,
-//!   [`Gauge`]s and [`Histogram`]s (registered once, bumped lock-free), a
+//!   [`Gauge`]s and histograms (registered once, bumped lock-free), a
 //!   mutex-guarded span tree for coarse phase timers, and an epoch log
 //!   capturing cumulative counter/gauge values at caller-chosen boundaries
 //!   (the simulator marks one epoch per churn transition).
 //! * [`Snapshot`] — a frozen, deterministic view of a registry:
 //!   [`Snapshot::to_json`] emits the trace JSON `ftclos --trace` writes
-//!   (stable field order — everything is sorted by name), and
-//!   [`Snapshot::to_folded`] emits flamegraph-ready folded stacks
-//!   (`root;child self_ns`).
+//!   (stable field order — everything is sorted by name); `ftclos stats
+//!   --folded` re-emits a trace as flamegraph-ready folded stacks.
 //!
 //! ## Reading traces back
 //!
@@ -54,5 +53,5 @@ pub mod registry;
 
 pub use recorder::{Noop, Recorder, SpanGuard};
 pub use registry::{
-    Counter, EpochSnapshot, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, SpanSnapshot,
+    Counter, EpochSnapshot, Gauge, HistogramSnapshot, Registry, Snapshot, SpanSnapshot,
 };

@@ -30,13 +30,13 @@ pub struct Counter(Arc<AtomicU64>);
 impl Counter {
     /// Add `delta`.
     #[inline]
-    pub fn add(&self, delta: u64) {
+    pub(crate) fn add(&self, delta: u64) {
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current value.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -48,13 +48,13 @@ pub struct Gauge(Arc<AtomicU64>);
 impl Gauge {
     /// Set the gauge.
     #[inline]
-    pub fn set(&self, value: u64) {
+    pub(crate) fn set(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
     }
 
     /// Current value.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -70,7 +70,7 @@ struct HistInner {
 
 /// A named log-bucketed histogram of `u64` samples.
 #[derive(Clone, Debug)]
-pub struct Histogram(Arc<HistInner>);
+pub(crate) struct Histogram(Arc<HistInner>);
 
 impl Histogram {
     fn new() -> Self {
@@ -85,7 +85,7 @@ impl Histogram {
 
     /// Bucket index of a sample: 0 for 0, else `1 + floor(log2(v))`.
     #[inline]
-    pub fn bucket_of(value: u64) -> usize {
+    pub(crate) fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -95,7 +95,7 @@ impl Histogram {
 
     /// Record one sample.
     #[inline]
-    pub fn observe(&self, value: u64) {
+    pub(crate) fn observe(&self, value: u64) {
         let h = &*self.0;
         h.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         h.count.fetch_add(1, Ordering::Relaxed);
@@ -278,7 +278,7 @@ impl Registry {
 
     /// Resolve (registering on first use) the named counter handle. Hot
     /// loops should resolve once and call [`Counter::add`] directly.
-    pub fn counter(&self, name: &'static str) -> Counter {
+    pub(crate) fn counter(&self, name: &'static str) -> Counter {
         self.metrics
             .lock()
             .expect("obs registry poisoned")
@@ -289,7 +289,7 @@ impl Registry {
     }
 
     /// Resolve (registering on first use) the named gauge handle.
-    pub fn gauge_handle(&self, name: &'static str) -> Gauge {
+    pub(crate) fn gauge_handle(&self, name: &'static str) -> Gauge {
         self.metrics
             .lock()
             .expect("obs registry poisoned")
@@ -300,7 +300,7 @@ impl Registry {
     }
 
     /// Resolve (registering on first use) the named histogram handle.
-    pub fn histogram(&self, name: &'static str) -> Histogram {
+    pub(crate) fn histogram(&self, name: &'static str) -> Histogram {
         self.metrics
             .lock()
             .expect("obs registry poisoned")
@@ -489,17 +489,6 @@ impl Snapshot {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// Fraction of a root span's inclusive time covered by its children
-    /// (1.0 for a leaf-free root with perfectly nested children). This is
-    /// the "spans cover >= X% of wall time" metric E21 reports.
-    pub fn child_coverage(&self, root_path: &str) -> Option<f64> {
-        let root = self.spans.iter().find(|s| s.path == root_path)?;
-        if root.total_ns == 0 {
-            return Some(1.0);
-        }
-        Some((root.total_ns - root.self_ns) as f64 / root.total_ns as f64)
-    }
-
     /// The trace JSON `ftclos --trace` writes: stable field order, sorted
     /// metric names, spans in tree preorder. `command` and `args` land in
     /// the `meta` object.
@@ -580,19 +569,6 @@ impl Snapshot {
         out.push_str("}\n");
         out
     }
-
-    /// Folded-stack lines (`root;child self_ns`), flamegraph-ready: feed to
-    /// `inferno-flamegraph` / `flamegraph.pl` directly. Zero-self spans are
-    /// skipped (pure containers).
-    pub fn to_folded(&self) -> String {
-        let mut out = String::new();
-        for s in &self.spans {
-            if s.self_ns > 0 {
-                out.push_str(&format!("{} {}\n", s.path, s.self_ns));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -650,8 +626,6 @@ mod tests {
             snap.spans[0].self_ns,
             snap.spans[0].total_ns - snap.spans[1].total_ns
         );
-        let cov = snap.child_coverage("outer").unwrap();
-        assert!((0.0..=1.0).contains(&cov));
     }
 
     #[test]
@@ -696,31 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn folded_output_shape() {
-        let reg = Registry::new();
-        {
-            let _a = reg.span("a");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            let _b = reg.span("b");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let folded = reg.snapshot().to_folded();
-        let lines: Vec<&str> = folded.lines().collect();
-        assert!(lines.iter().any(|l| l.starts_with("a ")));
-        assert!(lines.iter().any(|l| l.starts_with("a;b ")));
-        for l in &lines {
-            let (_, ns) = l.rsplit_once(' ').unwrap();
-            assert!(ns.parse::<u64>().unwrap() > 0);
-        }
-    }
-
-    #[test]
     fn snapshot_counter_access_and_missing_names() {
         let reg = Registry::new();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("nope"), None);
         assert_eq!(snap.gauge("nope"), None);
-        assert!(snap.child_coverage("nope").is_none());
         assert!(snap.epochs.is_empty());
     }
 }

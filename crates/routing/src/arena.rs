@@ -15,17 +15,15 @@
 //!
 //! [`ChannelId`]s are dense `u32`s in every `ftclos-topo` topology, so both
 //! tables live in flat vectors with zero hashing. The arena itself
-//! implements [`SinglePathRouter`] (returning clones of the cached paths)
-//! and [`LinkLoadView`] via [`ArenaLoadView`] (returning borrowed slices),
-//! so downstream consumers — the Lemma 1 engine, the fluid flow expander,
-//! the two-pair sweep — index instead of re-routing.
+//! implements [`SinglePathRouter`] (returning clones of the cached paths),
+//! so downstream consumers — the contention engine, the per-channel scans —
+//! index instead of re-routing.
 
 use crate::error::RoutingError;
-use crate::loadview::{FlowLinks, LinkLoadView};
 use crate::router::SinglePathRouter;
 use ftclos_obs::{Noop, Recorder};
 use ftclos_topo::ChannelId;
-use ftclos_traffic::{Permutation, SdPair};
+use ftclos_traffic::SdPair;
 
 /// All SD paths of a single-path router, in CSR form, plus the transposed
 /// channel → pair incidence table.
@@ -171,12 +169,6 @@ impl PathArena {
         Ok(arena)
     }
 
-    /// Leaf universe size.
-    #[inline]
-    pub fn ports(&self) -> u32 {
-        self.ports
-    }
-
     /// One past the largest channel id any cached path crosses.
     #[inline]
     pub fn num_channels(&self) -> usize {
@@ -198,13 +190,13 @@ impl PathArena {
 
     /// Dense row index of `pair` (valid for in-range ports).
     #[inline]
-    pub fn pair_index(&self, pair: SdPair) -> usize {
+    pub(crate) fn pair_index(&self, pair: SdPair) -> usize {
         pair.src as usize * self.ports as usize + pair.dst as usize
     }
 
     /// The SD pair of dense row `index`.
     #[inline]
-    pub fn pair_of(&self, index: u32) -> SdPair {
+    pub(crate) fn pair_of(&self, index: u32) -> SdPair {
         let p = self.ports;
         SdPair::new(index / p, index % p)
     }
@@ -251,12 +243,6 @@ impl PathArena {
             + self.chan_start.len() * size_of::<u32>()
             + self.chan_pairs.len() * size_of::<u32>()
     }
-
-    /// A [`LinkLoadView`] over the arena that expands patterns by slicing
-    /// cached paths (no re-routing, no intermediate assignment).
-    pub fn load_view(&self) -> ArenaLoadView<'_> {
-        ArenaLoadView { arena: self }
-    }
 }
 
 /// The arena is itself a single-path router: `route_into` copies the cached
@@ -274,37 +260,6 @@ impl SinglePathRouter for PathArena {
 
     fn name(&self) -> &'static str {
         self.name
-    }
-}
-
-/// Borrowed [`LinkLoadView`] over a [`PathArena`]: the fluid simulator's
-/// flow expansion reads cached slices instead of re-routing the pattern.
-#[derive(Clone, Copy, Debug)]
-pub struct ArenaLoadView<'a> {
-    arena: &'a PathArena,
-}
-
-impl LinkLoadView for ArenaLoadView<'_> {
-    fn ports(&self) -> u32 {
-        self.arena.ports()
-    }
-
-    fn flow_links(&self, perm: &Permutation) -> Result<Vec<FlowLinks>, RoutingError> {
-        let ports = self.arena.ports();
-        let mut out = Vec::with_capacity(perm.len());
-        for &pair in perm.pairs() {
-            for port in [pair.src, pair.dst] {
-                if port >= ports {
-                    return Err(RoutingError::PortOutOfRange { port, ports });
-                }
-            }
-            out.push(FlowLinks::single_path(pair, self.arena.path(pair)));
-        }
-        Ok(out)
-    }
-
-    fn name(&self) -> &'static str {
-        self.arena.name
     }
 }
 
@@ -371,31 +326,6 @@ mod tests {
             let pairs = arena.pairs_on(ChannelId(c as u32));
             assert!(pairs.windows(2).all(|w| w[0] < w[1]), "c{c} sorted");
         }
-    }
-
-    #[test]
-    fn load_view_matches_blanket_expansion() {
-        let ft = Ftree::new(2, 4, 5).unwrap();
-        let yuan = YuanDeterministic::new(&ft).unwrap();
-        let arena = PathArena::build(&yuan).unwrap();
-        let perm = patterns::shift(10, 3);
-        let via_arena = arena.load_view().flow_links(&perm).unwrap();
-        let via_router = LinkLoadView::flow_links(&yuan, &perm).unwrap();
-        assert_eq!(via_arena, via_router);
-        assert_eq!(arena.load_view().ports(), 10);
-        assert_eq!(LinkLoadView::name(&arena.load_view()), "yuan-deterministic");
-    }
-
-    #[test]
-    fn load_view_checks_port_range() {
-        let ft = Ftree::new(2, 2, 3).unwrap();
-        let dmodk = DModK::new(&ft);
-        let arena = PathArena::build(&dmodk).unwrap();
-        let perm = patterns::shift(12, 1); // 12 > 6 ports
-        assert!(matches!(
-            arena.load_view().flow_links(&perm),
-            Err(RoutingError::PortOutOfRange { .. })
-        ));
     }
 
     #[test]

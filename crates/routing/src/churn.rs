@@ -1,33 +1,14 @@
-//! Routing under churn: hysteresis link admission and epoch-based
-//! re-planning.
+//! Routing under churn: hysteresis link admission.
 //!
-//! When links fail *and recover* — sometimes flapping — a routing plan has
-//! two failure modes beyond the static-fault story:
-//!
-//! 1. **Thrash**: re-planning on every liveness transition readmits a
-//!    flapping link the instant it reports up, routes fresh traffic onto
-//!    it, and strands that traffic when the link dies again a few cycles
-//!    later. [`LinkAdmission`] damps this with hysteresis — a link that
-//!    went down is only readmitted after `K` consecutive stable cycles.
-//! 2. **Staleness**: routing from a plan computed before the last
-//!    transition silently sends packets over hardware that has since died.
-//!    [`EpochPlanner`] stamps every plan with the admission epoch it was
-//!    computed in and surfaces [`RoutingError::StaleEpoch`] when a route is
-//!    requested from an outdated plan.
-//!
-//! Both the fault-aware deterministic router ([`crate::FaultAware`]) and
-//! the masked NONBLOCKINGADAPTIVE ([`crate::NonblockingAdaptive`]) plug
-//! into the planner; the packet simulator drives [`LinkAdmission`] directly
-//! for its per-cycle path-policy masking.
+//! When links fail *and recover* — sometimes flapping — re-planning on
+//! every liveness transition readmits a flapping link the instant it
+//! reports up, routes fresh traffic onto it, and strands that traffic when
+//! the link dies again a few cycles later. [`LinkAdmission`] damps this
+//! with hysteresis: a link that went down is only readmitted after `K`
+//! consecutive stable cycles. The packet simulator drives it directly for
+//! its per-cycle path-policy masking.
 
-use crate::adaptive::NonblockingAdaptive;
-use crate::assignment::RouteAssignment;
-use crate::error::RoutingError;
-use crate::path::Path;
-use crate::router::SinglePathRouter;
-use crate::FaultAware;
-use ftclos_topo::{ChannelId, FaultSet, FaultyView, Ftree, Transition};
-use ftclos_traffic::{Permutation, SdPair};
+use ftclos_topo::{ChannelId, Transition};
 
 /// Hysteresis-damped channel admission: which channels a routing plan may
 /// use, given the liveness transitions observed so far.
@@ -41,7 +22,7 @@ use ftclos_traffic::{Permutation, SdPair};
 ///
 /// Feed observations with [`LinkAdmission::observe`], then call
 /// [`LinkAdmission::tick`] once per cycle; `tick` reports whether the
-/// admitted set changed and bumps the epoch counter when it did.
+/// admitted set changed.
 #[derive(Clone, Debug)]
 pub struct LinkAdmission {
     k: u64,
@@ -51,7 +32,6 @@ pub struct LinkAdmission {
     pending_since: Vec<u64>,
     num_pending: usize,
     changed: bool,
-    epoch: u64,
 }
 
 impl LinkAdmission {
@@ -64,13 +44,7 @@ impl LinkAdmission {
             pending_since: vec![u64::MAX; num_channels],
             num_pending: 0,
             changed: false,
-            epoch: 0,
         }
-    }
-
-    /// The hysteresis constant `K`.
-    pub fn k(&self) -> u64 {
-        self.k
     }
 
     /// Record one liveness transition observed at `cycle`. Out-of-range
@@ -102,7 +76,7 @@ impl LinkAdmission {
 
     /// Advance to `cycle`: readmit channels whose stability clock has run
     /// `k` cycles. Returns whether the admitted set changed since the last
-    /// tick (from exclusions or readmissions) and bumps the epoch when so.
+    /// tick (from exclusions or readmissions).
     pub fn tick(&mut self, cycle: u64) -> bool {
         if self.num_pending > 0 {
             for i in 0..self.pending_since.len() {
@@ -115,175 +89,22 @@ impl LinkAdmission {
                 }
             }
         }
-        let changed = self.changed;
-        if changed {
-            self.epoch += 1;
-            self.changed = false;
-        }
-        changed
-    }
-
-    /// Whether the channel is currently admitted for routing.
-    pub fn is_admitted(&self, ch: ChannelId) -> bool {
-        self.admitted.get(ch.index()).copied().unwrap_or(false)
+        std::mem::take(&mut self.changed)
     }
 
     /// Admission bitmap indexed by channel id (`true` = usable).
     pub fn mask(&self) -> &[bool] {
         &self.admitted
     }
-
-    /// Epoch counter: bumped by every tick that changed the admitted set.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Channels currently excluded from routing.
-    pub fn num_excluded(&self) -> usize {
-        self.admitted.iter().filter(|&&a| !a).count()
-    }
-
-    /// The excluded channels as a [`FaultSet`], for the masked analyzers.
-    pub fn to_fault_set(&self) -> FaultSet {
-        let mut set = FaultSet::new();
-        for (i, &admitted) in self.admitted.iter().enumerate() {
-            if !admitted {
-                set.fail_channel(ChannelId(i as u32));
-            }
-        }
-        set
-    }
-}
-
-/// A routing plan stamped with the admission epoch it was computed in.
-#[derive(Clone, Debug)]
-pub struct EpochPlan {
-    epoch: u64,
-    assignment: RouteAssignment,
-}
-
-impl EpochPlan {
-    /// The epoch the plan was computed in.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The underlying route assignment.
-    pub fn assignment(&self) -> &RouteAssignment {
-        &self.assignment
-    }
-}
-
-/// Epoch-based re-planning over a fat-tree: owns the [`LinkAdmission`]
-/// state, plans through the masked NONBLOCKINGADAPTIVE or a fault-aware
-/// deterministic router, and rejects routes from stale plans.
-#[derive(Clone, Debug)]
-pub struct EpochPlanner<'a> {
-    ft: &'a Ftree,
-    adaptive: NonblockingAdaptive<'a>,
-    admission: LinkAdmission,
-}
-
-impl<'a> EpochPlanner<'a> {
-    /// Planner over `ft` with hysteresis constant `k`.
-    ///
-    /// # Errors
-    /// Propagates [`NonblockingAdaptive::new`] precondition failures.
-    pub fn new(ft: &'a Ftree, k: u64) -> Result<Self, RoutingError> {
-        Ok(Self {
-            ft,
-            adaptive: NonblockingAdaptive::new(ft)?,
-            admission: LinkAdmission::new(ft.topology().num_channels(), k),
-        })
-    }
-
-    /// The admission state (mask, epoch, exclusion counts).
-    pub fn admission(&self) -> &LinkAdmission {
-        &self.admission
-    }
-
-    /// Current plan epoch: plans older than this are stale.
-    pub fn epoch(&self) -> u64 {
-        self.admission.epoch()
-    }
-
-    /// Record one liveness transition observed at `cycle`.
-    pub fn observe(&mut self, cycle: u64, ch: ChannelId, transition: Transition) {
-        self.admission.observe(cycle, ch, transition);
-    }
-
-    /// Advance to `cycle`; returns whether the epoch advanced (i.e. every
-    /// outstanding [`EpochPlan`] just went stale and needs re-planning).
-    pub fn tick(&mut self, cycle: u64) -> bool {
-        self.admission.tick(cycle)
-    }
-
-    /// Plan `perm` through the masked NONBLOCKINGADAPTIVE over the
-    /// currently admitted channels.
-    ///
-    /// # Errors
-    /// As for [`NonblockingAdaptive::route_pattern_masked`].
-    pub fn plan_adaptive(&self, perm: &Permutation) -> Result<EpochPlan, RoutingError> {
-        let faults = self.admission.to_fault_set();
-        let view = FaultyView::new(self.ft.topology(), &faults);
-        let assignment = self.adaptive.route_pattern_masked(perm, &view)?;
-        Ok(EpochPlan {
-            epoch: self.admission.epoch(),
-            assignment,
-        })
-    }
-
-    /// Plan `perm` through a fault-aware single-path deterministic router
-    /// over the currently admitted channels.
-    ///
-    /// # Errors
-    /// As for [`FaultAware::route_pattern_checked`] — in particular
-    /// [`RoutingError::PathFaulted`] when a pair's pinned path crosses an
-    /// unadmitted channel.
-    pub fn plan_deterministic<R: SinglePathRouter + Clone>(
-        &self,
-        router: &R,
-        perm: &Permutation,
-    ) -> Result<EpochPlan, RoutingError> {
-        let faults = self.admission.to_fault_set();
-        let view = FaultyView::new(self.ft.topology(), &faults);
-        let assignment = FaultAware::new(router.clone(), &view).route_pattern_checked(perm)?;
-        Ok(EpochPlan {
-            epoch: self.admission.epoch(),
-            assignment,
-        })
-    }
-
-    /// Route `pair` from `plan`, first checking the plan is current.
-    ///
-    /// # Errors
-    /// * [`RoutingError::StaleEpoch`] when the fabric's admitted set
-    ///   changed after the plan was computed,
-    /// * [`RoutingError::NoLivePath`] when the (current) plan does not
-    ///   cover the pair.
-    pub fn route(&self, plan: &EpochPlan, pair: SdPair) -> Result<Path, RoutingError> {
-        let current = self.admission.epoch();
-        if plan.epoch != current {
-            return Err(RoutingError::StaleEpoch {
-                plan_epoch: plan.epoch,
-                current_epoch: current,
-            });
-        }
-        plan.assignment
-            .path_of(pair)
-            .cloned()
-            .ok_or(RoutingError::NoLivePath {
-                src: pair.src,
-                dst: pair.dst,
-            })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::yuan::YuanDeterministic;
-    use ftclos_traffic::patterns;
+
+    fn admitted(adm: &LinkAdmission, ch: ChannelId) -> bool {
+        adm.mask()[ch.index()]
+    }
 
     #[test]
     fn down_excludes_immediately_up_waits_k_cycles() {
@@ -291,17 +112,14 @@ mod tests {
         let ch = ChannelId(3);
         adm.observe(5, ch, Transition::Down);
         assert!(adm.tick(5), "exclusion changes the set");
-        assert!(!adm.is_admitted(ch));
-        assert_eq!(adm.epoch(), 1);
+        assert!(!admitted(&adm, ch));
         adm.observe(7, ch, Transition::Up);
         for cycle in 7..17 {
             assert!(!adm.tick(cycle), "cycle {cycle}: still inside hysteresis");
-            assert!(!adm.is_admitted(ch));
+            assert!(!admitted(&adm, ch));
         }
         assert!(adm.tick(17), "10 stable cycles elapsed");
-        assert!(adm.is_admitted(ch));
-        assert_eq!(adm.epoch(), 2);
-        assert_eq!(adm.num_excluded(), 0);
+        assert!(adm.mask().iter().all(|&a| a));
     }
 
     #[test]
@@ -320,7 +138,7 @@ mod tests {
             assert!(!adm.tick(cycle));
         }
         assert!(adm.tick(19), "clock restarted at the second up");
-        assert!(adm.is_admitted(ch));
+        assert!(admitted(&adm, ch));
     }
 
     #[test]
@@ -331,93 +149,18 @@ mod tests {
         assert!(adm.tick(3));
         adm.observe(4, ch, Transition::Up);
         assert!(adm.tick(4), "k = 0: no damping");
-        assert!(adm.is_admitted(ch));
+        assert!(admitted(&adm, ch));
     }
 
     #[test]
-    fn fault_set_mirrors_exclusions() {
+    fn mask_mirrors_exclusions() {
         let mut adm = LinkAdmission::new(6, 5);
         adm.observe(0, ChannelId(2), Transition::Down);
         adm.observe(0, ChannelId(4), Transition::Down);
         adm.tick(0);
-        let set = adm.to_fault_set();
-        assert_eq!(set.num_failed_channels(), 2);
-        assert!(set.failed_channels().any(|c| c == ChannelId(2)));
-        assert_eq!(adm.mask().iter().filter(|&&a| !a).count(), 2);
+        assert_eq!(adm.mask(), [true, true, false, true, false, true]);
         // Out-of-range observations are ignored.
         adm.observe(1, ChannelId(99), Transition::Down);
         assert!(!adm.tick(1));
-    }
-
-    #[test]
-    fn stale_plan_is_rejected_and_replan_recovers() {
-        let ft = Ftree::new(2, 4, 5).unwrap();
-        let mut planner = EpochPlanner::new(&ft, 3).unwrap();
-        let perm = patterns::shift(10, 2);
-        let plan = planner.plan_adaptive(&perm).unwrap();
-        let pair = perm.pairs()[0];
-        assert!(planner.route(&plan, pair).is_ok());
-        // A transition advances the epoch: the old plan goes stale.
-        planner.observe(100, ft.up_channel(0, 0), Transition::Down);
-        assert!(planner.tick(100));
-        let err = planner.route(&plan, pair).unwrap_err();
-        assert_eq!(
-            err,
-            RoutingError::StaleEpoch {
-                plan_epoch: 0,
-                current_epoch: 1
-            }
-        );
-        // Re-planning under the new epoch routes around the dead uplink.
-        let fresh = planner.plan_adaptive(&perm).unwrap();
-        let path = planner.route(&fresh, pair).unwrap();
-        assert!(!path.channels().contains(&ft.up_channel(0, 0)));
-        // Pairs outside the plan surface NoLivePath.
-        let off_plan = SdPair::new(0, 5);
-        if !perm.pairs().contains(&off_plan) {
-            assert!(matches!(
-                planner.route(&fresh, off_plan),
-                Err(RoutingError::NoLivePath { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn deterministic_plan_fails_on_unadmitted_pinned_path() {
-        let ft = Ftree::new(2, 4, 5).unwrap();
-        let yuan = YuanDeterministic::new(&ft).unwrap();
-        let mut planner = EpochPlanner::new(&ft, 2).unwrap();
-        let perm = patterns::shift(10, 2);
-        assert!(planner.plan_deterministic(&yuan, &perm).is_ok());
-        // Kill top (0,0): the i=0 -> j=0 pinned pairs become unplannable.
-        for v in 0..ft.r() {
-            planner.observe(50, ft.up_channel(v, 0), Transition::Down);
-            planner.observe(50, ft.down_channel(0, v), Transition::Down);
-        }
-        planner.tick(50);
-        let err = planner.plan_deterministic(&yuan, &perm).unwrap_err();
-        assert!(matches!(err, RoutingError::PathFaulted { .. }), "{err:?}");
-        // The adaptive planner still covers the same pattern.
-        assert!(planner.plan_adaptive(&perm).is_ok());
-    }
-
-    #[test]
-    fn readmission_restores_the_deterministic_plan() {
-        let ft = Ftree::new(2, 4, 5).unwrap();
-        let yuan = YuanDeterministic::new(&ft).unwrap();
-        let mut planner = EpochPlanner::new(&ft, 4).unwrap();
-        let perm = patterns::shift(10, 2);
-        planner.observe(10, ft.up_channel(0, 0), Transition::Down);
-        planner.tick(10);
-        assert!(planner.plan_deterministic(&yuan, &perm).is_err());
-        planner.observe(20, ft.up_channel(0, 0), Transition::Up);
-        planner.tick(20);
-        assert!(
-            planner.plan_deterministic(&yuan, &perm).is_err(),
-            "still excluded during hysteresis"
-        );
-        planner.tick(24);
-        assert_eq!(planner.admission().num_excluded(), 0);
-        assert!(planner.plan_deterministic(&yuan, &perm).is_ok());
     }
 }

@@ -24,14 +24,13 @@
 //!
 //! Unlike every per-pair scheme in this crate, the choice for one pair
 //! depends on the whole pattern, so the family sits behind a *plan step*:
-//! [`GlobalRouter::plan`] produces a [`CongestionPlan`], which lowers to
-//! the existing traits for everything downstream —
-//! [`CongestionPlan::assignment`] for the contention analyzers,
-//! [`CongestionPlan::load_view`] for the fluid flow simulator, and
-//! [`CongestionPlan::lower`] for a [`SinglePathRouter`] the
-//! [`crate::PathArena`] / contention engine can freeze. [`MinCongestion`]
-//! also implements [`PatternRouter`] directly (plan-then-materialize), so
-//! the blanket [`crate::LinkLoadView`] impl applies unchanged.
+//! [`MinCongestion::plan`] produces a [`CongestionPlan`], which lowers to
+//! the existing shapes for everything downstream —
+//! [`CongestionPlan::assignment`] for the contention analyzers and
+//! [`CongestionPlan::load_view`] for the fluid flow simulator.
+//! [`MinCongestion`] also implements [`PatternRouter`] directly
+//! (plan-then-materialize), so the blanket [`crate::LinkLoadView`] impl
+//! applies unchanged.
 //!
 //! Everything is deterministic: placements depend only on the pattern
 //! order, candidate order, channel ids, and the configured seed — never on
@@ -41,9 +40,8 @@ use crate::assignment::RouteAssignment;
 use crate::error::RoutingError;
 use crate::loadview::{FlowLinks, LinkLoadView};
 use crate::multipath::ObliviousMultipath;
-use crate::multipath::SpreadPolicy;
 use crate::path::Path;
-use crate::router::{PatternRouter, SinglePathRouter};
+use crate::router::PatternRouter;
 use ftclos_obs::{Noop, Recorder};
 use ftclos_topo::{ChannelId, FaultyView, Ftree};
 use ftclos_traffic::{Permutation, SdPair};
@@ -82,7 +80,7 @@ impl<'a> FtreeCandidates<'a> {
     /// Candidates over the pristine fabric.
     pub fn pristine(ft: &'a Ftree) -> Self {
         Self {
-            mp: ObliviousMultipath::new(ft, SpreadPolicy::RoundRobin),
+            mp: ObliviousMultipath::new(ft),
             view: None,
         }
     }
@@ -90,7 +88,7 @@ impl<'a> FtreeCandidates<'a> {
     /// Candidates over the surviving hardware only.
     pub fn masked(ft: &'a Ftree, view: &'a FaultyView<'a>) -> Self {
         Self {
-            mp: ObliviousMultipath::new(ft, SpreadPolicy::RoundRobin),
+            mp: ObliviousMultipath::new(ft),
             view: Some(view),
         }
     }
@@ -207,21 +205,6 @@ impl Default for CongestionConfig {
     }
 }
 
-/// A global router: plans a whole pattern at once, then lowers.
-pub trait GlobalRouter {
-    /// Leaf universe size of the fabric.
-    fn ports(&self) -> u32;
-
-    /// Plan the pattern: one chosen candidate per pair.
-    ///
-    /// # Errors
-    /// Provider errors (out-of-range pairs, unroutable pairs).
-    fn plan(&self, perm: &Permutation) -> Result<CongestionPlan, RoutingError>;
-
-    /// Scheme name for reports.
-    fn name(&self) -> &'static str;
-}
-
 /// The min-congestion router family over any [`PathCandidates`] provider.
 #[derive(Clone, Debug)]
 pub struct MinCongestion<C> {
@@ -230,19 +213,9 @@ pub struct MinCongestion<C> {
 }
 
 impl<C: PathCandidates> MinCongestion<C> {
-    /// Repaired-mode router with default config.
-    pub fn new(provider: C) -> Self {
-        Self::with_config(provider, CongestionConfig::default())
-    }
-
     /// Router with explicit config.
     pub fn with_config(provider: C, config: CongestionConfig) -> Self {
         Self { provider, config }
-    }
-
-    /// The active config.
-    pub fn config(&self) -> CongestionConfig {
-        self.config
     }
 
     /// Plan `perm` (no warm starts, no instrumentation).
@@ -251,22 +224,6 @@ impl<C: PathCandidates> MinCongestion<C> {
     /// Provider errors for any pair of the pattern.
     pub fn plan(&self, perm: &Permutation) -> Result<CongestionPlan, RoutingError> {
         self.plan_seeded_with(perm, &[], &Noop)
-    }
-
-    /// [`MinCongestion::plan`] with instrumentation: placement (greedy +
-    /// rounding + start selection) records under span `congestion.place`,
-    /// the local search under `congestion.repair`, with counters
-    /// `congestion.moves` / `congestion.rounds` and gauge
-    /// `congestion.max_load`.
-    ///
-    /// # Errors
-    /// As for [`MinCongestion::plan`].
-    pub fn plan_with<Rec: Recorder>(
-        &self,
-        perm: &Permutation,
-        rec: &Rec,
-    ) -> Result<CongestionPlan, RoutingError> {
-        self.plan_seeded_with(perm, &[], rec)
     }
 
     /// Plan with *warm starts*: each seed assignment that routes exactly
@@ -287,8 +244,11 @@ impl<C: PathCandidates> MinCongestion<C> {
         self.plan_seeded_with(perm, seeds, &Noop)
     }
 
-    /// [`MinCongestion::plan_seeded`] with instrumentation (see
-    /// [`MinCongestion::plan_with`]).
+    /// [`MinCongestion::plan_seeded`] with instrumentation: placement
+    /// (greedy + rounding + start selection) records under span
+    /// `congestion.place`, the local search under `congestion.repair`, with
+    /// counters `congestion.moves` / `congestion.rounds` and gauge
+    /// `congestion.max_load`.
     ///
     /// # Errors
     /// As for [`MinCongestion::plan`].
@@ -366,7 +326,6 @@ impl<C: PathCandidates> MinCongestion<C> {
             ports: self.provider.ports(),
             pairs,
             max_load: state.tracker.max,
-            channels_at_max: state.tracker.count_at_max(),
             witness,
             choice: state.choice,
             candidates: cands,
@@ -374,20 +333,6 @@ impl<C: PathCandidates> MinCongestion<C> {
             rounds,
             repair_trace,
         })
-    }
-}
-
-impl<C: PathCandidates> GlobalRouter for MinCongestion<C> {
-    fn ports(&self) -> u32 {
-        self.provider.ports()
-    }
-
-    fn plan(&self, perm: &Permutation) -> Result<CongestionPlan, RoutingError> {
-        MinCongestion::plan(self, perm)
-    }
-
-    fn name(&self) -> &'static str {
-        self.config.mode.name()
     }
 }
 
@@ -417,7 +362,6 @@ pub struct CongestionPlan {
     candidates: Vec<Vec<Path>>,
     choice: Vec<usize>,
     max_load: u32,
-    channels_at_max: u32,
     witness: Option<ChannelId>,
     moves: u64,
     rounds: u64,
@@ -425,39 +369,14 @@ pub struct CongestionPlan {
 }
 
 impl CongestionPlan {
-    /// Scheme name (the family member that produced the plan).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Planned pairs, in pattern order.
-    pub fn pairs(&self) -> &[SdPair] {
-        &self.pairs
-    }
-
-    /// Number of planned pairs.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True when the plan covers no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
     /// The chosen path of planned pair `i`.
-    pub fn chosen(&self, i: usize) -> &Path {
+    pub(crate) fn chosen(&self, i: usize) -> &Path {
         &self.candidates[i][self.choice[i]]
     }
 
     /// Maximum link load of the placement (flows per channel).
     pub fn max_link_load(&self) -> u32 {
         self.max_load
-    }
-
-    /// Number of channels at the maximum load.
-    pub fn channels_at_max(&self) -> u32 {
-        self.channels_at_max
     }
 
     /// The deterministic witness: the lowest-id channel carrying the
@@ -499,23 +418,6 @@ impl CongestionPlan {
     pub fn load_view(&self) -> PlanLoadView<'_> {
         PlanLoadView { plan: self }
     }
-
-    /// Lower to a [`SinglePathRouter`]: planned pairs route along their
-    /// chosen path, everything else falls through to `base` — the shape
-    /// [`crate::PathArena`] and the contention engine freeze.
-    pub fn lower<B: SinglePathRouter>(&self, base: B) -> LoweredPlan<B> {
-        let routes = self
-            .pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &pair)| (pair, self.chosen(i).clone()))
-            .collect();
-        LoweredPlan {
-            name: self.name,
-            routes,
-            base,
-        }
-    }
 }
 
 /// [`LinkLoadView`] over a frozen plan: serves the chosen paths for
@@ -548,41 +450,6 @@ impl LinkLoadView for PlanLoadView<'_> {
 
     fn name(&self) -> &'static str {
         self.plan.name
-    }
-}
-
-/// A plan lowered onto the per-pair [`SinglePathRouter`] interface.
-#[derive(Clone, Debug)]
-pub struct LoweredPlan<B> {
-    name: &'static str,
-    routes: HashMap<SdPair, Path>,
-    base: B,
-}
-
-impl<B: SinglePathRouter> LoweredPlan<B> {
-    /// True when `pair` was planned (routes along the optimized path).
-    pub fn is_planned(&self, pair: SdPair) -> bool {
-        self.routes.contains_key(&pair)
-    }
-}
-
-impl<B: SinglePathRouter> SinglePathRouter for LoweredPlan<B> {
-    fn ports(&self) -> u32 {
-        self.base.ports()
-    }
-
-    fn route_into(&self, pair: SdPair, out: &mut Vec<ChannelId>) {
-        match self.routes.get(&pair) {
-            Some(path) => {
-                out.clear();
-                out.extend_from_slice(path.channels());
-            }
-            None => self.base.route_into(pair, out),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -867,7 +734,6 @@ fn repair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::PathArena;
     use crate::dmodk::DModK;
     use crate::router::route_all;
     use crate::xgft_routing::XgftRouter;
@@ -942,7 +808,8 @@ mod tests {
     #[test]
     fn warm_started_repair_never_loses_to_its_seeds() {
         let ft = Ftree::new(2, 2, 6).unwrap(); // m < n²: baselines collide
-        let router = MinCongestion::new(FtreeCandidates::pristine(&ft));
+        let router =
+            MinCongestion::with_config(FtreeCandidates::pristine(&ft), CongestionConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         for _ in 0..8 {
             let perm = patterns::random_full(12, &mut rng);
@@ -1012,7 +879,10 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_switch(ft.top(0));
         let view = FaultyView::new(ft.topology(), &faults);
-        let router = MinCongestion::new(FtreeCandidates::masked(&ft, &view));
+        let router = MinCongestion::with_config(
+            FtreeCandidates::masked(&ft, &view),
+            CongestionConfig::default(),
+        );
         let perm = patterns::shift(10, 2);
         let plan = router.plan(&perm).unwrap();
         for (_, path) in plan.assignment().routes() {
@@ -1024,26 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn lowered_plan_feeds_the_arena() {
-        let ft = Ftree::new(2, 3, 5).unwrap();
-        let perm = patterns::shift(10, 3);
-        let plan = plan_of(&ft, &perm, CongestionMode::Repaired);
-        let lowered = plan.lower(DModK::new(&ft));
-        assert!(lowered.is_planned(SdPair::new(0, 3)));
-        let arena = PathArena::build(&lowered).unwrap();
-        for (i, &pair) in plan.pairs().iter().enumerate() {
-            assert_eq!(arena.path(pair), plan.chosen(i).channels(), "{pair}");
-        }
-        // Unplanned pairs fall through to the base router.
-        let off_pattern = SdPair::new(0, 5);
-        assert!(!lowered.is_planned(off_pattern));
-        assert_eq!(
-            arena.path(off_pattern),
-            DModK::new(&ft).route(off_pattern).channels()
-        );
-    }
-
-    #[test]
     fn load_view_serves_the_plan_and_rejects_other_patterns() {
         let ft = Ftree::new(2, 4, 5).unwrap();
         let perm = patterns::shift(10, 3);
@@ -1051,7 +901,7 @@ mod tests {
         let flows = plan.load_view().flow_links(&perm).unwrap();
         assert_eq!(flows.len(), perm.len());
         for (i, f) in flows.iter().enumerate() {
-            assert_eq!(f.pair, plan.pairs()[i]);
+            assert_eq!(f.pair, perm.pairs()[i]);
             assert!(f.links.iter().all(|&(_, w)| w == 1.0));
         }
         assert!(matches!(
@@ -1064,13 +914,14 @@ mod tests {
     #[test]
     fn pattern_router_blanket_matches_plan() {
         let ft = Ftree::new(2, 4, 5).unwrap();
-        let router = MinCongestion::new(FtreeCandidates::pristine(&ft));
+        let router =
+            MinCongestion::with_config(FtreeCandidates::pristine(&ft), CongestionConfig::default());
         let perm = patterns::tornado(10);
         let via_pattern = router.route_pattern(&perm).unwrap();
         let via_plan = MinCongestion::plan(&router, &perm).unwrap().assignment();
         assert_eq!(via_pattern, via_plan);
         assert_eq!(PatternRouter::name(&router), "congestion-repaired");
-        assert_eq!(GlobalRouter::ports(&router), 10);
+        assert_eq!(PatternRouter::ports(&router), 10);
     }
 
     #[test]
@@ -1078,7 +929,7 @@ mod tests {
         let t = kary_ntree(2, 3).unwrap();
         let xr = XgftRouter::dmod(&t);
         let provider = FnCandidates::new(8, |pair| Ok(xr.all_paths(pair)));
-        let router = MinCongestion::new(provider);
+        let router = MinCongestion::with_config(provider, CongestionConfig::default());
         let perm = patterns::bit_reversal(8).unwrap();
         let plan = MinCongestion::plan(&router, &perm).unwrap();
         plan.assignment().validate(t.topology()).unwrap();
@@ -1096,12 +947,13 @@ mod tests {
     #[test]
     fn instrumented_plan_matches_plain_and_emits_metrics() {
         let ft = Ftree::new(2, 2, 6).unwrap();
-        let router = MinCongestion::new(FtreeCandidates::pristine(&ft));
+        let router =
+            MinCongestion::with_config(FtreeCandidates::pristine(&ft), CongestionConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let perm = patterns::random_full(12, &mut rng);
         let plain = router.plan(&perm).unwrap();
         let reg = ftclos_obs::Registry::new();
-        let recorded = router.plan_with(&perm, &reg).unwrap();
+        let recorded = router.plan_seeded_with(&perm, &[], &reg).unwrap();
         assert_eq!(plain.assignment(), recorded.assignment());
         let snap = reg.snapshot();
         assert_eq!(snap.counter("congestion.moves"), Some(recorded.moves()));
@@ -1135,7 +987,8 @@ mod tests {
     #[test]
     fn errors_propagate() {
         let ft = Ftree::new(2, 3, 5).unwrap();
-        let router = MinCongestion::new(FtreeCandidates::pristine(&ft));
+        let router =
+            MinCongestion::with_config(FtreeCandidates::pristine(&ft), CongestionConfig::default());
         let perm = Permutation::from_pairs(11, [SdPair::new(0, 10)]).unwrap();
         assert!(matches!(
             MinCongestion::plan(&router, &perm),
@@ -1144,7 +997,10 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_channel(ft.leaf_up_channel(0, 0));
         let view = FaultyView::new(ft.topology(), &faults);
-        let masked = MinCongestion::new(FtreeCandidates::masked(&ft, &view));
+        let masked = MinCongestion::with_config(
+            FtreeCandidates::masked(&ft, &view),
+            CongestionConfig::default(),
+        );
         let perm = patterns::shift(10, 2);
         assert!(matches!(
             MinCongestion::plan(&masked, &perm),
@@ -1157,7 +1013,8 @@ mod tests {
         // Warm-starting from Yuan's load-1 assignment keeps the plan at
         // load 1 even when greedy/rounding alone might wander.
         let ft = Ftree::new(3, 9, 4).unwrap();
-        let router = MinCongestion::new(FtreeCandidates::pristine(&ft));
+        let router =
+            MinCongestion::with_config(FtreeCandidates::pristine(&ft), CongestionConfig::default());
         let yuan = YuanDeterministic::new(&ft).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         for _ in 0..5 {

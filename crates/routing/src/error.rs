@@ -49,16 +49,6 @@ pub enum RoutingError {
         /// Destination port.
         dst: u32,
     },
-    /// A route was requested from a plan computed in an older churn epoch:
-    /// the fabric's liveness changed since the plan was made, so its paths
-    /// may cross hardware that has since died. Re-plan instead of silently
-    /// routing over a corpse.
-    StaleEpoch {
-        /// Epoch the plan was computed in.
-        plan_epoch: u64,
-        /// The planner's current epoch.
-        current_epoch: u64,
-    },
 }
 
 impl fmt::Display for RoutingError {
@@ -90,15 +80,6 @@ impl fmt::Display for RoutingError {
                     "pair {src} -> {dst} has no live path under the fault set"
                 )
             }
-            RoutingError::StaleEpoch {
-                plan_epoch,
-                current_epoch,
-            } => {
-                write!(
-                    f,
-                    "plan from epoch {plan_epoch} is stale: fabric is at epoch {current_epoch}"
-                )
-            }
         }
     }
 }
@@ -126,11 +107,5 @@ mod tests {
         assert!(e.to_string().contains("failed channel 12"));
         let e = RoutingError::NoLivePath { src: 0, dst: 3 };
         assert!(e.to_string().contains("no live path"));
-        let e = RoutingError::StaleEpoch {
-            plan_epoch: 2,
-            current_epoch: 5,
-        };
-        assert!(e.to_string().contains("epoch 2"));
-        assert!(e.to_string().contains("epoch 5"));
     }
 }

@@ -33,11 +33,6 @@ impl<'f, R: SinglePathRouter> FaultAware<'f, R> {
         &self.inner
     }
 
-    /// The fault overlay in use.
-    pub fn view(&self) -> &'f FaultyView<'f> {
-        self.view
-    }
-
     /// Leaf universe size of the wrapped router.
     pub fn ports(&self) -> u32 {
         self.inner.ports()
@@ -81,23 +76,6 @@ impl<'f, R: SinglePathRouter> FaultAware<'f, R> {
         }
         Ok(out)
     }
-
-    /// All pairs of `perm` whose deterministic path is dead, with the error
-    /// for each — the survivable remainder is returned alongside.
-    pub fn partition_pattern(
-        &self,
-        perm: &Permutation,
-    ) -> (RouteAssignment, Vec<(SdPair, RoutingError)>) {
-        let mut routed = RouteAssignment::default();
-        let mut dead = Vec::new();
-        for &pair in perm.pairs() {
-            match self.route_checked(pair) {
-                Ok(path) => routed.push(pair, path),
-                Err(e) => dead.push((pair, e)),
-            }
-        }
-        (routed, dead)
-    }
 }
 
 #[cfg(test)]
@@ -135,27 +113,6 @@ mod tests {
         ));
         // (v=0,i=1) -> (w=1,j=1) uses top (1,1) = 3: fine.
         assert!(fa.route_checked(SdPair::new(1, 3)).is_ok());
-    }
-
-    #[test]
-    fn partition_pattern_counts_match_pinning() {
-        // Fail top (0,0): exactly the cross-switch pairs with i=0 and j=0
-        // are unroutable.
-        let ft = Ftree::new(2, 4, 5).unwrap();
-        let yuan = YuanDeterministic::new(&ft).unwrap();
-        let mut faults = FaultSet::new();
-        faults.fail_switch(ft.top(0));
-        let view = FaultyView::new(ft.topology(), &faults);
-        let fa = FaultAware::new(yuan, &view);
-        // shift by n=2 keeps i=j parity: src 2k -> dst 2k+2 has i=j=0.
-        let perm = patterns::shift(10, 2);
-        let (routed, dead) = fa.partition_pattern(&perm);
-        assert_eq!(routed.len() + dead.len(), 10);
-        assert_eq!(dead.len(), 5, "all five i=0->j=0 cross pairs die");
-        for (pair, err) in &dead {
-            assert_eq!(pair.src % 2, 0);
-            assert!(matches!(err, RoutingError::PathFaulted { .. }));
-        }
     }
 
     #[test]

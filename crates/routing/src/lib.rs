@@ -30,8 +30,8 @@
 //!   simulator in `ftclos-flowsim`.
 //! * [`MinCongestion`] — the load-aware min-congestion router family
 //!   (greedy min-max placement, seeded randomized rounding, local-search
-//!   repair) planning whole patterns at once behind the [`GlobalRouter`]
-//!   plan step, then lowering onto [`SinglePathRouter`] / [`LinkLoadView`].
+//!   repair) planning whole patterns at once ([`MinCongestion::plan`]),
+//!   then lowering the plan to a [`RouteAssignment`] or a [`LinkLoadView`].
 //! * [`PathArena`] — every SD path of a single-path router precomputed once
 //!   into CSR storage (pair → path and channel → pair incidence), so the
 //!   exact analyzers in `ftclos-core` and the fluid flow expansion index
@@ -56,22 +56,22 @@ pub mod xgft_routing;
 pub mod yuan;
 
 pub use adaptive::{AdaptivePlan, NonblockingAdaptive, PlanStrategy};
-pub use arena::{ArenaLoadView, PathArena};
+pub use arena::PathArena;
 pub use assignment::RouteAssignment;
-pub use churn::{EpochPlan, EpochPlanner, LinkAdmission};
+pub use churn::LinkAdmission;
 pub use congestion::{
     demand_lower_bound, CongestionConfig, CongestionMode, CongestionPlan, FnCandidates,
-    FtreeCandidates, GlobalRouter, LoweredPlan, MinCongestion, PathCandidates, PlanLoadView,
+    FtreeCandidates, MinCongestion, PathCandidates, PlanLoadView,
 };
 pub use dmodk::{DModK, SModK, TopRule};
 pub use error::RoutingError;
 pub use fault_aware::FaultAware;
 pub use greedy::GreedyLocalAdaptive;
 pub use loadview::{FlowLinks, LinkLoadView, MaskedAdaptive, MaskedMultipath};
-pub use multipath::{MultipathAssignment, ObliviousMultipath, SpreadPolicy};
+pub use multipath::{MultipathAssignment, ObliviousMultipath};
 pub use path::Path;
 pub use rearrangeable::RearrangeableRouter;
 pub use recursive::YuanRecursive;
 pub use router::{route_all, PatternRouter, SinglePathRouter};
-pub use xgft_routing::{UpChoice, XgftRouter};
+pub use xgft_routing::XgftRouter;
 pub use yuan::YuanDeterministic;

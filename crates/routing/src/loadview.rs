@@ -243,7 +243,6 @@ impl LinkLoadView for MaskedAdaptive<'_> {
 mod tests {
     use super::*;
     use crate::dmodk::DModK;
-    use crate::multipath::SpreadPolicy;
     use crate::yuan::YuanDeterministic;
     use ftclos_topo::{FaultSet, Ftree};
     use ftclos_traffic::patterns;
@@ -268,7 +267,7 @@ mod tests {
     #[test]
     fn multipath_view_spreads_uniformly() {
         let ft = Ftree::new(2, 4, 5).unwrap();
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let perm = patterns::shift(10, 2);
         let flows = LinkLoadView::flow_links(&mp, &perm).unwrap();
         for f in &flows {
@@ -285,7 +284,7 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_switch(ft.top(0));
         let view = FaultyView::new(ft.topology(), &faults);
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let masked = MaskedMultipath::new(mp, &view);
         let perm = patterns::shift(10, 2);
         let flows = masked.flow_links(&perm).unwrap();

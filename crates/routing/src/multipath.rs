@@ -1,8 +1,9 @@
 //! Traffic-oblivious multi-path deterministic routing (paper Section IV.B).
 //!
 //! Packets of one SD pair are spread over several pre-determined paths,
-//! either round-robin or uniformly at random, independent of the traffic
-//! pattern. The paper's argument: because the *timing* of which path carries
+//! independent of the traffic pattern (round-robin or uniformly at random:
+//! the packet simulator's `Policy::from_multipath` picks which). The
+//! paper's argument: because the *timing* of which path carries
 //! which packet is unpredictable, nonblocking-ness still requires Lemma 1
 //! over the **union** of the spread paths — so the bound `m >= n²` is
 //! unchanged. `ftclos_core::verify::multipath_violation` is the executable
@@ -12,35 +13,19 @@ use crate::error::RoutingError;
 use crate::path::Path;
 use ftclos_topo::{ChannelId, FaultyView, Ftree};
 use ftclos_traffic::{Permutation, SdPair};
-use rand::Rng;
 use std::collections::HashMap;
-
-/// How packets are spread over the candidate paths.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpreadPolicy {
-    /// Deterministic round-robin over the candidate top switches.
-    RoundRobin,
-    /// Independent uniform random top switch per packet.
-    Random,
-}
 
 /// Oblivious multipath routing over `ftree(n+m, r)`: every cross-switch SD
 /// pair may use any of the `m` top switches.
 #[derive(Clone, Copy, Debug)]
 pub struct ObliviousMultipath<'a> {
     ft: &'a Ftree,
-    policy: SpreadPolicy,
 }
 
 impl<'a> ObliviousMultipath<'a> {
     /// Create the router.
-    pub fn new(ft: &'a Ftree, policy: SpreadPolicy) -> Self {
-        Self { ft, policy }
-    }
-
-    /// The spread policy.
-    pub fn policy(&self) -> SpreadPolicy {
-        self.policy
+    pub fn new(ft: &'a Ftree) -> Self {
+        Self { ft }
     }
 
     /// Leaf count of the fabric.
@@ -83,19 +68,6 @@ impl<'a> ObliviousMultipath<'a> {
         paths
     }
 
-    /// The path the `seq`-th packet of `pair` takes.
-    ///
-    /// Round-robin uses `seq mod m`; random ignores `seq` and draws from
-    /// `rng`.
-    pub fn packet_path<R: Rng>(&self, pair: SdPair, seq: u64, rng: &mut R) -> Path {
-        let candidates = self.paths(pair);
-        let idx = match self.policy {
-            SpreadPolicy::RoundRobin => (seq % candidates.len() as u64) as usize,
-            SpreadPolicy::Random => rng.gen_range(0..candidates.len()),
-        };
-        candidates[idx].clone()
-    }
-
     /// Candidate paths for `pair` with dead candidates masked out: a
     /// spreader with local liveness information simply stops using paths
     /// that cross failed hardware.
@@ -121,22 +93,6 @@ impl<'a> ObliviousMultipath<'a> {
             });
         }
         Ok(live)
-    }
-
-    /// The path the `seq`-th packet takes, skipping dead candidates.
-    pub fn packet_path_masked<R: Rng>(
-        &self,
-        pair: SdPair,
-        seq: u64,
-        rng: &mut R,
-        view: &FaultyView<'_>,
-    ) -> Result<Path, RoutingError> {
-        let candidates = self.paths_masked(pair, view)?;
-        let idx = match self.policy {
-            SpreadPolicy::RoundRobin => (seq % candidates.len() as u64) as usize,
-            SpreadPolicy::Random => rng.gen_range(0..candidates.len()),
-        };
-        Ok(candidates[idx].clone())
     }
 
     /// Spread a whole pattern: each pair is associated with its full
@@ -197,7 +153,7 @@ impl MultipathAssignment {
 
     /// Expected per-channel load when each pair spreads its unit of traffic
     /// uniformly over its candidates.
-    pub fn expected_channel_loads(&self) -> HashMap<ChannelId, f64> {
+    pub(crate) fn expected_channel_loads(&self) -> HashMap<ChannelId, f64> {
         let mut loads = HashMap::new();
         for (_, paths) in &self.entries {
             if paths.is_empty() {
@@ -224,16 +180,11 @@ impl MultipathAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    fn rng() -> rand_chacha::ChaCha8Rng {
-        rand_chacha::ChaCha8Rng::seed_from_u64(9)
-    }
 
     #[test]
     fn candidate_sets() {
         let ft = Ftree::new(2, 3, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
+        let r = ObliviousMultipath::new(&ft);
         assert_eq!(r.paths(SdPair::new(0, 4)).len(), 3, "one per top");
         assert_eq!(r.paths(SdPair::new(0, 1)).len(), 1, "same switch");
         assert_eq!(r.paths(SdPair::new(0, 0)).len(), 1);
@@ -249,35 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles() {
-        let ft = Ftree::new(2, 3, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
-        let pair = SdPair::new(0, 4);
-        let mut g = rng();
-        let p0 = r.packet_path(pair, 0, &mut g);
-        let p3 = r.packet_path(pair, 3, &mut g);
-        assert_eq!(p0, p3, "period m = 3");
-        let p1 = r.packet_path(pair, 1, &mut g);
-        assert_ne!(p0, p1);
-    }
-
-    #[test]
-    fn random_draws_valid_candidates() {
-        let ft = Ftree::new(2, 3, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
-        let pair = SdPair::new(0, 4);
-        let candidates = r.paths(pair);
-        let mut g = rng();
-        for seq in 0..20 {
-            let p = r.packet_path(pair, seq, &mut g);
-            assert!(candidates.contains(&p));
-        }
-    }
-
-    #[test]
     fn expected_loads_spread_evenly() {
         let ft = Ftree::new(2, 4, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let r = ObliviousMultipath::new(&ft);
         let perm = Permutation::from_pairs(10, [SdPair::new(0, 4)]).unwrap();
         let a = r.spread_pattern(&perm).unwrap();
         let loads = a.expected_channel_loads();
@@ -290,7 +215,7 @@ mod tests {
     #[test]
     fn out_of_range_rejected() {
         let ft = Ftree::new(2, 2, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let r = ObliviousMultipath::new(&ft);
         let perm = Permutation::from_pairs(11, [SdPair::new(0, 10)]).unwrap();
         assert!(r.spread_pattern(&perm).is_err());
     }
@@ -298,7 +223,7 @@ mod tests {
     #[test]
     fn masked_candidates_drop_dead_top() {
         let ft = Ftree::new(2, 3, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
+        let r = ObliviousMultipath::new(&ft);
         let mut faults = ftclos_topo::FaultSet::new();
         faults.fail_switch(ft.top(1));
         let view = ftclos_topo::FaultyView::new(ft.topology(), &faults);
@@ -308,18 +233,12 @@ mod tests {
         for p in &live {
             view.path_alive(p.channels()).unwrap();
         }
-        // Round-robin spreading cycles over the surviving candidates only.
-        let mut g = rng();
-        for seq in 0..6 {
-            let p = r.packet_path_masked(pair, seq, &mut g, &view).unwrap();
-            view.path_alive(p.channels()).unwrap();
-        }
     }
 
     #[test]
     fn masked_dead_leaf_cable_is_no_live_path() {
         let ft = Ftree::new(2, 3, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let r = ObliviousMultipath::new(&ft);
         let mut faults = ftclos_topo::FaultSet::new();
         faults.fail_channel(ft.leaf_up_channel(0, 0));
         let view = ftclos_topo::FaultyView::new(ft.topology(), &faults);
@@ -334,7 +253,7 @@ mod tests {
     #[test]
     fn masked_spread_pattern_avoids_all_dead_channels() {
         let ft = Ftree::new(2, 4, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let r = ObliviousMultipath::new(&ft);
         let faults = ftclos_topo::FaultSet::random_links(ft.topology(), 3, 0xFA17);
         let view = ftclos_topo::FaultyView::new(ft.topology(), &faults);
         let perm = ftclos_traffic::patterns::shift(10, 3);

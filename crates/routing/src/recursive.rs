@@ -25,13 +25,6 @@ impl<'a> YuanRecursive<'a> {
     pub fn new(net: &'a RecursiveNonblocking) -> Self {
         Self { net }
     }
-
-    /// The logical top fabric used for a cross-switch pair:
-    /// `g = i·n + j` from the local leaf indices, exactly Theorem 3.
-    pub fn logical_top_for(&self, pair: SdPair) -> usize {
-        let n = self.net.n() as u32;
-        ((pair.src % n) * n + (pair.dst % n)) as usize
-    }
 }
 
 impl SinglePathRouter for YuanRecursive<'_> {

@@ -39,7 +39,7 @@ pub enum ReplanMode {
 impl ReplanMode {
     /// The hysteresis constant: `None` for pinned routing, `Some(0)` for
     /// per-cycle re-planning.
-    pub fn hysteresis_k(self) -> Option<u64> {
+    pub(crate) fn hysteresis_k(self) -> Option<u64> {
         match self {
             ReplanMode::Pinned => None,
             ReplanMode::PerCycle => Some(0),
@@ -100,23 +100,6 @@ pub struct EpochStats {
     pub reconverged_after: Option<u64>,
 }
 
-impl EpochStats {
-    /// Cycles in the epoch.
-    pub fn cycles(&self) -> u64 {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// Delivered packets per cycle over the epoch.
-    pub fn delivered_rate(&self) -> f64 {
-        let cycles = self.cycles();
-        if cycles == 0 {
-            0.0
-        } else {
-            self.delivered as f64 / cycles as f64
-        }
-    }
-}
-
 /// Per-epoch churn statistics for one run, alongside the usual
 /// [`crate::SimStats`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -164,14 +147,6 @@ impl ChurnReport {
         } else {
             Some(times.iter().sum::<u64>() as f64 / times.len() as f64)
         }
-    }
-
-    /// Per-epoch counter sums, for conservation checks against the run
-    /// totals: `(injected, delivered, abandoned)`.
-    pub fn totals(&self) -> (u64, u64, u64) {
-        self.epochs.iter().fold((0, 0, 0), |(i, d, a), e| {
-            (i + e.injected, d + e.delivered, a + e.abandoned)
-        })
     }
 }
 
@@ -310,7 +285,7 @@ mod tests {
         let report = build_report(&cfg, &marks, final_mark, &per_cycle, 10);
         assert!((report.steady_rate - 2.0).abs() < 1e-9);
         assert_eq!(report.epochs.len(), 2);
-        assert_eq!(report.epochs[0].cycles(), 100);
+        assert_eq!(report.epochs[0].end - report.epochs[0].start, 100);
         assert_eq!(report.epochs[1].delivered, 300);
         // Delivery restarts at cycle 150; the window starting at offset 48
         // holds 2 dead + 18 full cycles = 1.8/cycle, exactly the 10%
@@ -319,10 +294,10 @@ mod tests {
         assert_eq!(report.transitions(), 1);
         assert_eq!(report.reconverged(), 1);
         assert_eq!(report.mean_reconverge_cycles(), Some(48.0));
-        let (inj, del, ab) = report.totals();
-        assert_eq!(inj, 500);
-        assert_eq!(del, 500);
-        assert_eq!(ab, 0);
+        let sum = |f: fn(&EpochStats) -> u64| report.epochs.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|e| e.injected), 500);
+        assert_eq!(sum(|e| e.delivered), 500);
+        assert_eq!(sum(|e| e.abandoned), 0);
     }
 
     #[test]

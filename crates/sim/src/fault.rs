@@ -15,7 +15,7 @@
 //! cycle events apply in `(channel, Down-before-Up)` order — a down and an
 //! up of the same channel on the same cycle net out to *up*.
 
-use ftclos_topo::{ChannelId, FaultSet, FaultyView, Topology, Transition};
+use ftclos_topo::{ChannelId, Topology, Transition};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -59,22 +59,9 @@ impl ChurnSchedule {
         self.events.len()
     }
 
-    /// Number of scheduled `Down` transitions.
-    pub fn num_downs(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.transition == Transition::Down)
-            .count()
-    }
-
-    /// Number of scheduled `Up` transitions.
-    pub fn num_ups(&self) -> usize {
-        self.len() - self.num_downs()
-    }
-
     /// Schedule one transition. Idempotent: re-inserting an identical
     /// `(cycle, channel, transition)` leaves the schedule unchanged.
-    pub fn schedule(
+    pub(crate) fn schedule(
         &mut self,
         cycle: u64,
         channel: ChannelId,
@@ -114,19 +101,6 @@ impl ChurnSchedule {
             self.revive_channel(cycle, rev);
         }
         self
-    }
-
-    /// Apply a whole static [`FaultSet`] at `cycle` (failed switches expand
-    /// to their incident channels, as in [`FaultyView`]).
-    pub fn from_fault_set(cycle: u64, topo: &Topology, faults: &FaultSet) -> Self {
-        let view = FaultyView::new(topo, faults);
-        let mut schedule = Self::new();
-        for c in topo.channel_ids() {
-            if !view.channel_alive(c) {
-                schedule.kill_channel(cycle, c);
-            }
-        }
-        schedule
     }
 
     /// Deterministic MTBF/MTTR link flapping: pick `links` random cables
@@ -180,14 +154,6 @@ impl ChurnSchedule {
     pub fn sorted_events(&self) -> Vec<FaultEvent> {
         self.events.iter().copied().collect()
     }
-
-    /// The distinct cycles at which at least one transition applies — the
-    /// epoch boundaries of the run.
-    pub fn transition_cycles(&self) -> Vec<u64> {
-        let mut cycles: Vec<u64> = self.events.iter().map(|e| e.cycle).collect();
-        cycles.dedup();
-        cycles
-    }
 }
 
 /// An exponentially distributed duration with the given mean, rounded to
@@ -230,9 +196,11 @@ mod tests {
         s.revive_link(200, ft.topology(), ft.up_channel(0, 0));
         s.revive_link(200, ft.topology(), ft.up_channel(0, 0));
         assert_eq!(s.len(), 4);
-        assert_eq!(s.num_downs(), 2);
-        assert_eq!(s.num_ups(), 2);
-        assert_eq!(s.transition_cycles(), vec![100, 200]);
+        let events = s.sorted_events();
+        let cycles: Vec<u64> = events.iter().map(|e| e.cycle).collect();
+        assert_eq!(cycles, [100, 100, 200, 200]);
+        assert!(events[..2].iter().all(|e| e.transition == Transition::Down));
+        assert!(events[2..].iter().all(|e| e.transition == Transition::Up));
     }
 
     #[test]
@@ -246,17 +214,6 @@ mod tests {
         assert_eq!(sorted.len(), 2);
         assert_eq!(sorted[0].transition, Transition::Down);
         assert_eq!(sorted[1].transition, Transition::Up, "revival wins");
-    }
-
-    #[test]
-    fn from_fault_set_expands_switches() {
-        let ft = Ftree::new(2, 4, 5).unwrap();
-        let mut faults = FaultSet::new();
-        faults.fail_switch(ft.top(0));
-        let s = FaultSchedule::from_fault_set(300, ft.topology(), &faults);
-        // Top switch 0 has r = 5 up + 5 down incident channels.
-        assert_eq!(s.len(), 10);
-        assert!(s.sorted_events().iter().all(|e| e.cycle == 300));
     }
 
     #[test]

@@ -63,15 +63,6 @@ impl SimStats {
         self.delivered_in_window as f64 / (self.window_cycles as f64 * self.active_sources as f64)
     }
 
-    /// Accepted throughput normalized by the offered rate (1.0 = the fabric
-    /// keeps up with injection).
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.offered_rate <= 0.0 {
-            return 1.0;
-        }
-        (self.accepted_throughput() / self.offered_rate).min(f64::INFINITY)
-    }
-
     /// Packet conservation: every injected packet is delivered, still
     /// queued, or abandoned — nothing is silently lost.
     pub fn conservation_ok(&self) -> bool {
@@ -93,35 +84,6 @@ impl SimStats {
             return 0.0;
         }
         self.latency_sum as f64 / self.delivered_in_window as f64
-    }
-
-    /// Utilization of channel `id` over the window, in `[0, 1]`.
-    pub fn channel_utilization(&self, id: usize) -> f64 {
-        if self.window_cycles == 0 {
-            return 0.0;
-        }
-        self.channel_busy.get(id) as f64 / self.window_cycles as f64
-    }
-
-    /// The `k` busiest channels as `(channel index, utilization)`, sorted
-    /// descending — the congestion hot spots.
-    pub fn hottest_channels(&self, k: usize) -> Vec<(usize, f64)> {
-        let mut v: Vec<(usize, u64)> = self.channel_busy.nonzero().collect();
-        v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(k);
-        v.into_iter()
-            .map(|(i, _)| (i, self.channel_utilization(i)))
-            .collect()
-    }
-
-    /// Histogram of per-channel utilizations over the measurement window,
-    /// counting only channels that carried traffic.
-    pub fn utilization_histogram(&self) -> UtilizationHistogram {
-        UtilizationHistogram::from_utilizations(
-            self.channel_busy
-                .nonzero()
-                .map(|(i, _)| self.channel_utilization(i)),
-        )
     }
 }
 
@@ -247,21 +209,10 @@ impl UtilizationHistogram {
     }
 
     /// Add one utilization sample (clamped to `[0, 1]`; NaN counts as 0).
-    pub fn add(&mut self, u: f64) {
+    pub(crate) fn add(&mut self, u: f64) {
         let u = if u.is_nan() { 0.0 } else { u.clamp(0.0, 1.0) };
         let idx = ((u * 10.0) as usize).min(9);
         self.buckets[idx] += 1;
-    }
-
-    /// Total samples bucketed.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Channels in the last bucket (utilization in `[0.9, 1.0]`) — the
-    /// saturated tail.
-    pub fn saturated(&self) -> u64 {
-        self.buckets[9]
     }
 
     /// Render as a compact `a/b/…/j` decile string for text reports.
@@ -290,7 +241,6 @@ mod tests {
             ..SimStats::default()
         };
         assert!((s.accepted_throughput() - 0.8).abs() < 1e-12);
-        assert!((s.delivery_ratio() - 0.8).abs() < 1e-12);
         assert!((s.mean_latency() - 5.0).abs() < 1e-12);
     }
 
@@ -299,9 +249,6 @@ mod tests {
         let s = SimStats::default();
         assert_eq!(s.accepted_throughput(), 0.0);
         assert_eq!(s.mean_latency(), 0.0);
-        assert_eq!(s.delivery_ratio(), 1.0);
-        assert_eq!(s.channel_utilization(0), 0.0);
-        assert!(s.hottest_channels(3).is_empty());
     }
 
     #[test]
@@ -309,41 +256,13 @@ mod tests {
         let mut h = UtilizationHistogram::from_utilizations([0.0, 0.05, 0.15, 0.95, 1.0]);
         assert_eq!(h.buckets[0], 2);
         assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.saturated(), 2);
-        assert_eq!(h.total(), 5);
+        assert_eq!(h.buckets[9], 2, "saturated tail");
+        assert_eq!(h.buckets.iter().sum::<u64>(), 5);
         h.add(2.0); // clamps into the saturated bucket
         h.add(f64::NAN); // counts as zero
-        assert_eq!(h.saturated(), 3);
+        assert_eq!(h.buckets[9], 3);
         assert_eq!(h.buckets[0], 3);
         assert_eq!(h.to_compact_string(), "3/1/0/0/0/0/0/0/0/3");
-    }
-
-    #[test]
-    fn stats_histogram_counts_used_channels_only() {
-        let s = SimStats {
-            window_cycles: 100,
-            channel_busy: vec![0, 50, 100, 25].into(),
-            ..SimStats::default()
-        };
-        let h = s.utilization_histogram();
-        assert_eq!(h.total(), 3, "idle channel excluded");
-        assert_eq!(h.saturated(), 1);
-        assert_eq!(h.buckets[5], 1);
-        assert_eq!(h.buckets[2], 1);
-    }
-
-    #[test]
-    fn utilization_and_hotspots() {
-        let s = SimStats {
-            window_cycles: 100,
-            channel_busy: vec![0, 50, 100, 25].into(),
-            ..SimStats::default()
-        };
-        assert_eq!(s.channel_utilization(2), 1.0);
-        assert_eq!(s.channel_utilization(3), 0.25);
-        assert_eq!(s.channel_utilization(99), 0.0);
-        let hot = s.hottest_channels(2);
-        assert_eq!(hot, vec![(2, 1.0), (1, 0.5)]);
     }
 
     #[test]

@@ -19,8 +19,6 @@ enum WorkloadKind {
     Fixed(Vec<Option<u32>>),
     /// Every leaf sends; destination uniform over all other leaves.
     UniformRandom { ports: u32 },
-    /// Every leaf sends to one hot leaf (except the hot leaf itself).
-    HotSpot { ports: u32, hot: u32 },
 }
 
 impl Workload {
@@ -65,34 +63,9 @@ impl Workload {
         }
     }
 
-    /// Hot-spot traffic: all leaves send to `hot`.
-    pub fn hotspot(ports: u32, hot: u32, rate: f64) -> Self {
-        Self {
-            kind: WorkloadKind::HotSpot { ports, hot },
-            rate,
-        }
-    }
-
     /// Injection probability per source per cycle.
-    pub fn rate(&self) -> f64 {
+    pub(crate) fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// Number of leaves that ever inject.
-    pub fn active_sources(&self) -> usize {
-        match &self.kind {
-            WorkloadKind::Fixed(dest) => dest.iter().filter(|d| d.is_some()).count(),
-            WorkloadKind::UniformRandom { ports } => *ports as usize,
-            WorkloadKind::HotSpot { ports, .. } => *ports as usize - 1,
-        }
-    }
-
-    /// Universe size.
-    pub fn ports(&self) -> u32 {
-        match &self.kind {
-            WorkloadKind::Fixed(dest) => dest.len() as u32,
-            WorkloadKind::UniformRandom { ports } | WorkloadKind::HotSpot { ports, .. } => *ports,
-        }
     }
 
     /// The destination for a packet from `src` this cycle, or `None` if
@@ -100,14 +73,13 @@ impl Workload {
     /// sample in `0..ports-1` excluding `src`, supplied by the engine's
     /// RNG). A `src` outside the workload's universe never injects (rather
     /// than panicking on a topology with more leaves than the pattern).
-    pub fn destination(&self, src: u32, mut draw: impl FnMut(u32) -> u32) -> Option<u32> {
+    pub(crate) fn destination(&self, src: u32, mut draw: impl FnMut(u32) -> u32) -> Option<u32> {
         match &self.kind {
             WorkloadKind::Fixed(dest) => dest.get(src as usize).copied().flatten(),
             WorkloadKind::UniformRandom { ports } => {
                 let x = draw(*ports - 1);
                 Some(if x >= src { x + 1 } else { x })
             }
-            WorkloadKind::HotSpot { hot, .. } => (src != *hot).then_some(*hot),
         }
     }
 }
@@ -121,8 +93,6 @@ mod tests {
     fn permutation_workload() {
         let perm = Permutation::from_pairs(6, [SdPair::new(0, 3), SdPair::new(2, 1)]).unwrap();
         let w = Workload::permutation(&perm, 0.5);
-        assert_eq!(w.active_sources(), 2);
-        assert_eq!(w.ports(), 6);
         assert_eq!(w.destination(0, |_| 0), Some(3));
         assert_eq!(w.destination(1, |_| 0), None);
         assert_eq!(w.rate(), 0.5);
@@ -131,17 +101,8 @@ mod tests {
     #[test]
     fn uniform_random_skips_self() {
         let w = Workload::uniform_random(8, 1.0);
-        assert_eq!(w.active_sources(), 8);
         // draw returns 3 -> for src 3 the destination shifts to 4.
         assert_eq!(w.destination(3, |_| 3), Some(4));
         assert_eq!(w.destination(5, |_| 3), Some(3));
-    }
-
-    #[test]
-    fn hotspot_excludes_hot_source() {
-        let w = Workload::hotspot(4, 2, 1.0);
-        assert_eq!(w.active_sources(), 3);
-        assert_eq!(w.destination(2, |_| 0), None);
-        assert_eq!(w.destination(0, |_| 0), Some(2));
     }
 }

@@ -83,59 +83,21 @@ impl Clos {
         })
     }
 
-    /// Inputs per input switch.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of middle switches.
-    #[inline]
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Number of input (and output) switches.
-    #[inline]
-    pub fn r(&self) -> usize {
-        self.r
-    }
-
     /// Underlying flat topology.
     #[inline]
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
 
-    /// Input terminal `(v, k)`.
-    #[inline]
-    pub fn input_terminal(&self, v: usize, k: usize) -> NodeId {
-        debug_assert!(v < self.r && k < self.n);
-        NodeId((v * self.n + k) as u32)
-    }
-
-    /// Output terminal `(w, k)`.
-    #[inline]
-    pub fn output_terminal(&self, w: usize, k: usize) -> NodeId {
-        debug_assert!(w < self.r && k < self.n);
-        NodeId((self.r * self.n + w * self.n + k) as u32)
-    }
-
     /// Input-stage switch `v`.
     #[inline]
-    pub fn input_switch(&self, v: usize) -> NodeId {
+    pub(crate) fn input_switch(&self, v: usize) -> NodeId {
         NodeId((2 * self.r * self.n + v) as u32)
-    }
-
-    /// Middle-stage switch `t`.
-    #[inline]
-    pub fn middle_switch(&self, t: usize) -> NodeId {
-        NodeId((2 * self.r * self.n + self.r + t) as u32)
     }
 
     /// Output-stage switch `w`.
     #[inline]
-    pub fn output_switch(&self, w: usize) -> NodeId {
+    pub(crate) fn output_switch(&self, w: usize) -> NodeId {
         NodeId((2 * self.r * self.n + self.r + self.m + w) as u32)
     }
 
@@ -196,7 +158,8 @@ mod tests {
         let c = Clos::new(2, 3, 4).unwrap();
         let t = c.topology();
         assert_eq!(t.radix(c.input_switch(0)), 2 + 3); // n in + m out
-        assert_eq!(t.radix(c.middle_switch(0)), 4 + 4); // r in + r out
+        let middle = t.switches_at_level(2).next().unwrap();
+        assert_eq!(t.radix(middle), 4 + 4); // r in + r out
         assert_eq!(t.radix(c.output_switch(0)), 3 + 2); // m in + n out
     }
 
@@ -213,15 +176,13 @@ mod tests {
     fn terminals_flow_forward_only() {
         let c = Clos::new(2, 2, 3).unwrap();
         let t = c.topology();
-        let d = t.bfs_distances(c.input_terminal(0, 0));
+        // Input terminal (v, k) is node v·n + k; output terminal (w, k) is
+        // node r·n + w·n + k.
+        let d = t.bfs_distances(NodeId(0));
         // Every output terminal reachable in exactly 4 hops.
-        for w in 0..3 {
-            for k in 0..2 {
-                assert_eq!(d[c.output_terminal(w, k).index()], 4);
-            }
-        }
+        assert!((6..12).all(|out| d[out] == 4));
         // Input terminals other than the start are unreachable (no turn-around).
-        assert_eq!(d[c.input_terminal(1, 0).index()], u32::MAX);
+        assert_eq!(d[2], u32::MAX);
     }
 
     #[test]

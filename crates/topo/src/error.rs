@@ -24,13 +24,6 @@ pub enum TopoError {
         /// Length of the second vector.
         right: usize,
     },
-    /// A node index was out of range for the topology.
-    NodeOutOfRange {
-        /// The offending index.
-        node: usize,
-        /// Number of nodes in the topology.
-        num_nodes: usize,
-    },
     /// No channel connects the two requested nodes in the requested
     /// direction.
     NoChannel {
@@ -58,12 +51,6 @@ impl fmt::Display for TopoError {
             } => write!(f, "invalid parameter {name} = {value}: {requirement}"),
             TopoError::LengthMismatch { what, left, right } => {
                 write!(f, "length mismatch for {what}: {left} vs {right}")
-            }
-            TopoError::NodeOutOfRange { node, num_nodes } => {
-                write!(
-                    f,
-                    "node index {node} out of range (num_nodes = {num_nodes})"
-                )
             }
             TopoError::NoChannel { src, dst } => {
                 write!(f, "no channel from node {src} to node {dst}")

@@ -42,13 +42,6 @@ pub enum Transition {
     Up,
 }
 
-impl Transition {
-    /// True for [`Transition::Up`].
-    pub fn is_up(self) -> bool {
-        matches!(self, Transition::Up)
-    }
-}
-
 /// A set of failed elements, independent of any topology.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSet {
@@ -94,18 +87,8 @@ impl FaultSet {
     /// [`FaultSet::fail_channel`]. Repairing a channel that is not failed
     /// is a no-op. Note that a channel can *also* be dead via a failed
     /// endpoint switch — repair the switch to revive those.
-    pub fn repair_channel(&mut self, ch: ChannelId) -> &mut Self {
+    pub(crate) fn repair_channel(&mut self, ch: ChannelId) -> &mut Self {
         self.channels.remove(&ch);
-        self
-    }
-
-    /// Repair a whole cable: the directed channel and its reverse (if any).
-    /// The inverse of [`FaultSet::fail_link`].
-    pub fn repair_link(&mut self, topo: &Topology, ch: ChannelId) -> &mut Self {
-        self.channels.remove(&ch);
-        if let Some(rev) = topo.reverse(ch) {
-            self.channels.remove(&rev);
-        }
         self
     }
 
@@ -140,16 +123,6 @@ impl FaultSet {
     /// Failed switches, ascending.
     pub fn failed_switches(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.switches.iter().copied()
-    }
-
-    /// Number of explicitly failed channels (not counting switch expansion).
-    pub fn num_failed_channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Number of failed switches.
-    pub fn num_failed_switches(&self) -> usize {
-        self.switches.len()
     }
 
     /// Union with another fault set.
@@ -297,20 +270,6 @@ impl<'a> FaultyView<'a> {
         !self.dead_node[node.index()]
     }
 
-    /// Out-channels of `node` that are still alive, in port order.
-    pub fn live_out_channels(&self, node: NodeId) -> impl Iterator<Item = ChannelId> + '_ {
-        self.topo
-            .out_channels(node)
-            .filter(move |&c| self.channel_alive(c))
-    }
-
-    /// In-channels of `node` that are still alive, in port order.
-    pub fn live_in_channels(&self, node: NodeId) -> impl Iterator<Item = ChannelId> + '_ {
-        self.topo
-            .in_channels(node)
-            .filter(move |&c| self.channel_alive(c))
-    }
-
     /// Check every channel of a path; `Err` names the first dead one.
     pub fn path_alive(&self, channels: &[ChannelId]) -> Result<(), FaultError> {
         for &c in channels {
@@ -423,25 +382,13 @@ mod tests {
     }
 
     #[test]
-    fn live_out_channels_filters_dead() {
-        let ft = Ftree::new(2, 4, 5).unwrap();
-        let mut faults = FaultSet::new();
-        faults.fail_switch(ft.top(0));
-        let view = FaultyView::new(ft.topology(), &faults);
-        let live: Vec<ChannelId> = view.live_out_channels(ft.bottom(0)).collect();
-        // n leaf downlinks + (m - 1) surviving uplinks.
-        assert_eq!(live.len(), ft.n() + ft.m() - 1);
-        assert!(!live.contains(&ft.up_channel(0, 0)));
-    }
-
-    #[test]
     fn random_links_sampler_is_deterministic_and_exact() {
         let ft = Ftree::new(2, 4, 5).unwrap();
         let a = FaultSet::random_links(ft.topology(), 3, 7);
         let b = FaultSet::random_links(ft.topology(), 3, 7);
         assert_eq!(a, b);
         // 3 cables = 6 directed channels.
-        assert_eq!(a.num_failed_channels(), 6);
+        assert_eq!(a.failed_channels().count(), 6);
         let c = FaultSet::random_links(ft.topology(), 3, 8);
         assert_ne!(a, c, "different seeds should (generically) differ");
     }
@@ -450,14 +397,14 @@ mod tests {
     fn random_links_clamps_to_cable_count() {
         let ft = Ftree::new(1, 1, 1).unwrap(); // 1 leaf cable + 1 uplink cable
         let all = FaultSet::random_links(ft.topology(), 99, 0);
-        assert_eq!(all.num_failed_channels(), ft.topology().num_channels());
+        assert_eq!(all.failed_channels().count(), ft.topology().num_channels());
     }
 
     #[test]
     fn random_top_switches_sampler_targets_top_level() {
         let ft = Ftree::new(2, 4, 5).unwrap();
         let set = FaultSet::random_top_switches(ft.topology(), 2, 11);
-        assert_eq!(set.num_failed_switches(), 2);
+        assert_eq!(set.failed_switches().count(), 2);
         for s in set.failed_switches() {
             assert!(ft.top_index(s).is_some(), "sampled node must be a top");
         }
@@ -465,7 +412,7 @@ mod tests {
         assert_eq!(set, FaultSet::random_top_switches(ft.topology(), 2, 11));
         // Clamped.
         let all = FaultSet::random_top_switches(ft.topology(), 99, 0);
-        assert_eq!(all.num_failed_switches(), ft.m());
+        assert_eq!(all.failed_switches().count(), ft.m());
     }
 
     #[test]
@@ -477,7 +424,8 @@ mod tests {
         faults.fail_link(t, ft.up_channel(1, 2));
         faults.fail_switch(ft.top(3));
         faults.repair_channel(ft.up_channel(0, 0));
-        faults.repair_link(t, ft.up_channel(1, 2));
+        faults.repair_channel(ft.up_channel(1, 2));
+        faults.repair_channel(t.reverse(ft.up_channel(1, 2)).unwrap());
         faults.repair_switch(ft.top(3));
         assert!(faults.is_empty());
         let view = FaultyView::new(t, &faults);
@@ -495,7 +443,7 @@ mod tests {
         faults.repair_channel(ft.up_channel(0, 2));
         faults.repair_channel(ft.up_channel(0, 1));
         faults.repair_channel(ft.up_channel(0, 1));
-        assert_eq!(faults.num_failed_channels(), 1);
+        assert_eq!(faults.failed_channels().count(), 1);
         let view = FaultyView::new(ft.topology(), &faults);
         assert!(!view.channel_alive(ft.up_channel(0, 0)));
         assert!(view.channel_alive(ft.up_channel(0, 1)));
@@ -522,11 +470,9 @@ mod tests {
         let ch = ft.up_channel(2, 3);
         let mut faults = FaultSet::new();
         faults.apply_channel(ch, Transition::Down);
-        assert_eq!(faults.num_failed_channels(), 1);
+        assert_eq!(faults.failed_channels().count(), 1);
         faults.apply_channel(ch, Transition::Up);
         assert!(faults.is_empty());
-        assert!(Transition::Up.is_up());
-        assert!(!Transition::Down.is_up());
         assert!(Transition::Down < Transition::Up, "revival sorts last");
     }
 
@@ -538,8 +484,8 @@ mod tests {
         let mut b = FaultSet::new();
         b.fail_switch(ft.top(3));
         a.merge(&b);
-        assert_eq!(a.num_failed_channels(), 1);
-        assert_eq!(a.num_failed_switches(), 1);
+        assert_eq!(a.failed_channels().count(), 1);
+        assert_eq!(a.failed_switches().count(), 1);
     }
 
     #[test]

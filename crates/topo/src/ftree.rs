@@ -147,11 +147,6 @@ impl Ftree {
         &self.topo
     }
 
-    /// Consume into the flat topology.
-    pub fn into_topology(self) -> Topology {
-        self.topo
-    }
-
     /// Node id of leaf `(v, k)`.
     ///
     /// # Panics
@@ -174,53 +169,6 @@ impl Ftree {
     pub fn top(&self, t: usize) -> NodeId {
         debug_assert!(t < self.m);
         NodeId((self.r * self.n + self.r + t) as u32)
-    }
-
-    /// Checked variant of [`Ftree::leaf`]: out-of-range coordinates come
-    /// back as a typed error instead of a (debug-only) panic, so callers
-    /// that derive coordinates from external input — fault campaigns,
-    /// CLI arguments — cannot silently produce a foreign node id in
-    /// release builds.
-    pub fn try_leaf(&self, v: usize, k: usize) -> Result<NodeId, TopoError> {
-        if v >= self.r {
-            return Err(TopoError::InvalidParameter {
-                name: "v",
-                value: v,
-                requirement: "must be < r (bottom-switch index)",
-            });
-        }
-        if k >= self.n {
-            return Err(TopoError::InvalidParameter {
-                name: "k",
-                value: k,
-                requirement: "must be < n (leaf index within its bottom)",
-            });
-        }
-        Ok(NodeId((v * self.n + k) as u32))
-    }
-
-    /// Checked variant of [`Ftree::bottom`] (see [`Ftree::try_leaf`]).
-    pub fn try_bottom(&self, v: usize) -> Result<NodeId, TopoError> {
-        if v >= self.r {
-            return Err(TopoError::InvalidParameter {
-                name: "v",
-                value: v,
-                requirement: "must be < r (bottom-switch index)",
-            });
-        }
-        Ok(NodeId((self.r * self.n + v) as u32))
-    }
-
-    /// Checked variant of [`Ftree::top`] (see [`Ftree::try_leaf`]).
-    pub fn try_top(&self, t: usize) -> Result<NodeId, TopoError> {
-        if t >= self.m {
-            return Err(TopoError::InvalidParameter {
-                name: "t",
-                value: t,
-                requirement: "must be < m (top-switch index)",
-            });
-        }
-        Ok(NodeId((self.r * self.n + self.r + t) as u32))
     }
 
     /// Node id of top switch `(i, j)` under the Theorem 3 numbering
@@ -254,13 +202,6 @@ impl Ftree {
         let base = self.r * self.n + self.r;
         let idx = id.index();
         (idx >= base && idx < base + self.m).then(|| idx - base)
-    }
-
-    /// Bottom switch that hosts leaf node `id` (the paper's `SRC`/`DST`
-    /// switch of an SD pair endpoint).
-    #[inline]
-    pub fn host_switch(&self, id: NodeId) -> Option<NodeId> {
-        self.leaf_coords(id).map(|(v, _)| self.bottom(v))
     }
 
     /// Channel id of the uplink leaf `(v, k)` → bottom `v`.
@@ -302,18 +243,6 @@ impl Ftree {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checked_accessors_reject_out_of_range() {
-        let ft = Ftree::new(2, 4, 5).unwrap();
-        assert_eq!(ft.try_leaf(0, 1).unwrap(), ft.leaf(0, 1));
-        assert_eq!(ft.try_bottom(4).unwrap(), ft.bottom(4));
-        assert_eq!(ft.try_top(3).unwrap(), ft.top(3));
-        assert!(ft.try_leaf(5, 0).is_err());
-        assert!(ft.try_leaf(0, 2).is_err());
-        assert!(ft.try_bottom(5).is_err());
-        assert!(ft.try_top(4).is_err());
-    }
 
     #[test]
     fn rejects_zero_parameters() {
@@ -390,8 +319,6 @@ mod tests {
         assert_eq!(ft.leaf_coords(ft.bottom(0)), None);
         assert_eq!(ft.bottom_index(ft.leaf(0, 0)), None);
         assert_eq!(ft.top_index(ft.bottom(0)), None);
-        assert_eq!(ft.host_switch(ft.leaf(4, 2)), Some(ft.bottom(4)));
-        assert_eq!(ft.host_switch(ft.top(0)), None);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use ftree::Ftree;
 pub use ids::{ChannelId, NodeId};
 pub use kind::NodeKind;
 pub use ports::Ports;
-pub use props::{bisection_channels, diameter, StructureReport};
+pub use props::{diameter, StructureReport};
 pub use recursive::RecursiveNonblocking;
 pub use topology::Topology;
 pub use xgft::{kary_ntree, mport_ntree, Xgft};

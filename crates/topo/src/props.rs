@@ -1,5 +1,5 @@
-//! Structural properties: bisection, diameter, and per-level census used by
-//! the cost-model experiments.
+//! Structural properties: diameter and the per-level census used by the
+//! cost-model experiments.
 
 use crate::ids::NodeId;
 use crate::topology::Topology;
@@ -54,65 +54,6 @@ impl StructureReport {
     pub fn total_switches(&self) -> usize {
         self.switches_per_level.values().sum()
     }
-
-    /// Maximum switch radix (`0` if there are no switches).
-    pub fn max_radix(&self) -> usize {
-        self.radix_histogram.keys().copied().max().unwrap_or(0)
-    }
-}
-
-/// Number of directed channels crossing the leaf-index bisection: leaves are
-/// split into low/high halves by index and we count channels whose removal
-/// separates switches serving mostly-low from mostly-high leaves.
-///
-/// For a two-level `ftree(n+m, r)` this evaluates the classical full
-/// bisection: `m * r / 2` cables cross when bottoms are split in half, so
-/// full bisection bandwidth relative to `r·n/2` leaves needs `m >= n`.
-/// We compute it structurally: assign each switch the side holding the
-/// majority of its descendant leaves and count cut channels one way.
-pub fn bisection_channels(topo: &Topology) -> usize {
-    let leaves: Vec<NodeId> = topo.leaves().collect();
-    if leaves.len() < 2 {
-        return 0;
-    }
-    let half = leaves.len() / 2;
-    // side[node] in {0, 1}: leaves by index halves; switches by majority of
-    // leaf descendants (computed via BFS from each leaf, counting reachable
-    // switches — in fat trees every switch reachable on the up-path serves
-    // that leaf).
-    let mut low_count = vec![0usize; topo.num_nodes()];
-    let mut high_count = vec![0usize; topo.num_nodes()];
-    for (i, &leaf) in leaves.iter().enumerate() {
-        let dist = topo.bfs_distances(leaf);
-        for id in topo.node_ids() {
-            if topo.kind(id).is_switch() && dist[id.index()] != u32::MAX {
-                if i < half {
-                    low_count[id.index()] += 1;
-                } else {
-                    high_count[id.index()] += 1;
-                }
-            }
-        }
-    }
-    // Leaf node id -> position among leaves (usize::MAX for non-leaves),
-    // so `side` never has to unwrap a linear search.
-    let mut leaf_pos = vec![usize::MAX; topo.num_nodes()];
-    for (i, &leaf) in leaves.iter().enumerate() {
-        leaf_pos[leaf.index()] = i;
-    }
-    let side = |id: NodeId| -> usize {
-        if topo.kind(id).is_leaf() {
-            usize::from(leaf_pos[id.index()] != usize::MAX && leaf_pos[id.index()] >= half)
-        } else {
-            usize::from(high_count[id.index()] > low_count[id.index()])
-        }
-    };
-    topo.channel_ids()
-        .filter(|&c| {
-            let ch = topo.channel(c);
-            side(ch.src) == 0 && side(ch.dst) == 1
-        })
-        .count()
 }
 
 /// Diameter in hops over leaves (longest shortest leaf-to-leaf path), or
@@ -152,7 +93,6 @@ mod tests {
         assert_eq!(rep.cables, 10 + 20);
         assert_eq!(rep.radix_histogram[&6], 5); // bottoms: n+m = 6 ports
         assert_eq!(rep.radix_histogram[&5], 4); // tops: r = 5 ports
-        assert_eq!(rep.max_radix(), 6);
     }
 
     #[test]
@@ -171,22 +111,5 @@ mod tests {
     fn kary_diameter() {
         let t = kary_ntree(2, 3).unwrap();
         assert_eq!(diameter(t.topology()), Some(6));
-    }
-
-    #[test]
-    fn bisection_of_balanced_ftree() {
-        // ftree(2+2, 4): split bottoms 2/2; each of the 2 tops has 2 cables
-        // to each side -> 2 tops * 2 cables... cut one way counts channels
-        // from low side to high side: tops sit on one side, so cut = m *
-        // (r/2) = 4 channels one way.
-        let ft = Ftree::new(2, 2, 4).unwrap();
-        let cut = bisection_channels(ft.topology());
-        assert_eq!(cut, 4);
-    }
-
-    #[test]
-    fn bisection_single_leaf_is_zero() {
-        let xb = crossbar(1).unwrap();
-        assert_eq!(bisection_channels(xb.topology()), 0);
     }
 }

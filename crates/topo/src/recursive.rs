@@ -285,19 +285,19 @@ impl RecursiveNonblocking {
 
     /// Number of bottom switches, `n³ + n²` (the logical `r`).
     #[inline]
-    pub fn r(&self) -> usize {
+    pub(crate) fn r(&self) -> usize {
         self.n() * self.n() * self.n() + self.n() * self.n()
     }
 
     /// Number of logical top switches, `n²` (the logical `m`).
     #[inline]
-    pub fn logical_tops(&self) -> usize {
+    pub(crate) fn logical_tops(&self) -> usize {
         self.n() * self.n()
     }
 
     /// Bottoms per inner fabric, `n² + n`.
     #[inline]
-    pub fn inner_r(&self) -> usize {
+    pub(crate) fn inner_r(&self) -> usize {
         self.n() * self.n() + self.n()
     }
 
@@ -322,42 +322,6 @@ impl RecursiveNonblocking {
     #[inline]
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Leaf `(v, k)` — `k`-th node of bottom switch `v`.
-    #[inline]
-    pub fn leaf(&self, v: usize, k: usize) -> NodeId {
-        debug_assert!(v < self.r() && k < self.n());
-        NodeId((v * self.n() + k) as u32)
-    }
-
-    /// `(v, k)` coordinates of a leaf node id.
-    #[inline]
-    pub fn leaf_coords(&self, id: NodeId) -> Option<(usize, usize)> {
-        let idx = id.index();
-        (idx < self.num_leaves()).then(|| (idx / self.n(), idx % self.n()))
-    }
-
-    /// Bottom switch `v`.
-    #[inline]
-    pub fn bottom(&self, v: usize) -> NodeId {
-        debug_assert!(v < self.r());
-        NodeId((self.num_leaves() + v) as u32)
-    }
-
-    /// Inner bottom switch `ib` of logical top `g`.
-    #[inline]
-    pub fn inner_bottom(&self, g: usize, ib: usize) -> NodeId {
-        debug_assert!(g < self.logical_tops() && ib < self.inner_r());
-        NodeId((self.num_leaves() + self.r() + g * self.inner_r() + ib) as u32)
-    }
-
-    /// Inner top switch `t` of logical top `g`.
-    #[inline]
-    pub fn inner_top(&self, g: usize, t: usize) -> NodeId {
-        let n2 = self.n() * self.n();
-        debug_assert!(g < n2 && t < n2);
-        NodeId((self.num_leaves() + self.r() + n2 * self.inner_r() + g * n2 + t) as u32)
     }
 
     /// Uplink channel leaf `(v, k)` → bottom `v`.
@@ -411,6 +375,28 @@ mod tests {
     use crate::compact::build_paired_csr;
     use crate::dot::{to_dot, DotOptions};
 
+    /// The node numbering the tests pin: leaves `(v, k)` at `v·n + k`,
+    /// then bottoms, inner bottoms by fabric, inner tops by fabric.
+    fn leaf(net: &RecursiveNonblocking, v: usize, k: usize) -> NodeId {
+        NodeId((v * net.n() + k) as u32)
+    }
+
+    /// Bottom switch `v`.
+    fn bottom(net: &RecursiveNonblocking, v: usize) -> NodeId {
+        NodeId((net.num_leaves() + v) as u32)
+    }
+
+    /// Inner bottom switch `ib` of logical top `g`.
+    fn inner_bottom(net: &RecursiveNonblocking, g: usize, ib: usize) -> NodeId {
+        NodeId((net.num_leaves() + net.r() + g * net.inner_r() + ib) as u32)
+    }
+
+    /// Inner top switch `t` of logical top `g`.
+    fn inner_top(net: &RecursiveNonblocking, g: usize, t: usize) -> NodeId {
+        let n2 = net.n() * net.n();
+        NodeId((net.num_leaves() + net.r() + n2 * net.inner_r() + g * n2 + t) as u32)
+    }
+
     /// The stored oracle: the same `RecursiveShape::cable` wiring,
     /// materialized as channel records and CSR adjacency.
     fn stored_oracle(net: &RecursiveNonblocking) -> Topology {
@@ -460,7 +446,7 @@ mod tests {
                     assert_eq!(ins.get(i), c);
                 }
             }
-            let leaf0 = net.leaf(0, 0);
+            let leaf0 = leaf(&net, 0, 0);
             assert_eq!(imp.bfs_distances(leaf0), st.bfs_distances(leaf0));
             assert!(imp.memory_bytes() < st.memory_bytes());
         }
@@ -492,8 +478,8 @@ mod tests {
         let last = net.down2_channel(last_g, last_g, last_ib);
         assert_eq!(last.index(), t.num_channels() - 1);
         let ch = t.channel(last);
-        assert_eq!(ch.src, net.inner_top(last_g, last_g));
-        assert_eq!(ch.dst, net.inner_bottom(last_g, last_ib));
+        assert_eq!(ch.src, inner_top(&net, last_g, last_g));
+        assert_eq!(ch.dst, inner_bottom(&net, last_g, last_ib));
         assert_eq!(t.channel_between(ch.src, ch.dst), Ok(last));
         assert_eq!(
             t.reverse(last),
@@ -539,14 +525,14 @@ mod tests {
         assert_eq!(radix, 6);
         let t = net.topology();
         for v in 0..net.r() {
-            assert_eq!(t.radix(net.bottom(v)), radix, "bottom {v}");
+            assert_eq!(t.radix(bottom(&net, v)), radix, "bottom {v}");
         }
         for g in 0..net.logical_tops() {
             for ib in 0..net.inner_r() {
-                assert_eq!(t.radix(net.inner_bottom(g, ib)), radix);
+                assert_eq!(t.radix(inner_bottom(&net, g, ib)), radix);
             }
             for tt in 0..net.n() * net.n() {
-                assert_eq!(t.radix(net.inner_top(g, tt)), radix);
+                assert_eq!(t.radix(inner_top(&net, g, tt)), radix);
             }
         }
     }
@@ -559,8 +545,8 @@ mod tests {
         for v in 0..net.r() {
             for g in 0..n2 {
                 let up = net.up1_channel(v, g);
-                assert_eq!(t.channel(up).src, net.bottom(v));
-                assert_eq!(t.channel(up).dst, net.inner_bottom(g, v / 2));
+                assert_eq!(t.channel(up).src, bottom(&net, v));
+                assert_eq!(t.channel(up).dst, inner_bottom(&net, g, v / 2));
                 assert_eq!(t.reverse(up), Some(net.down1_channel(g, v)));
             }
         }
@@ -568,8 +554,8 @@ mod tests {
             for ib in 0..net.inner_r() {
                 for tt in 0..n2 {
                     let up = net.up2_channel(g, ib, tt);
-                    assert_eq!(t.channel(up).src, net.inner_bottom(g, ib));
-                    assert_eq!(t.channel(up).dst, net.inner_top(g, tt));
+                    assert_eq!(t.channel(up).src, inner_bottom(&net, g, ib));
+                    assert_eq!(t.channel(up).dst, inner_top(&net, g, tt));
                     assert_eq!(t.reverse(up), Some(net.down2_channel(g, tt, ib)));
                 }
             }
@@ -584,15 +570,15 @@ mod tests {
         let t = net.topology();
         for g in 0..4 {
             for ib in 0..net.inner_r() {
-                let node = net.inner_bottom(g, ib);
+                let node = inner_bottom(&net, g, ib);
                 let from_bottoms: Vec<_> = t
                     .in_channels(node)
                     .map(|c| t.channel(c).src)
                     .filter(|&s| t.kind(s).level() == Some(1))
                     .collect();
                 assert_eq!(from_bottoms.len(), 2);
-                assert_eq!(from_bottoms[0], net.bottom(ib * 2));
-                assert_eq!(from_bottoms[1], net.bottom(ib * 2 + 1));
+                assert_eq!(from_bottoms[0], bottom(&net, ib * 2));
+                assert_eq!(from_bottoms[1], bottom(&net, ib * 2 + 1));
             }
         }
     }
@@ -600,9 +586,9 @@ mod tests {
     #[test]
     fn leaves_connected_across_fabric() {
         let net = RecursiveNonblocking::new(2).unwrap();
-        let d = net.topology().bfs_distances(net.leaf(0, 0));
+        let d = net.topology().bfs_distances(leaf(&net, 0, 0));
         // Farthest leaf: up 3 levels, down 3 levels.
-        let far = net.leaf(net.r() - 1, 1);
+        let far = leaf(&net, net.r() - 1, 1);
         assert_eq!(d[far.index()], 6);
     }
 }

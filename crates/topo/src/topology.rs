@@ -112,17 +112,6 @@ impl Topology {
         self.kinds[id.index()]
     }
 
-    /// Checked variant of [`Topology::kind`].
-    pub fn try_kind(&self, id: NodeId) -> Result<NodeKind, TopoError> {
-        self.kinds
-            .get(id.index())
-            .copied()
-            .ok_or(TopoError::NodeOutOfRange {
-                node: id.index(),
-                num_nodes: self.num_nodes(),
-            })
-    }
-
     /// The channel record for `id`.
     ///
     /// # Panics
@@ -284,7 +273,7 @@ impl Topology {
 
     /// Breadth-first distances (in hops) from `start` following directed
     /// channels. Unreachable nodes get `u32::MAX`.
-    pub fn bfs_distances(&self, start: NodeId) -> Vec<u32> {
+    pub(crate) fn bfs_distances(&self, start: NodeId) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.num_nodes()];
         let mut queue = std::collections::VecDeque::new();
         dist[start.index()] = 0;
@@ -430,12 +419,5 @@ mod tests {
         assert_eq!(t.radix(NodeId(1)), 3);
         // leaf 0: 1 bidirectional cable + 1 unidirectional in = 2.
         assert_eq!(t.radix(NodeId(0)), 2);
-    }
-
-    #[test]
-    fn try_kind_out_of_range() {
-        let t = tiny();
-        assert!(t.try_kind(NodeId(99)).is_err());
-        assert!(t.try_kind(NodeId(2)).is_ok());
     }
 }

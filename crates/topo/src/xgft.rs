@@ -38,7 +38,7 @@ pub struct Xgft {
 impl Xgft {
     /// Build `XGFT(h; ms; ws)`. `ms` and `ws` are indexed from level 1, so
     /// `ms[0]` is `m_1`.
-    pub fn new(ms: &[usize], ws: &[usize]) -> Result<Self, TopoError> {
+    pub(crate) fn new(ms: &[usize], ws: &[usize]) -> Result<Self, TopoError> {
         let h = ms.len();
         if h == 0 {
             return Err(TopoError::InvalidParameter {
@@ -195,7 +195,7 @@ impl Xgft {
 
     /// Number of nodes at `level` (0 = leaves).
     #[inline]
-    pub fn level_count(&self, level: usize) -> usize {
+    pub(crate) fn level_count(&self, level: usize) -> usize {
         self.level_base[level + 1] - self.level_base[level]
     }
 
@@ -204,16 +204,6 @@ impl Xgft {
     pub fn node(&self, level: usize, idx: usize) -> NodeId {
         debug_assert!(idx < self.level_count(level));
         NodeId((self.level_base[level] + idx) as u32)
-    }
-
-    /// `(level, index)` of a node id.
-    pub fn locate(&self, id: NodeId) -> (usize, usize) {
-        let i = id.index();
-        let level = match self.level_base.binary_search(&i) {
-            Ok(l) => l.min(self.h),
-            Err(l) => l - 1,
-        };
-        (level, i - self.level_base[level])
     }
 
     /// Number of leaves (`∏ m_i`).
@@ -231,11 +221,6 @@ impl Xgft {
     #[inline]
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Consume into the flat topology.
-    pub fn into_topology(self) -> Topology {
-        self.topo
     }
 }
 
@@ -382,16 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn locate_roundtrip() {
-        let t = kary_ntree(2, 3).unwrap();
-        for level in 0..=3 {
-            for idx in 0..t.level_count(level) {
-                assert_eq!(t.locate(t.node(level, idx)), (level, idx));
-            }
-        }
-    }
-
-    #[test]
     fn every_leaf_reaches_every_leaf() {
         let t = kary_ntree(3, 2).unwrap();
         let d = t.topology().bfs_distances(t.node(0, 0));
@@ -406,13 +381,14 @@ mod tests {
         // level-i node exactly m_i distinct children.
         let t = Xgft::new(&[2, 3, 2], &[1, 2, 3]).unwrap();
         let topo = t.topology();
+        let level = |d| topo.kind(d).level().map_or(0, usize::from);
         for i in 1..=3 {
             for idx in 0..t.level_count(i - 1) {
                 let node = t.node(i - 1, idx);
                 let parents: std::collections::HashSet<_> = topo
                     .out_channels(node)
                     .map(|c| topo.channel(c).dst)
-                    .filter(|&d| t.locate(d).0 == i)
+                    .filter(|&d| level(d) == i)
                     .collect();
                 assert_eq!(parents.len(), t.ws()[i - 1], "level {i} parents");
             }
@@ -421,7 +397,7 @@ mod tests {
                 let children: std::collections::HashSet<_> = topo
                     .out_channels(node)
                     .map(|c| topo.channel(c).dst)
-                    .filter(|&d| t.locate(d).0 == i - 1)
+                    .filter(|&d| level(d) == i - 1)
                     .collect();
                 assert_eq!(children.len(), t.ms()[i - 1], "level {i} children");
             }

@@ -23,12 +23,12 @@ pub struct FtreeShape {
 
 impl FtreeShape {
     /// Total leaf count `r·n`.
-    pub fn ports(&self) -> u32 {
+    pub(crate) fn ports(&self) -> u32 {
         self.r * self.n
     }
 
     /// Bottom switch of a leaf.
-    pub fn switch_of(&self, leaf: u32) -> u32 {
+    pub(crate) fn switch_of(&self, leaf: u32) -> u32 {
         leaf / self.n
     }
 }
@@ -72,48 +72,6 @@ pub fn downlink_attack_mod(shape: FtreeShape) -> Option<Permutation> {
     uplink_attack_mod(shape).map(|p| p.inverse())
 }
 
-/// Full-pressure pattern for one source switch: all `n` leaves of switch `v`
-/// send to leaf 0 of `n` distinct other switches. This is the worst case for
-/// uplink capacity out of `v` and the pattern class used in the Lemma 2 /
-/// adaptive-routing experiments.
-pub fn saturate_switch(shape: FtreeShape, v: u32) -> Option<Permutation> {
-    let FtreeShape { n, r, .. } = shape;
-    if r <= n {
-        return None; // not enough distinct destination switches
-    }
-    let mut pairs = Vec::with_capacity(n as usize);
-    let mut w = 0;
-    for k in 0..n {
-        if w == v {
-            w += 1;
-        }
-        pairs.push(SdPair::new(v * n + k, w * n));
-        w += 1;
-    }
-    Some(Permutation::from_pairs(shape.ports(), pairs).expect("distinct switches"))
-}
-
-/// The "all-to-one-switch" inverse of [`saturate_switch`]: leaves of `n`
-/// distinct switches all send into switch `v` (worst case for downlinks).
-pub fn converge_on_switch(shape: FtreeShape, v: u32) -> Option<Permutation> {
-    saturate_switch(shape, v).map(|p| p.inverse())
-}
-
-/// Cross-switch full permutation `leaf (v, k) → leaf ((v+1) mod r, k)`:
-/// every SD pair crosses switches, so all `r·n` pairs need top-level routes.
-/// This is the maximal-load permutation used in throughput experiments.
-pub fn rotate_switches(shape: FtreeShape) -> Permutation {
-    let FtreeShape { n, r, .. } = shape;
-    let ports = shape.ports();
-    let map: Vec<u32> = (0..ports)
-        .map(|s| {
-            let (v, k) = (s / n, s % n);
-            ((v + 1) % r) * n + k
-        })
-        .collect();
-    Permutation::from_map(&map).expect("rotation is a bijection")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,33 +102,5 @@ mod tests {
         let [a, b] = p.pairs() else { panic!() };
         assert_eq!(SHAPE.switch_of(a.dst), SHAPE.switch_of(b.dst));
         assert_eq!(a.src % SHAPE.m, b.src % SHAPE.m);
-    }
-
-    #[test]
-    fn saturate_switch_targets_distinct_switches() {
-        let p = saturate_switch(SHAPE, 2).unwrap();
-        assert_eq!(p.len(), 2);
-        let mut dst_switches: Vec<u32> = p.pairs().iter().map(|x| SHAPE.switch_of(x.dst)).collect();
-        dst_switches.sort_unstable();
-        dst_switches.dedup();
-        assert_eq!(dst_switches.len(), 2);
-        assert!(dst_switches.iter().all(|&w| w != 2));
-        assert!(saturate_switch(FtreeShape { n: 3, m: 1, r: 3 }, 0).is_none());
-    }
-
-    #[test]
-    fn converge_is_inverse() {
-        let p = converge_on_switch(SHAPE, 2).unwrap();
-        assert!(p.pairs().iter().all(|x| SHAPE.switch_of(x.dst) == 2));
-    }
-
-    #[test]
-    fn rotation_crosses_switches() {
-        let p = rotate_switches(SHAPE);
-        assert!(p.is_full());
-        for pair in p.pairs() {
-            assert_ne!(SHAPE.switch_of(pair.src), SHAPE.switch_of(pair.dst));
-            assert_eq!(pair.src % SHAPE.n, pair.dst % SHAPE.n);
-        }
     }
 }

@@ -27,11 +27,6 @@ impl AllPermutations {
             current: Some((0..ports).collect()),
         }
     }
-
-    /// `ports!` as u128 (saturating), for progress reporting.
-    pub fn count_for(ports: u32) -> u128 {
-        (1..=ports as u128).product()
-    }
 }
 
 /// Advance `perm` to the next lexicographic permutation; false at the end.
@@ -161,7 +156,6 @@ mod tests {
         assert_eq!(AllPermutations::new(1).count(), 1);
         assert_eq!(AllPermutations::new(3).count(), 6);
         assert_eq!(AllPermutations::new(5).count(), 120);
-        assert_eq!(AllPermutations::count_for(5), 120);
     }
 
     #[test]

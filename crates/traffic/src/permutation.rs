@@ -65,26 +65,6 @@ impl Permutation {
         )
     }
 
-    /// Build from an optional mapping (partial permutation):
-    /// `map[s] = Some(d)` adds pair `(s, d)`.
-    pub fn from_partial_map(map: &[Option<u32>]) -> Result<Self, TrafficError> {
-        let ports = map.len() as u32;
-        Self::from_pairs(
-            ports,
-            map.iter()
-                .enumerate()
-                .filter_map(|(s, d)| d.map(|d| SdPair::new(s as u32, d))),
-        )
-    }
-
-    /// The empty permutation over `ports` leaves.
-    pub fn empty(ports: u32) -> Self {
-        Self {
-            ports,
-            pairs: Vec::new(),
-        }
-    }
-
     /// Number of leaves in the universe.
     #[inline]
     pub fn ports(&self) -> u32 {
@@ -136,20 +116,6 @@ impl Permutation {
         Self {
             ports: self.ports,
             pairs: self.pairs.iter().copied().filter(|p| keep(p.src)).collect(),
-        }
-    }
-
-    /// Remove pairs where `src == dst` (self-traffic never uses switch
-    /// uplinks in a fat tree and is usually excluded from routing studies).
-    pub fn without_self_pairs(&self) -> Self {
-        Self {
-            ports: self.ports,
-            pairs: self
-                .pairs
-                .iter()
-                .copied()
-                .filter(|p| !p.is_self())
-                .collect(),
         }
     }
 
@@ -207,13 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn from_partial_map() {
-        let p = Permutation::from_partial_map(&[Some(1), None, Some(0)]).unwrap();
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.dst_of(1), None);
-    }
-
-    #[test]
     fn inverse_roundtrip() {
         let p = Permutation::from_map(&[2, 0, 1, 3]).unwrap();
         let inv = p.inverse();
@@ -222,12 +181,10 @@ mod tests {
     }
 
     #[test]
-    fn self_pair_allowed_then_strippable() {
+    fn self_pair_allowed() {
         let p = Permutation::from_map(&[0, 2, 1]).unwrap();
         assert_eq!(p.len(), 3);
-        let stripped = p.without_self_pairs();
-        assert_eq!(stripped.len(), 2);
-        assert_eq!(stripped.dst_of(0), None);
+        assert_eq!(p.dst_of(0), Some(0));
     }
 
     #[test]
@@ -242,7 +199,7 @@ mod tests {
 
     #[test]
     fn empty_permutation() {
-        let p = Permutation::empty(8);
+        let p = Permutation::from_pairs(8, []).unwrap();
         assert!(p.is_empty());
         assert_eq!(p.ports(), 8);
     }

@@ -6,8 +6,8 @@ use std::fmt;
 /// A source-destination pair `(s, d)` over dense leaf port indices.
 ///
 /// The paper writes `SRC(s, d)` and `DST(s, d)` for the bottom switches
-/// hosting the endpoints; those are topology-dependent and provided by the
-/// routing layer (e.g. `Ftree::host_switch`).
+/// hosting the endpoints; those are topology-dependent (on `ftree(n+m, r)`
+/// leaf `v·n + k` hangs off bottom switch `v`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SdPair {
     /// Source leaf port index.

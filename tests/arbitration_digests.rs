@@ -21,7 +21,7 @@
 //!   full_corpus`, and say which seeds moved and why.
 
 use ftclos::evsim::EventSimulator;
-use ftclos::routing::{route_all, DModK, ObliviousMultipath, SpreadPolicy};
+use ftclos::routing::{route_all, DModK, ObliviousMultipath};
 use ftclos::sim::{Arbiter, FaultSchedule, Policy, SimConfig, Simulator, Workload};
 use ftclos::topo::{crossbar, ChannelId, Ftree, Topology};
 use ftclos::traffic::patterns;
@@ -188,19 +188,15 @@ impl Scenario {
                 let ft = Ftree::new(n, m, r).unwrap();
                 let ports = ft.num_leaves() as u32;
                 let perm = patterns::random_full(ports, &mut rng);
-                let mp = |spread| ObliviousMultipath::new(&ft, spread);
+                let mp = ObliviousMultipath::new(&ft);
                 let policy = match self.policy {
                     PolicyKind::DModK => Policy::from_single_path(&DModK::new(&ft)),
                     PolicyKind::Assignment => {
                         Policy::from_assignment(&route_all(&DModK::new(&ft), &perm).unwrap())
                     }
-                    PolicyKind::Random => Policy::from_multipath(&mp(SpreadPolicy::Random), true),
-                    PolicyKind::RoundRobin => {
-                        Policy::from_multipath(&mp(SpreadPolicy::RoundRobin), false)
-                    }
-                    PolicyKind::QueueAdaptive => {
-                        Policy::queue_adaptive(&mp(SpreadPolicy::RoundRobin))
-                    }
+                    PolicyKind::Random => Policy::from_multipath(&mp, true),
+                    PolicyKind::RoundRobin => Policy::from_multipath(&mp, false),
+                    PolicyKind::QueueAdaptive => Policy::queue_adaptive(&mp),
                     PolicyKind::Pinned => unreachable!("pinned routes are the crossbar's"),
                 };
                 let uplink = |u: usize| ft.up_channel(u % r, u / r % m);

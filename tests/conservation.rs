@@ -8,7 +8,7 @@
 //! self-consistent.
 
 use ftclos::obs::Registry;
-use ftclos::routing::{ObliviousMultipath, SpreadPolicy, YuanDeterministic};
+use ftclos::routing::{ObliviousMultipath, YuanDeterministic};
 use ftclos::sim::{
     Arbiter, ChurnConfig, ChurnSchedule, Policy, ReplanMode, SimConfig, Simulator, Workload,
 };
@@ -33,7 +33,7 @@ proptest! {
         seed in 0u64..200,
     ) {
         let ft = Ftree::new(n, n * n, r).unwrap();
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let cycles = 500;
         let schedule =
             ChurnSchedule::flapping_links(ft.topology(), links, mtbf, mttr, cycles, seed);

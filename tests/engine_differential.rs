@@ -51,7 +51,7 @@ use ftclos::core::{
 use ftclos::obs::Registry;
 use ftclos::routing::{
     route_all, DModK, FaultAware, ObliviousMultipath, PathArena, RoutingError, SModK,
-    SinglePathRouter, SpreadPolicy, XgftRouter, YuanDeterministic, YuanRecursive,
+    SinglePathRouter, XgftRouter, YuanDeterministic, YuanRecursive,
 };
 use ftclos::topo::{kary_ntree, ChannelId, FaultSet, FaultyView, Ftree, RecursiveNonblocking};
 use ftclos::traffic::{patterns, Permutation, SdPair};
@@ -945,9 +945,7 @@ fn witnesses_sit_on_the_lowest_offending_channel() {
     // ftree(2+4, 5) share every uplink of that switch.
     let ft = Ftree::new(2, 4, 5).unwrap();
     let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(1, 6)]).unwrap();
-    let spread = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin)
-        .spread_pattern(&perm)
-        .unwrap();
+    let spread = ObliviousMultipath::new(&ft).spread_pattern(&perm).unwrap();
     let offending: Vec<ChannelId> = (0..ft.topology().num_channels())
         .map(|c| ChannelId(c as u32))
         .filter(|c| {

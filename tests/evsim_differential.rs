@@ -11,9 +11,7 @@
 
 use ftclos::evsim::EventSimulator;
 use ftclos::obs::{EpochSnapshot, Registry};
-use ftclos::routing::{
-    DModK, ObliviousMultipath, SinglePathRouter, SpreadPolicy, XgftRouter, YuanRecursive,
-};
+use ftclos::routing::{DModK, ObliviousMultipath, SinglePathRouter, XgftRouter, YuanRecursive};
 use ftclos::sim::{
     Arbiter, ChurnConfig, ChurnSchedule, FaultSchedule, Policy, ReplanMode, SimArena, SimConfig,
     SimError, SimStats, Simulator, Workload,
@@ -200,7 +198,7 @@ proptest! {
         rate in 0.2f64..0.9,
     ) {
         let ft = Ftree::new(2, 4, 4).unwrap();
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let policy = Policy::from_multipath(&mp, true);
         let mut faults = FaultSchedule::new();
         let kills = [kills.0, kills.1, kills.2, kills.3];
@@ -240,7 +238,7 @@ proptest! {
         mode_pick in 0usize..3,
     ) {
         let ft = Ftree::new(2, 4, 4).unwrap();
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let mut schedule = ChurnSchedule::new();
         schedule.kill_link(down, ft.topology(), ft.up_channel(0, 1));
         schedule.revive_link(down + outage, ft.topology(), ft.up_channel(0, 1));
@@ -350,7 +348,7 @@ proptest! {
         rate in 0.2f64..0.9,
     ) {
         let ft = Ftree::new(2, 4, 4).unwrap();
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let policy = Policy::from_multipath(&mp, true);
         let mut faults = FaultSchedule::new();
         let kills = [kills.0, kills.1, kills.2, kills.3];
@@ -388,7 +386,7 @@ proptest! {
         mode_pick in 0usize..3,
     ) {
         let ft = Ftree::new(2, 4, 4).unwrap();
-        let mp = ObliviousMultipath::new(&ft, SpreadPolicy::Random);
+        let mp = ObliviousMultipath::new(&ft);
         let mut schedule = ChurnSchedule::new();
         schedule.kill_link(down, ft.topology(), ft.up_channel(0, 1));
         schedule.revive_link(down + outage, ft.topology(), ft.up_channel(0, 1));

@@ -164,12 +164,12 @@ fn lemma1_catches_multipath_forced_onto_shared_top() {
     // Negative: kill every top except one. The masked spreader still finds
     // routes (it degrades rather than fails), but two same-switch pairs now
     // share the lone top's downlink — and multipath_violation must say so.
-    use ftclos::routing::{ObliviousMultipath, SpreadPolicy};
+    use ftclos::routing::ObliviousMultipath;
     use ftclos::topo::{FaultSet, FaultyView};
     use ftclos::traffic::Permutation;
 
     let ft = Ftree::new(2, 4, 5).unwrap();
-    let mp = ObliviousMultipath::new(&ft, SpreadPolicy::RoundRobin);
+    let mp = ObliviousMultipath::new(&ft);
     let mut faults = FaultSet::new();
     for t in 1..4 {
         faults.fail_switch(ft.top(t));

@@ -179,8 +179,7 @@ fn contention_structure_of_baselines_is_complementary() {
     assert!(greedy_down > 0, "greedy must show downlink contention");
 
     let ft_nb = Ftree::new(3, 9, 7).unwrap();
-    let f_yuan =
-        blocking_report(&YuanDeterministic::new(&ft_nb).unwrap(), 120, 7).blocking_fraction();
+    let f_yuan = blocking_report(&YuanDeterministic::new(&ft_nb).unwrap(), 120, 7);
     assert_eq!(f_yuan, 0.0);
 }
 
