@@ -19,7 +19,7 @@
 //!   paper's Section V argues is all a fat-tree has. Whatever the choice,
 //!   the candidate paths sit in one CSR route table; a packet carries a row
 //!   id and a hop count, and the kernel resolves its next channel through
-//!   [`Policy::path`].
+//!   `Policy::path`.
 //!
 //! The headline experiment (E11): under random permutations, the Theorem 3
 //! fabric and a crossbar deliver ~100% throughput while a same-cost
