@@ -8,8 +8,7 @@
 //! `--fail-uplinks K` kills the links through the first `K` uplinks of
 //! edge switch 0 at cycle `--fail-at` (default: half the warmed-up run).
 
-use super::common::RouterName::{self, DModK, SModK, Yuan};
-use super::common::{build_ftree, fabric, make_pattern, route_named, SinglePath};
+use super::common::{build_ftree, fabric, make_pattern, route_named, RouterName};
 use crate::opts::{CliError, Opts};
 use ftclos_evsim::EventSimulator;
 use ftclos_obs::{Recorder, Registry};
@@ -86,14 +85,11 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         faults.kill_link(fail_at, ft.topology(), ft.up_channel(0, t));
     }
 
-    // Deterministic routers tabulate all pair paths; pattern routers fix
-    // the assignment for this permutation.
+    // Only the permutation's pairs ever inject, so every router tabulates
+    // just those: one row a pair.
     let policy = {
         let _s = rec.span("policy.build");
-        match router {
-            Yuan | DModK | SModK => Policy::from_single_path(&SinglePath::new(&ft, router)?),
-            _ => Policy::from_assignment(&route_named(&ft, router, &perm)?),
-        }
+        Policy::from_assignment(&route_named(&ft, router, &perm)?)
     };
     rec.add("policy.routes", policy.routes() as u64);
     rec.gauge("policy.bytes", policy.memory_bytes() as u64);
@@ -246,7 +242,7 @@ mod tests {
 
     #[test]
     fn run_records_the_policy_layer() {
-        for (router, routes) in [("dmodk", 56), ("adaptive", 8)] {
+        for (router, routes) in [("dmodk", 8), ("adaptive", 8)] {
             let reg = Registry::new();
             let args = format!("2 16 4 --router {router} --pattern shift:3 --cycles 100");
             run(&argv(&args), &reg).unwrap();

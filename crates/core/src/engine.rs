@@ -595,7 +595,7 @@ impl ContentionEngine {
     /// The Lemma 1 verdict: the lowest-id violating channel with an exact
     /// two-pair witness, or `None` when the routing is nonblocking.
     ///
-    /// The witness is [`lemma1_witness`] over the channel's incidence list,
+    /// The witness is `lemma1_witness` over the channel's incidence list,
     /// so it equals [`lemma1_audit_with`]'s.
     pub fn lemma1_violation(&self) -> Option<LinkViolation> {
         self.lemma1_violation_with(&Noop)

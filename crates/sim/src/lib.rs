@@ -28,7 +28,7 @@
 //! ```
 //! use ftclos_sim::{Policy, SimConfig, Simulator, Workload};
 //! use ftclos_topo::Ftree;
-//! use ftclos_routing::YuanDeterministic;
+//! use ftclos_routing::{route_all, YuanDeterministic};
 //! use ftclos_traffic::patterns;
 //! use rand::SeedableRng;
 //!
@@ -36,7 +36,7 @@
 //! let router = YuanDeterministic::new(&ft).unwrap();
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 //! let perm = patterns::random_full(10, &mut rng);
-//! let policy = Policy::from_single_path(&router);
+//! let policy = Policy::from_assignment(&route_all(&router, &perm).unwrap());
 //! let cfg = SimConfig { warmup_cycles: 100, measure_cycles: 400, ..SimConfig::default() };
 //! let stats = Simulator::new(ft.topology(), cfg, policy)
 //!     .run(&Workload::permutation(&perm, 0.9), 42);
@@ -56,18 +56,17 @@ pub mod stats;
 pub mod witness;
 pub mod workload;
 
-pub use batch::{sweep_injection_rates, ThroughputPoint};
+pub use batch::sweep_injection_rates;
 pub use churn::{ChurnConfig, ChurnReport, EpochStats, ReplanMode};
 pub use config::{Arbiter, SimConfig};
-pub use engine::{DenseSchedule, Simulator};
-pub use error::{ConfigError, SimError, StallReport, Strand};
+pub use engine::Simulator;
+pub use error::{ConfigError, SimError, StallReport};
 pub use fault::{ChurnSchedule, FaultEvent, FaultSchedule};
 pub use kernel::{Kernel, Names, Run, Schedule};
 pub use policy::Policy;
 pub use state::{PagedVec, SimArena};
 pub use stats::{ChannelBusy, SimStats, UtilizationHistogram};
 pub use witness::{
-    run_pinned_injection, run_pinned_injection_recorded, run_pinned_injection_watchdog,
-    run_pinned_injection_watchdog_recorded, PinnedRoute, WitnessRun,
+    run_pinned_injection_recorded, run_pinned_injection_watchdog_recorded, PinnedRoute, WitnessRun,
 };
 pub use workload::Workload;

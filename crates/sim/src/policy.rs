@@ -5,7 +5,10 @@
 //! is one candidate path, and each pair owns a contiguous range of rows —
 //! found by `src * ports + dst` in the all-pairs tables, and in the
 //! pattern-level ones by the source's offset into a per-source run of
-//! destinations. `Policy::pick` answers with a row id, a
+//! destinations. An all-pairs table holds `ports²` index entries, so it is
+//! for traffic that may use any pair; a permutation run (every
+//! `ftclos simulate`) tabulates just its pairs through
+//! `Policy::from_assignment`. `Policy::pick` answers with a row id, a
 //! packet carries that id and its hop count, and whoever needs the channels
 //! (the kernel's grant tests, the stall report) resolves them through
 //! `Policy::path`: the hot loop does no routing work beyond an index
@@ -166,7 +169,9 @@ impl Policy {
     }
 
     /// One fixed path per pair, tabulated from a single-path router for
-    /// every ordered leaf pair.
+    /// every ordered leaf pair. The pair index is `ports²` offsets: a run
+    /// that injects one pattern wants
+    /// `from_assignment(&route_all(router, &perm)?)` instead.
     pub fn from_single_path<R: SinglePathRouter + ?Sized>(router: &R) -> Self {
         let mut path = Vec::new();
         Self::all_pairs(router.ports(), Choice::Fixed, |table, pair| {

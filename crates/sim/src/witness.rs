@@ -25,7 +25,7 @@
 
 use crate::config::Arbiter;
 use crate::{Policy, SimConfig, SimError, SimStats, Simulator, Workload};
-use ftclos_obs::{Noop, Recorder};
+use ftclos_obs::Recorder;
 use ftclos_topo::{ChannelId, Topology};
 use std::collections::HashSet;
 
@@ -42,7 +42,7 @@ pub struct PinnedRoute {
 
 impl PinnedRoute {
     /// Pin `channels` for the pair `(src, dst)`. Validation happens at
-    /// [`Policy::from_pinned`] time, inside [`run_pinned_injection`].
+    /// [`Policy::from_pinned`] time, inside [`run_pinned_injection_recorded`].
     pub fn new(src: u32, dst: u32, channels: Vec<ChannelId>) -> Self {
         Self { src, dst, channels }
     }
@@ -77,27 +77,14 @@ impl WitnessRun {
 /// from every pinned source for `cycles` cycles under `queue_capacity`
 /// credits per queue, then drain. Duplicate sources keep their *first*
 /// route (each leaf has one injection stream); `queue_capacity` should be
-/// small (2–4) so the circular wait fills quickly.
+/// small (2–4) so the circular wait fills quickly. The run records under
+/// the engine's `sim.run` span and counters (see
+/// `Simulator::try_run_recorded`).
 ///
 /// # Errors
 /// [`SimError::PinnedPath`] if a surviving route fails path validation,
 /// [`SimError::Config`] if the derived configuration is rejected
 /// (`queue_capacity == 0`), or any engine error from the run itself.
-pub fn run_pinned_injection(
-    topo: &Topology,
-    routes: &[PinnedRoute],
-    cycles: u64,
-    queue_capacity: usize,
-    seed: u64,
-) -> Result<WitnessRun, SimError> {
-    run_pinned_injection_recorded(topo, routes, cycles, queue_capacity, seed, &Noop)
-}
-
-/// [`run_pinned_injection`] with instrumentation: the run records under the
-/// engine's `sim.run` span and counters (see `Simulator::try_run_recorded`).
-///
-/// # Errors
-/// As for [`run_pinned_injection`].
 pub fn run_pinned_injection_recorded<R: Recorder>(
     topo: &Topology,
     routes: &[PinnedRoute],
@@ -109,42 +96,19 @@ pub fn run_pinned_injection_recorded<R: Recorder>(
     run_pinned_injection_watchdog_recorded(topo, routes, cycles, queue_capacity, 0, seed, rec)
 }
 
-/// [`run_pinned_injection`] with the bounded-progress stall watchdog armed:
-/// instead of letting a wedged run spin through the drain phase to the
-/// cycle cap and come back as mere `leftover_packets`, the engine aborts
-/// after `watchdog` progress-free cycles with [`SimError::Stalled`]
-/// carrying the strand graph — every blocked head packet, the channel it
-/// holds, the channel it waits for, and the credit wait-for cycle. Pass
-/// `watchdog = 0` to disable (identical to [`run_pinned_injection`]).
-///
-/// # Errors
-/// As for [`run_pinned_injection`], plus [`SimError::Stalled`] when the
-/// watchdog fires — the *expected* outcome when the pinned routes realize a
-/// cyclic channel dependency.
-pub fn run_pinned_injection_watchdog(
-    topo: &Topology,
-    routes: &[PinnedRoute],
-    cycles: u64,
-    queue_capacity: usize,
-    watchdog: u64,
-    seed: u64,
-) -> Result<WitnessRun, SimError> {
-    run_pinned_injection_watchdog_recorded(
-        topo,
-        routes,
-        cycles,
-        queue_capacity,
-        watchdog,
-        seed,
-        &Noop,
-    )
-}
-
-/// [`run_pinned_injection_watchdog`] with instrumentation (see
+/// [`run_pinned_injection_recorded`] with the bounded-progress stall
+/// watchdog armed: instead of letting a wedged run spin through the drain
+/// phase to the cycle cap and come back as mere `leftover_packets`, the
+/// engine aborts after `watchdog` progress-free cycles with
+/// [`SimError::Stalled`] carrying the strand graph — every blocked head
+/// packet, the channel it holds, the channel it waits for, and the credit
+/// wait-for cycle. Pass `watchdog = 0` to disable (identical to
 /// [`run_pinned_injection_recorded`]).
 ///
 /// # Errors
-/// As for [`run_pinned_injection_watchdog`].
+/// As for [`run_pinned_injection_recorded`], plus [`SimError::Stalled`]
+/// when the watchdog fires — the *expected* outcome when the pinned routes
+/// realize a cyclic channel dependency.
 pub fn run_pinned_injection_watchdog_recorded<R: Recorder>(
     topo: &Topology,
     routes: &[PinnedRoute],
@@ -182,6 +146,7 @@ pub fn run_pinned_injection_watchdog_recorded<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftclos_obs::Noop;
     use ftclos_routing::{DModK, SinglePathRouter};
     use ftclos_topo::Ftree;
     use ftclos_traffic::SdPair;
@@ -213,7 +178,15 @@ mod tests {
     #[test]
     fn valley_cycle_wedges_and_conserves() {
         let ft = Ftree::new(1, 1, 4).unwrap();
-        let run = run_pinned_injection(ft.topology(), &valley_routes(&ft), 200, 2, 0xDEAD).unwrap();
+        let run = run_pinned_injection_recorded(
+            ft.topology(),
+            &valley_routes(&ft),
+            200,
+            2,
+            0xDEAD,
+            &Noop,
+        )
+        .unwrap();
         assert_eq!(run.pinned_pairs, 4);
         assert!(
             run.wedged(),
@@ -232,9 +205,16 @@ mod tests {
         // must be non-empty (the stall is the circular credit wait) and
         // every cycle channel must be one of the valley's up/down channels.
         let ft = Ftree::new(1, 1, 4).unwrap();
-        let err =
-            run_pinned_injection_watchdog(ft.topology(), &valley_routes(&ft), 200, 2, 64, 0xDEAD)
-                .unwrap_err();
+        let err = run_pinned_injection_watchdog_recorded(
+            ft.topology(),
+            &valley_routes(&ft),
+            200,
+            2,
+            64,
+            0xDEAD,
+            &Noop,
+        )
+        .unwrap_err();
         let SimError::Stalled(report) = err else {
             panic!("expected Stalled, got {err}");
         };
@@ -280,13 +260,14 @@ mod tests {
         // mere leftover packets. The cap exit must report the stall instead
         // when the watchdog was armed and mid-freeze.
         let ft = Ftree::new(1, 1, 4).unwrap();
-        let err = run_pinned_injection_watchdog(
+        let err = run_pinned_injection_watchdog_recorded(
             ft.topology(),
             &valley_routes(&ft),
             50,
             2,
             2 * SimConfig::DRAIN_CAP, // cannot reach the threshold in time
             0xDEAD,
+            &Noop,
         )
         .unwrap_err();
         let SimError::Stalled(report) = err else {
@@ -313,9 +294,18 @@ mod tests {
                 PinnedRoute::new(r.src, r.dst, path.channels().to_vec())
             })
             .collect();
-        let watched =
-            run_pinned_injection_watchdog(ft.topology(), &routes, 200, 2, 64, 0xDEAD).unwrap();
-        let plain = run_pinned_injection(ft.topology(), &routes, 200, 2, 0xDEAD).unwrap();
+        let watched = run_pinned_injection_watchdog_recorded(
+            ft.topology(),
+            &routes,
+            200,
+            2,
+            64,
+            0xDEAD,
+            &Noop,
+        )
+        .unwrap();
+        let plain =
+            run_pinned_injection_recorded(ft.topology(), &routes, 200, 2, 0xDEAD, &Noop).unwrap();
         assert_eq!(watched.stats, plain.stats);
         assert!(!watched.wedged());
     }
@@ -334,7 +324,8 @@ mod tests {
                 PinnedRoute::new(r.src, r.dst, path.channels().to_vec())
             })
             .collect();
-        let run = run_pinned_injection(ft.topology(), &routes, 200, 2, 0xDEAD).unwrap();
+        let run =
+            run_pinned_injection_recorded(ft.topology(), &routes, 200, 2, 0xDEAD, &Noop).unwrap();
         assert_eq!(run.stats.leftover_packets, 0, "{:?}", run.stats);
         assert!(!run.wedged());
         assert!(run.conservation_ok());
@@ -351,7 +342,7 @@ mod tests {
             PinnedRoute::new(0, 3, path(0, 3)), // same source: dropped
             PinnedRoute::new(1, 3, path(1, 3)),
         ];
-        let run = run_pinned_injection(ft.topology(), &routes, 50, 2, 1).unwrap();
+        let run = run_pinned_injection_recorded(ft.topology(), &routes, 50, 2, 1, &Noop).unwrap();
         assert_eq!(run.pinned_pairs, 2);
         assert!(!run.wedged());
     }
@@ -365,7 +356,8 @@ mod tests {
             2,
             vec![ft.leaf_up_channel(0, 0), ft.leaf_up_channel(1, 0)],
         )];
-        let err = run_pinned_injection(ft.topology(), &routes, 10, 2, 1).unwrap_err();
+        let err =
+            run_pinned_injection_recorded(ft.topology(), &routes, 10, 2, 1, &Noop).unwrap_err();
         assert!(
             matches!(err, SimError::PinnedPath { src: 0, dst: 2, .. }),
             "{err}"
