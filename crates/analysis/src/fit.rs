@@ -56,11 +56,6 @@ impl PowerFit {
             r_squared,
         })
     }
-
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.a * x.powf(self.b)
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +71,6 @@ mod tests {
         assert!((fit.b - 1.7).abs() < 1e-9);
         assert!((fit.a - 3.0).abs() < 1e-9);
         assert!((fit.r_squared - 1.0).abs() < 1e-9);
-        assert!((fit.predict(4.0) - 3.0 * 4f64.powf(1.7)).abs() < 1e-9);
     }
 
     #[test]

@@ -1,54 +1,5 @@
 //! The paper's bounds and conditions in closed form.
 
-/// Lemma 2: maximum SD pairs routable through one top-level switch of
-/// `ftree(n+m, r)`.
-pub fn lemma2_max_pairs_per_top(n: usize, r: usize) -> usize {
-    if r > 2 * n {
-        r * (r - 1)
-    } else {
-        2 * n * r
-    }
-}
-
-/// Total cross-switch SD pairs that must traverse top-level switches:
-/// `r(r-1)n²` (paper Section IV.A).
-pub fn cross_switch_pairs(n: usize, r: usize) -> usize {
-    r * (r - 1) * n * n
-}
-
-/// Theorem 2: minimum `m` for `ftree(n+m, r)` to be nonblocking under any
-/// single-path deterministic routing, in the `r >= 2n+1` regime.
-pub fn min_m_deterministic(n: usize) -> usize {
-    n * n
-}
-
-/// Theorem 1: in the `r <= 2n+1` regime a nonblocking fabric supports at
-/// most `2(n+m)` ports.
-pub fn theorem1_port_cap(n: usize, m: usize) -> usize {
-    2 * (n + m)
-}
-
-/// The lower bound on `m` implied by Lemma 2 counting in the small-top
-/// regime: `m >= (r-1)·n / 2` (from `r(r-1)n² / (2nr)`), rounded up.
-pub fn min_m_small_regime(n: usize, r: usize) -> usize {
-    ((r - 1) * n).div_ceil(2)
-}
-
-/// Smallest `c >= 1` with `r <= n^c` (the adaptive algorithm's digit
-/// constant). `None` when `n < 2` and `r > 1`.
-pub fn digit_constant(n: usize, r: usize) -> Option<usize> {
-    if n == 0 || r == 0 || (n == 1 && r > 1) {
-        return None;
-    }
-    let mut c = 1usize;
-    let mut pow = n as u128;
-    while pow < r as u128 {
-        pow *= n as u128;
-        c += 1;
-    }
-    Some(c)
-}
-
 /// The paper's coarse adaptive bound: at most `ceil(n / (c+2))`
 /// configurations, i.e. `ceil(n/(c+2)) · (c+1) · n` top switches — already
 /// `< n²` for every `c >= 1` (when `n > c+2`... the asymptotic claim).
@@ -62,67 +13,9 @@ pub fn adaptive_exponent(c: usize) -> f64 {
     2.0 - 1.0 / (2.0 * (c as f64 + 1.0))
 }
 
-/// Numerically solve the Theorem 5 recurrence
-/// `T(n) = T(n - ceil(n^{1/(2(c+1))})) + 1`, `T(0) = 0`: the number of
-/// configurations when each round retires at least `n^{1/(2(c+1))}` of the
-/// at-most-`n` remaining SD pairs per switch.
-pub fn recurrence_configs(n: usize, c: usize) -> usize {
-    let exp = 1.0 / (2.0 * (c as f64 + 1.0));
-    let mut remaining = n as f64;
-    let mut steps = 0usize;
-    while remaining >= 1.0 {
-        let retire = remaining.powf(exp).ceil().max(1.0);
-        remaining -= retire;
-        steps += 1;
-    }
-    steps
-}
-
-/// Clos (1953) strict-sense nonblocking condition (centralized control):
-/// `m >= 2n - 1`.
-pub fn clos_strict_m(n: usize) -> usize {
-    2 * n - 1
-}
-
-/// Beneš (1962) rearrangeable condition (centralized control): `m >= n`.
-pub fn benes_rearrangeable_m(n: usize) -> usize {
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counting_identities() {
-        // Total pairs / per-top capacity == n² tops in the large regime.
-        for (n, r) in [(2usize, 5usize), (3, 7), (4, 9), (5, 11)] {
-            assert!(r > 2 * n);
-            let total = cross_switch_pairs(n, r);
-            let per_top = lemma2_max_pairs_per_top(n, r);
-            assert_eq!(total.div_ceil(per_top), min_m_deterministic(n));
-        }
-    }
-
-    #[test]
-    fn small_regime_port_cap() {
-        // With m = min_m_small_regime, ports r·n <= 2(n+m).
-        for (n, r) in [(3usize, 4usize), (4, 6), (5, 11)] {
-            assert!(r <= 2 * n + 1);
-            let m = min_m_small_regime(n, r);
-            assert!(r * n <= theorem1_port_cap(n, m), "n={n} r={r} m={m}");
-        }
-    }
-
-    #[test]
-    fn digit_constants() {
-        assert_eq!(digit_constant(2, 4), Some(2));
-        assert_eq!(digit_constant(2, 5), Some(3));
-        assert_eq!(digit_constant(10, 10), Some(1));
-        assert_eq!(digit_constant(1, 5), None);
-        assert_eq!(digit_constant(1, 1), Some(1));
-        assert_eq!(digit_constant(0, 3), None);
-    }
 
     #[test]
     fn adaptive_beats_deterministic_asymptotically() {
@@ -139,29 +32,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn recurrence_growth_is_sublinear_in_n() {
-        // T(n) should scale like n^{1 - 1/(2(c+1))}: growing n by 16x grows
-        // T(n) by well under 16x.
-        let c = 2;
-        let t1 = recurrence_configs(64, c);
-        let t2 = recurrence_configs(1024, c);
-        assert!(t1 > 0 && t2 > t1);
-        assert!((t2 as f64) < 16.0 * t1 as f64);
-        // And the asymptotic prediction holds within a loose factor.
-        let predicted_ratio = (1024.0f64 / 64.0).powf(1.0 - 1.0 / (2.0 * (c as f64 + 1.0)));
-        let measured_ratio = t2 as f64 / t1 as f64;
-        assert!(
-            (measured_ratio / predicted_ratio - 1.0).abs() < 0.5,
-            "measured {measured_ratio}, predicted {predicted_ratio}"
-        );
-    }
-
-    #[test]
-    fn centralized_conditions() {
-        assert_eq!(clos_strict_m(3), 5);
-        assert_eq!(benes_rearrangeable_m(3), 3);
     }
 }

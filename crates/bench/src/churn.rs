@@ -24,6 +24,7 @@
 
 use crate::{sim_cfg, Ctx, RowResult, SEED};
 use ftclos_core::churn::{availability, min_m_for_availability, ChurnEvent};
+use ftclos_obs::Noop;
 use ftclos_routing::ObliviousMultipath;
 use ftclos_sim::{
     Arbiter, ChurnConfig, ChurnReport, ChurnSchedule, Policy, ReplanMode, SimConfig, SimError,
@@ -197,10 +198,11 @@ fn run_mode(
         epsilon: 0.1,
         recovery_window: 50,
     };
-    Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true)).try_run_churn(
+    Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true)).try_run_churn_recorded(
         &Workload::permutation(&perm, 0.7),
         SEED,
         schedule,
         &churn,
+        &Noop,
     )
 }

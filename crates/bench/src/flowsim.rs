@@ -16,7 +16,8 @@
 //!   solves and everything before them.
 
 use crate::{Ctx, RowResult};
-use ftclos_flowsim::{check_fabric, solve_pattern};
+use ftclos_flowsim::{check_fabric, solve_pattern_with};
+use ftclos_obs::Noop;
 use ftclos_routing::{
     DModK, GreedyLocalAdaptive, LinkLoadView, NonblockingAdaptive, ObliviousMultipath,
     RearrangeableRouter, SModK, YuanDeterministic,
@@ -37,7 +38,7 @@ fn mean_delivered<V: LinkLoadView + ?Sized>(
     let mut sum = 0.0;
     let mut worst = 1.0f64;
     for (i, p) in perms.iter().enumerate() {
-        let r = solve_pattern(view, &format!("random:{i}"), p, caps).ok()?;
+        let r = solve_pattern_with(view, &format!("random:{i}"), p, caps, &Noop).ok()?;
         sum += r.mean_rate;
         worst = worst.min(r.worst_rate);
     }
@@ -148,7 +149,7 @@ pub fn e19(ctx: &mut Ctx) -> RowResult {
     let routers: [(&str, &dyn LinkLoadView); 2] =
         [("yuan-deterministic", &yuan_big), ("d-mod-k", &dmodk_big)];
     for (label, view) in routers {
-        let rep = solve_pattern(view, "random", &perm, &caps)?;
+        let rep = solve_pattern_with(view, "random", &perm, &caps, &Noop)?;
         ctx.result_line(
             label,
             format!(

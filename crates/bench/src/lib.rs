@@ -171,12 +171,12 @@ pub struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     /// Print a section banner.
-    pub fn banner(&mut self, id: &str, title: &str) -> io::Result<()> {
+    pub(crate) fn banner(&mut self, id: &str, title: &str) -> io::Result<()> {
         writeln!(self.out, "\n=== {id}: {title} ===")
     }
 
     /// Print a `key = value` result line in a stable, grep-friendly format.
-    pub fn result_line(&mut self, key: &str, value: impl fmt::Display) -> io::Result<()> {
+    pub(crate) fn result_line(&mut self, key: &str, value: impl fmt::Display) -> io::Result<()> {
         writeln!(self.out, "  {key} = {value}")
     }
 
@@ -205,7 +205,11 @@ impl<'a> Ctx<'a> {
 
     /// Run `f` under a span called `name` and return the seconds it took.
     /// The registry is the only clock in this crate.
-    pub fn timed<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> T) -> (f64, T) {
+    pub(crate) fn timed<T>(
+        &mut self,
+        name: &'static str,
+        f: impl FnOnce(&mut Self) -> T,
+    ) -> (f64, T) {
         let reg = self.reg;
         let before = span_s(reg, name);
         let out = {
@@ -215,7 +219,7 @@ impl<'a> Ctx<'a> {
         (span_s(reg, name) - before, out)
     }
 
-    /// [`Ctx::timed`] with a wall-clock limit, which the runner holds the
+    /// `Ctx::timed` with a wall-clock limit, which the runner holds the
     /// row to.
     pub fn within(
         &mut self,
@@ -241,7 +245,7 @@ fn span_s(reg: &Registry, name: &str) -> f64 {
 }
 
 /// Fail a row's setup when a precondition of its experiment does not hold.
-pub fn ensure(ok: bool, what: &str) -> RowResult {
+pub(crate) fn ensure(ok: bool, what: &str) -> RowResult {
     if ok {
         Ok(())
     } else {
@@ -376,7 +380,7 @@ impl SinglePathRouter for XbRouter<'_> {
 
 /// The packet simulator's defaults with the given warm-up and measurement
 /// windows.
-pub fn sim_cfg(warmup_cycles: u64, measure_cycles: u64) -> SimConfig {
+pub(crate) fn sim_cfg(warmup_cycles: u64, measure_cycles: u64) -> SimConfig {
     SimConfig {
         warmup_cycles,
         measure_cycles,

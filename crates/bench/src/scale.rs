@@ -48,18 +48,20 @@
 use crate::{sim_cfg, Ctx, RowResult, SEED};
 use ftclos_core::search::find_blocking_two_pair;
 use ftclos_core::{
-    analyze_router_with, cable_universe, cdg_of_router, certify_exhaustive, lemma1_audit_with,
-    run_randomized, top_switch_universe, AdaptiveRoutability, CampaignConfig, CampaignProperty,
-    ContentionEngine, ContentionScratch, FaultElement, ValleyRouter,
+    analyze_router_with, cable_universe, cdg_of_router_with, certify_exhaustive_with,
+    lemma1_audit_with, run_randomized_with, top_switch_universe, AdaptiveRoutability,
+    CampaignConfig, CampaignProperty, ContentionEngine, ContentionScratch, FaultElement,
+    ValleyRouter,
 };
 use ftclos_evsim::EventSimulator;
 use ftclos_flowsim::standard_suite;
+use ftclos_obs::Noop;
 use ftclos_routing::{
     route_all, CongestionConfig, DModK, FaultAware, FtreeCandidates, MinCongestion,
     NonblockingAdaptive, PatternRouter, RouteAssignment, RoutingError, SModK, SinglePathRouter,
     YuanDeterministic, YuanRecursive,
 };
-use ftclos_sim::{Policy, Simulator, Workload};
+use ftclos_sim::{FaultSchedule, Policy, Simulator, Workload};
 use ftclos_topo::{FaultSet, FaultyView, Ftree, RecursiveNonblocking, Topology};
 use ftclos_traffic::enumerate::TwoPairs;
 use ftclos_traffic::{patterns, Permutation, SdPair};
@@ -190,7 +192,8 @@ pub fn e22(ctx: &mut Ctx) -> RowResult {
     // Witness smoke: the intentionally broken valley router must be caught
     // with the full-length deterministic cycle the injection harness pins.
     let vft = Ftree::new(1, 1, 4)?;
-    let valley = cdg_of_router(vft.topology(), &ValleyRouter::new(&vft)).check();
+    let valley =
+        cdg_of_router_with(vft.topology(), &ValleyRouter::new(&vft), &Noop).check_with(&Noop);
     let witness_len = valley.verdict.witness().map_or(0, <[_]>::len);
     ctx.result_line("valley_witness_len", witness_len)?;
     ctx.check(
@@ -206,7 +209,7 @@ pub fn e23(ctx: &mut Ctx) -> RowResult {
     let routability = AdaptiveRoutability::new(&big);
     let top_ids = top_switch_universe(big.topology());
     let tops: Vec<FaultElement> = top_ids.iter().copied().map(FaultElement::Switch).collect();
-    let cert = certify_exhaustive(&routability, &tops, 2);
+    let cert = certify_exhaustive_with(&routability, &tops, 2, &Noop);
     ctx.result_line("certify_sets", cert.sets_total)?;
     ctx.check(
         cert.certified() && cert.sets_total == 32_897,
@@ -221,7 +224,15 @@ pub fn e23(ctx: &mut Ctx) -> RowResult {
         shrink: true,
     };
     let cables = cable_universe(big.topology());
-    let report = run_randomized(&routability, &cables, &top_ids, &cfg, None)?;
+    let report = run_randomized_with(
+        &routability,
+        &cables,
+        &top_ids,
+        &cfg,
+        None,
+        &Noop,
+        &mut |_| Ok(true),
+    )?;
     ctx.result_line("sets_evaluated", report.sets_evaluated)?;
     ctx.result_line("killers", report.killers.len())?;
     ctx.check(
@@ -319,7 +330,8 @@ fn event_run(
     let policy = Policy::from_assignment(&route_all(router, &perm)?);
     let mut sim = EventSimulator::new(topo, sim_cfg(5, 15), policy);
     let w = Workload::permutation(&perm, rate);
-    let stats = sim.try_run_recorded(&w, SEED, ctx.recorder())?;
+    let stats =
+        sim.try_run_with_faults_recorded(&w, SEED, &FaultSchedule::new(), ctx.recorder())?;
     ctx.check(
         stats.delivered_total > 0 && stats.conservation_ok(),
         &format!("{what} event run delivers packets and conserves them"),
@@ -523,7 +535,7 @@ pub fn e26(ctx: &mut Ctx) -> RowResult {
             .each_ref()
             .map(|asg| scratch_max(&mut scratch, asg));
         let router = MinCongestion::with_config(FtreeCandidates::pristine(&big), config);
-        let plan = router.plan_seeded(perm, &baselines.each_ref())?;
+        let plan = router.plan_seeded_with(perm, &baselines.each_ref(), &Noop)?;
         let repaired = scratch_max(&mut scratch, &plan.assignment());
         ctx.result_line(
             pname,
@@ -558,7 +570,7 @@ pub fn e26(ctx: &mut Ctx) -> RowResult {
         .ok()
         .map(|asg| scratch_max(&mut scratch, &asg));
     let frouter = MinCongestion::with_config(FtreeCandidates::masked(&big, &view), config);
-    let fplan = frouter.plan_seeded(&fperm, &[])?;
+    let fplan = frouter.plan_seeded_with(&fperm, &[], &Noop)?;
     let repaired_faulted = scratch_max(&mut scratch, &fplan.assignment());
     ctx.result_line(
         "faulted_dmodk_max_load",

@@ -40,7 +40,7 @@ use ftclos_core::campaign::{
 };
 use ftclos_core::cdg::cdg_of_masked_router_with;
 use ftclos_obs::json::quote;
-use ftclos_obs::{Recorder as _, Registry};
+use ftclos_obs::{Noop, Recorder as _, Registry};
 use ftclos_sim::{run_pinned_injection_watchdog_recorded, SimError, StallReport};
 use ftclos_topo::{FaultyView, Ftree};
 use std::fmt::Write as _;
@@ -262,7 +262,7 @@ fn run_confirm(
     let topo = ft.topology();
     let fs = target.to_fault_set(topo);
     let view = FaultyView::new(topo, &fs);
-    let analysis = cdg_of_masked_router_with(router, &view, rec).check();
+    let analysis = cdg_of_masked_router_with(router, &view, rec).check_with(&Noop);
     let Some(witness) = analysis.verdict.witness() else {
         return Err(CliError::Failed(format!(
             "--confirm target {target} is not statically cyclic for router {router_name}"

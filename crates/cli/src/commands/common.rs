@@ -125,7 +125,7 @@ impl RouterName {
     }
 
     /// `names` as `a|b|c`.
-    pub fn spell(names: &[RouterName]) -> String {
+    pub(crate) fn spell(names: &[RouterName]) -> String {
         let names: Vec<&str> = names.iter().map(|r| r.as_str()).collect();
         names.join("|")
     }
@@ -206,7 +206,7 @@ impl SinglePathRouter for SinglePath<'_> {
 }
 
 /// Route `perm` on `ft` with the named router.
-pub fn route_named(
+pub(crate) fn route_named(
     ft: &Ftree,
     name: RouterName,
     perm: &Permutation,

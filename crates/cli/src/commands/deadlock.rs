@@ -31,7 +31,7 @@ use ftclos_core::cdg::{
 use ftclos_core::{attribute_witness, CycleAnalysis, DeadlockVerdict, SweepEntry};
 use ftclos_obs::{Recorder as _, Registry};
 use ftclos_routing::{ObliviousMultipath, SinglePathRouter};
-use ftclos_sim::{run_pinned_injection_recorded, PinnedRoute, WitnessRun};
+use ftclos_sim::{run_pinned_injection_watchdog_recorded, PinnedRoute, WitnessRun};
 use ftclos_topo::{ChannelId, FaultyView, Ftree};
 use ftclos_traffic::SdPair;
 use std::fmt::Write as _;
@@ -98,8 +98,16 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         }
         let replay = |routes: &[PinnedRoute]| {
             let topo = ft.topology();
-            run_pinned_injection_recorded(topo, routes, inject_cycles, queue_capacity, seed, rec)
-                .map_err(|e| CliError::Failed(e.to_string()))
+            run_pinned_injection_watchdog_recorded(
+                topo,
+                routes,
+                inject_cycles,
+                queue_capacity,
+                0,
+                seed,
+                rec,
+            )
+            .map_err(|e| CliError::Failed(e.to_string()))
         };
         let run = replay(&routes)?;
         // Control: the same pairs along up*/down* dmodk routes must drain.

@@ -48,7 +48,7 @@ impl Opts {
     }
 
     /// Positional `i` as a raw string.
-    pub fn pos_str(&self, i: usize, name: &str) -> Result<&str, CliError> {
+    pub(crate) fn pos_str(&self, i: usize, name: &str) -> Result<&str, CliError> {
         self.positionals
             .get(i)
             .map(String::as_str)
@@ -56,7 +56,7 @@ impl Opts {
     }
 
     /// Positional `i` parsed as `usize`.
-    pub fn pos_usize(&self, i: usize, name: &str) -> Result<usize, CliError> {
+    pub(crate) fn pos_usize(&self, i: usize, name: &str) -> Result<usize, CliError> {
         let raw = self
             .positionals
             .get(i)
@@ -66,7 +66,7 @@ impl Opts {
     }
 
     /// The `(n, m, r)` triple most commands take.
-    pub fn nmr(&self) -> Result<(usize, usize, usize), CliError> {
+    pub(crate) fn nmr(&self) -> Result<(usize, usize, usize), CliError> {
         Ok((
             self.pos_usize(0, "n")?,
             self.pos_usize(1, "m")?,
@@ -88,11 +88,6 @@ impl Opts {
                 .map_err(|_| CliError::Usage(format!("--{key} got invalid value `{raw}`"))),
         }
     }
-
-    /// Number of positionals (for arity checks).
-    pub fn num_positionals(&self) -> usize {
-        self.positionals.len()
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +105,6 @@ mod tests {
         assert_eq!(o.flag("router"), Some("yuan"));
         assert_eq!(o.flag_or::<u64>("seed", 0).unwrap(), 7);
         assert_eq!(o.flag_or::<u64>("missing", 9).unwrap(), 9);
-        assert_eq!(o.num_positionals(), 3);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! verdict, CDG deadlock-freedom, or deterministic-route coverage — with
 //! seeded, deterministic fault campaigns over any topology:
 //!
-//! * [`certify_exhaustive`] enumerates **every** fault set up to size `k`
+//! * [`certify_exhaustive_with`] enumerates **every** fault set up to size `k`
 //!   and either certifies k-fault tolerance or returns the
 //!   lexicographically-first killer, independent of thread count: the
 //!   combination space is partitioned by first element, partitions run
 //!   rayon-parallel, and a partition aborts only when a *strictly smaller*
 //!   partition has already found a killer.
-//! * [`run_randomized`] fires seeded waves of mixed link+switch fault sets;
+//! * [`run_randomized_with`] fires seeded waves of mixed link+switch fault sets;
 //!   each wave is one batch judged against the property, killers optionally
 //!   shrunk in the same wave. Waves run on the calling thread: a wave is a
 //!   handful of sets and the cheap properties judge one in nanoseconds, so a
@@ -35,7 +35,7 @@
 //! an interrupted-and-resumed campaign produces the same report as an
 //! uninterrupted one at any `RAYON_NUM_THREADS`.
 
-use crate::cdg::cdg_of_masked_router;
+use crate::cdg::cdg_of_masked_router_with;
 use crate::degraded::{adaptive_degraded_verdict, DegradedVerdict};
 use ftclos_obs::{Noop, Recorder};
 use ftclos_routing::{PathArena, RoutingError, SinglePathRouter};
@@ -59,7 +59,7 @@ pub enum FaultElement {
 
 impl FaultElement {
     /// Compact token form: `L<channel>` / `S<node>`.
-    pub fn token(&self) -> String {
+    pub(crate) fn token(&self) -> String {
         match self {
             FaultElement::Link(c) => format!("L{}", c.0),
             FaultElement::Switch(n) => format!("S{}", n.0),
@@ -67,7 +67,7 @@ impl FaultElement {
     }
 
     /// Parse the [`FaultElement::token`] form.
-    pub fn parse_token(s: &str) -> Option<FaultElement> {
+    pub(crate) fn parse_token(s: &str) -> Option<FaultElement> {
         let (kind, num) = s.split_at(1);
         let id: u32 = num.parse().ok()?;
         match kind {
@@ -161,7 +161,7 @@ impl FaultVector {
     }
 
     /// Token form: elements joined with `+`, or `none` when empty.
-    pub fn tokens(&self) -> String {
+    pub(crate) fn tokens(&self) -> String {
         if self.elems.is_empty() {
             return "none".to_string();
         }
@@ -173,7 +173,7 @@ impl FaultVector {
     }
 
     /// Parse the [`FaultVector::tokens`] form.
-    pub fn parse_tokens(s: &str) -> Option<FaultVector> {
+    pub(crate) fn parse_tokens(s: &str) -> Option<FaultVector> {
         if s == "none" {
             return Some(FaultVector::default());
         }
@@ -217,7 +217,7 @@ impl Judgement {
 
 /// A property a campaign attacks. Implementations must be deterministic —
 /// the same fault vector always yields the same [`Judgement`] — and
-/// `Sync`, since [`certify_exhaustive`] judges fault sets rayon-parallel.
+/// `Sync`, since [`certify_exhaustive_with`] judges fault sets rayon-parallel.
 pub trait CampaignProperty: Sync {
     /// Stable name, recorded in certificates and checkpoints.
     fn name(&self) -> &'static str;
@@ -402,7 +402,7 @@ impl CampaignProperty for NonblockingMargin<'_> {
 }
 
 /// **Deadlock-freedom** of a single-path router's channel dependency graph
-/// under faults ([`cdg_of_masked_router`]): pairs whose path crosses dead
+/// under faults ([`cdg_of_masked_router_with`]): pairs whose path crosses dead
 /// hardware contribute no dependencies, so for deterministic routers faults
 /// only *remove* CDG edges — a fault campaign against an acyclic baseline
 /// certifies that no fault set can introduce deadlock, while a cyclic
@@ -428,7 +428,7 @@ impl<R: SinglePathRouter + Sync + ?Sized> CampaignProperty for DeadlockFreedom<'
     fn judge(&self, faults: &FaultVector) -> Judgement {
         let fs = faults.to_fault_set(self.topo);
         let view = FaultyView::new(self.topo, &fs);
-        let analysis = cdg_of_masked_router(self.router, &view).check();
+        let analysis = cdg_of_masked_router_with(self.router, &view, &Noop).check_with(&Noop);
         match analysis.verdict.witness() {
             None => Judgement::holds(format!("acyclic CDG ({} deps)", analysis.num_deps)),
             Some(witness) => {
@@ -458,14 +458,14 @@ impl<'a> ArenaRoutability<'a> {
     /// Route every pair of `router` once into an arena.
     ///
     /// # Errors
-    /// Propagates route-walk failures from [`PathArena::build`].
+    /// Propagates route-walk failures from [`PathArena::build_with`].
     pub fn new<R: SinglePathRouter + ?Sized>(
         topo: &'a Topology,
         router: &R,
     ) -> Result<Self, RoutingError> {
         Ok(Self {
             topo,
-            arena: PathArena::build(router)?,
+            arena: PathArena::build_with(router, &Noop)?,
         })
     }
 
@@ -558,7 +558,7 @@ pub struct Killer {
     pub detail: String,
 }
 
-/// Outcome of [`certify_exhaustive`]: either a k-fault-tolerance
+/// Outcome of [`certify_exhaustive_with`]: either a k-fault-tolerance
 /// certificate or the smallest, lexicographically-first killer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Certificate {
@@ -588,22 +588,30 @@ impl Certificate {
     }
 }
 
-/// Saturating binomial coefficient in `u128`.
-fn binomial(n: usize, k: usize) -> u128 {
+/// `C(n, k)`, or `None` when it overflows `u128` (checked on the partial
+/// products `C(n, i) · (n − i)`, which exceed the result by less than a
+/// factor `k`). Every step `C(n, i + 1) = C(n, i) · (n − i) / (i + 1)`
+/// divides exactly, so a `Some` is exact.
+pub(crate) fn binomial(n: usize, k: usize) -> Option<u128> {
     if k > n {
-        return 0;
+        return Some(0);
     }
     let k = k.min(n - k);
     let mut acc: u128 = 1;
     for i in 0..k {
-        acc = acc.saturating_mul((n - i) as u128) / (i + 1) as u128;
+        acc = acc.checked_mul((n - i) as u128)? / (i + 1) as u128;
     }
-    acc
+    Some(acc)
 }
 
 /// Visit every ascending `k`-subset of `lo..n` in lexicographic order.
 /// Stops early when `visit` returns `false`.
-fn for_each_combination(lo: usize, n: usize, k: usize, visit: &mut dyn FnMut(&[usize]) -> bool) {
+pub(crate) fn for_each_combination(
+    lo: usize,
+    n: usize,
+    k: usize,
+    visit: &mut dyn FnMut(&[usize]) -> bool,
+) {
     if k == 0 {
         visit(&[]);
         return;
@@ -643,16 +651,10 @@ fn for_each_combination(lo: usize, n: usize, k: usize, visit: &mut dyn FnMut(&[u
 /// atomic first-partition watermark). The reduce takes the killer from the
 /// smallest partition that found one — the globally lexicographically-first
 /// killer of the smallest killing size, regardless of schedule.
-pub fn certify_exhaustive(
-    property: &dyn CampaignProperty,
-    universe: &[FaultElement],
-    k: usize,
-) -> Certificate {
-    certify_exhaustive_with(property, universe, k, &Noop)
-}
-
-/// [`certify_exhaustive`] with instrumentation: one `campaign.certify`
-/// span, `campaign.sets` counting planned combinations per completed size.
+///
+/// Records one `campaign.certify` span and counts planned combinations per
+/// entered size under `campaign.sets`. `sets_total` saturates at
+/// `u128::MAX`, and the counter at `u64::MAX`.
 pub fn certify_exhaustive_with<Rec: Recorder>(
     property: &dyn CampaignProperty,
     universe: &[FaultElement],
@@ -688,10 +690,11 @@ pub fn certify_exhaustive_with<Rec: Recorder>(
     }
 
     for s in 1..=k.min(u) {
-        sets_total += binomial(u, s);
+        let sets = binomial(u, s);
+        sets_total = sets_total.saturating_add(sets.unwrap_or(u128::MAX));
         rec.add(
             "campaign.sets",
-            u64::try_from(binomial(u, s)).unwrap_or(u64::MAX),
+            sets.and_then(|c| u64::try_from(c).ok()).unwrap_or(u64::MAX),
         );
         let found_partition = AtomicUsize::new(usize::MAX);
         let hits: Vec<Option<Killer>> = (0..u - s + 1)
@@ -1018,24 +1021,6 @@ fn draw_set(
 /// completed waves are skipped and the final report is identical to an
 /// uninterrupted run.
 ///
-/// # Errors
-/// [`CampaignError::EmptyUniverse`] when a universe is smaller than one
-/// set's draw; [`CampaignError::Mismatch`] when `resume` disagrees with
-/// `property`/`cfg`.
-pub fn run_randomized(
-    property: &dyn CampaignProperty,
-    links: &[ChannelId],
-    switches: &[NodeId],
-    cfg: &CampaignConfig,
-    resume: Option<&CampaignReport>,
-) -> Result<CampaignReport, CampaignError> {
-    run_randomized_with(property, links, switches, cfg, resume, &Noop, &mut |_| {
-        Ok(true)
-    })
-}
-
-/// [`run_randomized`] with instrumentation and a per-wave callback.
-///
 /// `on_wave` runs after every completed wave with the up-to-date report —
 /// the checkpoint hook: write [`CampaignReport::to_checkpoint_text`] to
 /// disk, return `Ok(false)` to halt early (the report so far is returned),
@@ -1044,7 +1029,9 @@ pub fn run_randomized(
 /// `campaign.killers`.
 ///
 /// # Errors
-/// As [`run_randomized`], plus anything `on_wave` returns.
+/// [`CampaignError::EmptyUniverse`] when a universe is smaller than one
+/// set's draw; [`CampaignError::Mismatch`] when `resume` disagrees with
+/// `property`/`cfg`; anything `on_wave` returns.
 pub fn run_randomized_with<Rec: Recorder>(
     property: &dyn CampaignProperty,
     links: &[ChannelId],
@@ -1187,7 +1174,7 @@ mod tests {
             seen.push(c.to_vec());
             true
         });
-        assert_eq!(seen.len() as u128, binomial(5, 3));
+        assert_eq!(Some(seen.len() as u128), binomial(5, 3));
         let mut sorted = seen.clone();
         sorted.sort();
         sorted.dedup();
@@ -1201,6 +1188,29 @@ mod tests {
             count < 3
         });
         assert_eq!(count, 3);
+        // No subsets of a set too small, one empty subset.
+        for_each_combination(0, 3, 4, &mut |_| panic!("C(3, 4) = 0"));
+        let mut empty = 0;
+        for_each_combination(0, 3, 0, &mut |c| {
+            empty += usize::from(c.is_empty());
+            true
+        });
+        assert_eq!(empty, 1);
+    }
+
+    #[test]
+    fn binomial_is_exact_or_none_on_overflow() {
+        assert_eq!(binomial(5, 2), Some(10));
+        assert_eq!(binomial(12, 1), Some(12));
+        assert_eq!(binomial(3, 4), Some(0));
+        assert_eq!(binomial(64, 2), Some(2016));
+        assert_eq!(
+            binomial(1 << 20, 6),
+            Some(1_846_123_584_900_931_784_337_487_248_752_640)
+        );
+        // C(2^20, 8) ≈ 2^144.7: no u128 holds it.
+        assert_eq!(binomial(1 << 20, 8), None);
+        assert_eq!(binomial(1 << 20, (1 << 20) - 8), None);
     }
 
     #[test]
@@ -1324,7 +1334,7 @@ mod tests {
             .map(FaultElement::Switch)
             .collect();
         assert_eq!(universe.len(), 64);
-        let cert = certify_exhaustive(&prop, &universe, 2);
+        let cert = certify_exhaustive_with(&prop, &universe, 2, &Noop);
         assert!(cert.certified());
         assert_eq!(cert.tolerant_up_to, 2);
         assert_eq!(cert.sets_total, 1 + 64 + 2016);
@@ -1342,7 +1352,7 @@ mod tests {
                 universe.push(FaultElement::Link(ft.leaf_up_channel(v, k)));
             }
         }
-        let cert = certify_exhaustive(&prop, &universe, 2);
+        let cert = certify_exhaustive_with(&prop, &universe, 2, &Noop);
         assert!(!cert.certified());
         assert_eq!(cert.tolerant_up_to, 0);
         let killer = cert.killer.unwrap();
@@ -1383,7 +1393,7 @@ mod tests {
         // Partitions 5 and 7 sit in a later thread's block and reach their
         // killers after one or two judgements; partition 3 needs five.
         for _ in 0..50 {
-            let cert = certify_exhaustive(&prop, &universe, 2);
+            let cert = certify_exhaustive_with(&prop, &universe, 2, &Noop);
             assert_eq!(cert.tolerant_up_to, 1);
             assert_eq!(cert.sets_total, 1 + 10 + 45);
             assert_eq!(
@@ -1398,10 +1408,23 @@ mod tests {
         let ft = Ftree::new(1, 1, 4).unwrap();
         let valley = ValleyRouter::new(&ft);
         let prop = DeadlockFreedom::new(ft.topology(), &valley);
-        let cert = certify_exhaustive(&prop, &[], 1);
+        let cert = certify_exhaustive_with(&prop, &[], 1, &Noop);
         let killer = cert.killer.unwrap();
         assert!(killer.faults.is_empty());
         assert_eq!(cert.sets_total, 1);
+    }
+
+    /// [`run_randomized_with`] with no recorder and no checkpoint hook.
+    fn randomized(
+        property: &dyn CampaignProperty,
+        links: &[ChannelId],
+        switches: &[NodeId],
+        cfg: &CampaignConfig,
+        resume: Option<&CampaignReport>,
+    ) -> Result<CampaignReport, CampaignError> {
+        run_randomized_with(property, links, switches, cfg, resume, &Noop, &mut |_| {
+            Ok(true)
+        })
     }
 
     fn campaign_cfg(waves: usize) -> CampaignConfig {
@@ -1421,7 +1444,7 @@ mod tests {
         let prop = AdaptiveRoutability::new(&ft);
         let links = cable_universe(ft.topology());
         let switches = top_switch_universe(ft.topology());
-        let report = run_randomized(&prop, &links, &switches, &campaign_cfg(6), None).unwrap();
+        let report = randomized(&prop, &links, &switches, &campaign_cfg(6), None).unwrap();
         assert_eq!(report.waves_done, 6);
         assert_eq!(report.property, "routability");
         // Half the cables are leaf cables, each an instant killer: with 6
@@ -1451,7 +1474,7 @@ mod tests {
         let links = cable_universe(ft.topology());
         let switches = top_switch_universe(ft.topology());
         let cfg = campaign_cfg(4);
-        let full = run_randomized(&prop, &links, &switches, &cfg, None).unwrap();
+        let full = randomized(&prop, &links, &switches, &cfg, None).unwrap();
 
         // Halt after two waves, round-trip through text, resume.
         let mut checkpoint_text = String::new();
@@ -1464,7 +1487,7 @@ mod tests {
         assert_eq!(halted.waves_done, 2);
         let parsed = CampaignReport::parse_checkpoint(&checkpoint_text).unwrap();
         assert_eq!(parsed, halted);
-        let resumed = run_randomized(&prop, &links, &switches, &cfg, Some(&parsed)).unwrap();
+        let resumed = randomized(&prop, &links, &switches, &cfg, Some(&parsed)).unwrap();
         assert_eq!(resumed, full);
     }
 
@@ -1475,23 +1498,64 @@ mod tests {
         let links = cable_universe(ft.topology());
         let switches = top_switch_universe(ft.topology());
         let cfg = campaign_cfg(2);
-        let report = run_randomized(&prop, &links, &switches, &cfg, None).unwrap();
+        let report = randomized(&prop, &links, &switches, &cfg, None).unwrap();
         let mut other = cfg;
         other.seed ^= 1;
         assert!(matches!(
-            run_randomized(&prop, &links, &switches, &other, Some(&report)),
+            randomized(&prop, &links, &switches, &other, Some(&report)),
             Err(CampaignError::Mismatch(_))
         ));
         let dmodk = DModK::new(&ft);
         let arena_prop = ArenaRoutability::new(ft.topology(), &dmodk).unwrap();
         assert!(matches!(
-            run_randomized(&arena_prop, &links, &switches, &cfg, Some(&report)),
+            randomized(&arena_prop, &links, &switches, &cfg, Some(&report)),
             Err(CampaignError::Mismatch(_))
         ));
         assert!(matches!(
-            run_randomized(&prop, &[], &switches, &cfg, None),
+            randomized(&prop, &[], &switches, &cfg, None),
             Err(CampaignError::EmptyUniverse("links"))
         ));
+    }
+
+    #[test]
+    fn recording_leaves_campaign_results_unchanged() {
+        let ft = ft245();
+        let topo = ft.topology();
+        let dmodk = DModK::new(&ft);
+        let deterministic = ArenaRoutability::new(topo, &dmodk).unwrap();
+        let deadlock = DeadlockFreedom::new(topo, &dmodk);
+        let links = cable_universe(topo);
+        let switches = top_switch_universe(topo);
+        let universe: Vec<FaultElement> = links.iter().map(|&c| FaultElement::Link(c)).collect();
+        let cfg = campaign_cfg(3);
+        for prop in [&deterministic as &dyn CampaignProperty, &deadlock] {
+            let reg = ftclos_obs::Registry::new();
+            assert_eq!(
+                format!("{:?}", certify_exhaustive_with(prop, &universe, 2, &Noop)),
+                format!("{:?}", certify_exhaustive_with(prop, &universe, 2, &reg)),
+                "{}",
+                prop.name()
+            );
+            let plain = randomized(prop, &links, &switches, &cfg, None);
+            let recorded =
+                run_randomized_with(prop, &links, &switches, &cfg, None, &reg, &mut |_| Ok(true));
+            assert_eq!(
+                format!("{plain:?}"),
+                format!("{recorded:?}"),
+                "{}",
+                prop.name()
+            );
+            // The recorder was live: both entry points counted their sets.
+            assert!(reg.snapshot().counter("campaign.sets").unwrap() > 1);
+            assert_eq!(
+                reg.snapshot()
+                    .spans
+                    .iter()
+                    .filter(|s| s.path == "campaign.certify")
+                    .count(),
+                1
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! [`ChannelDependencyGraph::updown_order_certificate`] checks that layering
 //! directly (a linear rank certificate: a constructive witness of
 //! acyclicity, strictly cheaper than SCC).
-//! [`ChannelDependencyGraph::check`] tries the certificate first — on a
+//! [`ChannelDependencyGraph::check_with`] tries the certificate first — on a
 //! fabric whose every channel changes level, no valley turn means every
 //! dependency raises the rank — and otherwise gives the general verdict: an
 //! iterative Tarjan SCC pass with deterministic witness extraction — the
@@ -76,9 +76,9 @@
 //! witness extraction, [`attribute_witness`], and the sim-level credit-stall
 //! reproduction in `ftclos-sim`.
 
-use ftclos_obs::{Noop, Recorder};
+use ftclos_obs::Recorder;
 use ftclos_routing::{
-    DModK, ObliviousMultipath, RouteAssignment, SModK, SinglePathRouter, TopRule, YuanDeterministic,
+    DModK, ObliviousMultipath, SModK, SinglePathRouter, TopRule, YuanDeterministic,
 };
 use ftclos_topo::{ChannelId, FaultSet, FaultyView, Ftree, Topology, Transition};
 use ftclos_traffic::SdPair;
@@ -315,8 +315,8 @@ impl CycleAnalysis {
 /// A channel dependency graph over a fixed topology: for each directed
 /// channel, a bitmap over the out-channels of the node it points into.
 ///
-/// Build one with [`build_cdg`] (or an extractor like [`cdg_of_router`]),
-/// then judge it with [`ChannelDependencyGraph::check`].
+/// Build one with an extractor like [`cdg_of_router_with`], then judge it
+/// with [`ChannelDependencyGraph::check_with`].
 #[derive(Debug)]
 pub struct ChannelDependencyGraph {
     skel: DependencySkeleton,
@@ -424,7 +424,7 @@ impl ChannelDependencyGraph {
     /// SCC (arxiv 2503.04583's existence condition, instantiated with the
     /// folded-Clos ordering). Returns the first rank-violating dependency
     /// otherwise; a violation does *not* prove a deadlock (the condition is
-    /// only sufficient) — [`ChannelDependencyGraph::check`] decides.
+    /// only sufficient) — [`ChannelDependencyGraph::check_with`] decides.
     pub fn updown_order_certificate(&self) -> Result<(), (ChannelId, ChannelId)> {
         for a in 0..self.num_channels() {
             let ra = self.skel.rank[a];
@@ -441,13 +441,8 @@ impl ChannelDependencyGraph {
 
     /// Run the cycle check: the up*/down* certificate where it applies,
     /// Tarjan SCC plus deterministic witness extraction where it does not.
-    /// See [`ChannelDependencyGraph::check_with`].
-    pub fn check(&self) -> CycleAnalysis {
-        self.check_with(&Noop)
-    }
-
-    /// [`ChannelDependencyGraph::check`] with instrumentation: the pass runs
-    /// under span `cdg.scc` and records the `cdg.cyclic_channels` gauge.
+    /// The pass runs under span `cdg.scc` and records the
+    /// `cdg.cyclic_channels` gauge.
     ///
     /// Certificate first: an ascent's rank is the level it climbs into and a
     /// descent's is `2L+1` minus the level it leaves, so when every channel
@@ -657,23 +652,12 @@ impl DepSink<'_> {
 /// each branch, in sorted channel order). Dependencies are the union over
 /// all emitted paths of consecutive channel pairs — a set union, so the
 /// result is independent of thread count and emission order.
-pub fn build_cdg<F>(topo: &Topology, ports: u32, paths_of: F) -> ChannelDependencyGraph
-where
-    F: Fn(SdPair, &mut dyn FnMut(&[ChannelId])) + Sync,
-{
-    build_cdg_with(topo, ports, paths_of, &Noop)
-}
-
-/// [`build_cdg`] with instrumentation: the build runs under span
-/// `cdg.build` and records the `cdg.deps` counter, the `cdg.channels` /
-/// `cdg.bitmap_words` gauges, `par.threads` (threads the sweep ran on) and,
-/// only when a path was broken, the `cdg.bad_hops` counter.
-pub fn build_cdg_with<F, R>(
-    topo: &Topology,
-    ports: u32,
-    paths_of: F,
-    rec: &R,
-) -> ChannelDependencyGraph
+///
+/// The build runs under span `cdg.build` and records the `cdg.deps`
+/// counter, the `cdg.channels` / `cdg.bitmap_words` gauges, `par.threads`
+/// (threads the sweep ran on) and, only when a path was broken, the
+/// `cdg.bad_hops` counter.
+fn build_cdg_with<F, R>(topo: &Topology, ports: u32, paths_of: F, rec: &R) -> ChannelDependencyGraph
 where
     F: Fn(SdPair, &mut dyn FnMut(&[ChannelId])) + Sync,
     R: Recorder,
@@ -755,37 +739,10 @@ fn single_paths_from<R>(
     }
 }
 
-/// Build a CDG from an explicit list of paths (serial; no pair sweep).
-pub fn cdg_of_paths<'a, I>(topo: &Topology, paths: I) -> ChannelDependencyGraph
-where
-    I: IntoIterator<Item = &'a [ChannelId]>,
-{
-    let skel = DependencySkeleton::new(topo);
-    let mut bits = vec![0u64; skel.num_words()];
-    let mut bad_hops = 0u64;
-    for path in paths {
-        for w in path.windows(2) {
-            match skel.bit_of(w[0], w[1]) {
-                Some((word, mask)) => bits[word] |= mask,
-                None => bad_hops += 1,
-            }
-        }
-    }
-    ChannelDependencyGraph::from_bits(skel, bits, bad_hops)
-}
-
 /// CDG of a single-path router over every SD pair of the fabric — the same
 /// route set `routing::arena` freezes into CSR (a [`ftclos_routing::PathArena`]
 /// itself implements [`SinglePathRouter`], so an already-built arena can be
 /// passed here directly instead of re-routing).
-pub fn cdg_of_router<R>(topo: &Topology, router: &R) -> ChannelDependencyGraph
-where
-    R: SinglePathRouter + Sync + ?Sized,
-{
-    cdg_of_router_with(topo, router, &Noop)
-}
-
-/// [`cdg_of_router`] with instrumentation.
 pub fn cdg_of_router_with<R, Rec>(topo: &Topology, router: &R, rec: &Rec) -> ChannelDependencyGraph
 where
     R: SinglePathRouter + Sync + ?Sized,
@@ -925,14 +882,6 @@ impl RuleCensus {
 /// pattern-independent) path crosses dead hardware are unroutable and
 /// contribute no dependencies — faults can only *remove* CDG edges for
 /// deterministic routing, never add them.
-pub fn cdg_of_masked_router<R>(router: &R, view: &FaultyView) -> ChannelDependencyGraph
-where
-    R: SinglePathRouter + Sync + ?Sized,
-{
-    cdg_of_masked_router_with(router, view, &Noop)
-}
-
-/// [`cdg_of_masked_router`] with instrumentation.
 pub fn cdg_of_masked_router_with<R, Rec>(
     router: &R,
     view: &FaultyView,
@@ -954,11 +903,12 @@ where
 /// (optionally fault-masked — pairs with no live branch contribute
 /// nothing). Branches are emitted in sorted channel order so downstream
 /// attribution ([`attribute_witness`]) is deterministic.
-pub fn cdg_of_multipath(ft: &Ftree, view: Option<&FaultyView>) -> ChannelDependencyGraph {
-    cdg_of_multipath_with(ft, view, &Noop)
-}
-
-/// [`cdg_of_multipath`] with instrumentation.
+///
+/// The same union is the NONBLOCKINGADAPTIVE candidate route set: every
+/// plan the adaptive router can materialize sends each cross pair through
+/// one of its live top switches, one up*/down* path per live top, so
+/// acyclicity of this union proves *all* adaptive plans deadlock-free at
+/// once.
 pub fn cdg_of_multipath_with<Rec: Recorder>(
     ft: &Ftree,
     view: Option<&FaultyView>,
@@ -986,33 +936,6 @@ pub fn cdg_of_multipath_with<Rec: Recorder>(
         },
         rec,
     )
-}
-
-/// CDG over the NONBLOCKINGADAPTIVE candidate route set. Every plan the
-/// adaptive router can materialize sends each cross pair through one of its
-/// live top switches, so the union of per-top branches is a superset of
-/// every materializable plan's route set — acyclicity of this union proves
-/// *all* plans deadlock-free at once. The candidate set coincides with the
-/// masked oblivious-multipath branch set (both enumerate one up*/down* path
-/// per live top); a specific materialized plan can be checked exactly with
-/// [`cdg_of_assignment`].
-pub fn cdg_of_adaptive(ft: &Ftree, view: Option<&FaultyView>) -> ChannelDependencyGraph {
-    cdg_of_adaptive_with(ft, view, &Noop)
-}
-
-/// [`cdg_of_adaptive`] with instrumentation.
-pub fn cdg_of_adaptive_with<Rec: Recorder>(
-    ft: &Ftree,
-    view: Option<&FaultyView>,
-    rec: &Rec,
-) -> ChannelDependencyGraph {
-    cdg_of_multipath_with(ft, view, rec)
-}
-
-/// CDG of one concrete route assignment (e.g. a materialized adaptive
-/// plan): only the assignment's own paths contribute dependencies.
-pub fn cdg_of_assignment(topo: &Topology, assignment: &RouteAssignment) -> ChannelDependencyGraph {
-    cdg_of_paths(topo, assignment.routes().iter().map(|(_, p)| p.channels()))
 }
 
 /// One cycle-edge of a witness, attributed back to a routed path: the
@@ -1141,7 +1064,7 @@ impl SinglePathRouter for ValleyRouter<'_> {
     }
 }
 
-/// One router's verdict within a [`deadlock_sweep`].
+/// One router's verdict within a [`deadlock_sweep_with`].
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepEntry {
     /// Router name (as reported by the router itself).
@@ -1152,15 +1075,10 @@ pub struct SweepEntry {
 
 /// Check every routing scheme of the fabric (Yuan deterministic when
 /// `m ≥ n²`, d-mod-k, s-mod-k, oblivious multipath, and the
-/// NONBLOCKINGADAPTIVE candidate set), pristine or fault-masked.
-pub fn deadlock_sweep(ft: &Ftree, view: Option<&FaultyView>) -> Vec<SweepEntry> {
-    deadlock_sweep_with(ft, view, &Noop)
-}
-
-/// [`deadlock_sweep`] with instrumentation. On a pristine fabric the
-/// single-path routers are counted ([`analyze_router_with`], span
-/// `cdg.closed_form`); every other analysis builds and checks a graph
-/// (spans `cdg.build` / `cdg.scc`).
+/// NONBLOCKINGADAPTIVE candidate set), pristine or fault-masked. On a
+/// pristine fabric the single-path routers are counted
+/// ([`analyze_router_with`], span `cdg.closed_form`); every other analysis
+/// builds and checks a graph (spans `cdg.build` / `cdg.scc`).
 pub fn deadlock_sweep_with<R: Recorder>(
     ft: &Ftree,
     view: Option<&FaultyView>,
@@ -1191,7 +1109,7 @@ pub fn deadlock_sweep_with<R: Recorder>(
     });
     out.push(SweepEntry {
         router: "adaptive",
-        analysis: cdg_of_adaptive_with(ft, view, rec).check_with(rec),
+        analysis: cdg_of_multipath_with(ft, view, rec).check_with(rec),
     });
     out
 }
@@ -1235,13 +1153,34 @@ pub fn unique_churn_fault_sets(events: &[ChurnEvent], horizon: u64) -> Vec<Fault
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftclos_routing::{route_all, XgftRouter, YuanRecursive};
+    use ftclos_obs::Noop;
+    use ftclos_routing::{XgftRouter, YuanRecursive};
     use ftclos_topo::{kary_ntree, RecursiveNonblocking};
-    use ftclos_traffic::patterns;
     use rand::SeedableRng;
 
+    /// Build a CDG from an explicit list of paths (serial; no pair sweep):
+    /// the reference the parallel build is compared with, and the way to
+    /// hand-build a fixture.
+    fn cdg_of_paths<'a, I>(topo: &Topology, paths: I) -> ChannelDependencyGraph
+    where
+        I: IntoIterator<Item = &'a [ChannelId]>,
+    {
+        let skel = DependencySkeleton::new(topo);
+        let mut bits = vec![0u64; skel.num_words()];
+        let mut bad_hops = 0u64;
+        for path in paths {
+            for w in path.windows(2) {
+                match skel.bit_of(w[0], w[1]) {
+                    Some((word, mask)) => bits[word] |= mask,
+                    None => bad_hops += 1,
+                }
+            }
+        }
+        ChannelDependencyGraph::from_bits(skel, bits, bad_hops)
+    }
+
     fn analysis_of<R: SinglePathRouter + Sync>(topo: &Topology, r: &R) -> CycleAnalysis {
-        cdg_of_router(topo, r).check()
+        cdg_of_router_with(topo, r, &Noop).check_with(&Noop)
     }
 
     #[test]
@@ -1259,20 +1198,18 @@ mod tests {
         }
         // The layering certificate agrees without running SCC.
         assert_eq!(
-            cdg_of_router(topo, &DModK::new(&ft)).updown_order_certificate(),
+            cdg_of_router_with(topo, &DModK::new(&ft), &Noop).updown_order_certificate(),
             Ok(())
         );
     }
 
     #[test]
-    fn multipath_and_adaptive_unions_are_deadlock_free() {
+    fn multipath_union_is_deadlock_free() {
         let ft = Ftree::new(2, 4, 3).unwrap();
-        let mp = cdg_of_multipath(&ft, None).check();
+        let mp = cdg_of_multipath_with(&ft, None, &Noop).check_with(&Noop);
         assert!(mp.is_free(), "{mp:?}");
-        let ad = cdg_of_adaptive(&ft, None).check();
-        assert_eq!(mp, ad, "candidate sets coincide");
         // Multipath uses every top, so it dominates any single-path CDG.
-        let dm = cdg_of_router(ft.topology(), &DModK::new(&ft));
+        let dm = cdg_of_router_with(ft.topology(), &DModK::new(&ft), &Noop);
         assert!(mp.num_deps >= dm.num_deps());
     }
 
@@ -1283,7 +1220,8 @@ mod tests {
         assert!(a.is_free(), "{a:?}");
         assert_eq!(a.valley_turns, 0);
         assert_eq!(
-            cdg_of_router(x.topology(), &XgftRouter::dmod(&x)).updown_order_certificate(),
+            cdg_of_router_with(x.topology(), &XgftRouter::dmod(&x), &Noop)
+                .updown_order_certificate(),
             Ok(())
         );
     }
@@ -1300,8 +1238,8 @@ mod tests {
     fn valley_router_yields_the_2r_cycle() {
         let ft = Ftree::new(2, 2, 4).unwrap();
         let topo = ft.topology();
-        let g = cdg_of_router(topo, &ValleyRouter::new(&ft));
-        let a = g.check();
+        let g = cdg_of_router_with(topo, &ValleyRouter::new(&ft), &Noop);
+        let a = g.check_with(&Noop);
         assert!(a.valley_turns > 0, "the bounce is a valley turn");
         let witness = a
             .verdict
@@ -1317,7 +1255,7 @@ mod tests {
             );
         }
         // The sufficient condition correctly fails on a valley turn.
-        let (a_ch, b_ch) = cdg_of_router(topo, &ValleyRouter::new(&ft))
+        let (a_ch, b_ch) = cdg_of_router_with(topo, &ValleyRouter::new(&ft), &Noop)
             .updown_order_certificate()
             .unwrap_err();
         assert!(topo.channel(a_ch).dst == topo.channel(b_ch).src);
@@ -1328,7 +1266,7 @@ mod tests {
         // r = 2: the neighbor bottom always hosts the destination, so every
         // path is plain up*/down* and the analyzer must NOT cry wolf.
         let ft = Ftree::new(2, 2, 2).unwrap();
-        let a = cdg_of_router(ft.topology(), &ValleyRouter::new(&ft)).check();
+        let a = cdg_of_router_with(ft.topology(), &ValleyRouter::new(&ft), &Noop).check_with(&Noop);
         assert!(a.is_free(), "{a:?}");
         assert_eq!(a.valley_turns, 0);
     }
@@ -1353,8 +1291,8 @@ mod tests {
     fn witness_attribution_covers_every_edge() {
         let ft = Ftree::new(1, 2, 3).unwrap();
         let router = ValleyRouter::new(&ft);
-        let g = cdg_of_router(ft.topology(), &router);
-        let a = g.check();
+        let g = cdg_of_router_with(ft.topology(), &router, &Noop);
+        let a = g.check_with(&Noop);
         let witness = a.verdict.witness().expect("cyclic").to_vec();
         let edges = attribute_witness(&witness, router.ports(), |pair, emit| {
             if pair.src == pair.dst {
@@ -1408,36 +1346,22 @@ mod tests {
         let ft = Ftree::new(2, 4, 3).unwrap();
         let topo = ft.topology();
         let router = DModK::new(&ft);
-        let pristine = cdg_of_router(topo, &router);
+        let pristine = cdg_of_router_with(topo, &router, &Noop);
         let mut faults = FaultSet::new();
         faults.fail_switch(ft.top(0));
         let view = FaultyView::new(topo, &faults);
-        let masked = cdg_of_masked_router(&router, &view);
+        let masked = cdg_of_masked_router_with(&router, &view, &Noop);
         assert!(masked.num_deps() < pristine.num_deps(), "non-vacuous");
         for (m, p) in masked.bits.iter().zip(&pristine.bits) {
             assert_eq!(m & !p, 0, "masked deps are a subset of pristine");
         }
-        assert!(masked.check().is_free());
-    }
-
-    #[test]
-    fn assignment_cdg_checks_a_materialized_plan() {
-        let ft = Ftree::new(2, 4, 3).unwrap();
-        let router = YuanDeterministic::new(&ft).unwrap();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-        let perm = patterns::random_full(router.ports(), &mut rng);
-        let asg = route_all(&router, &perm).unwrap();
-        let a = cdg_of_assignment(ft.topology(), &asg).check();
-        assert!(a.is_free(), "{a:?}");
-        // A single permutation uses fewer pairs than the full mesh.
-        let full = cdg_of_router(ft.topology(), &router);
-        assert!(a.num_deps <= full.num_deps());
+        assert!(masked.check_with(&Noop).is_free());
     }
 
     #[test]
     fn sweep_proves_every_router_free_pristine_and_faulted() {
         let ft = Ftree::new(2, 4, 3).unwrap();
-        let entries = deadlock_sweep(&ft, None);
+        let entries = deadlock_sweep_with(&ft, None, &Noop);
         let names: Vec<_> = entries.iter().map(|e| e.router).collect();
         assert_eq!(
             names,
@@ -1449,7 +1373,7 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_switch(ft.top(1));
         let view = FaultyView::new(ft.topology(), &faults);
-        let masked = deadlock_sweep(&ft, Some(&view));
+        let masked = deadlock_sweep_with(&ft, Some(&view), &Noop);
         assert!(masked.iter().all(|e| e.analysis.is_free()));
         // Dead hardware shrinks every route set.
         for (m, p) in masked.iter().zip(&entries) {
@@ -1460,7 +1384,7 @@ mod tests {
     #[test]
     fn sweep_skips_yuan_below_threshold() {
         let ft = Ftree::new(2, 2, 3).unwrap(); // m < n²
-        let entries = deadlock_sweep(&ft, None);
+        let entries = deadlock_sweep_with(&ft, None, &Noop);
         assert!(entries.iter().all(|e| e.router != "yuan"));
         assert!(entries.iter().all(|e| e.analysis.is_free()));
     }
@@ -1486,14 +1410,16 @@ mod tests {
         let router = DModK::new(&ft);
         for f in &sets {
             let view = FaultyView::new(ft.topology(), f);
-            assert!(cdg_of_masked_router(&router, &view).check().is_free());
+            assert!(cdg_of_masked_router_with(&router, &view, &Noop)
+                .check_with(&Noop)
+                .is_free());
         }
     }
 
     #[test]
     fn successor_iteration_is_sorted_and_matches_has_dep() {
         let ft = Ftree::new(2, 2, 4).unwrap();
-        let g = cdg_of_router(ft.topology(), &ValleyRouter::new(&ft));
+        let g = cdg_of_router_with(ft.topology(), &ValleyRouter::new(&ft), &Noop);
         let mut seen = 0u64;
         for a in ft.topology().channel_ids() {
             let succ: Vec<ChannelId> = g.successors(a).collect();
@@ -1511,7 +1437,7 @@ mod tests {
     #[test]
     fn has_dep_rejects_non_adjacent_channels() {
         let ft = Ftree::new(2, 2, 3).unwrap();
-        let g = cdg_of_router(ft.topology(), &DModK::new(&ft));
+        let g = cdg_of_router_with(ft.topology(), &DModK::new(&ft), &Noop);
         // Two leaf-up channels never share a head/tail node.
         let a = ft.leaf_up_channel(0, 0);
         let b = ft.leaf_up_channel(1, 0);
@@ -1521,11 +1447,11 @@ mod tests {
     #[test]
     fn witness_is_deterministic_across_rebuilds() {
         let ft = Ftree::new(2, 3, 5).unwrap();
-        let w1 = cdg_of_router(ft.topology(), &ValleyRouter::new(&ft))
-            .check()
+        let w1 = cdg_of_router_with(ft.topology(), &ValleyRouter::new(&ft), &Noop)
+            .check_with(&Noop)
             .verdict;
-        let w2 = cdg_of_router(ft.topology(), &ValleyRouter::new(&ft))
-            .check()
+        let w2 = cdg_of_router_with(ft.topology(), &ValleyRouter::new(&ft), &Noop)
+            .check_with(&Noop)
             .verdict;
         assert_eq!(w1, w2);
         assert!(!w1.is_free());
@@ -1542,7 +1468,7 @@ mod tests {
         let p1 = [u0, d1, u1];
         let p2 = [u1, d0, u0];
         let g = cdg_of_paths(topo, [p1.as_slice(), p2.as_slice()]);
-        let a = g.check();
+        let a = g.check_with(&Noop);
         assert_eq!(a.cyclic_channels, 4);
         assert_eq!(a.num_deps, 4);
         assert_eq!(a.valley_turns, 2);
@@ -1554,7 +1480,7 @@ mod tests {
     /// The certificate-first `check` and the Tarjan pass it skips must give
     /// one answer.
     fn assert_certificate_agrees_with_tarjan(g: &ChannelDependencyGraph) -> CycleAnalysis {
-        let a = g.check();
+        let a = g.check_with(&Noop);
         let (cyclic_channels, verdict) = g.tarjan_verdict();
         assert_eq!((a.cyclic_channels, &a.verdict), (cyclic_channels, &verdict));
         a
@@ -1565,28 +1491,29 @@ mod tests {
         let ft = Ftree::new(2, 4, 3).unwrap();
         let topo = ft.topology();
         let free = [
-            cdg_of_router(topo, &YuanDeterministic::new(&ft).unwrap()),
-            cdg_of_router(topo, &DModK::new(&ft)),
-            cdg_of_router(topo, &SModK::new(&ft)),
-            cdg_of_multipath(&ft, None),
+            cdg_of_router_with(topo, &YuanDeterministic::new(&ft).unwrap(), &Noop),
+            cdg_of_router_with(topo, &DModK::new(&ft), &Noop),
+            cdg_of_router_with(topo, &SModK::new(&ft), &Noop),
+            cdg_of_multipath_with(&ft, None, &Noop),
         ];
         for g in &free {
             assert!(assert_certificate_agrees_with_tarjan(g).is_free());
         }
         let x = kary_ntree(2, 3).unwrap();
-        let tree = cdg_of_router(x.topology(), &XgftRouter::dmod(&x));
+        let tree = cdg_of_router_with(x.topology(), &XgftRouter::dmod(&x), &Noop);
         assert!(assert_certificate_agrees_with_tarjan(&tree).is_free());
         let net = RecursiveNonblocking::new(2).unwrap();
-        let rec = cdg_of_router(net.topology(), &YuanRecursive::new(&net));
+        let rec = cdg_of_router_with(net.topology(), &YuanRecursive::new(&net), &Noop);
         assert!(assert_certificate_agrees_with_tarjan(&rec).is_free());
 
         // Valley turns that close a cycle (r ≥ 3) and the r = 2 fabric whose
         // valley router has none.
         for (r, cyclic) in [(2, false), (3, true), (4, true), (5, true)] {
             let ft = Ftree::new(2, 2, r).unwrap();
-            let a = assert_certificate_agrees_with_tarjan(&cdg_of_router(
+            let a = assert_certificate_agrees_with_tarjan(&cdg_of_router_with(
                 ft.topology(),
                 &ValleyRouter::new(&ft),
+                &Noop,
             ));
             assert_eq!(!a.is_free(), cyclic, "r = {r}");
         }
@@ -1674,7 +1601,7 @@ mod tests {
         let g = cdg_of_paths(topo, [[a, b].as_slice(), &[a, ft.up_channel(0, 1)]]);
         assert_eq!(g.bad_hops(), 1);
         assert_eq!(g.num_deps(), 1, "the adjacent hop is still recorded");
-        assert_eq!(g.check().bad_hops, 1);
+        assert_eq!(g.check_with(&Noop).bad_hops, 1);
 
         /// Routes every cross pair over two leaf uplinks in a row.
         struct Broken<'a>(&'a Ftree);
@@ -1748,7 +1675,7 @@ mod tests {
         ] {
             let ft = Ftree::new(n, m, r).unwrap();
             for (router, census) in rule_routers(&ft) {
-                let g = cdg_of_router(ft.topology(), &*router);
+                let g = cdg_of_router_with(ft.topology(), &*router, &Noop);
                 for c in ft.topology().channel_ids() {
                     assert_eq!(
                         census.successors(c.index() as u64),

@@ -115,11 +115,6 @@ impl CircuitClos {
         self.connections.len()
     }
 
-    /// Clos's strict-sense threshold `2n - 1` for this shape.
-    pub fn strict_sense_m(&self) -> usize {
-        2 * self.n - 1
-    }
-
     /// The middles currently feasible for `(src, dst)`.
     fn feasible(&self, v: usize, w: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.m).filter(move |&t| !self.up_used[v][t] && !self.down_used[t][w])
@@ -160,7 +155,12 @@ impl CircuitClos {
     /// Establish `src → dst` through a *specific* middle switch, bypassing
     /// the policy. Used to restore snapshots (e.g. by the wide-sense state
     /// search) and to model externally-dictated assignments.
-    pub fn force_connect(&mut self, src: u32, dst: u32, middle: usize) -> Result<(), ConnectError> {
+    pub(crate) fn force_connect(
+        &mut self,
+        src: u32,
+        dst: u32,
+        middle: usize,
+    ) -> Result<(), ConnectError> {
         if src >= self.ports() || dst >= self.ports() || middle >= self.m {
             return Err(ConnectError::OutOfRange);
         }
@@ -333,8 +333,6 @@ mod tests {
             MiddlePolicy::LastFit,
             MiddlePolicy::Balanced,
         ] {
-            let c = CircuitClos::new(2, 3, 5, MiddlePolicy::FirstFit);
-            assert_eq!(c.strict_sense_m(), 3);
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
             let mut c = CircuitClos::new(2, 3, 5, policy);
             for step in 0..5_000 {

@@ -96,11 +96,6 @@ impl NonblockingFtree {
     pub fn route(&self, perm: &Permutation) -> Result<RouteAssignment, RoutingError> {
         route_all(&self.router(), perm)
     }
-
-    /// Whether the paper's cost-effectiveness regime `r >= 2n+1` holds.
-    pub fn in_large_top_regime(&self) -> bool {
-        self.ftree.large_top_regime()
-    }
 }
 
 /// The recursive three-level nonblocking fabric (paper Discussion section).
@@ -165,7 +160,6 @@ mod tests {
         let f = NonblockingFtree::new(2, 5).unwrap();
         assert_eq!(f.ports(), 10);
         assert_eq!(f.switches(), 9);
-        assert!(f.in_large_top_regime());
         assert!(NonblockingFtree::new(0, 5).is_err());
     }
 

@@ -18,6 +18,7 @@
 //!    while `C(m, k)` fits a budget, and sampled (adversarial candidates
 //!    first, then random) beyond.
 
+use crate::campaign::{binomial, for_each_combination};
 use crate::engine::{crossing_pairs, lemma1_witness, LinkCensus, LEMMA1_THREADS};
 use crate::sweep::fold_paths;
 use crate::verify::LinkViolation;
@@ -73,14 +74,14 @@ impl DeterministicDegradation {
 /// Lemma 1-clean pair set is clean); the audit earns its keep on sabotaged
 /// or blocking routers where faults can *mask* pre-existing violations.
 ///
-/// One [`fold_paths`] pass records every surviving path into a
+/// One `fold_paths` pass records every surviving path into a
 /// [`LinkCensus`] and lists the unroutable pairs in row order; no path is
 /// stored. The witness sits on the lowest violating channel: the surviving
 /// pairs that cross it, re-routed in row order, fed to the witness rule. On
-/// a pristine fabric it is therefore [`crate::engine::lemma1_audit`]'s.
+/// a pristine fabric it is therefore [`crate::engine::lemma1_audit_with`]'s.
 ///
 /// # Errors
-/// The first routing error in row order (see [`fold_paths`]).
+/// The first routing error in row order (see `fold_paths`).
 pub fn deterministic_degradation<R: SinglePathRouter + Sync + ?Sized>(
     router: &R,
     view: &FaultyView<'_>,
@@ -277,7 +278,12 @@ pub fn max_survivable_top_failures(
     for k in 1..=k_max.min(m) {
         let exhaustive = binomial(m, k).is_some_and(|c| c <= subset_budget as u128);
         let subsets: Vec<Vec<usize>> = if exhaustive {
-            Combinations::new(m, k).collect()
+            let mut all = Vec::new();
+            for_each_combination(0, m, k, &mut |c| {
+                all.push(c.to_vec());
+                true
+            });
+            all
         } else {
             sampled_subsets(m, n, k, subset_budget, seed ^ (k as u64) << 32)
         };
@@ -346,62 +352,6 @@ pub fn max_survivable_top_failures(
     Ok(SurvivabilityReport { max_k, levels })
 }
 
-/// `C(m, k)`, or `None` on overflow (treated as "larger than any budget").
-fn binomial(m: usize, k: usize) -> Option<u128> {
-    if k > m {
-        return Some(0);
-    }
-    let k = k.min(m - k);
-    let mut acc: u128 = 1;
-    for i in 0..k {
-        acc = acc.checked_mul((m - i) as u128)?;
-        acc /= (i + 1) as u128;
-    }
-    Some(acc)
-}
-
-/// Lexicographic `k`-combinations of `0..m`.
-struct Combinations {
-    m: usize,
-    state: Option<Vec<usize>>,
-}
-
-impl Combinations {
-    fn new(m: usize, k: usize) -> Self {
-        let state = (k <= m).then(|| (0..k).collect());
-        Self { m, state }
-    }
-}
-
-impl Iterator for Combinations {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        let current = self.state.clone()?;
-        let k = current.len();
-        // Advance: find the rightmost index that can still move up.
-        let next = {
-            let mut s = current.clone();
-            let mut i = k;
-            loop {
-                if i == 0 {
-                    break None;
-                }
-                i -= 1;
-                if s[i] < self.m - (k - i) {
-                    s[i] += 1;
-                    for j in i + 1..k {
-                        s[j] = s[j - 1] + 1;
-                    }
-                    break Some(s);
-                }
-            }
-        };
-        self.state = next;
-        Some(current)
-    }
-}
-
 /// Adversarial + random failure subsets when exhaustive enumeration is too
 /// expensive: the first `k` tops (leading configuration), the last `k`
 /// (spare partitions), each same-key column prefix, then seeded random
@@ -436,17 +386,6 @@ fn sampled_subsets(m: usize, n: usize, k: usize, budget: usize, seed: u64) -> Ve
 mod tests {
     use super::*;
     use ftclos_routing::{DModK, YuanDeterministic};
-
-    #[test]
-    fn combinations_enumerate_exactly() {
-        let all: Vec<_> = Combinations::new(5, 2).collect();
-        assert_eq!(all.len(), 10);
-        assert_eq!(all[0], vec![0, 1]);
-        assert_eq!(all[9], vec![3, 4]);
-        assert_eq!(binomial(5, 2), Some(10));
-        assert_eq!(binomial(12, 1), Some(12));
-        assert_eq!(Combinations::new(3, 4).count(), 0);
-    }
 
     #[test]
     fn pristine_deterministic_audit_is_clean() {

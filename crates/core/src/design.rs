@@ -24,7 +24,7 @@ impl DesignPoint {
 
 /// Largest `n` with `n + n² <= radix` (the biggest two-level nonblocking
 /// construction realizable from `radix`-port switches).
-pub fn largest_n_for_radix(radix: usize) -> usize {
+pub(crate) fn largest_n_for_radix(radix: usize) -> usize {
     // n = floor((sqrt(4·radix + 1) - 1) / 2), computed by integer search to
     // dodge float edge cases.
     let mut n = 0usize;

@@ -16,7 +16,7 @@
 //!   `O(hosts + channels)` scan that routes nothing and allocates nothing,
 //!   and the witness streams the violating channel's product.
 //! * **Stream** ([`lemma1_audit_with`] on any other router): one
-//!   [`crate::sweep::fold_paths`] pass folds every path into a census, then
+//!   `sweep::fold_paths` pass folds every path into a census, then
 //!   [`crossing_pairs`] re-routes rows in ascending order only until the
 //!   witness rule on the lowest violating channel is satisfied. Memory is
 //!   `O(channels)`; the sweep stays on one thread, because a second one buys
@@ -107,15 +107,6 @@ impl LinkCensus {
         }
     }
 
-    /// Start a fresh census over (at least) `num_channels` channels: one
-    /// `fill` of the cells, no allocation once the census is that large.
-    pub fn begin(&mut self, num_channels: usize) {
-        self.cells.fill([NONE; 2]);
-        if self.cells.len() < num_channels {
-            self.cells.resize(num_channels, [NONE; 2]);
-        }
-    }
-
     /// Record that pair `(s, d)`'s path crosses channel `c` (the census grows
     /// to cover `c`). Ports must be below `u32::MAX - 1`.
     #[inline]
@@ -177,7 +168,7 @@ impl LinkCensus {
 
     /// The lowest-id channel violating Lemma 1, if any: an ascending scan, so
     /// the answer does not depend on the order paths were recorded in.
-    pub fn first_violation(&self) -> Option<ChannelId> {
+    pub(crate) fn first_violation(&self) -> Option<ChannelId> {
         self.cells
             .iter()
             .position(|cell| *cell == [MANY; 2])
@@ -275,20 +266,10 @@ impl RuleCensus {
     }
 }
 
-/// [`lemma1_audit_with`] without instrumentation.
-///
-/// # Errors
-/// As [`lemma1_audit_with`].
-pub fn lemma1_audit<R>(router: &R) -> Result<Option<LinkViolation>, RoutingError>
-where
-    R: SinglePathRouter + Sync + ?Sized,
-{
-    lemma1_audit_with(router, &Noop)
-}
-
 /// The streaming Lemma 1 audit: the lowest-id violating channel with its
 /// two-pair witness, or `None` when the routing is nonblocking — the same
-/// answer as [`ContentionEngine::lemma1_violation`], without storing a path.
+/// answer as [`ContentionEngine::lemma1_violation_with`], without storing a
+/// path.
 ///
 /// A router that declares a top-choice rule (see
 /// [`SinglePathRouter::top_rule`]) is decided by counting (span
@@ -302,8 +283,8 @@ where
 /// re-routed row by row.
 ///
 /// # Errors
-/// The first routing error in row order (see [`fold_paths`]); the same error
-/// [`PathArena::build`] reports. A router with a rule does not fail.
+/// The first routing error in row order (see `fold_paths`); the same error
+/// [`PathArena::build_with`] reports. A router with a rule does not fail.
 pub fn lemma1_audit_with<R, Rec>(
     router: &R,
     rec: &Rec,
@@ -523,21 +504,12 @@ pub struct ContentionEngine {
 
 impl ContentionEngine {
     /// Route every SD pair once into the arena and take the full census.
+    /// The arena build records under `arena.build` (see
+    /// [`PathArena::build_with`]) and the census pass under `engine.census`,
+    /// with counter `engine.census_records` (path entries censused).
     ///
     /// # Errors
-    /// Propagates the router's routing errors (see [`PathArena::build`]).
-    pub fn new<R: SinglePathRouter + ?Sized>(router: &R) -> Result<Self, RoutingError> {
-        Ok(Self::from_arena(PathArena::build(router)?))
-    }
-
-    /// [`ContentionEngine::new`] with instrumentation: the arena build
-    /// records under `arena.build` (see [`PathArena::build_with`]) and the
-    /// census pass under `engine.census`, with counter
-    /// `engine.census_records` (path entries censused). With [`Noop`] this
-    /// is exactly `new`.
-    ///
-    /// # Errors
-    /// Propagates the router's routing errors (see [`PathArena::build`]).
+    /// Propagates the router's routing errors (see [`PathArena::build_with`]).
     pub fn new_with<R: SinglePathRouter + ?Sized, Rec: Recorder>(
         router: &R,
         rec: &Rec,
@@ -546,12 +518,8 @@ impl ContentionEngine {
         Ok(Self::from_arena_with(arena, rec))
     }
 
-    /// Wrap an existing arena (shares the census build).
-    pub fn from_arena(arena: PathArena) -> Self {
-        Self::from_arena_with(arena, &Noop)
-    }
-
-    /// [`ContentionEngine::from_arena`] with the census pass recorded.
+    /// Wrap an existing arena: the census pass of
+    /// [`ContentionEngine::new_with`], recorded the same way.
     pub fn from_arena_with<Rec: Recorder>(arena: PathArena, rec: &Rec) -> Self {
         let _span = rec.span("engine.census");
         let mut census = LinkCensus::with_channels(arena.num_channels());
@@ -574,14 +542,6 @@ impl ContentionEngine {
         }
     }
 
-    /// Re-take the census from the arena into the same buffers (what a
-    /// repeated audit costs once the arena exists: one `fill` plus one pass
-    /// over the CSR — zero allocation, zero hashing).
-    pub fn recount(&mut self) {
-        self.census.begin(self.arena.num_channels());
-        Self::record_all(&self.arena, &mut self.census);
-    }
-
     /// The underlying path arena.
     pub fn arena(&self) -> &PathArena {
         &self.arena
@@ -596,15 +556,9 @@ impl ContentionEngine {
     /// two-pair witness, or `None` when the routing is nonblocking.
     ///
     /// The witness is `lemma1_witness` over the channel's incidence list,
-    /// so it equals [`lemma1_audit_with`]'s.
-    pub fn lemma1_violation(&self) -> Option<LinkViolation> {
-        self.lemma1_violation_with(&Noop)
-    }
-
-    /// [`ContentionEngine::lemma1_violation`] with instrumentation: the
-    /// census scan records under span `engine.scan` (plus counter
-    /// `engine.channels_scanned`) and witness construction under
-    /// `engine.witness`.
+    /// so it equals [`lemma1_audit_with`]'s. The census scan records under
+    /// span `engine.scan` (plus counter `engine.channels_scanned`) and
+    /// witness construction under `engine.witness`.
     pub fn lemma1_violation_with<Rec: Recorder>(&self, rec: &Rec) -> Option<LinkViolation> {
         let scan = rec.span("engine.scan");
         rec.add("engine.channels_scanned", self.arena.num_channels() as u64);
@@ -632,23 +586,21 @@ mod tests {
     use ftclos_traffic::patterns;
 
     #[test]
-    fn census_begin_forgets_and_record_grows() {
+    fn census_records_and_grows() {
         let mut census = LinkCensus::with_channels(8);
         census.record(ChannelId(3), 0, 1);
         census.record(ChannelId(3), 2, 5);
         assert_eq!(census.num_sources(ChannelId(3)), 2);
         assert!(census.violates(ChannelId(3)));
         assert_eq!(census.first_violation(), Some(ChannelId(3)));
-        census.begin(8);
-        assert_eq!(census.num_sources(ChannelId(3)), 0);
-        assert!(census.first_violation().is_none());
-        census.record(ChannelId(3), 7, 7);
-        assert_eq!(census.num_sources(ChannelId(3)), 1);
+        census.record(ChannelId(5), 7, 7);
+        assert_eq!(census.num_sources(ChannelId(5)), 1);
         // Past the sized range: the census grows instead of panicking.
         assert_eq!(census.num_destinations(ChannelId(40)), 0);
         census.record(ChannelId(40), 1, 2);
         census.record(ChannelId(40), 2, 1);
-        assert_eq!(census.first_violation(), Some(ChannelId(40)));
+        assert!(census.violates(ChannelId(40)));
+        assert_eq!(census.first_violation(), Some(ChannelId(3)));
     }
 
     #[test]
@@ -763,7 +715,6 @@ mod tests {
     #[test]
     fn census_saturates_at_two() {
         let mut census = LinkCensus::with_channels(2);
-        census.begin(2);
         for s in 0..5 {
             census.record(ChannelId(0), s, 9);
         }
@@ -776,21 +727,9 @@ mod tests {
     fn engine_clean_on_theorem3_routing() {
         let ft = Ftree::new(3, 9, 7).unwrap();
         let router = YuanDeterministic::new(&ft).unwrap();
-        let engine = ContentionEngine::new(&router).unwrap();
+        let engine = ContentionEngine::new_with(&router, &Noop).unwrap();
         assert!(engine.is_nonblocking());
-        assert!(engine.lemma1_violation().is_none());
-    }
-
-    #[test]
-    fn recount_is_stable() {
-        let ft = Ftree::new(2, 2, 5).unwrap();
-        let router = DModK::new(&ft);
-        let mut engine = ContentionEngine::new(&router).unwrap();
-        let before = engine.lemma1_violation();
-        for _ in 0..3 {
-            engine.recount();
-        }
-        assert_eq!(engine.lemma1_violation(), before);
+        assert!(engine.lemma1_violation_with(&Noop).is_none());
     }
 
     #[test]
@@ -842,11 +781,11 @@ mod tests {
     fn recorded_engine_matches_plain_and_emits_spans() {
         let ft = Ftree::new(2, 2, 5).unwrap();
         let router = DModK::new(&ft);
-        let plain = ContentionEngine::new(&router).unwrap();
+        let plain = ContentionEngine::new_with(&router, &Noop).unwrap();
         let reg = ftclos_obs::Registry::new();
         let recorded = ContentionEngine::new_with(&router, &reg).unwrap();
         assert_eq!(
-            plain.lemma1_violation(),
+            plain.lemma1_violation_with(&Noop),
             recorded.lemma1_violation_with(&reg)
         );
         let snap = reg.snapshot();

@@ -7,7 +7,7 @@
 //! `L = 1` for every permutation — crossbar behaviour — which is the
 //! paper's definition of full bisection bandwidth delivery.
 
-use ftclos_routing::{MultipathAssignment, RouteAssignment};
+use ftclos_routing::RouteAssignment;
 
 /// Ideal saturation throughput (fraction of injection bandwidth) of a
 /// single-path assignment: `1 / max_channel_load`, or 1.0 for an empty
@@ -16,19 +16,6 @@ pub fn saturation_throughput(assignment: &RouteAssignment) -> f64 {
     match assignment.max_channel_load() {
         0 => 1.0,
         l => 1.0 / l as f64,
-    }
-}
-
-/// Ideal saturation throughput of a multipath spread under *perfect*
-/// balancing: `1 / max_expected_load`. Note Section IV.B: the expectation
-/// hides transient collisions, so this is an upper bound the packet
-/// simulator will not exceed.
-pub fn multipath_saturation_throughput(assignment: &MultipathAssignment) -> f64 {
-    let l = assignment.max_expected_load();
-    if l <= 0.0 {
-        1.0
-    } else {
-        (1.0 / l).min(1.0)
     }
 }
 
@@ -63,7 +50,7 @@ pub fn load_stats(assignment: &RouteAssignment) -> LoadStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftclos_routing::{route_all, DModK, ObliviousMultipath, YuanDeterministic};
+    use ftclos_routing::{route_all, DModK, YuanDeterministic};
     use ftclos_topo::Ftree;
     use ftclos_traffic::{patterns, Permutation, SdPair};
     use rand::SeedableRng;
@@ -85,17 +72,6 @@ mod tests {
         let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(1, 6)]).unwrap();
         let a = route_all(&r, &perm).unwrap();
         assert_eq!(saturation_throughput(&a), 0.5);
-    }
-
-    #[test]
-    fn multipath_expected_throughput() {
-        let ft = Ftree::new(2, 4, 5).unwrap();
-        let r = ObliviousMultipath::new(&ft);
-        let perm = Permutation::from_pairs(10, [SdPair::new(0, 4), SdPair::new(1, 6)]).unwrap();
-        let spread = r.spread_pattern(&perm).unwrap();
-        // Leaf links carry full units -> expected max load 1 -> throughput 1
-        // in expectation (though timing can still collide, per the paper).
-        assert_eq!(multipath_saturation_throughput(&spread), 1.0);
     }
 
     #[test]

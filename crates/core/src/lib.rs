@@ -60,17 +60,15 @@ pub mod verify;
 pub mod wide_sense;
 
 pub use campaign::{
-    cable_universe, certify_exhaustive, certify_exhaustive_with, run_randomized,
-    run_randomized_with, shrink, top_switch_universe, AdaptiveRoutability, ArenaRoutability,
-    CampaignConfig, CampaignError, CampaignProperty, CampaignReport, Certificate, Criticality,
-    DeadlockFreedom, FaultElement, FaultVector, Judgement, Killer, KillerRecord, NonblockingMargin,
-    Shrunk,
+    cable_universe, certify_exhaustive_with, run_randomized_with, shrink, top_switch_universe,
+    AdaptiveRoutability, ArenaRoutability, CampaignConfig, CampaignError, CampaignProperty,
+    CampaignReport, Certificate, DeadlockFreedom, FaultElement, FaultVector, Judgement, Killer,
+    NonblockingMargin,
 };
 pub use cdg::{
-    analyze_router_with, attribute_witness, build_cdg, cdg_of_adaptive, cdg_of_assignment,
-    cdg_of_masked_router, cdg_of_multipath, cdg_of_paths, cdg_of_router, deadlock_sweep,
-    unique_churn_fault_sets, ChannelDependencyGraph, CycleAnalysis, DeadlockVerdict, SweepEntry,
-    ValleyRouter, WitnessEdge,
+    analyze_router_with, attribute_witness, cdg_of_masked_router_with, cdg_of_multipath_with,
+    cdg_of_router_with, deadlock_sweep_with, unique_churn_fault_sets, ChannelDependencyGraph,
+    CycleAnalysis, DeadlockVerdict, SweepEntry, ValleyRouter, WitnessEdge,
 };
 pub use churn::{
     availability, min_m_for_availability, AvailabilityReport, ChurnEvent, EpochVerdict,
@@ -79,12 +77,10 @@ pub use circuit::{CircuitClos, ConnectError, MiddlePolicy};
 pub use construct::{NonblockingFtree, NonblockingThreeLevel};
 pub use degraded::{
     adaptive_degraded_verdict, deterministic_degradation, max_survivable_top_failures,
-    DegradedVerdict, DeterministicDegradation, KLevel, SurvivabilityReport,
+    DegradedVerdict, DeterministicDegradation,
 };
-pub use design::{DesignPoint, TableOneRow};
 pub use engine::{
-    crossing_pairs, lemma1_audit, lemma1_audit_with, lemma1_census, ContentionEngine,
-    ContentionScratch, LinkCensus,
+    crossing_pairs, lemma1_audit_with, lemma1_census, ContentionEngine, ContentionScratch,
 };
 pub use search::{find_blocking_two_pair, TwoPairOutcome};
 pub use verify::{

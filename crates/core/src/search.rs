@@ -1,6 +1,7 @@
 //! Blocking-permutation search and blocking-probability estimation.
 
-use crate::engine::lemma1_audit;
+use crate::engine::lemma1_audit_with;
+use ftclos_obs::Noop;
 use ftclos_routing::{PatternRouter, RoutingError, SinglePathRouter};
 use ftclos_traffic::enumerate::AllPermutations;
 use ftclos_traffic::{patterns, Permutation, SdPair};
@@ -74,7 +75,7 @@ impl TwoPairOutcome {
 /// `tests/oracle`.
 pub fn find_blocking_two_pair<R: SinglePathRouter + Sync + ?Sized>(router: &R) -> TwoPairOutcome {
     let ports = router.ports();
-    match lemma1_audit(router) {
+    match lemma1_audit_with(router, &Noop) {
         Err(e) => TwoPairOutcome::RoutingFailed(e),
         Ok(Some(v)) => {
             let pairs = [

@@ -3,11 +3,11 @@
 //!
 //! Every whole-fabric decision in this crate — the Lemma 1 census, the
 //! channel dependency graph — is a fold over the `p(p-1)` paths of a
-//! single-path router. [`fold_sources`] is the threading half: sources are
+//! single-path router. `fold_sources` is the threading half: sources are
 //! cut into contiguous blocks, one per thread, each block folds into its own
 //! accumulator, and the accumulators are merged on the caller **in block
 //! order**. With an associative `merge` the result is the same at every
-//! thread count. [`fold_paths`] is the routing half: one `route_into` buffer
+//! thread count. `fold_paths` is the routing half: one `route_into` buffer
 //! per block, so a sweep allocates nothing per pair, and the first routing
 //! error in row order is reported whatever the thread count.
 //!
@@ -35,7 +35,7 @@ pub const MIN_PAIRS_PER_THREAD: usize = 1 << 15;
 /// `init()` and calls `fold(&mut acc, s)` for its sources in ascending
 /// order; the block accumulators are then combined left to right with
 /// `merge`. Records the `par.threads` gauge (blocks the sweep ran as).
-pub fn fold_sources<A, I, F, M, Rec>(
+pub(crate) fn fold_sources<A, I, F, M, Rec>(
     ports: u32,
     max_threads: usize,
     init: I,
@@ -71,7 +71,7 @@ where
         .expect("a sweep has at least one block")
 }
 
-/// One block of [`fold_paths`]: the caller's accumulator, the block's route
+/// One block of `fold_paths`: the caller's accumulator, the block's route
 /// buffer, and the block's first routing error.
 struct PathBlock<A> {
     acc: A,
@@ -82,13 +82,13 @@ struct PathBlock<A> {
 /// Route every ordered pair of distinct ports of `router` and fold each path:
 /// `fold(&mut acc, pair, path)`, rows `(s, d)` ascending within a block.
 /// Blocks, the `max_threads` cap, merge order and the `par.threads` gauge
-/// are those of [`fold_sources`].
+/// are those of `fold_sources`.
 ///
 /// # Errors
 /// The first [`SinglePathRouter::try_route_into`] error in row order. A
 /// block stops at its own first error, and the lowest failing block's error
 /// wins the merge, so the error does not depend on the thread count.
-pub fn fold_paths<R, A, I, F, M, Rec>(
+pub(crate) fn fold_paths<R, A, I, F, M, Rec>(
     router: &R,
     max_threads: usize,
     init: I,

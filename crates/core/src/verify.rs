@@ -16,7 +16,7 @@
 //! `tests/engine_differential.rs` pins these checks to them.
 
 use crate::engine::{
-    first_violating_channel, lemma1_audit, lemma1_census, lemma1_witness, ContentionScratch,
+    first_violating_channel, lemma1_audit_with, lemma1_census, lemma1_witness, ContentionScratch,
     LinkCensus,
 };
 use ftclos_routing::{MultipathAssignment, RouteAssignment, RoutingError, SinglePathRouter};
@@ -102,7 +102,7 @@ impl NonblockingVerdict {
 /// witness, when present, is the lowest-id violating channel's two-pair
 /// permutation.
 pub fn nonblocking_verdict<R: SinglePathRouter + Sync + ?Sized>(router: &R) -> NonblockingVerdict {
-    let violation = match lemma1_audit(router) {
+    let violation = match lemma1_audit_with(router, &ftclos_obs::Noop) {
         Ok(violation) => violation,
         Err(_) => {
             return NonblockingVerdict {

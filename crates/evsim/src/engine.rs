@@ -251,6 +251,7 @@ impl Schedule for ActiveSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftclos_obs::Noop;
     use ftclos_routing::{DModK, ObliviousMultipath, YuanDeterministic};
     use ftclos_sim::{
         ChurnConfig, ChurnSchedule, FaultSchedule, Policy, ReplanMode, SimConfig, SimStats,
@@ -414,11 +415,11 @@ mod tests {
             let w = Workload::permutation(&perm, 0.6);
             let (oracle, oracle_report) =
                 Simulator::new(ft.topology(), config, Policy::from_multipath(&mp, true))
-                    .try_run_churn(&w, 33, &schedule, &churn)
+                    .try_run_churn_recorded(&w, 33, &schedule, &churn, &Noop)
                     .unwrap();
             let (event, event_report) =
                 EventSimulator::new(ft.topology(), config, Policy::from_multipath(&mp, true))
-                    .try_run_churn(&w, 33, &schedule, &churn)
+                    .try_run_churn_recorded(&w, 33, &schedule, &churn, &Noop)
                     .unwrap();
             assert_eq!(oracle, event, "stats diverged under {mode:?}");
             assert_eq!(oracle_report, event_report, "report diverged: {mode:?}");
@@ -482,7 +483,7 @@ mod tests {
         };
         let reg = ftclos_obs::Registry::new();
         let err = EventSimulator::new(ft.topology(), config, policy)
-            .try_run_recorded(&w, 0xDEAD, &reg)
+            .try_run_with_faults_recorded(&w, 0xDEAD, &FaultSchedule::new(), &reg)
             .unwrap_err();
         let SimError::Stalled(report) = err else {
             panic!("expected Stalled at the drain cap, got {err}");

@@ -32,7 +32,7 @@ impl EventWheel {
     /// The earliest scheduled cycle `>= cycle`, discarding every stale
     /// entry before it. `None` when nothing is scheduled at or after
     /// `cycle`.
-    pub fn next_at_or_after(&mut self, cycle: u64) -> Option<u64> {
+    pub(crate) fn next_at_or_after(&mut self, cycle: u64) -> Option<u64> {
         while let Some(&Reverse(t)) = self.heap.peek() {
             if t >= cycle {
                 return Some(t);

@@ -91,7 +91,7 @@ impl FabricAgreement {
 ///
 /// Cost is `O(p^4)` patterns — this is a verification tool for small
 /// fabrics, not a production checker; the exact verdict inside is `O(p^2)`.
-/// Pattern enumeration fans out over rayon by first source. All paths are
+/// Patterns are enumerated on the calling thread. All paths are
 /// routed **once** into a [`PathArena`]; the sweep's flow expansion then
 /// reads cached path slices instead of re-routing each pair `O(p^2)` times.
 pub fn check_fabric<R: SinglePathRouter + Sync + ?Sized>(
@@ -101,7 +101,7 @@ pub fn check_fabric<R: SinglePathRouter + Sync + ?Sized>(
     let p = router.ports();
     // Arena build can only fail for routers that error on their own
     // universe; such routers cannot serve any two-pair pattern either.
-    let arena = match PathArena::build(router) {
+    let arena = match PathArena::build_with(router, &ftclos_obs::Noop) {
         Ok(a) => a,
         Err(_) => {
             return FabricAgreement {

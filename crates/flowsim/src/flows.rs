@@ -90,7 +90,7 @@ pub struct FlowSet {
 impl FlowSet {
     /// Build from per-flow link sets over a fabric with `num_channels`
     /// channels, validating channel ids and weights.
-    pub fn from_flows(flows: &[FlowLinks], num_channels: usize) -> Result<Self, FlowError> {
+    pub(crate) fn from_flows(flows: &[FlowLinks], num_channels: usize) -> Result<Self, FlowError> {
         let mut pairs = Vec::with_capacity(flows.len());
         let mut flow_start = Vec::with_capacity(flows.len() + 1);
         let total: usize = flows.iter().map(|f| f.links.len()).sum();
@@ -190,7 +190,7 @@ impl FlowSet {
 
     /// Flows crossing channel `c`.
     #[inline]
-    pub fn flows_on(&self, c: usize) -> &[u32] {
+    pub(crate) fn flows_on(&self, c: usize) -> &[u32] {
         let lo = self.channel_start[c] as usize;
         let hi = self.channel_start[c + 1] as usize;
         &self.channel_flows[lo..hi]
@@ -198,14 +198,14 @@ impl FlowSet {
 
     /// Total link entries (the solver's working-set size).
     #[inline]
-    pub fn num_entries(&self) -> usize {
+    pub(crate) fn num_entries(&self) -> usize {
         self.entry_channel.len()
     }
 
     /// Per-channel *demand* load: total weight crossing each channel if
     /// every flow sent at full rate — the congestion the pattern asks for
     /// before any fair-sharing happens. Indexed by channel id.
-    pub fn demand_loads(&self) -> Vec<f64> {
+    pub(crate) fn demand_loads(&self) -> Vec<f64> {
         let mut loads = vec![0.0; self.num_channels];
         for (&c, &w) in self.entry_channel.iter().zip(&self.entry_weight) {
             loads[c as usize] += w;
@@ -215,7 +215,7 @@ impl FlowSet {
 
     /// Maximum demand load over all channels — the max-congestion objective
     /// of unsplittable-flow routing (0.0 when no flow uses any link).
-    pub fn max_congestion(&self) -> f64 {
+    pub(crate) fn max_congestion(&self) -> f64 {
         self.demand_loads().into_iter().fold(0.0, f64::max)
     }
 }

@@ -15,12 +15,12 @@
 //!    `(channel, weight)` link sets.
 //! 2. [`FlowSet`] compacts those into dual CSR form — flow → links for
 //!    rate bookkeeping, channel → flows for the freeze step.
-//! 3. [`waterfill`] runs progressive filling against per-channel
+//! 3. [`waterfill_with`] runs progressive filling against per-channel
 //!    [`ChannelCapacities`](ftclos_topo::ChannelCapacities) to the
 //!    max-min fair fixed point ([`FluidAllocation`]).
 //! 4. [`FluidReport`] summarizes rates, congestion, and a link-utilization
 //!    histogram in the same shape the packet engine reports; batch sweeps
-//!    run via [`sweep_patterns`].
+//!    run via [`sweep_patterns_with`].
 //!
 //! The [`differential`] module ties the model back to the paper's exact
 //! combinatorics: on unit-capacity fabrics with single-path routing,
@@ -41,9 +41,5 @@ pub use differential::{
 };
 pub use flows::{FlowError, FlowSet};
 pub use report::FluidReport;
-pub use sweep::{
-    solve_pattern, solve_pattern_with, standard_suite, sweep_patterns, sweep_patterns_with,
-};
-pub use waterfill::{
-    try_waterfill, try_waterfill_with, waterfill, waterfill_unit, waterfill_with, FluidAllocation,
-};
+pub use sweep::{solve_pattern_with, standard_suite, sweep_patterns_with};
+pub use waterfill::{waterfill_with, FluidAllocation};

@@ -1,30 +1,19 @@
 //! Batch solving: run a routing's fluid model over a suite of named
-//! patterns, in parallel, producing one [`FluidReport`] per pattern.
+//! patterns, producing one [`FluidReport`] per pattern.
 
 use crate::flows::{FlowError, FlowSet};
 use crate::report::FluidReport;
-use crate::waterfill::{waterfill_with, Noop, Recorder};
+use crate::waterfill::{waterfill_with, Recorder};
 use ftclos_routing::LinkLoadView;
 use ftclos_topo::ChannelCapacities;
 use ftclos_traffic::{patterns, Permutation};
-use rayon::prelude::*;
 
-/// Expand, solve, and summarize one named pattern through `view`.
-pub fn solve_pattern<V: LinkLoadView + ?Sized>(
-    view: &V,
-    pattern_name: &str,
-    perm: &Permutation,
-    caps: &ChannelCapacities,
-) -> Result<FluidReport, FlowError> {
-    solve_pattern_with(view, pattern_name, perm, caps, &Noop)
-}
-
-/// [`solve_pattern`] with instrumentation: flow expansion records under
-/// span `flowsim.expand`, the solve under `flowsim.waterfill` (see
-/// [`waterfill_with`] for its counters).
+/// Expand, solve, and summarize one named pattern through `view`. Flow
+/// expansion records under span `flowsim.expand`, the solve under
+/// `flowsim.waterfill` (see [`waterfill_with`] for its counters).
 ///
 /// # Errors
-/// As for [`solve_pattern`].
+/// [`FlowError`] when `view` cannot expand `perm` into flows.
 pub fn solve_pattern_with<V: LinkLoadView + ?Sized, R: Recorder>(
     view: &V,
     pattern_name: &str,
@@ -46,11 +35,12 @@ pub fn solve_pattern_with<V: LinkLoadView + ?Sized, R: Recorder>(
     ))
 }
 
-/// [`sweep_patterns`] with instrumentation, under one `flowsim.sweep`
-/// span. Patterns solve *sequentially* here: span timers nest lexically
-/// on one thread, so the traced sweep trades the parallel batch for an
-/// accurate per-phase profile (counters would survive parallelism; the
-/// span tree would not).
+/// Solve a whole suite of `(name, permutation)` patterns through `view`,
+/// one report per pattern in input order, under one `flowsim.sweep` span.
+/// Each result carries its own error, so one unroutable pattern doesn't
+/// sink the batch. Patterns solve *sequentially*: span timers nest
+/// lexically on one thread, so the sweep keeps an accurate per-phase
+/// profile (counters would survive parallelism; the span tree would not).
 pub fn sweep_patterns_with<V: LinkLoadView + ?Sized, R: Recorder>(
     view: &V,
     suite: &[(String, Permutation)],
@@ -61,21 +51,6 @@ pub fn sweep_patterns_with<V: LinkLoadView + ?Sized, R: Recorder>(
     suite
         .iter()
         .map(|(name, perm)| solve_pattern_with(view, name, perm, caps, rec))
-        .collect()
-}
-
-/// Solve a whole suite of `(name, permutation)` patterns through `view`,
-/// one report per pattern in input order. Patterns solve in parallel via
-/// rayon; each result carries its own error so one unroutable pattern
-/// doesn't sink the batch.
-pub fn sweep_patterns<V: LinkLoadView + Sync + ?Sized>(
-    view: &V,
-    suite: &[(String, Permutation)],
-    caps: &ChannelCapacities,
-) -> Vec<Result<FluidReport, FlowError>> {
-    suite
-        .par_iter()
-        .map(|(name, perm)| solve_pattern(view, name, perm, caps))
         .collect()
 }
 
@@ -111,6 +86,7 @@ pub fn standard_suite(ports: u32) -> Vec<(String, Permutation)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::waterfill::Noop;
     use ftclos_routing::{DModK, YuanDeterministic};
     use ftclos_topo::Ftree;
 
@@ -141,7 +117,7 @@ mod tests {
         let yuan = YuanDeterministic::new(&ft).unwrap();
         let caps = ChannelCapacities::unit(ft.topology());
         let suite = standard_suite(10);
-        let reports = sweep_patterns(&yuan, &suite, &caps);
+        let reports = sweep_patterns_with(&yuan, &suite, &caps, &Noop);
         assert_eq!(reports.len(), suite.len());
         for r in reports {
             let r = r.expect("routable");
@@ -172,7 +148,7 @@ mod tests {
         )
         .unwrap();
         suite.push(("mod-collision".to_string(), collide));
-        let reports: Vec<FluidReport> = sweep_patterns(&router, &suite, &caps)
+        let reports: Vec<FluidReport> = sweep_patterns_with(&router, &suite, &caps, &Noop)
             .into_iter()
             .map(|r| r.expect("routable"))
             .collect();

@@ -60,7 +60,7 @@ impl FluidAllocation {
 
     /// Allocated per-channel load.
     #[inline]
-    pub fn link_loads(&self) -> &[f64] {
+    pub(crate) fn link_loads(&self) -> &[f64] {
         &self.link_load
     }
 
@@ -103,20 +103,13 @@ impl FluidAllocation {
 /// Panics if `caps` covers fewer channels than the flow set references
 /// (build both from the same topology). Fault-campaign code paths, where
 /// the capacity map may be derived from attacker-chosen fault sets, should
-/// use [`try_waterfill`] instead.
-pub fn waterfill(flows: &FlowSet, caps: &ChannelCapacities) -> FluidAllocation {
-    waterfill_with(flows, caps, &Noop)
-}
-
-/// [`waterfill`] with instrumentation: the solve records under span
-/// `flowsim.waterfill` with counters `flowsim.rounds` (bottleneck rounds),
-/// `flowsim.fill_events` (flows frozen at a bottleneck level),
-/// `flowsim.saturated_channels` (channels that hit their cap across all
-/// rounds), and `flowsim.demand_events` (runs ending in the unconstrained
-/// demand event). With [`Noop`] this is exactly `waterfill`.
+/// check the capacity map first.
 ///
-/// # Panics
-/// Same as [`waterfill`].
+/// The solve records under span `flowsim.waterfill` with counters
+/// `flowsim.rounds` (bottleneck rounds), `flowsim.fill_events` (flows
+/// frozen at a bottleneck level), `flowsim.saturated_channels` (channels
+/// that hit their cap across all rounds), and `flowsim.demand_events` (runs
+/// ending in the unconstrained demand event).
 pub fn waterfill_with<R: Recorder>(
     flows: &FlowSet,
     caps: &ChannelCapacities,
@@ -128,25 +121,14 @@ pub fn waterfill_with<R: Recorder>(
     }
 }
 
-/// Fallible [`waterfill`]: rejects a capacity map that covers fewer
+/// Fallible [`waterfill_with`]: rejects a capacity map that covers fewer
 /// channels than the flow set references with
 /// [`FlowError::CapacityMismatch`] instead of panicking.
 ///
 /// # Errors
 /// [`FlowError::CapacityMismatch`] when `caps.len() <
 /// flows.num_channels()`.
-pub fn try_waterfill(
-    flows: &FlowSet,
-    caps: &ChannelCapacities,
-) -> Result<FluidAllocation, FlowError> {
-    try_waterfill_with(flows, caps, &Noop)
-}
-
-/// [`try_waterfill`] with instrumentation (see [`waterfill_with`]).
-///
-/// # Errors
-/// Same as [`try_waterfill`].
-pub fn try_waterfill_with<R: Recorder>(
+pub(crate) fn try_waterfill_with<R: Recorder>(
     flows: &FlowSet,
     caps: &ChannelCapacities,
     rec: &R,
@@ -277,11 +259,11 @@ pub fn try_waterfill_with<R: Recorder>(
 }
 
 /// Water-filling against the paper's homogeneous unit-capacity fabric.
-pub fn waterfill_unit(flows: &FlowSet) -> FluidAllocation {
+pub(crate) fn waterfill_unit(flows: &FlowSet) -> FluidAllocation {
     // A throwaway uniform map sized to the flow set: avoids requiring the
     // caller to thread a topology through when capacities are all 1.0.
     let caps = unit_caps(flows.num_channels());
-    waterfill(flows, &caps)
+    waterfill_with(flows, &caps, &Noop)
 }
 
 /// A unit capacity map covering `num_channels` dense channel ids.
@@ -400,7 +382,7 @@ mod tests {
         let set = FlowSet::from_view(&router, &perm, ft.topology().num_channels()).unwrap();
         let mut caps = ChannelCapacities::unit(ft.topology());
         caps.set(ft.leaf_up_channel(0, 0), 0.0);
-        let alloc = waterfill(&set, &caps);
+        let alloc = waterfill_with(&set, &caps, &Noop);
         // The flow sourced at leaf (0,0) is pinned to the dead cable.
         let dead_flow = (0..set.num_flows())
             .find(|&i| set.pair(i).src == 0)
@@ -416,7 +398,7 @@ mod tests {
         let perm = patterns::shift(10, 2);
         let set = FlowSet::from_view(&router, &perm, ft.topology().num_channels()).unwrap();
         let caps = ChannelCapacities::unit(ft.topology());
-        let plain = waterfill(&set, &caps);
+        let plain = waterfill_with(&set, &caps, &Noop);
         let reg = ftclos_obs::Registry::new();
         let recorded = waterfill_with(&set, &caps, &reg);
         assert_eq!(plain, recorded);
@@ -443,12 +425,14 @@ mod tests {
         let set = FlowSet::from_flows(&flows, 4).unwrap();
         let caps = ChannelCapacities::dense_uniform(2, 1.0);
         assert_eq!(
-            try_waterfill(&set, &caps),
+            try_waterfill_with(&set, &caps, &Noop),
             Err(FlowError::CapacityMismatch { caps: 2, needed: 4 })
         );
         // A covering map succeeds through the fallible entry point too.
         let caps = ChannelCapacities::dense_uniform(4, 1.0);
-        assert!(try_waterfill(&set, &caps).unwrap().all_unit_rate());
+        assert!(try_waterfill_with(&set, &caps, &Noop)
+            .unwrap()
+            .all_unit_rate());
     }
 
     #[test]

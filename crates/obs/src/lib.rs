@@ -51,7 +51,7 @@ pub mod json;
 pub mod recorder;
 pub mod registry;
 
-pub use recorder::{Noop, Recorder, SpanGuard};
+pub use recorder::{Noop, Recorder};
 pub use registry::{
     Counter, EpochSnapshot, Gauge, HistogramSnapshot, Registry, Snapshot, SpanSnapshot,
 };

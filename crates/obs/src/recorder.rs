@@ -85,7 +85,7 @@ pub struct SpanGuard<'a> {
 impl SpanGuard<'_> {
     /// The guard that does nothing on drop.
     #[inline(always)]
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         SpanGuard {
             reg: None,
             start: None,

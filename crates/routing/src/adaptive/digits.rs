@@ -71,7 +71,7 @@ impl DigitCoder {
 
     /// Switch digit `s_i` of switch `v` (base-`n`, `s_0` least significant).
     #[inline]
-    pub fn switch_digit(&self, v: usize, i: usize) -> usize {
+    pub(crate) fn switch_digit(&self, v: usize, i: usize) -> usize {
         debug_assert!(i < self.c);
         (v / self.n.pow(i as u32)) % self.n
     }
@@ -89,7 +89,7 @@ impl DigitCoder {
     /// Within one bottom switch all destinations have distinct keys in every
     /// partition — the Class DIFF property (Lemma 4).
     #[inline]
-    pub fn partition_key(&self, leaf: u32, pt: usize) -> usize {
+    pub(crate) fn partition_key(&self, leaf: u32, pt: usize) -> usize {
         debug_assert!(pt <= self.c);
         let (v, p) = self.leaf_coords(leaf);
         if pt == 0 {

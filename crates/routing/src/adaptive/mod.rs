@@ -320,7 +320,7 @@ impl<'a> NonblockingAdaptive<'a> {
     ///   or no live top switch can serve it at all,
     /// * [`RoutingError::NotEnoughTops`] when pairs remain unrouted after
     ///   every configuration that fits in `m` has been tried.
-    pub fn plan_masked(
+    pub(crate) fn plan_masked(
         &self,
         perm: &Permutation,
         view: &FaultyView<'_>,
@@ -495,7 +495,7 @@ impl<'a> NonblockingAdaptive<'a> {
     ///   fabric has no leaves for,
     /// * [`RoutingError::PathFaulted`] when a route crosses a dead channel
     ///   (never for plans produced by [`Self::plan_masked`] on this view).
-    pub fn materialize_masked(
+    pub(crate) fn materialize_masked(
         &self,
         plan: &AdaptivePlan,
         view: &FaultyView<'_>,

@@ -21,7 +21,7 @@
 
 use crate::error::RoutingError;
 use crate::router::SinglePathRouter;
-use ftclos_obs::{Noop, Recorder};
+use ftclos_obs::Recorder;
 use ftclos_topo::ChannelId;
 use ftclos_traffic::SdPair;
 
@@ -54,17 +54,10 @@ impl PathArena {
     /// errors indicate a router whose `ports()` disagrees with its routable
     /// universe), or [`RoutingError::Precondition`] when the fabric's pair
     /// rows or path hops would overflow the tables' `u32` offsets.
-    pub fn build<R: SinglePathRouter + ?Sized>(router: &R) -> Result<Self, RoutingError> {
-        Self::build_with(router, &Noop)
-    }
-
-    /// [`PathArena::build`] with instrumentation: records the build under
-    /// span `arena.build`, counts routed pairs (`arena.paths_routed`), and
-    /// gauges the frozen tables (`arena.bytes`, `arena.channels`,
-    /// `arena.hops`). With [`Noop`] this is exactly `build`.
     ///
-    /// # Errors
-    /// Same as [`PathArena::build`].
+    /// Records the build under span `arena.build`, counts routed pairs
+    /// (`arena.paths_routed`), and gauges the frozen tables (`arena.bytes`,
+    /// `arena.channels`, `arena.hops`).
     pub fn build_with<R: SinglePathRouter + ?Sized, Rec: Recorder>(
         router: &R,
         rec: &Rec,
@@ -270,6 +263,7 @@ mod tests {
     use crate::path::Path;
     use crate::router::route_all;
     use crate::yuan::YuanDeterministic;
+    use ftclos_obs::Noop;
     use ftclos_topo::Ftree;
     use ftclos_traffic::patterns;
 
@@ -277,7 +271,7 @@ mod tests {
     fn arena_paths_match_router_paths() {
         let ft = Ftree::new(2, 4, 5).unwrap();
         let yuan = YuanDeterministic::new(&ft).unwrap();
-        let arena = PathArena::build(&yuan).unwrap();
+        let arena = PathArena::build_with(&yuan, &Noop).unwrap();
         assert_eq!(arena.ports(), 10);
         assert_eq!(arena.num_pairs(), 90);
         for s in 0..10u32 {
@@ -300,7 +294,7 @@ mod tests {
     fn incidence_transposes_exactly() {
         let ft = Ftree::new(2, 2, 5).unwrap();
         let dmodk = DModK::new(&ft);
-        let arena = PathArena::build(&dmodk).unwrap();
+        let arena = PathArena::build_with(&dmodk, &Noop).unwrap();
         // Every (pair, channel) path entry appears in the incidence list and
         // vice versa.
         let mut from_paths = 0usize;
@@ -332,7 +326,7 @@ mod tests {
     fn arena_route_all_agrees_with_router() {
         let ft = Ftree::new(2, 2, 5).unwrap();
         let dmodk = DModK::new(&ft);
-        let arena = PathArena::build(&dmodk).unwrap();
+        let arena = PathArena::build_with(&dmodk, &Noop).unwrap();
         let perm = patterns::shift(10, 3);
         let a = route_all(&dmodk, &perm).unwrap();
         let b = route_all(&arena, &perm).unwrap();
@@ -343,7 +337,7 @@ mod tests {
     fn recorded_build_matches_plain_build_and_emits_metrics() {
         let ft = Ftree::new(2, 4, 5).unwrap();
         let yuan = YuanDeterministic::new(&ft).unwrap();
-        let plain = PathArena::build(&yuan).unwrap();
+        let plain = PathArena::build_with(&yuan, &Noop).unwrap();
         let reg = ftclos_obs::Registry::new();
         let recorded = PathArena::build_with(&yuan, &reg).unwrap();
         for s in 0..plain.ports() {
@@ -381,7 +375,7 @@ mod tests {
         // 70,000² rows overflow the u32 pair rows; 40,000 ports fit them,
         // but their 6.4G hops overflow the u32 path offsets.
         for ports in [70_000, 40_000] {
-            match PathArena::build(&Huge(ports)) {
+            match PathArena::build_with(&Huge(ports), &Noop) {
                 Err(RoutingError::Precondition { router, detail }) => {
                     assert_eq!(router, "huge");
                     assert!(detail.contains("overflow"), "{detail}");
@@ -420,7 +414,7 @@ mod tests {
             }
         }
         assert_eq!(
-            PathArena::build(&Overclaim).unwrap_err(),
+            PathArena::build_with(&Overclaim, &Noop).unwrap_err(),
             RoutingError::PortOutOfRange { port: 4, ports: 4 }
         );
     }
@@ -439,7 +433,7 @@ mod tests {
                 "null"
             }
         }
-        let arena = PathArena::build(&Null).unwrap();
+        let arena = PathArena::build_with(&Null, &Noop).unwrap();
         assert_eq!(arena.num_channels(), 0);
         assert_eq!(arena.total_hops(), 0);
         assert_eq!(arena.pairs_on(ChannelId(3)), &[] as &[u32]);

@@ -42,14 +42,6 @@ impl RouteAssignment {
         self.routes.push((pair, path));
     }
 
-    /// The path assigned to `pair`, if routed.
-    pub fn path_of(&self, pair: SdPair) -> Option<&Path> {
-        self.routes
-            .iter()
-            .find(|(p, _)| *p == pair)
-            .map(|(_, path)| path)
-    }
-
     /// Per-channel load: how many SD pairs traverse each channel.
     pub fn channel_loads(&self) -> HashMap<ChannelId, u32> {
         let mut loads = HashMap::new();
@@ -137,14 +129,6 @@ mod tests {
         assert_eq!(loads[&ft.leaf_up_channel(0, 0)], 1);
         assert_eq!(a.max_channel_load(), 2);
         a.validate(ft.topology()).unwrap();
-    }
-
-    #[test]
-    fn path_lookup() {
-        let ft = Ftree::new(2, 2, 3).unwrap();
-        let a = two_pair_assignment(&ft);
-        assert!(a.path_of(SdPair::new(0, 5)).is_some());
-        assert!(a.path_of(SdPair::new(0, 4)).is_none());
     }
 
     #[test]

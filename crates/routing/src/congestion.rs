@@ -24,8 +24,8 @@
 //!
 //! Unlike every per-pair scheme in this crate, the choice for one pair
 //! depends on the whole pattern, so the family sits behind a *plan step*:
-//! [`MinCongestion::plan`] produces a [`CongestionPlan`], which lowers to
-//! the existing shapes for everything downstream —
+//! [`MinCongestion::plan_seeded_with`] produces a [`CongestionPlan`], which
+//! lowers to the existing shapes for everything downstream —
 //! [`CongestionPlan::assignment`] for the contention analyzers and
 //! [`CongestionPlan::load_view`] for the fluid flow simulator.
 //! [`MinCongestion`] also implements [`PatternRouter`] directly
@@ -218,40 +218,22 @@ impl<C: PathCandidates> MinCongestion<C> {
         Self { provider, config }
     }
 
-    /// Plan `perm` (no warm starts, no instrumentation).
-    ///
-    /// # Errors
-    /// Provider errors for any pair of the pattern.
-    pub fn plan(&self, perm: &Permutation) -> Result<CongestionPlan, RoutingError> {
-        self.plan_seeded_with(perm, &[], &Noop)
-    }
-
-    /// Plan with *warm starts*: each seed assignment that routes exactly
-    /// the pattern's pairs along candidate paths is projected into the
-    /// search space and competes with greedy and the rounding trials
+    /// Plan `perm` with *warm starts* (pass `&[]` for none): each seed
+    /// assignment that routes exactly the pattern's pairs along candidate
+    /// paths is projected into the search space and competes with greedy
+    /// and the rounding trials
     /// (seeds that don't project — a pair missing, or a path outside the
     /// candidate set — are skipped). Because repair never worsens the
     /// lexicographic `(max load, channels at max)` objective, a repaired
     /// plan is guaranteed no worse than every projectable seed.
     ///
-    /// # Errors
-    /// As for [`MinCongestion::plan`].
-    pub fn plan_seeded(
-        &self,
-        perm: &Permutation,
-        seeds: &[&RouteAssignment],
-    ) -> Result<CongestionPlan, RoutingError> {
-        self.plan_seeded_with(perm, seeds, &Noop)
-    }
-
-    /// [`MinCongestion::plan_seeded`] with instrumentation: placement
-    /// (greedy + rounding + start selection) records under span
+    /// Placement (greedy + rounding + start selection) records under span
     /// `congestion.place`, the local search under `congestion.repair`, with
     /// counters `congestion.moves` / `congestion.rounds` and gauge
     /// `congestion.max_load`.
     ///
     /// # Errors
-    /// As for [`MinCongestion::plan`].
+    /// Provider errors for any pair of the pattern.
     pub fn plan_seeded_with<Rec: Recorder>(
         &self,
         perm: &Permutation,
@@ -344,7 +326,7 @@ impl<C: PathCandidates> PatternRouter for MinCongestion<C> {
     }
 
     fn route_pattern(&self, perm: &Permutation) -> Result<RouteAssignment, RoutingError> {
-        Ok(MinCongestion::plan(self, perm)?.assignment())
+        Ok(self.plan_seeded_with(perm, &[], &Noop)?.assignment())
     }
 
     fn name(&self) -> &'static str {
@@ -749,7 +731,7 @@ mod tests {
                 ..CongestionConfig::default()
             },
         );
-        router.plan(perm).unwrap()
+        router.plan_seeded_with(perm, &[], &Noop).unwrap()
     }
 
     #[test]
@@ -815,7 +797,9 @@ mod tests {
             let perm = patterns::random_full(12, &mut rng);
             let dmodk = route_all(&DModK::new(&ft), &perm).unwrap();
             let smodk = route_all(&crate::dmodk::SModK::new(&ft), &perm).unwrap();
-            let plan = router.plan_seeded(&perm, &[&dmodk, &smodk]).unwrap();
+            let plan = router
+                .plan_seeded_with(&perm, &[&dmodk, &smodk], &Noop)
+                .unwrap();
             assert!(plan.max_link_load() <= dmodk.max_channel_load());
             assert!(plan.max_link_load() <= smodk.max_channel_load());
         }
@@ -850,7 +834,7 @@ mod tests {
                     ..CongestionConfig::default()
                 },
             )
-            .plan(&perm)
+            .plan_seeded_with(&perm, &[], &Noop)
             .unwrap()
         };
         let (a, b) = (mk(3), mk(3));
@@ -884,7 +868,7 @@ mod tests {
             CongestionConfig::default(),
         );
         let perm = patterns::shift(10, 2);
-        let plan = router.plan(&perm).unwrap();
+        let plan = router.plan_seeded_with(&perm, &[], &Noop).unwrap();
         for (_, path) in plan.assignment().routes() {
             view.path_alive(path.channels()).unwrap();
         }
@@ -918,7 +902,10 @@ mod tests {
             MinCongestion::with_config(FtreeCandidates::pristine(&ft), CongestionConfig::default());
         let perm = patterns::tornado(10);
         let via_pattern = router.route_pattern(&perm).unwrap();
-        let via_plan = MinCongestion::plan(&router, &perm).unwrap().assignment();
+        let via_plan = router
+            .plan_seeded_with(&perm, &[], &Noop)
+            .unwrap()
+            .assignment();
         assert_eq!(via_pattern, via_plan);
         assert_eq!(PatternRouter::name(&router), "congestion-repaired");
         assert_eq!(PatternRouter::ports(&router), 10);
@@ -931,7 +918,7 @@ mod tests {
         let provider = FnCandidates::new(8, |pair| Ok(xr.all_paths(pair)));
         let router = MinCongestion::with_config(provider, CongestionConfig::default());
         let perm = patterns::bit_reversal(8).unwrap();
-        let plan = MinCongestion::plan(&router, &perm).unwrap();
+        let plan = router.plan_seeded_with(&perm, &[], &Noop).unwrap();
         plan.assignment().validate(t.topology()).unwrap();
         let baseline = route_all(&xr, &perm).unwrap();
         assert!(plan.max_link_load() <= baseline.max_channel_load());
@@ -951,7 +938,7 @@ mod tests {
             MinCongestion::with_config(FtreeCandidates::pristine(&ft), CongestionConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let perm = patterns::random_full(12, &mut rng);
-        let plain = router.plan(&perm).unwrap();
+        let plain = router.plan_seeded_with(&perm, &[], &Noop).unwrap();
         let reg = ftclos_obs::Registry::new();
         let recorded = router.plan_seeded_with(&perm, &[], &reg).unwrap();
         assert_eq!(plain.assignment(), recorded.assignment());
@@ -991,7 +978,7 @@ mod tests {
             MinCongestion::with_config(FtreeCandidates::pristine(&ft), CongestionConfig::default());
         let perm = Permutation::from_pairs(11, [SdPair::new(0, 10)]).unwrap();
         assert!(matches!(
-            MinCongestion::plan(&router, &perm),
+            router.plan_seeded_with(&perm, &[], &Noop),
             Err(RoutingError::PortOutOfRange { .. })
         ));
         let mut faults = FaultSet::new();
@@ -1003,7 +990,7 @@ mod tests {
         );
         let perm = patterns::shift(10, 2);
         assert!(matches!(
-            MinCongestion::plan(&masked, &perm),
+            masked.plan_seeded_with(&perm, &[], &Noop),
             Err(RoutingError::NoLivePath { .. })
         ));
     }
@@ -1021,7 +1008,7 @@ mod tests {
             let perm = patterns::random_full(12, &mut rng);
             let seed = route_all(&yuan, &perm).unwrap();
             assert_eq!(seed.max_channel_load(), 1);
-            let plan = router.plan_seeded(&perm, &[&seed]).unwrap();
+            let plan = router.plan_seeded_with(&perm, &[&seed], &Noop).unwrap();
             assert_eq!(plan.max_link_load(), 1);
         }
     }

@@ -33,7 +33,7 @@ impl<'a> DModK<'a> {
     }
 
     /// Top switch selected for a pair.
-    pub fn top_for(&self, pair: SdPair) -> usize {
+    pub(crate) fn top_for(&self, pair: SdPair) -> usize {
         TopRule::ByDestination.top(self.ft, pair)
     }
 }
@@ -45,7 +45,7 @@ impl<'a> SModK<'a> {
     }
 
     /// Top switch selected for a pair.
-    pub fn top_for(&self, pair: SdPair) -> usize {
+    pub(crate) fn top_for(&self, pair: SdPair) -> usize {
         TopRule::BySource.top(self.ft, pair)
     }
 }

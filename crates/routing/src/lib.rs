@@ -30,7 +30,7 @@
 //!   simulator in `ftclos-flowsim`.
 //! * [`MinCongestion`] — the load-aware min-congestion router family
 //!   (greedy min-max placement, seeded randomized rounding, local-search
-//!   repair) planning whole patterns at once ([`MinCongestion::plan`]),
+//!   repair) planning whole patterns at once ([`MinCongestion::plan_seeded_with`]),
 //!   then lowering the plan to a [`RouteAssignment`] or a [`LinkLoadView`].
 //! * [`PathArena`] — every SD path of a single-path router precomputed once
 //!   into CSR storage (pair → path and channel → pair incidence), so the
@@ -55,7 +55,7 @@ pub mod router;
 pub mod xgft_routing;
 pub mod yuan;
 
-pub use adaptive::{AdaptivePlan, NonblockingAdaptive, PlanStrategy};
+pub use adaptive::{NonblockingAdaptive, PlanStrategy};
 pub use arena::PathArena;
 pub use assignment::RouteAssignment;
 pub use churn::LinkAdmission;

@@ -56,7 +56,7 @@ impl FlowLinks {
 
     /// A flow spread uniformly over `paths` (weight `1/paths.len()` per
     /// channel). An empty candidate list yields an empty link set.
-    pub fn uniform_spread<'p>(
+    pub(crate) fn uniform_spread<'p>(
         pair: SdPair,
         paths: impl ExactSizeIterator<Item = &'p [ChannelId]>,
     ) -> Self {
@@ -196,7 +196,7 @@ impl LinkLoadView for MaskedMultipath<'_> {
 }
 
 /// NONBLOCKINGADAPTIVE with failed hardware masked out of the Fig. 4 plan
-/// search (see [`NonblockingAdaptive::plan_masked`]).
+/// search (see `NonblockingAdaptive::plan_masked`).
 #[derive(Clone, Copy, Debug)]
 pub struct MaskedAdaptive<'a> {
     inner: &'a NonblockingAdaptive<'a>,

@@ -85,14 +85,6 @@ impl Path {
         }
         out
     }
-
-    /// True if `self` and `other` share any channel — the paper's definition
-    /// of *contention* between two routed SD pairs.
-    pub fn shares_channel_with(&self, other: &Path) -> bool {
-        // Paths are short (<= 6 hops in 3-level networks); quadratic scan
-        // beats hashing here.
-        self.channels.iter().any(|c| other.channels.contains(c))
-    }
 }
 
 impl FromIterator<ChannelId> for Path {
@@ -160,16 +152,5 @@ mod tests {
             .validate(ft.topology(), ft.leaf(0, 0), ft.leaf(0, 1))
             .is_err());
         assert!(p.nodes(ft.topology()).is_empty());
-    }
-
-    #[test]
-    fn sharing_detection() {
-        let ft = Ftree::new(2, 2, 3).unwrap();
-        let a = Path::new(vec![ft.leaf_up_channel(0, 0), ft.up_channel(0, 1)]);
-        let b = Path::new(vec![ft.leaf_up_channel(0, 1), ft.up_channel(0, 1)]);
-        let c = Path::new(vec![ft.leaf_up_channel(0, 1), ft.up_channel(0, 0)]);
-        assert!(a.shares_channel_with(&b));
-        assert!(!a.shares_channel_with(&c));
-        assert!(!Path::empty().shares_channel_with(&a));
     }
 }

@@ -56,7 +56,7 @@ impl<'a> YuanDeterministic<'a> {
 
     /// The top switch index used for a cross-switch pair: `t = i·n + j`
     /// where `i`/`j` are the source/destination local leaf indices.
-    pub fn top_for(&self, pair: SdPair) -> usize {
+    pub(crate) fn top_for(&self, pair: SdPair) -> usize {
         TopRule::ByIndexPair.top(self.ft, pair)
     }
 }

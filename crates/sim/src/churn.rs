@@ -1,7 +1,7 @@
 //! Churn-run instrumentation: replan modes, per-epoch statistics, and
 //! time-to-reconverge measurement.
 //!
-//! A churn run (see [`crate::Simulator::try_run_churn`]) slices the
+//! A churn run (see [`crate::Simulator::try_run_churn_recorded`]) slices the
 //! simulation into **epochs** at every cycle where at least one liveness
 //! transition applies. For each epoch the engine records the injected /
 //! delivered / lost counters and, post-run, the **time to reconverge**: the

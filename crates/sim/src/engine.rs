@@ -88,6 +88,7 @@ impl Schedule for DenseSchedule {
 mod tests {
     use super::*;
     use crate::{EpochStats, Policy, SimConfig, Workload};
+    use ftclos_obs::Noop;
     use ftclos_routing::{DModK, ObliviousMultipath, YuanDeterministic};
     use ftclos_topo::{crossbar, Ftree};
     use ftclos_traffic::patterns;
@@ -594,7 +595,13 @@ mod tests {
         };
         let (stats, report) =
             Simulator::new(ft.topology(), config, Policy::from_single_path(&router))
-                .try_run_churn(&Workload::permutation(&perm, 0.6), 21, &schedule, &churn)
+                .try_run_churn_recorded(
+                    &Workload::permutation(&perm, 0.6),
+                    21,
+                    &schedule,
+                    &churn,
+                    &Noop,
+                )
                 .unwrap();
         assert!(stats.abandoned_total > 0, "outage must drop packets");
         assert!(stats.conservation_ok(), "{stats:?}");
@@ -660,7 +667,13 @@ mod tests {
                 recovery_window: 50,
             };
             Simulator::new(ft.topology(), config, Policy::from_multipath(&mp, true))
-                .try_run_churn(&Workload::permutation(&perm, 0.6), 33, &schedule, &churn)
+                .try_run_churn_recorded(
+                    &Workload::permutation(&perm, 0.6),
+                    33,
+                    &schedule,
+                    &churn,
+                    &Noop,
+                )
                 .unwrap()
         };
         let (per_cycle, _) = run(crate::ReplanMode::PerCycle);
@@ -704,7 +717,13 @@ mod tests {
                 ..crate::ChurnConfig::default()
             };
             Simulator::new(ft.topology(), config, Policy::from_multipath(&mp, true))
-                .try_run_churn(&Workload::permutation(&perm, 0.6), 5, &schedule, &churn)
+                .try_run_churn_recorded(
+                    &Workload::permutation(&perm, 0.6),
+                    5,
+                    &schedule,
+                    &churn,
+                    &Noop,
+                )
                 .unwrap()
         };
         let (pinned, _) = run(crate::ReplanMode::Pinned);
@@ -783,11 +802,12 @@ mod tests {
             .unwrap();
         let (churned, report) =
             Simulator::new(ft.topology(), cfg(), Policy::from_single_path(&router))
-                .try_run_churn(
+                .try_run_churn_recorded(
                     &Workload::permutation(&perm, 0.9),
                     13,
                     &crate::ChurnSchedule::new(),
                     &crate::ChurnConfig::default(),
+                    &Noop,
                 )
                 .unwrap();
         assert_eq!(plain, churned);

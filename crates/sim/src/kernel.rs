@@ -208,27 +208,6 @@ impl<'a, S: Schedule> Kernel<'a, S> {
         self.try_run_with_faults(workload, seed, &FaultSchedule::new())
     }
 
-    /// [`Kernel::try_run`] with instrumentation: the run records under the
-    /// schedule's [`Names`] (`sim.*` or `evsim.*`) — the `run` span, the
-    /// cumulative counters (`injected`, `delivered`, `timed_out`,
-    /// `retries`, `abandoned`, `refusals`, `cycles`), the `in_flight`,
-    /// `touched_channels` and `state_bytes` gauges, whatever
-    /// [`Schedule::record_activity`] adds, and one recorder epoch per
-    /// liveness-transition cycle plus a final `end` epoch — so per-epoch
-    /// packet conservation is auditable from the trace alone. With
-    /// [`Noop`] this is exactly `try_run`.
-    ///
-    /// # Errors
-    /// As for [`Kernel::try_run`].
-    pub fn try_run_recorded<R: Recorder>(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        rec: &R,
-    ) -> Result<SimStats, SimError> {
-        self.try_run_with_faults_recorded(workload, seed, &FaultSchedule::new(), rec)
-    }
-
     /// Run with mid-simulation channel transitions: each event of `faults`
     /// marks its channel dead — or alive again — at the start of its cycle.
     /// Dead channels grant no packets; stalled traffic is dropped/retried
@@ -246,8 +225,15 @@ impl<'a, S: Schedule> Kernel<'a, S> {
         self.try_run_with_faults_recorded(workload, seed, faults, &Noop)
     }
 
-    /// [`Kernel::try_run_with_faults`] with instrumentation (see
-    /// [`Kernel::try_run_recorded`] for what is recorded).
+    /// [`Kernel::try_run_with_faults`] with instrumentation: the run
+    /// records under the schedule's [`Names`] (`sim.*` or `evsim.*`) — the
+    /// `run` span, the cumulative counters (`injected`, `delivered`,
+    /// `timed_out`, `retries`, `abandoned`, `refusals`, `cycles`), the
+    /// `in_flight`, `touched_channels` and `state_bytes` gauges, whatever
+    /// [`Schedule::record_activity`] adds, and one recorder epoch per
+    /// liveness-transition cycle plus a final `end` epoch — so per-epoch
+    /// packet conservation is auditable from the trace alone. With
+    /// [`Noop`] this is exactly `try_run_with_faults`.
     ///
     /// # Errors
     /// As for [`Kernel::try_run`].
@@ -268,22 +254,8 @@ impl<'a, S: Schedule> Kernel<'a, S> {
     /// hysteresis re-planning), and slices the run into epochs at every
     /// transition cycle. Returns the usual statistics plus the
     /// [`ChurnReport`] with per-epoch counters and time-to-reconverge.
-    ///
-    /// # Errors
-    /// As for [`Kernel::try_run`].
-    pub fn try_run_churn(
-        &mut self,
-        workload: &Workload,
-        seed: u64,
-        schedule: &ChurnSchedule,
-        churn: &ChurnConfig,
-    ) -> Result<(SimStats, ChurnReport), SimError> {
-        self.try_run_churn_recorded(workload, seed, schedule, churn, &Noop)
-    }
-
-    /// [`Kernel::try_run_churn`] with instrumentation (see
-    /// [`Kernel::try_run_recorded`]; additionally counts hysteresis
-    /// re-planning events under `churn_replans`).
+    /// Records what [`Kernel::try_run_with_faults_recorded`] records, and
+    /// counts hysteresis re-planning events under `churn_replans`.
     ///
     /// # Errors
     /// As for [`Kernel::try_run`].

@@ -66,7 +66,5 @@ pub use kernel::{Kernel, Names, Run, Schedule};
 pub use policy::Policy;
 pub use state::{PagedVec, SimArena};
 pub use stats::{ChannelBusy, SimStats, UtilizationHistogram};
-pub use witness::{
-    run_pinned_injection_recorded, run_pinned_injection_watchdog_recorded, PinnedRoute, WitnessRun,
-};
+pub use witness::{run_pinned_injection_watchdog_recorded, PinnedRoute, WitnessRun};
 pub use workload::Workload;

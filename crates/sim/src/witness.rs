@@ -24,7 +24,7 @@
 //! (`ftclos deadlock --inject`).
 
 use crate::config::Arbiter;
-use crate::{Policy, SimConfig, SimError, SimStats, Simulator, Workload};
+use crate::{FaultSchedule, Policy, SimConfig, SimError, SimStats, Simulator, Workload};
 use ftclos_obs::Recorder;
 use ftclos_topo::{ChannelId, Topology};
 use std::collections::HashSet;
@@ -42,7 +42,7 @@ pub struct PinnedRoute {
 
 impl PinnedRoute {
     /// Pin `channels` for the pair `(src, dst)`. Validation happens at
-    /// [`Policy::from_pinned`] time, inside [`run_pinned_injection_recorded`].
+    /// [`Policy::from_pinned`] time, inside [`run_pinned_injection_watchdog_recorded`].
     pub fn new(src: u32, dst: u32, channels: Vec<ChannelId>) -> Self {
         Self { src, dst, channels }
     }
@@ -79,36 +79,22 @@ impl WitnessRun {
 /// route (each leaf has one injection stream); `queue_capacity` should be
 /// small (2–4) so the circular wait fills quickly. The run records under
 /// the engine's `sim.run` span and counters (see
-/// `Simulator::try_run_recorded`).
+/// `Simulator::try_run_with_faults_recorded`).
+///
+/// A nonzero `watchdog` arms the bounded-progress stall watchdog: instead
+/// of letting a wedged run spin through the drain phase to the cycle cap
+/// and come back as mere `leftover_packets`, the engine aborts after
+/// `watchdog` progress-free cycles with [`SimError::Stalled`] carrying the
+/// strand graph — every blocked head packet, the channel it holds, the
+/// channel it waits for, and the credit wait-for cycle. `watchdog = 0`
+/// disables it.
 ///
 /// # Errors
 /// [`SimError::PinnedPath`] if a surviving route fails path validation,
 /// [`SimError::Config`] if the derived configuration is rejected
-/// (`queue_capacity == 0`), or any engine error from the run itself.
-pub fn run_pinned_injection_recorded<R: Recorder>(
-    topo: &Topology,
-    routes: &[PinnedRoute],
-    cycles: u64,
-    queue_capacity: usize,
-    seed: u64,
-    rec: &R,
-) -> Result<WitnessRun, SimError> {
-    run_pinned_injection_watchdog_recorded(topo, routes, cycles, queue_capacity, 0, seed, rec)
-}
-
-/// [`run_pinned_injection_recorded`] with the bounded-progress stall
-/// watchdog armed: instead of letting a wedged run spin through the drain
-/// phase to the cycle cap and come back as mere `leftover_packets`, the
-/// engine aborts after `watchdog` progress-free cycles with
-/// [`SimError::Stalled`] carrying the strand graph — every blocked head
-/// packet, the channel it holds, the channel it waits for, and the credit
-/// wait-for cycle. Pass `watchdog = 0` to disable (identical to
-/// [`run_pinned_injection_recorded`]).
-///
-/// # Errors
-/// As for [`run_pinned_injection_recorded`], plus [`SimError::Stalled`]
-/// when the watchdog fires — the *expected* outcome when the pinned routes
-/// realize a cyclic channel dependency.
+/// (`queue_capacity == 0`), any engine error from the run itself, and
+/// [`SimError::Stalled`] when the watchdog fires — the *expected* outcome
+/// when the pinned routes realize a cyclic channel dependency.
 pub fn run_pinned_injection_watchdog_recorded<R: Recorder>(
     topo: &Topology,
     routes: &[PinnedRoute],
@@ -136,7 +122,12 @@ pub fn run_pinned_injection_watchdog_recorded<R: Recorder>(
         stall_watchdog: watchdog,
         ..SimConfig::default()
     };
-    let stats = Simulator::new(topo, cfg, policy).try_run_recorded(&workload, seed, rec)?;
+    let stats = Simulator::new(topo, cfg, policy).try_run_with_faults_recorded(
+        &workload,
+        seed,
+        &FaultSchedule::new(),
+        rec,
+    )?;
     Ok(WitnessRun {
         pinned_pairs: pairs.len(),
         stats,
@@ -178,11 +169,12 @@ mod tests {
     #[test]
     fn valley_cycle_wedges_and_conserves() {
         let ft = Ftree::new(1, 1, 4).unwrap();
-        let run = run_pinned_injection_recorded(
+        let run = run_pinned_injection_watchdog_recorded(
             ft.topology(),
             &valley_routes(&ft),
             200,
             2,
+            0,
             0xDEAD,
             &Noop,
         )
@@ -304,8 +296,16 @@ mod tests {
             &Noop,
         )
         .unwrap();
-        let plain =
-            run_pinned_injection_recorded(ft.topology(), &routes, 200, 2, 0xDEAD, &Noop).unwrap();
+        let plain = run_pinned_injection_watchdog_recorded(
+            ft.topology(),
+            &routes,
+            200,
+            2,
+            0,
+            0xDEAD,
+            &Noop,
+        )
+        .unwrap();
         assert_eq!(watched.stats, plain.stats);
         assert!(!watched.wedged());
     }
@@ -324,8 +324,16 @@ mod tests {
                 PinnedRoute::new(r.src, r.dst, path.channels().to_vec())
             })
             .collect();
-        let run =
-            run_pinned_injection_recorded(ft.topology(), &routes, 200, 2, 0xDEAD, &Noop).unwrap();
+        let run = run_pinned_injection_watchdog_recorded(
+            ft.topology(),
+            &routes,
+            200,
+            2,
+            0,
+            0xDEAD,
+            &Noop,
+        )
+        .unwrap();
         assert_eq!(run.stats.leftover_packets, 0, "{:?}", run.stats);
         assert!(!run.wedged());
         assert!(run.conservation_ok());
@@ -342,7 +350,9 @@ mod tests {
             PinnedRoute::new(0, 3, path(0, 3)), // same source: dropped
             PinnedRoute::new(1, 3, path(1, 3)),
         ];
-        let run = run_pinned_injection_recorded(ft.topology(), &routes, 50, 2, 1, &Noop).unwrap();
+        let run =
+            run_pinned_injection_watchdog_recorded(ft.topology(), &routes, 50, 2, 0, 1, &Noop)
+                .unwrap();
         assert_eq!(run.pinned_pairs, 2);
         assert!(!run.wedged());
     }
@@ -357,7 +367,8 @@ mod tests {
             vec![ft.leaf_up_channel(0, 0), ft.leaf_up_channel(1, 0)],
         )];
         let err =
-            run_pinned_injection_recorded(ft.topology(), &routes, 10, 2, 1, &Noop).unwrap_err();
+            run_pinned_injection_watchdog_recorded(ft.topology(), &routes, 10, 2, 0, 1, &Noop)
+                .unwrap_err();
         assert!(
             matches!(err, SimError::PinnedPath { src: 0, dst: 2, .. }),
             "{err}"

@@ -45,7 +45,7 @@ impl TopologyBuilder {
     }
 
     /// Add a node and return its id.
-    pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
+    pub(crate) fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.kinds.len() as u32);
         self.kinds.push(kind);
         self.next_out_port.push(0);
@@ -133,7 +133,7 @@ impl TopologyBuilder {
     }
 
     /// Guard against index overflow for very large parameterizations.
-    pub fn check_size(nodes: u128, channels: u128) -> Result<(), TopoError> {
+    pub(crate) fn check_size(nodes: u128, channels: u128) -> Result<(), TopoError> {
         if nodes >= u32::MAX as u128 {
             return Err(TopoError::TooLarge {
                 what: "nodes",

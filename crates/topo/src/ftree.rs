@@ -231,13 +231,6 @@ impl Ftree {
         debug_assert!(v < self.r && t < self.m);
         ChannelId((2 * self.r * self.n + 2 * (v * self.m + t) + 1) as u32)
     }
-
-    /// True when the paper's "large top switches" regime `r >= 2n + 1`
-    /// applies (Theorems 2-3 territory).
-    #[inline]
-    pub fn large_top_regime(&self) -> bool {
-        self.r > 2 * self.n
-    }
 }
 
 #[cfg(test)]
@@ -337,12 +330,6 @@ mod tests {
         // Root has r children.
         let root = sub.top(0);
         assert_eq!(sub.topology().out_channels(root).len(), 5);
-    }
-
-    #[test]
-    fn large_top_regime_boundary() {
-        assert!(!Ftree::new(2, 4, 4).unwrap().large_top_regime());
-        assert!(Ftree::new(2, 4, 5).unwrap().large_top_regime());
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl ChannelId {
 
     /// True if this is the [`ChannelId::INVALID`] sentinel.
     #[inline]
-    pub fn is_valid(self) -> bool {
+    pub(crate) fn is_valid(self) -> bool {
         self != Self::INVALID
     }
 }

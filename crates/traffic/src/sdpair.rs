@@ -27,7 +27,7 @@ impl SdPair {
     /// excluded from permutations by most generators but legal per
     /// Definition 1).
     #[inline]
-    pub fn is_self(&self) -> bool {
+    pub(crate) fn is_self(&self) -> bool {
         self.src == self.dst
     }
 }

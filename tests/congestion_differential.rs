@@ -4,12 +4,12 @@
 //! The invariants under test are the ones the solver's construction is
 //! supposed to guarantee:
 //!
-//! * **Never worse than a projectable baseline.** `plan_seeded` projects
-//!   each baseline assignment into the candidate set and starts repair from
-//!   the best placement it has seen, so the repaired max link load is `<=`
-//!   every baseline that projects — Theorem 3, d-mod-k, s-mod-k on ftrees,
-//!   the XGFT mod-routers on k-ary n-trees, and the composed recursive
-//!   router on the three-level construction.
+//! * **Never worse than a projectable baseline.** `plan_seeded_with`
+//!   projects each baseline assignment into the candidate set and starts
+//!   repair from the best placement it has seen, so the repaired max link
+//!   load is `<=` every baseline that projects — Theorem 3, d-mod-k,
+//!   s-mod-k on ftrees, the XGFT mod-routers on k-ary n-trees, and the
+//!   composed recursive router on the three-level construction.
 //! * **Never below the demand lower bound.** No placement can beat
 //!   `ceil(max forced per-channel demand / capacity)`.
 //! * **Mode dominance.** `Repaired` starts from the best of the greedy and
@@ -26,6 +26,7 @@
 //! structured input (permutations, fault masks) derives deterministically
 //! from a generated `u64` seed.
 
+use ftclos::obs::Noop;
 use ftclos_routing::{
     demand_lower_bound, route_all, CongestionConfig, CongestionMode, DModK, FaultAware,
     FnCandidates, FtreeCandidates, MinCongestion, Path, RouteAssignment, SModK, SinglePathRouter,
@@ -60,7 +61,7 @@ fn mode_max(
     let config = CongestionConfig { mode, ..config };
     let router = MinCongestion::with_config(FtreeCandidates::pristine(ft), config);
     let plan = router
-        .plan_seeded(perm, seeds)
+        .plan_seeded_with(perm, seeds, &Noop)
         .expect("pristine ftree plans");
     plan.max_link_load()
 }
@@ -93,7 +94,7 @@ proptest! {
 
         let config = CongestionConfig { seed, ..CongestionConfig::default() };
         let router = MinCongestion::with_config(FtreeCandidates::pristine(&ft), config);
-        let plan = router.plan_seeded(&perm, &seed_refs).unwrap();
+        let plan = router.plan_seeded_with(&perm, &seed_refs, &Noop).unwrap();
         plan.assignment().validate(ft.topology()).map_err(|e| e.to_string())?;
 
         for baseline in &seeds {
@@ -152,7 +153,7 @@ proptest! {
             FtreeCandidates::masked(&ft, &view),
             CongestionConfig { seed, ..CongestionConfig::default() },
         );
-        let plan = match router.plan_seeded(&perm, &seed_refs) {
+        let plan = match router.plan_seeded_with(&perm, &seed_refs, &Noop) {
             Ok(plan) => plan,
             // The mask can sever a pair entirely; nothing to compare then.
             Err(_) => return Ok(()),
@@ -186,7 +187,7 @@ proptest! {
             FtreeCandidates::pristine(&ft),
             CongestionConfig { seed, ..CongestionConfig::default() },
         );
-        let plan = router.plan(&perm).unwrap();
+        let plan = router.plan_seeded_with(&perm, &[], &Noop).unwrap();
         let trace = plan.repair_trace();
         prop_assert_eq!(trace.len() as u64, plan.moves() + 1);
         for w in trace.windows(2) {
@@ -214,7 +215,7 @@ proptest! {
 
         let base = FtreeCandidates::pristine(&ft);
         let plan = MinCongestion::with_config(FtreeCandidates::pristine(&ft), config)
-            .plan(&perm)
+            .plan_seeded_with(&perm, &[], &Noop)
             .unwrap();
 
         let shifted_perm = Permutation::from_pairs(
@@ -231,7 +232,7 @@ proptest! {
             )
         });
         let shifted_plan = MinCongestion::with_config(shifted, config)
-            .plan(&shifted_perm)
+            .plan_seeded_with(&shifted_perm, &[], &Noop)
             .unwrap();
 
         prop_assert_eq!(plan.max_link_load(), shifted_plan.max_link_load());
@@ -264,7 +265,7 @@ proptest! {
             provider,
             CongestionConfig { seed, ..CongestionConfig::default() },
         );
-        let plan = router.plan_seeded(&perm, &seed_refs).unwrap();
+        let plan = router.plan_seeded_with(&perm, &seed_refs, &Noop).unwrap();
         plan.assignment().validate(t.topology()).map_err(|e| e.to_string())?;
         for baseline in &seeds {
             prop_assert!(plan.max_link_load() <= baseline.max_channel_load());
@@ -295,7 +296,7 @@ proptest! {
             provider,
             CongestionConfig { seed, ..CongestionConfig::default() },
         );
-        let plan = router.plan_seeded(&perm, &seed_refs).unwrap();
+        let plan = router.plan_seeded_with(&perm, &seed_refs, &Noop).unwrap();
         plan.assignment().validate(net.topology()).map_err(|e| e.to_string())?;
         prop_assert!(plan.max_link_load() <= baseline.max_channel_load());
         // Full permutations on the nonblocking construction: the baseline is

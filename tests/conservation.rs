@@ -10,7 +10,8 @@
 use ftclos::obs::Registry;
 use ftclos::routing::{ObliviousMultipath, YuanDeterministic};
 use ftclos::sim::{
-    Arbiter, ChurnConfig, ChurnSchedule, Policy, ReplanMode, SimConfig, Simulator, Workload,
+    Arbiter, ChurnConfig, ChurnSchedule, FaultSchedule, Policy, ReplanMode, SimConfig, Simulator,
+    Workload,
 };
 use ftclos::topo::Ftree;
 use ftclos::traffic::patterns;
@@ -114,7 +115,12 @@ proptest! {
         let perm = patterns::shift(ft.num_leaves() as u32, 1);
         let reg = Registry::new();
         let stats = Simulator::new(ft.topology(), cfg, Policy::from_single_path(&router))
-            .try_run_recorded(&Workload::permutation(&perm, rate), seed, &reg)
+            .try_run_with_faults_recorded(
+                &Workload::permutation(&perm, rate),
+                seed,
+                &FaultSchedule::new(),
+                &reg,
+            )
             .unwrap();
         let snap = reg.snapshot();
         for e in &snap.epochs {

@@ -16,9 +16,9 @@
 //!   `cdg.closed_form`), and must equal the `CycleAnalysis` of the graph
 //!   built from the [`Swept`] routes, field for field.
 //! * **Streaming ≡ arena** — `lemma1_audit_with` (closed form or census
-//!   sweep, no stored paths) and `ContentionEngine::lemma1_violation` must
-//!   report the same `LinkViolation`, field for field, or the same
-//!   `RoutingError` as `PathArena::build`.
+//!   sweep, no stored paths) and `ContentionEngine::lemma1_violation_with`
+//!   must report the same `LinkViolation`, field for field, or the same
+//!   `RoutingError` as `PathArena::build_with`.
 //! * **Verdicts** — `nonblocking_verdict` (census) and the oracle
 //!   `nonblocking_verdict_legacy` (`LinkAudit`) must agree on every `ftree`
 //!   shape and routing, on k-ary n-trees, and on the recursive three-level
@@ -29,8 +29,8 @@
 //! * **Fault masks** — `deterministic_degradation` (one census sweep over
 //!   the survivors) and the oracle `deterministic_degradation_legacy` must
 //!   report identical unroutable lists and identical Lemma 1 verdicts under
-//!   random faults; with no fault, its witness is `lemma1_audit`'s, field
-//!   for field, on the 408 shapes.
+//!   random faults; with no fault, its witness is `lemma1_audit_with`'s,
+//!   field for field, on the 408 shapes.
 //! * **Per pattern** — `ContentionScratch::find_contention` against the
 //!   oracle `find_contention`.
 //!
@@ -44,11 +44,11 @@ mod oracle;
 
 use ftclos::core::verify::{multipath_violation, updown_discipline, LinkViolation};
 use ftclos::core::{
-    analyze_router_with, cdg_of_router, deterministic_degradation, find_blocking_two_pair,
-    lemma1_audit, lemma1_audit_with, lemma1_census, nonblocking_verdict, ContentionEngine,
-    ContentionScratch, TwoPairOutcome,
+    analyze_router_with, cdg_of_router_with, deterministic_degradation, find_blocking_two_pair,
+    lemma1_audit_with, lemma1_census, nonblocking_verdict, ContentionEngine, ContentionScratch,
+    TwoPairOutcome,
 };
-use ftclos::obs::Registry;
+use ftclos::obs::{Noop, Registry};
 use ftclos::routing::{
     route_all, DModK, FaultAware, ObliviousMultipath, PathArena, RoutingError, SModK,
     SinglePathRouter, XgftRouter, YuanDeterministic, YuanRecursive,
@@ -116,10 +116,11 @@ fn assert_streaming_matches_arena<R: SinglePathRouter + Sync + ?Sized>(
     router: &R,
 ) -> Result<Option<LinkViolation>, RoutingError> {
     let streamed = lemma1_audit_with(router, &Registry::new());
-    let arena = ContentionEngine::new(router).map(|engine| engine.lemma1_violation());
+    let arena =
+        ContentionEngine::new_with(router, &Noop).map(|engine| engine.lemma1_violation_with(&Noop));
     assert_eq!(streamed, arena, "streaming audit vs arena engine");
     if let Err(e) = &streamed {
-        assert_eq!(PathArena::build(router).unwrap_err(), *e);
+        assert_eq!(PathArena::build_with(router, &Noop).unwrap_err(), *e);
     }
     streamed
 }
@@ -154,8 +155,13 @@ fn assert_closed_form_matches_sweep<R: SinglePathRouter + Sync>(router: &R) -> b
         "{}: census",
         router.name()
     );
-    let closed = lemma1_audit(router).unwrap();
-    assert_eq!(closed, lemma1_audit(&swept).unwrap(), "{}", router.name());
+    let closed = lemma1_audit_with(router, &Noop).unwrap();
+    assert_eq!(
+        closed,
+        lemma1_audit_with(&swept, &Noop).unwrap(),
+        "{}",
+        router.name()
+    );
     let degraded = deterministic_degradation(router, &FaultyView::pristine(ft.topology())).unwrap();
     assert!(degraded.unroutable.is_empty());
     assert_eq!(
@@ -185,7 +191,7 @@ fn assert_counted_cdg_matches_sweep<R: SinglePathRouter + Sync>(ft: &Ftree, rout
     let counted = analyze_router_with(ft.topology(), router, &reg);
     let spans: Vec<String> = reg.snapshot().spans.into_iter().map(|s| s.path).collect();
     assert_eq!(spans, ["cdg.closed_form"], "{} is counted", router.name());
-    let swept = cdg_of_router(ft.topology(), &Swept(router)).check();
+    let swept = cdg_of_router_with(ft.topology(), &Swept(router), &Noop).check_with(&Noop);
     assert_eq!(
         counted,
         swept,
@@ -543,7 +549,7 @@ fn fault_aware_dmodk_declares_no_rule_and_sweeps() {
     assert!(checked.top_rule().is_none());
     let reg = Registry::new();
     let swept = lemma1_audit_with(&checked, &reg).unwrap();
-    assert_eq!(swept, lemma1_audit(&DModK::new(&ft)).unwrap());
+    assert_eq!(swept, lemma1_audit_with(&DModK::new(&ft), &Noop).unwrap());
     assert!(reg
         .snapshot()
         .spans
@@ -555,7 +561,7 @@ fn fault_aware_dmodk_declares_no_rule_and_sweeps() {
     faults.fail_channel(ft.up_channel(0, 1));
     let view = FaultyView::new(ft.topology(), &faults);
     let checked = Checked(FaultAware::new(DModK::new(&ft), &view));
-    let err = lemma1_audit(&checked).unwrap_err();
+    let err = lemma1_audit_with(&checked, &Noop).unwrap_err();
     assert!(
         matches!(err, RoutingError::PathFaulted { src: 0, .. }),
         "{err:?}"
@@ -584,7 +590,12 @@ fn swept_census_child() {
         assert_eq!(snap.gauge("par.threads"), Some(1), "{}", router.name());
         assert_eq!(snap.counter("lemma1.paths"), Some(512 * 511));
         assert!(snap.spans.iter().any(|s| s.path == "lemma1.sweep"));
-        assert_eq!(swept, lemma1_audit(router).unwrap(), "{}", router.name());
+        assert_eq!(
+            swept,
+            lemma1_audit_with(router, &Noop).unwrap(),
+            "{}",
+            router.name()
+        );
         println!("swept: {} {swept:?}", router.name());
     }
 }
@@ -668,20 +679,20 @@ fn engine_verdict_matches_legacy_audit() {
             let (legacy, engine_nb, violation) = if which == 0 {
                 let router = DModK::new(&ft);
                 let audit = LinkAudit::build(&router);
-                let engine = ContentionEngine::new(&router).unwrap();
+                let engine = ContentionEngine::new_with(&router, &Noop).unwrap();
                 (
                     audit.lemma1_check(&router).is_ok(),
                     engine.is_nonblocking(),
-                    engine.lemma1_violation(),
+                    engine.lemma1_violation_with(&Noop),
                 )
             } else {
                 let router = SModK::new(&ft);
                 let audit = LinkAudit::build(&router);
-                let engine = ContentionEngine::new(&router).unwrap();
+                let engine = ContentionEngine::new_with(&router, &Noop).unwrap();
                 (
                     audit.lemma1_check(&router).is_ok(),
                     engine.is_nonblocking(),
-                    engine.lemma1_violation(),
+                    engine.lemma1_violation_with(&Noop),
                 )
             };
             assert_eq!(legacy, engine_nb, "n={n} m={m} r={r} which={which}");
@@ -694,8 +705,8 @@ fn engine_verdict_matches_legacy_audit() {
 fn engine_witness_actually_blocks() {
     let ft = Ftree::new(2, 2, 5).unwrap();
     let router = DModK::new(&ft);
-    let engine = ContentionEngine::new(&router).unwrap();
-    let v = engine.lemma1_violation().expect("m < n² blocks");
+    let engine = ContentionEngine::new_with(&router, &Noop).unwrap();
+    let v = engine.lemma1_violation_with(&Noop).expect("m < n² blocks");
     let channel = v.channel;
     let pairs = [
         SdPair::new(v.sources[0], v.destinations[0]),
@@ -740,7 +751,7 @@ fn scratch_matches_hashmap_contention() {
 fn census_counts_match_audit_lists() {
     let ft = Ftree::new(2, 4, 3).unwrap();
     let router = YuanDeterministic::new(&ft).unwrap();
-    let engine = ContentionEngine::new(&router).unwrap();
+    let engine = ContentionEngine::new_with(&router, &Noop).unwrap();
     let audit = LinkAudit::build(&router);
     let mut used = 0;
     for c in (0..engine.arena().num_channels()).map(|c| ChannelId(c as u32)) {

@@ -10,7 +10,7 @@
 //! less means the event engine changed semantics, not just schedule.
 
 use ftclos::evsim::EventSimulator;
-use ftclos::obs::{EpochSnapshot, Registry};
+use ftclos::obs::{EpochSnapshot, Noop, Registry};
 use ftclos::routing::{DModK, ObliviousMultipath, SinglePathRouter, XgftRouter, YuanRecursive};
 use ftclos::sim::{
     Arbiter, ChurnConfig, ChurnSchedule, FaultSchedule, Policy, ReplanMode, SimArena, SimConfig,
@@ -259,11 +259,11 @@ proptest! {
         let w = Workload::permutation(&perm, 0.5);
         let (oracle, oracle_report) =
             Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-                .try_run_churn(&w, seed, &schedule, &churn)
+                .try_run_churn_recorded(&w, seed, &schedule, &churn, &Noop)
                 .unwrap();
         let (event, event_report) =
             EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-                .try_run_churn(&w, seed, &schedule, &churn)
+                .try_run_churn_recorded(&w, seed, &schedule, &churn, &Noop)
                 .unwrap();
         prop_assert_eq!(oracle, event, "stats diverged under {:?}", mode);
         prop_assert_eq!(oracle_report, event_report, "reports diverged under {:?}", mode);
@@ -406,11 +406,11 @@ proptest! {
         let perm = patterns::shift(8, 3);
         let w = Workload::permutation(&perm, 0.5);
         let lazy = EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-            .try_run_churn(&w, seed, &schedule, &churn)
+            .try_run_churn_recorded(&w, seed, &schedule, &churn, &Noop)
             .unwrap();
         let dense = EventSimulator::with_arena(
             ft.topology(), cfg, Policy::from_multipath(&mp, true), dense_arena())
-            .try_run_churn(&w, seed, &schedule, &churn)
+            .try_run_churn_recorded(&w, seed, &schedule, &churn, &Noop)
             .unwrap();
         prop_assert_eq!(lazy, dense, "churn run diverged between sparse and dense state");
     }

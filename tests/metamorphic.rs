@@ -15,8 +15,9 @@
 
 use ftclos::core::degraded::deterministic_degradation;
 use ftclos::core::verify::is_nonblocking_deterministic;
-use ftclos::core::{cdg_of_masked_router, cdg_of_router, ValleyRouter};
-use ftclos::flowsim::{waterfill, FlowSet};
+use ftclos::core::{cdg_of_masked_router_with, cdg_of_router_with, ValleyRouter};
+use ftclos::flowsim::{waterfill_with, FlowSet};
+use ftclos::obs::Noop;
 use ftclos::routing::{DModK, SinglePathRouter, YuanDeterministic};
 use ftclos::topo::{ChannelCapacities, ChannelId, FaultSet, FaultyView, Ftree};
 use ftclos::traffic::{patterns, SdPair};
@@ -148,9 +149,9 @@ proptest! {
         faults_b.merge(&FaultSet::random_links(topo, extra_links, seed ^ 0x5EED));
         faults_b.merge(&FaultSet::random_top_switches(topo, extra_tops, seed ^ 0x70B5));
 
-        let pristine = cdg_of_router(topo, &router);
-        let cdg_a = cdg_of_masked_router(&router, &FaultyView::new(topo, &faults_a));
-        let cdg_b = cdg_of_masked_router(&router, &FaultyView::new(topo, &faults_b));
+        let pristine = cdg_of_router_with(topo, &router, &Noop);
+        let cdg_a = cdg_of_masked_router_with(&router, &FaultyView::new(topo, &faults_a), &Noop);
+        let cdg_b = cdg_of_masked_router_with(&router, &FaultyView::new(topo, &faults_b), &Noop);
         // Non-vacuous: the pristine fabric always records dependencies
         // (every cross-leaf pair contributes at least leaf-up -> up).
         prop_assert!(pristine.num_deps() > 0, "pristine CDG has no edges");
@@ -173,8 +174,8 @@ proptest! {
             }
         }
         // Antitone edges mean deadlock-freedom survives any fault set here.
-        prop_assert!(pristine.check().is_free());
-        prop_assert!(cdg_b.check().is_free());
+        prop_assert!(pristine.check_with(&Noop).is_free());
+        prop_assert!(cdg_b.check_with(&Noop).is_free());
     }
 
     /// Renaming hosts bijects the SD universe onto itself, so a relabeled
@@ -189,8 +190,8 @@ proptest! {
         let router = DModK::new(&ft);
         let relabel = random_relabeling((n * r) as u32, seed);
         let relabeled = Relabeled { inner: &router, relabel: &relabel };
-        let base = cdg_of_router(ft.topology(), &router);
-        let perm = cdg_of_router(ft.topology(), &relabeled);
+        let base = cdg_of_router_with(ft.topology(), &router, &Noop);
+        let perm = cdg_of_router_with(ft.topology(), &relabeled, &Noop);
         prop_assert_eq!(base.num_deps(), perm.num_deps());
         for c in 0..ft.topology().num_channels() {
             let a = ChannelId(c as u32);
@@ -198,7 +199,7 @@ proptest! {
             let rhs: Vec<ChannelId> = perm.successors(a).collect();
             prop_assert_eq!(lhs, rhs, "successor set of {} changed", a);
         }
-        prop_assert_eq!(base.check(), perm.check());
+        prop_assert_eq!(base.check_with(&Noop), perm.check_with(&Noop));
     }
 
     /// Scale every capacity by `c`: when no baseline flow was demand-capped
@@ -213,14 +214,14 @@ proptest! {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let perm = patterns::random_full((n * r) as u32, &mut rng);
         let flows = FlowSet::from_view(&router, &perm, ft.topology().num_channels()).unwrap();
-        let base = waterfill(&flows, &ChannelCapacities::unit(ft.topology()));
+        let base = waterfill_with(&flows, &ChannelCapacities::unit(ft.topology()), &Noop);
         if base.rates().iter().any(|&b| b >= 1.0 - 1e-9) {
             // Some flow is demand-capped (e.g. an uncontended or self
             // pair): linearity does not apply to it. Skip the case; the
             // deterministic test below pins a guaranteed-congested fabric.
             return Ok(());
         }
-        let scaled = waterfill(&flows, &ChannelCapacities::uniform(ft.topology(), c));
+        let scaled = waterfill_with(&flows, &ChannelCapacities::uniform(ft.topology(), c), &Noop);
         for (i, (&b, &s)) in base.rates().iter().zip(scaled.rates()).enumerate() {
             prop_assert!(
                 (s - c * b).abs() <= 1e-9 * (1.0 + c * b),
@@ -242,14 +243,14 @@ fn capacity_scaling_linearity_is_not_vacuous() {
     // Shift by a full leaf: every pair crosses leaves, no flow is alone.
     let perm = patterns::shift(8, 2);
     let flows = FlowSet::from_view(&router, &perm, ft.topology().num_channels()).unwrap();
-    let base = waterfill(&flows, &ChannelCapacities::unit(ft.topology()));
+    let base = waterfill_with(&flows, &ChannelCapacities::unit(ft.topology()), &Noop);
     assert!(
         base.rates().iter().all(|&b| (b - 0.5).abs() < 1e-9),
         "two flows share each unit uplink: {:?}",
         base.rates()
     );
     let c = 0.4;
-    let scaled = waterfill(&flows, &ChannelCapacities::uniform(ft.topology(), c));
+    let scaled = waterfill_with(&flows, &ChannelCapacities::uniform(ft.topology(), c), &Noop);
     for &s in scaled.rates() {
         assert!((s - 0.2).abs() < 1e-9, "0.4 x 0.5 = 0.2, got {s}");
     }
@@ -283,7 +284,7 @@ fn relabeling_cannot_unblock_an_undersized_fabric() {
 fn relabeling_preserves_a_cyclic_witness() {
     let ft = Ftree::new(1, 1, 4).unwrap();
     let valley = ValleyRouter::new(&ft);
-    let base = cdg_of_router(ft.topology(), &valley).check();
+    let base = cdg_of_router_with(ft.topology(), &valley, &Noop).check_with(&Noop);
     assert!(!base.is_free(), "valley on r=4 must be cyclic");
     let witness = base.verdict.witness().unwrap().to_vec();
     assert!(!witness.is_empty());
@@ -293,7 +294,7 @@ fn relabeling_preserves_a_cyclic_witness() {
             inner: &valley,
             relabel: &relabel,
         };
-        let got = cdg_of_router(ft.topology(), &relabeled).check();
+        let got = cdg_of_router_with(ft.topology(), &relabeled, &Noop).check_with(&Noop);
         assert_eq!(base, got, "verdict changed under relabeling {relabel:?}");
         assert_eq!(got.verdict.witness().unwrap(), &witness[..]);
     }
@@ -304,7 +305,7 @@ fn relabeling_preserves_a_cyclic_witness() {
 // ---------------------------------------------------------------------------
 
 use ftclos::core::campaign::{
-    cable_universe, run_randomized, shrink, top_switch_universe, AdaptiveRoutability,
+    cable_universe, run_randomized_with, shrink, top_switch_universe, AdaptiveRoutability,
     ArenaRoutability, CampaignConfig, CampaignProperty, FaultElement, FaultVector,
 };
 use rand::Rng;
@@ -420,8 +421,8 @@ proptest! {
         };
         let base_prop = ArenaRoutability::new(topo, &router).unwrap();
         let perm_prop = ArenaRoutability::new(topo, &relabeled).unwrap();
-        let base = run_randomized(&base_prop, &links, &switches, &cfg, None).unwrap();
-        let perm = run_randomized(&perm_prop, &links, &switches, &cfg, None).unwrap();
+        let base = run_randomized_with(&base_prop, &links, &switches, &cfg, None, &Noop, &mut |_| Ok(true)).unwrap();
+        let perm = run_randomized_with(&perm_prop, &links, &switches, &cfg, None, &Noop, &mut |_| Ok(true)).unwrap();
         prop_assert_eq!(&base.killers, &perm.killers);
         prop_assert_eq!(base.criticality(), perm.criticality());
         prop_assert_eq!(base.sets_evaluated, perm.sets_evaluated);
