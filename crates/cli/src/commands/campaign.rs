@@ -40,7 +40,7 @@ use ftclos_core::campaign::{
 };
 use ftclos_core::cdg::cdg_of_masked_router_with;
 use ftclos_obs::json::quote;
-use ftclos_obs::{Noop, Recorder as _, Registry};
+use ftclos_obs::{Recorder as _, Registry};
 use ftclos_sim::{run_pinned_injection_watchdog_recorded, SimError, StallReport};
 use ftclos_topo::{FaultyView, Ftree};
 use std::fmt::Write as _;
@@ -262,7 +262,7 @@ fn run_confirm(
     let topo = ft.topology();
     let fs = target.to_fault_set(topo);
     let view = FaultyView::new(topo, &fs);
-    let analysis = cdg_of_masked_router_with(router, &view, rec).check_with(&Noop);
+    let analysis = cdg_of_masked_router_with(router, &view, rec).check_with(rec);
     let Some(witness) = analysis.verdict.witness() else {
         return Err(CliError::Failed(format!(
             "--confirm target {target} is not statically cyclic for router {router_name}"
@@ -655,6 +655,28 @@ mod tests {
         assert!(out.contains("STALLED at cycle"), "{out}");
         assert!(out.contains("wait-for cycle:"), "{out}");
         assert!(out.contains("holds L"), "{out}");
+    }
+
+    #[test]
+    fn confirm_traces_the_cycle_check() {
+        let reg = Registry::new();
+        run(
+            &argv(
+                "1 1 4 --property deadlock --router valley --waves 1 --wave-size 2 \
+                 --links 1 --switches 0 --shrink true --confirm true",
+            ),
+            &reg,
+        )
+        .unwrap();
+        let snap = reg.snapshot();
+        let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        for want in ["campaign.confirm;cdg.build", "campaign.confirm;cdg.scc"] {
+            assert!(paths.contains(&want), "{want} missing from {paths:?}");
+        }
+        assert!(
+            snap.gauge("cdg.cyclic_channels").is_some_and(|c| c > 0),
+            "the confirmed target is cyclic"
+        );
     }
 
     #[test]

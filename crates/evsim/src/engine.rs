@@ -40,7 +40,7 @@
 use crate::active::ActiveSet;
 use crate::wheel::EventWheel;
 use ftclos_obs::Recorder;
-use ftclos_sim::{Kernel, Names, Run, Schedule, SimArena, SimError};
+use ftclos_sim::{Kernel, Names, QueueSet, Run, Schedule, SimArena, SimError};
 use ftclos_topo::{ChannelId, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -127,7 +127,7 @@ impl Schedule for ActiveSchedule {
         let mut requests = std::mem::take(&mut run.sched.requests);
         requests.clear();
         for c in run.sched.nonempty_q.iter() {
-            let Some(p) = run.arena.queues.get(c as usize).front() else {
+            let Some(p) = run.arena.queues.get(QueueSet::Channel, c as usize).front() else {
                 continue;
             };
             let Some(want) = run.next_hop(p) else {
@@ -185,7 +185,8 @@ impl Schedule for ActiveSchedule {
             run.grant_head(win as usize, o as usize, next_rr)?;
             // The popped queue's next head may request a later output this
             // cycle (same-switch only; earlier outputs already passed).
-            if let Some(np) = run.arena.queues.get(win as usize).front() {
+            let queue = run.arena.queues.get(QueueSet::Channel, win as usize);
+            if let Some(np) = queue.front() {
                 if let Some(nwant) = run.next_hop(np) {
                     if np.ready_at <= now && nwant.0 > o && topo.channel(nwant).src == src {
                         requeued.push(Reverse((nwant.0, win)));

@@ -12,9 +12,8 @@
 
 use crate::error::SimError;
 use crate::kernel::{Kernel, Names, Run, Schedule};
-use crate::state::{Packet, PagedVec, SimArena};
+use crate::state::{QueueSet, SimArena};
 use ftclos_topo::{ChannelId, Topology};
-use std::collections::VecDeque;
 
 /// Cycle-level simulator over a [`Topology`] with a path
 /// [`crate::Policy`]: every entry point of [`Kernel`], run densely.
@@ -25,13 +24,14 @@ pub type Simulator<'a> = Kernel<'a, DenseSchedule>;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DenseSchedule;
 
-/// Push the non-empty queues of `queues` onto `out`, ascending. Untouched
+/// Push the non-empty queues of `set` onto `out`, ascending. Untouched
 /// pages hold only empty queues, so reading the touched ones is the full
 /// scan.
-fn nonempty(queues: &PagedVec<VecDeque<Packet>>, out: &mut Vec<u32>) {
+fn nonempty(arena: &SimArena, set: QueueSet, out: &mut Vec<u32>) {
     out.extend(
-        queues
-            .iter_touched()
+        arena
+            .queues
+            .iter_touched(set)
             .filter(|(_, q)| !q.is_empty())
             .map(|(i, _)| i as u32),
     );
@@ -41,11 +41,11 @@ impl Schedule for DenseSchedule {
     const NAMES: Names = crate::metric_names!("sim");
 
     fn queues(&self, arena: &SimArena, out: &mut Vec<u32>) {
-        nonempty(&arena.queues, out);
+        nonempty(arena, QueueSet::Channel, out);
     }
 
     fn inject_slots(&self, arena: &SimArena, out: &mut Vec<u32>) {
-        nonempty(&arena.inject, out);
+        nonempty(arena, QueueSet::Inject, out);
     }
 
     fn switches(&self, topo: &Topology, out: &mut Vec<u32>) {

@@ -31,7 +31,7 @@ use crate::config::{Arbiter, SimConfig};
 use crate::error::{ConfigError, SimError};
 use crate::fault::{ChurnSchedule, FaultSchedule};
 use crate::policy::Policy;
-use crate::state::{stall_report, Packet, PagedVec, SimArena};
+use crate::state::{stall_report, Fifo, Held, Packet, QueueSet, SimArena};
 use crate::stats::{ChannelBusy, SimStats};
 use crate::workload::Workload;
 use ftclos_obs::{Noop, Recorder};
@@ -39,7 +39,6 @@ use ftclos_routing::LinkAdmission;
 use ftclos_topo::{ChannelId, NodeId, Topology, Transition};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 /// The span, counter and gauge names one schedule records under. Build it
@@ -323,7 +322,9 @@ pub struct Run<'k, S> {
     may_skip: bool,
     admission: Option<LinkAdmission>,
     leaves: Vec<NodeId>,
-    leaf_slot: Vec<usize>,
+    /// Node id -> leaf slot (`u32::MAX` off the leaves); read only when a
+    /// timed-out packet is retransmitted.
+    leaf_slot: Vec<u32>,
     source_injected: Vec<bool>,
     /// The visit list being walked, reused from cycle to cycle.
     visit: Vec<u32>,
@@ -378,9 +379,9 @@ impl<'k, S: Schedule> Run<'k, S> {
         arena.prepare(num_channels, leaves.len());
         // Leaf node id -> dense leaf slot (leaves are the first node ids in
         // all our builders, but don't rely on it).
-        let mut leaf_slot = vec![usize::MAX; topo.num_nodes()];
+        let mut leaf_slot = vec![u32::MAX; topo.num_nodes()];
         for (slot, &l) in leaves.iter().enumerate() {
-            leaf_slot[l.index()] = slot;
+            leaf_slot[l.index()] = slot as u32;
         }
         Run {
             topo,
@@ -618,14 +619,20 @@ impl<'k, S: Schedule> Run<'k, S> {
         let mut visit = std::mem::take(&mut self.visit);
         visit.clear();
         self.sched.queues(self.arena, &mut visit);
-        sweep_expired(&mut self.arena.queues, &visit, now, &mut expired, |c| {
-            self.sched.queue_emptied(c);
-        });
+        let queues = &mut self.arena.queues;
+        for &c in &visit {
+            if queues.expire(QueueSet::Channel, c as usize, now, &mut expired) {
+                self.sched.queue_emptied(c as usize);
+            }
+        }
         visit.clear();
         self.sched.inject_slots(self.arena, &mut visit);
-        sweep_expired(&mut self.arena.inject, &visit, now, &mut expired, |slot| {
-            self.sched.inject_emptied(slot);
-        });
+        let queues = &mut self.arena.queues;
+        for &slot in &visit {
+            if queues.expire(QueueSet::Inject, slot as usize, now, &mut expired) {
+                self.sched.inject_emptied(slot as usize);
+            }
+        }
         self.visit = visit;
         for p in expired {
             self.stats.timed_out_total += 1;
@@ -643,11 +650,11 @@ impl<'k, S: Schedule> Run<'k, S> {
                 .leaf_slot
                 .get(p.src as usize)
                 .copied()
-                .filter(|&s| s != usize::MAX)
+                .filter(|&s| s != u32::MAX)
                 .ok_or_else(|| {
                     SimError::invariant(format!("retransmission source {} is not a leaf", p.src))
                 })?;
-            self.enqueue(slot, p.dst, row, p.inject_cycle, p.retries + 1);
+            self.enqueue(slot as usize, p.dst, row, p.inject_cycle, p.retries + 1);
         }
         Ok(())
     }
@@ -666,7 +673,7 @@ impl<'k, S: Schedule> Run<'k, S> {
                 continue;
             };
             if self.cfg.bounded_injection
-                && self.arena.inject.get(slot).len() >= self.cfg.queue_capacity
+                && self.arena.queues.get(QueueSet::Inject, slot).len() >= self.cfg.queue_capacity
             {
                 self.stats.injection_refusals += 1;
                 continue;
@@ -692,8 +699,12 @@ impl<'k, S: Schedule> Run<'k, S> {
     /// `(src, dst)`.
     fn pick(&mut self, src: u32, dst: u32) -> Option<u32> {
         let queues = &self.arena.queues;
-        self.policy
-            .pick(src, dst, |c| queues.get(c.index()).len(), &mut self.rng)
+        self.policy.pick(
+            src,
+            dst,
+            |c| queues.get(QueueSet::Channel, c.index()).len(),
+            &mut self.rng,
+        )
     }
 
     /// Queue a fresh attempt at its source's injection slot.
@@ -703,7 +714,7 @@ impl<'k, S: Schedule> Run<'k, S> {
         if self.may_skip && ttl > 0 {
             self.sched.wake(deadline);
         }
-        self.arena.inject.get_mut(slot).push_back(Packet {
+        let p = Packet {
             src: self.leaves[slot].0,
             dst,
             row,
@@ -712,7 +723,8 @@ impl<'k, S: Schedule> Run<'k, S> {
             ready_at: self.now,
             deadline,
             retries,
-        });
+        };
+        self.arena.queues.push_back(QueueSet::Inject, slot, p);
         self.sched.inject_filled(slot);
     }
 
@@ -731,19 +743,19 @@ impl<'k, S: Schedule> Run<'k, S> {
             else {
                 continue;
             };
-            if !self.output_free(up.index()) || !self.ready_for(self.arena.inject.get(slot), up) {
+            let q = self.arena.queues.get(QueueSet::Inject, slot);
+            if !self.output_free(up.index()) || !self.ready_for(q, up) {
                 continue;
             }
-            let q = self.arena.inject.get_mut(slot);
-            let Some(p) = q.pop_front() else {
+            let Some((held, emptied)) = self.arena.queues.remove(QueueSet::Inject, slot, 0) else {
                 return Err(SimError::invariant(
                     "eligible injection-queue head disappeared",
                 ));
             };
-            if q.is_empty() {
+            if emptied {
                 self.sched.inject_emptied(slot);
             }
-            self.advance(p, up.index())?;
+            self.advance(held, up.index())?;
         }
         self.visit = visit;
         Ok(())
@@ -756,16 +768,17 @@ impl<'k, S: Schedule> Run<'k, S> {
             return false;
         }
         let ch = self.topo.channel(ChannelId(o as u32));
-        self.topo.kind(ch.dst).is_leaf() || self.arena.queues.get(o).len() < self.cfg.queue_capacity
+        self.topo.kind(ch.dst).is_leaf()
+            || self.arena.queues.get(QueueSet::Channel, o).len() < self.cfg.queue_capacity
     }
 
     /// Whether the head of channel queue `qi` is ready and wants output `o`.
     pub fn head_wants(&self, qi: usize, o: ChannelId) -> bool {
-        self.ready_for(self.arena.queues.get(qi), o)
+        self.ready_for(self.arena.queues.get(QueueSet::Channel, qi), o)
     }
 
     /// Whether `q`'s head may be granted output `o` this cycle.
-    fn ready_for(&self, q: &VecDeque<Packet>, o: ChannelId) -> bool {
+    fn ready_for(&self, q: Fifo<'_>, o: ChannelId) -> bool {
         matches!(q.front(), Some(p) if p.ready_at <= self.now && self.next_hop(p) == Some(o))
     }
 
@@ -787,43 +800,46 @@ impl<'k, S: Schedule> Run<'k, S> {
         self.advance(p, o)
     }
 
-    /// Remove the granted packet at position `pos` of channel queue `c`.
-    fn take(&mut self, c: usize, pos: usize) -> Result<Packet, SimError> {
-        let q = self.arena.queues.get_mut(c);
-        let Some(p) = q.remove(pos) else {
+    /// Unlink the granted packet at position `pos` of channel queue `c`.
+    fn take(&mut self, c: usize, pos: usize) -> Result<Held, SimError> {
+        let Some((held, emptied)) = self.arena.queues.remove(QueueSet::Channel, c, pos) else {
             return Err(SimError::invariant(
                 "granted packet left its queue before the move",
             ));
         };
-        if q.is_empty() {
+        if emptied {
             self.sched.queue_emptied(c);
         }
-        Ok(p)
+        Ok(held)
     }
 
-    /// Move one granted packet across output channel `o`.
-    fn advance(&mut self, mut p: Packet, o: usize) -> Result<(), SimError> {
+    /// Move one granted packet across output channel `o`: relink it into
+    /// `o`'s queue, or free its slot on delivery.
+    fn advance(&mut self, held: Held, o: usize) -> Result<(), SimError> {
         let ch = self.topo.channel(ChannelId(o as u32));
         let flits = self.cfg.packet_flits;
         self.moves += 1;
-        p.hop += 1;
         // The wire serializes `flits` flits; the packet cannot be forwarded
         // again (cut-through is not modeled) until the tail flit arrives.
         // It becomes ready — and the wire frees — at the same cycle, so one
         // wake-up covers both.
-        p.ready_at = self.now + flits;
-        *self.arena.busy_until.get_mut(o) = p.ready_at;
+        let ready_at = self.now + flits;
+        let p = self.arena.queues.held_mut(&held);
+        p.hop += 1;
+        p.ready_at = ready_at;
+        *self.arena.busy_until.get_mut(o) = ready_at;
         if self.may_skip {
-            self.sched.wake(p.ready_at);
+            self.sched.wake(ready_at);
         }
         if self.in_window {
             self.stats.channel_busy.add(o, flits);
         }
         if !self.topo.kind(ch.dst).is_leaf() {
-            self.arena.queues.get_mut(o).push_back(p);
+            self.arena.queues.push_held(QueueSet::Channel, o, held);
             self.sched.queue_filled(o);
             return Ok(());
         }
+        let p = self.arena.queues.release(held);
         if ch.dst.0 != p.dst {
             return Err(SimError::invariant(format!(
                 "packet for leaf {} exited the fabric at leaf {}",
@@ -877,7 +893,8 @@ impl<'k, S: Schedule> Run<'k, S> {
         // channel.
         s.heads.clear();
         for (ii, qi) in inputs.enumerate() {
-            for (pos, p) in self.arena.queues.get(qi.index()).iter().enumerate() {
+            let q = self.arena.queues.get(QueueSet::Channel, qi.index());
+            for (pos, p) in q.iter().enumerate() {
                 if p.ready_at > now {
                     continue;
                 }
@@ -954,31 +971,6 @@ impl<'k, S: Schedule> Run<'k, S> {
         }
         self.islip = s;
         Ok(())
-    }
-}
-
-/// Move every packet past its deadline out of the visited queues onto
-/// `expired`, in visit order then queue order; `emptied` hears of each queue
-/// this leaves empty.
-fn sweep_expired(
-    queues: &mut PagedVec<VecDeque<Packet>>,
-    visit: &[u32],
-    now: u64,
-    expired: &mut Vec<Packet>,
-    mut emptied: impl FnMut(usize),
-) {
-    for &i in visit {
-        let i = i as usize;
-        // Probe read-only: only a queue that loses a packet is touched.
-        if !queues.get(i).iter().any(|p| now >= p.deadline) {
-            continue;
-        }
-        let q = queues.get_mut(i);
-        expired.extend(q.iter().filter(|p| now >= p.deadline));
-        q.retain(|p| now < p.deadline);
-        if q.is_empty() {
-            emptied(i);
-        }
     }
 }
 
@@ -1091,16 +1083,20 @@ mod tests {
                 Run::new(topo, &cfg, &mut arena, &mut policy, 0, 0.0, None);
             for (&(i, o, _), &row) in routes.iter().zip(&rows) {
                 let up = xb.up_channel(i as usize).index();
-                run.arena.queues.get_mut(up).push_back(Packet {
-                    src: i,
-                    dst: o,
-                    row,
-                    hop: 1,
-                    inject_cycle: 0,
-                    ready_at: 0,
-                    deadline: u64::MAX,
-                    retries: 0,
-                });
+                run.arena.queues.push_back(
+                    QueueSet::Channel,
+                    up,
+                    Packet {
+                        src: i,
+                        dst: o,
+                        row,
+                        hop: 1,
+                        inject_cycle: 0,
+                        ready_at: 0,
+                        deadline: u64::MAX,
+                        retries: 0,
+                    },
+                );
             }
             let (up, down) = (|p| xb.up_channel(p).index(), |p| xb.down_channel(p).index());
             *run.arena.rr.get_mut(down(0)) = 3;
@@ -1112,7 +1108,7 @@ mod tests {
             let left = |p: usize| -> Vec<u32> {
                 run.arena
                     .queues
-                    .get(up(p))
+                    .get(QueueSet::Channel, up(p))
                     .iter()
                     .map(|pk| pk.dst)
                     .collect()

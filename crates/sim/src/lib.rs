@@ -64,7 +64,7 @@ pub use error::{ConfigError, SimError, StallReport};
 pub use fault::{ChurnSchedule, FaultEvent, FaultSchedule};
 pub use kernel::{Kernel, Names, Run, Schedule};
 pub use policy::Policy;
-pub use state::{PagedVec, SimArena};
+pub use state::{PagedVec, QueueSet, SimArena};
 pub use stats::{ChannelBusy, SimStats, UtilizationHistogram};
 pub use witness::{run_pinned_injection_watchdog_recorded, PinnedRoute, WitnessRun};
 pub use workload::Workload;
