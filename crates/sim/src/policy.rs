@@ -410,7 +410,7 @@ mod tests {
     use ftclos_topo::Ftree;
     use rand::SeedableRng;
 
-    // Packets are moved between queues by value; keep them plain data.
+    // Packets are copied into and out of the queue slab; keep them plain data.
     const _: fn() = || {
         fn copy<T: Copy>() {}
         copy::<Packet>();
