@@ -137,7 +137,7 @@ pub static REGISTRY: &[Experiment] = &[
     row("E24", "scale", Scale, Some(120.0), scale::e24),
     row("E25", "scale", Scale, None, scale::e25),
     row("E26", "arxiv 2505.03908", Scale, Some(60.0), scale::e26),
-    row("E27", "Theorems 2-3", Scale, Some(20.0), scale::e27),
+    row("E27", "Theorems 2-3", Scale, Some(5.0), scale::e27),
     row("V1", "validation", Extension, None, simval::v1),
     row("A1", "ablation", Extension, None, ablation::a1),
     row("A2", "ablation", Extension, None, ablation::a2),

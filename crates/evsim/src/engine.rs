@@ -41,7 +41,7 @@ use crate::active::ActiveSet;
 use crate::wheel::EventWheel;
 use ftclos_obs::Recorder;
 use ftclos_sim::{Kernel, Names, QueueSet, Run, Schedule, SimArena, SimError};
-use ftclos_topo::{ChannelId, Topology};
+use ftclos_topo::{ChannelId, NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -63,18 +63,31 @@ pub struct ActiveSchedule {
     nonempty_q: ActiveSet,
     /// Leaf slots with a non-empty injection queue.
     nonempty_inj: ActiveSet,
-    /// Head-of-line worklist, reused every cycle: `(requested output,
-    /// input channel)` of every ready head, sorted.
-    requests: Vec<(u32, u32)>,
+    /// Head-of-line worklist, reused every cycle: the packed `request` of
+    /// every ready head, sorted.
+    requests: Vec<u64>,
     /// Heads exposed mid-walk, re-enqueued under a later output.
-    requeued: BinaryHeap<Reverse<(u32, u32)>>,
-    /// The requesters of the output being granted.
+    requeued: BinaryHeap<Reverse<u64>>,
+    /// The requesting input channels of the output being granted.
     group: Vec<u32>,
     /// Wake-ups for the drain fast-forward.
     wake: EventWheel,
     skipped_cycles: u64,
     executed_cycles: u64,
     busy_component_cycles: u64,
+}
+
+/// A head-of-line request for output `want` by input channel `c`, packed
+/// so that requests sort by output, then input, as plain integers.
+#[inline]
+fn request(want: u32, c: u32) -> u64 {
+    u64::from(want) << 32 | u64::from(c)
+}
+
+/// The requested output of a packed request.
+#[inline]
+fn output(request: u64) -> u32 {
+    (request >> 32) as u32
 }
 
 impl Schedule for ActiveSchedule {
@@ -88,14 +101,16 @@ impl Schedule for ActiveSchedule {
         out.extend(self.nonempty_inj.iter());
     }
 
-    /// Only switches fed by at least one non-empty queue can match anything.
-    fn switches(&self, topo: &Topology, out: &mut Vec<u32>) {
+    /// Only switches fed by at least one non-empty queue can match anything:
+    /// the nodes its head packets wait at.
+    fn switches(&self, arena: &SimArena, topo: &Topology, out: &mut Vec<u32>) {
         out.extend(
             self.nonempty_q
                 .iter()
-                .map(|c| topo.channel(ChannelId(c)).dst)
-                .filter(|&dst| topo.kind(dst).is_switch())
-                .map(|dst| dst.0),
+                .filter_map(|c| arena.queues.get(QueueSet::Channel, c as usize).front())
+                .map(|p| NodeId(p.at))
+                .filter(|&at| topo.kind(at).is_switch())
+                .map(|at| at.0),
         );
         out.sort_unstable();
         out.dedup();
@@ -121,23 +136,23 @@ impl Schedule for ActiveSchedule {
         // are dense and ordered, so that position *is* `dst_port` — no
         // O(channels) side table needed.
         let local_in = |c: u32| topo.channel(ChannelId(c)).dst_port as usize;
-        // Requested output and requesting input channel, sorted by output
-        // (each queue head requests exactly one output, so every queue
-        // appears at most once).
+        // Every ready head's request, sorted by output (each queue head
+        // requests exactly one output, so every queue appears at most
+        // once). Nothing is decoded here: a blocked head requests again
+        // every cycle, and most requests meet a busy output.
         let mut requests = std::mem::take(&mut run.sched.requests);
         requests.clear();
         for c in run.sched.nonempty_q.iter() {
             let Some(p) = run.arena.queues.get(QueueSet::Channel, c as usize).front() else {
                 continue;
             };
+            if p.ready_at > now {
+                continue;
+            }
             let Some(want) = run.next_hop(p) else {
                 continue; // defensive: delivered packets never queue
             };
-            // Only requests issued at the switch the packet sits at can be
-            // granted (mirrors the sweep scanning `in_channels(src(o))`).
-            if p.ready_at <= now && topo.channel(want).src == topo.channel(ChannelId(c)).dst {
-                requests.push((want.0, c));
-            }
+            requests.push(request(want.0, c));
         }
         requests.sort_unstable();
         let mut requeued = std::mem::take(&mut run.sched.requeued);
@@ -146,33 +161,51 @@ impl Schedule for ActiveSchedule {
         let mut rest = &requests[..];
         // Walk the requested outputs in ascending order, merging the sorted
         // requests with the re-enqueued heads.
-        while let Some(o) = [rest.first().map(|r| r.0), requeued.peek().map(|r| r.0 .0)]
+        while let Some(o) = [rest.first(), requeued.peek().map(|r| &r.0)]
             .into_iter()
             .flatten()
+            .map(|&r| output(r))
             .min()
         {
-            let (reqs, later) = rest.split_at(rest.partition_point(|r| r.0 == o));
+            let (reqs, later) = rest.split_at(rest.partition_point(|&r| output(r) == o));
             rest = later;
             group.clear();
-            group.extend(reqs.iter().map(|r| r.1));
-            while let Some(Reverse((_, c))) = requeued.peek().filter(|r| r.0 .0 == o).copied() {
+            // The low half of a request is its input channel.
+            group.extend(reqs.iter().map(|&r| r as u32));
+            while let Some(Reverse(r)) = requeued.peek().filter(|r| output(r.0) == o).copied() {
                 requeued.pop();
-                group.push(c);
+                group.push(r as u32);
             }
+            if !run.wire_free(o as usize) {
+                continue;
+            }
+            // The output's one channel record read: its source switch for
+            // the arbiter, its end node for credit and the move.
             let out = ChannelId(o);
-            let src = topo.channel(out).src;
-            let n_in = topo.in_channels(src).len();
+            let ch = topo.channel(out);
             // Injection links (leaf sources) are granted by the kernel.
-            if topo.kind(src).is_leaf() || n_in == 0 || !run.output_free(o as usize) {
+            if topo.kind(ch.src).is_leaf() || !run.credit(o as usize, ch.dst) {
+                continue;
+            }
+            let n_in = topo.in_channels(ch.src).len();
+            if n_in == 0 {
                 continue;
             }
             let start = *run.arena.rr.get(o as usize) as usize % n_in;
-            // Round-robin winner: the requester whose local input index
-            // comes first scanning from the grant pointer. Input indices
-            // are distinct per switch, so the minimum is unique.
-            let Some(&win) = group
+            // Round-robin winner among the heads waiting at the output's
+            // switch (mirrors the sweep scanning `in_channels(src(o))`; a
+            // head carries the node it waits at): the one whose local input
+            // index comes first scanning from the grant pointer. Input
+            // indices are distinct per switch, so the minimum is unique.
+            let queues = &run.arena.queues;
+            let Some((rank, win)) = group
                 .iter()
-                .min_by_key(|&&c| (local_in(c) + n_in - start) % n_in)
+                .filter(|&&c| {
+                    let head = queues.get(QueueSet::Channel, c as usize).front();
+                    head.is_some_and(|p| p.at == ch.src.0)
+                })
+                .map(|&c| ((local_in(c) + n_in - start) % n_in, c))
+                .min_by_key(|&(rank, _)| rank)
             else {
                 continue;
             };
@@ -181,15 +214,16 @@ impl Schedule for ActiveSchedule {
                     "worklist head changed before its grant",
                 ));
             }
-            let next_rr = (local_in(win) as u32 + 1) % n_in as u32;
-            run.grant_head(win as usize, o as usize, next_rr)?;
+            let next_rr = ((start + rank + 1) % n_in) as u32;
+            run.grant_head(win as usize, o as usize, ch.dst, next_rr)?;
             // The popped queue's next head may request a later output this
-            // cycle (same-switch only; earlier outputs already passed).
+            // cycle (earlier outputs already passed; the walk keeps only
+            // same-switch requests, as above).
             let queue = run.arena.queues.get(QueueSet::Channel, win as usize);
             if let Some(np) = queue.front() {
                 if let Some(nwant) = run.next_hop(np) {
-                    if np.ready_at <= now && nwant.0 > o && topo.channel(nwant).src == src {
-                        requeued.push(Reverse((nwant.0, win)));
+                    if np.ready_at <= now && nwant.0 > o {
+                        requeued.push(Reverse(request(nwant.0, win)));
                     }
                 }
             }

@@ -48,7 +48,7 @@ impl Schedule for DenseSchedule {
         nonempty(arena, QueueSet::Inject, out);
     }
 
-    fn switches(&self, topo: &Topology, out: &mut Vec<u32>) {
+    fn switches(&self, _arena: &SimArena, topo: &Topology, out: &mut Vec<u32>) {
         out.extend(
             topo.node_ids()
                 .filter(|&id| topo.kind(id).is_switch())
@@ -62,20 +62,23 @@ impl Schedule for DenseSchedule {
     fn hol_arbitrate(run: &mut Run<'_, Self>) -> Result<(), SimError> {
         let topo = run.topo;
         for o in 0..topo.num_channels() {
-            let out = ChannelId(o as u32);
-            let src = topo.channel(out).src;
-            // Injection links (leaf sources) are granted before the sweep.
-            if topo.kind(src).is_leaf() || !run.output_free(o) {
+            if !run.wire_free(o) {
                 continue;
             }
-            let inputs = topo.in_channels(src);
+            let out = ChannelId(o as u32);
+            let ch = topo.channel(out);
+            // Injection links (leaf sources) are granted before the sweep.
+            if topo.kind(ch.src).is_leaf() || !run.credit(o, ch.dst) {
+                continue;
+            }
+            let inputs = topo.in_channels(ch.src);
             let n_in = inputs.len();
             let start = *run.arena.rr.get(o) as usize % n_in.max(1);
             for k in 0..n_in {
                 let idx = (start + k) % n_in;
                 let qi = inputs.get(idx).index();
                 if run.head_wants(qi, out) {
-                    run.grant_head(qi, o, (idx as u32 + 1) % n_in as u32)?;
+                    run.grant_head(qi, o, ch.dst, (idx as u32 + 1) % n_in as u32)?;
                     break;
                 }
             }

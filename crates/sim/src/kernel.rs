@@ -103,10 +103,11 @@ pub trait Schedule: Default {
 
     /// Push the switches (node ids) that may have a packet to match this
     /// cycle onto `out`.
-    fn switches(&self, topo: &Topology, out: &mut Vec<u32>);
+    fn switches(&self, arena: &SimArena, topo: &Topology, out: &mut Vec<u32>);
 
     /// One cycle of head-of-line FIFO arbitration: for every switch output
-    /// in ascending channel id that is [`Run::output_free`], grant
+    /// in ascending channel id that is free ([`Run::wire_free`] and
+    /// [`Run::credit`]), grant
     /// ([`Run::grant_head`]) the first input queue, round-robin from the
     /// output's pointer, whose head [`Run::head_wants`] it.
     ///
@@ -334,22 +335,32 @@ pub struct Run<'k, S> {
 /// iSLIP's working memory, reused across switches and cycles.
 #[derive(Default)]
 struct IslipScratch {
-    /// `(local output, local input, buffer position)` of every VOQ head.
+    /// `(output, local input, buffer position)` of every ready packet.
     heads: Vec<(usize, usize, usize)>,
-    /// The outputs with at least one VOQ head, ascending.
+    /// The outputs with at least one VOQ head, ascending by channel id.
     requested: Vec<Requested>,
     in_matched: Vec<bool>,
     /// One iteration's grants: `(local input, the output's distance from
     /// the input's accept pointer, index into requested, buffer position)`.
     grants: Vec<(usize, usize, usize, usize)>,
-    /// `(local input, local output, buffer position)`, in match order.
-    matches: Vec<(usize, usize, usize)>,
+    /// `(local input, output, buffer position)`, in match order.
+    matches: Vec<(usize, Out, usize)>,
+}
+
+/// An output channel id and the node it ends at: all a grant needs of the
+/// channel record, decoded once.
+#[derive(Clone, Copy)]
+struct Out {
+    o: usize,
+    dst: NodeId,
 }
 
 /// One output that some VOQ head requests.
 struct Requested {
     /// Its local slot on the switch.
     oj: usize,
+    /// The output itself.
+    out: Out,
     /// Its requesters: a run of [`IslipScratch::heads`], ascending by input.
     heads: std::ops::Range<usize>,
     /// Free this cycle and not yet matched.
@@ -520,7 +531,7 @@ impl<'k, S: Schedule> Run<'k, S> {
                 Arbiter::Voq { iterations } => {
                     let mut visit = std::mem::take(&mut self.visit);
                     visit.clear();
-                    self.sched.switches(self.topo, &mut visit);
+                    self.sched.switches(self.arena, self.topo, &mut visit);
                     for &sw in &visit {
                         self.islip_switch(NodeId(sw), iterations)?;
                     }
@@ -714,8 +725,9 @@ impl<'k, S: Schedule> Run<'k, S> {
         if self.may_skip && ttl > 0 {
             self.sched.wake(deadline);
         }
+        let src = self.leaves[slot].0;
         let p = Packet {
-            src: self.leaves[slot].0,
+            src,
             dst,
             row,
             hop: 0,
@@ -723,6 +735,7 @@ impl<'k, S: Schedule> Run<'k, S> {
             ready_at: self.now,
             deadline,
             retries,
+            at: src,
         };
         self.arena.queues.push_back(QueueSet::Inject, slot, p);
         self.sched.inject_filled(slot);
@@ -743,8 +756,12 @@ impl<'k, S: Schedule> Run<'k, S> {
             else {
                 continue;
             };
+            if !self.wire_free(up.index()) {
+                continue;
+            }
+            let dst = self.topo.channel(up).dst;
             let q = self.arena.queues.get(QueueSet::Inject, slot);
-            if !self.output_free(up.index()) || !self.ready_for(q, up) {
+            if !self.credit(up.index(), dst) || !self.ready_for(q, up) {
                 continue;
             }
             let Some((held, emptied)) = self.arena.queues.remove(QueueSet::Inject, slot, 0) else {
@@ -755,20 +772,24 @@ impl<'k, S: Schedule> Run<'k, S> {
             if emptied {
                 self.sched.inject_emptied(slot);
             }
-            self.advance(held, up.index())?;
+            self.advance(held, up.index(), dst)?;
         }
         self.visit = visit;
         Ok(())
     }
 
-    /// Whether output channel `o` can take a packet this cycle: wire free,
-    /// alive, and — unless it delivers into a leaf — downstream credit.
-    pub fn output_free(&self, o: usize) -> bool {
-        if *self.arena.busy_until.get(o) > self.now || *self.arena.dead.get(o) {
-            return false;
-        }
-        let ch = self.topo.channel(ChannelId(o as u32));
-        self.topo.kind(ch.dst).is_leaf()
+    /// Whether output channel `o`'s wire is idle and alive this cycle. It
+    /// needs no channel record, so callers ask it before decoding one.
+    pub fn wire_free(&self, o: usize) -> bool {
+        *self.arena.busy_until.get(o) <= self.now && !*self.arena.dead.get(o)
+    }
+
+    /// Whether output channel `o`, which ends at node `dst`, has downstream
+    /// credit: it delivers into a leaf, or `dst`'s queue for it has room.
+    /// Callers pass the `dst` of the channel record they read once per
+    /// grant.
+    pub fn credit(&self, o: usize, dst: NodeId) -> bool {
+        self.topo.kind(dst).is_leaf()
             || self.arena.queues.get(QueueSet::Channel, o).len() < self.cfg.queue_capacity
     }
 
@@ -788,16 +809,22 @@ impl<'k, S: Schedule> Run<'k, S> {
         self.policy.next_hop(p.row, p.hop)
     }
 
-    /// Grant output `o` to the head of channel queue `qi` and leave the
-    /// output's round-robin pointer at `next_rr`.
+    /// Grant output `o`, which ends at node `dst`, to the head of channel
+    /// queue `qi` and leave the output's round-robin pointer at `next_rr`.
     ///
     /// # Errors
     /// [`SimError::Invariant`] if the queue is empty or the move breaks a
     /// path invariant.
-    pub fn grant_head(&mut self, qi: usize, o: usize, next_rr: u32) -> Result<(), SimError> {
+    pub fn grant_head(
+        &mut self,
+        qi: usize,
+        o: usize,
+        dst: NodeId,
+        next_rr: u32,
+    ) -> Result<(), SimError> {
         let p = self.take(qi, 0)?;
         *self.arena.rr.get_mut(o) = next_rr;
-        self.advance(p, o)
+        self.advance(p, o, dst)
     }
 
     /// Unlink the granted packet at position `pos` of channel queue `c`.
@@ -813,10 +840,10 @@ impl<'k, S: Schedule> Run<'k, S> {
         Ok(held)
     }
 
-    /// Move one granted packet across output channel `o`: relink it into
-    /// `o`'s queue, or free its slot on delivery.
-    fn advance(&mut self, held: Held, o: usize) -> Result<(), SimError> {
-        let ch = self.topo.channel(ChannelId(o as u32));
+    /// Move one granted packet across output channel `o`, which ends at
+    /// node `dst`: relink it into `o`'s queue, or free its slot on
+    /// delivery.
+    fn advance(&mut self, held: Held, o: usize, dst: NodeId) -> Result<(), SimError> {
         let flits = self.cfg.packet_flits;
         self.moves += 1;
         // The wire serializes `flits` flits; the packet cannot be forwarded
@@ -827,6 +854,7 @@ impl<'k, S: Schedule> Run<'k, S> {
         let p = self.arena.queues.held_mut(&held);
         p.hop += 1;
         p.ready_at = ready_at;
+        p.at = dst.0;
         *self.arena.busy_until.get_mut(o) = ready_at;
         if self.may_skip {
             self.sched.wake(ready_at);
@@ -834,16 +862,16 @@ impl<'k, S: Schedule> Run<'k, S> {
         if self.in_window {
             self.stats.channel_busy.add(o, flits);
         }
-        if !self.topo.kind(ch.dst).is_leaf() {
+        if !self.topo.kind(dst).is_leaf() {
             self.arena.queues.push_held(QueueSet::Channel, o, held);
             self.sched.queue_filled(o);
             return Ok(());
         }
         let p = self.arena.queues.release(held);
-        if ch.dst.0 != p.dst {
+        if dst.0 != p.dst {
             return Err(SimError::invariant(format!(
                 "packet for leaf {} exited the fabric at leaf {}",
-                p.dst, ch.dst.0
+                p.dst, dst.0
             )));
         }
         let hops = self.policy.path(p.row).len();
@@ -882,15 +910,12 @@ impl<'k, S: Schedule> Run<'k, S> {
     fn islip_switch(&mut self, sw: NodeId, iterations: u8) -> Result<(), SimError> {
         let (topo, now) = (self.topo, self.now);
         let inputs = topo.in_channels(sw);
-        let outputs = topo.out_channels(sw);
-        let (n_in, n_out) = (inputs.len(), outputs.len());
+        let (n_in, n_out) = (inputs.len(), topo.out_channels(sw).len());
         if n_in == 0 || n_out == 0 {
             return Ok(());
         }
         let mut s = std::mem::take(&mut self.islip);
-        // Every ready packet's request. An output's local slot is its
-        // `src_port`: the CSR audit proves `outputs[src_port]` is that
-        // channel.
+        // Every ready packet's request.
         s.heads.clear();
         for (ii, qi) in inputs.enumerate() {
             let q = self.arena.queues.get(QueueSet::Channel, qi.index());
@@ -900,11 +925,8 @@ impl<'k, S: Schedule> Run<'k, S> {
                 }
                 // (Defensive: a delivered packet never queues, and wants
                 // nothing.)
-                let Some(ch) = self.next_hop(p).map(|c| topo.channel(c)) else {
-                    continue;
-                };
-                if ch.src == sw {
-                    s.heads.push((usize::from(ch.src_port), ii, pos));
+                if let Some(c) = self.next_hop(p) {
+                    s.heads.push((c.index(), ii, pos));
                 }
             }
         }
@@ -912,16 +934,29 @@ impl<'k, S: Schedule> Run<'k, S> {
         // (output, input) run is that VOQ's head.
         s.heads.sort_unstable();
         s.heads.dedup_by_key(|h| (h.0, h.1));
+        // One channel record read per requested output: requests for an
+        // output of another switch are dropped, as a switch can only grant
+        // its own. An output's local slot is its `src_port` (the CSR audit
+        // proves `outputs[src_port]` is that channel). `requested` is in
+        // channel-id order, not slot order, and nothing below depends on
+        // it: grants are ranked by input and pointer distance alone, and
+        // the moves run in input order.
         s.requested.clear();
         let mut at = 0;
         for run in s.heads.chunk_by(|a, b| a.0 == b.0) {
-            let oj = run[0].0;
-            s.requested.push(Requested {
-                oj,
-                heads: at..at + run.len(),
-                open: self.output_free(outputs.get(oj).index()),
-            });
+            let o = run[0].0;
+            let heads = at..at + run.len();
             at += run.len();
+            let ch = topo.channel(ChannelId(o as u32));
+            if ch.src != sw {
+                continue;
+            }
+            s.requested.push(Requested {
+                oj: usize::from(ch.src_port),
+                out: Out { o, dst: ch.dst },
+                heads,
+                open: self.wire_free(o) && self.credit(o, ch.dst),
+            });
         }
         s.in_matched.clear();
         s.in_matched.resize(n_in, false);
@@ -931,7 +966,7 @@ impl<'k, S: Schedule> Run<'k, S> {
             // requester, scanning from its grant pointer.
             s.grants.clear();
             for (g, req) in s.requested.iter().enumerate().filter(|(_, r)| r.open) {
-                let start = *self.arena.rr.get(outputs.get(req.oj).index()) as usize % n_in;
+                let start = *self.arena.rr.get(req.out.o) as usize % n_in;
                 let winner = s.heads[req.heads.clone()]
                     .iter()
                     .filter(|h| !s.in_matched[h.1])
@@ -954,20 +989,20 @@ impl<'k, S: Schedule> Run<'k, S> {
             s.grants.sort_unstable();
             s.grants.dedup_by_key(|gr| gr.0);
             for &(ii, _, g, pos) in &s.grants {
-                let (qi, oj) = (inputs.get(ii), s.requested[g].oj);
+                let (qi, req) = (inputs.get(ii), &mut s.requested[g]);
                 s.in_matched[ii] = true;
-                s.requested[g].open = false;
-                s.matches.push((ii, oj, pos));
+                req.open = false;
+                s.matches.push((ii, req.out, pos));
                 if iter == 0 {
-                    *self.arena.rr.get_mut(outputs.get(oj).index()) = ((ii + 1) % n_in) as u32;
-                    *self.arena.accept_ptr.get_mut(qi.index()) = ((oj + 1) % n_out) as u32;
+                    *self.arena.rr.get_mut(req.out.o) = ((ii + 1) % n_in) as u32;
+                    *self.arena.accept_ptr.get_mut(qi.index()) = ((req.oj + 1) % n_out) as u32;
                 }
             }
         }
         // Move matched packets.
-        for &(ii, oj, pos) in &s.matches {
+        for &(ii, out, pos) in &s.matches {
             let p = self.take(inputs.get(ii).index(), pos)?;
-            self.advance(p, outputs.get(oj).index())?;
+            self.advance(p, out.o, out.dst)?;
         }
         self.islip = s;
         Ok(())
@@ -1095,6 +1130,7 @@ mod tests {
                         ready_at: 0,
                         deadline: u64::MAX,
                         retries: 0,
+                        at: xb.switch().0,
                     },
                 );
             }

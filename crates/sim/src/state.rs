@@ -60,6 +60,11 @@ pub struct Packet {
     pub deadline: u64,
     /// Retransmissions already consumed.
     pub retries: u32,
+    /// Node the packet is queued at: the destination of the channel it
+    /// crossed last, its source leaf before the first hop. Arbitration
+    /// compares it with the next hop's source instead of decoding the
+    /// queue's channel (it fills `Packet`'s padding: 48 B either way).
+    pub at: u32,
 }
 
 /// A fixed-length array with page-granular lazy allocation.
@@ -221,6 +226,9 @@ struct Node {
     packet: Packet,
     next: u32,
 }
+
+// A slab slot stays 56 B: `Packet::at` took padding, not a word.
+const _: () = assert!(std::mem::size_of::<Node>() == 56);
 
 /// The two queue sets of [`Queues`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -739,6 +747,7 @@ mod tests {
             ready_at: 0,
             deadline,
             retries: 0,
+            at: id,
         }
     }
 

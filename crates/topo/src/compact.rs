@@ -3,14 +3,14 @@
 //! [`crate::TopologyBuilder`] is cable-by-cable: every `connect_bidir` does
 //! four bounds-checked pushes plus two per-node port-counter updates, and
 //! `finish()` re-derives the adjacency with a counting sort over all
-//! channels. That is fine for crossbars and hand-built test graphs, but at
-//! `ftree(32+1024, 32768)` (69M directed channels) the intermediate churn
-//! and the explicit reverse table would dominate build time and memory.
+//! channels. That is fine for crossbars and hand-built test graphs, but on
+//! a large fat tree the intermediate churn and the explicit reverse table
+//! would dominate build time and memory.
 //!
-//! The stored regular families (`ftree`, XGFT) need none of that machinery:
-//! every link is a bidirectional cable, and both the cable list and each
-//! node's port count are closed-form functions of the family parameters.
-//! [`build_paired_csr`] exploits this:
+//! The stored regular family (XGFT: k-ary n-trees, `FT(m, h)`) needs none
+//! of that machinery: every link is a bidirectional cable, and both the
+//! cable list and each node's port count are closed-form functions of the
+//! family parameters. [`build_paired_csr`] exploits this:
 //!
 //! * cable `l` becomes channels `2l` (`a → b`) and `2l + 1` (`b → a`), so
 //!   the reverse map is `rev(c) = c ^ 1` ([`RevMap::Paired`]) and no
@@ -24,12 +24,12 @@
 //!   fill inline, see `MIN_CHUNKS_PER_THREAD`), with no intermediate
 //!   `Vec<Channel>` staging or per-channel counter updates.
 //!
-//! The recursive construction goes one step further and stores nothing per
-//! channel: its topology computes the same layout from its [`Cable`]
-//! function on every access (DESIGN.md, "Topology representation: stored
-//! vs implicit"). Its tests still build the stored form here, from that
-//! same function, as the oracle the implicit accessors are checked
-//! against.
+//! `ftree(n+m, r)` and the recursive construction go one step further and
+//! store nothing per channel: their topologies compute the same layout
+//! from their [`Cable`] functions on every access (DESIGN.md, "Topology
+//! representation: stored vs implicit"). Their tests still build the
+//! stored form here, from those same functions, as the oracles the
+//! implicit accessors are checked against.
 
 use crate::channel::Channel;
 use crate::error::TopoError;

@@ -82,9 +82,8 @@ impl<'a> Ports<'a> {
     }
 }
 
-/// Position `k` of two back-to-back runs, kept out of line so that
-/// [`Ports::get`] on a stored slice inlines as a plain index.
-#[inline(never)]
+/// Position `k` of two back-to-back runs.
+#[inline]
 fn run_get([a, b]: [Run; 2], k: usize) -> ChannelId {
     assert!(k < (a.len + b.len) as usize, "port index out of range");
     let k = k as u32;

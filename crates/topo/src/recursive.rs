@@ -273,7 +273,7 @@ impl RecursiveNonblocking {
     fn shape(&self) -> &RecursiveShape {
         match &self.topo.layout {
             Layout::Recursive(shape) => shape,
-            Layout::Stored(_) => unreachable!("the recursive construction is implicit"),
+            _ => unreachable!("the recursive construction is implicit"),
         }
     }
 
@@ -374,6 +374,7 @@ mod tests {
     use super::*;
     use crate::compact::build_paired_csr;
     use crate::dot::{to_dot, DotOptions};
+    use crate::topology::assert_same_graph;
 
     /// The node numbering the tests pin: leaves `(v, k)` at `v·n + k`,
     /// then bottoms, inner bottoms by fabric, inner tops by fabric.
@@ -419,36 +420,9 @@ mod tests {
         for n in 1..=5 {
             let net = RecursiveNonblocking::new(n).unwrap();
             let (imp, st) = (net.topology(), &stored_oracle(&net));
-            assert!(matches!(imp.layout, Layout::Recursive(_)));
-            assert!(matches!(st.layout, Layout::Stored(_)));
-            assert_eq!(imp.audit(), Ok(()), "n={n}");
-            assert_eq!(st.audit(), Ok(()), "n={n}");
-            assert_eq!(
-                (imp.num_nodes(), imp.num_channels()),
-                (st.num_nodes(), st.num_channels())
-            );
-            for c in st.channel_ids() {
-                assert_eq!(imp.channel(c), st.channel(c), "n={n} {c:?}");
-                assert_eq!(imp.reverse(c), st.reverse(c), "n={n} {c:?}");
-            }
-            for x in st.node_ids() {
-                assert_eq!(imp.kind(x), st.kind(x));
-                assert_eq!(imp.radix(x), st.radix(x), "n={n} {x}");
-                let (out, ins) = (imp.out_channels(x), imp.in_channels(x));
-                assert!(out.eq(st.out_channels(x)), "n={n} out of {x}");
-                assert!(ins.eq(st.in_channels(x)), "n={n} in of {x}");
-                for (i, c) in st.out_channels(x).enumerate() {
-                    assert_eq!(out.get(i), c);
-                    let dst = st.channel(c).dst;
-                    assert_eq!(imp.channel_between(x, dst), Ok(c), "n={n} {x}->{dst}");
-                }
-                for (i, c) in st.in_channels(x).enumerate() {
-                    assert_eq!(ins.get(i), c);
-                }
-            }
+            assert_same_graph(imp, st, &format!("n={n}"));
             let leaf0 = leaf(&net, 0, 0);
             assert_eq!(imp.bfs_distances(leaf0), st.bfs_distances(leaf0));
-            assert!(imp.memory_bytes() < st.memory_bytes());
         }
         for n in 1..=2 {
             let net = RecursiveNonblocking::new(n).unwrap();

@@ -2,6 +2,7 @@
 
 use crate::channel::Channel;
 use crate::error::TopoError;
+use crate::ftree::FtreeShape;
 use crate::ids::{ChannelId, NodeId};
 use crate::kind::NodeKind;
 use crate::ports::{Ports, Run};
@@ -49,9 +50,23 @@ pub(crate) enum Layout {
     /// records in `Topology::channels` ([`crate::TopologyBuilder`] output
     /// and the `build_paired_csr` families).
     Stored(Stored),
-    /// The recursive construction: channels, adjacency and reverse pairing
-    /// are arithmetic over its cable blocks; nothing per channel is stored.
+    /// `ftree(n+m, r)`: channels, adjacency and reverse pairing are
+    /// arithmetic over its two cable blocks; nothing per channel is stored.
+    Ftree(FtreeShape),
+    /// The recursive construction, implicit in the same way over its three
+    /// cable blocks.
     Recursive(RecursiveShape),
+}
+
+/// In-ports from out-ports: each cable gives its endpoint one out and one
+/// in port at the same slot, in opposite directions, so flip the id's low
+/// bit.
+#[inline]
+fn in_runs(out: [Run; 2]) -> [Run; 2] {
+    out.map(|run| Run {
+        base: run.base ^ 1,
+        ..run
+    })
 }
 
 /// A directed multigraph of leaves and switches.
@@ -62,10 +77,12 @@ pub(crate) enum Layout {
 /// Channels are directed; for bidirectional networks every channel has a
 /// paired reverse channel retrievable with [`Topology::reverse`].
 ///
-/// The layout is private: most topologies store their channel records and
-/// CSR adjacency, while [`crate::RecursiveNonblocking`] computes them from
-/// its closed form. Every accessor answers the same on both. `==` compares
-/// representations, so a stored copy of a recursive fabric is not `==` to
+/// The layout is private: [`crate::Ftree`] and
+/// [`crate::RecursiveNonblocking`] compute channel records and adjacency
+/// from their closed forms, while the XGFT family and
+/// [`crate::TopologyBuilder`] graphs store them as CSR arrays. Every
+/// accessor answers the same on every layout. `==` compares
+/// representations, so a stored copy of an implicit fabric is not `==` to
 /// the implicit one even though every accessor agrees; compare through the
 /// accessors to compare graphs.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -99,6 +116,7 @@ impl Topology {
     pub fn num_channels(&self) -> usize {
         match &self.layout {
             Layout::Stored(_) => self.channels.len(),
+            Layout::Ftree(f) => f.num_channels(),
             Layout::Recursive(r) => r.num_channels(),
         }
     }
@@ -118,19 +136,22 @@ impl Topology {
     /// Panics if `id` is out of range or the sentinel.
     #[inline]
     pub fn channel(&self, id: ChannelId) -> Channel {
-        match self.channels.get(id.index()) {
-            Some(&c) => c,
-            None => self.computed_channel(id),
+        if let Some(&c) = self.channels.get(id.index()) {
+            return c;
+        }
+        match &self.layout {
+            Layout::Ftree(f) => f.channel(id),
+            _ => self.computed_channel(id),
         }
     }
 
-    /// [`Topology::channel`] past the stored records: computed on an
-    /// implicit topology, out of range on a stored one.
+    /// [`Topology::channel`] past the stored records, off an ftree:
+    /// computed on a recursive topology, out of range on a stored one.
     #[inline(never)]
     fn computed_channel(&self, id: ChannelId) -> Channel {
         match &self.layout {
             Layout::Recursive(r) => r.channel(id),
-            Layout::Stored(_) => panic!("channel {id:?} out of range"),
+            _ => panic!("channel {id:?} out of range"),
         }
     }
 
@@ -146,6 +167,7 @@ impl Topology {
                 let hi = s.out_first[node.index() + 1] as usize;
                 Ports::stored(&s.out_chan[lo..hi])
             }
+            Layout::Ftree(f) => Ports::runs(f.out_runs(node)),
             Layout::Recursive(r) => Ports::runs(r.out_runs(node)),
         }
     }
@@ -162,12 +184,8 @@ impl Topology {
                 let hi = s.in_first[node.index() + 1] as usize;
                 Ports::stored(&s.in_chan[lo..hi])
             }
-            // Each cable gives its endpoint one out and one in port at the
-            // same slot, in opposite directions: flip the id's low bit.
-            Layout::Recursive(r) => Ports::runs(r.out_runs(node).map(|run| Run {
-                base: run.base ^ 1,
-                ..run
-            })),
+            Layout::Ftree(f) => Ports::runs(in_runs(f.out_runs(node))),
+            Layout::Recursive(r) => Ports::runs(in_runs(r.out_runs(node))),
         }
     }
 
@@ -309,7 +327,7 @@ impl Topology {
         }
         let paired = match &self.layout {
             Layout::Stored(s) => s.rev == RevMap::Paired,
-            Layout::Recursive(_) => true,
+            Layout::Ftree(_) | Layout::Recursive(_) => true,
         };
         if paired && !self.num_channels().is_multiple_of(2) {
             return Err("paired rev map requires an even channel count".into());
@@ -356,6 +374,48 @@ impl Topology {
         }
         Ok(())
     }
+}
+
+/// Assert that an implicit topology and its stored oracle are the same
+/// graph, accessor by accessor: counts, every channel record and reverse,
+/// every node's kind, radix and ports (iterated and by position), and
+/// `channel_between` for every adjacent pair — of a node past 256 ports,
+/// for its first and last 16 (the lookup scans the ports, so all of them
+/// would cost `O(radix²)` a node).
+#[cfg(test)]
+pub(crate) fn assert_same_graph(imp: &Topology, st: &Topology, what: &str) {
+    assert!(!matches!(imp.layout, Layout::Stored(_)), "{what}");
+    assert!(matches!(st.layout, Layout::Stored(_)), "{what}");
+    assert_eq!(imp.audit(), Ok(()), "{what}");
+    assert_eq!(st.audit(), Ok(()), "{what}");
+    assert_eq!(
+        (imp.num_nodes(), imp.num_channels()),
+        (st.num_nodes(), st.num_channels()),
+        "{what}"
+    );
+    for c in st.channel_ids() {
+        assert_eq!(imp.channel(c), st.channel(c), "{what} {c:?}");
+        assert_eq!(imp.reverse(c), st.reverse(c), "{what} {c:?}");
+    }
+    for x in st.node_ids() {
+        assert_eq!(imp.kind(x), st.kind(x), "{what} {x}");
+        assert_eq!(imp.radix(x), st.radix(x), "{what} {x}");
+        let (out, ins) = (imp.out_channels(x), imp.in_channels(x));
+        assert!(out.eq(st.out_channels(x)), "{what} out of {x}");
+        assert!(ins.eq(st.in_channels(x)), "{what} in of {x}");
+        let deg = out.len();
+        for (i, c) in st.out_channels(x).enumerate() {
+            assert_eq!(out.get(i), c);
+            if deg <= 256 || i < 16 || i >= deg - 16 {
+                let dst = st.channel(c).dst;
+                assert_eq!(imp.channel_between(x, dst), Ok(c), "{what} {x}->{dst}");
+            }
+        }
+        for (i, c) in st.in_channels(x).enumerate() {
+            assert_eq!(ins.get(i), c);
+        }
+    }
+    assert!(imp.memory_bytes() < st.memory_bytes(), "{what}");
 }
 
 #[cfg(test)]
