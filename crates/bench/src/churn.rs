@@ -27,8 +27,8 @@ use ftclos_core::churn::{availability, min_m_for_availability, ChurnEvent};
 use ftclos_obs::Noop;
 use ftclos_routing::ObliviousMultipath;
 use ftclos_sim::{
-    Arbiter, ChurnConfig, ChurnReport, ChurnSchedule, Policy, ReplanMode, SimConfig, SimError,
-    SimStats, Simulator, Workload,
+    Arbiter, ChurnConfig, ChurnReport, ChurnSchedule, EventSimulator, Policy, ReplanMode,
+    SimConfig, SimError, SimStats, Workload,
 };
 use ftclos_topo::{Ftree, Transition};
 use ftclos_traffic::patterns;
@@ -198,11 +198,7 @@ fn run_mode(
         epsilon: 0.1,
         recovery_window: 50,
     };
-    Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true)).try_run_churn_recorded(
-        &Workload::permutation(&perm, 0.7),
-        SEED,
-        schedule,
-        &churn,
-        &Noop,
-    )
+    let w = Workload::permutation(&perm, 0.7);
+    EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
+        .try_run_churn_recorded(&w, SEED, schedule, &churn, &Noop)
 }

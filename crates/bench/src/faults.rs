@@ -24,7 +24,7 @@ use ftclos_core::{
     DegradedVerdict,
 };
 use ftclos_routing::{ObliviousMultipath, YuanDeterministic};
-use ftclos_sim::{Arbiter, FaultSchedule, Policy, SimConfig, SimStats, Simulator, Workload};
+use ftclos_sim::{Arbiter, EventSimulator, FaultSchedule, Policy, SimConfig, SimStats, Workload};
 use ftclos_topo::{FaultSet, FaultyView, Ftree};
 use ftclos_traffic::patterns;
 
@@ -130,8 +130,9 @@ pub fn e17(ctx: &mut Ctx) -> RowResult {
     faults.kill_channel(400, ft2.up_channel(0, 0));
 
     let w = Workload::permutation(&perm, 0.6);
-    let run =
-        |policy| Simulator::new(ft2.topology(), cfg, policy).try_run_with_faults(&w, SEED, &faults);
+    let run = |policy| {
+        EventSimulator::new(ft2.topology(), cfg, policy).try_run_with_faults(&w, SEED, &faults)
+    };
 
     let mp = ObliviousMultipath::new(&ft2);
     let s_mp = run(Policy::from_multipath(&mp, true))?;

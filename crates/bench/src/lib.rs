@@ -19,7 +19,7 @@
 
 use ftclos_obs::{Recorder, Registry};
 use ftclos_routing::SinglePathRouter;
-use ftclos_sim::{Policy, SimConfig, SimError, Simulator, Workload};
+use ftclos_sim::{EventSimulator, Policy, SimConfig, SimError, Workload};
 use ftclos_topo::{ChannelId, Crossbar, Topology};
 use ftclos_traffic::SdPair;
 use rand::SeedableRng;
@@ -388,7 +388,7 @@ pub(crate) fn sim_cfg(warmup_cycles: u64, measure_cycles: u64) -> SimConfig {
     }
 }
 
-/// Accepted throughput of one cycle-engine run.
+/// Accepted throughput of one packet-simulator run.
 pub fn throughput(
     topo: &Topology,
     cfg: SimConfig,
@@ -396,7 +396,7 @@ pub fn throughput(
     workload: &Workload,
     seed: u64,
 ) -> Result<f64, SimError> {
-    Ok(Simulator::new(topo, cfg, policy)
+    Ok(EventSimulator::new(topo, cfg, policy)
         .try_run(workload, seed)?
         .accepted_throughput())
 }

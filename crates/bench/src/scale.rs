@@ -54,7 +54,6 @@ use ftclos_core::{
     CampaignConfig, CampaignProperty, ContentionEngine, ContentionScratch, FaultElement,
     ValleyRouter,
 };
-use ftclos_evsim::EventSimulator;
 use ftclos_flowsim::standard_suite;
 use ftclos_obs::Noop;
 use ftclos_routing::{
@@ -62,7 +61,7 @@ use ftclos_routing::{
     NonblockingAdaptive, PatternRouter, RouteAssignment, RoutingError, SModK, SinglePathRouter,
     YuanDeterministic, YuanRecursive,
 };
-use ftclos_sim::{FaultSchedule, Policy, Simulator, Workload};
+use ftclos_sim::{EventSimulator, FaultSchedule, Policy, Simulator, Workload};
 use ftclos_topo::{FaultSet, FaultyView, Ftree, RecursiveNonblocking, Topology};
 use ftclos_traffic::enumerate::TwoPairs;
 use ftclos_traffic::{patterns, Permutation, SdPair};

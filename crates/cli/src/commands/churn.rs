@@ -4,13 +4,13 @@
 //! exponential MTBF/MTTR, replay the trace through the exact availability
 //! checker, and simulate packet flow under the chosen re-planning mode.
 
-use super::common::{build_ftree, core_events, fabric};
+use super::common::{build_ftree, core_events, fabric, flapping_links};
 use crate::opts::{CliError, Opts};
 use ftclos_core::churn::{availability, min_m_for_availability};
 use ftclos_obs::{Recorder as _, Registry};
 use ftclos_routing::ObliviousMultipath;
 use ftclos_sim::{
-    Arbiter, ChurnConfig, ChurnSchedule, Policy, ReplanMode, SimConfig, Simulator, Workload,
+    Arbiter, ChurnConfig, ChurnSchedule, EventSimulator, Policy, ReplanMode, SimConfig, Workload,
 };
 use ftclos_topo::Ftree;
 use ftclos_traffic::patterns;
@@ -37,7 +37,7 @@ fn parse_mode(spec: &str) -> Result<ReplanMode, CliError> {
 /// Run the command.
 pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let ft = build_ftree(opts)?;
-    let links: usize = opts.flag_or("links", 1)?;
+    let links = flapping_links("links", opts.flag_or("links", 1)?, &ft)?;
     let mtbf: u64 = opts.flag_or("mtbf", 400)?;
     let mttr: u64 = opts.flag_or("mttr", 100)?;
     let cycles: u64 = opts.flag_or("cycles", 2_000)?;
@@ -45,10 +45,17 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let samples: usize = opts.flag_or("samples", 25)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
     let mode = parse_mode(opts.flag("mode").unwrap_or("hysteresis:50"))?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(CliError::Usage(format!(
-            "--rate {rate} must be within [0, 1]"
-        )));
+    // `--target` is checked here, before any work: the min-m search runs last.
+    let target: Option<f64> = opts
+        .flag("target")
+        .map(|_| opts.flag_or("target", 0.0))
+        .transpose()?;
+    for (flag, value) in [("rate", Some(rate)), ("target", target)] {
+        if let Some(v) = value.filter(|v| !(0.0..=1.0).contains(v)) {
+            return Err(CliError::Usage(format!(
+                "--{flag} {v} must be within [0, 1]"
+            )));
+        }
     }
 
     let schedule = ChurnSchedule::flapping_links(ft.topology(), links, mtbf, mttr, cycles, seed);
@@ -102,7 +109,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         recovery_window: 50,
     };
     let (stats, churn_report) =
-        Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
+        EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
             .try_run_churn_recorded(
                 &Workload::permutation(&perm, rate),
                 seed ^ 0xC0FFEE,
@@ -135,11 +142,8 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
 
     // Optional: minimum m meeting an availability target under this flap
     // model (trace regenerated per fabric — channel ids depend on m).
-    if let Some(raw) = opts.flag("target") {
+    if let Some(target) = target {
         let _s = rec.span("churn.min_m");
-        let target: f64 = raw
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--target got invalid value `{raw}`")))?;
         let max_m: usize = opts.flag_or("max-m", ft.m().max(ft.n() * ft.n()))?;
         let trace = |f: &Ftree| {
             core_events(&ChurnSchedule::flapping_links(
@@ -205,35 +209,44 @@ mod tests {
         assert!(out.contains("simulation"), "{out}");
         let snap = reg.snapshot();
         assert!(snap.spans.iter().any(|s| s.path == "churn.availability"));
-        assert!(snap.counter("sim.injected").unwrap_or(0) > 0);
+        assert!(snap.counter("evsim.injected").unwrap_or(0) > 0);
     }
 
     #[test]
     fn min_m_target_sweep() {
-        let out = run(
-            &argv(
-                "2 4 3 --links 1 --mtbf 200 --mttr 60 --cycles 400 --samples 10 \
-                 --seed 3 --target 0.5 --max-m 6",
-            ),
-            &Registry::new(),
-        )
-        .unwrap();
-        assert!(out.contains("min m for availability"), "{out}");
+        for target in ["0", "0.5", "1"] {
+            let out = run(
+                &argv(&format!(
+                    "2 4 3 --links 1 --mtbf 200 --mttr 60 --cycles 400 --samples 10 \
+                     --seed 3 --target {target} --max-m 6"
+                )),
+                &Registry::new(),
+            )
+            .unwrap();
+            assert!(out.contains("min m for availability"), "{out}");
+        }
     }
 
     #[test]
     fn bad_arguments_are_usage_errors() {
-        assert!(matches!(
-            run(&argv("2 4 3 --rate 1.5"), &Registry::new()),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&argv("2 4 3 --mode wild"), &Registry::new()),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&argv("2 4 3 --target zero"), &Registry::new()),
-            Err(CliError::Usage(_))
-        ));
+        for args in [
+            "--rate 1.5",
+            "--mode wild",
+            "--target zero",
+            "--target 2 --max-m 3",
+            "--target -0.1",
+            "--target nan",
+            "--target inf",
+            // ftree(2+4, 3) has 2·3 leaf cables and 4·3 uplink cables.
+            "--links 19",
+        ] {
+            assert!(
+                matches!(
+                    run(&argv(&format!("2 4 3 {args}")), &Registry::new()),
+                    Err(CliError::Usage(_))
+                ),
+                "{args}"
+            );
+        }
     }
 }

@@ -269,7 +269,7 @@ impl FaultFlags {
 /// `--churn-links K` cables failing and recovering with `--mtbf` / `--mttr`
 /// over `--churn-cycles`, drawn with `--seed`. `None` without `--churn-links`.
 pub(crate) fn churn_epochs(opts: &Opts, ft: &Ftree) -> Result<Option<Vec<FaultSet>>, CliError> {
-    let links: usize = opts.flag_or("churn-links", 0)?;
+    let links = flapping_links("churn-links", opts.flag_or("churn-links", 0)?, ft)?;
     let mtbf: u64 = opts.flag_or("mtbf", 400)?;
     let mttr: u64 = opts.flag_or("mttr", 100)?;
     let cycles: u64 = opts.flag_or("churn-cycles", 2_000)?;
@@ -282,6 +282,19 @@ pub(crate) fn churn_epochs(opts: &Opts, ft: &Ftree) -> Result<Option<Vec<FaultSe
         &core_events(&schedule),
         cycles,
     )))
+}
+
+/// `links`, the `--<flag>` count of flapping cables, if the fabric has that
+/// many: `ChurnSchedule::flapping_links` would quietly flap fewer.
+pub(crate) fn flapping_links(flag: &str, links: usize, ft: &Ftree) -> Result<usize, CliError> {
+    // Every ftree channel has a reverse: a cable is two channels.
+    let cables = ft.topology().num_channels() / 2;
+    if links > cables {
+        return Err(CliError::Usage(format!(
+            "--{flag} {links} exceeds the fabric's {cables} cables"
+        )));
+    }
+    Ok(links)
 }
 
 /// The simulator's churn schedule as the analyzer's event list.
@@ -407,5 +420,15 @@ mod tests {
         assert_eq!(churn_epochs(&opts(""), &ft), Ok(None));
         let epochs = churn_epochs(&opts("--churn-links 2 --churn-cycles 800"), &ft).unwrap();
         assert!(!epochs.unwrap().is_empty());
+        // ftree(2+4, 5) has 2·5 leaf cables and 4·5 uplink cables.
+        assert!(churn_epochs(&opts("--churn-links 30"), &ft)
+            .unwrap()
+            .is_some());
+        assert_eq!(
+            churn_epochs(&opts("--churn-links 31"), &ft),
+            Err(CliError::Usage(
+                "--churn-links 31 exceeds the fabric's 30 cables".to_string()
+            ))
+        );
     }
 }

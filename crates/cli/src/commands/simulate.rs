@@ -1,18 +1,20 @@
 //! `ftclos simulate <n> <m> <r> [--router R] [--pattern P] [--rate F]
-//! [--cycles N] [--arbiter hol|islip:K] [--engine cycle|event] [--seed S]
+//! [--cycles N] [--arbiter hol|islip:K] [--engine event|cycle] [--seed S]
 //! [--fail-uplinks K] [--fail-at C] [--json]` — packet-level run.
 //!
-//! `--engine event` runs the same workload on the event-driven core
-//! (`ftclos-evsim`) instead of the cycle-level sweep; the two engines are
-//! exact-replay equivalent, so the choice only affects speed at scale.
+//! The default engine is the event-driven one, which visits only components
+//! with pending work. `--engine cycle` runs the same workload on the dense
+//! cycle-level sweep, the oracle; the two are exact-replay equivalent, so
+//! the choice only affects speed (and the `evsim.*`/`sim.*` trace prefix).
 //! `--fail-uplinks K` kills the links through the first `K` uplinks of
 //! edge switch 0 at cycle `--fail-at` (default: half the warmed-up run).
 
 use super::common::{build_ftree, fabric, make_pattern, route_named, RouterName};
 use crate::opts::{CliError, Opts};
-use ftclos_evsim::EventSimulator;
 use ftclos_obs::{Recorder, Registry};
-use ftclos_sim::{Arbiter, FaultSchedule, Policy, SimConfig, SimStats, Simulator, Workload};
+use ftclos_sim::{
+    Arbiter, EventSimulator, FaultSchedule, Policy, SimConfig, SimStats, Simulator, Workload,
+};
 use ftclos_topo::Ftree;
 use std::fmt::Write as _;
 
@@ -42,18 +44,18 @@ pub(crate) const ROSTER: &[RouterName] = super::route::ROSTER;
 /// Which simulator core executes the run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Engine {
-    /// Cycle-level sweep (`ftclos-sim`) — the oracle.
-    Cycle,
-    /// Event-driven active-set engine (`ftclos-evsim`).
+    /// Event-driven active-set engine — the default.
     Event,
+    /// Dense cycle-level sweep — the oracle.
+    Cycle,
 }
 
 fn parse_engine(spec: &str) -> Result<Engine, CliError> {
     match spec {
-        "cycle" => Ok(Engine::Cycle),
         "event" => Ok(Engine::Event),
+        "cycle" => Ok(Engine::Cycle),
         other => Err(CliError::Usage(format!(
-            "unknown engine `{other}` (cycle | event)"
+            "unknown engine `{other}` (event | cycle)"
         ))),
     }
 }
@@ -66,7 +68,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let rate: f64 = opts.flag_or("rate", 1.0)?;
     let cycles: u64 = opts.flag_or("cycles", 2_000)?;
     let arbiter = parse_arbiter(opts.flag("arbiter").unwrap_or("hol"))?;
-    let engine = parse_engine(opts.flag("engine").unwrap_or("cycle"))?;
+    let engine = parse_engine(opts.flag("engine").unwrap_or("event"))?;
     let json: bool = opts.flag_or("json", false)?;
     let fail_uplinks: usize = opts.flag_or("fail-uplinks", 0)?;
     let fail_at: u64 = opts.flag_or("fail-at", cycles / 4 + cycles / 2)?;
@@ -102,12 +104,16 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let workload = Workload::permutation(&perm, rate);
     let stats =
         match engine {
-            Engine::Cycle => Simulator::new(ft.topology(), cfg, policy)
-                .try_run_with_faults_recorded(&workload, seed ^ 0xC0FFEE, &faults, rec),
             Engine::Event => EventSimulator::new(ft.topology(), cfg, policy)
+                .try_run_with_faults_recorded(&workload, seed ^ 0xC0FFEE, &faults, rec),
+            Engine::Cycle => Simulator::new(ft.topology(), cfg, policy)
                 .try_run_with_faults_recorded(&workload, seed ^ 0xC0FFEE, &faults, rec),
         }
         .map_err(|e| CliError::Failed(e.to_string()))?;
+    let (engine, engine_tag) = match engine {
+        Engine::Event => ("event", ", event engine"),
+        Engine::Cycle => ("cycle", ""),
+    };
 
     if json {
         return Ok(render_json(
@@ -122,10 +128,6 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         ));
     }
     let mut out = String::new();
-    let engine_tag = match engine {
-        Engine::Cycle => String::new(),
-        Engine::Event => ", event engine".to_string(),
-    };
     let _ = writeln!(
         out,
         "simulated `{spec}` at rate {rate} on {} with `{router}` ({arbiter:?}{engine_tag}):",
@@ -171,15 +173,11 @@ fn render_json(
     router: RouterName,
     pattern: &str,
     rate: f64,
-    engine: Engine,
+    engine: &str,
     fail_uplinks: usize,
     fail_at: u64,
     stats: &SimStats,
 ) -> String {
-    let engine = match engine {
-        Engine::Cycle => "cycle",
-        Engine::Event => "event",
-    };
     format!(
         concat!(
             "{{\"command\":\"simulate\",\"engine\":\"{engine}\",",
@@ -236,8 +234,8 @@ mod tests {
         .unwrap();
         assert!(out.contains("accepted throughput"));
         let snap = reg.snapshot();
-        assert!(snap.counter("sim.injected").unwrap_or(0) > 0);
-        assert!(snap.spans.iter().any(|s| s.path == "sim.run"), "{snap:?}");
+        assert!(snap.counter("evsim.injected").unwrap_or(0) > 0);
+        assert!(snap.spans.iter().any(|s| s.path == "evsim.run"), "{snap:?}");
     }
 
     #[test]
@@ -332,8 +330,8 @@ mod tests {
             matches!(&err, CliError::Usage(msg) if msg.contains("at least 1")),
             "{err:?}"
         );
-        assert_eq!(parse_engine("cycle").unwrap(), Engine::Cycle);
         assert_eq!(parse_engine("event").unwrap(), Engine::Event);
+        assert_eq!(parse_engine("cycle").unwrap(), Engine::Cycle);
         assert!(parse_engine("quantum").is_err());
     }
 }

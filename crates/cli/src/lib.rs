@@ -58,7 +58,7 @@ const COMMANDS: &[Command] = &[
     Command { name: "simulate", span: Some("cmd.simulate"), routers: simulate::ROSTER,
         run: simulate::run,
         usage: "ftclos simulate <n> <m> <r> [--router R] [--pattern P] [--rate F]
-                  [--cycles N] [--arbiter hol|islip:K] [--engine cycle|event]
+                  [--cycles N] [--arbiter hol|islip:K] [--engine event|cycle]
                   [--fail-uplinks K] [--fail-at C] [--seed S] [--json]" },
     Command { name: "blocking", span: Some("cmd.blocking"), routers: blocking::ROSTER,
         run: blocking::run,

@@ -2,7 +2,7 @@
 //! curves (the load-latency plots standard in interconnect evaluation).
 
 use crate::config::SimConfig;
-use crate::engine::Simulator;
+use crate::event::EventSimulator;
 use crate::policy::Policy;
 use crate::workload::Workload;
 use ftclos_topo::Topology;
@@ -35,7 +35,7 @@ pub fn sweep_injection_rates(
         .par_iter()
         .enumerate()
         .map(|(i, &rate)| {
-            let mut sim = Simulator::new(topo, cfg, make_policy());
+            let mut sim = EventSimulator::new(topo, cfg, make_policy());
             let stats = sim.run(&make_workload(rate), seed.wrapping_add(i as u64 * 7919));
             ThroughputPoint {
                 offered: rate,

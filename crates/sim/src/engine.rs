@@ -1,7 +1,9 @@
 //! The cycle engine: the kernel under the dense schedule.
 //!
-//! [`DenseSchedule`] is the reference the event-driven schedule in
-//! `ftclos-evsim` is differential-tested against. It keeps no memory of
+//! [`DenseSchedule`] is the reference the event-driven schedule
+//! ([`crate::EventSimulator`]) is differential-tested against, and runs only
+//! where an oracle is wanted: `--engine cycle`, the differential tests, the
+//! arbitration digests and E24's reference run. It keeps no memory of
 //! past activity — no active set, no wheel — and never skips a cycle: what
 //! it visits is read afresh every cycle from the topology and from the
 //! queues themselves, in ascending id order. Everything a visit *does* is
@@ -11,7 +13,7 @@
 //! sweep grants, and that skipped drain cycles were inert.
 
 use crate::error::SimError;
-use crate::kernel::{Kernel, Names, Run, Schedule};
+use crate::kernel::{metric_names, Kernel, Names, Run, Schedule};
 use crate::state::{QueueSet, SimArena};
 use ftclos_topo::{ChannelId, Topology};
 
@@ -38,7 +40,7 @@ fn nonempty(arena: &SimArena, set: QueueSet, out: &mut Vec<u32>) {
 }
 
 impl Schedule for DenseSchedule {
-    const NAMES: Names = crate::metric_names!("sim");
+    const NAMES: Names = metric_names!("sim");
 
     fn queues(&self, arena: &SimArena, out: &mut Vec<u32>) {
         nonempty(arena, QueueSet::Channel, out);

@@ -1,16 +1,18 @@
 //! The event-driven engine: the simulator kernel under the active
-//! schedule, touching only components with pending work.
+//! schedule, touching only components with pending work. Every production
+//! simulation runs it; the dense schedule ([`crate::Simulator`]) is its
+//! oracle.
 //!
 //! # Exactness contract
 //!
 //! [`EventSimulator`] is **bit-for-bit equivalent** to
-//! [`ftclos_sim::Simulator`]: for identical topology, configuration,
-//! policy, workload, seed, and fault schedule it produces an identical
-//! [`ftclos_sim::SimStats`] (every field, `channel_busy` included), an
-//! identical [`ftclos_sim::ChurnReport`], and identical [`SimError`]s. Both
-//! are one [`ftclos_sim::Kernel`] — the same phases, the same arena, the
-//! same RNG stream — so the speedup comes purely from *where work is looked
-//! for*, which is all an [`ActiveSchedule`] decides:
+//! [`crate::Simulator`]: for identical topology, configuration, policy,
+//! workload, seed, and fault schedule it produces an identical
+//! [`crate::SimStats`] (every field, `channel_busy` included), an identical
+//! [`crate::ChurnReport`], and identical [`SimError`]s. Both are one
+//! [`Kernel`] — the same phases, the same arena, the same RNG stream — so
+//! the speedup comes purely from *where work is looked for*, which is all an
+//! [`ActiveSchedule`] decides:
 //!
 //! * **Active sets** — only channels with queued packets and leaves with
 //!   queued injections are visited. The dense schedule's `O(channels)` sweep
@@ -38,15 +40,17 @@
 //! what makes it their oracle.
 
 use crate::active::ActiveSet;
+use crate::error::SimError;
+use crate::kernel::{metric_names, Kernel, Names, Run, Schedule};
+use crate::state::{QueueSet, SimArena};
 use crate::wheel::EventWheel;
 use ftclos_obs::Recorder;
-use ftclos_sim::{Kernel, Names, QueueSet, Run, Schedule, SimArena, SimError};
 use ftclos_topo::{ChannelId, NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Event-driven simulator over a [`Topology`] with a path
-/// [`ftclos_sim::Policy`]: every entry point of [`Kernel`], so callers
+/// [`crate::Policy`]: every entry point of [`Kernel`], so callers
 /// switch engines by switching the type and nothing else. Recorded runs use
 /// `evsim.*` names and add activity accounting (`evsim.executed_cycles`,
 /// `evsim.skipped_cycles`, `evsim.busy_component_cycles`,
@@ -91,7 +95,7 @@ fn output(request: u64) -> u32 {
 }
 
 impl Schedule for ActiveSchedule {
-    const NAMES: Names = ftclos_sim::metric_names!("evsim");
+    const NAMES: Names = metric_names!("evsim");
 
     fn queues(&self, _arena: &SimArena, out: &mut Vec<u32>) {
         out.extend(self.nonempty_q.iter());
@@ -286,12 +290,12 @@ impl Schedule for ActiveSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        Arbiter, ChurnConfig, ChurnSchedule, ConfigError, FaultSchedule, Policy, ReplanMode,
+        SimConfig, SimStats, Simulator, Workload,
+    };
     use ftclos_obs::Noop;
     use ftclos_routing::{DModK, ObliviousMultipath, YuanDeterministic};
-    use ftclos_sim::{
-        ChurnConfig, ChurnSchedule, FaultSchedule, Policy, ReplanMode, SimConfig, SimStats,
-        Simulator, Workload,
-    };
     use ftclos_topo::Ftree;
     use ftclos_traffic::patterns;
 
@@ -329,10 +333,7 @@ mod tests {
         let policy = Policy::from_single_path(&router);
         let perm = patterns::shift(10, 3);
         for rate in [0.2, 0.9] {
-            for arbiter in [
-                ftclos_sim::Arbiter::HolFifo,
-                ftclos_sim::Arbiter::Voq { iterations: 2 },
-            ] {
+            for arbiter in [Arbiter::HolFifo, Arbiter::Voq { iterations: 2 }] {
                 let config = SimConfig { arbiter, ..cfg() };
                 let stats = assert_engines_agree(
                     ft.topology(),
@@ -403,7 +404,7 @@ mod tests {
             retry: true,
             retry_limit: 10,
             drain: true,
-            arbiter: ftclos_sim::Arbiter::Voq { iterations: 2 },
+            arbiter: Arbiter::Voq { iterations: 2 },
             ..SimConfig::default()
         };
         let mut faults = FaultSchedule::new();
@@ -431,7 +432,7 @@ mod tests {
             measure_cycles: 2_000,
             ttl_cycles: 50,
             drain: true,
-            arbiter: ftclos_sim::Arbiter::Voq { iterations: 2 },
+            arbiter: Arbiter::Voq { iterations: 2 },
             ..SimConfig::default()
         };
         let mut schedule = ChurnSchedule::new();
@@ -592,7 +593,7 @@ mod tests {
         let ft = Ftree::new(2, 4, 5).unwrap();
         let policy = Policy::from_single_path(&YuanDeterministic::new(&ft).unwrap());
         let w = Workload::uniform_random(10, f64::NAN);
-        let nan = Err(SimError::Config(ftclos_sim::ConfigError::NanRate));
+        let nan = Err(SimError::Config(ConfigError::NanRate));
         assert_eq!(
             Simulator::new(ft.topology(), cfg(), policy.clone()).try_run(&w, 1),
             nan

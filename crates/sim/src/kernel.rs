@@ -10,16 +10,16 @@
 //! the stall watchdog. Accounting (`SimStats`, the recorder flushes, the
 //! churn report) and the `run`/`try_run*` entry points live here too.
 //!
-//! What differs between [`crate::Simulator`] and
-//! `ftclos_evsim::EventSimulator` is only *where work is looked for*, and
-//! that is the whole of the [`Schedule`] seam: which channel queues,
-//! injection slots and switches are visited this cycle, how head-of-line
-//! requests are collected (output sweep or worklist), what a queue push or
-//! pop is remembered as, and which cycle runs next. A schedule never decides
-//! what a visit does, so the two engines cannot drift apart in semantics —
-//! only a schedule that *skips* work it should have visited can break the
-//! replay contract, and that is what the dense schedule stays around to
-//! catch.
+//! What differs between [`crate::EventSimulator`], which every production
+//! simulation runs, and [`crate::Simulator`], its oracle, is only *where
+//! work is looked for*, and that is the whole of the crate-private
+//! [`Schedule`] seam: which channel queues, injection slots and switches are
+//! visited this cycle, how head-of-line requests are collected (output sweep
+//! or worklist), what a queue push or pop is remembered as, and which cycle
+//! runs next. A schedule never decides what a visit does, so the two
+//! engines cannot drift apart in semantics — only a schedule that *skips*
+//! work it should have visited can break the replay contract, and that is
+//! what the dense schedule stays around to catch.
 //!
 //! Page discipline: every probe that can meet an untouched entry goes
 //! through the read-only [`crate::PagedVec::get`]; `get_mut` is reached only
@@ -42,30 +42,29 @@ use rand_chacha::ChaCha8Rng;
 use std::marker::PhantomData;
 
 /// The span, counter and gauge names one schedule records under. Build it
-/// with [`crate::metric_names!`], so that `sim.<x>` and `evsim.<x>` are the
-/// same table under two prefixes.
+/// with [`metric_names!`], so that `sim.<x>` and `evsim.<x>` are the same
+/// table under two prefixes.
 #[derive(Debug)]
 pub struct Names {
     /// Span around the whole run.
-    pub run: &'static str,
+    pub(crate) run: &'static str,
     /// Counters for the monotonic totals, in this order: injected,
     /// delivered, timed out, retries, abandoned, refusals.
-    pub totals: [&'static str; 6],
+    pub(crate) totals: [&'static str; 6],
     /// Gauge: packets inside the network at the last flush.
-    pub in_flight: &'static str,
+    pub(crate) in_flight: &'static str,
     /// Counter: hysteresis re-planning events.
-    pub churn_replans: &'static str,
+    pub(crate) churn_replans: &'static str,
     /// Counter: the cycle the run ended at (drain and skipped cycles
     /// included).
-    pub cycles: &'static str,
+    pub(crate) cycles: &'static str,
     /// Gauge: channels resident in a materialised state page.
-    pub touched_channels: &'static str,
+    pub(crate) touched_channels: &'static str,
     /// Gauge: backing bytes of the state arena.
-    pub state_bytes: &'static str,
+    pub(crate) state_bytes: &'static str,
 }
 
 /// The [`Names`] table for one metric prefix: `metric_names!("sim")`.
-#[macro_export]
 macro_rules! metric_names {
     ($prefix:literal) => {
         $crate::kernel::Names {
@@ -86,11 +85,16 @@ macro_rules! metric_names {
         }
     };
 }
+pub(crate) use metric_names;
 
 /// Where the kernel looks for work. Every visit list is in ascending id
 /// order; a list may name components with nothing to do (the kernel probes
 /// before it touches) but must not omit one that has. The kernel hands each
 /// list method an empty buffer it reuses from cycle to cycle.
+///
+/// `pub` only so that [`Kernel`]'s bounds may name it: this module is
+/// private, so no other crate can name or implement a schedule (nor
+/// [`Run`] or [`Names`]).
 pub trait Schedule: Default {
     /// The names this schedule's runs record under.
     const NAMES: Names;
@@ -107,9 +111,9 @@ pub trait Schedule: Default {
 
     /// One cycle of head-of-line FIFO arbitration: for every switch output
     /// in ascending channel id that is free ([`Run::wire_free`] and
-    /// [`Run::credit`]), grant
-    /// ([`Run::grant_head`]) the first input queue, round-robin from the
-    /// output's pointer, whose head [`Run::head_wants`] it.
+    /// [`Run::credit`]), grant ([`Run::grant_head`]) the first input queue,
+    /// round-robin from the output's pointer, whose head
+    /// [`Run::head_wants`] it.
     ///
     /// # Errors
     /// Whatever the grants return.
@@ -147,10 +151,11 @@ pub trait Schedule: Default {
 }
 
 /// Packet-level simulator over a [`Topology`] with a path [`Policy`]: the
-/// kernel under schedule `S`. Use it through [`crate::Simulator`] (dense
-/// schedule) or `ftclos_evsim::EventSimulator` (active schedule); for
-/// identical inputs the two return identical [`SimStats`], [`ChurnReport`]s
-/// and [`SimError`]s.
+/// kernel under one of the crate's two schedules. Use it through
+/// [`crate::EventSimulator`] (active schedule, every production run) or
+/// [`crate::Simulator`] (dense schedule, the oracle); for identical inputs
+/// the two return identical [`SimStats`], [`ChurnReport`]s and
+/// [`SimError`]s.
 pub struct Kernel<'a, S> {
     topo: &'a Topology,
     cfg: SimConfig,
@@ -226,11 +231,12 @@ impl<'a, S: Schedule> Kernel<'a, S> {
     }
 
     /// [`Kernel::try_run_with_faults`] with instrumentation: the run
-    /// records under the schedule's [`Names`] (`sim.*` or `evsim.*`) — the
+    /// records under its schedule's prefix (`evsim.*` for
+    /// [`crate::EventSimulator`], `sim.*` for [`crate::Simulator`]) — the
     /// `run` span, the cumulative counters (`injected`, `delivered`,
     /// `timed_out`, `retries`, `abandoned`, `refusals`, `cycles`), the
-    /// `in_flight`, `touched_channels` and `state_bytes` gauges, whatever
-    /// [`Schedule::record_activity`] adds, and one recorder epoch per
+    /// `in_flight`, `touched_channels` and `state_bytes` gauges, the event
+    /// schedule's activity counters, and one recorder epoch per
     /// liveness-transition cycle plus a final `end` epoch — so per-epoch
     /// packet conservation is auditable from the trace alone. With
     /// [`Noop`] this is exactly `try_run_with_faults`.
@@ -301,18 +307,18 @@ impl<'a, S: Schedule> Kernel<'a, S> {
 
 /// The state of one run, handed to every phase of the cycle — and to
 /// [`Schedule::hol_arbitrate`], which is why a few fields and helpers are
-/// public. Treat it as engine-internal.
+/// visible to the crate's schedules.
 pub struct Run<'k, S> {
     /// The fabric.
-    pub topo: &'k Topology,
+    pub(crate) topo: &'k Topology,
     /// The run's configuration (already validated).
-    pub cfg: &'k SimConfig,
+    pub(crate) cfg: &'k SimConfig,
     /// Queues, arbiter pointers, wire deadlines, liveness.
-    pub arena: &'k mut SimArena,
+    pub(crate) arena: &'k mut SimArena,
     /// The schedule's own memory.
-    pub sched: S,
+    pub(crate) sched: S,
     /// The cycle being executed.
-    pub now: u64,
+    pub(crate) now: u64,
     policy: &'k mut Policy,
     rng: ChaCha8Rng,
     stats: SimStats,
@@ -780,7 +786,7 @@ impl<'k, S: Schedule> Run<'k, S> {
 
     /// Whether output channel `o`'s wire is idle and alive this cycle. It
     /// needs no channel record, so callers ask it before decoding one.
-    pub fn wire_free(&self, o: usize) -> bool {
+    pub(crate) fn wire_free(&self, o: usize) -> bool {
         *self.arena.busy_until.get(o) <= self.now && !*self.arena.dead.get(o)
     }
 
@@ -788,13 +794,13 @@ impl<'k, S: Schedule> Run<'k, S> {
     /// credit: it delivers into a leaf, or `dst`'s queue for it has room.
     /// Callers pass the `dst` of the channel record they read once per
     /// grant.
-    pub fn credit(&self, o: usize, dst: NodeId) -> bool {
+    pub(crate) fn credit(&self, o: usize, dst: NodeId) -> bool {
         self.topo.kind(dst).is_leaf()
             || self.arena.queues.get(QueueSet::Channel, o).len() < self.cfg.queue_capacity
     }
 
     /// Whether the head of channel queue `qi` is ready and wants output `o`.
-    pub fn head_wants(&self, qi: usize, o: ChannelId) -> bool {
+    pub(crate) fn head_wants(&self, qi: usize, o: ChannelId) -> bool {
         self.ready_for(self.arena.queues.get(QueueSet::Channel, qi), o)
     }
 
@@ -805,7 +811,7 @@ impl<'k, S: Schedule> Run<'k, S> {
 
     /// The channel `p` wants next, resolved through the policy's route
     /// table; `None` once its walk is done.
-    pub fn next_hop(&self, p: &Packet) -> Option<ChannelId> {
+    pub(crate) fn next_hop(&self, p: &Packet) -> Option<ChannelId> {
         self.policy.next_hop(p.row, p.hop)
     }
 
@@ -815,7 +821,7 @@ impl<'k, S: Schedule> Run<'k, S> {
     /// # Errors
     /// [`SimError::Invariant`] if the queue is empty or the move breaks a
     /// path invariant.
-    pub fn grant_head(
+    pub(crate) fn grant_head(
         &mut self,
         qi: usize,
         o: usize,

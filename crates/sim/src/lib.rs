@@ -3,9 +3,19 @@
 //! The paper's motivation rests on the observation (refs \[5\], \[7\]) that
 //! "nonblocking" fat-trees with distributed control deliver far less than
 //! crossbar throughput under permutation traffic. This crate reproduces that
-//! behaviour with a synchronous cycle-level model, implemented once in
-//! [`kernel`] and run either densely ([`Simulator`], every component every
-//! cycle) or, from `ftclos-evsim`, over the components with pending work:
+//! behaviour with a synchronous cycle-level model, implemented once (the
+//! [`Kernel`]) and run under one of two schedules:
+//!
+//! * [`EventSimulator`] visits only the components with pending work and
+//!   fast-forwards over inert drain cycles. Every production simulation —
+//!   `ftclos simulate`, `churn`, `deadlock --inject`, `campaign --confirm`,
+//!   [`sweep_injection_rates`] and the `repro` rows — runs it.
+//! * [`Simulator`] visits every component every cycle and remembers nothing
+//!   between cycles. It is the oracle the event schedule is
+//!   differential-tested against (`--engine cycle`).
+//!
+//! The two return identical statistics, churn reports and errors for
+//! identical inputs. The switch model they share:
 //!
 //! * input-queued switches with per-input FIFOs and round-robin output
 //!   arbitration (one packet per output channel per cycle),
@@ -26,7 +36,7 @@
 //! rearrangeable fat-tree with `d mod k` routing saturates well below.
 //!
 //! ```
-//! use ftclos_sim::{Policy, SimConfig, Simulator, Workload};
+//! use ftclos_sim::{EventSimulator, Policy, SimConfig, Workload};
 //! use ftclos_topo::Ftree;
 //! use ftclos_routing::{route_all, YuanDeterministic};
 //! use ftclos_traffic::patterns;
@@ -38,21 +48,24 @@
 //! let perm = patterns::random_full(10, &mut rng);
 //! let policy = Policy::from_assignment(&route_all(&router, &perm).unwrap());
 //! let cfg = SimConfig { warmup_cycles: 100, measure_cycles: 400, ..SimConfig::default() };
-//! let stats = Simulator::new(ft.topology(), cfg, policy)
+//! let stats = EventSimulator::new(ft.topology(), cfg, policy)
 //!     .run(&Workload::permutation(&perm, 0.9), 42);
 //! assert!(stats.accepted_throughput() > 0.85); // nonblocking ≈ line rate
 //! ```
 
+mod active;
 pub mod batch;
 pub mod churn;
 pub mod config;
-pub mod engine;
+mod engine;
 pub mod error;
+mod event;
 pub mod fault;
-pub mod kernel;
+mod kernel;
 pub mod policy;
 pub mod state;
 pub mod stats;
+mod wheel;
 pub mod witness;
 pub mod workload;
 
@@ -61,10 +74,11 @@ pub use churn::{ChurnConfig, ChurnReport, EpochStats, ReplanMode};
 pub use config::{Arbiter, SimConfig};
 pub use engine::Simulator;
 pub use error::{ConfigError, SimError, StallReport};
+pub use event::EventSimulator;
 pub use fault::{ChurnSchedule, FaultEvent, FaultSchedule};
-pub use kernel::{Kernel, Names, Run, Schedule};
+pub use kernel::Kernel;
 pub use policy::Policy;
-pub use state::{PagedVec, QueueSet, SimArena};
+pub use state::{PagedVec, SimArena};
 pub use stats::{ChannelBusy, SimStats, UtilizationHistogram};
 pub use witness::{run_pinned_injection_watchdog_recorded, PinnedRoute, WitnessRun};
 pub use workload::Workload;

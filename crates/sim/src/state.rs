@@ -19,7 +19,7 @@
 //! into a freelist on reset, amortizing allocation across batch sweeps,
 //! fault campaigns, and churn replays instead of rebuilding per run.
 //!
-//! The packet FIFOs ([`Queues`]) are paged 12-byte headers — first slot,
+//! The packet FIFOs (`Queues`) are paged 12-byte headers — first slot,
 //! last slot, length — over one packet slab shared by the channel queues
 //! and the injection queues. A queue owns no heap of its own: a lightly
 //! loaded fabric with a packet in each of half a million queues holds half a
@@ -41,7 +41,7 @@ pub const PAGE_LEN: usize = 1 << PAGE_SHIFT;
 
 /// One in-flight packet.
 #[derive(Clone, Copy, Debug)]
-pub struct Packet {
+pub(crate) struct Packet {
     /// Source leaf id.
     pub src: u32,
     /// Destination leaf id.
@@ -232,7 +232,7 @@ const _: () = assert!(std::mem::size_of::<Node>() == 56);
 
 /// The two queue sets of [`Queues`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueSet {
+pub(crate) enum QueueSet {
     /// Per-channel queue of packets that crossed it, waiting at its dst.
     Channel,
     /// Per-leaf-slot queue of injected packets awaiting their uplink.
@@ -253,7 +253,7 @@ pub(crate) struct Held(u32);
 /// FIFO order within a queue and ascending index order across queues, so
 /// they never depend on which slab slots the packets happen to occupy.
 #[derive(Clone, Debug)]
-pub struct Queues {
+pub(crate) struct Queues {
     channel: PagedVec<QueueEnds>,
     inject: PagedVec<QueueEnds>,
     slab: Vec<Node>,
@@ -274,7 +274,7 @@ impl Default for Queues {
 
 /// A read-only view of one queue.
 #[derive(Clone, Copy, Debug)]
-pub struct Fifo<'a> {
+pub(crate) struct Fifo<'a> {
     ends: QueueEnds,
     slab: &'a [Node],
 }
@@ -489,8 +489,9 @@ impl Queues {
 
 /// The mutable per-run state of a simulator, with lazy paged backing.
 ///
-/// Fields are public because the kernel and its schedules borrow them
-/// disjointly; treat the layout as engine-internal.
+/// Its fields are the kernel's and its schedules' (they borrow them
+/// disjointly); from outside the crate an arena is only created, reused and
+/// measured.
 /// `prepare` resets all arrays for a run over a fabric with the given
 /// shape; pages retired by the reset are reused, so repeated runs through
 /// one arena (batch sweeps, campaign confirms, churn replays) stop paying
@@ -498,15 +499,15 @@ impl Queues {
 #[derive(Clone, Debug, Default)]
 pub struct SimArena {
     /// The channel and injection FIFOs over one packet slab.
-    pub queues: Queues,
+    pub(crate) queues: Queues,
     /// Round-robin grant pointer per output channel (arbiter state).
-    pub rr: PagedVec<u32>,
+    pub(crate) rr: PagedVec<u32>,
     /// iSLIP accept pointer per input channel.
-    pub accept_ptr: PagedVec<u32>,
+    pub(crate) accept_ptr: PagedVec<u32>,
     /// Multi-flit serialization: a channel is busy until this cycle.
-    pub busy_until: PagedVec<u64>,
+    pub(crate) busy_until: PagedVec<u64>,
     /// Channels killed by fault events grant no further packets.
-    pub dead: PagedVec<bool>,
+    pub(crate) dead: PagedVec<bool>,
     /// When set, every `prepare` materializes all pages up front — the
     /// historical dense layout, kept for sparse-vs-dense differentials.
     prefill_on_prepare: bool,

@@ -14,18 +14,13 @@ use std::collections::BinaryHeap;
 
 /// Min-heap of wake-up cycles (see module docs).
 #[derive(Debug, Default)]
-pub struct EventWheel {
+pub(crate) struct EventWheel {
     heap: BinaryHeap<Reverse<u64>>,
 }
 
 impl EventWheel {
-    /// An empty wheel.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Schedule a wake-up at `cycle`. Duplicates are fine.
-    pub fn push(&mut self, cycle: u64) {
+    pub(crate) fn push(&mut self, cycle: u64) {
         self.heap.push(Reverse(cycle));
     }
 
@@ -41,25 +36,26 @@ impl EventWheel {
         }
         None
     }
-
-    /// Entries currently queued (stale ones included until discarded).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the wheel holds no entries at all.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl EventWheel {
+        /// Entries currently queued (stale ones included until discarded).
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut w = EventWheel::new();
+        let mut w = EventWheel::default();
         for t in [9, 3, 7, 3, 100] {
             w.push(t);
         }
@@ -74,7 +70,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_consume_live_entries() {
-        let mut w = EventWheel::new();
+        let mut w = EventWheel::default();
         w.push(5);
         assert_eq!(w.next_at_or_after(5), Some(5));
         assert_eq!(w.next_at_or_after(5), Some(5));
@@ -83,7 +79,7 @@ mod tests {
 
     #[test]
     fn empty_wheel_reports_none() {
-        let mut w = EventWheel::new();
+        let mut w = EventWheel::default();
         assert_eq!(w.next_at_or_after(0), None);
         assert!(w.is_empty());
         assert_eq!(w.len(), 0);

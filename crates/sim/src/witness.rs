@@ -24,7 +24,7 @@
 //! (`ftclos deadlock --inject`).
 
 use crate::config::Arbiter;
-use crate::{FaultSchedule, Policy, SimConfig, SimError, SimStats, Simulator, Workload};
+use crate::{EventSimulator, FaultSchedule, Policy, SimConfig, SimError, SimStats, Workload};
 use ftclos_obs::Recorder;
 use ftclos_topo::{ChannelId, Topology};
 use std::collections::HashSet;
@@ -77,9 +77,11 @@ impl WitnessRun {
 /// from every pinned source for `cycles` cycles under `queue_capacity`
 /// credits per queue, then drain. Duplicate sources keep their *first*
 /// route (each leaf has one injection stream); `queue_capacity` should be
-/// small (2–4) so the circular wait fills quickly. The run records under
-/// the engine's `sim.run` span and counters (see
-/// `Simulator::try_run_with_faults_recorded`).
+/// small (2–4) so the circular wait fills quickly. It runs on the
+/// [`EventSimulator`] and records under its `evsim.run` span and `evsim.*`
+/// counters (see [`crate::Kernel::try_run_with_faults_recorded`]): a wedged
+/// drain is fast-forwarded, and `evsim.skipped_cycles` counts the cycles it
+/// jumped.
 ///
 /// A nonzero `watchdog` arms the bounded-progress stall watchdog: instead
 /// of letting a wedged run spin through the drain phase to the cycle cap
@@ -122,7 +124,7 @@ pub fn run_pinned_injection_watchdog_recorded<R: Recorder>(
         stall_watchdog: watchdog,
         ..SimConfig::default()
     };
-    let stats = Simulator::new(topo, cfg, policy).try_run_with_faults_recorded(
+    let stats = EventSimulator::new(topo, cfg, policy).try_run_with_faults_recorded(
         &workload,
         seed,
         &FaultSchedule::new(),
@@ -241,7 +243,7 @@ mod tests {
             &reg,
         )
         .unwrap_err();
-        assert_eq!(reg.snapshot().counter("sim.cycles"), Some(report.cycle));
+        assert_eq!(reg.snapshot().counter("evsim.cycles"), Some(report.cycle));
         assert_eq!(SimError::Stalled(report), err2);
     }
 

@@ -10,8 +10,8 @@
 //! | [`traffic`] | `ftclos-traffic` | SD pairs, validated permutations, structured/random/adversarial patterns, exhaustive enumerators |
 //! | [`routing`] | `ftclos-routing` | Theorem 3 deterministic routing, `d mod k`, oblivious multipath, NONBLOCKINGADAPTIVE (Fig. 4), greedy local adaptive, centralized edge-coloring |
 //! | [`core`] | `ftclos-core` | Lemma 1 audits, blocking search, Lemma 2 solvers, bundled nonblocking fabrics, Table I designs |
-//! | [`sim`] | `ftclos-sim` | cycle-level VOQ packet simulator with pluggable path policies |
-//! | [`evsim`] | `ftclos-evsim` | event-driven simulator core for 100k+ host fabrics: activity tracking, event wheel, exact replay of the cycle engine |
+//! | [`sim`] | `ftclos-sim` | cycle-level VOQ packet simulator with pluggable path policies: the event-driven schedule every run uses (`EventSimulator`, 100k+ host fabrics) and the dense one, its oracle (`Simulator`) |
+//! | [`evsim`] | `ftclos-evsim` | `EventSimulator`, re-exported from `ftclos-sim` under its old crate name |
 //! | [`flowsim`] | `ftclos-flowsim` | deterministic max-min fair fluid flow-rate simulator (water-filling) for delivered throughput at datacenter scale |
 //! | [`analysis`] | `ftclos-analysis` | closed-form bounds, recurrences, power-law fits, cost models |
 //! | [`obs`] | `ftclos-obs` | zero-dep observability: span timers, counters/gauges/histograms, epoch snapshots, trace JSON + folded stacks |

@@ -185,35 +185,76 @@ fn simulate_event_faulted_json_is_stable() {
     );
 }
 
-/// The simulate command's trace: sim counters must conserve packets
-/// (injected = delivered + abandoned + in-flight) in the final state.
+/// `simulate` runs the event engine by default: its report, text and
+/// JSON, is the `--engine event` one byte for byte.
 #[test]
-fn simulate_trace_counters_conserve() {
-    let trace = std::env::temp_dir().join("ftclos_golden_sim_trace.json");
-    cli(&format!(
-        "simulate 2 4 5 --pattern shift:3 --rate 0.8 --cycles 400 --trace {}",
-        trace.display()
-    ));
+fn simulate_defaults_to_the_event_engine() {
+    let args = "simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5";
+    for json in ["", " --json"] {
+        assert_eq!(
+            cli(&format!("{args}{json}")),
+            cli(&format!("{args}{json} --engine event")),
+            "default `{args}{json}`"
+        );
+    }
+}
+
+/// The `--trace` JSON of one CLI invocation, parsed, and its text.
+fn traced(args: &str, file: &str) -> (Json, String) {
+    let trace = std::env::temp_dir().join(file);
+    cli(&format!("{args} --trace {}", trace.display()));
     let text = std::fs::read_to_string(&trace).expect("trace written");
     let _ = std::fs::remove_file(&trace);
-    let doc = Json::parse(&text).expect("trace parses");
-    let counter = |name: &str| {
-        doc.get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
+    (Json::parse(&text).expect("trace parses"), text)
+}
+
+/// A counter of a parsed trace, 0 when absent.
+fn trace_counter(doc: &Json, name: &str) -> u64 {
+    doc.get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_u64)
+        .unwrap_or(0)
+}
+
+/// The simulate command's trace: the default (event) engine's counters
+/// must conserve packets (injected = delivered + abandoned + in-flight) in
+/// the final state.
+#[test]
+fn simulate_trace_counters_conserve() {
+    let (doc, text) = traced(
+        "simulate 2 4 5 --pattern shift:3 --rate 0.8 --cycles 400",
+        "ftclos_golden_sim_trace.json",
+    );
+    let counter = |name: &str| trace_counter(&doc, name);
     let in_flight = doc
         .get("gauges")
-        .and_then(|g| g.get("sim.in_flight"))
+        .and_then(|g| g.get("evsim.in_flight"))
         .and_then(Json::as_u64)
         .unwrap_or(0);
-    let injected = counter("sim.injected");
+    let injected = counter("evsim.injected");
     assert!(injected > 0, "trace recorded injections: {text}");
     assert_eq!(
         injected,
-        counter("sim.delivered") + counter("sim.abandoned") + in_flight,
+        counter("evsim.delivered") + counter("evsim.abandoned") + in_flight,
         "conservation over the final flush: {text}"
+    );
+}
+
+/// `deadlock --inject` replays its witness on the event engine: the wedged
+/// drain (no watchdog, so it lasts to the drain cap) is fast-forwarded,
+/// not swept cycle by cycle.
+#[test]
+fn deadlock_injection_fast_forwards_the_wedged_drain() {
+    let (doc, text) = traced(
+        "deadlock 1 1 4 --router valley --inject",
+        "ftclos_golden_deadlock_inject_trace.json",
+    );
+    let skipped = trace_counter(&doc, "evsim.skipped_cycles");
+    let executed = trace_counter(&doc, "evsim.executed_cycles");
+    assert!(skipped > 0, "the wedged drain skips cycles: {text}");
+    assert!(
+        skipped > 100 * executed,
+        "most of the drain is skipped: {skipped} skipped, {executed} executed"
     );
 }
 
