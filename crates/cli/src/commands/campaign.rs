@@ -29,21 +29,22 @@
 //! resumed campaign is byte-identical to an uninterrupted one.
 
 use super::common::RouterName::{self, DModK, SModK, Valley, Yuan};
-use super::common::{build_ftree, fabric, SinglePath};
+use super::common::{build_ftree, fabric, fabric_json, flapping_links, SinglePath};
 use super::deadlock::witness_routes;
+use super::{Report, Reported};
 use crate::opts::{CliError, Opts};
 use ftclos_core::campaign::DeadlockFreedom;
 use ftclos_core::campaign::{
     cable_universe, certify_exhaustive_with, run_randomized_with, top_switch_universe,
     AdaptiveRoutability, ArenaRoutability, CampaignConfig, CampaignError, CampaignProperty,
-    CampaignReport, Certificate, FaultElement, FaultVector, NonblockingMargin,
+    CampaignReport, Certificate, FaultElement, FaultVector, Judgement, Killer, NonblockingMargin,
 };
 use ftclos_core::cdg::cdg_of_masked_router_with;
-use ftclos_obs::json::quote;
-use ftclos_obs::{Recorder as _, Registry};
+use ftclos_obs::json::Json;
+use ftclos_obs::{obj, Recorder as _, Registry};
 use ftclos_sim::{run_pinned_injection_watchdog_recorded, SimError, StallReport};
 use ftclos_topo::{FaultyView, Ftree};
-use std::fmt::Write as _;
+use std::fmt;
 
 /// Properties a campaign can attack.
 const PROPERTIES: &[&str] = &["routability", "deterministic", "nonblocking", "deadlock"];
@@ -52,8 +53,34 @@ const PROPERTIES: &[&str] = &["routability", "deterministic", "nonblocking", "de
 /// `deadlock` attack the chosen one.
 pub(crate) const ROSTER: &[RouterName] = &[DModK, Yuan, SModK, Valley];
 
+/// How `--confirm` replays a witness: `--confirm-cycles`, `--watchdog`,
+/// `--queue-capacity` and `--seed`.
+struct Replay {
+    cycles: u64,
+    watchdog: u64,
+    queue_capacity: usize,
+    seed: u64,
+}
+
+/// What `campaign --mode exhaustive` reports: the k-fault-tolerance
+/// certificate, or the lexicographically-first killer.
+struct ExhaustiveReport {
+    ft: Ftree,
+    cert: Certificate,
+}
+
+/// What `campaign --mode random` reports: the pristine baseline, every
+/// killer with its minimal core, the criticality ranking, and the
+/// `--confirm` replay.
+struct RandomReport {
+    ft: Ftree,
+    baseline: Judgement,
+    report: CampaignReport,
+    confirmation: Option<Confirmation>,
+}
+
 /// Run the command.
-pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
+pub fn run(opts: &Opts, rec: &Registry) -> Reported {
     let ft = build_ftree(opts)?;
     let property_name: String = opts.flag_or("property", "routability".to_string())?;
     let mode: String = opts.flag_or("mode", "random".to_string())?;
@@ -67,14 +94,16 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let router_name = RouterName::flag(opts, ROSTER)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
     let do_shrink: bool = opts.flag_or("shrink", false)?;
-    let json: bool = opts.flag_or("json", false)?;
     let checkpoint: Option<String> = opts.flag("checkpoint").map(str::to_string);
     let resume: bool = opts.flag_or("resume", false)?;
     let halt_after: usize = opts.flag_or("halt-after", 0)?;
     let confirm: bool = opts.flag_or("confirm", false)?;
-    let confirm_cycles: u64 = opts.flag_or("confirm-cycles", 200)?;
-    let watchdog: u64 = opts.flag_or("watchdog", 64)?;
-    let queue_capacity: usize = opts.flag_or("queue-capacity", 2)?;
+    let replay = Replay {
+        cycles: opts.flag_or("confirm-cycles", 200)?,
+        watchdog: opts.flag_or("watchdog", 64)?,
+        queue_capacity: opts.flag_or("queue-capacity", 2)?,
+        seed,
+    };
 
     if !PROPERTIES.contains(&property_name.as_str()) {
         return Err(CliError::Usage(format!(
@@ -85,6 +114,16 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         return Err(CliError::Usage(
             "--confirm needs --property deadlock (it replays a CDG witness cycle)".to_string(),
         ));
+    }
+    if mode == "random" {
+        // A set draws from the fabric's cables and top switches.
+        flapping_links("links", links_per_set, &ft)?;
+        if switches_per_set > ft.m() {
+            return Err(CliError::Usage(format!(
+                "--switches {switches_per_set} exceeds the {} top switches",
+                ft.m()
+            )));
+        }
     }
 
     // Own the router + property for the duration of the run; `property`
@@ -121,11 +160,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             let elems = exhaustive_universe(&ft, &universe)?;
             let cert = certify_exhaustive_with(property, &elems, k, rec);
             rec.gauge("campaign.certified", u64::from(cert.certified()));
-            Ok(if json {
-                certificate_json(&ft, &cert)
-            } else {
-                certificate_text(&ft, &cert)
-            })
+            Ok(Box::new(ExhaustiveReport { cert, ft }))
         }
         "random" => {
             let links = cable_universe(topo);
@@ -171,27 +206,24 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             )
             .map_err(|e| CliError::Failed(e.to_string()))?;
             let confirmation = if confirm {
+                let target = confirm_target(&baseline, &report)?;
                 Some(run_confirm(
                     &ft,
                     router_name,
                     &router,
-                    &baseline,
-                    &report,
-                    confirm_cycles,
-                    watchdog,
-                    queue_capacity,
-                    seed,
+                    target,
+                    &replay,
                     rec,
                 )?)
             } else {
                 None
             };
-            let confirmation = confirmation.as_ref();
-            Ok(if json {
-                report_json(&ft, &baseline, &report, confirmation)
-            } else {
-                report_text(&ft, &baseline, &report, confirmation)
-            })
+            Ok(Box::new(RandomReport {
+                baseline,
+                report,
+                confirmation,
+                ft,
+            }))
         }
         other => Err(CliError::Usage(format!(
             "unknown mode `{other}` (random or exhaustive)"
@@ -226,38 +258,33 @@ struct Confirmation {
     outcome: Result<StallReport, String>,
 }
 
+/// The `--confirm` target: the first (deterministic) minimal killer, or
+/// the empty set when the pristine baseline is already cyclic.
+fn confirm_target(baseline: &Judgement, report: &CampaignReport) -> Result<FaultVector, CliError> {
+    if !baseline.holds {
+        return Ok(FaultVector::default());
+    }
+    match report.killers.first() {
+        Some(k) => Ok(k.minimal.clone().unwrap_or_else(|| k.faults.clone())),
+        None => Err(CliError::Failed(
+            "--confirm found nothing to replay: baseline holds and the campaign \
+             produced no killer"
+                .to_string(),
+        )),
+    }
+}
+
 /// Dynamically confirm a statically-cyclic minimal killer: rebuild the
-/// masked CDG under the killer, attribute its witness cycle to pinned
+/// masked CDG under `target`, attribute its witness cycle to pinned
 /// routes, and drive them into the simulator under the stall watchdog.
-#[allow(clippy::too_many_arguments)]
 fn run_confirm(
     ft: &Ftree,
     router_name: RouterName,
     router: &SinglePath,
-    baseline: &ftclos_core::campaign::Judgement,
-    report: &CampaignReport,
-    cycles: u64,
-    watchdog: u64,
-    queue_capacity: usize,
-    seed: u64,
+    target: FaultVector,
+    replay: &Replay,
     rec: &Registry,
 ) -> Result<Confirmation, CliError> {
-    // The confirmation target: the first (deterministic) minimal killer,
-    // or the empty set when the pristine baseline is already cyclic.
-    let target = if !baseline.holds {
-        FaultVector::default()
-    } else {
-        match report.killers.first() {
-            Some(k) => k.minimal.clone().unwrap_or_else(|| k.faults.clone()),
-            None => {
-                return Err(CliError::Failed(
-                    "--confirm found nothing to replay: baseline holds and the campaign \
-                     produced no killer"
-                        .to_string(),
-                ))
-            }
-        }
-    };
     let _s = rec.span("campaign.confirm");
     let topo = ft.topology();
     let fs = target.to_fault_set(topo);
@@ -278,17 +305,17 @@ fn run_confirm(
     let outcome = match run_pinned_injection_watchdog_recorded(
         topo,
         &routes,
-        cycles,
-        queue_capacity,
-        watchdog,
-        seed,
+        replay.cycles,
+        replay.queue_capacity,
+        replay.watchdog,
+        replay.seed,
         rec,
     ) {
         Err(SimError::Stalled(stall)) => Ok(stall),
         Err(e) => Err(format!("simulation failed: {e}")),
         Ok(run) => Err(format!(
-            "no stall within {cycles} cycles ({} delivered of {})",
-            run.stats.delivered_total, run.stats.injected_total
+            "no stall within {} cycles ({} delivered of {})",
+            replay.cycles, run.stats.delivered_total, run.stats.injected_total
         )),
     };
     Ok(Confirmation {
@@ -299,301 +326,201 @@ fn run_confirm(
     })
 }
 
-fn certificate_text(ft: &Ftree, cert: &Certificate) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "fault campaign on {}: property {}",
-        fabric(ft),
-        cert.property
-    );
-    let _ = writeln!(
-        out,
-        "mode: exhaustive, k = {} over a {}-element universe ({} fault sets)",
-        cert.k, cert.universe_size, cert.sets_total
-    );
-    match &cert.killer {
-        None => {
-            let _ = writeln!(
-                out,
-                "CERTIFIED: tolerant to every fault set of size <= {}",
-                cert.tolerant_up_to
-            );
-        }
-        Some(killer) if killer.faults.is_empty() => {
-            let _ = writeln!(out, "BASELINE VIOLATED: {}", killer.detail);
-        }
-        Some(killer) => {
-            let _ = writeln!(
-                out,
-                "KILLER at size {}: {} — {}",
-                killer.faults.len(),
-                killer.faults,
-                killer.detail
-            );
-            let _ = writeln!(
-                out,
-                "tolerant to every fault set of size <= {}",
-                cert.tolerant_up_to
-            );
+impl fmt::Display for ExhaustiveReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let cert = &self.cert;
+        let (fabric, property) = (fabric(&self.ft), &cert.property);
+        writeln!(f, "fault campaign on {fabric}: property {property}")?;
+        let (k, size, sets) = (cert.k, cert.universe_size, cert.sets_total);
+        writeln!(
+            f,
+            "mode: exhaustive, k = {k} over a {size}-element universe ({sets} fault sets)"
+        )?;
+        let tolerant = format!(
+            "tolerant to every fault set of size <= {}",
+            cert.tolerant_up_to
+        );
+        match &cert.killer {
+            None => writeln!(f, "CERTIFIED: {tolerant}"),
+            Some(killer) if killer.faults.is_empty() => {
+                writeln!(f, "BASELINE VIOLATED: {}", killer.detail)
+            }
+            Some(Killer { faults, detail }) => {
+                writeln!(f, "KILLER at size {}: {faults} — {detail}", faults.len())?;
+                writeln!(f, "{tolerant}")
+            }
         }
     }
-    out
 }
 
-fn certificate_json(ft: &Ftree, cert: &Certificate) -> String {
-    let killer = match &cert.killer {
-        None => "null".to_string(),
-        Some(k) => format!(
-            "{{\"faults\":\"{}\",\"size\":{},\"detail\":{}}}",
-            k.faults,
-            k.faults.len(),
-            quote(&k.detail)
-        ),
-    };
-    format!(
-        "{{\"fabric\":{{\"n\":{},\"m\":{},\"r\":{}}},\"property\":\"{}\",\
-         \"mode\":\"exhaustive\",\"k\":{},\"universe_size\":{},\"sets_total\":{},\
-         \"certified\":{},\"tolerant_up_to\":{},\"killer\":{}}}",
-        ft.n(),
-        ft.m(),
-        ft.r(),
-        cert.property,
-        cert.k,
-        cert.universe_size,
-        cert.sets_total,
-        cert.certified(),
-        cert.tolerant_up_to,
-        killer
-    )
+impl Report for ExhaustiveReport {
+    fn json(&self) -> Json {
+        let cert = &self.cert;
+        let killer = cert.killer.as_ref().map(|k| {
+            obj! {
+                "faults" => k.faults.to_string(), "size" => k.faults.len(),
+                "detail" => k.detail.as_str(),
+            }
+        });
+        obj! {
+            "fabric" => fabric_json(&self.ft), "property" => cert.property.as_str(),
+            "mode" => "exhaustive", "k" => cert.k, "universe_size" => cert.universe_size,
+            "sets_total" => cert.sets_total,
+            "certified" => cert.certified(), "tolerant_up_to" => cert.tolerant_up_to,
+            "killer" => killer,
+        }
+    }
 }
 
 /// Killers listed in full up to this many lines; the rest is summarized.
 const MAX_KILLER_LINES: usize = 16;
 
-fn report_text(
-    ft: &Ftree,
-    baseline: &ftclos_core::campaign::Judgement,
-    report: &CampaignReport,
-    confirmation: Option<&Confirmation>,
-) -> String {
-    let cfg = &report.config;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "fault campaign on {}: property {}",
-        fabric(ft),
-        report.property
-    );
-    let _ = writeln!(
-        out,
-        "baseline: {} — {}",
-        if baseline.holds { "holds" } else { "VIOLATED" },
-        baseline.detail
-    );
-    let _ = writeln!(
-        out,
-        "mode: random, {} wave(s) x {} set(s) ({} link + {} switch faults per set), seed {}",
-        report.waves_done, cfg.wave_size, cfg.links_per_set, cfg.switches_per_set, cfg.seed
-    );
-    let _ = writeln!(out, "property evaluations: {}", report.sets_evaluated);
-    let drawn = report.waves_done * cfg.wave_size;
-    let _ = writeln!(
-        out,
-        "killers: {} of {} drawn set(s)",
-        report.killers.len(),
-        drawn
-    );
-    for k in report.killers.iter().take(MAX_KILLER_LINES) {
-        let _ = writeln!(
-            out,
-            "  wave {} set {}: {} — {}",
-            k.wave, k.index, k.faults, k.detail
-        );
-        if let Some(minimal) = &k.minimal {
-            let _ = writeln!(out, "    minimal: {} ({} eval(s))", minimal, k.shrink_evals);
-        }
-    }
-    if report.killers.len() > MAX_KILLER_LINES {
-        let _ = writeln!(
-            out,
-            "  ... and {} more",
-            report.killers.len() - MAX_KILLER_LINES
-        );
-    }
-    if !report.killers.is_empty() {
-        let crit = report.criticality();
-        let _ = writeln!(
-            out,
-            "criticality ({} distinct minimal killer(s)):",
-            crit.minimal_killers
-        );
-        for (c, count) in &crit.links {
-            let _ = writeln!(out, "  link   L{:<6} x {count}", c.0);
-        }
-        for (n, count) in &crit.switches {
-            let _ = writeln!(out, "  switch S{:<6} x {count}", n.0);
-        }
-    }
-    if let Some(c) = confirmation {
-        let _ = writeln!(
-            out,
-            "confirm: killer {} -> {}-channel witness cycle -> {} pinned route(s)",
-            c.target, c.witness_len, c.routes
-        );
-        match &c.outcome {
-            Ok(stall) => {
-                let _ = writeln!(
-                    out,
-                    "  STALLED at cycle {}: {} in flight, {} strand(s), {} stranded packet(s)",
-                    stall.cycle,
-                    stall.in_flight,
-                    stall.strands.len(),
-                    stall.stranded_packets()
-                );
-                let cycle: Vec<String> = stall
-                    .wait_cycle
-                    .iter()
-                    .map(|c| format!("L{}", c.0))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "  wait-for cycle: {}",
-                    if cycle.is_empty() {
-                        "none (acyclic stall)".to_string()
-                    } else {
-                        cycle.join(" -> ")
-                    }
-                );
-                for s in &stall.strands {
-                    let _ = writeln!(
-                        out,
-                        "    packet {}->{} holds {} waits for L{} ({} queued)",
-                        s.src,
-                        s.dst,
-                        match s.holds {
-                            Some(c) => format!("L{}", c.0),
-                            None => "injection queue".to_string(),
-                        },
-                        s.waits_for.0,
-                        s.queued
-                    );
-                }
-            }
-            Err(msg) => {
-                let _ = writeln!(out, "  NOT CONFIRMED: {msg}");
+impl fmt::Display for RandomReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (report, baseline) = (&self.report, &self.baseline);
+        let (cfg, waves, killers) = (&report.config, report.waves_done, &report.killers);
+        let (fabric, property) = (fabric(&self.ft), &report.property);
+        writeln!(f, "fault campaign on {fabric}: property {property}")?;
+        let holds = if baseline.holds { "holds" } else { "VIOLATED" };
+        writeln!(f, "baseline: {holds} — {}", baseline.detail)?;
+        let (size, links, switches) = (cfg.wave_size, cfg.links_per_set, cfg.switches_per_set);
+        writeln!(
+            f,
+            "mode: random, {waves} wave(s) x {size} set(s) ({links} link + {switches} switch \
+             faults per set), seed {}",
+            cfg.seed
+        )?;
+        writeln!(f, "property evaluations: {}", report.sets_evaluated)?;
+        let (found, drawn) = (killers.len(), waves * size);
+        writeln!(f, "killers: {found} of {drawn} drawn set(s)")?;
+        for k in killers.iter().take(MAX_KILLER_LINES) {
+            writeln!(
+                f,
+                "  wave {} set {}: {} — {}",
+                k.wave, k.index, k.faults, k.detail
+            )?;
+            if let Some(minimal) = &k.minimal {
+                writeln!(f, "    minimal: {minimal} ({} eval(s))", k.shrink_evals)?;
             }
         }
+        if found > MAX_KILLER_LINES {
+            writeln!(f, "  ... and {} more", found - MAX_KILLER_LINES)?;
+        }
+        if found > 0 {
+            let crit = report.criticality();
+            let minimal = crit.minimal_killers;
+            writeln!(f, "criticality ({minimal} distinct minimal killer(s)):")?;
+            for (c, count) in &crit.links {
+                writeln!(f, "  link   L{:<6} x {count}", c.0)?;
+            }
+            for (n, count) in &crit.switches {
+                writeln!(f, "  switch S{:<6} x {count}", n.0)?;
+            }
+        }
+        let Some(c) = &self.confirmation else {
+            return Ok(());
+        };
+        let (target, len, routes) = (&c.target, c.witness_len, c.routes);
+        writeln!(
+            f,
+            "confirm: killer {target} -> {len}-channel witness cycle -> {routes} pinned route(s)"
+        )?;
+        let stall = match &c.outcome {
+            Ok(stall) => stall,
+            Err(msg) => return writeln!(f, "  NOT CONFIRMED: {msg}"),
+        };
+        let (cycle, in_flight) = (stall.cycle, stall.in_flight);
+        let (strands, stranded) = (stall.strands.len(), stall.stranded_packets());
+        writeln!(
+            f,
+            "  STALLED at cycle {cycle}: {in_flight} in flight, {strands} strand(s), \
+             {stranded} stranded packet(s)"
+        )?;
+        let cycle: Vec<String> = stall
+            .wait_cycle
+            .iter()
+            .map(|c| format!("L{}", c.0))
+            .collect();
+        if cycle.is_empty() {
+            writeln!(f, "  wait-for cycle: none (acyclic stall)")?;
+        } else {
+            writeln!(f, "  wait-for cycle: {}", cycle.join(" -> "))?;
+        }
+        for s in &stall.strands {
+            let holds = match s.holds {
+                Some(c) => format!("L{}", c.0),
+                None => "injection queue".to_string(),
+            };
+            let (src, dst, waits, queued) = (s.src, s.dst, s.waits_for.0, s.queued);
+            writeln!(
+                f,
+                "    packet {src}->{dst} holds {holds} waits for L{waits} ({queued} queued)"
+            )?;
+        }
+        Ok(())
     }
-    out
 }
 
-fn report_json(
-    ft: &Ftree,
-    baseline: &ftclos_core::campaign::Judgement,
-    report: &CampaignReport,
-    confirmation: Option<&Confirmation>,
-) -> String {
-    let cfg = &report.config;
-    let killers: Vec<String> = report
-        .killers
-        .iter()
-        .map(|k| {
-            let minimal = match &k.minimal {
-                Some(fv) => format!("\"{fv}\""),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"wave\":{},\"index\":{},\"faults\":\"{}\",\"detail\":{},\
-                 \"minimal\":{},\"shrink_evals\":{}}}",
-                k.wave,
-                k.index,
-                k.faults,
-                quote(&k.detail),
-                minimal,
-                k.shrink_evals
-            )
-        })
-        .collect();
-    let crit = report.criticality();
-    let crit_links: Vec<String> = crit
-        .links
-        .iter()
-        .map(|(c, n)| format!("{{\"link\":{},\"count\":{n}}}", c.0))
-        .collect();
-    let crit_switches: Vec<String> = crit
-        .switches
-        .iter()
-        .map(|(s, n)| format!("{{\"switch\":{},\"count\":{n}}}", s.0))
-        .collect();
-    let confirm_json = match confirmation {
-        None => "null".to_string(),
-        Some(c) => {
+impl Report for RandomReport {
+    fn json(&self) -> Json {
+        let (report, cfg) = (&self.report, &self.report.config);
+        let killers = report.killers.iter().map(|k| {
+            obj! {
+                "wave" => k.wave, "index" => k.index, "faults" => k.faults.to_string(),
+                "detail" => k.detail.as_str(),
+                "minimal" => k.minimal.as_ref().map(ToString::to_string),
+                "shrink_evals" => k.shrink_evals,
+            }
+        });
+        let crit = report.criticality();
+        let links = crit
+            .links
+            .iter()
+            .map(|(c, n)| obj! { "link" => c.0, "count" => *n });
+        let switches = crit
+            .switches
+            .iter()
+            .map(|(s, n)| obj! { "switch" => s.0, "count" => *n });
+        let confirm = self.confirmation.as_ref().map(|c| {
             let outcome = match &c.outcome {
                 Ok(stall) => {
-                    let cycle: Vec<String> =
-                        stall.wait_cycle.iter().map(|c| c.0.to_string()).collect();
-                    let strands: Vec<String> = stall
-                        .strands
-                        .iter()
-                        .map(|s| {
-                            format!(
-                                "{{\"src\":{},\"dst\":{},\"holds\":{},\"waits_for\":{},\
-                                 \"queued\":{}}}",
-                                s.src,
-                                s.dst,
-                                match s.holds {
-                                    Some(c) => c.0.to_string(),
-                                    None => "null".to_string(),
-                                },
-                                s.waits_for.0,
-                                s.queued
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "{{\"stalled\":true,\"cycle\":{},\"in_flight\":{},\
-                         \"stranded_packets\":{},\"wait_cycle\":[{}],\"strands\":[{}]}}",
-                        stall.cycle,
-                        stall.in_flight,
-                        stall.stranded_packets(),
-                        cycle.join(","),
-                        strands.join(",")
-                    )
+                    let strands = stall.strands.iter().map(|s| {
+                        obj! {
+                            "src" => s.src, "dst" => s.dst, "holds" => s.holds.map(|c| c.0),
+                            "waits_for" => s.waits_for.0, "queued" => s.queued,
+                        }
+                    });
+                    obj! {
+                        "stalled" => true, "cycle" => stall.cycle,
+                        "in_flight" => stall.in_flight,
+                        "stranded_packets" => stall.stranded_packets(),
+                        "wait_cycle" => stall.wait_cycle.iter().map(|c| c.0).collect::<Json>(),
+                        "strands" => strands.collect::<Json>(),
+                    }
                 }
-                Err(msg) => format!("{{\"stalled\":false,\"reason\":{}}}", quote(msg)),
+                Err(msg) => obj! { "stalled" => false, "reason" => msg.as_str() },
             };
-            format!(
-                "{{\"target\":\"{}\",\"witness_len\":{},\"routes\":{},\"outcome\":{}}}",
-                c.target, c.witness_len, c.routes, outcome
-            )
+            obj! {
+                "target" => c.target.to_string(), "witness_len" => c.witness_len,
+                "routes" => c.routes, "outcome" => outcome,
+            }
+        });
+        obj! {
+            "fabric" => fabric_json(&self.ft), "property" => report.property.to_string(),
+            "mode" => "random",
+            "baseline_holds" => self.baseline.holds,
+            "baseline_detail" => self.baseline.detail.as_str(), "seed" => cfg.seed,
+            "waves" => report.waves_done,
+            "wave_size" => cfg.wave_size, "links_per_set" => cfg.links_per_set,
+            "switches_per_set" => cfg.switches_per_set, "shrink" => cfg.shrink,
+            "sets_evaluated" => report.sets_evaluated, "killers" => killers.collect::<Json>(),
+            "criticality" => obj! {
+                "minimal_killers" => crit.minimal_killers,
+                "links" => links.collect::<Json>(), "switches" => switches.collect::<Json>(),
+            },
+            "confirm" => confirm,
         }
-    };
-    format!(
-        "{{\"fabric\":{{\"n\":{},\"m\":{},\"r\":{}}},\"property\":\"{}\",\"mode\":\"random\",\
-         \"baseline_holds\":{},\"baseline_detail\":{},\"seed\":{},\"waves\":{},\
-         \"wave_size\":{},\"links_per_set\":{},\"switches_per_set\":{},\"shrink\":{},\
-         \"sets_evaluated\":{},\"killers\":[{}],\"criticality\":{{\"minimal_killers\":{},\
-         \"links\":[{}],\"switches\":[{}]}},\"confirm\":{}}}",
-        ft.n(),
-        ft.m(),
-        ft.r(),
-        report.property,
-        baseline.holds,
-        quote(&baseline.detail),
-        cfg.seed,
-        report.waves_done,
-        cfg.wave_size,
-        cfg.links_per_set,
-        cfg.switches_per_set,
-        cfg.shrink,
-        report.sets_evaluated,
-        killers.join(","),
-        crit.minimal_killers,
-        crit_links.join(","),
-        crit_switches.join(","),
-        confirm_json
-    )
+    }
 }
 
 #[cfg(test)]
@@ -604,10 +531,15 @@ mod tests {
         Opts::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>()).unwrap()
     }
 
+    /// The text report of `campaign <args>`.
+    fn text(args: &str, reg: &Registry) -> String {
+        run(&argv(args), reg).unwrap().to_string()
+    }
+
     #[test]
     fn exhaustive_certifies_top_tolerance() {
         let reg = Registry::new();
-        let out = run(&argv("2 4 5 --mode exhaustive --k 2 --universe tops"), &reg).unwrap();
+        let out = text("2 4 5 --mode exhaustive --k 2 --universe tops", &reg);
         assert!(out.contains("CERTIFIED"), "{out}");
         assert!(out.contains("11 fault sets"), "{out}"); // 1 + 4 + 6
         let snap = reg.snapshot();
@@ -616,11 +548,10 @@ mod tests {
 
     #[test]
     fn exhaustive_finds_link_killer() {
-        let out = run(
-            &argv("2 4 5 --mode exhaustive --k 1 --universe links"),
+        let out = text(
+            "2 4 5 --mode exhaustive --k 1 --universe links",
             &Registry::new(),
-        )
-        .unwrap();
+        );
         assert!(out.contains("KILLER at size 1"), "{out}");
         assert!(out.contains("host 0 severed"), "{out}");
     }
@@ -628,11 +559,10 @@ mod tests {
     #[test]
     fn random_campaign_shrinks_and_ranks() {
         let reg = Registry::new();
-        let out = run(
-            &argv("2 4 5 --waves 6 --wave-size 8 --links 2 --switches 1 --seed 7 --shrink true"),
+        let out = text(
+            "2 4 5 --waves 6 --wave-size 8 --links 2 --switches 1 --seed 7 --shrink true",
             &reg,
-        )
-        .unwrap();
+        );
         assert!(out.contains("baseline: holds"), "{out}");
         assert!(out.contains("criticality"), "{out}");
         assert!(out.contains("minimal:"), "{out}");
@@ -643,14 +573,11 @@ mod tests {
 
     #[test]
     fn confirm_replays_valley_wedge_as_stall() {
-        let out = run(
-            &argv(
-                "1 1 4 --property deadlock --router valley --waves 1 --wave-size 2 \
+        let out = text(
+            "1 1 4 --property deadlock --router valley --waves 1 --wave-size 2 \
                  --links 1 --switches 0 --shrink true --confirm true",
-            ),
             &Registry::new(),
-        )
-        .unwrap();
+        );
         assert!(out.contains("baseline: VIOLATED"), "{out}");
         assert!(out.contains("STALLED at cycle"), "{out}");
         assert!(out.contains("wait-for cycle:"), "{out}");
@@ -660,14 +587,11 @@ mod tests {
     #[test]
     fn confirm_traces_the_cycle_check() {
         let reg = Registry::new();
-        run(
-            &argv(
-                "1 1 4 --property deadlock --router valley --waves 1 --wave-size 2 \
+        text(
+            "1 1 4 --property deadlock --router valley --waves 1 --wave-size 2 \
                  --links 1 --switches 0 --shrink true --confirm true",
-            ),
             &reg,
-        )
-        .unwrap();
+        );
         let snap = reg.snapshot();
         let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
         for want in ["campaign.confirm;cdg.build", "campaign.confirm;cdg.scc"] {
@@ -699,36 +623,27 @@ mod tests {
         let ckpt = ckpt.to_str().unwrap();
         let _ = std::fs::remove_file(ckpt);
         let base = "2 4 5 --waves 4 --wave-size 6 --links 2 --switches 1 --seed 11 --shrink true";
-        let full = run(&argv(base), &Registry::new()).unwrap();
-        let halted = run(
-            &argv(&format!("{base} --checkpoint {ckpt} --halt-after 2")),
+        let full = text(base, &Registry::new());
+        let halted = text(
+            &format!("{base} --checkpoint {ckpt} --halt-after 2"),
             &Registry::new(),
-        )
-        .unwrap();
+        );
         assert_ne!(halted, full);
-        let resumed = run(
-            &argv(&format!("{base} --checkpoint {ckpt} --resume true")),
+        let resumed = text(
+            &format!("{base} --checkpoint {ckpt} --resume true"),
             &Registry::new(),
-        )
-        .unwrap();
+        );
         assert_eq!(resumed, full, "resume must reproduce the full report");
         let _ = std::fs::remove_file(ckpt);
     }
 
     #[test]
     fn json_shapes() {
-        let out = run(
-            &argv("2 4 5 --mode exhaustive --k 1 --universe tops --json true"),
-            &Registry::new(),
-        )
-        .unwrap();
+        let json = |args: &str| run(&argv(args), &Registry::new()).unwrap().json().write();
+        let out = json("2 4 5 --mode exhaustive --k 1 --universe tops");
         assert!(out.starts_with('{'), "{out}");
         assert!(out.contains("\"certified\":true"), "{out}");
-        let out = run(
-            &argv("2 4 5 --waves 2 --wave-size 4 --seed 7 --shrink true --json true"),
-            &Registry::new(),
-        )
-        .unwrap();
+        let out = json("2 4 5 --waves 2 --wave-size 4 --seed 7 --shrink true");
         assert!(out.contains("\"criticality\""), "{out}");
         assert!(out.contains("\"baseline_holds\":true"), "{out}");
     }
@@ -741,19 +656,41 @@ mod tests {
         assert!(run(&argv("2 4 5 --mode exhaustive --universe bogus"), &reg).is_err());
         assert!(run(&argv("2 4 5 --router bogus --property deterministic"), &reg).is_err());
         assert!(run(&argv("2 4 5 --resume true"), &reg).is_err());
+        // A set draws at most the fabric's 30 cables and 4 top switches:
+        // more is a usage error, refused before the property is built.
+        for (args, msg) in [
+            ("--links 31", "--links 31 exceeds the fabric's 30 cables"),
+            ("--switches 5", "--switches 5 exceeds the 4 top switches"),
+        ] {
+            let reg = Registry::new();
+            match run(
+                &argv(&format!("2 4 5 --property deterministic {args}")),
+                &reg,
+            ) {
+                Err(CliError::Usage(m)) => assert_eq!(m, msg),
+                Err(other) => panic!("{args}: want a usage error, got {other:?}"),
+                Ok(report) => panic!("{args}: want a usage error, got {report}"),
+            }
+            assert!(reg.snapshot().spans.is_empty(), "{args}: no work ran");
+        }
+        text(
+            "2 4 5 --links 30 --switches 4 --waves 1 --wave-size 1",
+            &reg,
+        );
+        text(
+            "2 4 5 --mode exhaustive --k 1 --links 31 --switches 5",
+            &reg,
+        );
     }
 
     #[test]
     fn nonblocking_property_kills_on_no_spare_fabric() {
         // ftree(2+4, 5) has m = n² (zero spares): one dead top must break
         // the nonblocking sweep while routability survives it.
-        let out = run(
-            &argv(
-                "2 4 5 --property nonblocking --mode exhaustive --k 1 --universe tops --samples 10",
-            ),
+        let out = text(
+            "2 4 5 --property nonblocking --mode exhaustive --k 1 --universe tops --samples 10",
             &Registry::new(),
-        )
-        .unwrap();
+        );
         assert!(out.contains("KILLER at size 1"), "{out}");
     }
 }

@@ -19,19 +19,20 @@
 use super::common::{
     build_ftree, churn_epochs, fabric, make_pattern, FaultFlags, RouterName, SinglePath,
 };
+use super::{Report, Reported};
 use crate::opts::{CliError, Opts};
 use ftclos_core::ContentionScratch;
 use ftclos_flowsim::{solve_pattern_with, standard_suite};
-use ftclos_obs::json::quote;
-use ftclos_obs::Registry;
+use ftclos_obs::json::{Json, Number};
+use ftclos_obs::{obj, Registry};
 use ftclos_routing::{
-    route_all, CongestionConfig, CongestionMode, DModK, FaultAware, FtreeCandidates, LinkLoadView,
-    MaskedAdaptive, MaskedMultipath, MinCongestion, NonblockingAdaptive, ObliviousMultipath,
-    PatternRouter, PlanStrategy, RouteAssignment,
+    route_all, CongestionConfig, CongestionMode, CongestionPlan, DModK, FaultAware,
+    FtreeCandidates, LinkLoadView, MaskedAdaptive, MaskedMultipath, MinCongestion,
+    NonblockingAdaptive, ObliviousMultipath, PatternRouter, PlanStrategy, RouteAssignment,
 };
 use ftclos_topo::{ChannelCapacities, ChannelId, FaultyView, Ftree};
 use ftclos_traffic::Permutation;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// One head-to-head line: a router's placement of one pattern.
 #[derive(Default)]
@@ -59,10 +60,48 @@ impl Row {
             ..Self::default()
         }
     }
+
+    /// The row's fields that are present: an unroutable row is its router
+    /// and error, a placed one its loads, witness, rate and solver counts.
+    fn json(&self) -> Json {
+        let mut row = obj! {
+            "router" => self.router.as_str(), "error" => self.err.as_deref(),
+            "max_load" => self.max_load,
+            "expected_max_load" => self.expected.map(|x| Number::fixed(x, 6)),
+            "witness_channel" => self.witness.map(ChannelId::index),
+            "worst_rate" => self.worst_rate.map(|r| Number::fixed(r, 6)),
+            "moves" => self.moves_rounds.map(|(m, _)| m),
+            "rounds" => self.moves_rounds.map(|(_, r)| r),
+        };
+        if let Json::Obj(fields) = &mut row {
+            fields.retain(|(_, v)| *v != Json::Null);
+        }
+        row
+    }
+}
+
+/// One pattern's head-to-head: its name, flow count and one row a router,
+/// the congestion solver last.
+type Table = (String, usize, Vec<Row>);
+
+/// A churn epoch: its dead channels, the solver's row and dmodk's.
+type Epoch = (usize, Row, Row);
+
+/// What `congestion` reports: one head-to-head table a pattern (each with
+/// its verdict) and the repaired-vs-dmodk line of every churn epoch.
+struct CongestionReport {
+    ft: Ftree,
+    mode: &'static str,
+    seed: u64,
+    /// Dead channels, when faults were asked for.
+    dead: Option<usize>,
+    tables: Vec<Table>,
+    churn_pattern: String,
+    churn: Vec<Epoch>,
 }
 
 /// Run the command.
-pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
+pub fn run(opts: &Opts, rec: &Registry) -> Reported {
     let ft = build_ftree(opts)?;
     let mode = match opts.flag_or("mode", "repaired".to_string())?.as_str() {
         "greedy" => CongestionMode::Greedy,
@@ -78,7 +117,6 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let trials: u32 = opts.flag_or("trials", 4)?;
     let faults = FaultFlags::parse(opts, &ft, 0)?;
     let churn = churn_epochs(opts, &ft)?;
-    let json: bool = opts.flag_or("json", false)?;
     let config = CongestionConfig {
         mode,
         seed,
@@ -95,34 +133,35 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
 
     let faulted = faults.any();
     let view = FaultyView::new(ft.topology(), &faults.set);
+    let view_opt = faulted.then_some(&view);
 
     let mut scratch = ContentionScratch::default();
-    let mut pattern_tables: Vec<(String, usize, Vec<Row>)> = Vec::new();
-    for (pname, perm) in &suite {
-        let rows = head_to_head(
-            &ft,
-            &view,
-            faulted,
-            config,
-            pname,
-            perm,
-            &caps,
-            &mut scratch,
-            rec,
-        );
-        pattern_tables.push((pname.clone(), perm.len(), rows));
-    }
+    let tables = suite
+        .iter()
+        .map(|pattern| {
+            let rows = head_to_head(&ft, view_opt, config, pattern, &caps, &mut scratch, rec);
+            (pattern.0.clone(), pattern.1.len(), rows)
+        })
+        .collect();
 
     // Churn epochs: repaired solver vs fault-aware d-mod-k on each distinct
     // surviving-hardware epoch of the flap schedule.
-    let mut churned: Vec<(usize, Row, Row)> = Vec::new();
+    let mut churned: Vec<Epoch> = Vec::new();
     let churn_pattern = opts.flag("pattern").unwrap_or("shift:1").to_string();
     if let Some(epochs) = churn {
         let perm = make_pattern(&churn_pattern, ports, seed)?;
         for fs in epochs {
             let epoch_view = FaultyView::new(ft.topology(), &fs);
             let dead = epoch_view.num_dead_channels();
-            let cong = congestion_row(&ft, Some(&epoch_view), config, &perm, &mut scratch, rec);
+            let (cong, _) = solver_row(
+                &ft,
+                Some(&epoch_view),
+                config,
+                &perm,
+                &[],
+                &mut scratch,
+                rec,
+            );
             let dmodk =
                 match FaultAware::new(DModK::new(&ft), &epoch_view).route_pattern_checked(&perm) {
                     Ok(a) => exact_row(RouterName::DModK.as_str(), &a, None, &mut scratch),
@@ -132,39 +171,24 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         }
     }
 
-    if json {
-        return Ok(render_json(
-            &ft,
-            config,
-            seed,
-            faulted,
-            view.num_dead_channels(),
-            &pattern_tables,
-            &churn_pattern,
-            &churned,
-        ));
-    }
-    render_text(
-        &ft,
-        config,
+    Ok(Box::new(CongestionReport {
+        mode: mode.name(),
         seed,
-        faulted,
-        view.num_dead_channels(),
-        &pattern_tables,
-        &churn_pattern,
-        &churned,
-    )
+        dead: faulted.then(|| view.num_dead_channels()),
+        tables,
+        churn_pattern,
+        churn: churned,
+        ft,
+    }))
 }
 
-/// All baselines plus the congestion solver on one pattern.
-#[allow(clippy::too_many_arguments)]
+/// All baselines plus the congestion solver on one pattern; `view` is the
+/// fault overlay, `None` on a pristine fabric.
 fn head_to_head(
     ft: &Ftree,
-    view: &FaultyView<'_>,
-    faulted: bool,
+    view: Option<&FaultyView<'_>>,
     config: CongestionConfig,
-    pname: &str,
-    perm: &Permutation,
+    (pname, perm): &(String, Permutation),
     caps: &ChannelCapacities,
     scratch: &mut ContentionScratch,
     rec: &Registry,
@@ -181,89 +205,79 @@ fn head_to_head(
             }
             Ok(r) => r,
         };
-        let (asg, rate) = if faulted {
-            let fa = FaultAware::new(router, view);
-            (
-                fa.route_pattern_checked(perm).map_err(|e| e.to_string()),
-                fluid_rate(&fa, pname, perm, caps, rec),
-            )
-        } else {
-            (
+        let (asg, rate) = match view {
+            Some(view) => {
+                let fa = FaultAware::new(router, view);
+                (
+                    fa.route_pattern_checked(perm).map_err(|e| e.to_string()),
+                    fluid_rate(&fa, pname, perm, caps, rec),
+                )
+            }
+            None => (
                 route_all(&router, perm).map_err(|e| e.to_string()),
                 fluid_rate(&router, pname, perm, caps, rec),
-            )
+            ),
         };
         rows.push(finish_exact(name.as_str(), asg, rate, scratch, &mut seeds));
     }
 
     // NONBLOCKINGADAPTIVE: exact on pristine fabrics, fractional flow-link
     // loads through the masked planner on faulted ones.
-    match NonblockingAdaptive::new(ft) {
-        Err(e) => rows.push(Row::unroutable("adaptive", e.to_string())),
-        Ok(ad) => {
-            if faulted {
-                let masked = MaskedAdaptive::new(&ad, view, PlanStrategy::GreedyLargestSubset);
-                rows.push(flow_links_row("adaptive", &masked, pname, perm, caps, rec));
-            } else {
-                let asg = ad.route_pattern(perm).map_err(|e| e.to_string());
-                let rate = fluid_rate(&ad, pname, perm, caps, rec);
-                rows.push(finish_exact("adaptive", asg, rate, scratch, &mut seeds));
-            }
+    match (NonblockingAdaptive::new(ft), view) {
+        (Err(e), _) => rows.push(Row::unroutable("adaptive", e.to_string())),
+        (Ok(ad), Some(view)) => {
+            let masked = MaskedAdaptive::new(&ad, view, PlanStrategy::GreedyLargestSubset);
+            rows.push(flow_links_row("adaptive", &masked, pname, perm, caps, rec));
+        }
+        (Ok(ad), None) => {
+            let asg = ad.route_pattern(perm).map_err(|e| e.to_string());
+            let rate = fluid_rate(&ad, pname, perm, caps, rec);
+            rows.push(finish_exact("adaptive", asg, rate, scratch, &mut seeds));
         }
     }
 
     // Oblivious multipath: the fractional 1/m spread.
-    {
-        let mp = ObliviousMultipath::new(ft);
-        if faulted {
+    let mp = ObliviousMultipath::new(ft);
+    rows.push(match view {
+        Some(view) => {
             let masked = MaskedMultipath::new(mp, view);
-            rows.push(flow_links_row("multipath", &masked, pname, perm, caps, rec));
-        } else {
-            rows.push(flow_links_row("multipath", &mp, pname, perm, caps, rec));
+            flow_links_row("multipath", &masked, pname, perm, caps, rec)
         }
-    }
+        None => flow_links_row("multipath", &mp, pname, perm, caps, rec),
+    });
 
     // The min-congestion solver, warm-started from every baseline
     // assignment that projects into its candidate set.
-    let seed_refs: Vec<&RouteAssignment> = seeds.iter().collect();
-    let cands = if faulted {
-        FtreeCandidates::masked(ft, view)
-    } else {
-        FtreeCandidates::pristine(ft)
-    };
-    let router = MinCongestion::with_config(cands, config);
-    match router.plan_seeded_with(perm, &seed_refs, rec) {
-        Err(e) => rows.push(Row::unroutable(config.mode.name(), e.to_string())),
-        Ok(plan) => {
-            let rate = fluid_rate(&plan.load_view(), pname, perm, caps, rec);
-            let mut row = exact_row(config.mode.name(), &plan.assignment(), rate, scratch);
-            row.moves_rounds = Some((plan.moves(), plan.rounds()));
-            rows.push(row);
-        }
+    let seeds: Vec<&RouteAssignment> = seeds.iter().collect();
+    let (mut row, plan) = solver_row(ft, view, config, perm, &seeds, scratch, rec);
+    if let Some(plan) = plan {
+        row.worst_rate = fluid_rate(&plan.load_view(), pname, perm, caps, rec);
     }
+    rows.push(row);
     rows
 }
 
-/// The congestion solver alone (churn epochs).
-fn congestion_row(
+/// The min-congestion solver's row, warm-started from `seeds`, and its plan.
+fn solver_row(
     ft: &Ftree,
     view: Option<&FaultyView<'_>>,
     config: CongestionConfig,
     perm: &Permutation,
+    seeds: &[&RouteAssignment],
     scratch: &mut ContentionScratch,
     rec: &Registry,
-) -> Row {
+) -> (Row, Option<CongestionPlan>) {
     let cands = match view {
         Some(v) => FtreeCandidates::masked(ft, v),
         None => FtreeCandidates::pristine(ft),
     };
-    let router = MinCongestion::with_config(cands, config);
-    match router.plan_seeded_with(perm, &[], rec) {
-        Err(e) => Row::unroutable(config.mode.name(), e.to_string()),
+    let name = config.mode.name();
+    match MinCongestion::with_config(cands, config).plan_seeded_with(perm, seeds, rec) {
+        Err(e) => (Row::unroutable(name, e.to_string()), None),
         Ok(plan) => {
-            let mut row = exact_row(config.mode.name(), &plan.assignment(), None, scratch);
+            let mut row = exact_row(name, &plan.assignment(), None, scratch);
             row.moves_rounds = Some((plan.moves(), plan.rounds()));
-            row
+            (row, Some(plan))
         }
     }
 }
@@ -367,71 +381,50 @@ fn table_verdict(rows: &[Row]) -> bool {
         .all(|base| cong <= base)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_text(
-    ft: &Ftree,
-    config: CongestionConfig,
-    seed: u64,
-    faulted: bool,
-    dead_channels: usize,
-    tables: &[(String, usize, Vec<Row>)],
-    churn_pattern: &str,
-    churn: &[(usize, Row, Row)],
-) -> Result<String, CliError> {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "min-congestion head-to-head: {}, {} hosts, mode {}, seed {}{}",
-        fabric(ft),
-        ft.num_leaves(),
-        config.mode.name(),
-        seed,
-        if faulted {
-            format!(" (fault-masked, {dead_channels} dead channel(s))")
-        } else {
-            String::new()
+impl fmt::Display for CongestionReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let masked = match self.dead {
+            Some(dead) => format!(" (fault-masked, {dead} dead channel(s))"),
+            None => String::new(),
+        };
+        let (fabric, hosts) = (fabric(&self.ft), self.ft.num_leaves());
+        let run = format!("mode {}, seed {}{masked}", self.mode, self.seed);
+        writeln!(
+            f,
+            "min-congestion head-to-head: {fabric}, {hosts} hosts, {run}"
+        )?;
+        let mut all_ok = true;
+        for (pname, flows, rows) in &self.tables {
+            writeln!(f, "\npattern {pname} ({flows} flows)")?;
+            writeln!(
+                f,
+                "  {:<22} {:>9} {:>8} {:>11}",
+                "router", "max-load", "witness", "worst-rate"
+            )?;
+            for row in rows {
+                writeln!(f, "  {}", row_text(row))?;
+            }
+            all_ok &= table_verdict(rows);
         }
-    );
-    let mut all_ok = true;
-    for (pname, flows, rows) in tables {
-        let _ = writeln!(out, "\npattern {pname} ({flows} flows)");
-        let _ = writeln!(
-            out,
-            "  {:<22} {:>9} {:>8} {:>11}",
-            "router", "max-load", "witness", "worst-rate"
-        );
-        for row in rows {
-            let _ = writeln!(out, "  {}", row_text(row));
-        }
-        if !table_verdict(rows) {
-            all_ok = false;
-        }
-    }
-    let _ = writeln!(
-        out,
-        "\nverdict: {}",
-        if all_ok {
+        let verdict = if all_ok {
             "min-congestion routing matched or beat every routable baseline"
         } else {
             "REGRESSION: some baseline beat the min-congestion placement"
+        };
+        writeln!(f, "\nverdict: {verdict}")?;
+        if !self.churn.is_empty() {
+            let (epochs, pattern) = (self.churn.len(), &self.churn_pattern);
+            writeln!(f, "\nchurn ({epochs} epoch(s), pattern {pattern}):")?;
         }
-    );
-    if !churn.is_empty() {
-        let _ = writeln!(
-            out,
-            "\nchurn ({} epoch(s), pattern {churn_pattern}):",
-            churn.len()
-        );
-        for (i, (dead, cong, dmodk)) in churn.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  epoch {i}: {dead} dead channel(s)  {}  vs  {}",
-                churn_cell(cong),
-                churn_cell(dmodk)
-            );
+        for (i, (dead, cong, dmodk)) in self.churn.iter().enumerate() {
+            let (cong, dmodk) = (churn_cell(cong), churn_cell(dmodk));
+            writeln!(
+                f,
+                "  epoch {i}: {dead} dead channel(s)  {cong}  vs  {dmodk}"
+            )?;
         }
+        Ok(())
     }
-    Ok(out)
 }
 
 fn row_text(row: &Row) -> String {
@@ -469,95 +462,37 @@ fn churn_cell(row: &Row) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    ft: &Ftree,
-    config: CongestionConfig,
-    seed: u64,
-    faulted: bool,
-    dead_channels: usize,
-    tables: &[(String, usize, Vec<Row>)],
-    churn_pattern: &str,
-    churn: &[(usize, Row, Row)],
-) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"command\":\"congestion\",\"n\":{},\"m\":{},\"r\":{},\"hosts\":{},\
-         \"mode\":{},\"seed\":{seed},\"faulted\":{faulted},\"dead_channels\":{dead_channels},\
-         \"patterns\":[",
-        ft.n(),
-        ft.m(),
-        ft.r(),
-        ft.num_leaves(),
-        quote(config.mode.name()),
-    );
-    for (i, (pname, flows, rows)) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"pattern\":{},\"flows\":{flows},\"congestion_ok\":{},\"rows\":[",
-            quote(pname),
-            table_verdict(rows)
-        );
-        for (j, row) in rows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+impl Report for CongestionReport {
+    fn json(&self) -> Json {
+        let patterns = self.tables.iter().map(|(pname, flows, rows)| {
+            obj! {
+                "pattern" => pname.as_str(), "flows" => *flows,
+                "congestion_ok" => table_verdict(rows),
+                "rows" => rows.iter().map(Row::json).collect::<Json>(),
             }
-            out.push_str(&row_json(row));
+        });
+        let mut report = obj! {
+            "command" => "congestion", "n" => self.ft.n(), "m" => self.ft.m(), "r" => self.ft.r(),
+            "hosts" => self.ft.num_leaves(), "mode" => self.mode, "seed" => self.seed,
+            "faulted" => self.dead.is_some(), "dead_channels" => self.dead.unwrap_or(0),
+            "patterns" => patterns.collect::<Json>(),
+        };
+        let churn = self
+            .churn
+            .iter()
+            .enumerate()
+            .map(|(i, (dead, cong, dmodk))| {
+                obj! {
+                    "epoch" => i, "dead_channels" => *dead,
+                    "congestion" => cong.json(), "dmodk" => dmodk.json(),
+                }
+            });
+        if let (false, Json::Obj(fields)) = (self.churn.is_empty(), &mut report) {
+            fields.push(("churn_pattern".into(), self.churn_pattern.as_str().into()));
+            fields.push(("churn".into(), churn.collect()));
         }
-        out.push_str("]}");
+        report
     }
-    out.push(']');
-    if !churn.is_empty() {
-        let _ = write!(
-            out,
-            ",\"churn_pattern\":{},\"churn\":[",
-            quote(churn_pattern)
-        );
-        for (i, (dead, cong, dmodk)) in churn.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"epoch\":{i},\"dead_channels\":{dead},\"congestion\":{},\"dmodk\":{}}}",
-                row_json(cong),
-                row_json(dmodk)
-            );
-        }
-        out.push(']');
-    }
-    out.push('}');
-    out
-}
-
-fn row_json(row: &Row) -> String {
-    let mut out = format!("{{\"router\":{}", quote(&row.router));
-    if let Some(e) = &row.err {
-        let _ = write!(out, ",\"error\":{}", quote(e));
-        out.push('}');
-        return out;
-    }
-    if let Some(m) = row.max_load {
-        let _ = write!(out, ",\"max_load\":{m}");
-    }
-    if let Some(x) = row.expected {
-        let _ = write!(out, ",\"expected_max_load\":{x:.6}");
-    }
-    if let Some(w) = row.witness {
-        let _ = write!(out, ",\"witness_channel\":{}", w.index());
-    }
-    if let Some(r) = row.worst_rate {
-        let _ = write!(out, ",\"worst_rate\":{r:.6}");
-    }
-    if let Some((m, r)) = row.moves_rounds {
-        let _ = write!(out, ",\"moves\":{m},\"rounds\":{r}");
-    }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -568,10 +503,15 @@ mod tests {
         Opts::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>()).unwrap()
     }
 
+    /// The text report of `congestion <args>`.
+    fn text(args: &str, reg: &Registry) -> String {
+        run(&argv(args), reg).unwrap().to_string()
+    }
+
     #[test]
     fn pristine_head_to_head_beats_or_matches_everyone() {
         let reg = Registry::new();
-        let out = run(&argv("2 4 5"), &reg).unwrap();
+        let out = text("2 4 5", &reg);
         assert!(
             out.contains("matched or beat every routable baseline"),
             "{out}"
@@ -589,7 +529,7 @@ mod tests {
     fn undersized_fabric_still_no_worse_than_baselines() {
         // m < n²: every deterministic baseline collides on random; the
         // warm-started solver must stay at or below each.
-        let out = run(&argv("2 2 5 --pattern random --seed 3"), &Registry::new()).unwrap();
+        let out = text("2 2 5 --pattern random --seed 3", &Registry::new());
         assert!(
             out.contains("matched or beat every routable baseline"),
             "{out}"
@@ -598,11 +538,7 @@ mod tests {
 
     #[test]
     fn faulted_fabric_solver_routes_where_yuan_cannot() {
-        let out = run(
-            &argv("2 4 5 --fail-tops 1 --pattern shift:2"),
-            &Registry::new(),
-        )
-        .unwrap();
+        let out = text("2 4 5 --fail-tops 1 --pattern shift:2", &Registry::new());
         assert!(out.contains("fault-masked"), "{out}");
         // Yuan pins shift:2's (0,0) pairs to the dead top.
         assert!(out.contains("yuan") && out.contains("unroutable"), "{out}");
@@ -615,11 +551,8 @@ mod tests {
 
     #[test]
     fn json_is_emitted_and_structured() {
-        let out = run(
-            &argv("2 4 5 --pattern shift:3 --json true"),
-            &Registry::new(),
-        )
-        .unwrap();
+        let report = run(&argv("2 4 5 --pattern shift:3"), &Registry::new()).unwrap();
+        let out = report.json().write();
         assert!(
             out.starts_with('{') && out.trim_end().ends_with('}'),
             "{out}"
@@ -632,13 +565,10 @@ mod tests {
 
     #[test]
     fn churn_epochs_are_reported() {
-        let out = run(
-            &argv(
-                "2 4 5 --churn-links 2 --mtbf 300 --mttr 80 --churn-cycles 900 --pattern shift:1",
-            ),
+        let out = text(
+            "2 4 5 --churn-links 2 --mtbf 300 --mttr 80 --churn-cycles 900 --pattern shift:1",
             &Registry::new(),
-        )
-        .unwrap();
+        );
         assert!(out.contains("churn ("), "{out}");
         assert!(out.contains("epoch 0:"), "{out}");
         assert!(out.contains("congestion-repaired max-load"), "{out}");
@@ -647,11 +577,10 @@ mod tests {
     #[test]
     fn modes_dispatch_and_bad_inputs_are_usage_errors() {
         for mode in ["greedy", "rounded", "repaired"] {
-            let out = run(
-                &argv(&format!("2 4 5 --mode {mode} --pattern tornado")),
+            let out = text(
+                &format!("2 4 5 --mode {mode} --pattern tornado"),
                 &Registry::new(),
-            )
-            .unwrap();
+            );
             assert!(out.contains(&format!("congestion-{mode}")), "{out}");
         }
         assert!(matches!(

@@ -23,18 +23,20 @@
 //! drains clean, isolating the cycle as the cause.
 
 use super::common::RouterName::{self, Adaptive, All, DModK, Multipath, SModK, Valley, Yuan};
-use super::common::{build_ftree, churn_epochs, fabric, FaultFlags, SinglePath};
+use super::common::{build_ftree, churn_epochs, fabric, fabric_json, FaultFlags, SinglePath};
+use super::{Report, Reported};
 use crate::opts::{CliError, Opts};
 use ftclos_core::cdg::{
     analyze_router_with, cdg_of_masked_router_with, cdg_of_multipath_with, deadlock_sweep_with,
 };
-use ftclos_core::{attribute_witness, CycleAnalysis, DeadlockVerdict, SweepEntry};
-use ftclos_obs::{Recorder as _, Registry};
+use ftclos_core::{attribute_witness, CycleAnalysis, SweepEntry};
+use ftclos_obs::json::Json;
+use ftclos_obs::{obj, Recorder as _, Registry};
 use ftclos_routing::{ObliviousMultipath, SinglePathRouter};
 use ftclos_sim::{run_pinned_injection_watchdog_recorded, PinnedRoute, WitnessRun};
 use ftclos_topo::{ChannelId, FaultyView, Ftree};
 use ftclos_traffic::SdPair;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// A boxed path enumerator: feed every (live) route of a pair to `emit`,
 /// the closure shape `attribute_witness` consumes.
@@ -43,8 +45,23 @@ type PathsOf<'a> = Box<dyn Fn(SdPair, &mut dyn FnMut(&[ChannelId])) + 'a>;
 /// The routers `--router` takes, default first.
 pub(crate) const ROSTER: &[RouterName] = &[All, Yuan, DModK, SModK, Multipath, Adaptive, Valley];
 
+/// A `--inject` replay: the cyclic router, its witness run and the dmodk
+/// control over the same pairs.
+type Injection = (&'static str, WitnessRun, WitnessRun);
+
+/// What `deadlock` reports: each analyzed router's verdict with its witness
+/// channels, one verdict set per churn epoch, and the witness injection.
+struct DeadlockReport {
+    ft: Ftree,
+    /// Dead channels, when faults were asked for.
+    dead: Option<usize>,
+    entries: Vec<SweepEntry>,
+    churn_epochs: Vec<(usize, Vec<SweepEntry>)>,
+    injection: Option<Injection>,
+}
+
 /// Run the command.
-pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
+pub fn run(opts: &Opts, rec: &Registry) -> Reported {
     let ft = build_ftree(opts)?;
     let router = RouterName::flag(opts, ROSTER)?;
     let faults = FaultFlags::parse(opts, &ft, 0)?;
@@ -53,7 +70,6 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let inject: bool = opts.flag_or("inject", false)?;
     let inject_cycles: u64 = opts.flag_or("inject-cycles", 200)?;
     let queue_capacity: usize = opts.flag_or("queue-capacity", 2)?;
-    let json: bool = opts.flag_or("json", false)?;
     let faulted = faults.any();
     let view = FaultyView::new(ft.topology(), &faults.set);
     let view_opt = faulted.then_some(&view);
@@ -123,12 +139,13 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         injection = Some((cyclic.router, run, control));
     }
 
-    let dead = view.num_dead_channels();
-    Ok(if json {
-        render_json(&ft, dead, &entries, &churned, injection.as_ref())
-    } else {
-        render_text(&ft, faulted, dead, &entries, &churned, injection.as_ref())
-    })
+    Ok(Box::new(DeadlockReport {
+        dead: faulted.then(|| view.num_dead_channels()),
+        entries,
+        churn_epochs: churned,
+        injection,
+        ft,
+    }))
 }
 
 /// Analyze one named router (or the whole sweep) against an optional fault
@@ -273,181 +290,113 @@ pub(crate) fn witness_routes(
     routes
 }
 
-fn describe(analysis: &CycleAnalysis) -> String {
-    match &analysis.verdict {
-        DeadlockVerdict::Free => format!(
+fn describe(a: &CycleAnalysis) -> String {
+    let Some(witness) = a.verdict.witness() else {
+        return format!(
             "FREE ({} dependencies, {} valley turns)",
-            analysis.num_deps, analysis.valley_turns
-        ),
-        DeadlockVerdict::Cyclic { witness } => {
-            let cycle: Vec<String> = witness.iter().map(|c| c.to_string()).collect();
-            format!(
-                "CYCLIC ({} cyclic channels, {} dependencies) witness: {} -> {}",
-                analysis.cyclic_channels,
-                analysis.num_deps,
-                cycle.join(" -> "),
-                cycle[0]
-            )
-        }
-    }
-}
-
-fn conservation(run: &WitnessRun) -> &'static str {
-    if run.conservation_ok() {
-        "OK"
-    } else {
-        "BROKEN"
-    }
-}
-
-fn render_text(
-    ft: &Ftree,
-    faulted: bool,
-    dead: usize,
-    entries: &[SweepEntry],
-    churn_epochs: &[(usize, Vec<SweepEntry>)],
-    injection: Option<&(&'static str, WitnessRun, WitnessRun)>,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "deadlock analysis on {}: {}",
-        fabric(ft),
-        if faulted {
-            format!("{dead} dead channel(s)")
-        } else {
-            "pristine".to_string()
-        }
+            a.num_deps, a.valley_turns
+        );
+    };
+    let cycle: Vec<String> = witness.iter().map(|c| c.to_string()).collect();
+    let counts = format!(
+        "{} cyclic channels, {} dependencies",
+        a.cyclic_channels, a.num_deps
     );
-    for e in entries {
-        let _ = writeln!(out, "  {:<9} {}", e.router, describe(&e.analysis));
-    }
-    for (i, (dead, entries)) in churn_epochs.iter().enumerate() {
-        let cyclic: Vec<&str> = entries
-            .iter()
-            .filter(|e| !e.analysis.is_free())
-            .map(|e| e.router)
-            .collect();
-        let _ = writeln!(
-            out,
-            "churn epoch set #{i} ({dead} dead): {}",
-            if cyclic.is_empty() {
+    format!(
+        "CYCLIC ({counts}) witness: {} -> {}",
+        cycle.join(" -> "),
+        cycle[0]
+    )
+}
+
+impl fmt::Display for DeadlockReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let conservation = |ok: bool| if ok { "OK" } else { "BROKEN" };
+        let state = match self.dead {
+            Some(dead) => format!("{dead} dead channel(s)"),
+            None => "pristine".to_string(),
+        };
+        writeln!(f, "deadlock analysis on {}: {state}", fabric(&self.ft))?;
+        for e in &self.entries {
+            writeln!(f, "  {:<9} {}", e.router, describe(&e.analysis))?;
+        }
+        for (i, (dead, entries)) in self.churn_epochs.iter().enumerate() {
+            let cyclic = entries.iter().filter(|e| !e.analysis.is_free());
+            let cyclic: Vec<&str> = cyclic.map(|e| e.router).collect();
+            let verdict = if cyclic.is_empty() {
                 format!("all {} router(s) deadlock-free", entries.len())
             } else {
                 format!("CYCLIC for {}", cyclic.join(", "))
-            }
-        );
+            };
+            writeln!(f, "churn epoch set #{i} ({dead} dead): {verdict}")?;
+        }
+        let Some((router, run, control)) = &self.injection else {
+            return Ok(());
+        };
+        let (s, c) = (&run.stats, &control.stats);
+        let (delivered, injected) = (s.delivered_total, s.injected_total);
+        let outcome = if run.wedged() {
+            format!(
+                "WEDGED (credit stall): {} stranded of {injected} injected, {delivered} delivered, \
+                 conservation {}",
+                s.leftover_packets,
+                conservation(run.conservation_ok())
+            )
+        } else {
+            format!("drained ({delivered} delivered of {injected} injected)")
+        };
+        let pinned = run.pinned_pairs;
+        writeln!(
+            f,
+            "witness injection ({router}): {pinned} route(s) pinned -> {outcome}"
+        )?;
+        let (delivered, injected) = (c.delivered_total, c.injected_total);
+        let outcome = if control.wedged() {
+            format!("WEDGED ({} stranded)", c.leftover_packets)
+        } else {
+            format!(
+                "drained clean ({delivered} delivered of {injected} injected, conservation {})",
+                conservation(control.conservation_ok())
+            )
+        };
+        writeln!(f, "control (dmodk, same pairs): {outcome}")
     }
-    if let Some((router, run, control)) = injection {
-        let s = &run.stats;
-        let _ = writeln!(
-            out,
-            "witness injection ({router}): {} route(s) pinned -> {}",
-            run.pinned_pairs,
-            if run.wedged() {
-                format!(
-                    "WEDGED (credit stall): {} stranded of {} injected, {} delivered, \
-                     conservation {}",
-                    s.leftover_packets,
-                    s.injected_total,
-                    s.delivered_total,
-                    conservation(run)
-                )
-            } else {
-                format!(
-                    "drained ({} delivered of {} injected)",
-                    s.delivered_total, s.injected_total
-                )
-            }
-        );
-        let c = &control.stats;
-        let _ = writeln!(
-            out,
-            "control (dmodk, same pairs): {}",
-            if control.wedged() {
-                format!("WEDGED ({} stranded)", c.leftover_packets)
-            } else {
-                format!(
-                    "drained clean ({} delivered of {} injected, conservation {})",
-                    c.delivered_total,
-                    c.injected_total,
-                    conservation(control)
-                )
-            }
-        );
-    }
-    out
 }
 
-fn render_json(
-    ft: &Ftree,
-    dead: usize,
-    entries: &[SweepEntry],
-    churn_epochs: &[(usize, Vec<SweepEntry>)],
-    injection: Option<&(&'static str, WitnessRun, WitnessRun)>,
-) -> String {
-    let entry_json = |e: &SweepEntry| {
-        let witness = match &e.analysis.verdict {
-            DeadlockVerdict::Free => String::from("[]"),
-            DeadlockVerdict::Cyclic { witness } => {
-                let ids: Vec<String> = witness.iter().map(|c| c.index().to_string()).collect();
-                format!("[{}]", ids.join(","))
-            }
+impl Report for DeadlockReport {
+    fn json(&self) -> Json {
+        let entries = |entries: &[SweepEntry]| -> Json {
+            let entry = |e: &SweepEntry| {
+                let a = &e.analysis;
+                let witness = a.verdict.witness().unwrap_or_default();
+                obj! {
+                    "router" => e.router, "free" => a.is_free(), "num_deps" => a.num_deps,
+                    "valley_turns" => a.valley_turns, "cyclic_channels" => a.cyclic_channels,
+                    "witness" => witness.iter().map(|c| c.index()).collect::<Json>(),
+                }
+            };
+            entries.iter().map(entry).collect()
         };
-        format!(
-            "{{\"router\":\"{}\",\"free\":{},\"num_deps\":{},\"valley_turns\":{},\
-             \"cyclic_channels\":{},\"witness\":{}}}",
-            e.router,
-            e.analysis.is_free(),
-            e.analysis.num_deps,
-            e.analysis.valley_turns,
-            e.analysis.cyclic_channels,
-            witness
-        )
-    };
-    let entries_json: Vec<String> = entries.iter().map(entry_json).collect();
-    let churn_json: Vec<String> = churn_epochs
-        .iter()
-        .map(|(dead, entries)| {
-            let inner: Vec<String> = entries.iter().map(entry_json).collect();
-            format!(
-                "{{\"dead_channels\":{dead},\"entries\":[{}]}}",
-                inner.join(",")
-            )
-        })
-        .collect();
-    let injection_json = match injection {
-        None => String::from("null"),
-        Some((router, run, control)) => {
-            let s = &run.stats;
-            let c = &control.stats;
-            format!(
-                "{{\"router\":\"{router}\",\"pinned\":{},\"wedged\":{},\"injected\":{},\
-                 \"delivered\":{},\"abandoned\":{},\"leftover\":{},\"conservation_ok\":{},\
-                 \"control_wedged\":{},\"control_delivered\":{},\"control_leftover\":{}}}",
-                run.pinned_pairs,
-                run.wedged(),
-                s.injected_total,
-                s.delivered_total,
-                s.abandoned_total,
-                s.leftover_packets,
-                run.conservation_ok(),
-                control.wedged(),
-                c.delivered_total,
-                c.leftover_packets
-            )
+        let churn_epochs = self.churn_epochs.iter().map(|(dead, epoch)| {
+            obj! { "dead_channels" => *dead, "entries" => entries(epoch) }
+        });
+        let injection = self.injection.as_ref().map(|(router, run, control)| {
+            let (s, c) = (&run.stats, &control.stats);
+            obj! {
+                "router" => *router, "pinned" => run.pinned_pairs, "wedged" => run.wedged(),
+                "injected" => s.injected_total,
+                "delivered" => s.delivered_total, "abandoned" => s.abandoned_total,
+                "leftover" => s.leftover_packets, "conservation_ok" => run.conservation_ok(),
+                "control_wedged" => control.wedged(),
+                "control_delivered" => c.delivered_total, "control_leftover" => c.leftover_packets,
+            }
+        });
+        obj! {
+            "fabric" => fabric_json(&self.ft), "dead_channels" => self.dead.unwrap_or(0),
+            "entries" => entries(&self.entries),
+            "churn_epochs" => churn_epochs.collect::<Json>(), "injection" => injection,
         }
-    };
-    format!(
-        "{{\"fabric\":{{\"n\":{},\"m\":{},\"r\":{}}},\"dead_channels\":{dead},\
-         \"entries\":[{}],\"churn_epochs\":[{}],\"injection\":{}}}",
-        ft.n(),
-        ft.m(),
-        ft.r(),
-        entries_json.join(","),
-        churn_json.join(","),
-        injection_json
-    )
+    }
 }
 
 #[cfg(test)]
@@ -458,10 +407,15 @@ mod tests {
         Opts::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>()).unwrap()
     }
 
+    /// The text report of `deadlock <args>`.
+    fn text(args: &str, reg: &Registry) -> String {
+        run(&argv(args), reg).unwrap().to_string()
+    }
+
     #[test]
     fn pristine_sweep_proves_freedom_and_catches_valley() {
         let reg = Registry::new();
-        let out = run(&argv("2 4 5"), &reg).unwrap();
+        let out = text("2 4 5", &reg);
         for router in ["yuan", "dmodk", "smodk", "multipath", "adaptive"] {
             let line = out
                 .lines()
@@ -480,22 +434,20 @@ mod tests {
 
     #[test]
     fn faulted_sweep_still_proves_freedom() {
-        let out = run(
-            &argv("2 4 5 --fail-tops 1 --fail-links 2 --seed 3"),
+        let out = text(
+            "2 4 5 --fail-tops 1 --fail-links 2 --seed 3",
             &Registry::new(),
-        )
-        .unwrap();
+        );
         assert!(out.contains("dead channel(s)"), "{out}");
         assert!(out.contains("dmodk     FREE"), "{out}");
     }
 
     #[test]
     fn churn_epochs_are_all_free_for_dmodk() {
-        let out = run(
-            &argv("2 4 3 --router dmodk --churn-links 2 --mtbf 200 --mttr 60 --churn-cycles 800"),
+        let out = text(
+            "2 4 3 --router dmodk --churn-links 2 --mtbf 200 --mttr 60 --churn-cycles 800",
             &Registry::new(),
-        )
-        .unwrap();
+        );
         assert!(out.contains("churn epoch set #0"), "{out}");
         assert!(out.contains("deadlock-free"), "{out}");
         assert!(!out.contains("CYCLIC for"), "{out}");
@@ -504,11 +456,10 @@ mod tests {
     #[test]
     fn injection_wedges_valley_and_control_drains() {
         let reg = Registry::new();
-        let out = run(
-            &argv("1 1 4 --router valley --inject true --inject-cycles 200"),
+        let out = text(
+            "1 1 4 --router valley --inject true --inject-cycles 200",
             &reg,
-        )
-        .unwrap();
+        );
         assert!(out.contains("WEDGED (credit stall)"), "{out}");
         assert!(out.contains("conservation OK"), "{out}");
         assert!(
@@ -526,11 +477,12 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let out = run(
-            &argv("1 1 4 --router valley --json true --inject true"),
+        let report = run(
+            &argv("1 1 4 --router valley --inject true"),
             &Registry::new(),
         )
         .unwrap();
+        let out = report.json().write();
         assert!(out.starts_with('{'), "{out}");
         assert!(
             out.contains("\"router\":\"valley\",\"free\":false"),
@@ -568,7 +520,7 @@ mod tests {
     fn deadlock_records_closed_form_spans() {
         // A rule router on a pristine fabric is counted: no graph, no sweep.
         let reg = Registry::new();
-        let out = run(&argv("2 4 5 --router yuan"), &reg).unwrap();
+        let out = text("2 4 5 --router yuan", &reg);
         assert!(out.contains("yuan      FREE (130 dependencies"), "{out}");
         assert_eq!(span_paths(&reg), ["cdg.closed_form"]);
         let snap = reg.snapshot();
@@ -580,18 +532,18 @@ mod tests {
         // Routers without a rule are built and checked.
         for router in ["valley", "multipath", "adaptive"] {
             let reg = Registry::new();
-            run(&argv(&format!("2 4 5 --router {router}")), &reg).unwrap();
+            text(&format!("2 4 5 --router {router}"), &reg);
             assert_eq!(span_paths(&reg), ["cdg.build", "cdg.scc"], "{router}");
             assert!(reg.snapshot().gauge("par.threads").is_some(), "{router}");
         }
         // A faulted fabric and every churn epoch sweep, rule or not (the
         // churn run's pristine fabric is still counted).
         let reg = Registry::new();
-        run(&argv("2 4 5 --router yuan --fail-tops 1"), &reg).unwrap();
+        text("2 4 5 --router yuan --fail-tops 1", &reg);
         assert_eq!(span_paths(&reg), ["cdg.build", "cdg.scc"]);
         let reg = Registry::new();
         let churn = "2 4 3 --router dmodk --churn-links 2 --mtbf 200 --mttr 60 --churn-cycles 800";
-        run(&argv(churn), &reg).unwrap();
+        text(churn, &reg);
         assert_eq!(
             span_paths(&reg),
             [

@@ -4,25 +4,26 @@
 //!
 //! Without `--pattern`, sweeps the standard adversarial suite and prints
 //! one line per pattern; with `--pattern`, solves just that pattern.
-//! `--json` emits the same reports as a JSON array (the shape the E19
-//! bench writes). `--fail-tops` / `--fail-links` solve on the surviving
-//! hardware via the fault-masked routing variants.
+//! `--json` emits the same reports as a JSON array. `--fail-tops` /
+//! `--fail-links` solve on the surviving hardware via the fault-masked
+//! routing variants.
 
 use super::common::RouterName::{
     self, Adaptive, DModK, Greedy, Multipath, Rearrangeable, SModK, Yuan,
 };
 use super::common::{build_ftree, fabric, make_pattern, FaultFlags, SinglePath};
+use super::{Report, Reported};
 use crate::opts::{CliError, Opts};
 use ftclos_flowsim::{standard_suite, sweep_patterns_with, FluidReport};
-use ftclos_obs::json::quote;
-use ftclos_obs::Registry;
+use ftclos_obs::json::Json;
+use ftclos_obs::{obj, Registry};
 use ftclos_routing::{
     FaultAware, GreedyLocalAdaptive, LinkLoadView, MaskedAdaptive, MaskedMultipath,
     NonblockingAdaptive, ObliviousMultipath, PlanStrategy, RearrangeableRouter, RoutingError,
 };
 use ftclos_topo::{ChannelCapacities, FaultyView, Ftree};
 use ftclos_traffic::Permutation;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// The routers `--router` takes, default first (`greedy`/`rearrangeable`
 /// have no fault-masked variant, so they are healthy-fabric only).
@@ -39,13 +40,22 @@ pub(crate) const ROSTER: &[RouterName] = &[
 /// One pattern's outcome: its report, or why it could not be routed.
 type Outcome = (String, Result<FluidReport, String>);
 
+/// What `flowsim` reports: one outcome a pattern; its JSON is the array of
+/// their flowsim report objects (the shape the E19 bench writes).
+struct FlowsimReport {
+    ft: Ftree,
+    router: RouterName,
+    /// Dead channels, when faults were asked for.
+    dead: Option<usize>,
+    outcomes: Vec<Outcome>,
+}
+
 /// Run the command.
-pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
+pub fn run(opts: &Opts, rec: &Registry) -> Reported {
     let ft = build_ftree(opts)?;
     let router = RouterName::flag(opts, ROSTER)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
     let faults = FaultFlags::parse(opts, &ft, 0)?;
-    let json: bool = opts.flag_or("json", false)?;
 
     let ports = ft.num_leaves() as u32;
     let suite: Vec<(String, Permutation)> = match opts.flag("pattern") {
@@ -67,7 +77,7 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     };
     let fail = |e: RoutingError| CliError::Failed(e.to_string());
     let multipath = || ObliviousMultipath::new(&ft);
-    let reports = match (router, faulted) {
+    let outcomes = match (router, faulted) {
         (Multipath, false) => solve(&multipath()),
         (Multipath, true) => solve(&MaskedMultipath::new(multipath(), &view)),
         (Adaptive, false) => solve(&NonblockingAdaptive::new(&ft).map_err(fail)?),
@@ -89,54 +99,44 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         (_, false) => solve(&SinglePath::new(&ft, router)?),
         (_, true) => solve(&FaultAware::new(SinglePath::new(&ft, router)?, &view)),
     };
-
-    if json {
-        return Ok(render_json(&reports));
-    }
-    render_text(&ft, router, faulted, view.num_dead_channels(), &reports)
-}
-
-fn render_json(reports: &[Outcome]) -> String {
-    let items: Vec<String> = reports
-        .iter()
-        .map(|(name, res)| match res {
-            Ok(r) => r.to_json(),
-            Err(e) => format!("{{\"pattern\":{},\"error\":{}}}", quote(name), quote(e)),
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-fn render_text(
-    ft: &Ftree,
-    router: RouterName,
-    faulted: bool,
-    dead_channels: usize,
-    reports: &[Outcome],
-) -> Result<String, CliError> {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "fluid flow-rate simulation: {}, {} hosts, router {}{}",
-        fabric(ft),
-        ft.num_leaves(),
+    Ok(Box::new(FlowsimReport {
         router,
-        if faulted {
-            format!(" (fault-masked, {dead_channels} dead channel(s))")
-        } else {
-            String::new()
-        }
-    );
-    let _ = writeln!(
-        out,
-        "{:<16} {:>6} {:>10} {:>8} {:>8} {:>11} {:>7}  util deciles",
-        "pattern", "flows", "delivered", "mean", "worst", "demand-max", "rounds"
-    );
-    for (name, res) in reports {
-        match res {
-            Ok(r) => {
-                let _ = writeln!(
-                    out,
+        dead: faulted.then(|| view.num_dead_channels()),
+        outcomes,
+        ft,
+    }))
+}
+
+impl Report for FlowsimReport {
+    fn json(&self) -> Json {
+        let outcome = |(name, res): &Outcome| match res {
+            Ok(r) => r.json(),
+            Err(e) => obj! { "pattern" => name.as_str(), "error" => e.as_str() },
+        };
+        self.outcomes.iter().map(outcome).collect()
+    }
+}
+
+impl fmt::Display for FlowsimReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let masked = match self.dead {
+            Some(dead) => format!(" (fault-masked, {dead} dead channel(s))"),
+            None => String::new(),
+        };
+        let (fabric, hosts, router) = (fabric(&self.ft), self.ft.num_leaves(), self.router);
+        writeln!(
+            f,
+            "fluid flow-rate simulation: {fabric}, {hosts} hosts, router {router}{masked}"
+        )?;
+        writeln!(
+            f,
+            "{:<16} {:>6} {:>10} {:>8} {:>8} {:>11} {:>7}  util deciles",
+            "pattern", "flows", "delivered", "mean", "worst", "demand-max", "rounds"
+        )?;
+        for (name, res) in &self.outcomes {
+            match res {
+                Ok(r) => writeln!(
+                    f,
                     "{:<16} {:>6} {:>10.4} {:>8.4} {:>8.4} {:>11.4} {:>7}  {}{}",
                     r.pattern,
                     r.num_flows,
@@ -147,26 +147,21 @@ fn render_text(
                     r.rounds,
                     r.utilization.to_compact_string(),
                     if r.all_unit_rate { "  [full rate]" } else { "" }
-                );
-            }
-            Err(e) => {
-                let _ = writeln!(out, "{name:<16} unroutable: {e}");
+                )?,
+                Err(e) => writeln!(f, "{name:<16} unroutable: {e}")?,
             }
         }
-    }
-    let delivered_all = reports
-        .iter()
-        .all(|(_, r)| r.as_ref().map(|r| r.all_unit_rate).unwrap_or(false));
-    let _ = writeln!(
-        out,
-        "verdict: {}",
-        if delivered_all {
+        let delivered_all = self
+            .outcomes
+            .iter()
+            .all(|(_, r)| r.as_ref().is_ok_and(|r| r.all_unit_rate));
+        let verdict = if delivered_all {
             "every tested pattern delivered at full rate (fluid-nonblocking)"
         } else {
             "some pattern degrades below unit rate (fluid-blocking)"
-        }
-    );
-    Ok(out)
+        };
+        writeln!(f, "verdict: {verdict}")
+    }
 }
 
 #[cfg(test)]
@@ -177,10 +172,15 @@ mod tests {
         Opts::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>()).unwrap()
     }
 
+    /// The text report of `flowsim <args>`.
+    fn text(args: &str, reg: &Registry) -> String {
+        run(&argv(args), reg).unwrap().to_string()
+    }
+
     #[test]
     fn yuan_full_fabric_delivers_everything() {
         let reg = Registry::new();
-        let out = run(&argv("2 4 5"), &reg).unwrap();
+        let out = text("2 4 5", &reg);
         assert!(out.contains("fluid-nonblocking"), "{out}");
         assert!(out.contains("[full rate]"), "{out}");
         let snap = reg.snapshot();
@@ -191,21 +191,17 @@ mod tests {
     #[test]
     fn undersized_single_path_degrades_on_some_pattern() {
         // m = n: random permutations collide under d-mod-k.
-        let out = run(
-            &argv("2 2 5 --router dmodk --pattern random --seed 3"),
+        let out = text(
+            "2 2 5 --router dmodk --pattern random --seed 3",
             &Registry::new(),
-        )
-        .unwrap();
+        );
         assert!(out.contains("fluid-blocking"), "{out}");
     }
 
     #[test]
     fn json_is_emitted_and_structured() {
-        let out = run(
-            &argv("2 4 5 --pattern shift:3 --json true"),
-            &Registry::new(),
-        )
-        .unwrap();
+        let report = run(&argv("2 4 5 --pattern shift:3"), &Registry::new()).unwrap();
+        let out = report.json().write();
         assert!(
             out.starts_with('[') && out.trim_end().ends_with(']'),
             "{out}"
@@ -216,11 +212,7 @@ mod tests {
 
     #[test]
     fn fault_masked_multipath_concentrates_load() {
-        let out = run(
-            &argv("2 4 5 --router multipath --fail-tops 1"),
-            &Registry::new(),
-        )
-        .unwrap();
+        let out = text("2 4 5 --router multipath --fail-tops 1", &Registry::new());
         assert!(out.contains("fault-masked"), "{out}");
         assert!(out.contains("dead channel"), "{out}");
     }
@@ -229,11 +221,7 @@ mod tests {
     fn faulted_deterministic_reports_unroutable_patterns() {
         // Yuan's pinned top (0,0) dies; shifts that use it become
         // unroutable instead of crashing the command.
-        let out = run(
-            &argv("2 4 5 --fail-tops 1 --pattern shift:2"),
-            &Registry::new(),
-        )
-        .unwrap();
+        let out = text("2 4 5 --fail-tops 1 --pattern shift:2", &Registry::new());
         assert!(out.contains("unroutable"), "{out}");
     }
 

@@ -10,13 +10,15 @@
 //! edge switch 0 at cycle `--fail-at` (default: half the warmed-up run).
 
 use super::common::{build_ftree, fabric, make_pattern, route_named, RouterName};
+use super::{Report, Reported};
 use crate::opts::{CliError, Opts};
-use ftclos_obs::{Recorder, Registry};
+use ftclos_obs::json::{Json, Number};
+use ftclos_obs::{obj, Recorder, Registry};
 use ftclos_sim::{
     Arbiter, EventSimulator, FaultSchedule, Policy, SimConfig, SimStats, Simulator, Workload,
 };
 use ftclos_topo::Ftree;
-use std::fmt::Write as _;
+use std::fmt;
 
 fn parse_arbiter(spec: &str) -> Result<Arbiter, CliError> {
     if spec == "hol" {
@@ -60,8 +62,23 @@ fn parse_engine(spec: &str) -> Result<Engine, CliError> {
     }
 }
 
+/// What `simulate` reports: the run's parameters plus the stats both
+/// engines agree on exactly (bit-identical across `--engine cycle` and
+/// `--engine event` for the same seed).
+struct SimReport {
+    ft: Ftree,
+    router: RouterName,
+    pattern: String,
+    rate: f64,
+    arbiter: Arbiter,
+    engine: Engine,
+    fail_uplinks: usize,
+    fail_at: u64,
+    stats: SimStats,
+}
+
 /// Run the command.
-pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
+pub fn run(opts: &Opts, rec: &Registry) -> Reported {
     let ft = build_ftree(opts)?;
     let router = RouterName::flag(opts, ROSTER)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
@@ -69,12 +86,11 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let cycles: u64 = opts.flag_or("cycles", 2_000)?;
     let arbiter = parse_arbiter(opts.flag("arbiter").unwrap_or("hol"))?;
     let engine = parse_engine(opts.flag("engine").unwrap_or("event"))?;
-    let json: bool = opts.flag_or("json", false)?;
     let fail_uplinks: usize = opts.flag_or("fail-uplinks", 0)?;
     let fail_at: u64 = opts.flag_or("fail-at", cycles / 4 + cycles / 2)?;
-    let spec = opts.flag("pattern").unwrap_or("random");
+    let pattern = opts.flag("pattern").unwrap_or("random").to_string();
     let ports = ft.num_leaves() as u32;
-    let perm = make_pattern(spec, ports, seed)?;
+    let perm = make_pattern(&pattern, ports, seed)?;
 
     if fail_uplinks > ft.m() {
         return Err(CliError::Usage(format!(
@@ -110,110 +126,88 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
                 .try_run_with_faults_recorded(&workload, seed ^ 0xC0FFEE, &faults, rec),
         }
         .map_err(|e| CliError::Failed(e.to_string()))?;
-    let (engine, engine_tag) = match engine {
-        Engine::Event => ("event", ", event engine"),
-        Engine::Cycle => ("cycle", ""),
-    };
-
-    if json {
-        return Ok(render_json(
-            &ft,
-            router,
-            spec,
-            rate,
-            engine,
-            fail_uplinks,
-            fail_at,
-            &stats,
-        ));
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "simulated `{spec}` at rate {rate} on {} with `{router}` ({arbiter:?}{engine_tag}):",
-        fabric(&ft)
-    );
-    if fail_uplinks > 0 {
-        let _ = writeln!(
-            out,
-            "  faults: {fail_uplinks} uplink(s) of edge switch 0 die at cycle {fail_at}"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  accepted throughput = {:.3} packets/cycle/source (offered {rate})",
-        stats.accepted_throughput()
-    );
-    let _ = writeln!(
-        out,
-        "  latency: mean {:.1}, p50 {}, p95 {}, p99 {}, max {} cycles",
-        stats.mean_latency(),
-        stats.latency_p50,
-        stats.latency_p95,
-        stats.latency_p99,
-        stats.latency_max
-    );
-    let _ = writeln!(
-        out,
-        "  injected {} / delivered {} (window: {} / {})",
-        stats.injected_total,
-        stats.delivered_total,
-        stats.injected_in_window,
-        stats.delivered_in_window
-    );
-    Ok(out)
+    Ok(Box::new(SimReport {
+        router,
+        pattern,
+        rate,
+        arbiter,
+        engine,
+        fail_uplinks,
+        fail_at,
+        stats,
+        ft,
+    }))
 }
 
-/// One flat JSON object: run parameters plus the stats both engines agree
-/// on exactly (bit-identical across `--engine cycle` and `--engine event`
-/// for the same seed).
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    ft: &Ftree,
-    router: RouterName,
-    pattern: &str,
-    rate: f64,
-    engine: &str,
-    fail_uplinks: usize,
-    fail_at: u64,
-    stats: &SimStats,
-) -> String {
-    format!(
-        concat!(
-            "{{\"command\":\"simulate\",\"engine\":\"{engine}\",",
-            "\"n\":{n},\"m\":{m},\"r\":{r},",
-            "\"router\":\"{router}\",\"pattern\":\"{pattern}\",\"rate\":{rate},",
-            "\"fail_uplinks\":{fail_uplinks},\"fail_at\":{fail_at},",
-            "\"injected_total\":{injected},\"delivered_total\":{delivered},",
-            "\"timed_out_total\":{timed_out},\"abandoned_total\":{abandoned},",
-            "\"leftover_packets\":{leftover},\"injection_refusals\":{refusals},",
-            "\"accepted_throughput\":{thr:.6},\"mean_latency\":{mlat:.3},",
-            "\"latency_p50\":{p50},\"latency_p95\":{p95},\"latency_p99\":{p99},",
-            "\"latency_max\":{lmax},\"conservation_ok\":{conservation}}}"
-        ),
-        engine = engine,
-        n = ft.n(),
-        m = ft.m(),
-        r = ft.r(),
-        router = router,
-        pattern = pattern,
-        rate = rate,
-        fail_uplinks = fail_uplinks,
-        fail_at = fail_at,
-        injected = stats.injected_total,
-        delivered = stats.delivered_total,
-        timed_out = stats.timed_out_total,
-        abandoned = stats.abandoned_total,
-        leftover = stats.leftover_packets,
-        refusals = stats.injection_refusals,
-        thr = stats.accepted_throughput(),
-        mlat = stats.mean_latency(),
-        p50 = stats.latency_p50,
-        p95 = stats.latency_p95,
-        p99 = stats.latency_p99,
-        lmax = stats.latency_max,
-        conservation = stats.conservation_ok(),
-    )
+impl fmt::Display for SimReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (pattern, rate, router) = (&self.pattern, self.rate, self.router);
+        let tag = match self.engine {
+            Engine::Event => ", event engine",
+            Engine::Cycle => "",
+        };
+        writeln!(
+            f,
+            "simulated `{pattern}` at rate {rate} on {} with `{router}` ({:?}{tag}):",
+            fabric(&self.ft),
+            self.arbiter
+        )?;
+        let (dead, at) = (self.fail_uplinks, self.fail_at);
+        if dead > 0 {
+            writeln!(
+                f,
+                "  faults: {dead} uplink(s) of edge switch 0 die at cycle {at}"
+            )?;
+        }
+        let s = &self.stats;
+        let accepted = s.accepted_throughput();
+        writeln!(
+            f,
+            "  accepted throughput = {accepted:.3} packets/cycle/source (offered {rate})"
+        )?;
+        let (p50, p95, p99, max) = (s.latency_p50, s.latency_p95, s.latency_p99, s.latency_max);
+        let mean = s.mean_latency();
+        writeln!(
+            f,
+            "  latency: mean {mean:.1}, p50 {p50}, p95 {p95}, p99 {p99}, max {max} cycles"
+        )?;
+        let window = format!(
+            "window: {} / {}",
+            s.injected_in_window, s.delivered_in_window
+        );
+        writeln!(
+            f,
+            "  injected {} / delivered {} ({window})",
+            s.injected_total, s.delivered_total
+        )
+    }
+}
+
+impl Report for SimReport {
+    /// One flat object.
+    fn json(&self) -> Json {
+        let (ft, s) = (&self.ft, &self.stats);
+        let engine = match self.engine {
+            Engine::Event => "event",
+            Engine::Cycle => "cycle",
+        };
+        obj! {
+            "command" => "simulate", "engine" => engine,
+            "n" => ft.n(), "m" => ft.m(), "r" => ft.r(),
+            "router" => self.router.as_str(), "pattern" => self.pattern.as_str(),
+            "rate" => Json::Num(self.rate),
+            "fail_uplinks" => self.fail_uplinks, "fail_at" => self.fail_at,
+            "injected_total" => s.injected_total, "delivered_total" => s.delivered_total,
+            "timed_out_total" => s.timed_out_total, "abandoned_total" => s.abandoned_total,
+            "leftover_packets" => s.leftover_packets,
+            "injection_refusals" => s.injection_refusals,
+            "accepted_throughput" => Number::fixed(s.accepted_throughput(), 6),
+            "mean_latency" => Number::fixed(s.mean_latency(), 3),
+            "latency_p50" => s.latency_p50, "latency_p95" => s.latency_p95,
+            "latency_p99" => s.latency_p99, "latency_max" => s.latency_max,
+            "conservation_ok" => s.conservation_ok(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -231,7 +225,8 @@ mod tests {
             &argv("2 4 5 --pattern shift:3 --rate 0.9 --cycles 800"),
             &reg,
         )
-        .unwrap();
+        .unwrap()
+        .to_string();
         assert!(out.contains("accepted throughput"));
         let snap = reg.snapshot();
         assert!(snap.counter("evsim.injected").unwrap_or(0) > 0);
@@ -258,19 +253,23 @@ mod tests {
             &argv("2 16 4 --router adaptive --pattern random --cycles 400"),
             &Registry::new(),
         )
-        .unwrap();
+        .unwrap()
+        .to_string();
         assert!(out.contains("accepted throughput"));
     }
 
     #[test]
     fn event_engine_matches_cycle_engine_output() {
-        let args = "2 4 5 --pattern shift:3 --rate 0.9 --cycles 800 --json true";
+        let args = "2 4 5 --pattern shift:3 --rate 0.9 --cycles 800";
         let cycle = run(&argv(&format!("{args} --engine cycle")), &Registry::new()).unwrap();
         let reg = Registry::new();
         let event = run(&argv(&format!("{args} --engine event")), &reg).unwrap();
         assert_eq!(
-            cycle.replace("\"engine\":\"cycle\"", "\"engine\":\"event\""),
-            event,
+            cycle
+                .json()
+                .write()
+                .replace("\"engine\":\"cycle\"", "\"engine\":\"event\""),
+            event.json().write(),
             "engines must agree field for field"
         );
         let snap = reg.snapshot();
@@ -284,9 +283,12 @@ mod tests {
             &argv("2 4 5 --pattern shift:3 --cycles 600 --fail-uplinks 2 --engine event"),
             &Registry::new(),
         )
-        .unwrap();
+        .unwrap()
+        .to_string();
         assert!(out.contains("2 uplink(s) of edge switch 0 die"), "{out}");
-        let err = run(&argv("2 4 5 --fail-uplinks 9"), &Registry::new()).unwrap_err();
+        let err = run(&argv("2 4 5 --fail-uplinks 9"), &Registry::new())
+            .err()
+            .unwrap();
         assert!(matches!(err, CliError::Usage(_)));
     }
 
@@ -294,7 +296,8 @@ mod tests {
     fn failure(args: &str) -> String {
         match run(&argv(args), &Registry::new()) {
             Err(CliError::Failed(msg)) => msg,
-            other => panic!("`simulate {args}` should fail at run time, got {other:?}"),
+            Err(other) => panic!("`simulate {args}` should fail at run time, got {other:?}"),
+            Ok(report) => panic!("`simulate {args}` should fail at run time, got {report}"),
         }
     }
 
@@ -325,7 +328,9 @@ mod tests {
         );
         assert!(parse_arbiter("magic").is_err());
         assert!(parse_arbiter("islip:x").is_err());
-        let err = run(&argv("2 4 5 --arbiter islip:0"), &Registry::new()).unwrap_err();
+        let err = run(&argv("2 4 5 --arbiter islip:0"), &Registry::new())
+            .err()
+            .unwrap();
         assert!(
             matches!(&err, CliError::Usage(msg) if msg.contains("at least 1")),
             "{err:?}"

@@ -10,8 +10,10 @@
 //! engine/flowsim/sim hot paths) and the resulting trace JSON is written to
 //! FILE. `ftclos stats FILE` summarizes a trace back into text.
 //!
-//! Every command is a pure function from arguments to output text, so the
-//! whole surface is unit-testable.
+//! Every command is a pure function from arguments to output text or to a
+//! [`commands::Report`], so the whole surface is unit-testable. `--json`
+//! is read here, once: it prints a report as its JSON document instead of
+//! its text.
 
 pub mod commands;
 pub mod opts;
@@ -19,7 +21,7 @@ pub mod opts;
 use commands::common::RouterName;
 use commands::{
     blocking, build, campaign, churn, congestion, deadlock, design, faults, flowsim, route,
-    simulate, stats, table1, verify,
+    simulate, stats, table1, verify, Reported,
 };
 use ftclos_obs::{Recorder as _, Registry};
 use std::fmt::Write as _;
@@ -38,55 +40,66 @@ struct Command {
     usage: &'static str,
     /// The routers `--router` takes, default first (empty: no `--router`).
     routers: &'static [RouterName],
-    /// The implementation: arguments plus the run's registry in, text out.
-    run: fn(&Opts, &Registry) -> Result<String, CliError>,
+    /// The implementation.
+    run: Run,
+}
+
+/// A command's implementation: arguments plus the run's registry in.
+#[derive(Clone, Copy)]
+enum Run {
+    /// Text out.
+    Text(fn(&Opts, &Registry) -> Result<String, CliError>),
+    /// A report out, printed as its text or, under `--json`, as JSON.
+    Report(fn(&Opts, &Registry) -> Reported),
 }
 
 /// Every subcommand, in the order `ftclos help` lists them.
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
-    Command { name: "design", span: Some("cmd.design"), routers: &[], run: design::run,
+    Command { name: "design", span: Some("cmd.design"), routers: &[], run: Run::Text(design::run),
         usage: "ftclos design <radix>" },
-    Command { name: "table1", span: Some("cmd.table1"), routers: &[], run: table1::run,
+    Command { name: "table1", span: Some("cmd.table1"), routers: &[], run: Run::Text(table1::run),
         usage: "ftclos table1" },
-    Command { name: "build", span: Some("cmd.build"), routers: &[], run: build::run,
+    Command { name: "build", span: Some("cmd.build"), routers: &[], run: Run::Text(build::run),
         usage: "ftclos build  <n> <m> <r> [--dot FILE]" },
-    Command { name: "verify", span: Some("cmd.verify"), routers: verify::ROSTER, run: verify::run,
+    Command { name: "verify", span: Some("cmd.verify"), routers: verify::ROSTER,
+        run: Run::Text(verify::run),
         usage: "ftclos verify <n> <m> <r> [--router R]" },
-    Command { name: "route", span: Some("cmd.route"), routers: route::ROSTER, run: route::run,
+    Command { name: "route", span: Some("cmd.route"), routers: route::ROSTER,
+        run: Run::Text(route::run),
         usage: "ftclos route  <n> <m> <r> [--router R] [--pattern P] [--seed S]" },
     Command { name: "simulate", span: Some("cmd.simulate"), routers: simulate::ROSTER,
-        run: simulate::run,
+        run: Run::Report(simulate::run),
         usage: "ftclos simulate <n> <m> <r> [--router R] [--pattern P] [--rate F]
                   [--cycles N] [--arbiter hol|islip:K] [--engine event|cycle]
                   [--fail-uplinks K] [--fail-at C] [--seed S] [--json]" },
     Command { name: "blocking", span: Some("cmd.blocking"), routers: blocking::ROSTER,
-        run: blocking::run,
+        run: Run::Text(blocking::run),
         usage: "ftclos blocking <n> <m> <r> [--router R] [--samples N] [--seed S]" },
-    Command { name: "faults", span: Some("cmd.faults"), routers: &[], run: faults::run,
+    Command { name: "faults", span: Some("cmd.faults"), routers: &[], run: Run::Text(faults::run),
         usage: "ftclos faults <n> <m> <r> [--fail-tops K] [--fail-links K] [--seed S]
                 [--samples N] [--max-k K]" },
-    Command { name: "churn", span: Some("cmd.churn"), routers: &[], run: churn::run,
+    Command { name: "churn", span: Some("cmd.churn"), routers: &[], run: Run::Text(churn::run),
         usage: "ftclos churn  <n> <m> <r> [--links K] [--mtbf N] [--mttr N] [--cycles N]
                 [--rate F] [--mode pinned|percycle|hysteresis:K]
                 [--samples N] [--seed S] [--target F --max-m M]" },
     Command { name: "flowsim", span: Some("cmd.flowsim"), routers: flowsim::ROSTER,
-        run: flowsim::run,
+        run: Run::Report(flowsim::run),
         usage: "ftclos flowsim <n> <m> <r> [--router R] [--pattern P] [--seed S] [--json]
                  [--fail-tops K] [--fail-links K]" },
     Command { name: "congestion", span: Some("cmd.congestion"), routers: &[],
-        run: congestion::run,
+        run: Run::Report(congestion::run),
         usage: "ftclos congestion <n> <m> <r> [--mode greedy|rounded|repaired] [--pattern P]
                   [--seed S] [--trials N] [--fail-tops K] [--fail-links K]
                   [--churn-links K --mtbf N --mttr N --churn-cycles N] [--json]" },
     Command { name: "deadlock", span: Some("cmd.deadlock"), routers: deadlock::ROSTER,
-        run: deadlock::run,
+        run: Run::Report(deadlock::run),
         usage: "ftclos deadlock <n> <m> <r> [--router R]
                   [--fail-tops K] [--fail-links K] [--seed S]
                   [--churn-links K --mtbf N --mttr N --churn-cycles N]
                   [--inject] [--inject-cycles N] [--queue-capacity K] [--json]" },
     Command { name: "campaign", span: Some("cmd.campaign"), routers: campaign::ROSTER,
-        run: campaign::run,
+        run: Run::Report(campaign::run),
         usage: "ftclos campaign <n> <m> <r> [--property routability|deterministic|nonblocking|deadlock]
                   [--mode random|exhaustive] [--k K] [--universe tops|links|mixed]
                   [--waves N] [--wave-size N] [--links K] [--switches K]
@@ -94,7 +107,7 @@ const COMMANDS: &[Command] = &[
                   [--shrink] [--checkpoint FILE] [--resume] [--halt-after N]
                   [--confirm] [--confirm-cycles N] [--watchdog N]
                   [--queue-capacity K] [--json]" },
-    Command { name: "stats", span: None, routers: &[], run: stats::run,
+    Command { name: "stats", span: None, routers: &[], run: Run::Text(stats::run),
         usage: "ftclos stats <trace.json> [--folded]" },
 ];
 
@@ -192,12 +205,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         )));
     };
     let (rest, opts) = cmd.parse(rest)?;
+    let json: bool = opts.flag_or("json", false)?;
     let reg = Registry::new();
     let out = {
         // One `cmd.<name>` root per trace; its children are the library
         // phases (`lemma1.closed_form`, `cdg.build`, `flowsim.waterfill`, ...).
         let _root = cmd.span.map(|s| reg.span(s));
-        (cmd.run)(&opts, &reg)?
+        match cmd.run {
+            Run::Text(run) => run(&opts, &reg)?,
+            Run::Report(run) if json => run(&opts, &reg)?.json().write(),
+            Run::Report(run) => run(&opts, &reg)?.to_string(),
+        }
     };
     if let Some(path) = opts.flag("trace") {
         let trace = reg.snapshot().to_json(name, &rest.join(" "));
@@ -267,8 +285,10 @@ mod tests {
                 "{}",
                 cmd.name
             );
-            let documents_router = cmd.flags().iter().any(|(f, _)| *f == "router");
-            assert_eq!(documents_router, !cmd.routers.is_empty(), "{}", cmd.name);
+            let documents = |flag: &str| cmd.flags().iter().any(|(f, _)| *f == flag);
+            assert_eq!(documents("router"), !cmd.routers.is_empty(), "{}", cmd.name);
+            let reports = matches!(cmd.run, Run::Report(_));
+            assert_eq!(documents("json"), reports, "{}", cmd.name);
         }
         switches.sort_unstable();
         switches.dedup();

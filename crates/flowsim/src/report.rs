@@ -1,13 +1,12 @@
-//! [`FluidReport`] — the machine- and human-readable summary of one
-//! water-filling solve, shared by `ftclos flowsim` and the E19 bench so
-//! both emit identical shapes.
+//! [`FluidReport`] — the summary of one water-filling solve, shared by
+//! `ftclos flowsim` and the E19 bench, with its JSON form.
 
 use crate::flows::FlowSet;
 use crate::waterfill::FluidAllocation;
-use ftclos_obs::json::quote;
+use ftclos_obs::json::{Json, Number};
+use ftclos_obs::obj;
 use ftclos_sim::UtilizationHistogram;
 use serde::Serialize;
-use std::fmt;
 
 /// Summary of one pattern solved to its max-min fair fixed point.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -73,92 +72,23 @@ impl FluidReport {
         }
     }
 
-    /// Render as a JSON object (hand-rolled: the vendored `serde` is a
-    /// marker shim with no serializer behind it).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"router\":{},\"pattern\":{},\"hosts\":{},",
-                "\"num_flows\":{},\"num_link_entries\":{},",
-                "\"aggregate_throughput\":{},\"mean_rate\":{},",
-                "\"worst_rate\":{},\"all_unit_rate\":{},",
-                "\"max_demand_congestion\":{},\"max_link_load\":{},",
-                "\"rounds\":{},\"utilization\":{}}}"
-            ),
-            quote(&self.router),
-            quote(&self.pattern),
-            self.hosts,
-            self.num_flows,
-            self.num_link_entries,
-            json_f64(self.aggregate_throughput),
-            json_f64(self.mean_rate),
-            json_f64(self.worst_rate),
-            self.all_unit_rate,
-            json_f64(self.max_demand_congestion),
-            json_f64(self.max_link_load),
-            self.rounds,
-            json_histogram(&self.utilization),
-        )
-    }
-}
-
-impl fmt::Display for FluidReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} x {} on {} hosts: {} flows, {} link entries",
-            self.router, self.pattern, self.hosts, self.num_flows, self.num_link_entries
-        )?;
-        writeln!(
-            f,
-            "  delivered {:.4} aggregate ({:.4} mean, {:.4} worst){}",
-            self.aggregate_throughput,
-            self.mean_rate,
-            self.worst_rate,
-            if self.all_unit_rate {
-                " — fully delivered"
-            } else {
-                ""
-            }
-        )?;
-        writeln!(
-            f,
-            "  congestion: demand max {:.4}, allocated max {:.4}, {} round(s)",
-            self.max_demand_congestion, self.max_link_load, self.rounds
-        )?;
-        write!(
-            f,
-            "  link utilization deciles: {}",
-            self.utilization.to_compact_string()
-        )
-    }
-}
-
-/// Format a float as a JSON number (non-finite values become `null`).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Rust's shortest-roundtrip Display never emits NaN/inf here and
-        // never uses exponent notation, both of which JSON rejects.
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
+    /// The report as one JSON object: the flowsim report shape `ftclos
+    /// flowsim --json` prints, rates in shortest round-trip form.
+    pub fn json(&self) -> Json {
+        let rate = Number::float;
+        obj! {
+            "router" => self.router.as_str(), "pattern" => self.pattern.as_str(),
+            "hosts" => self.hosts,
+            "num_flows" => self.num_flows, "num_link_entries" => self.num_link_entries,
+            "aggregate_throughput" => rate(self.aggregate_throughput),
+            "mean_rate" => rate(self.mean_rate), "worst_rate" => rate(self.worst_rate),
+            "all_unit_rate" => self.all_unit_rate,
+            "max_demand_congestion" => rate(self.max_demand_congestion),
+            "max_link_load" => rate(self.max_link_load),
+            "rounds" => self.rounds,
+            "utilization" => self.utilization.buckets.iter().copied().collect::<Json>(),
         }
-    } else {
-        "null".to_string()
     }
-}
-
-/// Render a utilization histogram as a JSON array of bucket counts.
-pub(crate) fn json_histogram(h: &UtilizationHistogram) -> String {
-    let inner = h
-        .buckets
-        .iter()
-        .map(|b| b.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("[{inner}]")
 }
 
 #[cfg(test)]
@@ -181,8 +111,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_and_complete() {
         let r = sample_report();
-        let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        let json = r.json().write();
         for key in [
             "\"router\":\"d-mod-k\"",
             "\"pattern\":\"shift:3\"",
@@ -197,34 +126,16 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        // Balanced braces/brackets — cheap well-formedness proxy without a
-        // JSON parser in the tree.
+        let doc = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
+            doc.get("num_link_entries").and_then(Json::as_u64),
+            Some(r.num_link_entries as u64)
         );
         assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "{json}"
+            doc.get("utilization")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
+            Some(r.utilization.buckets.len())
         );
-    }
-
-    #[test]
-    fn json_floats() {
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(1.0), "1.0");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn display_mentions_the_headline_numbers() {
-        let r = sample_report();
-        let text = r.to_string();
-        assert!(text.contains("d-mod-k"));
-        assert!(text.contains("shift:3"));
-        assert!(text.contains("deciles"));
     }
 }

@@ -47,7 +47,7 @@ fn flowsim_text_report_is_stable() {
 
 #[test]
 fn flowsim_json_report_is_stable() {
-    assert_matches_golden("flowsim_2_4_5.json", &cli("flowsim 2 4 5 --json"));
+    assert_json_matches_golden("flowsim_2_4_5.json", "flowsim 2 4 5 --json");
 }
 
 #[test]
@@ -86,9 +86,9 @@ fn deadlock_sweep_text_is_stable() {
 /// conservation, plus the clean-draining control) are all deterministic.
 #[test]
 fn deadlock_witness_injection_json_is_stable() {
-    assert_matches_golden(
+    assert_json_matches_golden(
         "deadlock_valley_inject.json",
-        &cli("deadlock 1 1 4 --router valley --inject true --json"),
+        "deadlock 1 1 4 --router valley --inject true --json",
     );
 }
 
@@ -148,12 +148,9 @@ fn simulate_event_text_is_stable() {
 /// The event engine's JSON output, pristine.
 #[test]
 fn simulate_event_json_is_stable() {
-    assert_matches_golden(
+    assert_json_matches_golden(
         "simulate_event_2_4_5.json",
-        &cli(
-            "simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5 \
-              --engine event --json",
-        ),
+        "simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5 --engine event --json",
     );
 }
 
@@ -176,9 +173,9 @@ fn simulate_event_faulted_text_is_stable() {
 fn simulate_event_faulted_json_is_stable() {
     let args = "simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5 \
                 --fail-uplinks 2 --json";
-    let event = cli(&format!("{args} --engine event"));
-    assert_matches_golden("simulate_event_2_4_5_faulted.json", &event);
-    let cycle = cli(&format!("{args} --engine cycle"));
+    let event = format!("{args} --engine event");
+    assert_json_matches_golden("simulate_event_2_4_5_faulted.json", &event);
+    let (event, cycle) = (cli(&event), cli(&format!("{args} --engine cycle")));
     assert_eq!(
         cycle.replace("\"engine\":\"cycle\"", "\"engine\":\"event\""),
         event
@@ -267,7 +264,7 @@ fn congestion_pristine_text_is_stable() {
 
 #[test]
 fn congestion_pristine_json_is_stable() {
-    assert_matches_golden("congestion_2_4_5.json", &cli("congestion 2 4 5 --json"));
+    assert_json_matches_golden("congestion_2_4_5.json", "congestion 2 4 5 --json");
 }
 
 /// Faulted head-to-head: a dead top switch turns the deterministic
@@ -312,12 +309,9 @@ fn campaign_random_text_is_stable() {
 
 #[test]
 fn campaign_random_json_is_stable() {
-    assert_matches_golden(
+    assert_json_matches_golden(
         "campaign_random_2_4_5.json",
-        &cli(
-            "campaign 2 4 5 --waves 4 --wave-size 6 --links 2 --switches 1 --seed 7 \
-             --shrink --json",
-        ),
+        "campaign 2 4 5 --waves 4 --wave-size 6 --links 2 --switches 1 --seed 7 --shrink --json",
     );
 }
 
@@ -349,9 +343,9 @@ fn router_path_blocking_smodk_is_stable() {
 
 #[test]
 fn router_path_flowsim_dmodk_faulted_json_is_stable() {
-    assert_matches_golden(
+    assert_json_matches_golden(
         "flowsim_dmodk_2_4_5_failtop.json",
-        &cli("flowsim 2 4 5 --router dmodk --fail-tops 1 --json"),
+        "flowsim 2 4 5 --router dmodk --fail-tops 1 --json",
     );
 }
 
@@ -396,8 +390,8 @@ fn campaign_confirm_stall_diagnosis_is_stable() {
     );
 }
 
-/// A `--json` golden that must also parse: the JSON writers have no other
-/// shape check than these bytes.
+/// A `--json` golden that must also parse. Every `--json` golden goes
+/// through here.
 fn assert_json_matches_golden(name: &str, args: &str) {
     let out = cli(args);
     Json::parse(&out).unwrap_or_else(|e| panic!("`ftclos {args}` is not JSON ({e}): {out}"));
@@ -445,4 +439,21 @@ fn congestion_churn_json_is_stable() {
         "congestion_2_4_5_churn.json",
         "congestion 2 4 5 --churn-links 2 --churn-cycles 800 --seed 5 --json",
     );
+}
+
+/// A seed is a `u64`, and a report prints it digit for digit: through an
+/// f64 the largest one would read `18446744073709552000`.
+#[test]
+fn json_reports_print_the_largest_seed_exactly() {
+    for args in [
+        "congestion 2 4 5 --pattern random --seed 18446744073709551615 --json",
+        "campaign 2 4 5 --waves 1 --wave-size 2 --seed 18446744073709551615 --json",
+    ] {
+        let out = cli(args);
+        Json::parse(&out).unwrap_or_else(|e| panic!("`ftclos {args}` is not JSON ({e}): {out}"));
+        assert!(
+            out.contains("\"seed\":18446744073709551615,"),
+            "`ftclos {args}`: {out}"
+        );
+    }
 }
