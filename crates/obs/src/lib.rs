@@ -2,8 +2,8 @@
 //!
 //! A lightweight, zero-dependency instrumentation layer: hierarchical span
 //! timers, atomic counters / gauges / log-bucketed histograms, and an
-//! epoch-snapshot registry that serializes to the same hand-rolled JSON
-//! style the flowsim reports use. Every hot path in the workspace —
+//! epoch-snapshot registry that serializes to the trace JSON `ftclos
+//! --trace` writes. Every hot path in the workspace —
 //! `core::engine`, `flowsim::waterfill`, `sim::engine`, `routing::arena` —
 //! threads a [`Recorder`] through its work; the default [`Noop`] recorder
 //! monomorphizes to nothing, so un-traced runs pay zero cost (what a live
@@ -27,9 +27,10 @@
 //!
 //! ## Reading traces back
 //!
-//! [`json`] is a minimal parser for the JSON this workspace emits (there is
-//! no serde_json in-tree); `ftclos stats` and the snapshot tests use it to
-//! summarize and normalize traces.
+//! [`json`] is the JSON this workspace emits and reads (there is no
+//! serde_json in-tree): every `ftclos --json` report is a [`json::Json`]
+//! value written by [`json::Json::write`], and `ftclos stats` and the
+//! snapshot tests parse traces back with [`json::Json::parse`].
 //!
 //! ```
 //! use ftclos_obs::{Recorder, Registry};
