@@ -75,7 +75,7 @@ impl Schedule for DenseSchedule {
             }
             let inputs = topo.in_channels(ch.src);
             let n_in = inputs.len();
-            let start = *run.arena.rr.get(o) as usize % n_in.max(1);
+            let start = run.arena.rr(o) as usize % n_in.max(1);
             for k in 0..n_in {
                 let idx = (start + k) % n_in;
                 let qi = inputs.get(idx).index();

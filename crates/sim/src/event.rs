@@ -195,7 +195,7 @@ impl Schedule for ActiveSchedule {
             if n_in == 0 {
                 continue;
             }
-            let start = *run.arena.rr.get(o as usize) as usize % n_in;
+            let start = run.arena.rr(o as usize) as usize % n_in;
             // Round-robin winner among the heads waiting at the output's
             // switch (mirrors the sweep scanning `in_channels(src(o))`; a
             // head carries the node it waits at): the one whose local input

@@ -19,6 +19,15 @@
 //! into a freelist on reset, amortizing allocation across batch sweeps,
 //! fault campaigns, and churn replays instead of rebuilding per run.
 //!
+//! Everything a grant reads or writes of its output channel is one 24-byte
+//! `ChannelRec` — the channel queue's header, the round-robin grant pointer
+//! and the wire's busy-until deadline — in one `PagedVec` behind one
+//! directory, so a grant does one directory lookup and a first touch
+//! materializes one 64-entry page. The iSLIP accept pointers and the fault
+//! liveness flags stay arrays of their own: only iSLIP and fault runs write
+//! them, and folding them in would grow every record for the runs that do
+//! not.
+//!
 //! The packet FIFOs (`Queues`) are paged 12-byte headers — first slot,
 //! last slot, length — over one packet slab shared by the channel queues
 //! and the injection queues. A queue owns no heap of its own: a lightly
@@ -32,12 +41,17 @@ use crate::policy::Policy;
 use ftclos_topo::ChannelId;
 use std::collections::BTreeMap;
 
-/// Log2 of the page size: 512 entries per page balances touch granularity
-/// (a lone hot channel materializes 6 KiB of queue headers) against
-/// directory overhead (4 bytes per 512 entries, ~3 MiB at 415M channels).
-pub(crate) const PAGE_SHIFT: usize = 9;
-/// Entries per page.
-pub const PAGE_LEN: usize = 1 << PAGE_SHIFT;
+/// Log2 of the [`SimArena`] page size: 64 entries per page keeps touch
+/// granularity fine (a lone hot channel materializes 1.5 KiB of channel
+/// records) at a directory overhead of 4 bytes per 64 entries (~25 MiB a
+/// channel-indexed array at 415M channels).
+pub(crate) const PAGE_SHIFT: usize = 6;
+/// Log2 of the [`crate::ChannelBusy`] page size: 512 entries. `SimStats`'s
+/// derived `Debug` text shows the accumulator's pages, and committed replay
+/// digests hash that text, so its layout stays where it was.
+pub(crate) const BUSY_PAGE_SHIFT: usize = 9;
+/// Entries per page of a [`crate::ChannelBusy`].
+pub const PAGE_LEN: usize = 1 << BUSY_PAGE_SHIFT;
 
 /// One in-flight packet.
 #[derive(Clone, Copy, Debug)]
@@ -67,7 +81,8 @@ pub(crate) struct Packet {
     pub at: u32,
 }
 
-/// A fixed-length array with page-granular lazy allocation.
+/// A fixed-length array with page-granular lazy allocation, in pages of
+/// `2^SHIFT` entries.
 ///
 /// Untouched entries read as the default value; the first mutable access to
 /// an entry materializes its page (from the freelist when one is spare).
@@ -75,7 +90,7 @@ pub(crate) struct Packet {
 /// `PagedVec::iter_touched` — is in ascending index order, so behavior
 /// never depends on access history.
 #[derive(Clone, Debug)]
-pub struct PagedVec<T> {
+pub struct PagedVec<T, const SHIFT: usize = PAGE_SHIFT> {
     len: usize,
     /// Page index -> slot + 1 in `pages`; `0` = untouched.
     dir: Vec<u32>,
@@ -85,12 +100,15 @@ pub struct PagedVec<T> {
     default: T,
 }
 
-impl<T: Clone> PagedVec<T> {
+impl<T: Clone, const SHIFT: usize> PagedVec<T, SHIFT> {
+    /// Entries per page.
+    const LEN: usize = 1 << SHIFT;
+
     /// A length-`len` array where every entry reads as `default`.
     pub(crate) fn new(len: usize, default: T) -> Self {
         Self {
             len,
-            dir: vec![0; len.div_ceil(PAGE_LEN)],
+            dir: vec![0; len.div_ceil(Self::LEN)],
             pages: Vec::new(),
             spare: Vec::new(),
             default,
@@ -114,9 +132,9 @@ impl<T: Clone> PagedVec<T> {
     #[inline]
     pub fn get(&self, i: usize) -> &T {
         assert!(i < self.len, "PagedVec index {i} out of range {}", self.len);
-        match self.dir[i >> PAGE_SHIFT] {
+        match self.dir[i >> SHIFT] {
             0 => &self.default,
-            slot => &self.pages[slot as usize - 1][i & (PAGE_LEN - 1)],
+            slot => &self.pages[slot as usize - 1][i & (Self::LEN - 1)],
         }
     }
 
@@ -127,12 +145,12 @@ impl<T: Clone> PagedVec<T> {
     #[inline]
     pub(crate) fn get_mut(&mut self, i: usize) -> &mut T {
         assert!(i < self.len, "PagedVec index {i} out of range {}", self.len);
-        let p = i >> PAGE_SHIFT;
+        let p = i >> SHIFT;
         if self.dir[p] == 0 {
             self.materialize(p);
         }
         let slot = self.dir[p] as usize - 1;
-        &mut self.pages[slot][i & (PAGE_LEN - 1)]
+        &mut self.pages[slot][i & (Self::LEN - 1)]
     }
 
     fn materialize(&mut self, p: usize) {
@@ -141,7 +159,7 @@ impl<T: Clone> PagedVec<T> {
                 page.fill(self.default.clone());
                 page
             }
-            None => vec![self.default.clone(); PAGE_LEN].into_boxed_slice(),
+            None => vec![self.default.clone(); Self::LEN].into_boxed_slice(),
         };
         self.pages.push(page);
         self.dir[p] = self.pages.len() as u32;
@@ -155,7 +173,7 @@ impl<T: Clone> PagedVec<T> {
             .enumerate()
             .filter(|&(_, &slot)| slot != 0)
             .flat_map(move |(p, &slot)| {
-                let base = p << PAGE_SHIFT;
+                let base = p << SHIFT;
                 self.pages[slot as usize - 1]
                     .iter()
                     .take(self.len - base)
@@ -170,7 +188,7 @@ impl<T: Clone> PagedVec<T> {
             .iter()
             .enumerate()
             .filter(|&(_, &slot)| slot != 0)
-            .map(|(p, _)| PAGE_LEN.min(self.len - (p << PAGE_SHIFT)))
+            .map(|(p, _)| Self::LEN.min(self.len - (p << SHIFT)))
             .sum()
     }
 
@@ -182,16 +200,17 @@ impl<T: Clone> PagedVec<T> {
     /// Backing bytes: directory plus materialized and spare pages.
     pub(crate) fn state_bytes(&self) -> usize {
         self.dir.capacity() * std::mem::size_of::<u32>()
-            + (self.pages.len() + self.spare.len()) * PAGE_LEN * std::mem::size_of::<T>()
+            + (self.pages.len() + self.spare.len()) * Self::LEN * std::mem::size_of::<T>()
     }
 
     /// Reset to a fresh length-`len` all-default array, retiring every
-    /// materialized page into the freelist for reuse.
+    /// materialized page into the freelist for reuse. The directory is a
+    /// fresh zeroed allocation, so the parts of it no write reaches stay
+    /// unbacked.
     pub(crate) fn reset(&mut self, len: usize) {
         self.spare.append(&mut self.pages);
         self.len = len;
-        self.dir.clear();
-        self.dir.resize(len.div_ceil(PAGE_LEN), 0);
+        self.dir = vec![0; len.div_ceil(Self::LEN)];
     }
 
     /// Materialize every page (the dense-prefill mode differential tests
@@ -230,6 +249,20 @@ struct Node {
 // A slab slot stays 56 B: `Packet::at` took padding, not a word.
 const _: () = assert!(std::mem::size_of::<Node>() == 56);
 
+/// What the kernel keeps per channel for its grants: the channel queue's
+/// header, the round-robin grant pointer of the channel as an output, and
+/// the cycle its wire is busy until. The all-zero default is an empty
+/// queue, pointer 0 and an idle wire.
+#[derive(Clone, Copy, Debug, Default)]
+struct ChannelRec {
+    ends: QueueEnds,
+    rr: u32,
+    busy_until: u64,
+}
+
+// Three fields, no padding: 64 records are a 1.5 KiB page.
+const _: () = assert!(std::mem::size_of::<ChannelRec>() == 24);
+
 /// The two queue sets of [`Queues`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum QueueSet {
@@ -247,14 +280,16 @@ pub(crate) enum QueueSet {
 pub(crate) struct Held(u32);
 
 /// Every packet FIFO of a run: paged [`QueueSet::Channel`] and
-/// [`QueueSet::Inject`] headers threaded through one packet slab.
+/// [`QueueSet::Inject`] headers threaded through one packet slab. The
+/// channel headers live in the channel records, beside the fields
+/// [`SimArena`] reads through `rr`/`busy_until`.
 ///
 /// Observations — [`Queues::get`]'s view, `Queues::iter_touched` — are in
 /// FIFO order within a queue and ascending index order across queues, so
 /// they never depend on which slab slots the packets happen to occupy.
 #[derive(Clone, Debug)]
 pub(crate) struct Queues {
-    channel: PagedVec<QueueEnds>,
+    channel: PagedVec<ChannelRec>,
     inject: PagedVec<QueueEnds>,
     slab: Vec<Node>,
     /// Head of the free-slot list threaded through `Node::next`.
@@ -311,20 +346,21 @@ impl<'a> Fifo<'a> {
 }
 
 impl Queues {
+    /// Queue `i`'s header, read without materializing its page.
     #[inline]
-    fn ends(&self, set: QueueSet) -> &PagedVec<QueueEnds> {
+    fn ends(&self, set: QueueSet, i: usize) -> QueueEnds {
         match set {
-            QueueSet::Channel => &self.channel,
-            QueueSet::Inject => &self.inject,
+            QueueSet::Channel => self.channel.get(i).ends,
+            QueueSet::Inject => *self.inject.get(i),
         }
     }
 
-    /// One set's headers beside the slab, borrowed apart.
+    /// Queue `i`'s header, its page materialized, beside the slab.
     #[inline]
-    fn split(&mut self, set: QueueSet) -> (&mut PagedVec<QueueEnds>, &mut [Node]) {
+    fn ends_mut(&mut self, set: QueueSet, i: usize) -> (&mut QueueEnds, &mut [Node]) {
         let ends = match set {
-            QueueSet::Channel => &mut self.channel,
-            QueueSet::Inject => &mut self.inject,
+            QueueSet::Channel => &mut self.channel.get_mut(i).ends,
+            QueueSet::Inject => self.inject.get_mut(i),
         };
         (ends, &mut self.slab)
     }
@@ -342,7 +378,7 @@ impl Queues {
     #[inline]
     pub fn get(&self, set: QueueSet, i: usize) -> Fifo<'_> {
         Fifo {
-            ends: *self.ends(set).get(i),
+            ends: self.ends(set, i),
             slab: &self.slab,
         }
     }
@@ -351,9 +387,15 @@ impl Queues {
     /// untouched queues are empty).
     pub(crate) fn iter_touched(&self, set: QueueSet) -> impl Iterator<Item = (usize, Fifo<'_>)> {
         let slab = &self.slab[..];
-        self.ends(set)
-            .iter_touched()
-            .map(move |(i, &ends)| (i, Fifo { ends, slab }))
+        let (channel, inject) = match set {
+            QueueSet::Channel => (Some(self.channel.iter_touched()), None),
+            QueueSet::Inject => (None, Some(self.inject.iter_touched())),
+        };
+        let channel = channel.into_iter().flatten().map(|(i, r)| (i, r.ends));
+        let inject = inject.into_iter().flatten().map(|(i, &ends)| (i, ends));
+        channel
+            .chain(inject)
+            .map(move |(i, ends)| (i, Fifo { ends, slab }))
     }
 
     /// Append `p` to queue `i` of `set`.
@@ -378,8 +420,7 @@ impl Queues {
 
     /// Append a held packet to queue `i` of `set`.
     pub(crate) fn push_held(&mut self, set: QueueSet, i: usize, held: Held) {
-        let (ends, slab) = self.split(set);
-        let e = ends.get_mut(i);
+        let (e, slab) = self.ends_mut(set, i);
         if e.len == 0 {
             e.head = held.0;
         } else {
@@ -392,12 +433,11 @@ impl Queues {
     /// Unlink the packet at position `pos` of queue `i` of `set`, and say
     /// whether that left the queue empty; `None` if `pos` is past its end.
     pub(crate) fn remove(&mut self, set: QueueSet, i: usize, pos: usize) -> Option<(Held, bool)> {
-        let (ends, slab) = self.split(set);
-        if pos >= ends.get(i).len as usize {
+        if pos >= self.ends(set, i).len as usize {
             return None;
         }
         // A non-empty queue's page is materialized: this touches nothing new.
-        let e = ends.get_mut(i);
+        let (e, slab) = self.ends_mut(set, i);
         let slot = if pos == 0 {
             let slot = e.head;
             e.head = slab[slot as usize].next;
@@ -442,12 +482,12 @@ impl Queues {
         now: u64,
         out: &mut Vec<Packet>,
     ) -> bool {
-        let old = *self.ends(set).get(i);
+        let old = self.ends(set, i);
         if !self.get(set, i).iter().any(|p| now >= p.deadline) {
             return false;
         }
         let mut free = self.free;
-        let (ends, slab) = self.split(set);
+        let (ends, slab) = self.ends_mut(set, i);
         let mut kept = QueueEnds::default();
         let mut at = old.head;
         for _ in 0..old.len {
@@ -468,7 +508,7 @@ impl Queues {
             kept.tail = slot;
             kept.len += 1;
         }
-        *ends.get_mut(i) = kept;
+        *ends = kept;
         self.free = free;
         kept.len == 0
     }
@@ -479,7 +519,8 @@ impl Queues {
         self.inject.prefill();
     }
 
-    /// Header pages (materialized and spare) plus the slab's capacity.
+    /// Channel record and injection header pages (materialized and spare)
+    /// plus the slab's capacity.
     fn state_bytes(&self) -> usize {
         self.channel.state_bytes()
             + self.inject.state_bytes()
@@ -498,14 +539,11 @@ impl Queues {
 /// the allocation cost after the first.
 #[derive(Clone, Debug, Default)]
 pub struct SimArena {
-    /// The channel and injection FIFOs over one packet slab.
+    /// The channel and injection FIFOs over one packet slab, and with the
+    /// channel queues each channel's grant pointer and wire deadline.
     pub(crate) queues: Queues,
-    /// Round-robin grant pointer per output channel (arbiter state).
-    pub(crate) rr: PagedVec<u32>,
     /// iSLIP accept pointer per input channel.
     pub(crate) accept_ptr: PagedVec<u32>,
-    /// Multi-flit serialization: a channel is busy until this cycle.
-    pub(crate) busy_until: PagedVec<u64>,
     /// Channels killed by fault events grant no further packets.
     pub(crate) dead: PagedVec<bool>,
     /// When set, every `prepare` materializes all pages up front — the
@@ -523,9 +561,7 @@ impl SimArena {
     /// `num_leaf_slots` injecting leaves.
     pub(crate) fn prepare(&mut self, num_channels: usize, num_leaf_slots: usize) {
         self.queues.reset(num_channels, num_leaf_slots);
-        self.rr.reset(num_channels);
         self.accept_ptr.reset(num_channels);
-        self.busy_until.reset(num_channels);
         self.dead.reset(num_channels);
         if self.prefill_on_prepare {
             self.prefill_dense();
@@ -544,25 +580,47 @@ impl SimArena {
     /// sparse-vs-dense bit-identity.
     pub(crate) fn prefill_dense(&mut self) {
         self.queues.prefill();
-        self.rr.prefill();
         self.accept_ptr.prefill();
-        self.busy_until.prefill();
         self.dead.prefill();
+    }
+
+    /// Output channel `o`'s round-robin grant pointer.
+    #[inline]
+    pub(crate) fn rr(&self, o: usize) -> u32 {
+        self.queues.channel.get(o).rr
+    }
+
+    /// Leave output channel `o`'s grant pointer at `rr`.
+    #[inline]
+    pub(crate) fn set_rr(&mut self, o: usize, rr: u32) {
+        self.queues.channel.get_mut(o).rr = rr;
+    }
+
+    /// Multi-flit serialization: channel `o`'s wire is busy until this
+    /// cycle.
+    #[inline]
+    pub(crate) fn busy_until(&self, o: usize) -> u64 {
+        self.queues.channel.get(o).busy_until
+    }
+
+    /// Keep channel `o`'s wire busy until cycle `at`.
+    #[inline]
+    pub(crate) fn set_busy_until(&mut self, o: usize, at: u64) {
+        self.queues.channel.get_mut(o).busy_until = at;
     }
 
     /// Channels resident in a materialized page of *any* channel-indexed
     /// array — the engine's working set, page-granular.
     pub fn touched_channels(&self) -> usize {
-        let num_channels = self.queues.channel.len();
-        (0..self.queues.channel.dir.len())
+        let records = &self.queues.channel;
+        let num_channels = records.len();
+        (0..records.dir.len())
             .filter(|&p| {
-                self.queues.channel.page_touched(p)
-                    || self.rr.page_touched(p)
+                records.page_touched(p)
                     || self.accept_ptr.page_touched(p)
-                    || self.busy_until.page_touched(p)
                     || self.dead.page_touched(p)
             })
-            .map(|p| PAGE_LEN.min(num_channels - (p << PAGE_SHIFT)))
+            .map(|p| (1 << PAGE_SHIFT).min(num_channels - (p << PAGE_SHIFT)))
             .sum()
     }
 
@@ -570,15 +628,11 @@ impl SimArena {
     /// pages, and spare pages) and the packet slab's capacity: all the
     /// memory the run's state holds.
     pub fn state_bytes(&self) -> usize {
-        self.queues.state_bytes()
-            + self.rr.state_bytes()
-            + self.accept_ptr.state_bytes()
-            + self.busy_until.state_bytes()
-            + self.dead.state_bytes()
+        self.queues.state_bytes() + self.accept_ptr.state_bytes() + self.dead.state_bytes()
     }
 }
 
-impl<T: Clone + Default> Default for PagedVec<T> {
+impl<T: Clone + Default, const SHIFT: usize> Default for PagedVec<T, SHIFT> {
     fn default() -> Self {
         Self::new(0, T::default())
     }
@@ -683,39 +737,42 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use std::collections::VecDeque;
 
+    /// Entries per arena page.
+    const PAGE: usize = 1 << PAGE_SHIFT;
+
     #[test]
     fn untouched_reads_default_and_allocates_nothing() {
-        let v: PagedVec<u64> = PagedVec::new(10 * PAGE_LEN, 7);
-        assert_eq!(v.len(), 10 * PAGE_LEN);
+        let v: PagedVec<u64> = PagedVec::new(10 * PAGE, 7);
+        assert_eq!(v.len(), 10 * PAGE);
         assert_eq!(*v.get(0), 7);
-        assert_eq!(*v.get(10 * PAGE_LEN - 1), 7);
+        assert_eq!(*v.get(10 * PAGE - 1), 7);
         assert_eq!(v.touched_entries(), 0);
         assert_eq!(v.iter_touched().count(), 0);
     }
 
     #[test]
     fn writes_materialize_only_their_page() {
-        let mut v: PagedVec<u32> = PagedVec::new(4 * PAGE_LEN + 3, 0);
-        *v.get_mut(PAGE_LEN + 1) = 11;
-        *v.get_mut(4 * PAGE_LEN + 2) = 22; // partial last page
-        assert_eq!(v.touched_entries(), PAGE_LEN + 3);
-        assert_eq!(*v.get(PAGE_LEN + 1), 11);
-        assert_eq!(*v.get(PAGE_LEN), 0, "same page, untouched entry");
+        let mut v: PagedVec<u32> = PagedVec::new(4 * PAGE + 3, 0);
+        *v.get_mut(PAGE + 1) = 11;
+        *v.get_mut(4 * PAGE + 2) = 22; // partial last page
+        assert_eq!(v.touched_entries(), PAGE + 3);
+        assert_eq!(*v.get(PAGE + 1), 11);
+        assert_eq!(*v.get(PAGE), 0, "same page, untouched entry");
         assert_eq!(*v.get(0), 0, "untouched page");
         let touched: Vec<(usize, u32)> = v.iter_touched().map(|(i, &x)| (i, x)).collect();
-        assert_eq!(touched.len(), PAGE_LEN + 3);
+        assert_eq!(touched.len(), PAGE + 3);
         assert!(touched.windows(2).all(|w| w[0].0 < w[1].0), "ascending");
-        assert_eq!(touched[1], (PAGE_LEN + 1, 11));
-        assert_eq!(touched[PAGE_LEN + 2], (4 * PAGE_LEN + 2, 22));
+        assert_eq!(touched[1], (PAGE + 1, 11));
+        assert_eq!(touched[PAGE + 2], (4 * PAGE + 2, 22));
     }
 
     #[test]
     fn ascending_iteration_is_independent_of_touch_order() {
-        let mut a: PagedVec<u32> = PagedVec::new(3 * PAGE_LEN, 0);
+        let mut a: PagedVec<u32> = PagedVec::new(3 * PAGE, 0);
         let mut b = a.clone();
         *a.get_mut(0) = 1;
-        *a.get_mut(2 * PAGE_LEN) = 3;
-        *b.get_mut(2 * PAGE_LEN) = 3;
+        *a.get_mut(2 * PAGE) = 3;
+        *b.get_mut(2 * PAGE) = 3;
         *b.get_mut(0) = 1;
         let pa: Vec<_> = a.iter_touched().map(|(i, &x)| (i, x)).collect();
         let pb: Vec<_> = b.iter_touched().map(|(i, &x)| (i, x)).collect();
@@ -724,15 +781,15 @@ mod tests {
 
     #[test]
     fn reset_retires_pages_into_freelist_and_clears_values() {
-        let mut v: PagedVec<u64> = PagedVec::new(2 * PAGE_LEN, 0);
+        let mut v: PagedVec<u64> = PagedVec::new(2 * PAGE, 0);
         *v.get_mut(0) = 9;
-        *v.get_mut(PAGE_LEN) = 9;
+        *v.get_mut(PAGE) = 9;
         let bytes_before = v.state_bytes();
-        v.reset(2 * PAGE_LEN);
+        v.reset(2 * PAGE);
         assert_eq!(v.touched_entries(), 0);
         assert_eq!(*v.get(0), 0, "reset entry reads default again");
         *v.get_mut(0) = 1; // reuses a spare page: no growth
-        *v.get_mut(PAGE_LEN) = 1;
+        *v.get_mut(PAGE) = 1;
         assert_eq!(v.state_bytes(), bytes_before, "pages recycled, not grown");
         assert_eq!(*v.get(1), 0, "recycled page was wiped");
     }
@@ -769,15 +826,15 @@ mod tests {
     #[test]
     fn arena_prepare_prefill_and_accounting() {
         let mut a = SimArena::new();
-        a.prepare(3 * PAGE_LEN + 5, 4);
+        a.prepare(3 * PAGE + 5, 4);
         assert_eq!(a.touched_channels(), 0);
         let empty_bytes = a.state_bytes();
         a.queues.push_back(QueueSet::Channel, 0, pkt(0, u64::MAX));
         a.queues.push_back(QueueSet::Inject, 3, pkt(1, u64::MAX));
-        *a.busy_until.get_mut(3 * PAGE_LEN) = 1; // partial last page
+        a.set_busy_until(3 * PAGE, 1); // partial last page
         assert_eq!(
             a.touched_channels(),
-            PAGE_LEN + 5,
+            PAGE + 5,
             "inject pages are not channels"
         );
         assert_eq!(a.queues.get(QueueSet::Channel, 0).len(), 1);
@@ -788,18 +845,18 @@ mod tests {
             "the slab's packets are counted"
         );
         a.prefill_dense();
-        assert_eq!(a.touched_channels(), 3 * PAGE_LEN + 5);
+        assert_eq!(a.touched_channels(), 3 * PAGE + 5);
         let slab_capacity = a.queues.slab.capacity();
-        a.prepare(PAGE_LEN, 4);
+        a.prepare(PAGE, 4);
         assert_eq!(a.touched_channels(), 0, "prepare resets the working set");
         assert!(a.queues.get(QueueSet::Channel, 0).is_empty());
         assert!(a.queues.get(QueueSet::Inject, 3).is_empty());
         assert_eq!(a.queues.slab.capacity(), slab_capacity, "slab kept");
         a.set_prefill_on_prepare(true);
-        a.prepare(PAGE_LEN + 1, 4);
+        a.prepare(PAGE + 1, 4);
         assert_eq!(
             a.touched_channels(),
-            PAGE_LEN + 1,
+            PAGE + 1,
             "dense mode prefills on prepare"
         );
     }
@@ -875,11 +932,11 @@ mod tests {
         Prefill,
     }
 
-    const CHANNELS: usize = 2 * PAGE_LEN + 3;
+    const CHANNELS: usize = 2 * PAGE + 3;
     const SLOTS: usize = 3;
     /// Queue indices the model drives: two on the first page, one on the
     /// second, one at the end of the partial last page.
-    const CHANNEL_IDS: [usize; 4] = [0, 1, PAGE_LEN + 7, CHANNELS - 1];
+    const CHANNEL_IDS: [usize; 4] = [0, 1, PAGE + 7, CHANNELS - 1];
 
     fn model_set(
         model: &mut [Vec<VecDeque<Packet>>; 2],

@@ -1,6 +1,6 @@
 //! Simulation statistics.
 
-use crate::state::PagedVec;
+use crate::state::{PagedVec, BUSY_PAGE_SHIFT};
 use serde::{Deserialize, Serialize};
 
 /// Counters collected over a run; latency figures cover packets *delivered
@@ -99,7 +99,7 @@ impl SimStats {
 /// between the dense-prefilled and sparse engine configurations.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ChannelBusy {
-    busy: PagedVec<u64>,
+    busy: PagedVec<u64, BUSY_PAGE_SHIFT>,
 }
 
 impl ChannelBusy {

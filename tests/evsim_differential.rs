@@ -11,7 +11,9 @@
 
 use ftclos::evsim::EventSimulator;
 use ftclos::obs::{EpochSnapshot, Noop, Registry};
-use ftclos::routing::{DModK, ObliviousMultipath, SinglePathRouter, XgftRouter, YuanRecursive};
+use ftclos::routing::{
+    route_all, DModK, ObliviousMultipath, SinglePathRouter, XgftRouter, YuanRecursive,
+};
 use ftclos::sim::{
     Arbiter, ChurnConfig, ChurnSchedule, FaultSchedule, Policy, ReplanMode, SimArena, SimConfig,
     SimError, SimStats, Simulator, Workload,
@@ -534,6 +536,39 @@ fn untouched_fabric_allocates_o_touched_pages() {
     assert!(
         touched * 8 < num_channels,
         "paged state must stay O(touched): {touched} of {num_channels} channels materialized"
+    );
+}
+
+/// The channel-grain gate: a sparse permutation on the recursive fabric the
+/// Discussion builds (n = 16: 69,632 hosts, 38,019,072 channels) holds state
+/// for the channels its packets cross, not for 512-channel neighbourhoods.
+/// The bounds are 1.5x the readings of one 24-byte channel record in
+/// 64-entry pages (1,695,488 channels, 49,118,976 bytes); three separate
+/// channel arrays in 512-entry pages read 3,290,112 and 81,742,688 and fail.
+#[test]
+fn recursive_sparse_run_touches_channel_grain_pages() {
+    let net = RecursiveNonblocking::new(16).unwrap();
+    let router = YuanRecursive::new(&net);
+    let ports = net.topology().num_leaves() as u32;
+    let perm = patterns::shift(ports, 13);
+    let policy = Policy::from_assignment(&route_all(&router, &perm).unwrap());
+    let cfg = SimConfig {
+        warmup_cycles: 5,
+        measure_cycles: 15,
+        ..SimConfig::default()
+    };
+    let mut sim = EventSimulator::new(net.topology(), cfg, policy);
+    let stats = sim.try_run(&Workload::permutation(&perm, 0.02), 7).unwrap();
+    assert!(stats.delivered_total > 0 && stats.conservation_ok());
+    let arena = sim.into_arena();
+    let (touched, bytes) = (arena.touched_channels(), arena.state_bytes());
+    assert!(
+        touched * 2 <= 1_695_488 * 3,
+        "{touched} channels materialized, over 1.5x 1,695,488"
+    );
+    assert!(
+        bytes * 2 <= 49_118_976 * 3,
+        "{bytes} bytes of simulator state, over 1.5x 49,118,976"
     );
 }
 
