@@ -4,7 +4,7 @@
 //! exponential MTBF/MTTR, replay the trace through the exact availability
 //! checker, and simulate packet flow under the chosen re-planning mode.
 
-use super::common::{build_ftree, core_events, fabric, flapping_links};
+use super::common::{build_ftree, core_events, fabric, flapping_links, unit_interval};
 use crate::opts::{CliError, Opts};
 use ftclos_core::churn::{availability, min_m_for_availability};
 use ftclos_obs::{Recorder as _, Registry};
@@ -41,22 +41,15 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let mtbf: u64 = opts.flag_or("mtbf", 400)?;
     let mttr: u64 = opts.flag_or("mttr", 100)?;
     let cycles: u64 = opts.flag_or("cycles", 2_000)?;
-    let rate: f64 = opts.flag_or("rate", 0.6)?;
+    let rate = unit_interval(opts, "rate", 0.6)?;
     let samples: usize = opts.flag_or("samples", 25)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
     let mode = parse_mode(opts.flag("mode").unwrap_or("hysteresis:50"))?;
     // `--target` is checked here, before any work: the min-m search runs last.
-    let target: Option<f64> = opts
+    let target = opts
         .flag("target")
-        .map(|_| opts.flag_or("target", 0.0))
+        .map(|_| unit_interval(opts, "target", 0.0))
         .transpose()?;
-    for (flag, value) in [("rate", Some(rate)), ("target", target)] {
-        if let Some(v) = value.filter(|v| !(0.0..=1.0).contains(v)) {
-            return Err(CliError::Usage(format!(
-                "--{flag} {v} must be within [0, 1]"
-            )));
-        }
-    }
 
     let schedule = ChurnSchedule::flapping_links(ft.topology(), links, mtbf, mttr, cycles, seed);
     let mut out = String::new();

@@ -304,6 +304,19 @@ pub(crate) fn flapping_links(flag: &str, links: usize, ft: &Ftree) -> Result<usi
     Ok(links)
 }
 
+/// The `--<flag>` rate (`default` when absent), if it lies in [0, 1]. The
+/// error echoes the value as typed: `1e300` would print as 301 digits.
+pub(crate) fn unit_interval(opts: &Opts, flag: &str, default: f64) -> Result<f64, CliError> {
+    let v: f64 = opts.flag_or(flag, default)?;
+    if !(0.0..=1.0).contains(&v) {
+        let typed = opts.flag(flag).unwrap_or_default();
+        return Err(CliError::Usage(format!(
+            "--{flag} {typed} must be within [0, 1]"
+        )));
+    }
+    Ok(v)
+}
+
 /// The simulator's churn schedule as the analyzer's event list.
 pub(crate) fn core_events(schedule: &ChurnSchedule) -> Vec<ChurnEvent> {
     schedule
