@@ -778,6 +778,13 @@ mod tests {
         // this 60-channel fabric shares one state page.
         assert_eq!(snap.gauge("sim.touched_channels"), Some(60));
         assert!(snap.gauge("sim.state_bytes").unwrap_or(0) > 0);
+        // The busy accumulator: one 64-entry page of counts and its
+        // one-entry directory.
+        assert_eq!(
+            snap.gauge("sim.busy_bytes"),
+            Some(plain.channel_busy.state_bytes() as u64)
+        );
+        assert_eq!(plain.channel_busy.state_bytes(), 64 * 8 + 4);
         // Epochs: one per transition cycle (400 and 900) plus the final
         // "end" mark, each conserving injected = delivered + abandoned +
         // in-flight at its boundary.

@@ -572,6 +572,10 @@ mod tests {
         assert_eq!(snap.gauge("evsim.in_flight"), Some(plain.leftover_packets));
         assert!(snap.spans.iter().any(|s| s.path == "evsim.run"));
         assert!(snap.counter("evsim.busy_component_cycles").unwrap_or(0) > 0);
+        assert_eq!(
+            snap.gauge("evsim.busy_bytes"),
+            Some(plain.channel_busy.state_bytes() as u64)
+        );
         assert_eq!(snap.epochs.len(), 3);
         assert_eq!(snap.epochs[0].label, "cycle=400");
         assert_eq!(snap.epochs[1].label, "cycle=900");

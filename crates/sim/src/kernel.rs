@@ -64,6 +64,8 @@ pub struct Names {
     pub(crate) touched_channels: &'static str,
     /// Gauge: backing bytes of the state arena.
     pub(crate) state_bytes: &'static str,
+    /// Gauge: backing bytes of the per-channel busy accumulator.
+    pub(crate) busy_bytes: &'static str,
 }
 
 /// The [`Names`] table for one metric prefix: `metric_names!("sim")`.
@@ -84,6 +86,7 @@ macro_rules! metric_names {
             cycles: concat!($prefix, ".cycles"),
             touched_channels: concat!($prefix, ".touched_channels"),
             state_bytes: concat!($prefix, ".state_bytes"),
+            busy_bytes: concat!($prefix, ".busy_bytes"),
         }
     };
 }
@@ -237,11 +240,11 @@ impl<'a, S: Schedule> Kernel<'a, S> {
     /// [`crate::EventSimulator`], `sim.*` for [`crate::Simulator`]) — the
     /// `run` span, the cumulative counters (`injected`, `delivered`,
     /// `timed_out`, `retries`, `abandoned`, `refusals`, `cycles`), the
-    /// `in_flight`, `touched_channels` and `state_bytes` gauges, the event
-    /// schedule's activity counters, and one recorder epoch per
-    /// liveness-transition cycle plus a final `end` epoch — so per-epoch
-    /// packet conservation is auditable from the trace alone. With
-    /// [`Noop`] this is exactly `try_run_with_faults`.
+    /// `in_flight`, `touched_channels`, `state_bytes` and `busy_bytes`
+    /// gauges, the event schedule's activity counters, and one recorder
+    /// epoch per liveness-transition cycle plus a final `end` epoch — so
+    /// per-epoch packet conservation is auditable from the trace alone.
+    /// With [`Noop`] this is exactly `try_run_with_faults`.
     ///
     /// # Errors
     /// As for [`Kernel::try_run`].
@@ -598,6 +601,10 @@ impl<'k, S: Schedule> Run<'k, S> {
             .record_activity(rec, (num_channels + self.leaves.len()) as u64);
         rec.gauge(names.touched_channels, self.arena.touched_channels() as u64);
         rec.gauge(names.state_bytes, self.arena.state_bytes() as u64);
+        rec.gauge(
+            names.busy_bytes,
+            self.stats.channel_busy.state_bytes() as u64,
+        );
         if let Some(report) = stalled {
             return Err(SimError::Stalled(report));
         }

@@ -1,7 +1,8 @@
 //! Simulation statistics.
 
-use crate::state::{PagedVec, BUSY_PAGE_SHIFT};
+use crate::state::PagedVec;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Counters collected over a run; latency figures cover packets *delivered
 /// inside the measurement window* only.
@@ -96,10 +97,12 @@ impl SimStats {
 /// defined over *logical* content — two accumulators with the same length
 /// and the same nonzero entries are equal regardless of which pages happen
 /// to be materialized — which is what keeps [`SimStats`] byte-identical
-/// between the dense-prefilled and sparse engine configurations.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// between the dense-prefilled and sparse engine configurations. `Debug`
+/// prints the same logical content, `len()` and the `nonzero()` entries, so
+/// the text of a [`SimStats`] says what a run did, not how its pages lie.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct ChannelBusy {
-    busy: PagedVec<u64, BUSY_PAGE_SHIFT>,
+    busy: PagedVec<u64>,
 }
 
 impl ChannelBusy {
@@ -164,6 +167,22 @@ impl ChannelBusy {
     /// Backing bytes currently allocated.
     pub fn state_bytes(&self) -> usize {
         self.busy.state_bytes()
+    }
+}
+
+impl fmt::Debug for ChannelBusy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// The nonzero entries as an `{id: cycles, ...}` map.
+        struct Nonzero<'a>(&'a ChannelBusy);
+        impl fmt::Debug for Nonzero<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.nonzero()).finish()
+            }
+        }
+        f.debug_struct("ChannelBusy")
+            .field("len", &self.len())
+            .field("nonzero", &Nonzero(self))
+            .finish()
     }
 }
 

@@ -7,8 +7,13 @@
 //! moves both and passes it. This corpus holds each schedule to a recorded
 //! outcome instead. Every line of `tests/snapshots/arbitration.digests` is a
 //! seed, a summary of the scenario it decodes to, and the 64-bit FNV-1a
-//! digest of the `Debug` text of its `Result<SimStats, SimError>` under the
-//! dense schedule and under the active one.
+//! digest of its outcome text under the dense schedule and under the active
+//! one. The outcome text is the `Debug` text of the run's `Result<SimStats,
+//! SimError>`: every `SimStats` field, with the per-channel busy counts as
+//! `ChannelBusy`'s length and its nonzero `{channel: cycles}` entries, or
+//! the error as it prints. It shows what the run did, not how the
+//! simulator's pages are laid out, so a change of page size or state layout
+//! leaves every digest where it is.
 //!
 //! - Tier-1 runs the first stratum: one scenario for every fabric × arbiter
 //!   × queue capacity × flit count cell.

@@ -6,8 +6,9 @@
 //! codec: `to_vec()` out, `From<Vec<u64>>` back in. These proptests pin
 //! that codec plus the sparse representation's equality semantics: logical
 //! equality must ignore page materialization (an explicitly-written zero
-//! and a never-touched slot are the same value), and `get()` must answer 0
-//! for untouched pages and out-of-range ids without materializing anything.
+//! and a never-touched slot are the same value), `Debug` must print that
+//! logical value alone, and `get()` must answer 0 for untouched pages and
+//! out-of-range ids without materializing anything.
 
 use ftclos_sim::state::PAGE_LEN;
 use ftclos_sim::ChannelBusy;
@@ -87,6 +88,31 @@ proptest! {
         let back = ChannelBusy::from(padded.to_vec());
         prop_assert_eq!(&back, &padded);
         prop_assert_eq!(back.touched_channels(), plain.touched_channels());
+    }
+
+    /// `Debug` reads logical content: equal accumulators print the same
+    /// text (the replay digests hash it) when one has materialized extra
+    /// pages with explicit zeros, and that text names the length and the
+    /// nonzero entries only.
+    #[test]
+    fn equal_accumulators_print_the_same_debug(seed in 0u64..1000, pages in 2usize..6, writes in 0usize..24) {
+        // Writes land in the first `pages` pages; the last page is padding.
+        let len = (pages + 1) * PAGE_LEN;
+        let mut plain = ChannelBusy::zeros(len);
+        for (id, cycles) in writes_from_seed(seed, pages * PAGE_LEN, writes) {
+            plain.add(id, cycles);
+        }
+        let mut padded = plain.clone();
+        padded.add(pages * PAGE_LEN + seed as usize % PAGE_LEN, 0);
+        prop_assert!(padded.touched_channels() > plain.touched_channels());
+        prop_assert_eq!(&padded, &plain);
+        let text = format!("{plain:?}");
+        prop_assert_eq!(format!("{padded:?}"), text.clone());
+        let entries: Vec<String> = plain.nonzero().map(|(id, b)| format!("{id}: {b}")).collect();
+        prop_assert_eq!(
+            text,
+            format!("ChannelBusy {{ len: {len}, nonzero: {{{}}} }}", entries.join(", "))
+        );
     }
 
     /// `get()` past materialized pages: ids in untouched pages and ids

@@ -545,6 +545,8 @@ fn untouched_fabric_allocates_o_touched_pages() {
 /// The bounds are 1.5x the readings of one 24-byte channel record in
 /// 64-entry pages (1,695,488 channels, 49,118,976 bytes); three separate
 /// channel arrays in 512-entry pages read 3,290,112 and 81,742,688 and fail.
+/// The busy accumulator's bound is 1.5x its reading in 64-entry pages
+/// (14,707,200 bytes); in 512-entry pages it reads 25,864,256 and fails.
 #[test]
 fn recursive_sparse_run_touches_channel_grain_pages() {
     let net = RecursiveNonblocking::new(16).unwrap();
@@ -569,6 +571,11 @@ fn recursive_sparse_run_touches_channel_grain_pages() {
     assert!(
         bytes * 2 <= 49_118_976 * 3,
         "{bytes} bytes of simulator state, over 1.5x 49,118,976"
+    );
+    let busy = stats.channel_busy.state_bytes();
+    assert!(
+        busy * 2 <= 14_707_200 * 3,
+        "{busy} bytes of busy counts, over 1.5x 14,707,200"
     );
 }
 
